@@ -121,8 +121,8 @@ def cmd_spectrum(args) -> int:
     spectrum = walsh_naive(f) if args.naive else walsh_fast(f)
     width = ctx.p - 1
     sys.stdout.write("index," + ",".join("c%d" % i for i in range(width)) + "\n")
-    for idx, v in enumerate(spectrum.values):
-        sys.stdout.write("%d,%s\n" % (idx, ",".join(str(c) for c in v.coords)))
+    for idx, coords in enumerate(spectrum.coords):
+        sys.stdout.write("%d,%s\n" % (idx, ",".join(map(str, coords))))
     return 0
 
 

@@ -49,8 +49,7 @@ class CycInt:
     @classmethod
     def from_exponent_counts(cls, p: int, counts) -> "CycInt":
         """sum_j counts[j] * w^j for a length-p count vector."""
-        top = counts[p - 1]
-        return cls(p, tuple(counts[i] - top for i in range(p - 1)))
+        return cls(p, coords_from_counts(p, counts))
 
     # -- ring operations --------------------------------------------------------
 
@@ -82,11 +81,7 @@ class CycInt:
 
     def conj(self) -> "CycInt":
         """Complex conjugation w -> w^(p-1); an involutive ring automorphism."""
-        p = self.p
-        acc = [0] * p
-        for i, a in enumerate(self.coords):
-            acc[(p - i) % p] += a
-        return CycInt.from_exponent_counts(p, acc)
+        return CycInt(self.p, conj_coords(self.coords, self.p))
 
     def norm_sq(self) -> "CycInt":
         """x * conj(x); the squared complex magnitude as a ring element."""
@@ -94,11 +89,7 @@ class CycInt:
 
     def mul_omega(self, j: int) -> "CycInt":
         """Multiply by w^j."""
-        p = self.p
-        acc = [0] * p
-        for i, a in enumerate(self.coords):
-            acc[(i + j) % p] += a
-        return CycInt.from_exponent_counts(p, acc)
+        return CycInt(self.p, rotate_coords(self.coords, j, self.p))
 
     # -- predicates and views ----------------------------------------------------
 
@@ -143,6 +134,48 @@ class CycInt:
         return [str(c) for c in self.coords]
 
 
+# -- flat coordinate tuples ------------------------------------------------------
+#
+# Walsh spectra hold their values as bare coordinate tuples; these functions
+# are the arithmetic they need, and the CycInt methods delegate to them.
+
+
+def coords_from_counts(p: int, counts) -> tuple:
+    """Canonical coordinates of sum_j counts[j] * w^j (length-p counts)."""
+    top = counts[p - 1]
+    return tuple(counts[i] - top for i in range(p - 1))
+
+
+def rotate_coords(coords: tuple, j: int, p: int) -> tuple:
+    """Coordinates of w^j * x."""
+    acc = [0] * p
+    for i, a in enumerate(coords):
+        acc[(i + j) % p] += a
+    return coords_from_counts(p, acc)
+
+
+def conj_coords(coords: tuple, p: int) -> tuple:
+    """Coordinates of conj(x), w -> w^(p-1)."""
+    acc = [0] * p
+    for i, a in enumerate(coords):
+        acc[(p - i) % p] += a
+    return coords_from_counts(p, acc)
+
+
+def norm_coords(coords: tuple, p: int) -> tuple:
+    """|x|^2 = x * conj(x) as the integer tuple (N_0 - N_1, N_2 - N_1, ...,
+    N_h - N_1), h = (p-1)/2, where N_k = sum_{i-j = k mod p} c_i c_j.
+
+    Since N_k = N_(p-k), the tuple determines |x|^2 exactly and is linear in
+    it: |x|^2 is the rational integer m iff the tuple is (m, 0, ..., 0).
+    For p = 3 it is (a^2 - ab + b^2,).
+    """
+    c = coords + (0,)
+    acf = [sum(c[i] * c[i - k] for i in range(p)) for k in range((p + 1) // 2)]
+    n1 = acf[1]
+    return (acf[0] - n1,) + tuple(v - n1 for v in acf[2:])
+
+
 @lru_cache(maxsize=8)
 def gauss_sum(p: int) -> CycInt:
     """The quadratic Gauss sum of F_p as an exact element of Z[w]."""
@@ -152,37 +185,34 @@ def gauss_sum(p: int) -> CycInt:
     return CycInt.from_exponent_counts(p, counts)
 
 
-def recognize_unit_times_power(x: CycInt, p: int, n: int):
-    """Match x against the bent-coefficient normal form.
+@lru_cache(maxsize=32)
+def unit_power_forms(p: int, n: int) -> dict:
+    """The 2p bent-coefficient normal forms, coordinates -> (s, j).
 
-    For even n succeeds iff x = s * p^(n/2) * w^j; for odd n succeeds iff
-    x * conj(gauss_sum(p)) = s * p^((n+1)/2) * w^j, which absorbs the
-    imaginary unit occurring when p = 3 mod 4.  Returns (s, j) with
-    s in {+1, -1} and j the dual value mod p, or None when x has no such
-    form (a non-bent coefficient).
+    For even n the forms are s * p^(n/2) * w^j; for odd n they are
+    s * p^((n-1)/2) * g * w^j with g the Gauss sum, i.e. exactly the x with
+    x * conj(g) = s * p^((n+1)/2) * w^j, which absorbs the imaginary unit
+    occurring when p = 3 mod 4.  The forms are pairwise distinct for odd p,
+    so a dictionary lookup recognizes a coordinate tuple exactly.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n % 2 == 0:
-        mag = p ** (n // 2)
-        probe = x
-    else:
-        mag = p ** ((n + 1) // 2)
-        probe = x * gauss_sum(p).conj()
-    coords = probe.coords
-    nonzero = [i for i, c in enumerate(coords) if c]
-    if len(nonzero) == 1:
-        i = nonzero[0]
-        c = coords[i]
-        if abs(c) == mag:
-            return (1 if c > 0 else -1), i
-        return None
-    if len(nonzero) == p - 1:
-        c = coords[0]
-        if abs(c) == mag and all(v == c for v in coords):
-            # x = -s*mag*(1 + w + ... + w^(p-2)) = s*mag*w^(p-1)
-            return (-1 if c > 0 else 1), p - 1
-    return None
+    unit = CycInt.integer(p, 1) if n % 2 == 0 else gauss_sum(p)
+    forms = {}
+    for j in range(p):
+        base = unit * CycInt.omega_pow(p, j)
+        for s in (1, -1):
+            forms[(base * (s * p ** (n // 2))).coords] = (s, j)
+    return forms
+
+
+def recognize_unit_times_power(x: CycInt, p: int, n: int):
+    """Match x against the bent-coefficient normal form (`unit_power_forms`).
+
+    Returns (s, j) with s in {+1, -1} and j the dual value mod p, or None
+    when x has no such form (a non-bent coefficient).
+    """
+    return unit_power_forms(p, n).get(x.coords)
 
 
 def unit_class(p: int, n: int) -> str:

@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 import random
 
+from .cyclo import conj_coords, rotate_coords
 from .errors import PreconditionError
 from .funcrep import PFunction
 from .gf import FFElem
@@ -244,8 +245,9 @@ def wr_identity_check(f: PFunction, seed: int = 0, sample: int = 10000,
     spec_b: dict[int, list] = {}
 
     def deriv_spectrum(base: PFunction, idx: int, cache: dict) -> list:
+        """Coordinate tuples of W_{D_idx base}, cached per direction."""
         if idx not in cache:
-            cache[idx] = walsh_fast(base.derivative(ctx.from_index(idx))).values
+            cache[idx] = walsh_fast(base.derivative(ctx.from_index(idx))).coords
         return cache[idx]
 
     def tr_prod(i: int, j: int) -> int:
@@ -263,15 +265,15 @@ def wr_identity_check(f: PFunction, seed: int = 0, sample: int = 10000,
             violations.append({"b": b, "c": c, "check": "symmetry_in_c"})
         tr = tr_prod(b, c)
         wb = deriv_spectrum(fstar, b, spec_b)
-        if wcb != wb[ctx.neg_index(c)].mul_omega(tr):
+        if wcb != rotate_coords(wb[ctx.neg_index(c)], tr, p):
             violations.append({"b": b, "c": c, "check": "dual_phase_identity"})
         if tr != 0:
-            if not wcb.is_zero():
+            if any(wcb):
                 violations.append({"b": b, "c": c, "check": "vanishing_on_nonzero_trace"})
         else:
             if wcb != wb[ctx.neg_index(c)]:
                 violations.append({"b": b, "c": c, "check": "dual_identity_on_zero_trace"})
-            if not wcb.is_real():
+            if wcb != conj_coords(wcb, p):
                 violations.append({"b": b, "c": c, "check": "realness"})
 
     def light_check(b: int, c: int) -> None:
@@ -279,9 +281,9 @@ def wr_identity_check(f: PFunction, seed: int = 0, sample: int = 10000,
         wcb = wc[b]
         if wcb != wc[ctx.neg_index(b)]:
             violations.append({"b": b, "c": c, "check": "symmetry_in_b"})
-        if tr_prod(b, c) != 0 and not wcb.is_zero():
+        if tr_prod(b, c) != 0 and any(wcb):
             violations.append({"b": b, "c": c, "check": "vanishing_on_nonzero_trace"})
-        if not wcb.is_real():
+        if wcb != conj_coords(wcb, p):
             violations.append({"b": b, "c": c, "check": "realness"})
 
     exhaustive = q * q <= EXHAUSTIVE_PAIR_LIMIT
@@ -315,6 +317,6 @@ def quad_like_implication_check(f: PFunction, c: FFElem, d: FFElem) -> bool:
         raise PreconditionError("D_{c,d} f is not a nonzero constant")
     spec = walsh_fast(f.derivative(c))
     for b in range(ctx.q):
-        if ctx.trace(ctx.from_index(b) * d) != lam and not spec.values[b].is_zero():
+        if ctx.trace(ctx.from_index(b) * d) != lam and any(spec.coords[b]):
             return False
     return True

@@ -24,7 +24,7 @@ import re
 from functools import lru_cache
 
 from .cyclo import CycInt
-from .errors import InternalInconsistency, ParseError
+from .errors import InternalInconsistency, ParseError, PreconditionError
 from .gf import FFElem, FieldCtx, parse_field_spec
 from .linalg import mat_inverse
 
@@ -147,7 +147,7 @@ class TraceForm:
         merged: dict[int, FFElem] = {}
         for coeff, exp in terms:
             if not 0 <= exp <= ctx.q - 1:
-                raise ValueError("exponent %d out of range [0, %d]" % (exp, ctx.q - 1))
+                raise ParseError("exponent %d out of range [0, %d]" % (exp, ctx.q - 1))
             merged[exp] = merged[exp] + coeff if exp in merged else coeff
         self.terms = tuple(sorted(((c, e) for e, c in merged.items() if not c.is_zero()),
                                   key=lambda t: t[1]))
@@ -473,11 +473,16 @@ def parse_function_spec(text: str):
     Grammar: field spec, then f=Tr(term +- term ...) optionally followed by
     +c / -c for a prime-field constant.  A term is [coef][*]x^E with coef a
     power of the context primitive (g^M), a decimal integer, or omitted.
+    Even p is refused with PreconditionError.
     """
     at = text.find("f=")
     if at < 0:
         raise ParseError("missing 'f=' in %r" % text)
     ctx = parse_field_spec(text[:at])
+    if ctx.p % 2 == 0:
+        raise PreconditionError(
+            "p=%d: functions are analyzed for odd p only (the Gauss-sum unit "
+            "class and the bent normal form assume it)" % ctx.p)
     body = re.sub(r"\s+", "", text[at + 2:])
     if not body.startswith("Tr("):
         raise ParseError("function must start with Tr( at position %d" % (at + 2))

@@ -11,14 +11,22 @@ coordinates of x in the polynomial basis and the coordinates of y in the
 trace-dual basis (obtained by inverting the Gram matrix [Tr(a_i a_j)]),
 which turns the transform into n successive size-p DFT passes.
 
-Every spectrum is Parseval-checked at construction
-(sum_y |W(y)|^2 = p^(2n), exactly), so a constructed WalshSpectrum is
-already a certificate of internal consistency.
+Both paths produce flat coordinate tuples in Z[w] ((a, b) = a + b*w for
+p = 3, p - 1 integers otherwise), and a WalshSpectrum stores exactly those.
+Its constructor makes one pass over the points that computes each norm
+|W(y)|^2 as an integer expression on the coordinates; from that pass it
+checks Parseval (sum_y |W(y)|^2 = p^(2n), exactly) and sets the bent flag,
+so a constructed WalshSpectrum is already a certificate of internal
+consistency, and `is_bent` only reads the flag.  The bent certificate is
+recognized on coordinates (`cyclo.unit_power_forms`) once per spectrum and
+cached.  CycInt stays the scalar type at the API boundary: `s[y]` and
+`s.values`, a view built on first access.
 """
 
 from __future__ import annotations
 
-from .cyclo import CycInt, gauss_sum, recognize_unit_times_power, unit_class
+from .cyclo import (CycInt, coords_from_counts, gauss_sum, norm_coords,
+                    unit_class, unit_power_forms)
 from .errors import InternalInconsistency, PreconditionError
 from .funcrep import PFunction
 from .gf import FieldCtx
@@ -31,21 +39,46 @@ NON_WEAKLY_REGULAR = "non_weakly_regular"
 
 
 class WalshSpectrum:
-    """Full map y -> W_f(y) as exact cyclotomic integers."""
+    """Full map y -> W_f(y) as exact coordinate tuples in Z[w].
 
-    __slots__ = ("ctx", "values", "provenance")
+    `values` may hold CycInt values or their coordinate tuples.  `bent` is
+    set by the construction-time norm pass.
+    """
+
+    __slots__ = ("ctx", "coords", "provenance", "bent", "_values", "_certificate")
 
     def __init__(self, ctx: FieldCtx, values, provenance: str) -> None:
-        self.ctx = ctx
-        self.values = list(values)
-        self.provenance = provenance
-        if len(self.values) != ctx.q:
+        coords = list(values)
+        if coords and isinstance(coords[0], CycInt):
+            coords = [v.coords for v in coords]
+        p, q = ctx.p, ctx.q
+        if len(coords) != q:
             raise ValueError("spectrum must have p^n values")
-        total = CycInt.zero(ctx.p)
-        for v in self.values:
-            total = total + v.norm_sq()
-        if total != CycInt.integer(ctx.p, ctx.q * ctx.q):
+        self.ctx = ctx
+        self.coords = coords
+        self.provenance = provenance
+        self._values = None
+        self._certificate = None
+        if p == 3:
+            norms = [a * a - a * b + b * b for a, b in coords]
+            total = sum(norms)
+            parseval, bent = q * q, q
+        else:
+            pad = (0,) * ((p - 3) // 2)
+            norms = [norm_coords(c, p) for c in coords]
+            total = tuple(map(sum, zip(*norms)))
+            parseval, bent = (q * q,) + pad, (q,) + pad
+        if total != parseval:
             raise InternalInconsistency("Parseval failed: sum |W|^2 != p^(2n)")
+        self.bent = norms.count(bent) == q
+
+    @property
+    def values(self) -> list[CycInt]:
+        """The spectrum as CycInt values, built on first access."""
+        if self._values is None:
+            p = self.ctx.p
+            self._values = [CycInt(p, c) for c in self.coords]
+        return self._values
 
     def __getitem__(self, y_index: int) -> CycInt:
         return self.values[y_index]
@@ -65,7 +98,7 @@ def walsh_naive(f: PFunction) -> WalshSpectrum:
     counts0 = [0] * p
     for v in vals:
         counts0[v] += 1
-    out[0] = CycInt.from_exponent_counts(p, counts0)
+    out[0] = coords_from_counts(p, counts0)
     fexp = [vals[exp_t[m]] for m in range(order)]
     f0 = vals[0]
     for my in range(order):
@@ -73,7 +106,7 @@ def walsh_naive(f: PFunction) -> WalshSpectrum:
         counts[f0] += 1
         for m in range(order):
             counts[(fexp[m] - troe[(m + my) % order]) % p] += 1
-        out[exp_t[my]] = CycInt.from_exponent_counts(p, counts)
+        out[exp_t[my]] = coords_from_counts(p, counts)
     return WalshSpectrum(ctx, out, "naive")
 
 
@@ -223,8 +256,8 @@ def walsh_fast(f: PFunction) -> WalshSpectrum:
         vals = [omegas[v] for v in f.values]
         flat = _passes_generic(vals, p, n, -1)
     out = [None] * q
-    for v in range(q):
-        out[perm[v]] = CycInt(p, flat[v])
+    for v, y in enumerate(perm):
+        out[y] = flat[v]
     return WalshSpectrum(ctx, out, "fast")
 
 
@@ -256,9 +289,8 @@ def inverse_walsh(s: WalshSpectrum) -> PFunction:
 
 
 def is_bent(s: WalshSpectrum) -> bool:
-    """|W_f(y)|^2 = p^n, exactly, for every y."""
-    target = CycInt.integer(s.ctx.p, s.ctx.q)
-    return all(v.norm_sq() == target for v in s.values)
+    """|W_f(y)|^2 = p^n, exactly, for every y (decided at construction)."""
+    return s.bent
 
 
 class BentCertificate:
@@ -294,19 +326,21 @@ class BentCertificate:
 
 
 def extract_certificate(s: WalshSpectrum) -> BentCertificate:
-    """Decompose a bent spectrum into (dual, signs, unit kind)."""
-    ctx = s.ctx
-    if not is_bent(s):
-        raise PreconditionError("extract_certificate requires a bent spectrum")
-    duals = [0] * ctx.q
-    signs = [0] * ctx.q
-    for y, v in enumerate(s.values):
-        rec = recognize_unit_times_power(v, ctx.p, ctx.n)
-        if rec is None:
+    """Decompose a bent spectrum into (dual, signs, unit kind); computed
+    once per spectrum and cached on it."""
+    if s._certificate is None:
+        ctx = s.ctx
+        if not s.bent:
+            raise PreconditionError("extract_certificate requires a bent spectrum")
+        forms = unit_power_forms(ctx.p, ctx.n)
+        recs = [forms.get(c) for c in s.coords]
+        if None in recs:
             raise InternalInconsistency(
-                "bent coefficient without unit*power form at index %d" % y)
-        signs[y], duals[y] = rec
-    return BentCertificate(ctx, PFunction(ctx, duals), signs, unit_class(ctx.p, ctx.n))
+                "bent coefficient without unit*power form at index %d" % recs.index(None))
+        signs = [r[0] for r in recs]
+        dual = PFunction(ctx, [r[1] for r in recs])
+        s._certificate = BentCertificate(ctx, dual, signs, unit_class(ctx.p, ctx.n))
+    return s._certificate
 
 
 class Classification:

@@ -132,3 +132,19 @@ def test_concat_without_pi_runs_plain_concatenation(tmp_path):
     out = json.loads(res.stdout)
     assert out["construction"] == "concatenation"
     assert out["report"]["applicable"] is True
+
+
+def _json_error(res, code, kind):
+    assert res.returncode == code
+    assert res.stdout == ""
+    assert "Traceback" not in res.stderr
+    assert json.loads(res.stderr)["error"]["kind"] == kind
+
+
+def test_out_of_range_exponent_is_a_parse_error():
+    _json_error(run_cli("analyze", "p=3 n=2 f=Tr(x^99)"), 2, "parse_error")
+
+
+def test_even_p_is_refused():
+    _json_error(run_cli("analyze", "p=2 n=4 f=Tr(x^3)"), 3, "precondition_error")
+    _json_error(run_cli("spectrum", "p=2 n=2 f=Tr(x)"), 3, "precondition_error")

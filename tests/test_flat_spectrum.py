@@ -1,0 +1,112 @@
+"""The flat-coordinate spectrum path against the CycInt oracle.
+
+`WalshSpectrum` decides Parseval and bentness from integer norm
+expressions on coordinate tuples, and `extract_certificate` recognizes the
+bent normal form by table lookup.  Here both are checked point by point
+against CycInt arithmetic (`norm_sq`, products with the Gauss sum), on
+seeded random functions for p in {3, 5, 7} at even and odd n.
+"""
+
+import random
+
+import pytest
+
+from pbent.constructions import TrinomialParams, trinomial_bent
+from pbent.cyclo import (CycInt, conj_coords, gauss_sum, norm_coords,
+                         recognize_unit_times_power, rotate_coords)
+from pbent.errors import InternalInconsistency, PreconditionError
+from pbent.funcrep import PFunction, TraceForm
+from pbent.gf import get_field
+from pbent.walsh import (WalshSpectrum, extract_certificate, is_bent,
+                         walsh_fast, walsh_naive)
+
+FIELDS = [(3, 4), (3, 5), (5, 2), (5, 3), (7, 1), (7, 2)]
+
+
+def random_functions(ctx, rng):
+    """A seeded random truth table (not bent in practice), two random
+    quadratics Tr(a x^2) + Tr(c x) + e (bent), and at p = 3, n = 4 a
+    trinomial-family member plus a random affine term (bent, not weakly
+    regular)."""
+    q = ctx.q
+    out = [PFunction(ctx, [rng.randrange(ctx.p) for _ in range(q)])]
+    for _ in range(2):
+        a = ctx.from_index(rng.randrange(1, q))
+        c = ctx.from_index(rng.randrange(q))
+        out.append(TraceForm(ctx, [(a, 2), (c, 1)], rng.randrange(ctx.p)).truth_table())
+    if (ctx.p, ctx.n) == (3, 4):
+        tri = trinomial_bent(TrinomialParams(1, 2, 1), ctx).truth_table()
+        c = ctx.from_index(rng.randrange(q))
+        out.append(tri + TraceForm(ctx, [(c, 1)]).truth_table())
+    return out
+
+
+def oracle_bent(s):
+    ctx = s.ctx
+    target = CycInt.integer(ctx.p, ctx.q)
+    return all(CycInt(ctx.p, c).norm_sq() == target for c in s.coords)
+
+
+def oracle_form(v, p, n, sign, j):
+    """v matches s * unit * p^(n/2) * w^j, by CycInt products alone."""
+    if n % 2 == 0:
+        return v == CycInt.omega_pow(p, j) * (sign * p ** (n // 2))
+    return v * gauss_sum(p).conj() == CycInt.omega_pow(p, j) * (sign * p ** ((n + 1) // 2))
+
+
+@pytest.mark.parametrize("p,n", FIELDS)
+def test_flat_path_matches_cycint_oracle(p, n):
+    ctx = get_field(p, n)
+    rng = random.Random(1000 * p + n)
+    kinds = []
+    for f in random_functions(ctx, rng):
+        s = walsh_fast(f)
+        assert s.coords == walsh_naive(f).coords
+        assert is_bent(s) is s.bent is oracle_bent(s)
+        kinds.append(s.bent)
+        if not s.bent:
+            with pytest.raises(PreconditionError):
+                extract_certificate(s)
+            continue
+        cert = extract_certificate(s)
+        assert cert is extract_certificate(s)
+        assert cert.unit_kind == ("real" if n % 2 == 0 or p % 4 == 1 else "imaginary")
+        for y in range(ctx.q):
+            v = s[y]
+            sign, j = cert.signs[y], cert.dual.values[y]
+            assert sign in (1, -1)
+            assert oracle_form(v, p, n, sign, j)
+            assert recognize_unit_times_power(v, p, n) == (sign, j)
+            assert cert.reconstruct(y) == v
+    assert kinds[0] is False and all(kinds[1:])
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11])
+def test_coordinate_arithmetic_matches_cycint(p):
+    rng = random.Random(p)
+    for _ in range(100):
+        x = CycInt(p, [rng.randrange(-7, 8) for _ in range(p - 1)])
+        j = rng.randrange(p)
+        assert rotate_coords(x.coords, j, p) == (x * CycInt.omega_pow(p, j)).coords
+        assert conj_coords(x.coords, p) == x.conj().coords
+        # norm_coords is (N_0 - N_1, N_2 - N_1, ..., N_h - N_1); the
+        # canonical coordinates of |x|^2 are N_k - N_1 at k, N_k = N_(p-k)
+        key = norm_coords(x.coords, p)
+        half = (0,) + key[1:]
+        want = (key[0],) + tuple(half[min(k, p - k) - 1] for k in range(1, p - 1))
+        assert want == x.norm_sq().coords
+
+
+@pytest.mark.parametrize("p,n", [(3, 3), (5, 2)])
+def test_parseval_still_guards_construction(p, n):
+    ctx = get_field(p, n)
+    f = TraceForm(ctx, [(ctx.one(), 2)]).truth_table()
+    s = walsh_fast(f)
+    # the CycInt and the coordinate form of the same values are accepted
+    assert WalshSpectrum(ctx, s.values, "copy").coords == s.coords
+    bad = list(s.coords)
+    bad[1] = tuple(2 * c for c in bad[1])
+    with pytest.raises(InternalInconsistency):
+        WalshSpectrum(ctx, bad, "corrupted")
+    with pytest.raises(InternalInconsistency):
+        WalshSpectrum(ctx, [CycInt(p, c) for c in bad], "corrupted")
