@@ -10,11 +10,10 @@ from .errors import (BudgetError, InternalInconsistency, ParseError,
                      PreconditionError)
 from .gf import FFElem, FieldCtx, FieldError, get_field, parse_field_spec
 from .funcrep import (ANF, PFunction, RelativeTraceForm, TraceForm,
-                      algebraic_degree, anf_to_truth, coset_leader,
-                      coset_leaders, derivative, eval_trace_form,
-                      eval_univariate, is_balanced, parse_function_spec,
-                      p_weight, second_derivative, to_relative_trace_form,
-                      truth_to_anf, truth_to_univariate)
+                      anf_to_truth, coset_leader, coset_leaders,
+                      eval_univariate, parse_function_spec, p_weight,
+                      to_relative_trace_form, truth_to_anf,
+                      truth_to_univariate)
 from .walsh import (BentCertificate, Classification, WalshSpectrum,
                     NON_WEAKLY_REGULAR, NOT_BENT, REGULAR, WEAKLY_REGULAR,
                     bent_via_derivatives, bent_via_second_derivative_sum,

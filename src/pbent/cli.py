@@ -7,20 +7,14 @@ output; timings are only included under --timings since they are not
 reproducible.  Errors print a machine-readable object on stderr and exit
 with a distinct code per failure kind: 2 parse, 3 precondition, 4 budget,
 5 internal inconsistency.
-
-PBENT_THREADS (default 1) sets the worker-thread count used to verify
-catalog entries and run property batteries concurrently; results merge in
-canonical order either way.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from .catalog import list_catalog, verify_entry
 from .constructions import (ConcatenationFamily, TrinomialParams,
@@ -222,23 +216,9 @@ def cmd_construct_add_quadratic(args) -> int:
     return 0
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("PBENT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def cmd_verify_table1(args) -> int:
     entries = [e for e in list_catalog() if e.label.startswith("sporadic_")]
-    workers = _thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda e: verify_entry(e, search=not args.no_search), entries))
-    else:
-        results = [verify_entry(e, search=not args.no_search) for e in entries]
+    results = [verify_entry(e, search=not args.no_search) for e in entries]
     rows = []
     ok = True
     for entry, res in zip(entries, results):
@@ -264,21 +244,7 @@ def cmd_verify_table1(args) -> int:
 
 def cmd_property_suite(args) -> int:
     names = args.only.split(",") if args.only else None
-    workers = _thread_count()
-    if workers > 1 and not names:
-        from .suite import ALL_CHECKS
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = [(name, pool.submit(
-                lambda fn=fn: fn(args.seed, args.level))) for name, fn in ALL_CHECKS]
-        records = []
-        for name, fut in futs:
-            try:
-                passed, detail = fut.result()
-            except Exception as exc:
-                passed, detail = False, "%s: %s" % (type(exc).__name__, exc)
-            records.append({"name": name, "passed": passed, "detail": detail})
-    else:
-        records = run_suite(seed=args.seed, level=args.level, names=names)
+    records = run_suite(seed=args.seed, level=args.level, names=names)
     ok = all(r["passed"] for r in records)
     _emit({"seed": args.seed, "level": args.level, "all_passed": ok,
            "checks": records})
@@ -346,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ps = sub.add_parser("property-suite", help="run the invariant batteries")
     p_ps.add_argument("--seed", type=int, default=0)
     p_ps.add_argument("--level", choices=("quick", "full"), default="quick")
-    p_ps.add_argument("--only", help="comma-separated check names")
+    p_ps.add_argument("--only",
+                      help="comma-separated check names; an unknown name is a parse error")
     p_ps.set_defaults(fn=cmd_property_suite)
     return ap
 

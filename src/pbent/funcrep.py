@@ -10,8 +10,10 @@ of its field context.  The other representations round-trip through it:
 
 The algebraic degree is the maximal p-weight (base-p digit sum) of an
 exponent carrying a nonzero univariate coefficient; it equals the total
-degree of the ANF, which is how it is computed here (one pass of per-axis
-Vandermonde solves, O(n p^(n+1))).
+degree of the ANF, which is how it is computed here: the per-axis kernel
+`linalg.axis_passes` with the inverse Vandermonde matrix over F_p as its
+column map (unrolled for p = 3), O(n p^(n+1)).  `anf_to_truth` runs the
+same kernel with the Vandermonde matrix itself.
 
 Univariate interpolation uses multiplicative-group character sums
 (a_i = -sum_{x!=0} f(x) x^(-i)), validated by re-evaluation; this is
@@ -26,7 +28,7 @@ from functools import lru_cache
 from .cyclo import CycInt
 from .errors import InternalInconsistency, ParseError, PreconditionError
 from .gf import FFElem, FieldCtx, parse_field_spec
-from .linalg import mat_inverse
+from .linalg import axis_passes, mat_inverse, mat_vec
 
 
 def p_weight(e: int, p: int) -> int:
@@ -196,10 +198,6 @@ class TraceForm:
         if self.constant:
             out += "+%d" % self.constant
         return out
-
-
-def eval_trace_form(tf: TraceForm) -> PFunction:
-    return tf.truth_table()
 
 
 class RelativeTraceForm:
@@ -413,53 +411,51 @@ class ANF:
         return "ANF(p=%d, n=%d, deg=%d)" % (self.ctx.p, self.ctx.n, self.degree())
 
 
-@lru_cache(maxsize=8)
-def _vandermonde(p: int):
-    v = [[pow(t, e, p) if e else 1 for e in range(p)] for t in range(p)]
-    return v, mat_inverse(v, p)
+def _vandermonde3_column(inverse: bool):
+    """Unrolled p = 3 column map: values at t = 0, 1, 2 <-> coefficients of
+    1, t, t^2 (inverse=True maps values to coefficients)."""
+    if inverse:
+        def column(rows):
+            r0, r1, r2 = rows
+            return (r0, [(z - y) % 3 for y, z in zip(r1, r2)],
+                    [-(x + y + z) % 3 for x, y, z in zip(r0, r1, r2)])
+    else:
+        def column(rows):
+            r0, r1, r2 = rows
+            return (r0, [(x + y + z) % 3 for x, y, z in zip(r0, r1, r2)],
+                    [(x - y + z) % 3 for x, y, z in zip(r0, r1, r2)])
+    return column
 
 
-def _axis_apply(vals: list[int], p: int, n: int, mat) -> list[int]:
-    out = list(vals)
-    q = p ** n
-    for axis in range(n):
-        stride = p ** axis
-        block = stride * p
-        for base in range(0, q, block):
-            for off in range(base, base + stride):
-                idxs = range(off, off + block - stride + 1, stride)
-                col = [out[i] for i in idxs]
-                for r, i in enumerate(idxs):
-                    out[i] = sum(mat[r][c] * col[c] for c in range(p)) % p
-    return out
+def _matrix_column(mat, p: int):
+    """Column map multiplying each column by `mat` over F_p."""
+    def column(rows):
+        return list(zip(*(mat_vec(mat, col, p) for col in zip(*rows))))
+    return column
+
+
+def _vandermonde(p: int, inverse: bool) -> list[list[int]]:
+    """[t^e] over F_p (rows t, columns e), or its inverse."""
+    v = [[pow(t, e, p) for e in range(p)] for t in range(p)]
+    return mat_inverse(v, p) if inverse else v
+
+
+@lru_cache(maxsize=16)
+def _vandermonde_column(p: int, inverse: bool):
+    """The column map for `axis_passes`; unrolled for p = 3."""
+    if p == 3:
+        return _vandermonde3_column(inverse)
+    return _matrix_column(_vandermonde(p, inverse), p)
 
 
 def truth_to_anf(f: PFunction) -> ANF:
-    v, vinv = _vandermonde(f.ctx.p)
-    return ANF(f.ctx, _axis_apply(f.values, f.ctx.p, f.ctx.n, vinv))
+    ctx = f.ctx
+    return ANF(ctx, axis_passes(f.values, ctx.p, ctx.n, _vandermonde_column(ctx.p, True)))
 
 
 def anf_to_truth(a: ANF) -> PFunction:
-    v, vinv = _vandermonde(a.ctx.p)
-    return PFunction(a.ctx, _axis_apply(a.coeffs, a.ctx.p, a.ctx.n, v))
-
-
-# -- module-level op aliases ----------------------------------------------------
-
-def derivative(f: PFunction, a: FFElem) -> PFunction:
-    return f.derivative(a)
-
-
-def second_derivative(f: PFunction, a: FFElem, b: FFElem) -> PFunction:
-    return f.second_derivative(a, b)
-
-
-def is_balanced(f: PFunction) -> bool:
-    return f.is_balanced()
-
-
-def algebraic_degree(f: PFunction) -> int:
-    return f.algebraic_degree()
+    ctx = a.ctx
+    return PFunction(ctx, axis_passes(a.coeffs, ctx.p, ctx.n, _vandermonde_column(ctx.p, False)))
 
 
 # -- the function-spec grammar ----------------------------------------------------

@@ -1,8 +1,9 @@
-"""Small dense linear algebra modulo a prime.
+"""Small dense linear algebra modulo a prime, and the per-axis kernel.
 
 Matrices are lists of row lists with entries in [0, p).  Sizes here are
 tiny (n x n for extension degrees n <= 12), so plain Gaussian elimination
-is the right tool.
+is the right tool.  `axis_passes` is the package's one tensor kernel,
+shared by the Walsh transforms and the ANF conversions.
 """
 
 from __future__ import annotations
@@ -66,3 +67,38 @@ def mat_kernel(mat: list[list[int]], p: int) -> list[list[int]]:
 def mat_vec(mat: list[list[int]], vec: list[int], p: int) -> list[int]:
     """Matrix-vector product over F_p."""
     return [sum(m * v for m, v in zip(row, vec)) % p for row in mat]
+
+
+def axis_passes(vals: list, p: int, n: int, column) -> list:
+    """Apply a size-p column map along every base-p digit of the index.
+
+    Entry x of `vals` (p^n entries) sits at index sum_i x_i p^i; the p
+    entries that differ only in one digit form a column.  `column(rows)`
+    takes p equal-length lists, row t holding the entries whose digit is t
+    for a run of columns, and returns the p output rows.  Maps along
+    different digits commute, so one pass per digit applies the tensor
+    power of the column map.
+
+    Each pass maps the top digit and moves it to the bottom: entry t*m + r
+    (m = p^(n-1)) feeds output row u at r*p + u.  After n passes every
+    digit has been mapped once and is back in place.  A pass reads runs of
+    at most p^6 columns and blanks them in its source as it reads them, so
+    the entries of the old table are freed while the new one is built.
+
+    Returns a new list; `vals` is unchanged.
+    """
+    q = len(vals)
+    m = q // p
+    run = min(m, p ** 6)
+    blank = [None] * run
+    out = list(vals)
+    for _ in range(n):
+        src, out = out, [None] * q
+        for r in range(0, m, run):
+            heads = range(r, q, m)
+            rows = [src[i:i + run] for i in heads]
+            for i in heads:
+                src[i:i + run] = blank
+            for u, row in enumerate(column(rows)):
+                out[r * p + u:(r + run) * p:p] = row
+    return out

@@ -13,6 +13,7 @@ from .constructions import (TrinomialParams, mm_special_form, trinomial_bent,
 from .cyclo import CycInt, gauss_sum, recognize_unit_times_power
 from .derivanalysis import (cubic_like_certificate,
                             quadratic_balance_witness, wr_identity_check)
+from .errors import ParseError
 from .funcrep import (ANF, PFunction, TraceForm, anf_to_truth, p_weight,
                       to_relative_trace_form, truth_to_anf,
                       truth_to_univariate, eval_univariate)
@@ -308,7 +309,11 @@ ALL_CHECKS = [
 
 
 def run_suite(seed: int = 0, level: str = "quick", names=None) -> list[dict]:
-    """Run the batteries; returns one record per check."""
+    """Run the batteries (all, or those in `names`) in canonical order;
+    returns one record per check.  An unknown name is a ParseError."""
+    unknown = sorted(set(names or ()) - {name for name, _ in ALL_CHECKS})
+    if unknown:
+        raise ParseError("unknown check name(s): %s" % ", ".join(unknown))
     out = []
     for name, fn in ALL_CHECKS:
         if names and name not in names:

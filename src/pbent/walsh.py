@@ -9,7 +9,10 @@ paths are provided: a direct O(p^2n) sum and a fast O(n p^(n+1)) tensor
 decomposition.  The fast path writes Tr(x y) as a dot product between the
 coordinates of x in the polynomial basis and the coordinates of y in the
 trace-dual basis (obtained by inverting the Gram matrix [Tr(a_i a_j)]),
-which turns the transform into n successive size-p DFT passes.
+which turns the transform into n successive size-p DFT passes: the one
+per-axis kernel `linalg.axis_passes` with the DFT on Z[w] coordinates as
+its column map (unrolled for p = 3).  `inverse_walsh` runs the same kernel
+with the conjugate DFT.
 
 Both paths produce flat coordinate tuples in Z[w] ((a, b) = a + b*w for
 p = 3, p - 1 integers otherwise), and a WalshSpectrum stores exactly those.
@@ -25,12 +28,14 @@ cached.  CycInt stays the scalar type at the API boundary: `s[y]` and
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .cyclo import (CycInt, coords_from_counts, gauss_sum, norm_coords,
                     unit_class, unit_power_forms)
 from .errors import InternalInconsistency, PreconditionError
 from .funcrep import PFunction
 from .gf import FieldCtx
-from .linalg import mat_inverse
+from .linalg import axis_passes, mat_inverse
 
 NOT_BENT = "not_bent"
 REGULAR = "regular"
@@ -154,59 +159,48 @@ def _dual_data(ctx: FieldCtx):
     return _DUAL_CACHE[key]
 
 
-def _passes_p3(vals: list[tuple[int, int]], n: int, sign: int) -> list[tuple[int, int]]:
-    """n size-3 DFT passes with kernel w^(sign*u*v); values are (a, b) = a + b*w."""
-    q = 3 ** n
-    out = list(vals)
-    for axis in range(n):
-        stride = 3 ** axis
-        block = stride * 3
-        for base in range(0, q, block):
-            for i0 in range(base, base + stride):
-                i1 = i0 + stride
-                i2 = i1 + stride
-                x0, y0 = out[i0]
-                x1, y1 = out[i1]
-                x2, y2 = out[i2]
-                # w*(a,b) = (-b, a-b); w^2*(a,b) = (b-a, -a)
-                s_x = x0 + x1 + x2
-                s_y = y0 + y1 + y2
-                a1 = (x0 + y1 - x1 - y2, y0 - x1 + x2 - y2)  # x0 + w^2 x1 + w x2
-                a2 = (x0 - y1 + y2 - x2, y0 + x1 - y1 - x2)  # x0 + w x1 + w^2 x2
-                if sign < 0:
-                    out[i0], out[i1], out[i2] = (s_x, s_y), a1, a2
-                else:
-                    out[i0], out[i1], out[i2] = (s_x, s_y), a2, a1
-    return out
+@lru_cache(maxsize=8)
+def _omega_coords(p: int) -> tuple:
+    """Coordinates of w^0, ..., w^(p-1)."""
+    return tuple(CycInt.omega_pow(p, j).coords for j in range(p))
 
 
-def _passes_generic(vals, p: int, n: int, sign: int):
-    q = p ** n
-    out = list(vals)
-    width = p - 1
-    for axis in range(n):
-        stride = p ** axis
-        block = stride * p
-        for base in range(0, q, block):
-            for off in range(base, base + stride):
-                idxs = [off + t * stride for t in range(p)]
-                col = [out[i] for i in idxs]
-                for t_i, i in enumerate(idxs):
-                    acc = [0] * width
-                    for s_i in range(p):
-                        m = (sign * s_i * t_i) % p
-                        cv = col[s_i]
-                        for c_i in range(width):
-                            c = cv[c_i]
-                            if c:
-                                e = (c_i + m) % p
-                                if e == p - 1:
-                                    for l in range(width):
-                                        acc[l] -= c
-                                else:
-                                    acc[e] += c
-                    out[i] = tuple(acc)
-    return out
+def _dft3_column(sign: int):
+    """Unrolled size-3 DFT column map, kernel w^(sign*s*t), on (a, b) = a + b*w."""
+    def column(rows):
+        total, down, up = [], [], []
+        for (x0, y0), (x1, y1), (x2, y2) in zip(*rows):
+            # w*(a,b) = (-b, a-b); w^2*(a,b) = (b-a, -a)
+            total.append((x0 + x1 + x2, y0 + y1 + y2))
+            down.append((x0 + y1 - x1 - y2, y0 - x1 + x2 - y2))  # x0 + w^2 x1 + w x2
+            up.append((x0 - y1 + y2 - x2, y0 + x1 - y1 - x2))  # x0 + w x1 + w^2 x2
+        return (total, down, up) if sign < 0 else (total, up, down)
+    return column
+
+
+def _dft_generic_column(p: int, sign: int):
+    """Size-p DFT column map, kernel w^(sign*s*t), on (p-1)-coordinate tuples."""
+    shifts = [[sign * s * t % p for s in range(p)] for t in range(p)]
+
+    def column(rows):
+        cols = list(zip(*rows))
+        out = []
+        for row_shifts in shifts:
+            res = []
+            for col in cols:
+                acc = [0] * p
+                for m, v in zip(row_shifts, col):
+                    for e, c in enumerate(v, m):
+                        acc[e % p] += c
+                res.append(coords_from_counts(p, acc))
+            out.append(res)
+        return out
+    return column
+
+
+def _dft_column(p: int, sign: int):
+    """The size-p DFT column map for `axis_passes`; unrolled for p = 3."""
+    return _dft3_column(sign) if p == 3 else _dft_generic_column(p, sign)
 
 
 def _dual_index_permutation(ctx: FieldCtx, dual: list[tuple[int, ...]]) -> list[int]:
@@ -246,15 +240,9 @@ def walsh_fast(f: PFunction) -> WalshSpectrum:
     """Tensor-decomposed transform; exact same values as walsh_naive."""
     ctx = f.ctx
     p, n, q = ctx.p, ctx.n, ctx.q
-    dual, perm = _dual_data(ctx)
-    if p == 3:
-        table = ((1, 0), (0, 1), (-1, -1))  # w^0, w^1, w^2 as (a, b)
-        vals = [table[v] for v in f.values]
-        flat = _passes_p3(vals, n, -1)
-    else:
-        omegas = [CycInt.omega_pow(p, j).coords for j in range(p)]
-        vals = [omegas[v] for v in f.values]
-        flat = _passes_generic(vals, p, n, -1)
+    perm = _dual_data(ctx)[1]
+    omegas = _omega_coords(p)
+    flat = axis_passes([omegas[v] for v in f.values], p, n, _dft_column(p, -1))
     out = [None] * q
     for v, y in enumerate(perm):
         out[y] = flat[v]
@@ -265,26 +253,15 @@ def inverse_walsh(s: WalshSpectrum) -> PFunction:
     """Recover f from its spectrum; errors if s is not a function spectrum."""
     ctx = s.ctx
     p, n, q = ctx.p, ctx.n, ctx.q
-    dual, perm = _dual_data(ctx)
-    on_v = [None] * q
-    for v in range(q):
-        on_v[v] = s.values[perm[v]].coords
-    if p == 3:
-        flat = _passes_p3([(c[0], c[1]) for c in on_v], n, 1)
-    else:
-        flat = _passes_generic(on_v, p, n, 1)
-    vals = [0] * q
-    for x in range(q):
-        val = CycInt(p, flat[x])
-        rec = None
-        for j in range(p):
-            if val == CycInt.omega_pow(p, j) * q:
-                rec = j
-                break
-        if rec is None:
-            raise PreconditionError(
-                "inverse transform does not yield p^n * (root of unity) at index %d" % x)
-        vals[x] = rec
+    perm = _dual_data(ctx)[1]
+    values = s.values
+    flat = axis_passes([values[y].coords for y in perm], p, n, _dft_column(p, 1))
+    roots = {tuple(q * c for c in w): j for j, w in enumerate(_omega_coords(p))}
+    vals = [roots.get(c) for c in flat]
+    if None in vals:
+        raise PreconditionError(
+            "inverse transform does not yield p^n * (root of unity) at index %d"
+            % vals.index(None))
     return PFunction(ctx, vals)
 
 

@@ -6,11 +6,9 @@ import sys
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "pbent", *args],
                           capture_output=True, text=True, env=env)
 
@@ -79,13 +77,6 @@ def test_verify_table1_json():
     assert flags["sporadic_n6_g7x98"] is False
 
 
-def test_verify_table1_threads_match_sequential():
-    seq = run_cli("verify-table1", "--json", "--no-search")
-    par = run_cli("verify-table1", "--json", "--no-search",
-                  env_extra={"PBENT_THREADS": "3"})
-    assert seq.stdout == par.stdout
-
-
 def test_spectrum_csv():
     res = run_cli("spectrum", "p=3 n=1 f=Tr(x^2)")
     lines = res.stdout.strip().splitlines()
@@ -103,6 +94,13 @@ def test_property_suite_subset():
     # output keeps the canonical battery order regardless of --only order
     assert [c["name"] for c in out["checks"]] == [
         "cyclotomic_ring", "trinomial_closed_forms", "catalog"]
+    # an unknown name (alone or in a list) is a parse error, not an empty pass
+    for only in ("bogus_name", "cyclotomic_ring,catalgo"):
+        bad = run_cli("property-suite", "--only", only)
+        assert bad.returncode == 2 and bad.stdout == ""
+        err = json.loads(bad.stderr)["error"]
+        assert err["kind"] == "parse_error"
+        assert only.split(",")[-1] in err["message"]
 
 
 def test_construct_concat_and_add_quadratic(tmp_path):

@@ -14,6 +14,8 @@ from pbent.walsh import walsh_fast
 F3 = get_field(3, 1)
 F27 = get_field(3, 3)
 F81 = get_field(3, 4)
+F125 = get_field(5, 3)
+F49 = get_field(7, 2)
 
 
 def rand_f(ctx, rng):
@@ -110,9 +112,10 @@ def test_algebraic_degree_examples():
 
 def test_univariate_degree_equals_anf_degree():
     rng = random.Random(9)
-    for _ in range(6):
-        f = rand_f(F27, rng)
-        assert univariate_degree(truth_to_univariate(f), 3) == f.algebraic_degree()
+    for ctx in (F27, F125, F49):
+        for _ in range(6):
+            f = rand_f(ctx, rng)
+            assert univariate_degree(truth_to_univariate(f), ctx.p) == f.algebraic_degree()
 
 
 def test_anf_basics():
@@ -122,9 +125,10 @@ def test_anf_basics():
     assert anf.coeffs == [0, 0, 1]  # x_1^2
     assert anf.degree() == 2
     rng = random.Random(10)
-    for _ in range(10):
-        f = rand_f(F27, rng)
-        assert anf_to_truth(truth_to_anf(f)) == f
+    for ctx in (F27, F125, F49):
+        for _ in range(10):
+            f = rand_f(ctx, rng)
+            assert anf_to_truth(truth_to_anf(f)) == f
 
 
 def test_derivative_examples():

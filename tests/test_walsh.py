@@ -4,10 +4,13 @@ import pytest
 
 from pbent.cyclo import CycInt
 from pbent.errors import PreconditionError
-from pbent.funcrep import PFunction, TraceForm
+from pbent.funcrep import (PFunction, TraceForm, _matrix_column, _vandermonde,
+                           _vandermonde3_column)
 from pbent.gf import get_field
-from pbent.walsh import (bent_via_derivatives, bent_via_second_derivative_sum,
-                         classify, dual_iteration_check, extract_certificate,
+from pbent.linalg import axis_passes
+from pbent.walsh import (_dft3_column, _dft_generic_column, bent_via_derivatives,
+                         bent_via_second_derivative_sum, classify,
+                         dual_iteration_check, extract_certificate,
                          inverse_walsh, is_bent, second_derivative_pointwise_sums,
                          single_walsh_value, walsh_fast, walsh_naive,
                          NOT_BENT, REGULAR, WEAKLY_REGULAR)
@@ -78,11 +81,42 @@ def test_single_walsh_value_matches_spectrum():
 
 def test_inverse_roundtrip():
     rng = random.Random(24)
-    for _ in range(5):
-        f = rand_f(F81, rng)
-        assert inverse_walsh(walsh_naive(f)) == f
-        assert inverse_walsh(walsh_fast(f)) == f
+    for ctx in (F81, get_field(5, 3), get_field(7, 2)):
+        for _ in range(5):
+            f = rand_f(ctx, rng)
+            assert inverse_walsh(walsh_naive(f)) == f
+            assert inverse_walsh(walsh_fast(f)) == f
     assert inverse_walsh(walsh_fast(PFunction.zero(F27))) == PFunction.zero(F27)
+
+
+def test_p3_column_maps_match_generic():
+    # the unrolled p = 3 column maps of the per-axis kernel against the
+    # generic size-p maps run at p = 3
+    rng = random.Random(25)
+    for length in (1, 2, 9):
+        zw_rows = [[(rng.randint(-20, 20), rng.randint(-20, 20)) for _ in range(length)]
+                   for _ in range(3)]
+        fp_rows = [[rng.randrange(3) for _ in range(length)] for _ in range(3)]
+        for sign in (-1, 1):
+            assert (list(map(list, _dft3_column(sign)(zw_rows)))
+                    == list(map(list, _dft_generic_column(3, sign)(zw_rows))))
+        for inverse in (False, True):
+            generic = _matrix_column(_vandermonde(3, inverse), 3)
+            assert (list(map(list, _vandermonde3_column(inverse)(fp_rows)))
+                    == list(map(list, generic(fp_rows))))
+
+
+def test_axis_passes_moves_every_entry():
+    # a column map that rotates the rows adds 1 to every base-p digit; at
+    # p = 3, n = 8 each pass reads its rows in runs of p^6 columns
+    def rotate(rows):
+        return rows[-1:] + rows[:-1]
+
+    for p, n in ((3, 8), (5, 3)):
+        out = axis_passes(list(range(p ** n)), p, n, rotate)
+        for x in range(p ** n):
+            y = sum(((x // p ** i + 1) % p) * p ** i for i in range(n))
+            assert out[y] == x
 
 
 def test_inverse_roundtrip_table_row():
