@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
 from .catalog import list_catalog, verify_entry
 from .constructions import (ConcatenationFamily, TrinomialParams,
                             add_quadratic, bent_concatenation,
-                            trinomial_bent)
+                            mm_special_form, trinomial_bent)
 from .derivanalysis import cubic_like_certificate, wr_identity_check
 from .errors import (BudgetError, InternalInconsistency, ParseError,
                      PreconditionError)
@@ -141,17 +142,24 @@ def cmd_construct_trinomial(args) -> int:
     return 0
 
 
+def _read_input_file(path: str, what: str) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError("cannot read %s %s: %s" % (what, path, exc)) from None
+
+
 def _parse_slice_file(path: str):
     ctxs = []
     slices = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            ctx, tf = parse_function_spec(line)
-            ctxs.append(ctx)
-            slices.append(tf.truth_table())
+    for line in _read_input_file(path, "slice file").splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        ctx, tf = parse_function_spec(line)
+        ctxs.append(ctx)
+        slices.append(tf.truth_table())
     if not slices:
         raise ParseError("slice file %s contains no function specs" % path)
     if any(c is not ctxs[0] for c in ctxs):
@@ -159,23 +167,31 @@ def _parse_slice_file(path: str):
     return ctxs[0], slices
 
 
+def _parse_pi_file(path: str) -> list:
+    try:
+        pi = json.loads(_read_input_file(path, "permutation file"))
+    except json.JSONDecodeError as exc:
+        raise ParseError("permutation file %s is not JSON: %s" % (path, exc)) from None
+    if not (isinstance(pi, list) and pi and all(type(v) is int for v in pi)):
+        raise ParseError("permutation file %s must hold a nonempty list of integers" % path)
+    return pi
+
+
 def cmd_construct_concat(args) -> int:
     inner_ctx, slices = _parse_slice_file(args.slices)
     if args.pi:
-        with open(args.pi) as fh:
-            pi = json.load(fh)
-        from .constructions import mm_special_form
-        import math
+        pi = _parse_pi_file(args.pi)
         d = round(math.log(len(pi), inner_ctx.p))
         if inner_ctx.p ** d != len(pi) or len(slices) != len(pi):
             raise PreconditionError("permutation length must be p^d and match slice count")
+        _check_budget(inner_ctx.q * len(pi) ** 2, args.max_points)
         f, rep = mm_special_form(slices, pi, inner_ctx, d)
         mode = "special_form"
     else:
-        import math
         m = round(math.log(len(slices), inner_ctx.p))
         if inner_ctx.p ** m != len(slices):
             raise PreconditionError("slice count must be a power of p")
+        _check_budget(inner_ctx.q * len(slices), args.max_points)
         outer_ctx = get_field(inner_ctx.p, m)
         f, rep = bent_concatenation(ConcatenationFamily(inner_ctx, outer_ctx, slices))
         mode = "concatenation"
@@ -200,10 +216,12 @@ def cmd_construct_add_quadratic(args) -> int:
     coeffs = []
     for tok in coeff_tokens:
         tok = tok.strip()
-        if tok.startswith("g^"):
-            coeffs.append(ctx.gen_power(int(tok[2:])))
-        else:
-            coeffs.append(ctx.scalar(int(tok)))
+        try:
+            c = int(tok[2:] if tok.startswith("g^") else tok)
+        except ValueError:
+            raise ParseError("coefficient %r is neither an integer nor g^<integer>"
+                             % tok) from None
+        coeffs.append(ctx.gen_power(c) if tok.startswith("g^") else ctx.scalar(c))
     g, rep = add_quadratic(f, coeffs)
     out = {"construction": "add_quadratic", "p": ctx.p, "n": ctx.n,
            "condition_holds": rep["condition_holds"],

@@ -4,11 +4,12 @@ identity checks.
 A function is "cubic-like bent" when every nonzero direction a admits a b
 with D_{a,b} f a nonzero constant; this implies bentness, and for functions
 of degree <= 3 it is equivalent to it.  For such functions the witness
-search per direction reduces to linear algebra: with g = D_a f of degree
-<= 2, the set {b : D_b g constant} is the radical of the symmetric
-bi-additive form h(x, b) = g(x+b) - g(x) - g(b) + g(0), computed here as a
-kernel of an n x n matrix instead of a p^n scan.  Higher-degree inputs fall
-back to the direct scan, so the two paths agree wherever both apply.
+search is linear algebra on the trilinear form T(a, b, x) = D_a D_b D_x
+f(0), built once per function: D_a D_b f(x) = D_a D_b f(0) + T(a, b, x),
+so the b with D_{a,b} f constant are the kernel of T(a, ., .), on which
+b -> D_a D_b f(0) is linear, and a reduced kernel basis yields the first
+witness in index order without enumerating the kernel.  The scan over all
+b is the exact oracle for that path and the path for degree > 3.
 
 The weakly-regular identity battery checks, per direction pair (b, c):
 symmetry of W_{D_c f} in b and c negation, the phase identity against the
@@ -21,6 +22,7 @@ over from characteristic 2 and fail already on quadratic bent functions.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 
@@ -55,48 +57,46 @@ class CubicLikeCertificate:
             self.complete, len(self.witnesses))
 
 
-def _first_witness_low_degree(f: PFunction, a_idx: int):
+def _trilinear_form(f: PFunction) -> list[list[int]]:
+    """T(e_i, e_j, e_k) = D_{e_i} D_{e_j} D_{e_k} f(0) mod p (deg f <= 3),
+    as n flattened n x n matrices T(e_i, ., .); T is symmetric."""
+    p, n, add = f.ctx.p, f.ctx.n, f.ctx.add_index
+    e = [p ** i for i in range(n)]
+    tri = [[0] * (n * n) for _ in range(n)]
+    for ijk in itertools.combinations_with_replacement(range(n), 3):
+        val = 0
+        for picks in itertools.product((0, 1), repeat=3):
+            x = functools.reduce(add, (e[d] for pick, d in zip(picks, ijk) if pick), 0)
+            val += (-1) ** (3 - sum(picks)) * f.values[x]
+        for i, j, k in set(itertools.permutations(ijk)):
+            tri[i][j * n + k] = val % p
+    return tri
+
+
+def _first_witness_low_degree(f: PFunction, tri: list, a_idx: int):
     """First b (canonical order) with D_{a,b} f a nonzero constant, for
-    deg f <= 3, via the radical of the derivative's bi-additive form."""
-    ctx = f.ctx
-    p, n, q = ctx.p, ctx.n, ctx.q
-    vals = f.values
-    add = ctx.add_index
-    basis = [p ** i for i in range(n)]
-
-    def g(z_idx):
-        return vals[add(z_idx, a_idx)] - vals[z_idx]
-
-    g0 = g(0)
-    gb_cache = [g(bi) for bi in basis]
-    mat = []
-    for i in range(n):
-        row = []
-        for jj in range(n):
-            val = (g(add(basis[i], basis[jj])) - gb_cache[i] - gb_cache[jj] + g0) % p
-            row.append(val)
-        mat.append(row)
-    kernel = mat_kernel(mat, p)
-    if not kernel:
-        candidates = [0]
-    else:
-        candidates = []
-        for combo in itertools.product(range(p), repeat=len(kernel)):
-            coords = [0] * n
-            for c, vec in zip(combo, kernel):
-                if c:
-                    for i in range(n):
-                        coords[i] = (coords[i] + c * vec[i]) % p
-            candidates.append(sum(c * basis[i] for i, c in enumerate(coords)))
-        candidates.sort()
-    for b_idx in candidates:
-        const = (g(b_idx) - g0) % p
+    deg f <= 3: the first vector of the reduced basis of ker T(a, ., .)
+    (`mat_kernel`) whose constant D_a D_b f(0) is nonzero."""
+    p, n, vals = f.ctx.p, f.ctx.n, f.values
+    acc = [0] * (n * n)
+    x = a_idx
+    for ti in tri:
+        x, ai = divmod(x, p)
+        if ai:
+            acc = [m + ai * t for m, t in zip(acc, ti)]
+    mat = [[v % p for v in acc[r:r + n]] for r in range(0, n * n, n)]
+    for vec in mat_kernel(mat, p):
+        b_idx = sum(c * p ** i for i, c in enumerate(vec))
+        const = (vals[f.ctx.add_index(a_idx, b_idx)] - vals[b_idx]
+                 - vals[a_idx] + vals[0]) % p
         if const:
             return b_idx, const
     return None
 
 
 def _first_witness_scan(f: PFunction, a_idx: int):
+    """The same witness by scanning every b: the exact oracle for
+    `_first_witness_low_degree`, and the path for degree > 3."""
     ctx = f.ctx
     p, q = ctx.p, ctx.q
     vals = f.values
@@ -115,12 +115,11 @@ def _first_witness_scan(f: PFunction, a_idx: int):
 def cubic_like_certificate(f: PFunction) -> CubicLikeCertificate:
     """Search every nonzero direction for a constant-nonzero second
     derivative; complete certificates imply bentness."""
-    ctx = f.ctx
-    fast = f.algebraic_degree() <= 3
+    tri = _trilinear_form(f) if f.algebraic_degree() <= 3 else None
     witnesses = {}
     complete = True
-    for a_idx in range(1, ctx.q):
-        hit = (_first_witness_low_degree(f, a_idx) if fast
+    for a_idx in range(1, f.ctx.q):
+        hit = (_first_witness_low_degree(f, tri, a_idx) if tri is not None
                else _first_witness_scan(f, a_idx))
         if hit is None:
             complete = False

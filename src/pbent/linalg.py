@@ -31,7 +31,8 @@ def mat_kernel(mat: list[list[int]], p: int) -> list[list[int]]:
     """Basis of the right kernel {v : mat v = 0} over F_p.
 
     `mat` may be rectangular (rows x cols); returns a list of length-cols
-    basis vectors (possibly empty).
+    basis vectors (possibly empty), reduced by the last nonzero coordinate:
+    vector k is 1 at c_k and 0 above it, the others are 0 at c_k; c_1 < c_2 < ...
     """
     rows = [list(r) for r in mat]
     nrows = len(rows)
@@ -51,11 +52,8 @@ def mat_kernel(mat: list[list[int]], p: int) -> list[list[int]]:
                 rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
-        if r == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
     basis = []
-    for fc in free:
+    for fc in (c for c in range(ncols) if c not in pivots):
         v = [0] * ncols
         v[fc] = 1
         for ri, pc in enumerate(pivots):

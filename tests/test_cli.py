@@ -146,3 +146,49 @@ def test_out_of_range_exponent_is_a_parse_error():
 def test_even_p_is_refused():
     _json_error(run_cli("analyze", "p=2 n=4 f=Tr(x^3)"), 3, "precondition_error")
     _json_error(run_cli("spectrum", "p=2 n=2 f=Tr(x)"), 3, "precondition_error")
+
+
+def test_bad_quadratic_coefficient_is_a_parse_error():
+    for coeffs in ("a,0", "g^x,0"):
+        _json_error(run_cli("construct", "add-quadratic", "--f", "p=3 n=2 f=Tr(x^2)",
+                            "--coeffs", coeffs), 2, "parse_error")
+
+
+def test_missing_slice_file_is_a_parse_error(tmp_path):
+    _json_error(run_cli("construct", "concat", "--slices", str(tmp_path / "missing.txt")),
+                2, "parse_error")
+
+
+def test_malformed_permutation_file_is_a_parse_error(tmp_path):
+    slices = tmp_path / "slices.txt"
+    slices.write_text("\n".join(["p=3 n=2 f=Tr(x^2)"] * 3) + "\n")
+    for body in ("[0, 1,", '{"a": 1}', '[0, "x", 2]', "[]"):
+        pi = tmp_path / "pi.json"
+        pi.write_text(body)
+        _json_error(run_cli("construct", "concat", "--slices", str(slices),
+                            "--pi", str(pi)), 2, "parse_error")
+
+
+def test_concat_over_budget_is_refused_before_combining(tmp_path, monkeypatch, capsys):
+    import pbent.cli
+
+    def never(*args):
+        raise AssertionError("slices combined despite the budget")
+
+    monkeypatch.setattr(pbent.cli, "bent_concatenation", never)
+    monkeypatch.setattr(pbent.cli, "mm_special_form", never)
+    slices = tmp_path / "slices.txt"
+    slices.write_text("\n".join(["p=3 n=2 f=Tr(x^2)"] * 3) + "\n")
+    pi = tmp_path / "pi.json"
+    pi.write_text("[0, 1, 2]")
+    # plain concatenation gives n = 3 (27 points), the special form n = 4 (81)
+    for argv in (["--max-points", "26", "construct", "concat", "--slices", str(slices)],
+                 ["--max-points", "80", "construct", "concat", "--slices", str(slices),
+                  "--pi", str(pi)]):
+        assert pbent.cli.main(argv) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err)["error"]["kind"] == "budget_error"
+    res = run_cli("--max-points", "27", "construct", "concat", "--slices", str(slices))
+    assert res.returncode == 0
+    assert json.loads(res.stdout)["n"] == 3

@@ -4,11 +4,13 @@ import pytest
 
 from pbent.constructions import TrinomialParams, lemma2_witness, trinomial_bent
 from pbent.derivanalysis import (_first_witness_low_degree, _first_witness_scan,
-                                 cubic_like_certificate, derivative_linear_space,
+                                 _trilinear_form, cubic_like_certificate,
+                                 derivative_linear_space,
                                  quad_like_implication_check,
                                  quadratic_balance_witness, wr_identity_check)
 from pbent.errors import PreconditionError
-from pbent.funcrep import ANF, PFunction, TraceForm, anf_to_truth, p_weight
+from pbent.funcrep import (ANF, PFunction, TraceForm, anf_to_truth, p_weight,
+                           parse_function_spec)
 from pbent.gf import get_field
 from pbent.walsh import is_bent, walsh_fast
 
@@ -50,13 +52,49 @@ def test_cubic_like_trinomial_complete():
     assert cert.complete
 
 
+def _paths_agree(f, directions):
+    """Both witness paths on each direction; returns the common hits."""
+    tri = _trilinear_form(f)
+    hits = [_first_witness_low_degree(f, tri, a) for a in directions]
+    assert hits == [_first_witness_scan(f, a) for a in directions]
+    return hits
+
+
 def test_witness_paths_agree():
-    # the radical shortcut must return the same first witness as the scan
+    # the trilinear-form path must return the same first witness as the scan
     rng = random.Random(31)
     for _ in range(12):
-        f = random_low_degree(F27, rng)
-        for a_idx in (1, 5, 13):
-            assert _first_witness_low_degree(f, a_idx) == _first_witness_scan(f, a_idx)
+        _paths_agree(random_low_degree(F27, rng), (1, 5, 13))
+    for spec in ("p=3 n=6 f=Tr(x^2)", "p=5 n=3 f=Tr(x^2)",
+                 "p=5 n=3 f=Tr(x^6+g^1*x^2)"):
+        ctx, tf = parse_function_spec(spec)
+        hits = _paths_agree(tf.truth_table(), rng.sample(range(1, ctx.q), 8))
+        assert None not in hits
+
+
+def test_witness_paths_agree_on_incomplete_cubic():
+    # 26 of the 728 directions have a witness; both paths must also agree
+    # on directions that have none
+    ctx, tf = parse_function_spec("p=3 n=6 f=Tr(x^13+g^3*x^4)")
+    f = tf.truth_table()
+    assert f.algebraic_degree() == 3
+    cert = cubic_like_certificate(f)
+    assert not cert.complete and len(cert.witnesses) == 26
+    rng = random.Random(35)
+    bare = [a for a in range(1, ctx.q) if a not in cert.witnesses]
+    directions = rng.sample(sorted(cert.witnesses), 3) + rng.sample(bare, 3)
+    hits = _paths_agree(f, directions)
+    assert hits[:3] == [cert.witnesses[a] for a in directions[:3]]
+    assert hits[3:] == [None] * 3
+
+
+def test_cubic_like_quadratic_n8_complete():
+    ctx, tf = parse_function_spec("p=3 n=8 f=Tr(x^2)")
+    f = tf.truth_table()
+    cert = cubic_like_certificate(f)
+    assert cert.complete and len(cert.witnesses) == ctx.q - 1
+    for a_idx in random.Random(36).sample(range(1, ctx.q), 5):
+        assert cert.witnesses[a_idx] == _first_witness_scan(f, a_idx)
 
 
 def test_certificate_complete_iff_bent_low_degree():

@@ -1,0 +1,39 @@
+import itertools
+import random
+
+from pbent.linalg import mat_kernel, mat_vec
+
+
+def _index(vec, p):
+    return sum(c * p ** i for i, c in enumerate(vec))
+
+
+def test_kernel_basis_is_reduced_by_top_digit():
+    # against the brute-force kernel: the basis spans it, each vector's top
+    # nonzero coordinate is a 1 where the other vectors are 0, and each
+    # vector is the smallest kernel element (as a base-p index) whose top
+    # digit sits there
+    rng = random.Random(41)
+    for p, rows, cols in ((3, 3, 4), (3, 4, 4), (5, 2, 3), (3, 1, 5), (7, 2, 2)):
+        for _ in range(15):
+            mat = [[rng.randrange(p) if rng.random() < 0.6 else 0
+                    for _ in range(cols)] for _ in range(rows)]
+            basis = mat_kernel(mat, p)
+            kernel = [list(v) for v in itertools.product(range(p), repeat=cols)
+                      if not any(mat_vec(mat, list(v), p))]
+            assert len(kernel) == p ** len(basis)
+            tops = [max(i for i, c in enumerate(v) if c) for v in basis]
+            assert tops == sorted(set(tops))
+            for v, top in zip(basis, tops):
+                assert not any(mat_vec(mat, v, p))
+                assert v[top] == 1
+                assert all(w[top] == 0 for w in basis if w is not v)
+                same_top = [_index(u, p) for u in kernel
+                            if any(u) and max(i for i, c in enumerate(u) if c) == top]
+                assert _index(v, p) == min(same_top)
+            assert [_index(v, p) for v in basis] == sorted(_index(v, p) for v in basis)
+
+
+def test_kernel_of_zero_and_invertible_matrices():
+    assert mat_kernel([[0, 0], [0, 0]], 3) == [[1, 0], [0, 1]]
+    assert mat_kernel([[1, 2], [0, 1]], 3) == []
