@@ -269,8 +269,17 @@ def cmd_property_suite(args) -> int:
     return 0 if ok else EXIT_INTERNAL
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors (unknown flag, missing argument, bad value) raise
+    ParseError, so they exit 2 with a JSON error like any other parse
+    failure; subparsers inherit the class."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _ArgumentParser(
         prog="pbent",
         description="Exact Walsh-spectrum analysis of p-ary functions")
     ap.add_argument("--max-points", type=int, default=DEFAULT_SPECTRUM_BUDGET,
@@ -316,7 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_aq = csub.add_parser("add-quadratic", help="add a pure quadratic to a bent function")
     p_aq.add_argument("--f", required=True, help="function spec of the base function")
     p_aq.add_argument("--coeffs", required=True,
-                      help='n comma-separated coefficients, e.g. "1,0" or "g^3,0"')
+                      help='n comma-separated coefficients, e.g. "1,0" or "g^3,0"; '
+                           'write a leading minus as --coeffs=-1,0')
     p_aq.add_argument("--analyze", action="store_true")
     p_aq.add_argument("--seed", type=int, default=0)
     p_aq.set_defaults(fn=cmd_construct_add_quadratic)

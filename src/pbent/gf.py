@@ -13,12 +13,22 @@ modulus is irreducible and the primitive element has full order, and then
 serves pure immutable arithmetic.  Discrete-log tables are built eagerly
 for |F| <= 3^8 and lazily above (up to 3^12); without tables every
 operation falls back to polynomial arithmetic.
+
+All whole-field index tables rest on one fact: adding a fixed index has no
+carries between digits.  `shift_indexes` adds one to a list of indexes
+through two half tables (low and high digits), and `linear_table` builds
+the index table of an F_p-linear map one digit at a time from it.  The
+exp table walks the linear table of "multiply by the primitive element",
+trace-of-exp reads the linear table of the trace, `shift_table(a)` is x ->
+x + a, and the Walsh transform's trace-dual permutation is the linear
+table of the dual basis.
 """
 
 from __future__ import annotations
 
 import re
 
+from .errors import BudgetError
 from .linalg import mat_vec
 
 LOG_TABLE_EAGER = 3 ** 8
@@ -342,21 +352,23 @@ class FieldCtx:
         if self.exp_table is not None:
             return
         if self.q > LOG_TABLE_MAX:
-            raise FieldError("log tables capped at |F| <= 3^12")
-        exp = [0] * self.order
-        log = [-1] * self.q
-        cur = self.one().coeffs
+            raise BudgetError("log tables capped at |F| <= 3^12")
         g = self.primitive.coeffs
-        for m in range(self.order):
-            idx = self.to_index(cur)
-            exp[m] = idx
-            log[idx] = m
-            cur = self.mul_t(cur, g)
-        if self.to_index(cur) != exp[0]:
+        step = self.linear_table(
+            [self.to_index(self.mul_t(g, _digits(pw, self.p, self.n)))
+             for pw in self._powers_of_p[:-1]])
+        exp = [1]
+        for _ in range(self.order):
+            exp.append(step[exp[-1]])
+        if exp.pop() != 1:
             raise FieldError("exp table did not close (primitive order wrong)")
+        log = [-1] * self.q
+        for m, idx in enumerate(exp):
+            log[idx] = m
+        trace = self.linear_table(self.trace_vec)
         self.exp_table = exp
         self.log_table = log
-        self._trace_of_exp = [self.trace_coeffs(self.from_index(i).coeffs) for i in exp]
+        self._trace_of_exp = [trace[i] for i in exp]
 
     def ensure_tables(self) -> None:
         self._build_tables()
@@ -411,35 +423,32 @@ class FieldCtx:
             mult *= p
         return out
 
+    def shift_indexes(self, idxs, r: int) -> list[int]:
+        """[index(x + r) for x in idxs].  Adding r has no carries between
+        digits, so the low h digits and the high n - h digits of each index
+        are translated by two half tables of p^h and p^(n-h) entries."""
+        half = self._powers_of_p[(self.n + 1) // 2]
+        r_hi, r_lo = divmod(r, half)
+        lo = [self.add_index(x, r_lo) for x in range(half)]
+        hi = [self.add_index(x, r_hi) * half for x in range(self.q // half)]
+        return [hi[x // half] + lo[x % half] for x in idxs]
+
     def shift_table(self, a_idx: int) -> list[int]:
-        """perm[x] = index(x + a), built in one sweep over the field."""
-        p, n, q = self.p, self.n, self.q
-        perm = [0] * q
-        cur = _digits(a_idx, p, n)
-        cur_idx = a_idx
-        xdig = [0] * n
-        pw = self._powers_of_p
-        for x in range(q - 1):
-            perm[x] = cur_idx
-            d = 0
-            while xdig[d] == p - 1:
-                xdig[d] = 0
-                if cur[d] == p - 1:
-                    cur[d] = 0
-                    cur_idx -= (p - 1) * pw[d]
-                else:
-                    cur[d] += 1
-                    cur_idx += pw[d]
-                d += 1
-            xdig[d] += 1
-            if cur[d] == p - 1:
-                cur[d] = 0
-                cur_idx -= (p - 1) * pw[d]
-            else:
-                cur[d] += 1
-                cur_idx += pw[d]
-        perm[q - 1] = cur_idx
-        return perm
+        """perm[x] = index(x + a)."""
+        return self.shift_indexes(range(self.q), a_idx)
+
+    def linear_table(self, cols) -> list[int]:
+        """Index table of the F_p-linear map v -> sum_j v_j c_j, given the
+        column indexes c_j, built one digit at a time: the entries with
+        digit j equal to t are those of the lower digits shifted by c_j,
+        t times."""
+        table = [0]
+        for c in cols:
+            blocks = [table]
+            for _ in range(self.p - 1):
+                blocks.append(self.shift_indexes(blocks[-1], c))
+            table = [v for block in blocks for v in block]
+        return table
 
     # -- core arithmetic -----------------------------------------------------
 

@@ -151,11 +151,12 @@ def _dual_basis(ctx: FieldCtx) -> list[tuple[int, ...]]:
 
 
 def _dual_data(ctx: FieldCtx):
-    """Cached (dual basis, index permutation) per field realization."""
+    """Cached (dual basis, index permutation) per field realization; the
+    permutation maps v to the index of sum_j v_j beta_j."""
     key = (ctx.p, ctx.n, ctx.modulus)
     if key not in _DUAL_CACHE:
         dual = _dual_basis(ctx)
-        _DUAL_CACHE[key] = (dual, _dual_index_permutation(ctx, dual))
+        _DUAL_CACHE[key] = (dual, ctx.linear_table([ctx.to_index(b) for b in dual]))
     return _DUAL_CACHE[key]
 
 
@@ -201,39 +202,6 @@ def _dft_generic_column(p: int, sign: int):
 def _dft_column(p: int, sign: int):
     """The size-p DFT column map for `axis_passes`; unrolled for p = 3."""
     return _dft3_column(sign) if p == 3 else _dft_generic_column(p, sign)
-
-
-def _dual_index_permutation(ctx: FieldCtx, dual: list[tuple[int, ...]]) -> list[int]:
-    """perm[v] = index of sum_j v_j beta_j, iterated odometer-style."""
-    p, n, q = ctx.p, ctx.n, ctx.q
-    perm = [0] * q
-    cur = [0] * n
-    pw = ctx._powers_of_p
-    cur_idx = 0
-    vdig = [0] * n
-    for v in range(q - 1):
-        perm[v] = cur_idx
-        d = 0
-        while vdig[d] == p - 1:
-            vdig[d] = 0
-            for i in range(n):
-                b = dual[d][i]
-                if b:
-                    old = cur[i]
-                    new = (old + b) % p
-                    cur[i] = new
-                    cur_idx += (new - old) * pw[i]
-            d += 1
-        vdig[d] += 1
-        for i in range(n):
-            b = dual[d][i]
-            if b:
-                old = cur[i]
-                new = (old + b) % p
-                cur[i] = new
-                cur_idx += (new - old) * pw[i]
-    perm[q - 1] = cur_idx
-    return perm
 
 
 def walsh_fast(f: PFunction) -> WalshSpectrum:

@@ -154,6 +154,27 @@ def test_bad_quadratic_coefficient_is_a_parse_error():
                             "--coeffs", coeffs), 2, "parse_error")
 
 
+def test_usage_errors_are_json_parse_errors():
+    quad = ("--f", "p=3 n=2 f=Tr(x^2)")
+    for argv in (("analyze", "--bogus", "p=3 n=2 f=Tr(x^2)"),  # unknown flag
+                 ("analyze",),  # missing positional
+                 ("construct", "add-quadratic", *quad, "--coeffs", "-1,0")):  # leading minus
+        res = run_cli(*argv)
+        _json_error(res, 2, "parse_error")
+        assert "usage:" not in res.stderr
+    res = run_cli("construct", "add-quadratic", *quad, "--coeffs=-1,0")
+    assert res.returncode == 0
+    assert json.loads(res.stdout)["construction"] == "add_quadratic"
+    res = run_cli("--help")
+    assert res.returncode == 0
+    assert "usage:" in res.stdout
+
+
+def test_tables_above_the_cap_are_a_budget_error():
+    _json_error(run_cli("--max-points", "2000000", "analyze", "p=3 n=13 f=Tr(x^2)"),
+                4, "budget_error")
+
+
 def test_missing_slice_file_is_a_parse_error(tmp_path):
     _json_error(run_cli("construct", "concat", "--slices", str(tmp_path / "missing.txt")),
                 2, "parse_error")

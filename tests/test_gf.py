@@ -2,12 +2,19 @@ import random
 
 import pytest
 
+from pbent.errors import BudgetError
 from pbent.gf import (FieldCtx, FieldError, default_modulus, get_field,
-                      parse_field_spec, prime_factors, _CONWAY)
+                      parse_field_spec, prime_factors, _CONWAY, _ppow)
+from pbent.linalg import mat_vec
 
 F9 = get_field(3, 2)
 F81 = get_field(3, 4)
 F81_TRI = get_field(3, 4, (2, 1, 0, 0, 1))  # x^4 + x - 1
+# the root of x^4+x^3+x^2+x+1 has order 5, so the primitive element is searched
+F81_SEARCHED = get_field(3, 4, (1, 1, 1, 1, 1))
+# p = 3, 5, 7; n = 1; odd n; a pinned and a searched primitive element
+INDEX_FIELDS = [get_field(3, 1), get_field(3, 3), F81, F81_SEARCHED, get_field(3, 5),
+                get_field(5, 1), get_field(5, 3), get_field(7, 1), get_field(7, 2)]
 
 
 def test_construction_rejects_bad_moduli():
@@ -136,6 +143,60 @@ def test_index_arithmetic_matches_elements():
         perm = F81.shift_table(a)
         for x in (0, 1, 40, 80):
             assert perm[x] == (F81.from_index(x) + F81.from_index(a)).index
+
+
+def test_shift_indexes_match_add_index():
+    rng = random.Random(8)
+    for ctx in INDEX_FIELDS:
+        idxs = [rng.randrange(ctx.q) for _ in range(40)]
+        for r in sorted({0, 1, ctx.q - 1, rng.randrange(ctx.q)}):
+            assert ctx.shift_indexes(idxs, r) == [ctx.add_index(x, r) for x in idxs]
+            assert ctx.shift_table(r) == [ctx.add_index(x, r) for x in range(ctx.q)]
+
+
+def test_linear_table_matches_mat_vec():
+    rng = random.Random(9)
+    for ctx in INDEX_FIELDS:
+        for _ in range(3):
+            cols = [rng.randrange(ctx.q) for _ in range(ctx.n)]
+            mat = [[ctx.from_index(c).coeffs[row] for c in cols] for row in range(ctx.n)]
+            assert ctx.linear_table(cols) == [
+                ctx.to_index(mat_vec(mat, list(ctx.from_index(v).coeffs), ctx.p))
+                for v in range(ctx.q)]
+
+
+def test_tables_match_powers_and_trace():
+    assert F81_SEARCHED.primitive.index != 3  # not the root alpha
+    for ctx in INDEX_FIELDS:
+        ctx.ensure_tables()
+        g = ctx.primitive.coeffs
+        cur = ctx.one().coeffs
+        for m in range(ctx.order):
+            assert ctx.exp_table[m] == ctx.to_index(cur)
+            assert ctx.log_table[ctx.exp_table[m]] == m
+            assert ctx.trace_of_exp(m) == ctx.trace_coeffs(cur)
+            cur = ctx.mul_t(cur, g)
+        assert cur == ctx.one().coeffs
+        assert ctx.log_table[0] == -1
+
+
+def test_tables_n12_sampled():
+    ctx = get_field(3, 12)
+    ctx.ensure_tables()
+    g = ctx.primitive.coeffs
+    rng = random.Random(12)
+    for i, m in enumerate(rng.sample(range(ctx.order), 2000)):
+        x = ctx.from_index(ctx.exp_table[m]).coeffs
+        if i < 10:  # a few exponents against the table-free polynomial power
+            assert x == _ppow(g, m, ctx.modulus, ctx.p)
+        assert ctx.exp_table[(m + 1) % ctx.order] == ctx.to_index(ctx.mul_t(x, g))
+        assert ctx.log_table[ctx.exp_table[m]] == m
+        assert ctx.trace_of_exp(m) == ctx.trace_coeffs(x)
+
+
+def test_tables_above_the_cap_are_a_budget_error():
+    with pytest.raises(BudgetError):
+        FieldCtx(3, 13, (1, 2) + (0,) * 11 + (1,)).ensure_tables()  # x^13 + 2x + 1
 
 
 def test_subfield_indexes():

@@ -45,7 +45,7 @@ GOLDEN = [
     (('construct', 'trinomial', '--k', '1', '--j', '2', '--t', '1', '--analyze'),
      0, 'be240c15b3147ac6be58e43d3ad51de45d21e1020e9876699899a3d636bc0de4'),
     (('construct', 'trinomial', '--k', '1', '--j', '2', '--t', '1', '--analyze', '--certify'),
-     0, '1c59474dcd6ab11267bef00b13dffae2f3c5d9bf111e1adc56ee09911a04d20e'),
+     0, '526f62857a5a48ce6fdf4e20139c01a8e4ea764e9d4ae89153b08ce2e38ac252'),
     (('spectrum', 'p=3 n=3 f=Tr(x^8+x^14)'),
      0, '3853921c53847e65099af6ca253e2ed392b8f12d9541d04dffc059756d8a0341'),
     (('spectrum', 'p=5 n=2 f=Tr(x^2+x)'),

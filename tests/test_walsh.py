@@ -8,8 +8,8 @@ from pbent.funcrep import (PFunction, TraceForm, _matrix_column, _vandermonde,
                            _vandermonde3_column)
 from pbent.gf import get_field
 from pbent.linalg import axis_passes
-from pbent.walsh import (_dft3_column, _dft_generic_column, bent_via_derivatives,
-                         bent_via_second_derivative_sum, classify,
+from pbent.walsh import (_dft3_column, _dft_generic_column, _dual_data,
+                         bent_via_derivatives, bent_via_second_derivative_sum, classify,
                          dual_iteration_check, extract_certificate,
                          inverse_walsh, is_bent, second_derivative_pointwise_sums,
                          single_walsh_value, walsh_fast, walsh_naive,
@@ -117,6 +117,27 @@ def test_axis_passes_moves_every_entry():
         for x in range(p ** n):
             y = sum(((x // p ** i + 1) % p) * p ** i for i in range(n))
             assert out[y] == x
+
+
+def _dual_sum_index(ctx, dual, v):
+    """Index of sum_j v_j beta_j, by field-element arithmetic."""
+    acc = ctx.zero()
+    for vj, beta in zip(ctx.from_index(v).coeffs, dual):
+        acc = acc + ctx.elem(beta).scale(vj)
+    return acc.index
+
+
+def test_dual_permutation_matches_dual_basis_sums():
+    fields = [get_field(3, 1), F27, F81, get_field(3, 4, (1, 1, 1, 1, 1)),
+              get_field(5, 3), get_field(7, 2)]
+    for ctx in fields:
+        dual, perm = _dual_data(ctx)
+        assert perm == [_dual_sum_index(ctx, dual, v) for v in range(ctx.q)]
+    ctx = get_field(3, 12)
+    dual, perm = _dual_data(ctx)
+    rng = random.Random(26)
+    for v in rng.sample(range(ctx.q), 2000):
+        assert perm[v] == _dual_sum_index(ctx, dual, v)
 
 
 def test_inverse_roundtrip_table_row():
