@@ -23,6 +23,8 @@ quadratic Gauss sum standing in for every irrational factor.
 
 from __future__ import annotations
 
+import itertools
+
 from .cyclo import CycInt
 from .errors import PreconditionError, InternalInconsistency
 from .funcrep import PFunction, TraceForm
@@ -503,31 +505,10 @@ def nonvanishing_quadratic_search(p: int, n: int):
     if n >= 4:
         return None
     ctx = get_field(p, n)
-    q = ctx.q
-    ctx.ensure_tables()
-    power_tables = []
-    for jj in range(n):
-        e = p ** jj + 1
-        power_tables.append([ctx.power(ctx.from_index(x), e) for x in range(q)])
-    counter = [0] * n
-    while True:
-        if any(counter):
-            coeffs = [ctx.from_index(ci) for ci in counter]
-            ok = True
-            for x in range(1, q):
-                acc = ctx.zero()
-                for jj in range(n):
-                    if counter[jj]:
-                        acc = acc + coeffs[jj] * power_tables[jj][x]
-                if ctx.trace(acc) == 0:
-                    ok = False
-                    break
-            if ok:
+    # reversed so that the first coefficient varies fastest
+    for rev in itertools.product(range(ctx.q), repeat=n):
+        if any(rev):
+            coeffs = [ctx.from_index(ci) for ci in reversed(rev)]
+            if all(quadratic_part_function(ctx, coeffs).values[1:]):
                 return coeffs
-        pos = 0
-        while pos < n and counter[pos] == q - 1:
-            counter[pos] = 0
-            pos += 1
-        if pos == n:
-            return None
-        counter[pos] += 1
+    return None

@@ -8,14 +8,21 @@ search is linear algebra on the trilinear form T(a, b, x) = D_a D_b D_x
 f(0), built once per function: D_a D_b f(x) = D_a D_b f(0) + T(a, b, x),
 so the b with D_{a,b} f constant are the kernel of T(a, ., .), on which
 b -> D_a D_b f(0) is linear, and a reduced kernel basis yields the first
-witness in index order without enumerating the kernel.  The scan over all
-b is the exact oracle for that path and the path for degree > 3.
+witness in index order without enumerating the kernel.
+
+One scan, `_constant_derivatives(g)`, finds every b with D_b g constant,
+reading x + b point by point so that a direction is dropped at its first
+failing point.  Run on g = D_a f it is the exact oracle for the
+trilinear-form path and the path for degree > 3; run on g = f it gives the
+linear space E_f and the balance witness of a quadratic.
 
 The weakly-regular identity battery checks, per direction pair (b, c),
 over all pairs when p^2n <= 3^8 and a seeded sample otherwise: symmetry of
 W_{D_c f} in b and c negation, the phase identity against the dual's
 derivative transform, vanishing whenever Tr(bc) != 0, and realness on
-Tr(bc) = 0.  Weak regularity implies only the phase identity, so only its
+Tr(bc) = 0.  It reads -b from a negation table built once per battery and
+Tr(bc) from the trace-of-exp table at log b + log c, with no field product
+per pair.  Weak regularity implies only the phase identity, so only its
 violations certify that a bent function is NOT weakly regular; the
 symmetry and vanishing checks carry over from characteristic 2 and fail
 already on quadratic bent functions.
@@ -95,22 +102,24 @@ def _first_witness_low_degree(f: PFunction, tri: list, a_idx: int):
     return None
 
 
+def _constant_derivatives(g: PFunction):
+    """Yield (b, D_b g) in index order for every b where D_b g is constant.
+
+    x + b is read point by point with `add_index`, so a direction is
+    dropped at its first point where D_b g(x) != D_b g(0)."""
+    ctx = g.ctx
+    p, add, vals = ctx.p, ctx.add_index, g.values
+    for b in range(ctx.q):
+        const = (vals[b] - vals[0]) % p
+        if all((vals[add(x, b)] - vals[x]) % p == const for x in range(1, ctx.q)):
+            yield b, const
+
+
 def _first_witness_scan(f: PFunction, a_idx: int):
     """The same witness by scanning every b: the exact oracle for
     `_first_witness_low_degree`, and the path for degree > 3."""
-    ctx = f.ctx
-    p, q = ctx.p, ctx.q
-    vals = f.values
-    perm_a = ctx.shift_table(a_idx)
-    g = [(vals[perm_a[x]] - vals[x]) % p for x in range(q)]
-    for b_idx in range(1, q):
-        perm_b = ctx.shift_table(b_idx)
-        const = (g[perm_b[0]] - g[0]) % p
-        if const == 0:
-            continue
-        if all((g[perm_b[x]] - g[x]) % p == const for x in range(1, q)):
-            return b_idx, const
-    return None
+    g = f.derivative(f.ctx.from_index(a_idx))
+    return next(((b, c) for b, c in _constant_derivatives(g) if c), None)
 
 
 def cubic_like_certificate(f: PFunction) -> CubicLikeCertificate:
@@ -131,16 +140,7 @@ def cubic_like_certificate(f: PFunction) -> CubicLikeCertificate:
 
 def derivative_linear_space(f: PFunction) -> list[FFElem]:
     """E_f = {a : D_a f is constant}; closed under addition and scaling."""
-    ctx = f.ctx
-    p, q = ctx.p, ctx.q
-    vals = f.values
-    out = []
-    for a_idx in range(q):
-        perm = ctx.shift_table(a_idx)
-        const = (vals[perm[0]] - vals[0]) % p
-        if all((vals[perm[x]] - vals[x]) % p == const for x in range(1, q)):
-            out.append(ctx.from_index(a_idx))
-    return out
+    return [f.ctx.from_index(a) for a, _ in _constant_derivatives(f)]
 
 
 def quadratic_balance_witness(qf: PFunction):
@@ -150,12 +150,8 @@ def quadratic_balance_witness(qf: PFunction):
     exists iff qf is balanced."""
     if qf.algebraic_degree() > 2:
         raise PreconditionError("quadratic_balance_witness needs degree <= 2")
-    vals = qf.values
-    for a in derivative_linear_space(qf):
-        const = (vals[a.index] - vals[0]) % qf.ctx.p
-        if const:
-            return a
-    return None
+    a = next((a for a, c in _constant_derivatives(qf) if c), None)
+    return None if a is None else qf.ctx.from_index(a)
 
 
 class WrIdentityReport:
@@ -247,18 +243,21 @@ def wr_identity_check(f: PFunction, seed: int = 0, sample: int = 10000) -> WrIde
     else:
         rng = random.Random(seed)
         pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(sample)]
+    neg = [ctx.neg_index(i) for i in range(q)]
+    ctx.ensure_tables()
+    log, trace_of_exp, order = ctx.log_table, ctx._trace_of_exp, ctx.order
     violations = []
     for b, c in pairs:
         wc = deriv_spectrum(f, c, spec_c)
         wcb = wc[b]
-        if wcb != wc[ctx.neg_index(b)]:
+        if wcb != wc[neg[b]]:
             violations.append({"b": b, "c": c, "check": "symmetry_in_b"})
-        wneg = deriv_spectrum(f, ctx.neg_index(c), spec_c)
+        wneg = deriv_spectrum(f, neg[c], spec_c)
         if wcb != wneg[b]:
             violations.append({"b": b, "c": c, "check": "symmetry_in_c"})
-        tr = ctx.trace(ctx.from_index(b) * ctx.from_index(c))
+        tr = trace_of_exp[(log[b] + log[c]) % order] if b and c else 0
         wb = deriv_spectrum(fstar, b, spec_b)
-        if wcb != rotate_coords(wb[ctx.neg_index(c)], tr, p):
+        if wcb != rotate_coords(wb[neg[c]], tr, p):
             violations.append({"b": b, "c": c, "check": "dual_phase_identity"})
         if tr != 0:
             if any(wcb):

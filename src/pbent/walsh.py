@@ -370,42 +370,31 @@ def bent_via_derivatives(f: PFunction) -> bool:
     return all(f.derivative(ctx.from_index(a)).is_balanced() for a in range(1, ctx.q))
 
 
-def _all_shift_tables(ctx: FieldCtx) -> list[list[int]]:
-    return [ctx.shift_table(a) for a in range(ctx.q)]
+def _second_derivative_counts(f: PFunction) -> list[list[int]]:
+    """per_x[x][v] = #{(c, d) : D_{c,d} f(x) = v}."""
+    ctx = f.ctx
+    p, q = ctx.p, ctx.q
+    vals = f.values
+    perms = [ctx.shift_table(a) for a in range(q)]
+    per_x = [[0] * p for _ in range(q)]
+    for pc in perms:
+        g = [(vals[pc[x]] - vals[x]) % p for x in range(q)]
+        for pd in perms:
+            for x in range(q):
+                per_x[x][(g[pd[x]] - g[x]) % p] += 1
+    return per_x
 
 
 def second_derivative_triple_sum(f: PFunction) -> CycInt:
     """sum over c, d, x of w^(D_{c,d} f(x)), exactly."""
-    ctx = f.ctx
-    p, q = ctx.p, ctx.q
-    vals = f.values
-    perms = _all_shift_tables(ctx)
-    counts = [0] * p
-    for c in range(q):
-        pc = perms[c]
-        g = [(vals[pc[x]] - vals[x]) % p for x in range(q)]
-        for d in range(q):
-            pd = perms[d]
-            for x in range(q):
-                counts[(g[pd[x]] - g[x]) % p] += 1
-    return CycInt.from_exponent_counts(p, counts)
+    counts = [sum(col) for col in zip(*_second_derivative_counts(f))]
+    return CycInt.from_exponent_counts(f.ctx.p, counts)
 
 
 def second_derivative_pointwise_sums(f: PFunction) -> list[CycInt]:
     """x -> sum over c, d of w^(D_{c,d} f(x))."""
-    ctx = f.ctx
-    p, q = ctx.p, ctx.q
-    vals = f.values
-    perms = _all_shift_tables(ctx)
-    per_x = [[0] * p for _ in range(q)]
-    for c in range(q):
-        pc = perms[c]
-        g = [(vals[pc[x]] - vals[x]) % p for x in range(q)]
-        for d in range(q):
-            pd = perms[d]
-            for x in range(q):
-                per_x[x][(g[pd[x]] - g[x]) % p] += 1
-    return [CycInt.from_exponent_counts(p, row) for row in per_x]
+    p = f.ctx.p
+    return [CycInt.from_exponent_counts(p, row) for row in _second_derivative_counts(f)]
 
 
 def bent_via_second_derivative_sum(f: PFunction) -> bool:

@@ -3,8 +3,9 @@ import random
 import pytest
 
 from pbent.constructions import TrinomialParams, lemma2_witness, trinomial_bent
-from pbent.derivanalysis import (_first_witness_low_degree, _first_witness_scan,
-                                 _trilinear_form, cubic_like_certificate,
+from pbent.derivanalysis import (_constant_derivatives, _first_witness_low_degree,
+                                 _first_witness_scan, _trilinear_form,
+                                 cubic_like_certificate,
                                  derivative_linear_space,
                                  quad_like_implication_check,
                                  quadratic_balance_witness, wr_identity_check)
@@ -97,6 +98,51 @@ def test_cubic_like_quadratic_n8_complete():
         assert cert.witnesses[a_idx] == _first_witness_scan(f, a_idx)
 
 
+def random_quadratic(ctx, rng):
+    p = ctx.p
+    return anf_to_truth(ANF(ctx, [rng.randrange(p) if p_weight(i, p) <= 2 else 0
+                                  for i in range(ctx.q)]))
+
+
+def test_constant_derivatives_match_brute_force():
+    rng = random.Random(37)
+    for p, n in ((3, 2), (3, 3), (3, 4), (5, 2), (7, 2)):
+        ctx = get_field(p, n)
+        first_digit_square = [0] * ctx.q
+        first_digit_square[2] = 1  # x_1^2: every b with b_1 = 0 is constant
+        inputs = [PFunction(ctx, [rng.randrange(p) for _ in range(ctx.q)]),
+                  random_quadratic(ctx, rng), random_quadratic(ctx, rng),
+                  anf_to_truth(ANF(ctx, first_digit_square)),
+                  PFunction.zero(ctx),
+                  TraceForm(ctx, [(ctx.gen_power(1), 1)]).truth_table()]
+        for f in inputs:
+            oracle = []
+            for b in range(ctx.q):
+                vals = set(f.derivative(ctx.from_index(b)).values)
+                if len(vals) == 1:
+                    oracle.append((b, vals.pop()))
+            assert list(_constant_derivatives(f)) == oracle
+        assert len(list(_constant_derivatives(inputs[3]))) == ctx.q // p
+        assert len(list(_constant_derivatives(inputs[4]))) == ctx.q
+        assert [c for _, c in _constant_derivatives(inputs[5])].count(0) == ctx.q // p
+
+
+def test_first_witness_scan_matches_second_derivative_oracle():
+    # degree 4, so cubic_like_certificate takes the scan for these
+    for spec in ("p=3 n=4 f=Tr(x^34+x^2)", "p=3 n=4 f=Tr(x^4+g^10*x^22)"):
+        ctx, tf = parse_function_spec(spec)
+        f = tf.truth_table()
+        assert f.algebraic_degree() == 4
+        for a in range(1, ctx.q):
+            expected = None
+            for b in range(1, ctx.q):
+                vals = set(f.second_derivative(ctx.from_index(a), ctx.from_index(b)).values)
+                if len(vals) == 1 and 0 not in vals:
+                    expected = (b, vals.pop())
+                    break
+            assert _first_witness_scan(f, a) == expected
+
+
 def test_certificate_complete_iff_bent_low_degree():
     rng = random.Random(32)
     for _ in range(40):
@@ -150,10 +196,13 @@ def test_balance_witness_biconditional_exhaustive():
 
 
 def test_wr_identity_sound_on_weakly_regular():
-    for f in (quad(F9), quad(F81),
+    for f in (quad(F9), quad(F27), quad(get_field(5, 2)), quad(get_field(7, 2)), quad(F81),
               TraceForm(F81, [(F81.one(), 34), (F81.one(), 2)]).truth_table()):
         rep = wr_identity_check(f)
-        assert rep.sound_clean, rep.violations_by_check()
+        assert rep.exhaustive and rep.sound_clean, rep.violations_by_check()
+        # D_0 is the zero function and the other derivatives of f and of its
+        # bent dual are balanced, so every check holds when b or c is 0
+        assert not [v for v in rep.violations if v["b"] == 0 or v["c"] == 0]
 
 
 def test_wr_identity_spike_asymmetry_is_recorded():

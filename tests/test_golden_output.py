@@ -3,8 +3,10 @@
 Each command's stdout is pinned by its SHA-256, so any change to a report
 byte (key order, a value, the CSV layout) fails here.  The digests were
 recorded from the implementation that wrapped every Walsh value in CycInt,
-before spectra were stored as flat coordinates.  The commands run in
-process through `pbent.cli.main`.
+before spectra were stored as flat coordinates; the sampled p = 5
+`--certify` case was recorded from the battery that still took Tr(bc) from
+a field product per pair.  The commands run in process through
+`pbent.cli.main`.
 """
 
 import contextlib
@@ -40,6 +42,8 @@ GOLDEN = [
      0, 'd49a4d5e00e03721746c2e4fb3d882941f73630aea323a24793178f1d57c200c'),
     (('analyze', 'p=3 n=4 f=Tr(x^34+x^2)', '--certify', '--seed', '5'),
      0, '37ab52f1c26a94eae31bc9efe6a4a083d1592366682ffdd921a5ca055d52c7cf'),
+    (('analyze', 'p=5 n=3 f=Tr(g^1*x^2)', '--certify', '--seed', '3'),
+     0, '92e76bd6aa91cf2686ea298c0196374311af924c347c48e015cc6bf08de353c8'),
     (('analyze', 'p=5 n=2 f=Tr(x^2)', '--certify', '--dual-form'),
      0, 'eb25270ff146acddbdfcc413859f60355a1abe37133858865d8af4d400e84c10'),
     (('construct', 'trinomial', '--k', '1', '--j', '2', '--t', '1', '--analyze'),

@@ -12,12 +12,14 @@ from pbent.walsh import (_dft3_column, _dft_generic_column, _dual_data,
                          bent_via_derivatives, bent_via_second_derivative_sum, classify,
                          dual_iteration_check, extract_certificate,
                          inverse_walsh, is_bent, second_derivative_pointwise_sums,
+                         second_derivative_triple_sum,
                          single_walsh_value, walsh_fast, walsh_naive,
                          NOT_BENT, REGULAR, WEAKLY_REGULAR)
 
 F9 = get_field(3, 2)
 F27 = get_field(3, 3)
 F81 = get_field(3, 4)
+F25 = get_field(5, 2)
 
 
 def rand_f(ctx, rng):
@@ -264,6 +266,24 @@ def test_second_derivative_pointwise_form():
     g = PFunction.zero(F9)
     sums0 = second_derivative_pointwise_sums(g)
     assert all(v == CycInt.integer(3, 81) for v in sums0)
+
+
+def test_second_derivative_sums_match_direct_sum():
+    rng = random.Random(38)
+    for ctx in (F9, F25):
+        p, q = ctx.p, ctx.q
+        for f in (rand_f(ctx, rng), quad(ctx), PFunction.zero(ctx)):
+            per_x = [[0] * p for _ in range(q)]
+            for c in ctx.elements():
+                for d in ctx.elements():
+                    for x, v in enumerate(f.second_derivative(c, d).values):
+                        per_x[x][v] += 1
+            direct = [CycInt.from_exponent_counts(p, row) for row in per_x]
+            sums = second_derivative_pointwise_sums(f)
+            assert sums == direct
+            total = second_derivative_triple_sum(f)
+            assert total == sum(sums, CycInt.zero(p))
+            assert total == CycInt.from_exponent_counts(p, [sum(col) for col in zip(*per_x)])
 
 
 def test_weakly_regular_dual_derivatives_balanced():
