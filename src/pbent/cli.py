@@ -199,7 +199,7 @@ def cmd_construct_concat(args) -> int:
            "report": {k: (v if not isinstance(v, PFunction) else "function(%d points)" % f.ctx.q)
                       for k, v in rep.items()}}
     if args.analyze:
-        report = analyze_function(f, seed=args.seed)
+        report = analyze_function(f)
         report.pop("_timings", None)
         out["analysis"] = report
     _emit(out)
@@ -227,7 +227,7 @@ def cmd_construct_add_quadratic(args) -> int:
            "condition_holds": rep["condition_holds"],
            "spectrally_bent": rep["spectrally_bent"]}
     if args.analyze:
-        report = analyze_function(g, seed=args.seed)
+        report = analyze_function(g)
         report.pop("_timings", None)
         out["analysis"] = report
     _emit(out)
@@ -319,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="file with one function spec per line")
     p_cc.add_argument("--pi", help="JSON permutation file; selects the special form")
     p_cc.add_argument("--analyze", action="store_true")
-    p_cc.add_argument("--seed", type=int, default=0)
     p_cc.set_defaults(fn=cmd_construct_concat)
 
     p_aq = csub.add_parser("add-quadratic", help="add a pure quadratic to a bent function")
@@ -328,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help='n comma-separated coefficients, e.g. "1,0" or "g^3,0"; '
                            'write a leading minus as --coeffs=-1,0')
     p_aq.add_argument("--analyze", action="store_true")
-    p_aq.add_argument("--seed", type=int, default=0)
     p_aq.set_defaults(fn=cmd_construct_add_quadratic)
 
     p_vt = sub.add_parser("verify-table1", help="reproduce the sporadic example table")

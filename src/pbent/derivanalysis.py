@@ -42,6 +42,7 @@ from .linalg import mat_kernel
 from .walsh import extract_certificate, is_bent, walsh_fast
 
 EXHAUSTIVE_PAIR_LIMIT = 3 ** 8
+SAMPLED_PAIRS = 10000
 
 
 class CubicLikeCertificate:
@@ -211,7 +212,7 @@ class WrIdentityReport:
             self.pair_count, len(self.violations), len(self.sound_violations))
 
 
-def wr_identity_check(f: PFunction, seed: int = 0, sample: int = 10000) -> WrIdentityReport:
+def wr_identity_check(f: PFunction, seed: int = 0) -> WrIdentityReport:
     """Run the derivative-transform identity battery on a bent function.
 
     Violations of the checks in `WrIdentityReport.SOUND_CHECKS` certify
@@ -219,7 +220,7 @@ def wr_identity_check(f: PFunction, seed: int = 0, sample: int = 10000) -> WrIde
     functions too (see `WrIdentityReport`).
 
     Exhaustive over all (b, c) when p^2n <= 3^8, otherwise a seeded sample
-    of `sample` pairs.
+    of `SAMPLED_PAIRS` pairs.
     """
     ctx = f.ctx
     p, q = ctx.p, ctx.q
@@ -242,7 +243,7 @@ def wr_identity_check(f: PFunction, seed: int = 0, sample: int = 10000) -> WrIde
         pairs = [(b, c) for c in range(q) for b in range(q)]
     else:
         rng = random.Random(seed)
-        pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(sample)]
+        pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(SAMPLED_PAIRS)]
     neg = [ctx.neg_index(i) for i in range(q)]
     ctx.ensure_tables()
     log, trace_of_exp, order = ctx.log_table, ctx._trace_of_exp, ctx.order

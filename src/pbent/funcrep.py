@@ -185,13 +185,10 @@ class TraceForm:
     def spec_string(self) -> str:
         """Render in the function-spec grammar."""
         ctx = self.ctx
+        ctx.ensure_tables()
         parts = []
         for coeff, exp in self.terms:
-            if coeff == ctx.one():
-                cs = ""
-            else:
-                m = ctx.log_table[coeff.index] if ctx.log_table else None
-                cs = ("g^%d*" % m) if m is not None else "?*"
+            cs = "" if coeff == ctx.one() else "g^%d*" % ctx.log_table[coeff.index]
             parts.append("%sx^%d" % (cs, exp))
         body = "+".join(parts) if parts else "0"
         out = "Tr(%s)" % body

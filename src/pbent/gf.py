@@ -8,11 +8,15 @@ canonical enumeration index of an element is
 
 and every truth table in this package is indexed that way.
 
-A FieldCtx fixes (p, n, modulus, primitive element) once, verifies the
-modulus is irreducible and the primitive element has full order, and then
-serves pure immutable arithmetic.  Discrete-log tables are built eagerly
-for |F| <= 3^8 and lazily above (up to 3^12); without tables every
-operation falls back to polynomial arithmetic.
+A FieldCtx fixes (p, n, modulus, primitive element) once and verifies the
+modulus is irreducible and the primitive element has full order.  Every
+operation that needs a discrete log (`power`, `frobenius` as the power
+p^e, `rel_trace` as a sum of Frobenius terms, the trace-of-exp table)
+reads the exp/log tables, built on first use for |F| <= 3^12.  The
+module's polynomial core (`_pmul`, `_ppow`) serves only what must run
+before the tables exist or must not build them: the irreducibility and
+primitivity checks, the trace vector, `mul_t` and `gen_power`, so that
+parsing a coefficient g^M builds no tables.
 
 All whole-field index tables rest on one fact: adding a fixed index has no
 carries between digits.  `shift_indexes` adds one to a list of indexes
@@ -29,9 +33,7 @@ from __future__ import annotations
 import re
 
 from .errors import BudgetError
-from .linalg import mat_vec
 
-LOG_TABLE_EAGER = 3 ** 8
 LOG_TABLE_MAX = 3 ** 12
 
 
@@ -103,8 +105,9 @@ def default_modulus(p: int, n: int) -> tuple[int, ...]:
         coeffs = _digits(code, p, n) + [1]
         if coeffs[0] == 0:
             continue
-        if _poly_is_irreducible(tuple(coeffs), p, n) and _root_is_primitive(tuple(coeffs), p, n):
-            return tuple(coeffs)
+        coeffs = tuple(coeffs)
+        if _poly_is_irreducible(coeffs, p, n) and _is_primitive(_root(coeffs, p), coeffs, p):
+            return coeffs
     raise FieldError("no irreducible polynomial found for p=%d n=%d" % (p, n))
 
 
@@ -193,14 +196,19 @@ def _poly_gcd_with_modulus(a_vec, modulus, p):
     return a if len(a) > 1 else None
 
 
-def _root_is_primitive(modulus, p, n) -> bool:
+def _root(modulus, p) -> tuple[int, ...]:
+    """The root alpha of the modulus, as a coefficient tuple."""
+    n = len(modulus) - 1
+    return tuple([0, 1] + [0] * (n - 2)) if n >= 2 else ((-modulus[0]) % p,)
+
+
+def _is_primitive(x, modulus, p) -> bool:
+    """x has order p^n - 1: nonzero, and x^((p^n - 1)/r) != 1 for every
+    prime r dividing p^n - 1."""
+    n = len(modulus) - 1
     q1 = p ** n - 1
-    x = tuple([0, 1] + [0] * (n - 2)) if n >= 2 else ((-modulus[0]) % p,)
-    if n == 1:
-        val = x[0]
-        return all(pow(val, q1 // r, p) != 1 for r in prime_factors(q1))
     one = tuple([1] + [0] * (n - 1))
-    return all(_ppow(x, q1 // r, modulus, p) != one for r in prime_factors(q1))
+    return any(x) and all(_ppow(x, q1 // r, modulus, p) != one for r in prime_factors(q1))
 
 
 class FFElem:
@@ -262,13 +270,15 @@ class FFElem:
 class FieldCtx:
     """A concrete realization of F_{p^n}.
 
-    Immutable after construction; all operations are pure, so instances are
-    safe to share across threads.  The modulus is verified irreducible and
-    the primitive element's order is verified against the prime factors of
-    p^n - 1, so a successfully built context is a certificate of both.
+    The field itself (p, n, modulus, primitive element, trace vector) is
+    fixed at construction; the exp/log tables and the subfield cache fill
+    on first use and never change after.  The modulus is verified
+    irreducible and the primitive element's order is verified against the
+    prime factors of p^n - 1, so a successfully built context is a
+    certificate of both.
     """
 
-    def __init__(self, p: int, n: int, modulus=None, eager_tables: bool | None = None) -> None:
+    def __init__(self, p: int, n: int, modulus=None) -> None:
         if not is_prime(p):
             raise FieldError("p must be prime, got %d" % p)
         if n < 1:
@@ -286,66 +296,33 @@ class FieldCtx:
             raise FieldError("modulus is reducible over F_%d" % p)
         self.modulus = modulus
         self._powers_of_p = [p ** i for i in range(n + 1)]
-        # alpha^(n+m) reduced, for m in [0, n-1): used by mul_t
-        self._red = []
-        cur = tuple((-modulus[i]) % p for i in range(n))
-        self._red.append(cur)
-        for _ in range(n - 2):
-            cur = self._shift_reduce(cur)
-            self._red.append(cur)
-        self._order_factors = prime_factors(self.order) if self.order > 1 else []
         self.exp_table: list[int] | None = None
         self.log_table: list[int] | None = None
         self._trace_of_exp: list[int] | None = None
-        self._frob_mats: dict[int, list[list[int]]] = {}
-        self._reltr_mats: dict[int, list[list[int]]] = {}
         self._subfield_cache: dict[int, list[int]] = {}
-        root = self.elem([0, 1] + [0] * (n - 2)) if n >= 2 else self.elem([(-modulus[0]) % p])
-        if self._has_full_order(root):
-            self.primitive = root
-        else:
-            self.primitive = self._find_primitive()
+        root = _root(modulus, p)
+        if not _is_primitive(root, modulus, p):
+            root = next((x for x in (_digits(i, p, n) for i in range(2, self.q))
+                         if _is_primitive(x, modulus, p)), None)
+            if root is None:
+                raise FieldError("no primitive element found for this modulus")
+        self.primitive = self.elem(root)
         self.trace_vec = self._build_trace_vec()
-        if eager_tables is None:
-            eager_tables = self.q <= LOG_TABLE_EAGER
-        if eager_tables:
-            self._build_tables()
 
     # -- construction helpers ------------------------------------------------
 
-    def _shift_reduce(self, vec):
-        top = vec[-1]
-        shifted = [0] + list(vec[:-1])
-        if top:
-            for i in range(self.n):
-                shifted[i] = (shifted[i] + top * self._red[0][i]) % self.p
-        return tuple(v % self.p for v in shifted)
-
-    def _has_full_order(self, x: FFElem) -> bool:
-        if x.is_zero():
-            return False
-        one = self.one()
-        return all(self.power(x, self.order // r) != one for r in self._order_factors)
-
-    def _find_primitive(self) -> FFElem:
-        for idx in range(2, self.q):
-            cand = self.from_index(idx)
-            if self._has_full_order(cand):
-                return cand
-        raise FieldError("no primitive element found (impossible for a field)")
-
     def _build_trace_vec(self) -> tuple[int, ...]:
+        """Tr(alpha^i) for i < n, as the sum of the n Frobenius powers."""
+        p, n = self.p, self.n
         out = []
-        for i in range(self.n):
-            x = self.from_index(self._powers_of_p[i]) if i else self.one()
-            acc = x
-            y = x
-            for _ in range(self.n - 1):
-                y = self.frobenius(y, 1)
-                acc = acc + y
-            if any(acc.coeffs[1:]):
+        for pw in self._powers_of_p[:-1]:
+            y = acc = _digits(pw, p, n)
+            for _ in range(n - 1):
+                y = _ppow(y, p, self.modulus, p)
+                acc = [a + c for a, c in zip(acc, y)]
+            if any(a % p for a in acc[1:]):
                 raise FieldError("trace landed outside the prime field")
-            out.append(acc.coeffs[0])
+            out.append(acc[0] % p)
         return tuple(out)
 
     def _build_tables(self) -> None:
@@ -454,21 +431,7 @@ class FieldCtx:
 
     def mul_t(self, a, b) -> tuple[int, ...]:
         """Product of two coefficient tuples."""
-        p, n = self.p, self.n
-        if n == 1:
-            return ((a[0] * b[0]) % p,)
-        prod = [0] * (2 * n - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] += ai * bj
-        for e in range(2 * n - 2, n - 1, -1):
-            c = prod[e] % p
-            if c:
-                red = self._red[e - n]
-                for i in range(n):
-                    prod[i] += c * red[i]
-        return tuple(v % p for v in prod[:n])
+        return _pmul(a, b, self.modulus, self.p)
 
     def power(self, x: FFElem, e: int) -> FFElem:
         """x^e; e may be any integer (negative requires x != 0)."""
@@ -476,57 +439,27 @@ class FieldCtx:
             if e < 0:
                 raise ZeroDivisionError("negative power of zero")
             return self.one() if e == 0 else self.zero()
-        if self.log_table is not None:
-            m = self.log_table[x.index]
-            return self.from_index(self.exp_table[(m * e) % self.order])
-        e %= self.order
-        result = self.one().coeffs
-        base = x.coeffs
-        while e:
-            if e & 1:
-                result = self.mul_t(result, base)
-            base = self.mul_t(base, base)
-            e >>= 1
-        return FFElem(self, result)
+        self._build_tables()
+        return self.from_index(self.exp_table[(self.log_table[x.index] * e) % self.order])
 
     def gen_power(self, m: int) -> FFElem:
-        """primitive^m."""
-        return self.power(self.primitive, m)
+        """primitive^m, by polynomial powering: builds no tables."""
+        return FFElem(self, _ppow(self.primitive.coeffs, m % self.order, self.modulus, self.p))
 
     # -- Frobenius and traces --------------------------------------------------
 
-    def _frob_matrix(self, e: int) -> list[list[int]]:
-        e %= self.n
-        if e not in self._frob_mats:
-            # column i = coefficients of (alpha^i)^(p^e)
-            cols = []
-            for i in range(self.n):
-                base = self.from_index(self._powers_of_p[i]) if i else self.one()
-                img = self.power(base, self.p ** e)
-                cols.append(img.coeffs)
-            self._frob_mats[e] = [[cols[i][r] for i in range(self.n)] for r in range(self.n)]
-        return self._frob_mats[e]
-
     def frobenius(self, x: FFElem, e: int) -> FFElem:
         """x^(p^(e mod n)); negative e gives the inverse automorphism."""
-        e %= self.n
-        if e == 0:
-            return x
-        if self.log_table is not None and not x.is_zero():
-            m = self.log_table[x.index]
-            return self.from_index(self.exp_table[(m * (self.p ** e)) % self.order])
-        return FFElem(self, mat_vec(self._frob_matrix(e), list(x.coeffs), self.p))
+        return self.power(x, self._powers_of_p[e % self.n])
 
     def rel_trace(self, x: FFElem, k: int) -> FFElem:
         """Trace onto the subfield F_{p^k}: sum of x^(p^(ik)) for i < n/k."""
         if self.n % k:
             raise FieldError("k=%d does not divide n=%d" % (k, self.n))
-        if k not in self._reltr_mats:
-            mats = [self._frob_matrix((i * k) % self.n) for i in range(self.n // k)]
-            acc = [[sum(m[r][c] for m in mats) % self.p for c in range(self.n)]
-                   for r in range(self.n)]
-            self._reltr_mats[k] = acc
-        return FFElem(self, mat_vec(self._reltr_mats[k], list(x.coeffs), self.p))
+        acc = x
+        for i in range(1, self.n // k):
+            acc = acc + self.frobenius(x, i * k)
+        return acc
 
     def trace_coeffs(self, coeffs) -> int:
         """Absolute trace to F_p of a coefficient tuple, as an integer residue."""

@@ -170,6 +170,47 @@ def test_usage_errors_are_json_parse_errors():
     assert "usage:" in res.stdout
 
 
+def test_seed_is_not_an_option_of_concat_or_add_quadratic(tmp_path):
+    slices = tmp_path / "slices.txt"
+    slices.write_text("\n".join(["p=3 n=1 f=Tr(x^2)"] * 3) + "\n")
+    for argv in (("construct", "concat", "--slices", str(slices), "--seed", "1"),
+                 ("construct", "add-quadratic", "--f", "p=3 n=1 f=Tr(x^2)",
+                  "--coeffs", "1", "--seed", "1")):
+        res = run_cli(*argv)
+        _json_error(res, 2, "parse_error")
+        assert "--seed" in json.loads(res.stderr)["error"]["message"]
+
+
+def test_budget_refusal_builds_no_field_tables(monkeypatch, capsys):
+    import pbent.cli
+    import pbent.gf
+
+    def never(self):
+        raise AssertionError("field tables built before the budget check")
+
+    monkeypatch.setattr(pbent.gf.FieldCtx, "_build_tables", never)
+    assert pbent.cli.main(["--max-points", "100", "analyze", "p=3 n=12 f=Tr(g^5*x^2)"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"]["kind"] == "budget_error"
+
+
+def test_paper_scale_trinomial_prints_its_coefficients(monkeypatch, capsys):
+    import pbent.cli
+    import pbent.gf
+    from pbent.constructions import TrinomialParams, trinomial_bent
+    from pbent.funcrep import parse_function_spec
+
+    monkeypatch.setattr(pbent.gf, "_FIELD_CACHE", {})  # a cold field, as in a fresh process
+    assert pbent.cli.main(["construct", "trinomial", "--k", "3", "--j", "6", "--t", "13"]) == 0
+    out = json.loads(capsys.readouterr()[0])
+    assert "?" not in out["function"]
+    assert out["function"] == "Tr(x^29+g^265720*x^55+g^132860*x^730)"
+    _, parsed = parse_function_spec("%s f=%s" % (out["field"], out["function"]))
+    built = trinomial_bent(TrinomialParams(3, 6, 13))
+    assert [(c.coeffs, e) for c, e in parsed.terms] == [(c.coeffs, e) for c, e in built.terms]
+
+
 def test_tables_above_the_cap_are_a_budget_error():
     _json_error(run_cli("--max-points", "2000000", "analyze", "p=3 n=13 f=Tr(x^2)"),
                 4, "budget_error")

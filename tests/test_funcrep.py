@@ -8,7 +8,7 @@ from pbent.funcrep import (PFunction, TraceForm, anf_to_truth,
                            parse_function_spec, p_weight,
                            to_relative_trace_form, truth_to_anf,
                            truth_to_univariate, univariate_degree, ParseError)
-from pbent.gf import get_field
+from pbent.gf import FieldCtx, get_field
 from pbent.walsh import walsh_fast
 
 F3 = get_field(3, 1)
@@ -228,6 +228,11 @@ def test_parse_function_spec():
                 "p=3 n=2 f=Tr(x^2+)", "p=3 n=2 f=Tr(y^2)"):
         with pytest.raises(ParseError):
             parse_function_spec(bad)
+
+
+def test_spec_string_builds_the_tables_it_reads():
+    ctx = FieldCtx(3, 9)  # fresh: no tables yet
+    assert TraceForm(ctx, [(ctx.scalar(2), 2)]).spec_string() == "Tr(g^9841*x^2)"
 
 
 def test_p_weight():

@@ -194,6 +194,36 @@ def test_tables_n12_sampled():
         assert ctx.trace_of_exp(m) == ctx.trace_coeffs(x)
 
 
+def _oracle_inputs():
+    """Every x in F81, and seeded x in F_{3^8} and F_{3^12}."""
+    rng = random.Random(13)
+    yield F81, list(F81.elements())
+    for n in (8, 12):
+        ctx = get_field(3, n)
+        yield ctx, [ctx.zero(), ctx.one()] + [ctx.from_index(rng.randrange(ctx.q))
+                                             for _ in range(40)]
+
+
+def test_frobenius_and_rel_trace_match_polynomial_powers():
+    # the table path against the table-free polynomial power
+    for ctx, xs in _oracle_inputs():
+        p, n, mod = ctx.p, ctx.n, ctx.modulus
+        for x in xs:
+            frob = [_ppow(x.coeffs, p ** e, mod, p) for e in range(n)]
+            for e in range(n):
+                assert ctx.frobenius(x, e).coeffs == frob[e]
+            for k in (k for k in range(1, n + 1) if n % k == 0):
+                expected = tuple(sum(col) % p for col in zip(*frob[::k]))
+                assert ctx.rel_trace(x, k).coeffs == expected
+
+
+def test_gen_power_builds_no_tables():
+    ctx = FieldCtx(3, 10)
+    g5 = ctx.gen_power(5)
+    assert ctx.exp_table is None
+    assert g5 == ctx.primitive ** 5  # now through the tables
+
+
 def test_tables_above_the_cap_are_a_budget_error():
     with pytest.raises(BudgetError):
         FieldCtx(3, 13, (1, 2) + (0,) * 11 + (1,)).ensure_tables()  # x^13 + 2x + 1
