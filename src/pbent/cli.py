@@ -35,6 +35,8 @@ EXIT_BUDGET = 4
 EXIT_INTERNAL = 5
 
 DEFAULT_SPECTRUM_BUDGET = 3 ** 12
+# `analyze --dual-form` interpolates about q/n character sums of q terms each
+DUAL_FORM_MAX_POINTS = 3 ** 9
 
 
 def _check_budget(q: int, budget: int) -> None:
@@ -98,6 +100,9 @@ def analyze_function(f: PFunction, use_naive: bool = False, certify: bool = Fals
 def cmd_analyze(args) -> int:
     ctx, tf = parse_function_spec(args.spec)
     _check_budget(ctx.q, args.max_points)
+    if args.dual_form and ctx.q > DUAL_FORM_MAX_POINTS:
+        raise BudgetError("--dual-form is limited to field size %d, got %d"
+                          % (DUAL_FORM_MAX_POINTS, ctx.q))
     f = tf.truth_table()
     report = analyze_function(f, use_naive=args.naive, certify=args.certify,
                               dual_form=args.dual_form, seed=args.seed)

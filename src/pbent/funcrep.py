@@ -15,9 +15,12 @@ degree of the ANF, which is how it is computed here: the per-axis kernel
 column map (unrolled for p = 3), O(n p^(n+1)).  `anf_to_truth` runs the
 same kernel with the Vandermonde matrix itself.
 
-Univariate interpolation uses multiplicative-group character sums
-(a_i = -sum_{x!=0} f(x) x^(-i)), validated by re-evaluation; this is
-O(p^(2n)) and intended for n <= 8 at p = 3.
+Interpolation computes the character sums a_j = -sum_{x!=0} f(x) x^(-j)
+at the cyclotomic coset leaders j only, about q/n sums of q - 1 terms each
+(`analyze --dual-form` at n = 9 takes seconds), and `truth_to_univariate`
+expands the leaders by Frobenius.  `TraceForm.truth_table` is the one
+table evaluator: a relative trace form is evaluated as a trace form over
+F_{p^n}, and a conjugate-closed univariate list as its relative trace form.
 """
 
 from __future__ import annotations
@@ -57,11 +60,6 @@ class PFunction:
     @classmethod
     def zero(cls, ctx: FieldCtx) -> "PFunction":
         return cls(ctx, [0] * ctx.q)
-
-    @classmethod
-    def build(cls, ctx: FieldCtx, fn) -> "PFunction":
-        """Tabulate a callable FFElem -> int."""
-        return cls(ctx, [fn(ctx.from_index(i)) for i in range(ctx.q)])
 
     def __call__(self, x: FFElem) -> int:
         return self.values[x.index]
@@ -214,27 +212,15 @@ class RelativeTraceForm:
                     "coefficient at leader %d escapes its subfield" % j)
 
     def truth_table(self) -> PFunction:
+        """One TraceForm evaluation: a_j x^j lies in F_{p^s} (s = o(j)), so
+        Tr_s(a_j x^j) = Tr_n(u_s a_j x^j) for any u_s with Tr^n_s(u_s) = 1,
+        and top * x^(q-1) = Tr_n(u_1 top x^(q-1))."""
         ctx = self.ctx
-        p = ctx.p
-        vals = [0] * ctx.q
-        for idx in range(ctx.q):
-            x = ctx.from_index(idx)
-            acc = 0
-            for j, a in self.entries:
-                size = coset_size(j, p, ctx.order)
-                t = a * ctx.power(x, j) if j else a
-                s = t
-                y = t
-                for _ in range(size - 1):
-                    y = ctx.frobenius(y, 1)
-                    s = s + y
-                if any(s.coeffs[1:]):
-                    raise InternalInconsistency("relative trace left the prime field")
-                acc += s.coeffs[0]
-            if self.top_coeff and idx:
-                acc += self.top_coeff  # x^(q-1) = 1 for x != 0
-            vals[idx] = acc % p
-        return PFunction(ctx, vals)
+        terms = [(_rel_trace_unit(ctx, coset_size(j, ctx.p, ctx.order)) * a, j)
+                 for j, a in self.entries]
+        if self.top_coeff:
+            terms.append((_rel_trace_unit(ctx, 1).scale(self.top_coeff), ctx.q - 1))
+        return TraceForm(ctx, terms).truth_table()
 
     def nonlinear_term_count(self) -> int:
         """Entries at leaders of p-weight >= 2 with nonzero coefficient."""
@@ -284,94 +270,74 @@ def coset_size(e: int, p: int, modulus: int) -> int:
     return size
 
 
-def truth_to_univariate(f: PFunction) -> list[FFElem]:
-    """Coefficients a_0..a_{q-1} of the unique univariate representation.
+def _rel_trace_unit(ctx: FieldCtx, s: int) -> FFElem:
+    """The first element u, in index order, with Tr^n_s(u) = 1.  The scalar
+    (n/s)^-1 would not do: it does not exist when p divides n/s."""
+    one = ctx.one()
+    return next(u for u in map(ctx.from_index, range(1, ctx.q))
+                if ctx.rel_trace(u, s) == one)
 
-    a_i = -sum_{x != 0} f(x) x^(-i) for 0 < i < q-1, a_0 = f(0), and the
-    top coefficient balances the total sum.  The result is validated by
-    re-evaluation before being returned.
+
+def to_relative_trace_form(f: PFunction) -> RelativeTraceForm:
+    """The relative trace form of f, interpolated at the coset leaders only.
+
+    a_j = -sum_{x != 0} f(x) x^(-j) for a leader 0 < j < q-1, a_0 = f(0),
+    and the top coefficient is -sum_x f(x).  The form is validated once, by
+    re-evaluation.
     """
     ctx = f.ctx
     ctx.ensure_tables()
-    p, q, order = ctx.p, ctx.q, ctx.order
-    exp_t = ctx.exp_table
-    elems = [ctx.from_index(exp_t[m]).coeffs for m in range(order)]
-    fvals = [f.values[exp_t[m]] for m in range(order)]
-    live = [(m, v) for m, v in enumerate(fvals) if v]
-    coeffs: list[FFElem] = [ctx.scalar(f.values[0])]
-    n = ctx.n
-    for i in range(1, order):
-        acc = [0] * n
-        for m, v in live:
-            t = elems[(-i * m) % order]
-            for pos in range(n):
-                acc[pos] += v * t[pos]
-        coeffs.append(ctx.elem([-a for a in acc]))
-    total = sum(v for _, v in live) % p
-    coeffs.append(ctx.scalar(-total - f.values[0]))
-    check = eval_univariate(ctx, coeffs)
-    if check.values != f.values:
-        raise InternalInconsistency("univariate interpolation failed to re-evaluate")
+    p, n, order = ctx.p, ctx.n, ctx.order
+    exp_t, vals = ctx.exp_table, f.values
+    # each g^m packed as one int, a digit field of `width` bits per
+    # coordinate, so that the sum over x adds coordinates without carries
+    width = ((p - 1) ** 2 * order).bit_length()
+    packed = [sum(c << (width * i) for i, c in enumerate(ctx.from_index(exp_t[m]).coeffs))
+              for m in range(order)]
+    mask = (1 << width) - 1
+    live = [(m, vals[exp_t[m]]) for m in range(order) if vals[exp_t[m]]]
+    entries = [(0, ctx.scalar(vals[0]))] if vals[0] else []
+    for j in coset_leaders(p, order)[1:]:
+        acc = sum(v * packed[(-j * m) % order] for m, v in live)
+        a = ctx.elem([-((acc >> (width * i)) & mask) for i in range(n)])
+        if not a.is_zero():
+            entries.append((j, a))
+    form = RelativeTraceForm(ctx, entries, -sum(vals))
+    if form.truth_table().values != vals:
+        raise InternalInconsistency("relative trace form failed to re-evaluate")
+    return form
+
+
+def truth_to_univariate(f: PFunction) -> list[FFElem]:
+    """Coefficients a_0..a_{q-1} of the unique univariate representation:
+    the relative trace form's leaders expanded by Frobenius."""
+    ctx = f.ctx
+    p, order = ctx.p, ctx.order
+    form = to_relative_trace_form(f)
+    coeffs = [ctx.zero()] * ctx.q
+    for j, a in form.entries:
+        e = j
+        for i in range(coset_size(j, p, order)):
+            coeffs[e] = ctx.frobenius(a, i)
+            e = (e * p) % order
+    coeffs[-1] = ctx.scalar(form.top_coeff)
     return coeffs
 
 
 def eval_univariate(ctx: FieldCtx, coeffs) -> PFunction:
-    """Evaluate a univariate coefficient list as a p-valued function.
+    """Evaluate the q coefficients a_0..a_{q-1} as a p-valued function.
 
-    Raises if any value falls outside the prime subfield (the coefficients
-    then do not satisfy a_{p*i} = a_i^p)."""
-    ctx.ensure_tables()
-    q, order = ctx.q, ctx.order
-    exp_t = ctx.exp_table
-    live = [(i, c.coeffs) for i, c in enumerate(coeffs) if not c.is_zero()]
-    vals = [0] * q
-    c0 = coeffs[0] if coeffs else ctx.zero()
-    if any(c0.coeffs[1:]):
-        raise InternalInconsistency("constant univariate coefficient not scalar")
-    vals[0] = c0.coeffs[0]
-    mul = ctx.mul_t
-    elems = [ctx.from_index(exp_t[m]).coeffs for m in range(order)]
-    n = ctx.n
-    for m in range(order):
-        acc = [0] * n
-        for i, cc in live:
-            t = elems[(i * m) % order] if i else elems[0]
-            prod = mul(cc, t)
-            for pos in range(n):
-                acc[pos] += prod[pos]
-        acc = [a % ctx.p for a in acc]
-        if any(acc[1:]):
-            raise InternalInconsistency("univariate evaluation left the prime field")
-        vals[exp_t[m]] = acc[0]
-    return PFunction(ctx, vals)
-
-
-def to_relative_trace_form(f: PFunction) -> RelativeTraceForm:
-    """Group univariate coefficients by cyclotomic class."""
-    ctx = f.ctx
+    The list is F_p-valued exactly when it is conjugate-closed: a_0 and
+    a_{q-1} are scalars and a_{p*i mod (q-1)} = a_i^p.  Anything else
+    raises; a closed list is evaluated as its relative trace form."""
     p, order = ctx.p, ctx.order
-    coeffs = truth_to_univariate(f)
-    entries = []
-    for j in coset_leaders(p, order):
-        a = coeffs[j]
-        if a.is_zero():
-            continue
-        # consistency across the class: a_{p e mod (q-1)} = a_e^p
-        cur_e = j
-        size = coset_size(j, p, order)
-        for _ in range(size):
-            nxt_e = (cur_e * p) % order
-            if coeffs[nxt_e] != ctx.frobenius(coeffs[cur_e], 1):
-                raise InternalInconsistency("conjugate coefficients inconsistent")
-            cur_e = nxt_e
-        entries.append((j, a))
-    top = coeffs[ctx.q - 1]
-    if any(top.coeffs[1:]):
-        raise InternalInconsistency("top univariate coefficient not scalar")
-    form = RelativeTraceForm(ctx, entries, top.coeffs[0])
-    if form.truth_table().values != f.values:
-        raise InternalInconsistency("relative trace form failed to re-evaluate")
-    return form
+    if any(coeffs[0].coeffs[1:]) or any(coeffs[-1].coeffs[1:]):
+        raise InternalInconsistency("constant or top univariate coefficient not scalar")
+    for i in range(1, order):
+        if coeffs[(i * p) % order] != ctx.frobenius(coeffs[i], 1):
+            raise InternalInconsistency("univariate coefficients not conjugate-closed")
+    entries = [(j, coeffs[j]) for j in coset_leaders(p, order) if not coeffs[j].is_zero()]
+    return RelativeTraceForm(ctx, entries, coeffs[-1].coeffs[0]).truth_table()
 
 
 def univariate_degree(coeffs, p: int) -> int:

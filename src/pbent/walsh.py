@@ -92,29 +92,6 @@ class WalshSpectrum:
         return "WalshSpectrum(p=%d, n=%d, %s)" % (self.ctx.p, self.ctx.n, self.provenance)
 
 
-def walsh_naive(f: PFunction) -> WalshSpectrum:
-    """Direct evaluation of the defining double loop."""
-    ctx = f.ctx
-    ctx.ensure_tables()
-    p, q, order = ctx.p, ctx.q, ctx.order
-    exp_t, vals = ctx.exp_table, f.values
-    troe = ctx._trace_of_exp
-    out = [None] * q
-    counts0 = [0] * p
-    for v in vals:
-        counts0[v] += 1
-    out[0] = coords_from_counts(p, counts0)
-    fexp = [vals[exp_t[m]] for m in range(order)]
-    f0 = vals[0]
-    for my in range(order):
-        counts = [0] * p
-        counts[f0] += 1
-        for m in range(order):
-            counts[(fexp[m] - troe[(m + my) % order]) % p] += 1
-        out[exp_t[my]] = coords_from_counts(p, counts)
-    return WalshSpectrum(ctx, out, "naive")
-
-
 def single_walsh_value(f: PFunction, y_index: int) -> CycInt:
     """W_f(y) for one point, without materializing the whole spectrum."""
     ctx = f.ctx
@@ -133,6 +110,12 @@ def single_walsh_value(f: PFunction, y_index: int) -> CycInt:
         for m in range(order):
             counts[(vals[exp_t[m]] - troe[(m + my) % order]) % p] += 1
     return CycInt.from_exponent_counts(p, counts)
+
+
+def walsh_naive(f: PFunction) -> WalshSpectrum:
+    """Direct evaluation of the defining double loop, one point at a time;
+    the independent oracle of `walsh_fast`."""
+    return WalshSpectrum(f.ctx, [single_walsh_value(f, y) for y in range(f.ctx.q)], "naive")
 
 
 _DUAL_CACHE: dict = {}

@@ -254,3 +254,17 @@ def test_concat_over_budget_is_refused_before_combining(tmp_path, monkeypatch, c
     res = run_cli("--max-points", "27", "construct", "concat", "--slices", str(slices))
     assert res.returncode == 0
     assert json.loads(res.stdout)["n"] == 3
+
+
+def test_dual_form_over_its_limit_is_refused_before_any_transform(monkeypatch, capsys):
+    import pbent.cli
+
+    def never(f):
+        raise AssertionError("transform run before the --dual-form limit check")
+
+    monkeypatch.setattr(pbent.cli, "walsh_fast", never)
+    assert pbent.cli.DUAL_FORM_MAX_POINTS == 3 ** 9
+    assert pbent.cli.main(["analyze", "p=3 n=10 f=Tr(g^1*x^2)", "--dual-form"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"]["kind"] == "budget_error"

@@ -3,8 +3,9 @@ import random
 import pytest
 
 from pbent.cyclo import CycInt
-from pbent.funcrep import (PFunction, TraceForm, anf_to_truth,
-                           coset_leader, coset_size, eval_univariate,
+from pbent.errors import InternalInconsistency
+from pbent.funcrep import (PFunction, RelativeTraceForm, TraceForm, anf_to_truth,
+                           coset_leader, coset_leaders, coset_size, eval_univariate,
                            parse_function_spec, p_weight,
                            to_relative_trace_form, truth_to_anf,
                            truth_to_univariate, univariate_degree, ParseError)
@@ -84,6 +85,55 @@ def test_relative_trace_form_roundtrip_random():
     for _ in range(8):
         f = rand_f(F27, rng)
         assert to_relative_trace_form(f).truth_table() == f
+
+
+def frobenius_sum_table(form):
+    """Oracle: sum_j Tr_{o(j)}(a_j x^j) + top * x^(q-1), point by point, each
+    relative trace as the explicit sum of the o(j) Frobenius conjugates."""
+    ctx = form.ctx
+    vals = []
+    for idx in range(ctx.q):
+        x = ctx.from_index(idx)
+        acc = form.top_coeff if idx else 0
+        for j, a in form.entries:
+            y = t = a * ctx.power(x, j) if j else a
+            for _ in range(coset_size(j, ctx.p, ctx.order) - 1):
+                y = ctx.frobenius(y, 1)
+                t = t + y
+            assert not any(t.coeffs[1:])
+            acc += t.coeffs[0]
+        vals.append(acc % ctx.p)
+    return vals
+
+
+def test_relative_trace_form_table_matches_frobenius_sums():
+    rng = random.Random(15)
+    for ctx in (F27, F81, F125, F49):
+        leaders = coset_leaders(ctx.p, ctx.order)
+        for _ in range(4):
+            entries = []
+            for j in rng.sample(leaders, min(5, len(leaders))):
+                # Tr^n_s of a random element lands in the leader's subfield
+                a = ctx.rel_trace(ctx.from_index(rng.randrange(ctx.q)),
+                                  coset_size(j, ctx.p, ctx.order))
+                entries.append((j, a))
+            form = RelativeTraceForm(ctx, entries, rng.randrange(ctx.p))
+            assert form.truth_table().values == frobenius_sum_table(form)
+    # x -> x^13 on F_27: coset size 1 and p = 3 divides n/s = 3, where the
+    # scalar (n/s)^-1 would not invert the relative trace
+    assert coset_size(13, 3, 26) == 1
+    for a in (F27.one(), F27.scalar(2)):
+        form = RelativeTraceForm(F27, [(13, a)], 1)
+        assert form.truth_table().values == frobenius_sum_table(form)
+
+
+def test_eval_univariate_refuses_a_list_that_is_not_conjugate_closed():
+    coeffs = [F27.zero()] * 27
+    coeffs[1] = F27.from_index(3)  # alpha alone, without alpha^3 and alpha^9
+    with pytest.raises(InternalInconsistency):
+        eval_univariate(F27, coeffs)
+    coeffs[3], coeffs[9] = F27.frobenius(coeffs[1], 1), F27.frobenius(coeffs[1], 2)
+    assert eval_univariate(F27, coeffs) == TraceForm(F27, [(coeffs[1], 1)]).truth_table()
 
 
 def test_coset_utilities():
