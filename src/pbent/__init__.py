@@ -23,7 +23,6 @@ from .walsh import (BentCertificate, Classification, WalshSpectrum,
                     walsh_fast, walsh_naive)
 from .derivanalysis import (CubicLikeCertificate, WrIdentityReport,
                             cubic_like_certificate, derivative_linear_space,
-                            quad_like_implication_check,
                             quadratic_balance_witness, wr_identity_check)
 from .constructions import (ConcatenationFamily, TrinomialParams,
                             add_quadratic, bent_concatenation,

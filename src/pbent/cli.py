@@ -90,7 +90,7 @@ def analyze_function(f: PFunction, use_naive: bool = False, certify: bool = Fals
         timings["cubic_like_s"] = time.perf_counter() - t1
         if cls.bent:
             t2 = time.perf_counter()
-            wr = wr_identity_check(f, seed=seed)
+            wr = wr_identity_check(f, seed=seed, certificate=cert3)
             report["wr_identities"] = wr.to_json()
             timings["wr_identities_s"] = time.perf_counter() - t2
     report["_timings"] = timings

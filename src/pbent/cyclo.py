@@ -67,14 +67,7 @@ class CycInt:
             return CycInt(self.p, tuple(other * a for a in self.coords))
         if not isinstance(other, CycInt):
             return NotImplemented
-        p = self.p
-        acc = [0] * p
-        for i, a in enumerate(self.coords):
-            if a:
-                for j, b in enumerate(other.coords):
-                    if b:
-                        acc[(i + j) % p] += a * b
-        return CycInt.from_exponent_counts(p, acc)
+        return CycInt(self.p, mul_coords(self.coords, other.coords, self.p))
 
     def __rmul__(self, other) -> "CycInt":
         return self.__mul__(other)
@@ -86,10 +79,6 @@ class CycInt:
     def norm_sq(self) -> "CycInt":
         """x * conj(x); the squared complex magnitude as a ring element."""
         return self * self.conj()
-
-    def mul_omega(self, j: int) -> "CycInt":
-        """Multiply by w^j."""
-        return CycInt(self.p, rotate_coords(self.coords, j, self.p))
 
     # -- predicates and views ----------------------------------------------------
 
@@ -146,19 +135,21 @@ def coords_from_counts(p: int, counts) -> tuple:
     return tuple(counts[i] - top for i in range(p - 1))
 
 
-def rotate_coords(coords: tuple, j: int, p: int) -> tuple:
-    """Coordinates of w^j * x."""
-    acc = [0] * p
-    for i, a in enumerate(coords):
-        acc[(i + j) % p] += a
-    return coords_from_counts(p, acc)
-
-
 def conj_coords(coords: tuple, p: int) -> tuple:
-    """Coordinates of conj(x), w -> w^(p-1)."""
+    """Coordinates of conj(x), w -> w^(p-1): w^i goes to w^(p-i), and the
+    count of w^(p-1), the old coefficient of w, is subtracted from all."""
+    c1 = coords[1]
+    return tuple([v - c1 for v in (coords[0], 0) + coords[:1:-1]])
+
+
+def mul_coords(x: tuple, y: tuple, p: int) -> tuple:
+    """Coordinates of x * y, from the exponent counts of the coordinate
+    products."""
     acc = [0] * p
-    for i, a in enumerate(coords):
-        acc[(p - i) % p] += a
+    for i, a in enumerate(x):
+        if a:
+            for j, b in enumerate(y):
+                acc[(i + j) % p] += a * b
     return coords_from_counts(p, acc)
 
 

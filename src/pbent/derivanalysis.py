@@ -16,30 +16,35 @@ failing point.  Run on g = D_a f it is the exact oracle for the
 trilinear-form path and the path for degree > 3; run on g = f it gives the
 linear space E_f and the balance witness of a quadratic.
 
-The weakly-regular identity battery checks, per direction pair (b, c),
-over all pairs when p^2n <= 3^8 and a seeded sample otherwise: symmetry of
-W_{D_c f} in b and c negation, the phase identity against the dual's
-derivative transform, vanishing whenever Tr(bc) != 0, and realness on
-Tr(bc) = 0.  It reads -b from a negation table built once per battery and
-Tr(bc) from the trace-of-exp table at log b + log c, with no field product
-per pair.  Weak regularity implies only the phase identity, so only its
-violations certify that a bent function is NOT weakly regular; the
-symmetry and vanishing checks carry over from characteristic 2 and fail
-already on quadratic bent functions.
+The weakly-regular identity battery walks directions c.  A row c
+transforms D_c f (kept for the row of -c) and gets the dual side at every
+b at once from the correlation identity of derivative transforms,
+W_{D_b f*}(-c) = p^-n sum_y W(y) conj(W(y + c)) w^Tr(by) with W = W_{f*}
+(transformed once): shifting y by -c folds in the check's phase, so
+w^Tr(bc) W_{D_b f*}(-c) is one pointwise product, one inverse-kernel run
+and an exact division by p^n.  Every b of a row is checked for symmetry
+of W_{D_c f} in b and c negation, that phase identity, vanishing on
+Tr(bc) != 0 and realness on Tr(bc) = 0, with -b and Tr(bc) read from
+tables (only the phase identity is sound; see `WrIdentityReport`).  Small
+fields are walked whole; larger ones fill SAMPLED_PAIRS with seeded rows
+(see `wr_identity_check`).  Given a cubic-like witness D_{c,d} f = lambda,
+a row also checks W_{D_c f}(b) = 0 whenever Tr(bd) != lambda, which holds
+for every function, so a failure is an internal inconsistency.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import random
 
-from .cyclo import conj_coords, rotate_coords
-from .errors import PreconditionError
+from .cyclo import conj_coords, mul_coords
+from .errors import InternalInconsistency, PreconditionError
 from .funcrep import PFunction
 from .gf import FFElem
 from .linalg import mat_kernel
-from .walsh import extract_certificate, is_bent, walsh_fast
+from .walsh import extract_certificate, inverse_sums, is_bent, walsh_fast
 
 EXHAUSTIVE_PAIR_LIMIT = 3 ** 8
 SAMPLED_PAIRS = 10000
@@ -180,10 +185,6 @@ class WrIdentityReport:
         self.exhaustive = exhaustive
 
     @property
-    def clean(self) -> bool:
-        return not self.violations
-
-    @property
     def sound_violations(self) -> list:
         return [v for v in self.violations if v["check"] in self.SOUND_CHECKS]
 
@@ -192,10 +193,7 @@ class WrIdentityReport:
         return not self.sound_violations
 
     def violations_by_check(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for v in self.violations:
-            out[v["check"]] = out.get(v["check"], 0) + 1
-        return out
+        return dict(collections.Counter(v["check"] for v in self.violations))
 
     def to_json(self) -> dict:
         return {
@@ -212,72 +210,76 @@ class WrIdentityReport:
             self.pair_count, len(self.violations), len(self.sound_violations))
 
 
-def wr_identity_check(f: PFunction, seed: int = 0) -> WrIdentityReport:
+def _phase_row(w: list, ctx, c: int) -> list:
+    """w^Tr(bc) * W_{D_b f*}(-c) at every b, from W = W_{f*}: the inverse
+    sums of W(y - c) * conj(W(y)), divided exactly by p^n.  The product is
+    unrolled for p = 3, where conj(a + b*w) = (a - b) - b*w."""
+    p, q = ctx.p, ctx.q
+    shifted = [w[y] for y in ctx.shift_table(ctx.neg_index(c))]
+    if p == 3:
+        prod = [(a1 * (a - b) + b1 * b, a * b1 - a1 * b)
+                for (a, b), (a1, b1) in zip(w, shifted)]
+    else:
+        prod = [mul_coords(x1, conj_coords(x, p), p) for x, x1 in zip(w, shifted)]
+    quotients = [divmod(v, q) for t in inverse_sums(ctx, prod) for v in t]
+    if any(r for _, r in quotients):
+        raise InternalInconsistency("correlation sums of direction %d not divisible by p^n" % c)
+    coords = iter([d for d, _ in quotients])
+    return list(zip(*[coords] * (p - 1)))
+
+
+def wr_identity_check(f: PFunction, seed: int = 0,
+                      certificate: CubicLikeCertificate | None = None) -> WrIdentityReport:
     """Run the derivative-transform identity battery on a bent function.
 
     Violations of the checks in `WrIdentityReport.SOUND_CHECKS` certify
     non-weak-regularity; the other checks can fail on weakly regular
-    functions too (see `WrIdentityReport`).
-
-    Exhaustive over all (b, c) when p^2n <= 3^8, otherwise a seeded sample
-    of `SAMPLED_PAIRS` pairs.
+    functions too (see `WrIdentityReport`).  It walks rows c, the dual
+    side of every b of a row coming from one inverse-kernel run of the
+    correlation identity (see the module docstring): all q rows when p^2n
+    <= 3^8 or <= SAMPLED_PAIRS, otherwise ceil(SAMPLED_PAIRS / q) distinct
+    rows from `random.Random(seed).sample`, in draw order, the last one cut
+    so that exactly SAMPLED_PAIRS pairs are checked.  With a cubic-like
+    `certificate` of f, a nonzero W_{D_c f}(b) with Tr(bd) != lambda for
+    c's witness (d, lambda) raises InternalInconsistency.
     """
     ctx = f.ctx
     p, q = ctx.p, ctx.q
     s = walsh_fast(f)
     if not is_bent(s):
         raise PreconditionError("wr_identity_check requires a bent function")
-    fstar = extract_certificate(s).dual
+    w_dual = walsh_fast(extract_certificate(s).dual).coords
 
-    spec_c: dict[int, list] = {}
-    spec_b: dict[int, list] = {}
-
-    def deriv_spectrum(base: PFunction, idx: int, cache: dict) -> list:
-        """Coordinate tuples of W_{D_idx base}, cached per direction."""
-        if idx not in cache:
-            cache[idx] = walsh_fast(base.derivative(ctx.from_index(idx))).coords
-        return cache[idx]
-
-    exhaustive = q * q <= EXHAUSTIVE_PAIR_LIMIT
-    if exhaustive:
-        pairs = [(b, c) for c in range(q) for b in range(q)]
-    else:
-        rng = random.Random(seed)
-        pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(SAMPLED_PAIRS)]
+    # a sample never repeats a pair, so a field with fewer pairs is walked whole
+    exhaustive = q * q <= max(EXHAUSTIVE_PAIR_LIMIT, SAMPLED_PAIRS)
+    pair_count = q * q if exhaustive else SAMPLED_PAIRS
+    rows = range(q) if exhaustive else random.Random(seed).sample(range(q), -(-pair_count // q))
+    witnesses = certificate.witnesses if certificate is not None else {}
     neg = [ctx.neg_index(i) for i in range(q)]
     ctx.ensure_tables()
     log, trace_of_exp, order = ctx.log_table, ctx._trace_of_exp, ctx.order
+    spec = {c: walsh_fast(f.derivative(ctx.from_index(c))).coords
+            for c in set(rows) | {neg[c] for c in rows}}
     violations = []
-    for b, c in pairs:
-        wc = deriv_spectrum(f, c, spec_c)
-        wcb = wc[b]
-        if wcb != wc[neg[b]]:
-            violations.append({"b": b, "c": c, "check": "symmetry_in_b"})
-        wneg = deriv_spectrum(f, neg[c], spec_c)
-        if wcb != wneg[b]:
-            violations.append({"b": b, "c": c, "check": "symmetry_in_c"})
-        tr = trace_of_exp[(log[b] + log[c]) % order] if b and c else 0
-        wb = deriv_spectrum(fstar, b, spec_b)
-        if wcb != rotate_coords(wb[neg[c]], tr, p):
-            violations.append({"b": b, "c": c, "check": "dual_phase_identity"})
-        if tr != 0:
-            if any(wcb):
-                violations.append({"b": b, "c": c, "check": "vanishing_on_nonzero_trace"})
-        elif wcb != conj_coords(wcb, p):
-            violations.append({"b": b, "c": c, "check": "realness"})
-    return WrIdentityReport(len(pairs), violations, exhaustive)
-
-
-def quad_like_implication_check(f: PFunction, c: FFElem, d: FFElem) -> bool:
-    """Given D_{c,d} f = lambda != 0 (checked), verify W_{D_c f}(b) = 0 for
-    every b with Tr(bd) != lambda."""
-    ctx = f.ctx
-    dd = f.second_derivative(c, d)
-    lam = dd.values[0]
-    if lam == 0 or any(v != lam for v in dd.values):
-        raise PreconditionError("D_{c,d} f is not a nonzero constant")
-    spec = walsh_fast(f.derivative(c))
-    for b in range(ctx.q):
-        if ctx.trace(ctx.from_index(b) * d) != lam and any(spec.coords[b]):
-            return False
-    return True
+    for i, c in enumerate(rows):
+        wc, wneg, phase = spec[c], spec[neg[c]], _phase_row(w_dual, ctx, c)
+        d, lam = witnesses.get(c, (0, 0))
+        for b in range(min(q, pair_count - i * q)):
+            wcb = wc[b]
+            if wcb != wc[neg[b]]:
+                violations.append({"b": b, "c": c, "check": "symmetry_in_b"})
+            if wcb != wneg[b]:
+                violations.append({"b": b, "c": c, "check": "symmetry_in_c"})
+            if wcb != phase[b]:
+                violations.append({"b": b, "c": c, "check": "dual_phase_identity"})
+            tr = trace_of_exp[(log[b] + log[c]) % order] if b and c else 0
+            if tr != 0:
+                if any(wcb):
+                    violations.append({"b": b, "c": c, "check": "vanishing_on_nonzero_trace"})
+            elif wcb != conj_coords(wcb, p):
+                violations.append({"b": b, "c": c, "check": "realness"})
+            if d and any(wcb) and (trace_of_exp[(log[b] + log[d]) % order] if b else 0) != lam:
+                raise InternalInconsistency(
+                    "W_{D_c f}(b) != 0 off Tr(bd) = lambda at c=%d, b=%d, witness (d, lambda) "
+                    "= (%d, %d)" % (c, b, d, lam))
+    return WrIdentityReport(pair_count, violations, exhaustive)

@@ -11,7 +11,7 @@ coordinates of x in the polynomial basis and the coordinates of y in the
 trace-dual basis (obtained by inverting the Gram matrix [Tr(a_i a_j)]),
 which turns the transform into n successive size-p DFT passes: the one
 per-axis kernel `linalg.axis_passes` with the DFT on Z[w] coordinates as
-its column map (unrolled for p = 3).  `inverse_walsh` runs the same kernel
+its column map (unrolled for p = 3).  `inverse_sums` runs the same kernel
 with the conjugate DFT.
 
 Both paths produce flat coordinate tuples in Z[w] ((a, b) = a + b*w for
@@ -200,13 +200,18 @@ def walsh_fast(f: PFunction) -> WalshSpectrum:
     return WalshSpectrum(ctx, out, "fast")
 
 
+def inverse_sums(ctx: FieldCtx, coords: list) -> list:
+    """sum_y coords[y] * w^Tr(xy) at every x, as coordinate tuples: the
+    inverse transform before its division by p^n."""
+    perm = _dual_data(ctx)[1]
+    return axis_passes([coords[y] for y in perm], ctx.p, ctx.n, _dft_column(ctx.p, 1))
+
+
 def inverse_walsh(s: WalshSpectrum) -> PFunction:
     """Recover f from its spectrum; errors if s is not a function spectrum."""
     ctx = s.ctx
-    p, n, q = ctx.p, ctx.n, ctx.q
-    perm = _dual_data(ctx)[1]
-    values = s.values
-    flat = axis_passes([values[y].coords for y in perm], p, n, _dft_column(p, 1))
+    p, q = ctx.p, ctx.q
+    flat = inverse_sums(ctx, [v.coords for v in s.values])
     roots = {tuple(q * c for c in w): j for j, w in enumerate(_omega_coords(p))}
     vals = [roots.get(c) for c in flat]
     if None in vals:

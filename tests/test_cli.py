@@ -66,6 +66,27 @@ def test_construct_trinomial_analyze():
     assert out["analysis"]["wr_identities"]["sound_violation_count"] > 0
 
 
+def test_certify_n8_quadratic_is_sound_clean():
+    res = run_cli("analyze", "p=3 n=8 f=Tr(x^2)", "--certify")
+    assert res.returncode == 0
+    out = json.loads(res.stdout)
+    assert out["cubic_like"]["complete"] is True
+    wr = out["wr_identities"]
+    assert wr["exhaustive"] is False and wr["pairs_checked"] == 10000
+    assert wr["sound_violation_count"] == 0
+
+
+def test_certify_n8_trinomial_has_sound_violations():
+    res = run_cli("construct", "trinomial", "--k", "2", "--j", "1", "--t", "1",
+                  "--analyze", "--certify")
+    assert res.returncode == 0
+    out = json.loads(res.stdout)["analysis"]
+    assert out["classification"]["variant"] == "non_weakly_regular"
+    assert out["cubic_like"]["complete"] is True
+    assert out["wr_identities"]["pairs_checked"] == 10000
+    assert out["wr_identities"]["sound_violation_count"] > 0
+
+
 def test_verify_table1_json():
     res = run_cli("verify-table1", "--json", "--no-search")
     assert res.returncode == 0

@@ -1,19 +1,23 @@
+import math
 import random
 
 import pytest
 
+from pbent import derivanalysis
 from pbent.constructions import TrinomialParams, lemma2_witness, trinomial_bent
-from pbent.derivanalysis import (_constant_derivatives, _first_witness_low_degree,
+from pbent.cyclo import CycInt, conj_coords
+from pbent.derivanalysis import (EXHAUSTIVE_PAIR_LIMIT, SAMPLED_PAIRS,
+                                 CubicLikeCertificate,
+                                 _constant_derivatives, _first_witness_low_degree,
                                  _first_witness_scan, _trilinear_form,
                                  cubic_like_certificate,
                                  derivative_linear_space,
-                                 quad_like_implication_check,
                                  quadratic_balance_witness, wr_identity_check)
-from pbent.errors import PreconditionError
+from pbent.errors import InternalInconsistency, PreconditionError
 from pbent.funcrep import (ANF, PFunction, TraceForm, anf_to_truth, p_weight,
                            parse_function_spec)
 from pbent.gf import get_field
-from pbent.walsh import is_bent, walsh_fast
+from pbent.walsh import extract_certificate, is_bent, walsh_fast
 
 F3 = get_field(3, 1)
 F9 = get_field(3, 2)
@@ -250,28 +254,134 @@ def test_trinomial_derivative_spike_location():
         assert spec.values[ctx.neg_index(e.index)] != spec.values[e.index]
 
 
+def _pair_battery_oracle(f, pairs):
+    """The per-pair battery that the row-wise `wr_identity_check` replaced,
+    kept as its oracle: W_{D_b f*}(-c) from a transform of the derivative
+    of the dual per new b, and Tr(bc) from a field product."""
+    ctx = f.ctx
+    p = ctx.p
+    fstar = extract_certificate(walsh_fast(f)).dual
+    cache = {}
+
+    def deriv(base, idx):
+        key = (base is f, idx)
+        if key not in cache:
+            cache[key] = walsh_fast(base.derivative(ctx.from_index(idx))).coords
+        return cache[key]
+
+    violations = []
+    for b, c in pairs:
+        nb, nc = ctx.neg_index(b), ctx.neg_index(c)
+        wc = deriv(f, c)
+        wcb = wc[b]
+        if wcb != wc[nb]:
+            violations.append({"b": b, "c": c, "check": "symmetry_in_b"})
+        if wcb != deriv(f, nc)[b]:
+            violations.append({"b": b, "c": c, "check": "symmetry_in_c"})
+        tr = ctx.trace(ctx.from_index(b) * ctx.from_index(c))
+        if CycInt(p, wcb) != CycInt(p, deriv(fstar, b)[nc]) * CycInt.omega_pow(p, tr):
+            violations.append({"b": b, "c": c, "check": "dual_phase_identity"})
+        if tr != 0:
+            if any(wcb):
+                violations.append({"b": b, "c": c, "check": "vanishing_on_nonzero_trace"})
+        elif wcb != conj_coords(wcb, p):
+            violations.append({"b": b, "c": c, "check": "realness"})
+    return violations
+
+
+@pytest.mark.parametrize("make", [
+    lambda: trinomial_bent(TrinomialParams(1, 2, 1)).truth_table(),
+    lambda: trinomial_bent(TrinomialParams(1, 0, 1)).truth_table(),
+    lambda: parse_function_spec("p=3 n=4 f=Tr(x^34+x^2)")[1].truth_table(),
+    lambda: parse_function_spec("p=3 n=4 f=Tr(x^4+g^10*x^22)")[1].truth_table(),
+    lambda: quad(F81),
+    lambda: quad(get_field(5, 2)),
+], ids=["trinomial_121", "trinomial_101", "x34_x2", "sporadic_x4_x22",
+        "quadratic_p3_n4", "quadratic_p5_n2"])
+def test_wr_rows_match_pair_oracle_exhaustive(make):
+    f = make()
+    q = f.ctx.q
+    rep = wr_identity_check(f)
+    assert rep.exhaustive and rep.pair_count == q * q
+    pairs = [(b, c) for c in range(q) for b in range(q)]
+    assert rep.violations == _pair_battery_oracle(f, pairs)
+
+
+def _battery_rows(q, seed):
+    if q * q <= max(EXHAUSTIVE_PAIR_LIMIT, SAMPLED_PAIRS):
+        return list(range(q))
+    return random.Random(seed).sample(range(q), math.ceil(SAMPLED_PAIRS / q))
+
+
+@pytest.mark.parametrize("spec,seed", [("p=3 n=5 f=Tr(x^2)", 4),
+                                       ("p=5 n=3 f=Tr(g^1*x^2)", 3)])
+def test_wr_rows_match_pair_oracle_sampled(spec, seed):
+    ctx, tf = parse_function_spec(spec)
+    f = tf.truth_table()
+    q = ctx.q
+    rep = wr_identity_check(f, seed=seed)
+    assert rep.exhaustive is False and rep.pair_count == SAMPLED_PAIRS
+    # the battery's own pairs: ceil(SAMPLED_PAIRS / q) seeded distinct rows
+    # c, every b of each, cut at SAMPLED_PAIRS
+    rows = _battery_rows(q, seed)
+    assert len(set(rows)) == len(rows)
+    pairs = [(b, c) for c in rows for b in range(q)][:SAMPLED_PAIRS]
+    assert rep.violations == _pair_battery_oracle(f, pairs)
+    assert rep.violations and rep.sound_clean
+
+
+def test_wr_rows_fill_sampled_pairs(monkeypatch):
+    # shrunk limits: 9^2 = 81 pairs are fewer than the sample, so all are
+    # checked; 27^2 = 729 are sampled by ceil(100 / 27) = 4 rows, the last
+    # one cut after 19 b
+    monkeypatch.setattr(derivanalysis, "EXHAUSTIVE_PAIR_LIMIT", 50)
+    monkeypatch.setattr(derivanalysis, "SAMPLED_PAIRS", 100)
+    rep = wr_identity_check(quad(F9))
+    assert rep.exhaustive and rep.pair_count == 81
+    f = quad(F27)
+    rep = wr_identity_check(f, seed=2)
+    assert not rep.exhaustive and rep.pair_count == 100
+    rows = random.Random(2).sample(range(27), 4)
+    pairs = [(b, c) for c in rows for b in range(27)][:100]
+    assert rep.violations and rep.violations == _pair_battery_oracle(f, pairs)
+    assert {v["c"] for v in rep.violations} <= set(rows)
+
+
 def test_quad_like_implication():
+    # a witness D_{c,d} f = lambda forces W_{D_c f}(b) = 0 off Tr(bd) = lambda;
+    # the battery checks it on every witnessed row it walks
     params = TrinomialParams(1, 2, 1)
     ctx = params.context()
     f = trinomial_bent(params, ctx).truth_table()
     c = ctx.scalar(1)
     d = lemma2_witness(c, params, ctx)
-    assert quad_like_implication_check(f, c, d)
+    lam = f.second_derivative(c, d).values[0]
+    assert lam != 0 and set(f.second_derivative(c, d).values) == {lam}
+    lemma = CubicLikeCertificate({c.index: (d.index, lam)}, False)
+    assert wr_identity_check(f, certificate=lemma).violations == wr_identity_check(f).violations
+    wr_identity_check(f, certificate=cubic_like_certificate(f))
 
     g = quad(F9)
-    # find (c, d) with constant nonzero second derivative
-    found = False
-    for c_idx in range(1, 9):
-        for d_idx in range(1, 9):
-            dd = g.second_derivative(F9.from_index(c_idx), F9.from_index(d_idx))
-            if dd.values[0] != 0 and len(set(dd.values)) == 1:
-                assert quad_like_implication_check(
-                    g, F9.from_index(c_idx), F9.from_index(d_idx))
-                found = True
-                break
-        if found:
-            break
-    assert found
+    cert = cubic_like_certificate(g)
+    assert cert.complete
+    assert wr_identity_check(g, certificate=cert).sound_clean
 
-    with pytest.raises(PreconditionError):
-        quad_like_implication_check(g, F9.zero(), F9.zero())
+
+@pytest.mark.parametrize("spec", ["p=3 n=2 f=Tr(x^2)", "p=3 n=4 f=Tr(x^34+x^2)",
+                                  "p=5 n=2 f=Tr(x^2)", "p=3 n=5 f=Tr(x^2)"])
+def test_quad_like_implication_corrupted_witness_raises(spec):
+    # the true lambda's hyperplane carries the nonzero values of W_{D_c f},
+    # so any other lambda fails on some b of the row
+    ctx, tf = parse_function_spec(spec)
+    f = tf.truth_table()
+    cert = cubic_like_certificate(f)
+    rep = wr_identity_check(f, seed=1, certificate=cert)
+    # a witnessed row that the battery walks in full
+    c = next(c for c in _battery_rows(ctx.q, 1)[:-1] if c in cert.witnesses)
+    d, lam = cert.witnesses[c]
+    bad = dict(cert.witnesses)
+    bad[c] = (d, lam % (ctx.p - 1) + 1)
+    assert bad[c] != (d, lam)
+    with pytest.raises(InternalInconsistency):
+        wr_identity_check(f, seed=1, certificate=CubicLikeCertificate(bad, True))
+    assert rep.sound_clean

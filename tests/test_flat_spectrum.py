@@ -12,8 +12,8 @@ import random
 import pytest
 
 from pbent.constructions import TrinomialParams, trinomial_bent
-from pbent.cyclo import (CycInt, conj_coords, gauss_sum, norm_coords,
-                         recognize_unit_times_power, rotate_coords)
+from pbent.cyclo import (CycInt, conj_coords, coords_from_counts, gauss_sum,
+                         mul_coords, norm_coords, recognize_unit_times_power)
 from pbent.errors import InternalInconsistency, PreconditionError
 from pbent.funcrep import PFunction, TraceForm
 from pbent.gf import get_field
@@ -87,7 +87,10 @@ def test_coordinate_arithmetic_matches_cycint(p):
     for _ in range(100):
         x = CycInt(p, [rng.randrange(-7, 8) for _ in range(p - 1)])
         j = rng.randrange(p)
-        assert rotate_coords(x.coords, j, p) == (x * CycInt.omega_pow(p, j)).coords
+        # w^j * x shifts the exponent counts (coordinates, then 0) by j
+        counts = x.coords + (0,)
+        rotated = coords_from_counts(p, [counts[(i - j) % p] for i in range(p)])
+        assert mul_coords(x.coords, CycInt.omega_pow(p, j).coords, p) == rotated
         assert conj_coords(x.coords, p) == x.conj().coords
         # norm_coords is (N_0 - N_1, N_2 - N_1, ..., N_h - N_1); the
         # canonical coordinates of |x|^2 are N_k - N_1 at k, N_k = N_(p-k)

@@ -4,8 +4,9 @@ Each command's stdout is pinned by its SHA-256, so any change to a report
 byte (key order, a value, the CSV layout) fails here.  The digests were
 recorded from the implementation that wrapped every Walsh value in CycInt,
 before spectra were stored as flat coordinates; the sampled p = 5
-`--certify` case was recorded from the battery that still took Tr(bc) from
-a field product per pair.  The commands run in process through
+`--certify` case was recorded from the row-wise battery, which checks every
+b of ceil(10000 / q) seeded directions c instead of 10,000 independently
+drawn pairs.  The commands run in process through
 `pbent.cli.main`.
 """
 
@@ -43,7 +44,7 @@ GOLDEN = [
     (('analyze', 'p=3 n=4 f=Tr(x^34+x^2)', '--certify', '--seed', '5'),
      0, '37ab52f1c26a94eae31bc9efe6a4a083d1592366682ffdd921a5ca055d52c7cf'),
     (('analyze', 'p=5 n=3 f=Tr(g^1*x^2)', '--certify', '--seed', '3'),
-     0, '92e76bd6aa91cf2686ea298c0196374311af924c347c48e015cc6bf08de353c8'),
+     0, 'b3390bbcf02521e903589f1b019dc937d17831a7912c3c8bff14fe88deab23db'),
     (('analyze', 'p=5 n=2 f=Tr(x^2)', '--certify', '--dual-form'),
      0, 'eb25270ff146acddbdfcc413859f60355a1abe37133858865d8af4d400e84c10'),
     (('construct', 'trinomial', '--k', '1', '--j', '2', '--t', '1', '--analyze'),

@@ -216,7 +216,7 @@ def test_convolution_identity():
                 for v in d.values:
                     inner[v] += 1
                 term = CycInt.from_exponent_counts(3, inner)
-                total = total + term.mul_omega(F27.trace(y * w))
+                total = total + term * CycInt.omega_pow(3, F27.trace(y * w))
             assert total == s.values[y_idx].norm_sq()
 
 
