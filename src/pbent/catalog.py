@@ -50,13 +50,6 @@ def list_catalog() -> list[CatalogEntry]:
     ) for e in raw["entries"]]
 
 
-def get_entry(label: str) -> CatalogEntry:
-    for e in list_catalog():
-        if e.label == label:
-            return e
-    raise KeyError("no catalog entry %r" % label)
-
-
 def reinterpret_trace_form(tf: TraceForm, s: int) -> TraceForm:
     """Re-read every coefficient g^m as g^(s m): the trace form as it would
     have been written down using the primitive element g^s."""

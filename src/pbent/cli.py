@@ -127,6 +127,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_construct_trinomial(args) -> int:
+    if args.certify and not args.analyze:
+        raise ParseError("--certify needs --analyze: the certificate is part of the analysis")
     params = TrinomialParams(args.k, args.j, args.t)
     ctx = params.context()
     _check_budget(ctx.q, args.max_points)

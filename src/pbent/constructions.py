@@ -292,23 +292,6 @@ def _closed_form_setup(params: TrinomialParams, ctx: FieldCtx) -> _ClosedFormSet
     return _SETUP_CACHE[key]
 
 
-def trinomial_dual(params: TrinomialParams, ctx: FieldCtx | None = None) -> PFunction:
-    """The dual extracted from the spectral certificate."""
-    if ctx is None:
-        ctx = params.context()
-    f = trinomial_bent(params, ctx).truth_table()
-    return extract_certificate(walsh_fast(f)).dual
-
-
-def trinomial_dual_degree(params: TrinomialParams, ctx: FieldCtx | None = None) -> int:
-    """Algebraic degree of the dual (restricted parameters, k odd)."""
-    if params.k % 2 == 0 or params.j not in (0, 2 * params.k) \
-            or params.t != (3 ** params.k - 1) // 2:
-        raise PreconditionError(
-            "dual degree is computed for k odd, j in {0, 2k}, t = (3^k - 1)/2")
-    return trinomial_dual(params, ctx).algebraic_degree()
-
-
 # -- concatenation constructions ------------------------------------------------
 
 
@@ -476,7 +459,6 @@ def add_quadratic(f: PFunction, coeffs):
     qf = quadratic_part_function(ctx, coeffs)
     g = f + qf
     condition = True
-    deriv_spectra: dict[int, object] = {}
     for c_idx in range(1, ctx.q):
         if qf.values[c_idx] != 0:
             continue

@@ -31,10 +31,6 @@ class CycInt:
     # -- constructors ---------------------------------------------------------
 
     @classmethod
-    def zero(cls, p: int) -> "CycInt":
-        return cls(p, (0,) * (p - 1))
-
-    @classmethod
     def integer(cls, p: int, m: int) -> "CycInt":
         return cls(p, (m,) + (0,) * (p - 2))
 
@@ -85,19 +81,6 @@ class CycInt:
     def is_zero(self) -> bool:
         return not any(self.coords)
 
-    def is_rational(self) -> bool:
-        """True iff the value is a rational integer (tail coordinates zero)."""
-        return not any(self.coords[1:])
-
-    def as_int(self) -> int:
-        if not self.is_rational():
-            raise ValueError("not a rational integer: %s" % self)
-        return self.coords[0]
-
-    def is_real(self) -> bool:
-        """Conjugation-invariant, i.e. lies in the real subring."""
-        return self == self.conj()
-
     def __eq__(self, other) -> bool:
         return isinstance(other, CycInt) and self.p == other.p and self.coords == other.coords
 
@@ -118,9 +101,6 @@ class CycInt:
                 mon = "w" if i == 1 else "w^%d" % i
                 parts.append("%d*%s" % (c, mon))
         return " + ".join(parts) if parts else "0"
-
-    def to_json(self) -> list[str]:
-        return [str(c) for c in self.coords]
 
 
 # -- flat coordinate tuples ------------------------------------------------------
@@ -195,15 +175,6 @@ def unit_power_forms(p: int, n: int) -> dict:
         for s in (1, -1):
             forms[(base * (s * p ** (n // 2))).coords] = (s, j)
     return forms
-
-
-def recognize_unit_times_power(x: CycInt, p: int, n: int):
-    """Match x against the bent-coefficient normal form (`unit_power_forms`).
-
-    Returns (s, j) with s in {+1, -1} and j the dual value mod p, or None
-    when x has no such form (a non-bent coefficient).
-    """
-    return unit_power_forms(p, n).get(x.coords)
 
 
 def unit_class(p: int, n: int) -> str:

@@ -87,19 +87,25 @@ def _trilinear_form(f: PFunction) -> list[list[int]]:
     return tri
 
 
-def _first_witness_low_degree(f: PFunction, tri: list, a_idx: int):
-    """First b (canonical order) with D_{a,b} f a nonzero constant, for
-    deg f <= 3: the first vector of the reduced basis of ker T(a, ., .)
-    (`mat_kernel`) whose constant D_a D_b f(0) is nonzero."""
-    p, n, vals = f.ctx.p, f.ctx.n, f.values
+def _trilinear_slice(tri: list, a_idx: int, p: int) -> list[list[int]]:
+    """The n x n matrix of T(a, ., .) mod p, a given by its index: the
+    T(e_i, ., .) of `_trilinear_form` weighted by the digits of a."""
+    n = len(tri)
     acc = [0] * (n * n)
     x = a_idx
     for ti in tri:
         x, ai = divmod(x, p)
         if ai:
             acc = [m + ai * t for m, t in zip(acc, ti)]
-    mat = [[v % p for v in acc[r:r + n]] for r in range(0, n * n, n)]
-    for vec in mat_kernel(mat, p):
+    return [[v % p for v in acc[r:r + n]] for r in range(0, n * n, n)]
+
+
+def _first_witness_low_degree(f: PFunction, tri: list, a_idx: int):
+    """First b (canonical order) with D_{a,b} f a nonzero constant, for
+    deg f <= 3: the first vector of the reduced basis of ker T(a, ., .)
+    (`mat_kernel`) whose constant D_a D_b f(0) is nonzero."""
+    p, vals = f.ctx.p, f.values
+    for vec in mat_kernel(_trilinear_slice(tri, a_idx, p), p):
         b_idx = sum(c * p ** i for i, c in enumerate(vec))
         const = (vals[f.ctx.add_index(a_idx, b_idx)] - vals[b_idx]
                  - vals[a_idx] + vals[0]) % p

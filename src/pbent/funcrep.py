@@ -57,10 +57,6 @@ class PFunction:
         self.values = [v % p for v in values]
         self._degree = None
 
-    @classmethod
-    def zero(cls, ctx: FieldCtx) -> "PFunction":
-        return cls(ctx, [0] * ctx.q)
-
     def __call__(self, x: FFElem) -> int:
         return self.values[x.index]
 
@@ -251,16 +247,6 @@ def coset_leaders(p: int, modulus: int) -> tuple[int, ...]:
     return tuple(leaders)
 
 
-def coset_leader(e: int, p: int, modulus: int) -> int:
-    best = e
-    cur = (e * p) % modulus
-    while cur != e:
-        if cur < best:
-            best = cur
-        cur = (cur * p) % modulus
-    return best
-
-
 def coset_size(e: int, p: int, modulus: int) -> int:
     size = 1
     cur = (e * p) % modulus
@@ -340,12 +326,6 @@ def eval_univariate(ctx: FieldCtx, coeffs) -> PFunction:
     return RelativeTraceForm(ctx, entries, coeffs[-1].coeffs[0]).truth_table()
 
 
-def univariate_degree(coeffs, p: int) -> int:
-    """Max p-weight over exponents with nonzero coefficient."""
-    return max((p_weight(i, p) for i, c in enumerate(coeffs) if not c.is_zero()),
-               default=0)
-
-
 class ANF:
     """Multivariate coefficients indexed like truth tables: the coefficient
     of prod x_i^(e_i) sits at index sum e_i p^i."""
@@ -362,9 +342,6 @@ class ANF:
     def degree(self) -> int:
         p = self.ctx.p
         return max((p_weight(i, p) for i, c in enumerate(self.coeffs) if c), default=0)
-
-    def truth_table(self) -> PFunction:
-        return anf_to_truth(self)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, ANF) and self.ctx == other.ctx

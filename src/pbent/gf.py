@@ -482,11 +482,6 @@ class FieldCtx:
     def trace(self, x: FFElem) -> int:
         return self.trace_coeffs(x.coeffs)
 
-    def trace_of_exp(self, m: int) -> int:
-        """Tr(primitive^m) from the precomputed table."""
-        self._build_tables()
-        return self._trace_of_exp[m % self.order]
-
     # -- subfields -------------------------------------------------------------
 
     def subfield_indexes(self, m: int) -> list[int]:

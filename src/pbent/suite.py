@@ -8,16 +8,20 @@ from __future__ import annotations
 import random
 
 from .catalog import list_catalog, verify_entry
-from .constructions import (TrinomialParams, mm_special_form, trinomial_bent,
-                            trinomial_closed_form_walsh)
-from .cyclo import CycInt, gauss_sum, recognize_unit_times_power
-from .derivanalysis import (cubic_like_certificate,
+from .constructions import (TrinomialParams, linearized_second_derivative_coeff,
+                            mm_special_form, trinomial_bent,
+                            trinomial_closed_form_walsh,
+                            trinomial_first_derivative_form)
+from .cyclo import CycInt, gauss_sum, unit_power_forms
+from .derivanalysis import (_trilinear_form, _trilinear_slice,
+                            cubic_like_certificate, derivative_linear_space,
                             quadratic_balance_witness, wr_identity_check)
 from .errors import ParseError
 from .funcrep import (ANF, PFunction, TraceForm, anf_to_truth, p_weight,
                       to_relative_trace_form, truth_to_anf,
                       truth_to_univariate, eval_univariate)
 from .gf import get_field
+from .linalg import mat_kernel
 from .walsh import (bent_via_derivatives, bent_via_second_derivative_sum,
                     classify, extract_certificate, is_bent, walsh_fast,
                     walsh_naive)
@@ -139,7 +143,7 @@ def check_cyclotomic_ring(seed, level):
                         v = CycInt.omega_pow(p, j) * (sign * p ** (n // 2))
                     else:
                         v = gauss_sum(p) * CycInt.omega_pow(p, j) * (sign * p ** ((n - 1) // 2))
-                    if recognize_unit_times_power(v, p, n) != (sign, j):
+                    if unit_power_forms(p, n).get(v.coords) != (sign, j):
                         return False, "recognition round trip failed"
     return True, "conjugation, gauss sums, recognition round trips"
 
@@ -241,6 +245,34 @@ def check_trinomial_family(seed, level):
     return True, "%d instances all cubic and non-weakly regular" % len(cases)
 
 
+def check_trinomial_second_derivatives(seed, level):
+    """The second proof's lemmas on seeded directions c: ker T(c, ., .) of
+    the trilinear form equals ker L_c, the symbolic D_c f equals the
+    generic derivative, and E_f = {0}."""
+    rng = random.Random(seed)
+    cases = [(1, 2, 1)] if level == "quick" else [(1, 2, 1), (2, 1, 1)]
+    for k, j, t in cases:
+        params = TrinomialParams(k, j, t)
+        ctx = params.context()
+        p, n = ctx.p, ctx.n
+        f = trinomial_bent(params, ctx).truth_table()
+        tri = _trilinear_form(f)
+        basis = [ctx.from_index(p ** i) for i in range(n)]
+        for c_idx in rng.sample(range(1, ctx.q), 20):
+            c = ctx.from_index(c_idx)
+            # L_c is F_p-linear: its matrix has columns L_c(e_i) on the polynomial basis
+            cols = [linearized_second_derivative_coeff(params, ctx, c, e).coeffs
+                    for e in basis]
+            if mat_kernel(_trilinear_slice(tri, c_idx, p), p) != mat_kernel(list(zip(*cols)), p):
+                return False, "ker T(c, ., .) != ker L_c at %s, c=%d" % (params, c_idx)
+            if trinomial_first_derivative_form(params, c, ctx).truth_table() != f.derivative(c):
+                return False, "symbolic D_c f mismatch at %s, c=%d" % (params, c_idx)
+        if derivative_linear_space(f) != [ctx.zero()]:
+            return False, "E_f != {0} at %s" % (params,)
+    names = ", ".join("(%d,%d,%d)" % case for case in cases)
+    return True, "ker T = ker L_c and symbolic D_c f on 20 directions, E_f = {0}: %s" % names
+
+
 def check_closed_forms(seed, level):
     for j in (0, 2):
         params = TrinomialParams(1, j, 1)
@@ -301,6 +333,7 @@ ALL_CHECKS = [
     ("classification_ea_invariance", check_classification_ea_invariance),
     ("wr_sound_identity", check_wr_sound_identity),
     ("trinomial_family", check_trinomial_family),
+    ("trinomial_second_derivatives", check_trinomial_second_derivatives),
     ("trinomial_closed_forms", check_closed_forms),
     ("catalog", check_catalog),
     ("mm_special_form", check_mm_form),

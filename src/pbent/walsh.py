@@ -12,7 +12,8 @@ trace-dual basis (obtained by inverting the Gram matrix [Tr(a_i a_j)]),
 which turns the transform into n successive size-p DFT passes: the one
 per-axis kernel `linalg.axis_passes` with the DFT on Z[w] coordinates as
 its column map (unrolled for p = 3).  `inverse_sums` runs the same kernel
-with the conjugate DFT.
+with the conjugate DFT and returns the inverse sums before the division
+by p^n; the identity battery of `derivanalysis` divides them exactly.
 
 Both paths produce flat coordinate tuples in Z[w] ((a, b) = a + b*w for
 p = 3, p - 1 integers otherwise), and a WalshSpectrum stores exactly those.
@@ -30,8 +31,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .cyclo import (CycInt, coords_from_counts, gauss_sum, norm_coords,
-                    unit_class, unit_power_forms)
+from .cyclo import (CycInt, coords_from_counts, norm_coords, unit_class,
+                    unit_power_forms)
 from .errors import InternalInconsistency, PreconditionError
 from .funcrep import PFunction
 from .gf import FieldCtx
@@ -207,20 +208,6 @@ def inverse_sums(ctx: FieldCtx, coords: list) -> list:
     return axis_passes([coords[y] for y in perm], ctx.p, ctx.n, _dft_column(ctx.p, 1))
 
 
-def inverse_walsh(s: WalshSpectrum) -> PFunction:
-    """Recover f from its spectrum; errors if s is not a function spectrum."""
-    ctx = s.ctx
-    p, q = ctx.p, ctx.q
-    flat = inverse_sums(ctx, [v.coords for v in s.values])
-    roots = {tuple(q * c for c in w): j for j, w in enumerate(_omega_coords(p))}
-    vals = [roots.get(c) for c in flat]
-    if None in vals:
-        raise PreconditionError(
-            "inverse transform does not yield p^n * (root of unity) at index %d"
-            % vals.index(None))
-    return PFunction(ctx, vals)
-
-
 def is_bent(s: WalshSpectrum) -> bool:
     """|W_f(y)|^2 = p^n, exactly, for every y (decided at construction)."""
     return s.bent
@@ -230,7 +217,8 @@ class BentCertificate:
     """Per-point decomposition W(y) = sign(y) * unit * p^(n/2) * w^(dual(y)).
 
     unit_kind is 'real' (unit = 1) or 'imaginary' (unit = i, realized through
-    the Gauss sum); reconstruct() rebuilds the exact spectrum values.
+    the Gauss sum: the unit times p^(n/2) is p^((n-1)/2) times the Gauss sum
+    of F_p, as in `cyclo.unit_power_forms`).
     """
 
     __slots__ = ("ctx", "dual", "signs", "unit_kind")
@@ -240,15 +228,6 @@ class BentCertificate:
         self.dual = dual
         self.signs = signs
         self.unit_kind = unit_kind
-
-    def reconstruct(self, y_index: int) -> CycInt:
-        ctx = self.ctx
-        p, n = ctx.p, ctx.n
-        j = self.dual.values[y_index]
-        s = self.signs[y_index]
-        if n % 2 == 0:
-            return CycInt.omega_pow(p, j) * (s * p ** (n // 2))
-        return gauss_sum(p) * CycInt.omega_pow(p, j) * (s * p ** ((n - 1) // 2))
 
     def sign_histogram(self) -> dict[str, int]:
         plus = sum(1 for s in self.signs if s > 0)
@@ -358,36 +337,30 @@ def bent_via_derivatives(f: PFunction) -> bool:
     return all(f.derivative(ctx.from_index(a)).is_balanced() for a in range(1, ctx.q))
 
 
-def _second_derivative_counts(f: PFunction) -> list[list[int]]:
-    """per_x[x][v] = #{(c, d) : D_{c,d} f(x) = v}.
+def _second_derivative_counts(f: PFunction) -> list[int]:
+    """counts[v] = #{(c, d, x) : D_{c,d} f(x) = v}.
 
-    For g = D_c f, D_d g(x) = v exactly when y = x + d has g(y) = v + g(x),
-    so one value histogram of g per c counts every d at once: O(q^2 p)."""
+    For g = D_c f, D_d g(x) = v exactly when y = x + d has g(y) = g(x) + v;
+    over all (d, x) the pair (x, y) runs through every pair of points, so
+    the count of v for one c is sum_k hist[k] hist[(k + v) % p], with hist
+    the value histogram of g: O(q^2 + q p^2)."""
     ctx = f.ctx
     p, q = ctx.p, ctx.q
     vals = f.values
-    per_x = [[0] * p for _ in range(q)]
+    counts = [0] * p
     for c in range(q):
         pc = ctx.shift_table(c)
-        g = [(vals[pc[x]] - vals[x]) % p for x in range(q)]
         hist = [0] * p
-        for v in g:
-            hist[v] += 1
-        rows = [hist[k:] + hist[:k] for k in range(p)]  # rows[k][v] = hist[(v + k) % p]
-        per_x = [[a + b for a, b in zip(acc, rows[gx])] for acc, gx in zip(per_x, g)]
-    return per_x
+        for x in range(q):
+            hist[(vals[pc[x]] - vals[x]) % p] += 1
+        for v in range(p):
+            counts[v] += sum(h * hist[(k + v) % p] for k, h in enumerate(hist))
+    return counts
 
 
 def second_derivative_triple_sum(f: PFunction) -> CycInt:
     """sum over c, d, x of w^(D_{c,d} f(x)), exactly."""
-    counts = [sum(col) for col in zip(*_second_derivative_counts(f))]
-    return CycInt.from_exponent_counts(f.ctx.p, counts)
-
-
-def second_derivative_pointwise_sums(f: PFunction) -> list[CycInt]:
-    """x -> sum over c, d of w^(D_{c,d} f(x))."""
-    p = f.ctx.p
-    return [CycInt.from_exponent_counts(p, row) for row in _second_derivative_counts(f)]
+    return CycInt.from_exponent_counts(f.ctx.p, _second_derivative_counts(f))
 
 
 def bent_via_second_derivative_sum(f: PFunction) -> bool:

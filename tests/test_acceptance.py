@@ -17,6 +17,7 @@ from contextlib import contextmanager
 import pytest
 
 import pbent as pb
+from pbent.cyclo import unit_power_forms
 from pbent.funcrep import p_weight
 
 F3 = pb.get_field(3, 1)
@@ -37,6 +38,17 @@ def criterion(num, desc):
 
 def rand_f(ctx, rng):
     return pb.PFunction(ctx, [rng.randrange(ctx.p) for _ in range(ctx.q)])
+
+
+def dual_value(w, p, n):
+    """The dual value j of a bent coefficient s * unit * p^(n/2) * w^j."""
+    return unit_power_forms(p, n)[w.coords][1]
+
+
+def trinomial_dual(params, ctx):
+    """The dual of a family member, read off its spectral certificate."""
+    f = pb.trinomial_bent(params, ctx).truth_table()
+    return pb.extract_certificate(pb.walsh_fast(f)).dual
 
 
 def test_01_trinomial_k1_both_routes():
@@ -82,7 +94,7 @@ def test_03_table1_reproduction():
             "sporadic_n6_g1x20_g41x92": True,
         }
         for label, flag in expected_flags.items():
-            entry = pb.get_entry(label)
+            entry = next(e for e in pb.list_catalog() if e.label == label)
             res = pb.verify_entry(entry, search=True)
             assert res["status"] in ("match", "primitive_dependent"), (label, res)
             assert isinstance(res["exponent"], int)  # realization recorded
@@ -104,16 +116,15 @@ def test_05_example_dual_degree_and_terms():
         ctx = params.context()
         f = pb.trinomial_bent(params, ctx).truth_table()
         assert f.algebraic_degree() == 3
-        dual = pb.trinomial_dual(params, ctx)
+        dual = trinomial_dual(params, ctx)
         assert dual.algebraic_degree() == 4
         form = pb.to_relative_trace_form(dual)
         count = form.nonlinear_term_count()
         assert count == 9, "nonlinear term count %d != 9" % count
         # the same dual read off the closed form W_f(z) = closed(-z)
         oracle = pb.PFunction(ctx, [
-            pb.recognize_unit_times_power(
-                pb.trinomial_closed_form_walsh(params, -ctx.from_index(z), ctx),
-                3, ctx.n)[1]
+            dual_value(pb.trinomial_closed_form_walsh(params, -ctx.from_index(z), ctx),
+                       3, ctx.n)
             for z in range(ctx.q)])
         assert oracle == dual
         assert pb.to_relative_trace_form(oracle).nonlinear_term_count() == 9
@@ -130,7 +141,7 @@ def test_06_closed_forms_match_spectrum():
             for idx in range(81):
                 got = pb.trinomial_closed_form_walsh(params, ctx.from_index(idx), ctx)
                 assert got == spec.values[ctx.neg_index(idx)]
-                signs.add(pb.recognize_unit_times_power(got, 3, 4)[0])
+                signs.add(unit_power_forms(3, 4)[got.coords][0])
             assert signs == {1, -1}
 
 
@@ -205,7 +216,7 @@ def test_10_transform_correctness():
             assert pb.walsh_naive(f).values == pb.walsh_fast(f).values
         # Parseval is asserted inside every spectrum constructor; recheck one
         f = rand_f(F27, rng)
-        total = pb.CycInt.zero(3)
+        total = pb.CycInt.integer(3, 0)
         for v in pb.walsh_fast(f).values:
             total = total + v.norm_sq()
         assert total == pb.CycInt.integer(3, 27 * 27)
@@ -250,11 +261,11 @@ def test_12_nonvanishing_quadratic_and_addition():
 @pytest.mark.slow
 def test_optional_k3_dual_degree_reference_value():
     params = pb.TrinomialParams(3, 6, 13)  # t = (3^3 - 1)/2 = 13
-    assert pb.trinomial_dual_degree(params) == 8
+    ctx = params.context()
+    assert trinomial_dual(params, ctx).algebraic_degree() == 8
     # lower bound from the closed form alone: the 8-fold derivative at 0
     # along the directions of the test below is a signed sum of dual values
     # at the 2^8 subset sums, and a nonzero sum forces degree >= 8
-    ctx = params.context()
     rng = random.Random(5)
     dirs = [ctx.from_index(rng.randrange(1, ctx.q)) for _ in range(8)]
     total = 0
@@ -264,8 +275,7 @@ def test_optional_k3_dual_degree_reference_value():
             if mask >> i & 1:
                 z = z + d
         w = pb.trinomial_closed_form_walsh(params, -z, ctx)
-        total += (-1) ** (8 - bin(mask).count("1")) * \
-            pb.recognize_unit_times_power(w, 3, ctx.n)[1]
+        total += (-1) ** (8 - bin(mask).count("1")) * dual_value(w, 3, ctx.n)
     assert total % 3 != 0
 
 
@@ -275,7 +285,7 @@ def test_optional_k3_dual_degree_computed():
     t0 = time.perf_counter()
     params = pb.TrinomialParams(3, 6, 13)
     ctx = params.context()
-    dual = pb.trinomial_dual(params, ctx)
+    dual = trinomial_dual(params, ctx)
     degree = dual.algebraic_degree()
     print("[optional] k=3 dual degree = %d (%.0f s)" % (degree, time.perf_counter() - t0))
     assert degree == 8

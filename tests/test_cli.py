@@ -108,13 +108,15 @@ def test_spectrum_csv():
 
 def test_property_suite_subset():
     res = run_cli("property-suite", "--seed", "7", "--only",
-                  "cyclotomic_ring,catalog,trinomial_closed_forms")
+                  "cyclotomic_ring,catalog,trinomial_closed_forms,"
+                  "trinomial_second_derivatives")
     assert res.returncode == 0
     out = json.loads(res.stdout)
     assert out["all_passed"] is True
     # output keeps the canonical battery order regardless of --only order
     assert [c["name"] for c in out["checks"]] == [
-        "cyclotomic_ring", "trinomial_closed_forms", "catalog"]
+        "cyclotomic_ring", "trinomial_second_derivatives",
+        "trinomial_closed_forms", "catalog"]
     # an unknown name (alone or in a list) is a parse error, not an empty pass
     for only in ("bogus_name", "cyclotomic_ring,catalgo"):
         bad = run_cli("property-suite", "--only", only)
@@ -162,6 +164,12 @@ def _json_error(res, code, kind):
 
 def test_out_of_range_exponent_is_a_parse_error():
     _json_error(run_cli("analyze", "p=3 n=2 f=Tr(x^99)"), 2, "parse_error")
+
+
+def test_construct_certify_without_analyze_is_a_parse_error():
+    res = run_cli("construct", "trinomial", "--k", "1", "--j", "2", "--t", "1", "--certify")
+    _json_error(res, 2, "parse_error")
+    assert "--analyze" in json.loads(res.stderr)["error"]["message"]
 
 
 def test_even_p_is_refused():

@@ -9,10 +9,9 @@ from pbent.constructions import (ConcatenationFamily, TrinomialParams,
                                  lemma2_witness, mm_special_form,
                                  nonvanishing_quadratic_search,
                                  quadratic_part_function, trinomial_bent,
-                                 trinomial_closed_form_walsh, trinomial_dual,
-                                 trinomial_dual_degree,
+                                 trinomial_closed_form_walsh,
                                  trinomial_first_derivative_form)
-from pbent.cyclo import CycInt, recognize_unit_times_power
+from pbent.cyclo import CycInt, unit_power_forms
 from pbent.errors import PreconditionError
 from pbent.funcrep import (ANF, PFunction, TraceForm, anf_to_truth,
                            to_relative_trace_form)
@@ -27,6 +26,12 @@ F9 = get_field(3, 2)
 
 def quad(ctx):
     return TraceForm(ctx, [(ctx.one(), 2)]).truth_table()
+
+
+def trinomial_dual(params):
+    """The dual of a family member, read off its spectral certificate."""
+    f = trinomial_bent(params).truth_table()
+    return extract_certificate(walsh_fast(f)).dual
 
 
 # -- trinomial family -------------------------------------------------------------
@@ -179,8 +184,6 @@ def test_closed_form_parameter_restrictions():
         trinomial_closed_form_walsh(TrinomialParams(2, 1, 1), y)
     with pytest.raises(PreconditionError):
         trinomial_closed_form_walsh(TrinomialParams(1, 2, 3), y, ctx)
-    with pytest.raises(PreconditionError):
-        trinomial_dual_degree(TrinomialParams(1, 2, 3))
 
 
 def test_closed_form_matches_spectrum():
@@ -198,7 +201,7 @@ def test_trinomial_dual_degree_k1():
     params = TrinomialParams(1, 2, 1)
     f = trinomial_bent(params).truth_table()
     assert f.algebraic_degree() == 3
-    assert trinomial_dual_degree(params) == 4
+    assert trinomial_dual(params).algebraic_degree() == 4
     # the canonical relative trace form of the dual has nine nonlinear
     # entries for j = 2k and eight for j = 0
     for j, count in ((2, 9), (0, 8)):
@@ -270,7 +273,7 @@ def test_mm_special_form_bent_and_dual():
                                       + y1 * t1 + y2 * t2)
                                 counts[(f.values[(y2 * 3 + y1) * 3 + x] - tr) % 3] += 1
                     w = CycInt.from_exponent_counts(3, counts)
-                    rec = recognize_unit_times_power(w, 3, 3)
+                    rec = unit_power_forms(3, 3).get(w.coords)
                     assert rec is not None
                     combined_idx = s_idx + 3 * (t1 + 3 * t2)
                     assert rec[1] == dual.values[combined_idx]
@@ -320,7 +323,7 @@ def test_bent_concatenation_valid_family():
     for s_idx in range(3):
         for t_idx in range(3):
             w = _product_pairing_walsh(f, inner, outer, s_idx, t_idx)
-            rec = recognize_unit_times_power(w, 3, 2)
+            rec = unit_power_forms(3, 2).get(w.coords)
             assert rec is not None and rec[1] == dual.values[t_idx * 3 + s_idx]
 
 

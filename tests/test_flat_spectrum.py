@@ -13,12 +13,13 @@ import pytest
 
 from pbent.constructions import TrinomialParams, trinomial_bent
 from pbent.cyclo import (CycInt, conj_coords, coords_from_counts, gauss_sum,
-                         mul_coords, norm_coords, recognize_unit_times_power)
+                         mul_coords, norm_coords, unit_power_forms)
 from pbent.errors import InternalInconsistency, PreconditionError
 from pbent.funcrep import PFunction, TraceForm
 from pbent.gf import get_field
 from pbent.walsh import (WalshSpectrum, extract_certificate, is_bent,
                          walsh_fast, walsh_naive)
+from test_walsh import reconstruct
 
 FIELDS = [(3, 4), (3, 5), (5, 2), (5, 3), (7, 1), (7, 2)]
 
@@ -76,8 +77,8 @@ def test_flat_path_matches_cycint_oracle(p, n):
             sign, j = cert.signs[y], cert.dual.values[y]
             assert sign in (1, -1)
             assert oracle_form(v, p, n, sign, j)
-            assert recognize_unit_times_power(v, p, n) == (sign, j)
-            assert cert.reconstruct(y) == v
+            assert unit_power_forms(p, n).get(v.coords) == (sign, j)
+            assert reconstruct(cert, y) == v
     assert kinds[0] is False and all(kinds[1:])
 
 

@@ -5,10 +5,10 @@ import pytest
 from pbent.cyclo import CycInt
 from pbent.errors import InternalInconsistency
 from pbent.funcrep import (PFunction, RelativeTraceForm, TraceForm, anf_to_truth,
-                           coset_leader, coset_leaders, coset_size, eval_univariate,
+                           coset_leaders, coset_size, eval_univariate,
                            parse_function_spec, p_weight,
                            to_relative_trace_form, truth_to_anf,
-                           truth_to_univariate, univariate_degree, ParseError)
+                           truth_to_univariate, ParseError)
 from pbent.gf import FieldCtx, get_field
 from pbent.walsh import walsh_fast
 
@@ -76,7 +76,7 @@ def test_relative_trace_form_known_support():
 
 
 def test_relative_trace_form_zero_function():
-    form = to_relative_trace_form(PFunction.zero(F27))
+    form = to_relative_trace_form(PFunction(F27, [0] * F27.q))
     assert form.entries == () and form.top_coeff == 0
 
 
@@ -136,6 +136,25 @@ def test_eval_univariate_refuses_a_list_that_is_not_conjugate_closed():
     assert eval_univariate(F27, coeffs) == TraceForm(F27, [(coeffs[1], 1)]).truth_table()
 
 
+def coset_leader(e, p, modulus):
+    """The minimal member of e's cyclotomic class, by walking the class:
+    the oracle of `coset_leaders`."""
+    best = e
+    cur = (e * p) % modulus
+    while cur != e:
+        if cur < best:
+            best = cur
+        cur = (cur * p) % modulus
+    return best
+
+
+def univariate_degree(coeffs, p):
+    """Max p-weight over exponents with a nonzero univariate coefficient:
+    a degree oracle independent of the ANF."""
+    return max((p_weight(i, p) for i, c in enumerate(coeffs) if not c.is_zero()),
+               default=0)
+
+
 def test_coset_utilities():
     assert coset_leader(8, 3, 26) == 8
     assert coset_leader(24, 3, 26) == 8   # {8, 24, 20}
@@ -151,13 +170,16 @@ def test_coset_utilities():
             cls.add(cur)
             cur = (cur * 3) % 26
         assert coset_leader(e, 3, 26) == min(cls)
+    for p, modulus in ((3, 26), (3, 80), (5, 124), (7, 48), (3, 728)):
+        assert coset_leaders(p, modulus) == tuple(
+            e for e in range(modulus) if coset_leader(e, p, modulus) == e)
 
 
 def test_algebraic_degree_examples():
     assert TraceForm(F81, [(F81.one(), 5)]).truth_table().algebraic_degree() == 3
     assert TraceForm(F81, [(F81.one(), 2)]).truth_table().algebraic_degree() == 2
     assert TraceForm(F81, [(F81.one(), 1)]).truth_table().algebraic_degree() == 1
-    assert PFunction.zero(F81).algebraic_degree() == 0
+    assert PFunction(F81, [0] * F81.q).algebraic_degree() == 0
 
 
 def test_univariate_degree_equals_anf_degree():
@@ -169,7 +191,7 @@ def test_univariate_degree_equals_anf_degree():
 
 
 def test_anf_basics():
-    assert truth_to_anf(PFunction.zero(F27)).coeffs == [0] * 27
+    assert truth_to_anf(PFunction(F27, [0] * F27.q)).coeffs == [0] * 27
     sq = PFunction(F3, [0, 1, 1])
     anf = truth_to_anf(sq)
     assert anf.coeffs == [0, 0, 1]  # x_1^2
@@ -183,7 +205,7 @@ def test_anf_basics():
 
 def test_derivative_examples():
     f = TraceForm(F81, [(F81.one(), 2)]).truth_table()
-    assert f.derivative(F81.zero()) == PFunction.zero(F81)
+    assert f.derivative(F81.zero()) == PFunction(F81, [0] * F81.q)
     c = F81.gen_power(5)
     lin = TraceForm(F81, [(c, 1)]).truth_table()
     for a_idx in (1, 7, 80):
@@ -204,7 +226,7 @@ def test_second_derivative():
         assert len(set(dd.values)) == 1  # quadratic: second derivative constant
         assert dd == f.second_derivative(b, a)
     z = F81.zero()
-    assert f.second_derivative(z, z) == PFunction.zero(F81)
+    assert f.second_derivative(z, z) == PFunction(F81, [0] * F81.q)
 
 
 def test_derivative_degree_drop():

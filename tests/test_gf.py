@@ -174,7 +174,7 @@ def test_tables_match_powers_and_trace():
         for m in range(ctx.order):
             assert ctx.exp_table[m] == ctx.to_index(cur)
             assert ctx.log_table[ctx.exp_table[m]] == m
-            assert ctx.trace_of_exp(m) == ctx.trace_coeffs(cur)
+            assert ctx._trace_of_exp[m] == ctx.trace_coeffs(cur)
             cur = ctx.mul_t(cur, g)
         assert cur == ctx.one().coeffs
         assert ctx.log_table[0] == -1
@@ -191,7 +191,7 @@ def test_tables_n12_sampled():
             assert x == _ppow(g, m, ctx.modulus, ctx.p)
         assert ctx.exp_table[(m + 1) % ctx.order] == ctx.to_index(ctx.mul_t(x, g))
         assert ctx.log_table[ctx.exp_table[m]] == m
-        assert ctx.trace_of_exp(m) == ctx.trace_coeffs(x)
+        assert ctx._trace_of_exp[m] == ctx.trace_coeffs(x)
 
 
 def _oracle_inputs():
