@@ -44,7 +44,7 @@ print("lemma witness for c=1: d index %d, second derivative constant %d"
       % (d.index, dd.values[0]))
 
 # the symmetry and vanishing checks fail on weakly regular functions too;
-# only violations of the two dual identities certify non-weak-regularity
+# only violations of the dual phase identity certify non-weak-regularity
 rep = pb.wr_identity_check(f)
 print("identity violations by kind:", rep.violations_by_check())
 print("sound (dual identity) violations:", len(rep.sound_violations))

@@ -31,11 +31,6 @@ class CatalogEntry:
     pinned_exponent: int
     note: str
 
-    def expected(self) -> Classification:
-        if self.expected_variant == "non_weakly_regular":
-            return Classification(self.expected_variant, dual_bent=self.expected_dual_bent)
-        return Classification(self.expected_variant)
-
 
 def list_catalog() -> list[CatalogEntry]:
     """All built-in entries, in the stable order of the data file."""

@@ -3,10 +3,12 @@
 Subcommands: analyze, construct {trinomial, concat, add-quadratic},
 verify-table1, property-suite, spectrum.  Reports are JSON on stdout with a
 fixed key order, so identical inputs (and seed) produce byte-identical
-output; timings are only included under --timings since they are not
-reproducible.  Errors print a machine-readable object on stderr and exit
-with a distinct code per failure kind: 2 parse, 3 precondition, 4 budget,
-5 internal inconsistency.
+output.  Every field a command reads or builds is sized against
+--max-points (`gf.check_field_size`, from p and n alone) before it is
+built, so an over-budget request is refused before any primality test,
+modulus search or table.  Errors print a machine-readable object on stderr
+and exit with a distinct code per failure kind: 2 parse, 3 precondition,
+4 budget, 5 internal inconsistency.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import argparse
 import json
 import math
 import sys
-import time
 
 from .catalog import list_catalog, verify_entry
 from .constructions import (ConcatenationFamily, TrinomialParams,
@@ -25,7 +26,7 @@ from .derivanalysis import cubic_like_certificate, wr_identity_check
 from .errors import (BudgetError, InternalInconsistency, ParseError,
                      PreconditionError)
 from .funcrep import (PFunction, parse_function_spec, to_relative_trace_form)
-from .gf import FieldError, get_field
+from .gf import FieldError, check_field_size, get_field
 from .suite import run_suite
 from .walsh import classify, extract_certificate, walsh_fast, walsh_naive
 
@@ -39,13 +40,6 @@ DEFAULT_SPECTRUM_BUDGET = 3 ** 12
 DUAL_FORM_MAX_POINTS = 3 ** 9
 
 
-def _check_budget(q: int, budget: int) -> None:
-    if q > budget:
-        raise BudgetError(
-            "field size %d exceeds the spectrum budget %d "
-            "(raise it with --max-points)" % (q, budget))
-
-
 def _emit(obj) -> None:
     json.dump(obj, sys.stdout, indent=2)
     sys.stdout.write("\n")
@@ -54,10 +48,7 @@ def _emit(obj) -> None:
 def analyze_function(f: PFunction, use_naive: bool = False, certify: bool = False,
                      dual_form: bool = False, seed: int = 0) -> dict:
     """Assemble the analysis report dict (ordered, JSON-ready)."""
-    timings: dict[str, float] = {}
-    t0 = time.perf_counter()
     spectrum = walsh_naive(f) if use_naive else walsh_fast(f)
-    timings["walsh_s"] = time.perf_counter() - t0
     cls = classify(f, spectrum)
     report = {
         "p": f.ctx.p,
@@ -83,23 +74,17 @@ def analyze_function(f: PFunction, use_naive: bool = False, certify: bool = Fals
                 "top_coeff": dform.top_coeff,
             }
     if certify:
-        t1 = time.perf_counter()
         cert3 = cubic_like_certificate(f)
         report["cubic_like"] = cert3.to_json()
         report["cubic_like"]["implies_bent"] = cert3.complete
-        timings["cubic_like_s"] = time.perf_counter() - t1
         if cls.bent:
-            t2 = time.perf_counter()
             wr = wr_identity_check(f, seed=seed, certificate=cert3)
             report["wr_identities"] = wr.to_json()
-            timings["wr_identities_s"] = time.perf_counter() - t2
-    report["_timings"] = timings
     return report
 
 
 def cmd_analyze(args) -> int:
-    ctx, tf = parse_function_spec(args.spec)
-    _check_budget(ctx.q, args.max_points)
+    ctx, tf = parse_function_spec(args.spec, args.max_points)
     if args.dual_form and ctx.q > DUAL_FORM_MAX_POINTS:
         raise BudgetError("--dual-form is limited to field size %d, got %d"
                           % (DUAL_FORM_MAX_POINTS, ctx.q))
@@ -108,17 +93,13 @@ def cmd_analyze(args) -> int:
                               dual_form=args.dual_form, seed=args.seed)
     out = {"input": args.spec}
     out.update(report)
-    if not args.timings:
-        out.pop("_timings", None)
     _emit(out)
     return 0
 
 
 def cmd_spectrum(args) -> int:
-    ctx, tf = parse_function_spec(args.spec)
-    _check_budget(ctx.q, args.max_points)
-    f = tf.truth_table()
-    spectrum = walsh_naive(f) if args.naive else walsh_fast(f)
+    ctx, tf = parse_function_spec(args.spec, args.max_points)
+    spectrum = walsh_fast(tf.truth_table())
     width = ctx.p - 1
     sys.stdout.write("index," + ",".join("c%d" % i for i in range(width)) + "\n")
     for idx, coords in enumerate(spectrum.coords):
@@ -130,8 +111,8 @@ def cmd_construct_trinomial(args) -> int:
     if args.certify and not args.analyze:
         raise ParseError("--certify needs --analyze: the certificate is part of the analysis")
     params = TrinomialParams(args.k, args.j, args.t)
+    check_field_size(3, params.n, args.max_points)
     ctx = params.context()
-    _check_budget(ctx.q, args.max_points)
     tf = trinomial_bent(params, ctx)
     out = {
         "family": "trinomial",
@@ -142,9 +123,7 @@ def cmd_construct_trinomial(args) -> int:
     }
     if args.analyze:
         f = tf.truth_table()
-        report = analyze_function(f, certify=args.certify, seed=args.seed)
-        report.pop("_timings", None)
-        out["analysis"] = report
+        out["analysis"] = analyze_function(f, certify=args.certify, seed=args.seed)
     _emit(out)
     return 0
 
@@ -157,14 +136,14 @@ def _read_input_file(path: str, what: str) -> str:
         raise ParseError("cannot read %s %s: %s" % (what, path, exc)) from None
 
 
-def _parse_slice_file(path: str):
+def _parse_slice_file(path: str, max_points: int):
     ctxs = []
     slices = []
     for line in _read_input_file(path, "slice file").splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        ctx, tf = parse_function_spec(line)
+        ctx, tf = parse_function_spec(line, max_points)
         ctxs.append(ctx)
         slices.append(tf.truth_table())
     if not slices:
@@ -185,20 +164,20 @@ def _parse_pi_file(path: str) -> list:
 
 
 def cmd_construct_concat(args) -> int:
-    inner_ctx, slices = _parse_slice_file(args.slices)
+    inner_ctx, slices = _parse_slice_file(args.slices, args.max_points)
     if args.pi:
         pi = _parse_pi_file(args.pi)
         d = round(math.log(len(pi), inner_ctx.p))
         if inner_ctx.p ** d != len(pi) or len(slices) != len(pi):
             raise PreconditionError("permutation length must be p^d and match slice count")
-        _check_budget(inner_ctx.q * len(pi) ** 2, args.max_points)
+        check_field_size(inner_ctx.p, inner_ctx.n + 2 * d, args.max_points)
         f, rep = mm_special_form(slices, pi, inner_ctx, d)
         mode = "special_form"
     else:
         m = round(math.log(len(slices), inner_ctx.p))
         if inner_ctx.p ** m != len(slices):
             raise PreconditionError("slice count must be a power of p")
-        _check_budget(inner_ctx.q * len(slices), args.max_points)
+        check_field_size(inner_ctx.p, inner_ctx.n + m, args.max_points)
         outer_ctx = get_field(inner_ctx.p, m)
         f, rep = bent_concatenation(ConcatenationFamily(inner_ctx, outer_ctx, slices))
         mode = "concatenation"
@@ -206,16 +185,13 @@ def cmd_construct_concat(args) -> int:
            "report": {k: (v if not isinstance(v, PFunction) else "function(%d points)" % f.ctx.q)
                       for k, v in rep.items()}}
     if args.analyze:
-        report = analyze_function(f)
-        report.pop("_timings", None)
-        out["analysis"] = report
+        out["analysis"] = analyze_function(f)
     _emit(out)
     return 0
 
 
 def cmd_construct_add_quadratic(args) -> int:
-    ctx, tf = parse_function_spec(args.f)
-    _check_budget(ctx.q, args.max_points)
+    ctx, tf = parse_function_spec(args.f, args.max_points)
     f = tf.truth_table()
     coeff_tokens = args.coeffs.split(",")
     if len(coeff_tokens) != ctx.n:
@@ -234,9 +210,7 @@ def cmd_construct_add_quadratic(args) -> int:
            "condition_holds": rep["condition_holds"],
            "spectrally_bent": rep["spectrally_bent"]}
     if args.analyze:
-        report = analyze_function(g)
-        report.pop("_timings", None)
-        out["analysis"] = report
+        out["analysis"] = analyze_function(g)
     _emit(out)
     return 0
 
@@ -290,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="pbent",
         description="Exact Walsh-spectrum analysis of p-ary functions")
     ap.add_argument("--max-points", type=int, default=DEFAULT_SPECTRUM_BUDGET,
-                    help="largest field size p^n a spectrum may use")
+                    help="largest field size p^n a command may read or build")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p_an = sub.add_parser("analyze", help="classify a function given in the spec grammar")
@@ -301,12 +275,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_an.add_argument("--dual-form", action="store_true",
                       help="include the dual's relative trace form")
     p_an.add_argument("--seed", type=int, default=0)
-    p_an.add_argument("--timings", action="store_true")
     p_an.set_defaults(fn=cmd_analyze)
 
     p_sp = sub.add_parser("spectrum", help="dump the exact spectrum as CSV")
     p_sp.add_argument("spec")
-    p_sp.add_argument("--naive", action="store_true")
     p_sp.set_defaults(fn=cmd_spectrum)
 
     p_c = sub.add_parser("construct", help="generate functions from the built-in families")

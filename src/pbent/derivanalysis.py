@@ -46,7 +46,6 @@ from .gf import FFElem
 from .linalg import mat_kernel
 from .walsh import extract_certificate, inverse_sums, is_bent, walsh_fast
 
-EXHAUSTIVE_PAIR_LIMIT = 3 ** 8
 SAMPLED_PAIRS = 10000
 
 
@@ -243,7 +242,7 @@ def wr_identity_check(f: PFunction, seed: int = 0,
     functions too (see `WrIdentityReport`).  It walks rows c, the dual
     side of every b of a row coming from one inverse-kernel run of the
     correlation identity (see the module docstring): all q rows when p^2n
-    <= 3^8 or <= SAMPLED_PAIRS, otherwise ceil(SAMPLED_PAIRS / q) distinct
+    <= SAMPLED_PAIRS, otherwise ceil(SAMPLED_PAIRS / q) distinct
     rows from `random.Random(seed).sample`, in draw order, the last one cut
     so that exactly SAMPLED_PAIRS pairs are checked.  With a cubic-like
     `certificate` of f, a nonzero W_{D_c f}(b) with Tr(bd) != lambda for
@@ -257,7 +256,7 @@ def wr_identity_check(f: PFunction, seed: int = 0,
     w_dual = walsh_fast(extract_certificate(s).dual).coords
 
     # a sample never repeats a pair, so a field with fewer pairs is walked whole
-    exhaustive = q * q <= max(EXHAUSTIVE_PAIR_LIMIT, SAMPLED_PAIRS)
+    exhaustive = q * q <= SAMPLED_PAIRS
     pair_count = q * q if exhaustive else SAMPLED_PAIRS
     rows = range(q) if exhaustive else random.Random(seed).sample(range(q), -(-pair_count // q))
     witnesses = certificate.witnesses if certificate is not None else {}

@@ -403,18 +403,19 @@ def anf_to_truth(a: ANF) -> PFunction:
 _TERM_RE = re.compile(r"(?:(g\^\d+|\d+)\*?)?x(?:\^(\d+))?")
 
 
-def parse_function_spec(text: str):
+def parse_function_spec(text: str, max_points: int | None = None):
     """Parse "p=3 n=6 f=Tr(g^7*x^98)" into (FieldCtx, TraceForm).
 
     Grammar: field spec, then f=Tr(term +- term ...) optionally followed by
     +c / -c for a prime-field constant.  A term is [coef][*]x^E with coef a
     power of the context primitive (g^M), a decimal integer, or omitted.
-    Even p is refused with PreconditionError.
+    Even p is refused with PreconditionError.  With max_points, a field of
+    more elements is refused (BudgetError) before it is built.
     """
     at = text.find("f=")
     if at < 0:
         raise ParseError("missing 'f=' in %r" % text)
-    ctx = parse_field_spec(text[:at])
+    ctx = parse_field_spec(text[:at], max_points)
     if ctx.p % 2 == 0:
         raise PreconditionError(
             "p=%d: functions are analyzed for odd p only (the Gauss-sum unit "

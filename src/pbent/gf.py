@@ -67,9 +67,10 @@ def prime_factors(m: int) -> list[int]:
     return out
 
 
-# Pinned default moduli (Conway polynomials), coefficients low to high,
-# verified at construction time: irreducible, root primitive, and
-# norm-compatible with the entries of the subfield degrees.
+# Pinned default moduli (Conway polynomials), coefficients low to high.
+# Construction verifies each one used: irreducible, root primitive.  Their
+# norm-compatibility with the entries of the subfield degrees is checked by
+# the test suite, not at run time.
 # Degrees absent from the table get a deterministic search instead.
 _CONWAY: dict[tuple[int, int], tuple[int, ...]] = {
     (3, 1): (1, 1),
@@ -525,17 +526,31 @@ def get_field(p: int, n: int, modulus=None) -> FieldCtx:
     return _FIELD_CACHE[key]
 
 
+def check_field_size(p: int, n: int, max_points: int) -> None:
+    """Refuse F_{p^n} with more than max_points elements, from p and n
+    alone, so it runs before the primality test, the modulus search and
+    the factoring of p^n - 1.  Since p^n >= 2^n for p >= 2, an n above the
+    budget's bit length is refused without computing p^n."""
+    if (p >= 2 and n > max_points.bit_length()) or p ** n > max_points:
+        raise BudgetError(
+            "field size %d^%d exceeds the spectrum budget %d "
+            "(raise it with --max-points)" % (p, n, max_points))
+
+
 _FIELD_SPEC_RE = re.compile(
     r"^\s*p\s*=\s*(\d+)\s+n\s*=\s*(\d+)(?:\s+mod\s*=\s*\[([0-9,\s+-]+)\])?\s*$")
 
 
-def parse_field_spec(text: str) -> FieldCtx:
+def parse_field_spec(text: str, max_points: int | None = None) -> FieldCtx:
     """Parse "p=3 n=4" or "p=3 n=4 mod=[2,1,0,0,1]" (coefficients low to
-    high degree; omitted mod selects the pinned default modulus)."""
+    high degree; omitted mod selects the pinned default modulus).  With
+    max_points, the field's size is checked before it is built."""
     m = _FIELD_SPEC_RE.match(text)
     if not m:
         raise FieldError("bad field spec: %r" % text)
     p, n = int(m.group(1)), int(m.group(2))
+    if max_points is not None:
+        check_field_size(p, n, max_points)
     modulus = None
     if m.group(3):
         modulus = tuple(int(tok) for tok in m.group(3).replace(" ", "").split(","))

@@ -10,21 +10,17 @@ from __future__ import annotations
 
 
 def mat_inverse(mat: list[list[int]], p: int) -> list[list[int]]:
-    """Invert a square matrix over F_p.  Raises ValueError if singular."""
+    """Invert a square matrix over F_p.  Raises ValueError if singular.
+
+    Read off the kernel of [M | I]: the n x 2n matrix has rank n, and M is
+    invertible exactly when its free columns are the last n, in which case
+    kernel vector j is (-M^-1 e_j, e_j)."""
     n = len(mat)
-    aug = [list(row) + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(mat)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] % p != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular mod %d" % p)
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = pow(aug[col][col], -1, p)
-        aug[col] = [(v * inv) % p for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] % p:
-                factor = aug[r][col] % p
-                aug[r] = [(a - factor * b) % p for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
+    basis = mat_kernel([list(row) + [int(i == j) for j in range(n)]
+                        for i, row in enumerate(mat)], p)
+    if any(v[n + j] != 1 for j, v in enumerate(basis)):
+        raise ValueError("matrix is singular mod %d" % p)
+    return [[-v[i] % p for v in basis] for i in range(n)]
 
 
 def mat_kernel(mat: list[list[int]], p: int) -> list[list[int]]:

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
@@ -222,6 +224,48 @@ def test_budget_refusal_builds_no_field_tables(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert json.loads(err)["error"]["kind"] == "budget_error"
+
+
+SMALL = ["--max-points", "81"]  # each of these asks for 3^5 = 243 points
+
+
+@pytest.mark.parametrize("argv", [
+    SMALL + ["analyze", "p=3 n=5 f=Tr(x^2)"],
+    SMALL + ["spectrum", "p=3 n=5 f=Tr(x^2)"],
+    SMALL + ["construct", "add-quadratic", "--f", "p=3 n=5 f=Tr(x^2)", "--coeffs", "1,0,0,0,0"],
+    SMALL + ["construct", "concat", "--slices", "SLICES"],
+    ["construct", "trinomial", "--k", "4", "--j", "1", "--t", "1"],
+    ["analyze", "p=1000003 n=2 f=Tr(x)"],
+    ["analyze", "p=1000000000000000000000000000057 n=1 f=Tr(x)"],
+    ["analyze", "p=3 n=100000000 f=Tr(x)"],
+    ["analyze", "p=4 n=100 f=Tr(x)"],  # sized before p is found not prime
+], ids=["analyze", "spectrum", "add_quadratic", "concat_slice_line", "trinomial_k4",
+        "p_7_digits", "p_31_digits", "n_1e8", "p_not_prime"])
+def test_over_budget_field_is_refused_before_it_is_built(argv, tmp_path, monkeypatch,
+                                                         capsys):
+    import pbent.cli
+    import pbent.gf
+
+    def never(self, *args):
+        raise AssertionError("FieldCtx built before the budget check")
+
+    monkeypatch.setattr(pbent.gf, "_FIELD_CACHE", {})
+    monkeypatch.setattr(pbent.gf.FieldCtx, "__init__", never)
+    slices = tmp_path / "slices.txt"
+    slices.write_text("p=3 n=5 f=Tr(x^2)\n")
+    argv = [str(slices) if a == "SLICES" else a for a in argv]
+    assert pbent.cli.main(argv) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"]["kind"] == "budget_error"
+
+
+def test_removed_knobs_are_parse_errors():
+    for argv in (("analyze", "p=3 n=2 f=Tr(x^2)", "--timings"),
+                 ("spectrum", "p=3 n=2 f=Tr(x^2)", "--naive")):
+        res = run_cli(*argv)
+        _json_error(res, 2, "parse_error")
+        assert argv[-1] in json.loads(res.stderr)["error"]["message"]
 
 
 def test_paper_scale_trinomial_prints_its_coefficients(monkeypatch, capsys):

@@ -6,8 +6,7 @@ import pytest
 from pbent import derivanalysis
 from pbent.constructions import TrinomialParams, lemma2_witness, trinomial_bent
 from pbent.cyclo import CycInt, conj_coords
-from pbent.derivanalysis import (EXHAUSTIVE_PAIR_LIMIT, SAMPLED_PAIRS,
-                                 CubicLikeCertificate,
+from pbent.derivanalysis import (SAMPLED_PAIRS, CubicLikeCertificate,
                                  _constant_derivatives, _first_witness_low_degree,
                                  _first_witness_scan, _trilinear_form,
                                  cubic_like_certificate,
@@ -308,7 +307,7 @@ def test_wr_rows_match_pair_oracle_exhaustive(make):
 
 
 def _battery_rows(q, seed):
-    if q * q <= max(EXHAUSTIVE_PAIR_LIMIT, SAMPLED_PAIRS):
+    if q * q <= SAMPLED_PAIRS:
         return list(range(q))
     return random.Random(seed).sample(range(q), math.ceil(SAMPLED_PAIRS / q))
 
@@ -331,10 +330,9 @@ def test_wr_rows_match_pair_oracle_sampled(spec, seed):
 
 
 def test_wr_rows_fill_sampled_pairs(monkeypatch):
-    # shrunk limits: 9^2 = 81 pairs are fewer than the sample, so all are
+    # a shrunk sample: 9^2 = 81 pairs are fewer than the sample, so all are
     # checked; 27^2 = 729 are sampled by ceil(100 / 27) = 4 rows, the last
     # one cut after 19 b
-    monkeypatch.setattr(derivanalysis, "EXHAUSTIVE_PAIR_LIMIT", 50)
     monkeypatch.setattr(derivanalysis, "SAMPLED_PAIRS", 100)
     rep = wr_identity_check(quad(F9))
     assert rep.exhaustive and rep.pair_count == 81

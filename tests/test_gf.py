@@ -3,8 +3,8 @@ import random
 import pytest
 
 from pbent.errors import BudgetError
-from pbent.gf import (FieldCtx, FieldError, default_modulus, get_field,
-                      parse_field_spec, prime_factors, _CONWAY, _ppow)
+from pbent.gf import (FieldCtx, FieldError, check_field_size, default_modulus,
+                      get_field, parse_field_spec, prime_factors, _CONWAY, _ppow)
 from pbent.linalg import mat_vec
 
 F9 = get_field(3, 2)
@@ -227,6 +227,27 @@ def test_gen_power_builds_no_tables():
 def test_tables_above_the_cap_are_a_budget_error():
     with pytest.raises(BudgetError):
         FieldCtx(3, 13, (1, 2) + (0,) * 11 + (1,)).ensure_tables()  # x^13 + 2x + 1
+
+
+class _UnpowerableDegree(int):
+    def __rpow__(self, base, mod=None):
+        raise AssertionError("p^n computed")
+
+
+def test_check_field_size_bounds_and_skips_huge_powers():
+    check_field_size(3, 12, 3 ** 12)
+    check_field_size(2, 19, 2 ** 19)
+    for p, n, budget in ((3, 12, 3 ** 12 - 1), (2, 20, 2 ** 19), (10 ** 30 + 57, 1, 3 ** 12)):
+        with pytest.raises(BudgetError):
+            check_field_size(p, n, budget)
+    # an n above the budget's bit length is refused before p^n is formed
+    with pytest.raises(BudgetError):
+        check_field_size(3, _UnpowerableDegree(10 ** 8), 3 ** 12)
+    with pytest.raises(AssertionError):
+        check_field_size(3, _UnpowerableDegree(5), 3 ** 12)
+    with pytest.raises(BudgetError):
+        parse_field_spec("p=3 n=13", max_points=3 ** 12)
+    assert parse_field_spec("p=3 n=2", max_points=9) is F9
 
 
 def test_subfield_indexes():

@@ -1,7 +1,9 @@
 import itertools
 import random
 
-from pbent.linalg import mat_kernel, mat_vec
+import pytest
+
+from pbent.linalg import mat_inverse, mat_kernel, mat_vec
 
 
 def _index(vec, p):
@@ -37,3 +39,28 @@ def test_kernel_basis_is_reduced_by_top_digit():
 def test_kernel_of_zero_and_invertible_matrices():
     assert mat_kernel([[0, 0], [0, 0]], 3) == [[1, 0], [0, 1]]
     assert mat_kernel([[1, 2], [0, 1]], 3) == []
+
+
+def test_mat_inverse_is_a_two_sided_inverse_and_refuses_singular():
+    rng = random.Random(43)
+    identity = {n: [[int(i == j) for j in range(n)] for i in range(n)] for n in range(1, 6)}
+    invertible = singular = 0
+    for p in (3, 5, 7):
+        for n in range(1, 6):
+            for _ in range(20):
+                mat = [[rng.randrange(p) if rng.random() < 0.7 else 0
+                        for _ in range(n)] for _ in range(n)]
+                if mat_kernel(mat, p):
+                    singular += 1
+                    with pytest.raises(ValueError):
+                        mat_inverse(mat, p)
+                    continue
+                invertible += 1
+                inv = mat_inverse(mat, p)
+                assert all(0 <= v < p for row in inv for v in row)
+                # column j of M * M^-1 and of M^-1 * M is e_j
+                cols = [[row[j] for row in inv] for j in range(n)]
+                assert [mat_vec(mat, c, p) for c in cols] == identity[n]
+                mcols = [[row[j] for row in mat] for j in range(n)]
+                assert [mat_vec(inv, c, p) for c in mcols] == identity[n]
+    assert invertible > 100 and singular > 20
