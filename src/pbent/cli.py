@@ -6,7 +6,10 @@ fixed key order, so identical inputs (and seed) produce byte-identical
 output.  Every field a command reads or builds is sized against
 --max-points (`gf.check_field_size`, from p and n alone) before it is
 built, so an over-budget request is refused before any primality test,
-modulus search or table.  Errors print a machine-readable object on stderr
+modulus search or table.  A field read from a function spec, and a
+trinomial's field, is also held to the exp/log table cap 3^12, since its
+functions are evaluated through those tables; concat's combined field is
+held to --max-points alone.  Errors print a machine-readable object on stderr
 and exit with a distinct code per failure kind: 2 parse, 3 precondition,
 4 budget, 5 internal inconsistency.
 """
@@ -111,7 +114,7 @@ def cmd_construct_trinomial(args) -> int:
     if args.certify and not args.analyze:
         raise ParseError("--certify needs --analyze: the certificate is part of the analysis")
     params = TrinomialParams(args.k, args.j, args.t)
-    check_field_size(3, params.n, args.max_points)
+    check_field_size(3, params.n, args.max_points, tables=True)
     ctx = params.context()
     tf = trinomial_bent(params, ctx)
     out = {
@@ -156,7 +159,7 @@ def _parse_slice_file(path: str, max_points: int):
 def _parse_pi_file(path: str) -> list:
     try:
         pi = json.loads(_read_input_file(path, "permutation file"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int over CPython's digit limit
         raise ParseError("permutation file %s is not JSON: %s" % (path, exc)) from None
     if not (isinstance(pi, list) and pi and all(type(v) is int for v in pi)):
         raise ParseError("permutation file %s must hold a nonempty list of integers" % path)

@@ -10,10 +10,12 @@ of its field context.  The other representations round-trip through it:
 
 The algebraic degree is the maximal p-weight (base-p digit sum) of an
 exponent carrying a nonzero univariate coefficient; it equals the total
-degree of the ANF, which is how it is computed here: the per-axis kernel
-`linalg.axis_passes` with the inverse Vandermonde matrix over F_p as its
-column map (unrolled for p = 3), O(n p^(n+1)).  `anf_to_truth` runs the
-same kernel with the Vandermonde matrix itself.
+degree of the ANF, which is how it is computed here.  `truth_to_anf` runs
+the packed-lane F_p kernel `linalg.lane_passes` with the inverse
+Vandermonde matrix over F_p, one pass per digit on the whole table held as
+one int, and `anf_to_truth` runs it with the Vandermonde matrix itself.
+`ANF.degree` reads the largest p-weight at a nonzero coefficient from
+cached per-(p, n) tables of p-weights, by `itertools.compress`.
 
 Interpolation computes the character sums a_j = -sum_{x!=0} f(x) x^(-j)
 at the cyclotomic coset leaders j only, about q/n sums of q - 1 terms each
@@ -26,12 +28,14 @@ F_{p^n}, and a conjugate-closed univariate list as its relative trace form.
 from __future__ import annotations
 
 import re
+from array import array
 from functools import lru_cache
+from itertools import compress
 
 from .cyclo import CycInt
 from .errors import InternalInconsistency, ParseError, PreconditionError
-from .gf import FFElem, FieldCtx, parse_field_spec
-from .linalg import axis_passes, mat_inverse, mat_vec
+from .gf import FFElem, FieldCtx, parse_field_spec, parse_int
+from .linalg import lane_passes, lane_typecode, mat_inverse
 
 
 def p_weight(e: int, p: int) -> int:
@@ -340,8 +344,19 @@ class ANF:
         self.coeffs = [c % ctx.p for c in coeffs]
 
     def degree(self) -> int:
-        p = self.ctx.p
-        return max((p_weight(i, p) for i, c in enumerate(self.coeffs) if c), default=0)
+        """The largest p-weight at a nonzero coefficient.  Index h*m + l, with
+        m = p^(n//2), has weight wt(h) + wt(l), so two cached tables of about
+        p^(n/2) weights serve each block of m coefficients.  One table of all
+        p^n weights raised the peak RSS of repeated n = 12 analyses by 1.8 MB."""
+        p, n, coeffs = self.ctx.p, self.ctx.n, self.coeffs
+        low = _weights(p, n // 2)
+        m = len(low)
+        best = 0
+        for h, high in enumerate(_weights(p, n - n // 2)):
+            block = coeffs[h * m:(h + 1) * m]
+            if any(block):
+                best = max(best, high + max(compress(low, block)))
+        return best
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, ANF) and self.ctx == other.ctx
@@ -351,51 +366,30 @@ class ANF:
         return "ANF(p=%d, n=%d, deg=%d)" % (self.ctx.p, self.ctx.n, self.degree())
 
 
-def _vandermonde3_column(inverse: bool):
-    """Unrolled p = 3 column map: values at t = 0, 1, 2 <-> coefficients of
-    1, t, t^2 (inverse=True maps values to coefficients)."""
-    if inverse:
-        def column(rows):
-            r0, r1, r2 = rows
-            return (r0, [(z - y) % 3 for y, z in zip(r1, r2)],
-                    [-(x + y + z) % 3 for x, y, z in zip(r0, r1, r2)])
-    else:
-        def column(rows):
-            r0, r1, r2 = rows
-            return (r0, [(x + y + z) % 3 for x, y, z in zip(r0, r1, r2)],
-                    [(x - y + z) % 3 for x, y, z in zip(r0, r1, r2)])
-    return column
-
-
-def _matrix_column(mat, p: int):
-    """Column map multiplying each column by `mat` over F_p."""
-    def column(rows):
-        return list(zip(*(mat_vec(mat, col, p) for col in zip(*rows))))
-    return column
-
-
-def _vandermonde(p: int, inverse: bool) -> list[list[int]]:
-    """[t^e] over F_p (rows t, columns e), or its inverse."""
+@lru_cache(maxsize=16)
+def _vandermonde(p: int, inverse: bool) -> tuple:
+    """[t^e] over F_p (rows t, columns e), or its inverse, as row tuples."""
     v = [[pow(t, e, p) for e in range(p)] for t in range(p)]
-    return mat_inverse(v, p) if inverse else v
+    return tuple(map(tuple, mat_inverse(v, p) if inverse else v))
 
 
 @lru_cache(maxsize=16)
-def _vandermonde_column(p: int, inverse: bool):
-    """The column map for `axis_passes`; unrolled for p = 3."""
-    if p == 3:
-        return _vandermonde3_column(inverse)
-    return _matrix_column(_vandermonde(p, inverse), p)
+def _weights(p: int, n: int) -> array:
+    """The p-weight of every index below p^n, built one top digit at a time."""
+    weights = [0]
+    for _ in range(n):
+        weights = [w + t for t in range(p) for w in weights]
+    return array(lane_typecode(n * (p - 1)), weights)
 
 
 def truth_to_anf(f: PFunction) -> ANF:
     ctx = f.ctx
-    return ANF(ctx, axis_passes(f.values, ctx.p, ctx.n, _vandermonde_column(ctx.p, True)))
+    return ANF(ctx, lane_passes(f.values, ctx.p, ctx.n, _vandermonde(ctx.p, True)))
 
 
 def anf_to_truth(a: ANF) -> PFunction:
     ctx = a.ctx
-    return PFunction(ctx, axis_passes(a.coeffs, ctx.p, ctx.n, _vandermonde_column(ctx.p, False)))
+    return PFunction(ctx, lane_passes(a.coeffs, ctx.p, ctx.n, _vandermonde(ctx.p, False)))
 
 
 # -- the function-spec grammar ----------------------------------------------------
@@ -410,7 +404,8 @@ def parse_function_spec(text: str, max_points: int | None = None):
     +c / -c for a prime-field constant.  A term is [coef][*]x^E with coef a
     power of the context primitive (g^M), a decimal integer, or omitted.
     Even p is refused with PreconditionError.  With max_points, a field of
-    more elements is refused (BudgetError) before it is built.
+    more elements, or above the exp/log table cap, is refused (BudgetError)
+    before it is built.  Every integer goes through `gf.parse_int`.
     """
     at = text.find("f=")
     if at < 0:
@@ -441,7 +436,7 @@ def parse_function_spec(text: str, max_points: int | None = None):
         m = re.fullmatch(r"([+-])(\d+)", rest)
         if not m:
             raise ParseError("junk after Tr(...) at position %d: %r" % (at + 2 + close + 1, rest))
-        constant = int(m.group(2)) * (1 if m.group(1) == "+" else -1)
+        constant = parse_int(m.group(2)) * (1 if m.group(1) == "+" else -1)
     terms = []
     pos = 0
     sign = 1
@@ -453,13 +448,13 @@ def parse_function_spec(text: str, max_points: int | None = None):
         if not m:
             raise ParseError("bad term at position %d in %r" % (pos, inner))
         coef_tok, exp_tok = m.group(1), m.group(2)
-        exp = int(exp_tok) if exp_tok else 1
+        exp = parse_int(exp_tok) if exp_tok else 1
         if coef_tok is None:
             coeff = ctx.one()
         elif coef_tok.startswith("g^"):
-            coeff = ctx.gen_power(int(coef_tok[2:]))
+            coeff = ctx.gen_power(parse_int(coef_tok[2:]))
         else:
-            coeff = ctx.scalar(int(coef_tok))
+            coeff = ctx.scalar(parse_int(coef_tok))
         terms.append((coeff.scale(sign) if sign < 0 else coeff, exp))
         pos = m.end()
         if pos == len(inner):

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import BudgetError
+from .errors import BudgetError, ParseError
 
 LOG_TABLE_MAX = 3 ** 12
 
@@ -526,15 +526,30 @@ def get_field(p: int, n: int, modulus=None) -> FieldCtx:
     return _FIELD_CACHE[key]
 
 
-def check_field_size(p: int, n: int, max_points: int) -> None:
+def check_field_size(p: int, n: int, max_points: int, tables: bool = False) -> None:
     """Refuse F_{p^n} with more than max_points elements, from p and n
     alone, so it runs before the primality test, the modulus search and
     the factoring of p^n - 1.  Since p^n >= 2^n for p >= 2, an n above the
-    budget's bit length is refused without computing p^n."""
+    budget's bit length is refused without computing p^n.  With `tables`,
+    for a field whose functions are evaluated through its exp/log tables,
+    the tables' cap LOG_TABLE_MAX bounds it too."""
+    if tables and max_points > LOG_TABLE_MAX:
+        max_points, limit = LOG_TABLE_MAX, "the exp/log table cap 3^12"
+    else:
+        limit = "the spectrum budget %d (raise it with --max-points)" % max_points
     if (p >= 2 and n > max_points.bit_length()) or p ** n > max_points:
-        raise BudgetError(
-            "field size %d^%d exceeds the spectrum budget %d "
-            "(raise it with --max-points)" % (p, n, max_points))
+        raise BudgetError("field size %d^%d exceeds %s" % (p, n, limit))
+
+
+def parse_int(token: str) -> int:
+    """int(token) for a token of the spec grammars.  A malformed decimal, or
+    one longer than CPython converts (4,300 digits by default), is a
+    ParseError rather than int()'s ValueError."""
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError("bad integer %r%s (malformed, or more digits than int() converts)"
+                         % (token[:20], "..." if len(token) > 20 else "")) from None
 
 
 _FIELD_SPEC_RE = re.compile(
@@ -544,14 +559,16 @@ _FIELD_SPEC_RE = re.compile(
 def parse_field_spec(text: str, max_points: int | None = None) -> FieldCtx:
     """Parse "p=3 n=4" or "p=3 n=4 mod=[2,1,0,0,1]" (coefficients low to
     high degree; omitted mod selects the pinned default modulus).  With
-    max_points, the field's size is checked before it is built."""
+    max_points, the field's size is checked before it is built, against
+    the table cap too: the command line reads fields only from function
+    specs, whose functions are evaluated through the tables."""
     m = _FIELD_SPEC_RE.match(text)
     if not m:
         raise FieldError("bad field spec: %r" % text)
-    p, n = int(m.group(1)), int(m.group(2))
+    p, n = parse_int(m.group(1)), parse_int(m.group(2))
     if max_points is not None:
-        check_field_size(p, n, max_points)
+        check_field_size(p, n, max_points, tables=True)
     modulus = None
     if m.group(3):
-        modulus = tuple(int(tok) for tok in m.group(3).replace(" ", "").split(","))
+        modulus = tuple(parse_int(tok) for tok in m.group(3).replace(" ", "").split(","))
     return get_field(p, n, modulus)

@@ -1,12 +1,22 @@
-"""Small dense linear algebra modulo a prime, and the per-axis kernel.
+"""Small dense linear algebra modulo a prime, and the per-digit kernels.
 
 Matrices are lists of row lists with entries in [0, p).  Sizes here are
 tiny (n x n for extension degrees n <= 12), so plain Gaussian elimination
-is the right tool.  `axis_passes` is the package's one tensor kernel,
-shared by the Walsh transforms and the ANF conversions.
+is the right tool.
+
+Two kernels apply a size-p map along every base-p digit of a table's index,
+one pass per digit, each pass mapping the top digit and moving it to the
+bottom.  `lane_passes` is the F_p kernel of the ANF conversions: the table
+is one Python int with a fixed-width lane per entry, so a pass is a few
+dozen whole-table integer operations.  `axis_passes` is the kernel of the
+Z[w] transforms in `walsh`, whose entries are coordinate tuples.
 """
 
 from __future__ import annotations
+
+import sys
+from array import array
+from functools import lru_cache
 
 
 def mat_inverse(mat: list[list[int]], p: int) -> list[list[int]]:
@@ -58,13 +68,74 @@ def mat_kernel(mat: list[list[int]], p: int) -> list[list[int]]:
     return basis
 
 
-def mat_vec(mat: list[list[int]], vec: list[int], p: int) -> list[int]:
-    """Matrix-vector product over F_p."""
-    return [sum(m * v for m, v in zip(row, vec)) % p for row in mat]
+def lane_typecode(bound: int) -> str:
+    """The narrowest `array` typecode whose items hold 0..bound below their
+    top bit, which `lane_passes` keeps free as a guard bit."""
+    return next(tc for tc in "BHILQ" if bound < 1 << (8 * array(tc).itemsize - 1))
+
+
+@lru_cache(maxsize=16)
+def _lane_plan(mat: tuple, p: int):
+    """Per output row of `mat`: its nonzero coefficients (t, c), centred
+    into (-p/2, p/2); the bias, the least multiple of p that keeps every
+    lane of the row's sum non-negative; and the number of conditional
+    subtractions that bring a lane below p.  Also the lane typecode, sized
+    for the largest lane value a row can reach."""
+    rows, bound = [], p - 1
+    for row in mat:
+        coeffs = [(t, c - p if 2 * c > p else c) for t, c in enumerate(row) if c]
+        bias = -((p - 1) * sum(c for _, c in coeffs if c < 0) // p) * p
+        top = bias + (p - 1) * sum(c for _, c in coeffs if c > 0)
+        rows.append((coeffs, bias, (top // p).bit_length()))
+        bound = max(bound, top)
+    return rows, lane_typecode(bound)
+
+
+def lane_passes(vals: list[int], p: int, n: int, mat: tuple) -> list[int]:
+    """Apply the p x p matrix `mat` over F_p (a tuple of row tuples) along
+    every base-p digit of the index of `vals`, p^n entries in [0, p).
+    Returns a new list.
+
+    The table is one int, entry x in lane x: the items of an `array` of
+    typecode `lane_typecode(bound)`, read by `int.from_bytes`.  The lanes
+    are bytes for p <= 7 and two bytes for p = 11, 13 (the Vandermonde
+    matrices).  A pass cuts row t, the m = p^(n-1) entries whose
+    top digit is t, out of the contiguous lanes [t*m, (t+1)*m) with one
+    shift and mask.  Output row u is sum_t c_ut row_t + bias_u, formed on
+    all m lanes at once.  It is reduced by conditional subtractions of
+    p*2^j, j descending: (lane | guard) - p*2^j keeps a lane's guard (top)
+    bit exactly where lane >= p*2^j, so no borrow crosses a lane, and that
+    bit, moved down to bit j and multiplied by p, is what the lane loses.
+    Row u then goes to the entries r*p + u by a strided array store, which
+    moves the mapped digit to the bottom, as in `axis_passes`.  The lane
+    constants are 1/p of the table and are rebuilt on every call.
+    """
+    rows, tc = _lane_plan(mat, p)
+    size = array(tc).itemsize
+    width = 8 * size
+    m = p ** (n - 1)
+    ones = int.from_bytes(array(tc, [1]) * m, sys.byteorder)
+    low, guard = (1 << width * m) - 1, ones << (width - 1)
+    prog = [(coeffs, bias * ones, [((p << j) * ones, width - 1 - j) for j in reversed(range(steps))])
+            for coeffs, bias, steps in rows]
+    # array items are native-endian: on a big-endian machine entry 0 is the top lane
+    order = range(p) if sys.byteorder == "little" else range(p - 1, -1, -1)
+    out = array(tc, vals)
+    for _ in range(n):
+        table = int.from_bytes(out, sys.byteorder)
+        cut = [(table >> width * m * t) & low for t in order]
+        for u, (coeffs, acc, steps) in enumerate(prog):
+            for t, c in coeffs:
+                acc += c * cut[t]
+            for sub, shift in steps:
+                acc -= (((acc | guard) - sub & guard) >> shift) * p
+            out[u::p] = array(tc, acc.to_bytes(size * m, sys.byteorder))
+    return out.tolist()
 
 
 def axis_passes(vals: list, p: int, n: int, column) -> list:
-    """Apply a size-p column map along every base-p digit of the index.
+    """Apply a size-p column map along every base-p digit of the index: the
+    kernel of the Z[w] transforms.
 
     Entry x of `vals` (p^n entries) sits at index sum_i x_i p^i; the p
     entries that differ only in one digit form a column.  `column(rows)`

@@ -239,8 +239,13 @@ SMALL = ["--max-points", "81"]  # each of these asks for 3^5 = 243 points
     ["analyze", "p=1000000000000000000000000000057 n=1 f=Tr(x)"],
     ["analyze", "p=3 n=100000000 f=Tr(x)"],
     ["analyze", "p=4 n=100 f=Tr(x)"],  # sized before p is found not prime
+    # a budget raised above the exp/log table cap 3^12 leaves the cap in force
+    ["--max-points", str(10 ** 21), "analyze", "p=3 n=40 f=Tr(x)"],
+    ["--max-points", str(10 ** 30), "construct", "trinomial", "--k", "15", "--j", "0",
+     "--t", "1"],
 ], ids=["analyze", "spectrum", "add_quadratic", "concat_slice_line", "trinomial_k4",
-        "p_7_digits", "p_31_digits", "n_1e8", "p_not_prime"])
+        "p_7_digits", "p_31_digits", "n_1e8", "p_not_prime", "table_cap_spec",
+        "table_cap_trinomial"])
 def test_over_budget_field_is_refused_before_it_is_built(argv, tmp_path, monkeypatch,
                                                          capsys):
     import pbent.cli
@@ -258,6 +263,16 @@ def test_over_budget_field_is_refused_before_it_is_built(argv, tmp_path, monkeyp
     out, err = capsys.readouterr()
     assert out == ""
     assert json.loads(err)["error"]["kind"] == "budget_error"
+
+
+@pytest.mark.parametrize("spec", ["p=%s n=1 f=Tr(x)" % ("7" * 5000),
+                                  "p=3 n=2 f=Tr(x^%s)" % ("7" * 5000),
+                                  "p=3 n=4 mod=[1-2,0,0,0,1] f=Tr(x)"],
+                         ids=["p", "exponent", "modulus_token"])
+def test_integer_that_int_cannot_convert_is_a_parse_error(spec):
+    # CPython's int() refuses decimals of more than 4,300 digits; the
+    # modulus grammar admits tokens such as "1-2" that are no integer
+    _json_error(run_cli("analyze", spec), 2, "parse_error")
 
 
 def test_removed_knobs_are_parse_errors():
@@ -297,7 +312,7 @@ def test_missing_slice_file_is_a_parse_error(tmp_path):
 def test_malformed_permutation_file_is_a_parse_error(tmp_path):
     slices = tmp_path / "slices.txt"
     slices.write_text("\n".join(["p=3 n=2 f=Tr(x^2)"] * 3) + "\n")
-    for body in ("[0, 1,", '{"a": 1}', '[0, "x", 2]', "[]"):
+    for body in ("[0, 1,", '{"a": 1}', '[0, "x", 2]', "[]", "[%s]" % ("7" * 5000)):
         pi = tmp_path / "pi.json"
         pi.write_text(body)
         _json_error(run_cli("construct", "concat", "--slices", str(slices),

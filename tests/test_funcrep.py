@@ -4,7 +4,7 @@ import pytest
 
 from pbent.cyclo import CycInt
 from pbent.errors import InternalInconsistency
-from pbent.funcrep import (PFunction, RelativeTraceForm, TraceForm, anf_to_truth,
+from pbent.funcrep import (ANF, PFunction, RelativeTraceForm, TraceForm, anf_to_truth,
                            coset_leaders, coset_size, eval_univariate,
                            parse_function_spec, p_weight,
                            to_relative_trace_form, truth_to_anf,
@@ -197,10 +197,24 @@ def test_anf_basics():
     assert anf.coeffs == [0, 0, 1]  # x_1^2
     assert anf.degree() == 2
     rng = random.Random(10)
-    for ctx in (F27, F125, F49):
+    for ctx in (F27, F125, F49, get_field(11, 2), get_field(13, 2)):
         for _ in range(10):
             f = rand_f(ctx, rng)
             assert anf_to_truth(truth_to_anf(f)) == f
+
+
+def test_anf_degree_is_the_p_weight_scan():
+    # the weight tables against p_weight at every nonzero coefficient, on
+    # ANFs from dense to a single term, and on the zero ANF
+    rng = random.Random(11)
+    for ctx in (F3, F27, F81, F125, F49, get_field(11, 2), get_field(13, 1)):
+        p = ctx.p
+        assert ANF(ctx, [0] * ctx.q).degree() == 0
+        for density in (1.0, 0.3, 0.05, 1 / ctx.q):
+            coeffs = [rng.randrange(1, p) if rng.random() < density else 0
+                      for _ in range(ctx.q)]
+            scan = max((p_weight(i, p) for i, c in enumerate(coeffs) if c), default=0)
+            assert ANF(ctx, coeffs).degree() == scan
 
 
 def test_derivative_examples():

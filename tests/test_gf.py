@@ -5,7 +5,7 @@ import pytest
 from pbent.errors import BudgetError
 from pbent.gf import (FieldCtx, FieldError, check_field_size, default_modulus,
                       get_field, parse_field_spec, prime_factors, _CONWAY, _ppow)
-from pbent.linalg import mat_vec
+from test_linalg import mat_vec
 
 F9 = get_field(3, 2)
 F81 = get_field(3, 4)

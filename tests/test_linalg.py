@@ -1,9 +1,24 @@
 import itertools
 import random
+from array import array
 
 import pytest
 
-from pbent.linalg import mat_inverse, mat_kernel, mat_vec
+from pbent.funcrep import _vandermonde
+from pbent.linalg import _lane_plan, axis_passes, lane_passes, mat_inverse, mat_kernel
+
+
+def mat_vec(mat, vec, p):
+    """Matrix-vector product over F_p."""
+    return [sum(m * v for m, v in zip(row, vec)) % p for row in mat]
+
+
+def list_passes(vals, p, n, mat):
+    """The labelled oracle of `lane_passes`: `axis_passes` with a column map
+    multiplying each column by `mat`, one list entry per point."""
+    def column(rows):
+        return list(zip(*(mat_vec(mat, col, p) for col in zip(*rows))))
+    return axis_passes(vals, p, n, column)
 
 
 def _index(vec, p):
@@ -64,3 +79,29 @@ def test_mat_inverse_is_a_two_sided_inverse_and_refuses_singular():
                 mcols = [[row[j] for row in mat] for j in range(n)]
                 assert [mat_vec(inv, c, p) for c in mcols] == identity[n]
     assert invertible > 100 and singular > 20
+
+
+def _extreme_columns(mat, p):
+    """Per row of `mat`, the two columns that give its largest and smallest
+    lane sum in centred residues: p - 1 under the coefficients of one sign."""
+    for row in mat:
+        centred = [c - p if 2 * c > p else c for c in row]
+        yield [p - 1 if c > 0 else 0 for c in centred]
+        yield [p - 1 if c < 0 else 0 for c in centred]
+
+
+def test_lane_passes_match_the_list_kernel():
+    # both directions of the ANF conversion, every n with p^n <= 3^8; at
+    # p = 11 and 13 the lanes are wider than a byte
+    rng = random.Random(44)
+    for p in (3, 5, 7, 11, 13):
+        for inverse in (True, False):
+            mat = _vandermonde(p, inverse)
+            assert (array(_lane_plan(mat, p)[1]).itemsize > 1) == (p > 7)
+            for col in _extreme_columns(mat, p):
+                assert lane_passes(col, p, 1, mat) == mat_vec(mat, col, p)
+            n = 1
+            while p ** n <= 3 ** 8:
+                for vals in ([rng.randrange(p) for _ in range(p ** n)], [p - 1] * p ** n):
+                    assert lane_passes(vals, p, n, mat) == list_passes(vals, p, n, mat)
+                n += 1

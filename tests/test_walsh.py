@@ -4,8 +4,7 @@ import pytest
 
 from pbent.cyclo import CycInt, gauss_sum
 from pbent.errors import PreconditionError
-from pbent.funcrep import (PFunction, TraceForm, _matrix_column, _vandermonde,
-                           _vandermonde3_column)
+from pbent.funcrep import PFunction, TraceForm
 from pbent.gf import get_field
 from pbent.linalg import axis_passes
 from pbent.walsh import (_dft3_column, _dft_generic_column, _dual_data,
@@ -111,20 +110,15 @@ def test_inverse_roundtrip():
 
 
 def test_p3_column_maps_match_generic():
-    # the unrolled p = 3 column maps of the per-axis kernel against the
+    # the unrolled p = 3 DFT column maps of the per-axis kernel against the
     # generic size-p maps run at p = 3
     rng = random.Random(25)
     for length in (1, 2, 9):
         zw_rows = [[(rng.randint(-20, 20), rng.randint(-20, 20)) for _ in range(length)]
                    for _ in range(3)]
-        fp_rows = [[rng.randrange(3) for _ in range(length)] for _ in range(3)]
         for sign in (-1, 1):
             assert (list(map(list, _dft3_column(sign)(zw_rows)))
                     == list(map(list, _dft_generic_column(3, sign)(zw_rows))))
-        for inverse in (False, True):
-            generic = _matrix_column(_vandermonde(3, inverse), 3)
-            assert (list(map(list, _vandermonde3_column(inverse)(fp_rows)))
-                    == list(map(list, generic(fp_rows))))
 
 
 def test_axis_passes_moves_every_entry():
