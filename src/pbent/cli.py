@@ -28,10 +28,11 @@ from .constructions import (ConcatenationFamily, TrinomialParams,
 from .derivanalysis import cubic_like_certificate, wr_identity_check
 from .errors import (BudgetError, InternalInconsistency, ParseError,
                      PreconditionError)
-from .funcrep import (PFunction, parse_function_spec, to_relative_trace_form)
+from .funcrep import (PFunction, parse_coeff, parse_function_spec,
+                      to_relative_trace_form)
 from .gf import FieldError, check_field_size, get_field
 from .suite import run_suite
-from .walsh import classify, extract_certificate, walsh_fast, walsh_naive
+from .walsh import classify, extract_certificate, walsh_fast
 
 EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
@@ -48,10 +49,10 @@ def _emit(obj) -> None:
     sys.stdout.write("\n")
 
 
-def analyze_function(f: PFunction, use_naive: bool = False, certify: bool = False,
-                     dual_form: bool = False, seed: int = 0) -> dict:
+def analyze_function(f: PFunction, certify: bool = False, dual_form: bool = False,
+                     seed: int = 0) -> dict:
     """Assemble the analysis report dict (ordered, JSON-ready)."""
-    spectrum = walsh_naive(f) if use_naive else walsh_fast(f)
+    spectrum = walsh_fast(f)
     cls = classify(f, spectrum)
     report = {
         "p": f.ctx.p,
@@ -92,8 +93,7 @@ def cmd_analyze(args) -> int:
         raise BudgetError("--dual-form is limited to field size %d, got %d"
                           % (DUAL_FORM_MAX_POINTS, ctx.q))
     f = tf.truth_table()
-    report = analyze_function(f, use_naive=args.naive, certify=args.certify,
-                              dual_form=args.dual_form, seed=args.seed)
+    report = analyze_function(f, certify=args.certify, dual_form=args.dual_form, seed=args.seed)
     out = {"input": args.spec}
     out.update(report)
     _emit(out)
@@ -199,15 +199,7 @@ def cmd_construct_add_quadratic(args) -> int:
     coeff_tokens = args.coeffs.split(",")
     if len(coeff_tokens) != ctx.n:
         raise ParseError("need exactly n=%d quadratic coefficients" % ctx.n)
-    coeffs = []
-    for tok in coeff_tokens:
-        tok = tok.strip()
-        try:
-            c = int(tok[2:] if tok.startswith("g^") else tok)
-        except ValueError:
-            raise ParseError("coefficient %r is neither an integer nor g^<integer>"
-                             % tok) from None
-        coeffs.append(ctx.gen_power(c) if tok.startswith("g^") else ctx.scalar(c))
+    coeffs = [parse_coeff(ctx, tok) for tok in coeff_tokens]
     g, rep = add_quadratic(f, coeffs)
     out = {"construction": "add_quadratic", "p": ctx.p, "n": ctx.n,
            "condition_holds": rep["condition_holds"],
@@ -272,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_an = sub.add_parser("analyze", help="classify a function given in the spec grammar")
     p_an.add_argument("spec", help='e.g. "p=3 n=3 f=Tr(x^8+x^14)"')
-    p_an.add_argument("--naive", action="store_true", help="use the direct transform")
     p_an.add_argument("--certify", action="store_true",
                       help="add cubic-like and derivative-identity reports")
     p_an.add_argument("--dual-form", action="store_true",

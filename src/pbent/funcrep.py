@@ -14,6 +14,8 @@ degree of the ANF, which is how it is computed here.  `truth_to_anf` runs
 the packed-lane F_p kernel `linalg.lane_passes` with the inverse
 Vandermonde matrix over F_p, one pass per digit on the whole table held as
 one int, and `anf_to_truth` runs it with the Vandermonde matrix itself.
+The inverse is written down, not computed: it is the interpolation formula
+c_0 = f(0), c_e = -sum_t t^(p-1-e) f(t) for e >= 1.
 `ANF.degree` reads the largest p-weight at a nonzero coefficient from
 cached per-(p, n) tables of p-weights, by `itertools.compress`.
 
@@ -35,7 +37,7 @@ from itertools import compress
 from .cyclo import CycInt
 from .errors import InternalInconsistency, ParseError, PreconditionError
 from .gf import FFElem, FieldCtx, parse_field_spec, parse_int
-from .linalg import lane_passes, lane_typecode, mat_inverse
+from .linalg import lane_passes, lane_typecode
 
 
 def p_weight(e: int, p: int) -> int:
@@ -48,7 +50,9 @@ def p_weight(e: int, p: int) -> int:
 
 
 class PFunction:
-    """A p-ary function as a truth table in canonical index order."""
+    """A p-ary function as a truth table in canonical index order.  The
+    constructor reduces every entry mod p, so the operations below pass
+    their integer results unreduced."""
 
     __slots__ = ("ctx", "values", "_degree")
 
@@ -72,16 +76,13 @@ class PFunction:
         return hash((self.ctx, tuple(self.values)))
 
     def __add__(self, other: "PFunction") -> "PFunction":
-        p = self.ctx.p
-        return PFunction(self.ctx, [(a + b) % p for a, b in zip(self.values, other.values)])
+        return PFunction(self.ctx, [a + b for a, b in zip(self.values, other.values)])
 
     def __sub__(self, other: "PFunction") -> "PFunction":
-        p = self.ctx.p
-        return PFunction(self.ctx, [(a - b) % p for a, b in zip(self.values, other.values)])
+        return PFunction(self.ctx, [a - b for a, b in zip(self.values, other.values)])
 
     def __neg__(self) -> "PFunction":
-        p = self.ctx.p
-        return PFunction(self.ctx, [(-a) % p for a in self.values])
+        return PFunction(self.ctx, [-a for a in self.values])
 
     def reflect(self) -> "PFunction":
         """x -> f(-x)."""
@@ -96,10 +97,9 @@ class PFunction:
     def derivative(self, a: FFElem) -> "PFunction":
         """D_a f(x) = f(x + a) - f(x)."""
         ctx = self.ctx
-        p = ctx.p
         perm = ctx.shift_table(a.index)
         vals = self.values
-        return PFunction(ctx, [(vals[perm[i]] - vals[i]) % p for i in range(ctx.q)])
+        return PFunction(ctx, [vals[perm[i]] - vals[i] for i in range(ctx.q)])
 
     def second_derivative(self, a: FFElem, b: FFElem) -> "PFunction":
         """D_a D_b f; symmetric in (a, b)."""
@@ -368,9 +368,13 @@ class ANF:
 
 @lru_cache(maxsize=16)
 def _vandermonde(p: int, inverse: bool) -> tuple:
-    """[t^e] over F_p (rows t, columns e), or its inverse, as row tuples."""
-    v = [[pow(t, e, p) for e in range(p)] for t in range(p)]
-    return tuple(map(tuple, mat_inverse(v, p) if inverse else v))
+    """[t^e] over F_p (rows t, columns e), or its inverse, as row tuples.
+    The inverse is the interpolation formula c_0 = f(0) and, for e >= 1,
+    c_e = -sum_t t^(p-1-e) f(t) with 0^0 = 1."""
+    if inverse:
+        return ((1,) + (0,) * (p - 1),) + tuple(
+            tuple(-pow(t, p - 1 - e, p) % p for t in range(p)) for e in range(1, p))
+    return tuple(tuple(pow(t, e, p) for e in range(p)) for t in range(p))
 
 
 @lru_cache(maxsize=16)
@@ -394,7 +398,19 @@ def anf_to_truth(a: ANF) -> PFunction:
 
 # -- the function-spec grammar ----------------------------------------------------
 
-_TERM_RE = re.compile(r"(?:(g\^\d+|\d+)\*?)?x(?:\^(\d+))?")
+_TERM_RE = re.compile(r"(?:(g\^[0-9]+|[0-9]+)\*?)?x(?:\^([0-9]+))?")
+_COEFF_RE = re.compile(r"g\^[0-9]+|-?[0-9]+")
+
+
+def parse_coeff(ctx: FieldCtx, token: str) -> FFElem:
+    """A coefficient of the spec grammars: g^<digits>, a power of the
+    context's primitive element, or <digits> with an optional leading
+    minus, a prime-field scalar.  Digits are ASCII [0-9]."""
+    if not _COEFF_RE.fullmatch(token):
+        raise ParseError("coefficient %r is neither an integer nor g^<integer>" % token)
+    if token.startswith("g^"):
+        return ctx.gen_power(parse_int(token[2:]))
+    return ctx.scalar(parse_int(token))
 
 
 def parse_function_spec(text: str, max_points: int | None = None):
@@ -402,7 +418,8 @@ def parse_function_spec(text: str, max_points: int | None = None):
 
     Grammar: field spec, then f=Tr(term +- term ...) optionally followed by
     +c / -c for a prime-field constant.  A term is [coef][*]x^E with coef a
-    power of the context primitive (g^M), a decimal integer, or omitted.
+    power of the context primitive (g^M), a decimal integer, or omitted
+    (`parse_coeff`); every digit is ASCII.
     Even p is refused with PreconditionError.  With max_points, a field of
     more elements, or above the exp/log table cap, is refused (BudgetError)
     before it is built.  Every integer goes through `gf.parse_int`.
@@ -433,7 +450,7 @@ def parse_function_spec(text: str, max_points: int | None = None):
     rest = body[close + 1:]
     constant = 0
     if rest:
-        m = re.fullmatch(r"([+-])(\d+)", rest)
+        m = re.fullmatch(r"([+-])([0-9]+)", rest)
         if not m:
             raise ParseError("junk after Tr(...) at position %d: %r" % (at + 2 + close + 1, rest))
         constant = parse_int(m.group(2)) * (1 if m.group(1) == "+" else -1)
@@ -449,12 +466,7 @@ def parse_function_spec(text: str, max_points: int | None = None):
             raise ParseError("bad term at position %d in %r" % (pos, inner))
         coef_tok, exp_tok = m.group(1), m.group(2)
         exp = parse_int(exp_tok) if exp_tok else 1
-        if coef_tok is None:
-            coeff = ctx.one()
-        elif coef_tok.startswith("g^"):
-            coeff = ctx.gen_power(parse_int(coef_tok[2:]))
-        else:
-            coeff = ctx.scalar(parse_int(coef_tok))
+        coeff = ctx.one() if coef_tok is None else parse_coeff(ctx, coef_tok)
         terms.append((coeff.scale(sign) if sign < 0 else coeff, exp))
         pos = m.end()
         if pos == len(inner):

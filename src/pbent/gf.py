@@ -24,8 +24,8 @@ through two half tables (low and high digits), and `linear_table` builds
 the index table of an F_p-linear map one digit at a time from it.  The
 exp table walks the linear table of "multiply by the primitive element",
 trace-of-exp reads the linear table of the trace, `shift_table(a)` is x ->
-x + a, and the Walsh transform's trace-dual permutation is the linear
-table of the dual basis.
+x + a, and the Walsh transform's trace-dual gather table is the linear
+table of the Gram matrix [Tr(alpha^(i+j))].
 """
 
 from __future__ import annotations
@@ -542,9 +542,9 @@ def check_field_size(p: int, n: int, max_points: int, tables: bool = False) -> N
 
 
 def parse_int(token: str) -> int:
-    """int(token) for a token of the spec grammars.  A malformed decimal, or
-    one longer than CPython converts (4,300 digits by default), is a
-    ParseError rather than int()'s ValueError."""
+    """int(token) for a token of the spec grammars, whose digits are ASCII
+    [0-9].  A malformed decimal, or one longer than CPython converts (4,300
+    digits by default), is a ParseError rather than int()'s ValueError."""
     try:
         return int(token)
     except ValueError:
@@ -553,7 +553,7 @@ def parse_int(token: str) -> int:
 
 
 _FIELD_SPEC_RE = re.compile(
-    r"^\s*p\s*=\s*(\d+)\s+n\s*=\s*(\d+)(?:\s+mod\s*=\s*\[([0-9,\s+-]+)\])?\s*$")
+    r"^\s*p\s*=\s*([0-9]+)\s+n\s*=\s*([0-9]+)(?:\s+mod\s*=\s*\[([0-9, +-]+)\])?\s*$")
 
 
 def parse_field_spec(text: str, max_points: int | None = None) -> FieldCtx:

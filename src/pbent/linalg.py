@@ -1,8 +1,10 @@
-"""Small dense linear algebra modulo a prime, and the per-digit kernels.
+"""The kernel of a small matrix modulo a prime, and the per-digit kernels.
 
-Matrices are lists of row lists with entries in [0, p).  Sizes here are
-tiny (n x n for extension degrees n <= 12), so plain Gaussian elimination
-is the right tool.
+Matrices are lists of row lists with entries in [0, p).  `mat_kernel`, by
+Gaussian elimination, serves the derivative certificates, whose matrices
+are tiny (n x n for n <= 12).  Nothing here inverts a matrix: the two
+changes of basis that need an inverse have closed forms, the trace-dual
+gather table in `walsh` and the interpolation formula in `funcrep`.
 
 Two kernels apply a size-p map along every base-p digit of a table's index,
 one pass per digit, each pass mapping the top digit and moving it to the
@@ -17,20 +19,6 @@ from __future__ import annotations
 import sys
 from array import array
 from functools import lru_cache
-
-
-def mat_inverse(mat: list[list[int]], p: int) -> list[list[int]]:
-    """Invert a square matrix over F_p.  Raises ValueError if singular.
-
-    Read off the kernel of [M | I]: the n x 2n matrix has rank n, and M is
-    invertible exactly when its free columns are the last n, in which case
-    kernel vector j is (-M^-1 e_j, e_j)."""
-    n = len(mat)
-    basis = mat_kernel([list(row) + [int(i == j) for j in range(n)]
-                        for i, row in enumerate(mat)], p)
-    if any(v[n + j] != 1 for j, v in enumerate(basis)):
-        raise ValueError("matrix is singular mod %d" % p)
-    return [[-v[i] % p for v in basis] for i in range(n)]
 
 
 def mat_kernel(mat: list[list[int]], p: int) -> list[list[int]]:
@@ -133,7 +121,7 @@ def lane_passes(vals: list[int], p: int, n: int, mat: tuple) -> list[int]:
     return out.tolist()
 
 
-def axis_passes(vals: list, p: int, n: int, column) -> list:
+def axis_passes(vals, p: int, n: int, column) -> list:
     """Apply a size-p column map along every base-p digit of the index: the
     kernel of the Z[w] transforms.
 
@@ -150,13 +138,14 @@ def axis_passes(vals: list, p: int, n: int, column) -> list:
     at most p^6 columns and blanks them in its source as it reads them, so
     the entries of the old table are freed while the new one is built.
 
-    Returns a new list; `vals` is unchanged.
+    `vals` may be any iterable of the p^n entries; it is read once into
+    the working list.  Returns a new list; `vals` is unchanged.
     """
-    q = len(vals)
+    out = list(vals)
+    q = len(out)
     m = q // p
     run = min(m, p ** 6)
     blank = [None] * run
-    out = list(vals)
     for _ in range(n):
         src, out = out, [None] * q
         for r in range(0, m, run):

@@ -37,8 +37,6 @@ GOLDEN = [
      0, '59e28fea860465aac787d93948dc9d7790226a5547c6fb36e581299380e8238c'),
     (('analyze', 'p=7 n=2 f=Tr(x^2)'),
      0, '0085ded92deabdde34a0401c65ce6b9cbaee9a35466190aa9e813c22756e0586'),
-    (('analyze', 'p=3 n=3 f=Tr(x^8+x^14)', '--naive'),
-     0, '4261b8ad24aa05ae37aa7515e04c6a40cdc01b61c2c8dc9a5adf82fae661371e'),
     (('analyze', 'p=3 n=4 f=Tr(x^34+x^2)', '--dual-form'),
      0, 'd49a4d5e00e03721746c2e4fb3d882941f73630aea323a24793178f1d57c200c'),
     (('analyze', 'p=3 n=4 f=Tr(x^34+x^2)', '--certify', '--seed', '5'),

@@ -4,8 +4,9 @@ from array import array
 
 import pytest
 
-from pbent.funcrep import _vandermonde
-from pbent.linalg import _lane_plan, axis_passes, lane_passes, mat_inverse, mat_kernel
+from pbent.funcrep import PFunction, _vandermonde, anf_to_truth
+from pbent.gf import get_field, is_prime
+from pbent.linalg import _lane_plan, axis_passes, lane_passes, mat_kernel
 
 
 def mat_vec(mat, vec, p):
@@ -56,29 +57,21 @@ def test_kernel_of_zero_and_invertible_matrices():
     assert mat_kernel([[1, 2], [0, 1]], 3) == []
 
 
-def test_mat_inverse_is_a_two_sided_inverse_and_refuses_singular():
-    rng = random.Random(43)
-    identity = {n: [[int(i == j) for j in range(n)] for i in range(n)] for n in range(1, 6)}
-    invertible = singular = 0
-    for p in (3, 5, 7):
-        for n in range(1, 6):
-            for _ in range(20):
-                mat = [[rng.randrange(p) if rng.random() < 0.7 else 0
-                        for _ in range(n)] for _ in range(n)]
-                if mat_kernel(mat, p):
-                    singular += 1
-                    with pytest.raises(ValueError):
-                        mat_inverse(mat, p)
-                    continue
-                invertible += 1
-                inv = mat_inverse(mat, p)
-                assert all(0 <= v < p for row in inv for v in row)
-                # column j of M * M^-1 and of M^-1 * M is e_j
-                cols = [[row[j] for row in inv] for j in range(n)]
-                assert [mat_vec(mat, c, p) for c in cols] == identity[n]
-                mcols = [[row[j] for row in mat] for j in range(n)]
-                assert [mat_vec(inv, c, p) for c in mcols] == identity[n]
-    assert invertible > 100 and singular > 20
+def test_closed_form_inverse_vandermonde_is_a_two_sided_inverse():
+    for p in filter(is_prime, range(2, 32)):
+        v, inv = _vandermonde(p, False), _vandermonde(p, True)
+        assert all(0 <= c < p for row in inv for c in row)
+        identity = [[int(i == j) for j in range(p)] for i in range(p)]
+        # column j of V * V^-1 and of V^-1 * V is e_j
+        assert [mat_vec(v, [row[j] for row in inv], p) for j in range(p)] == identity
+        assert [mat_vec(inv, [row[j] for row in v], p) for j in range(p)] == identity
+    # the ANF round trip through both matrices, with lanes wider than a byte
+    rng = random.Random(45)
+    for p, n in ((211, 1), (13, 2)):
+        ctx = get_field(p, n)
+        for _ in range(5):
+            f = PFunction(ctx, [rng.randrange(p) for _ in range(ctx.q)])
+            assert anf_to_truth(f.to_anf()) == f
 
 
 def _extreme_columns(mat, p):

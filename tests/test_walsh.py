@@ -7,7 +7,7 @@ from pbent.errors import PreconditionError
 from pbent.funcrep import PFunction, TraceForm
 from pbent.gf import get_field
 from pbent.linalg import axis_passes
-from pbent.walsh import (_dft3_column, _dft_generic_column, _dual_data,
+from pbent.walsh import (_dft3_column, _dft_generic_column, _dual_table,
                          _second_derivative_counts,
                          bent_via_derivatives, bent_via_second_derivative_sum, classify,
                          dual_iteration_check, extract_certificate, inverse_sums,
@@ -134,25 +134,22 @@ def test_axis_passes_moves_every_entry():
             assert out[y] == x
 
 
-def _dual_sum_index(ctx, dual, v):
-    """Index of sum_j v_j beta_j, by field-element arithmetic."""
-    acc = ctx.zero()
-    for vj, beta in zip(ctx.from_index(v).coeffs, dual):
-        acc = acc + ctx.elem(beta).scale(vj)
-    return acc.index
+def _dual_coordinates_index(ctx, y):
+    """Index of (Tr(alpha^j y))_j, by field-element products."""
+    alpha_powers = [ctx.from_index(ctx.p ** j) for j in range(ctx.n)]
+    return ctx.to_index([ctx.trace(a * ctx.from_index(y)) for a in alpha_powers])
 
 
-def test_dual_permutation_matches_dual_basis_sums():
+def test_dual_table_reads_trace_dual_coordinates():
     fields = [get_field(3, 1), F27, F81, get_field(3, 4, (1, 1, 1, 1, 1)),
               get_field(5, 3), get_field(7, 2)]
     for ctx in fields:
-        dual, perm = _dual_data(ctx)
-        assert perm == [_dual_sum_index(ctx, dual, v) for v in range(ctx.q)]
+        assert _dual_table(ctx) == [_dual_coordinates_index(ctx, y) for y in range(ctx.q)]
     ctx = get_field(3, 12)
-    dual, perm = _dual_data(ctx)
+    table = _dual_table(ctx)
     rng = random.Random(26)
-    for v in rng.sample(range(ctx.q), 2000):
-        assert perm[v] == _dual_sum_index(ctx, dual, v)
+    for y in rng.sample(range(ctx.q), 2000):
+        assert table[y] == _dual_coordinates_index(ctx, y)
 
 
 def test_inverse_roundtrip_table_row():
