@@ -24,7 +24,7 @@ spectrum = pb.walsh_fast(f)
 cert = pb.extract_certificate(spectrum)
 print("\nbent:", pb.is_bent(spectrum))
 print("sign histogram:", cert.sign_histogram(), "-> both signs, not weakly regular")
-print("classification:", pb.classify(f, spectrum))
+print("classification:", pb.classify(f))
 print("dual degree:", cert.dual.algebraic_degree(), "(the function itself is cubic)")
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,10 @@ built, so an over-budget request is refused before any primality test,
 modulus search or table.  A field read from a function spec, and a
 trinomial's field, is also held to the exp/log table cap 3^12, since its
 functions are evaluated through those tables; concat's combined field is
-held to --max-points alone.  Errors print a machine-readable object on stderr
-and exit with a distinct code per failure kind: 2 parse, 3 precondition,
-4 budget, 5 internal inconsistency.
+held to --max-points alone.  The integer options are read by the spec
+grammars' `gf.parse_int` (ASCII -?[0-9]+).  Errors print a machine-readable
+object on stderr and exit with a distinct code per failure kind: 2 parse,
+3 precondition, 4 budget, 5 internal inconsistency.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .errors import (BudgetError, InternalInconsistency, ParseError,
                      PreconditionError)
 from .funcrep import (PFunction, parse_coeff, parse_function_spec,
                       to_relative_trace_form)
-from .gf import FieldError, check_field_size, get_field
+from .gf import FieldError, check_field_size, get_field, parse_int
 from .suite import run_suite
 from .walsh import classify, extract_certificate, walsh_fast
 
@@ -53,7 +54,7 @@ def analyze_function(f: PFunction, certify: bool = False, dual_form: bool = Fals
                      seed: int = 0) -> dict:
     """Assemble the analysis report dict (ordered, JSON-ready)."""
     spectrum = walsh_fast(f)
-    cls = classify(f, spectrum)
+    cls = classify(f)
     report = {
         "p": f.ctx.p,
         "n": f.ctx.n,
@@ -66,8 +67,7 @@ def analyze_function(f: PFunction, certify: bool = False, dual_form: bool = Fals
         cert = extract_certificate(spectrum)
         report["sign_histogram"] = cert.sign_histogram()
         report["dual_degree"] = cert.dual.algebraic_degree()
-        report["dual_bent"] = (True if cls.variant in ("regular", "weakly_regular")
-                               else cls.dual_bent)
+        report["dual_bent"] = cls.dual_bent
         if dual_form:
             dform = to_relative_trace_form(cert.dual)
             f.ctx.ensure_tables()
@@ -258,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap = _ArgumentParser(
         prog="pbent",
         description="Exact Walsh-spectrum analysis of p-ary functions")
-    ap.add_argument("--max-points", type=int, default=DEFAULT_SPECTRUM_BUDGET,
+    ap.add_argument("--max-points", type=parse_int, default=DEFAULT_SPECTRUM_BUDGET,
                     help="largest field size p^n a command may read or build")
     sub = ap.add_subparsers(dest="command", required=True)
 
@@ -268,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
                       help="add cubic-like and derivative-identity reports")
     p_an.add_argument("--dual-form", action="store_true",
                       help="include the dual's relative trace form")
-    p_an.add_argument("--seed", type=int, default=0)
+    p_an.add_argument("--seed", type=parse_int, default=0)
     p_an.set_defaults(fn=cmd_analyze)
 
     p_sp = sub.add_parser("spectrum", help="dump the exact spectrum as CSV")
@@ -279,12 +279,12 @@ def build_parser() -> argparse.ArgumentParser:
     csub = p_c.add_subparsers(dest="family", required=True)
 
     p_tri = csub.add_parser("trinomial", help="the cubic non-weakly regular family")
-    p_tri.add_argument("--k", type=int, required=True)
-    p_tri.add_argument("--j", type=int, required=True)
-    p_tri.add_argument("--t", type=int, required=True)
+    p_tri.add_argument("--k", type=parse_int, required=True)
+    p_tri.add_argument("--j", type=parse_int, required=True)
+    p_tri.add_argument("--t", type=parse_int, required=True)
     p_tri.add_argument("--analyze", action="store_true")
     p_tri.add_argument("--certify", action="store_true")
-    p_tri.add_argument("--seed", type=int, default=0)
+    p_tri.add_argument("--seed", type=parse_int, default=0)
     p_tri.set_defaults(fn=cmd_construct_trinomial)
 
     p_cc = csub.add_parser("concat", help="bent concatenation from a slice file")
@@ -309,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_vt.set_defaults(fn=cmd_verify_table1)
 
     p_ps = sub.add_parser("property-suite", help="run the invariant batteries")
-    p_ps.add_argument("--seed", type=int, default=0)
+    p_ps.add_argument("--seed", type=parse_int, default=0)
     p_ps.add_argument("--level", choices=("quick", "full"), default="quick")
     p_ps.add_argument("--only",
                       help="comma-separated check names; an unknown name is a parse error")

@@ -17,8 +17,9 @@ trilinear-form path and the path for degree > 3; run on g = f it gives the
 linear space E_f and the balance witness of a quadratic.
 
 The weakly-regular identity battery walks directions c.  A row c
-transforms D_c f (kept for the row of -c) and gets the dual side at every
-b at once from the correlation identity of derivative transforms,
+transforms D_c f, which also gives W_{D_-c f}(b) = w^-Tr(bc) conj(W_{D_c
+f}(-b)) as D_-c f(x) = -D_c f(x - c), and gets the dual side at every b at
+once from the correlation identity of derivative transforms,
 W_{D_b f*}(-c) = p^-n sum_y W(y) conj(W(y + c)) w^Tr(by) with W = W_{f*}
 (transformed once): shifting y by -c folds in the check's phase, so
 w^Tr(bc) W_{D_b f*}(-c) is one pointwise product, one inverse-kernel run
@@ -39,7 +40,7 @@ import functools
 import itertools
 import random
 
-from .cyclo import conj_coords, mul_coords
+from .cyclo import CycInt, conj_coords, mul_coords
 from .errors import InternalInconsistency, PreconditionError
 from .funcrep import PFunction
 from .gf import FFElem
@@ -233,20 +234,30 @@ def _phase_row(w: list, ctx, c: int) -> list:
     return list(zip(*[coords] * (p - 1)))
 
 
+def _mirror_maps(p: int) -> tuple:
+    """x -> w^-t * conj(x) on coordinate tuples, indexed by t in F_p;
+    unrolled for p = 3, where conj(a + b*w) = (a - b) - b*w."""
+    if p == 3:
+        return (lambda x: (x[0] - x[1], -x[1]), lambda x: (-x[0], x[1] - x[0]),
+                lambda x: (x[1], x[0]))
+    return tuple(lambda x, u=CycInt.omega_pow(p, -t % p).coords:
+                 mul_coords(u, conj_coords(x, p), p) for t in range(p))
+
+
 def wr_identity_check(f: PFunction, seed: int = 0,
                       certificate: CubicLikeCertificate | None = None) -> WrIdentityReport:
     """Run the derivative-transform identity battery on a bent function.
 
     Violations of the checks in `WrIdentityReport.SOUND_CHECKS` certify
     non-weak-regularity; the other checks can fail on weakly regular
-    functions too (see `WrIdentityReport`).  It walks rows c, the dual
-    side of every b of a row coming from one inverse-kernel run of the
-    correlation identity (see the module docstring): all q rows when p^2n
-    <= SAMPLED_PAIRS, otherwise ceil(SAMPLED_PAIRS / q) distinct
-    rows from `random.Random(seed).sample`, in draw order, the last one cut
-    so that exactly SAMPLED_PAIRS pairs are checked.  With a cubic-like
-    `certificate` of f, a nonzero W_{D_c f}(b) with Tr(bd) != lambda for
-    c's witness (d, lambda) raises InternalInconsistency.
+    functions too (see `WrIdentityReport`).  It walks rows c, each one
+    transform of D_c f and one inverse-kernel run of the correlation
+    identity with the dual's memoized W_{f*} (see the module docstring):
+    all q rows when p^2n <= SAMPLED_PAIRS, otherwise ceil(SAMPLED_PAIRS /
+    q) distinct rows from `random.Random(seed).sample`, in draw order, the
+    last one cut so that exactly SAMPLED_PAIRS pairs are checked.  With a
+    cubic-like `certificate` of f, a nonzero W_{D_c f}(b) with Tr(bd) !=
+    lambda for c's witness (d, lambda) raises InternalInconsistency.
     """
     ctx = f.ctx
     p, q = ctx.p, ctx.q
@@ -263,21 +274,21 @@ def wr_identity_check(f: PFunction, seed: int = 0,
     neg = [ctx.neg_index(i) for i in range(q)]
     ctx.ensure_tables()
     log, trace_of_exp, order = ctx.log_table, ctx._trace_of_exp, ctx.order
-    spec = {c: walsh_fast(f.derivative(ctx.from_index(c))).coords
-            for c in set(rows) | {neg[c] for c in rows}}
+    mirror = _mirror_maps(p)
     violations = []
     for i, c in enumerate(rows):
-        wc, wneg, phase = spec[c], spec[neg[c]], _phase_row(w_dual, ctx, c)
+        wc = walsh_fast(f.derivative(ctx.from_index(c))).coords
+        phase = _phase_row(w_dual, ctx, c)
         d, lam = witnesses.get(c, (0, 0))
         for b in range(min(q, pair_count - i * q)):
-            wcb = wc[b]
-            if wcb != wc[neg[b]]:
+            wcb, wc_nb = wc[b], wc[neg[b]]
+            tr = trace_of_exp[(log[b] + log[c]) % order] if b and c else 0
+            if wcb != wc_nb:
                 violations.append({"b": b, "c": c, "check": "symmetry_in_b"})
-            if wcb != wneg[b]:
+            if wcb != mirror[tr](wc_nb):
                 violations.append({"b": b, "c": c, "check": "symmetry_in_c"})
             if wcb != phase[b]:
                 violations.append({"b": b, "c": c, "check": "dual_phase_identity"})
-            tr = trace_of_exp[(log[b] + log[c]) % order] if b and c else 0
             if tr != 0:
                 if any(wcb):
                     violations.append({"b": b, "c": c, "check": "vanishing_on_nonzero_trace"})

@@ -54,7 +54,7 @@ class PFunction:
     constructor reduces every entry mod p, so the operations below pass
     their integer results unreduced."""
 
-    __slots__ = ("ctx", "values", "_degree")
+    __slots__ = ("ctx", "values", "_degree", "_spectrum")
 
     def __init__(self, ctx: FieldCtx, values) -> None:
         self.ctx = ctx
@@ -64,6 +64,7 @@ class PFunction:
         p = ctx.p
         self.values = [v % p for v in values]
         self._degree = None
+        self._spectrum = None
 
     def __call__(self, x: FFElem) -> int:
         return self.values[x.index]

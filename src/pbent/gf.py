@@ -542,14 +542,17 @@ def check_field_size(p: int, n: int, max_points: int, tables: bool = False) -> N
 
 
 def parse_int(token: str) -> int:
-    """int(token) for a token of the spec grammars, whose digits are ASCII
-    [0-9].  A malformed decimal, or one longer than CPython converts (4,300
-    digits by default), is a ParseError rather than int()'s ValueError."""
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError("bad integer %r%s (malformed, or more digits than int() converts)"
-                         % (token[:20], "..." if len(token) > 20 else "")) from None
+    """int(token) for an integer of the spec grammars and the integer
+    options: ASCII -?[0-9]+ only, where int() also takes other Unicode
+    digits, "_", "+" and surrounding whitespace.  Anything else, or more
+    digits than CPython converts (4,300 by default), is a ParseError."""
+    if re.fullmatch(r"-?[0-9]+", token):
+        try:
+            return int(token)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise ParseError("bad integer %r%s (not -?[0-9]+, or more digits than int() converts)"
+                     % (token[:20], "..." if len(token) > 20 else ""))
 
 
 _FIELD_SPEC_RE = re.compile(

@@ -25,7 +25,8 @@ so a constructed WalshSpectrum is already a certificate of internal
 consistency, and `is_bent` only reads the flag.  The bent certificate is
 recognized on coordinates (`cyclo.unit_power_forms`) once per spectrum and
 cached.  CycInt stays the scalar type at the API boundary: `s[y]` and
-`s.values`, a view built on first access.
+`s.values`, a view built on first access.  `walsh_fast` memoizes the
+spectrum on f, so a command transforms f once; `walsh_naive` never reads it.
 """
 
 from __future__ import annotations
@@ -192,12 +193,14 @@ def _trace_sums(ctx: FieldCtx, vals, sign: int) -> list:
 
 
 def walsh_fast(f: PFunction) -> WalshSpectrum:
-    """Tensor-decomposed transform; exact same values as walsh_naive."""
-    ctx = f.ctx
-    omegas = _omega_coords(ctx.p)
-    # a lazy map: `axis_passes` copies its input anyway, and a q-entry list
-    # held across the passes raised the n = 12 peak RSS by 7 MB
-    return WalshSpectrum(ctx, _trace_sums(ctx, map(omegas.__getitem__, f.values), -1), "fast")
+    """Tensor-decomposed transform, memoized on f; same values as walsh_naive."""
+    if f._spectrum is None:
+        ctx = f.ctx
+        omega = _omega_coords(ctx.p).__getitem__
+        # a lazy map: `axis_passes` copies its input anyway, and a q-entry
+        # list held across the passes raised the n = 12 peak RSS by 7 MB
+        f._spectrum = WalshSpectrum(ctx, _trace_sums(ctx, map(omega, f.values), -1), "fast")
+    return f._spectrum
 
 
 def inverse_sums(ctx: FieldCtx, coords: list) -> list:
@@ -290,9 +293,9 @@ class Classification:
         return out
 
 
-def classify(f: PFunction, spectrum: WalshSpectrum | None = None) -> Classification:
+def classify(f: PFunction) -> Classification:
     """Spectral classification; non-bent input is a result, not an error."""
-    s = spectrum if spectrum is not None else walsh_fast(f)
+    s = walsh_fast(f)
     if not is_bent(s):
         return Classification(NOT_BENT)
     cert = extract_certificate(s)

@@ -61,7 +61,7 @@ def test_01_trinomial_k1_both_routes():
             # spectral route
             spectrum = pb.walsh_fast(f)
             assert pb.is_bent(spectrum)
-            cls = pb.classify(f, spectrum)
+            cls = pb.classify(f)
             assert cls.variant == pb.NON_WEAKLY_REGULAR
             # second-order-derivative route: completeness certifies bentness,
             # dual-phase violations certify non-weak-regularity
@@ -80,7 +80,7 @@ def test_02_trinomial_k2_fast():
         assert f.algebraic_degree() == 3
         spectrum = pb.walsh_fast(f)
         assert pb.is_bent(spectrum)
-        assert pb.classify(f, spectrum).variant == pb.NON_WEAKLY_REGULAR
+        assert pb.classify(f).variant == pb.NON_WEAKLY_REGULAR
         assert time.perf_counter() - t0 < 300.0
 
 

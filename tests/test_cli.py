@@ -268,16 +268,31 @@ def test_over_budget_field_is_refused_before_it_is_built(argv, tmp_path, monkeyp
                                   "p=3 n=4 mod=[1-2,0,0,0,1] f=Tr(x)",
                                   "p=\u0663 n=2 f=Tr(x^\u0662)", "p=3 n=\u0662 f=Tr(x^2)",
                                   "p=3 n=2 f=Tr(\u0663*x^2)", "p=3 n=2 f=Tr(g^\u0663*x^2)",
-                                  "p=3 n=2 f=Tr(x^2)+\u0661", "p=3 n=4 mod=[2,1\t,0,0,1] f=Tr(x)"],
+                                  "p=3 n=2 f=Tr(x^2)+\u0661", "p=3 n=4 mod=[2,1\t,0,0,1] f=Tr(x)",
+                                  "p=3 n=4 mod=[+2,1,0,0,1] f=Tr(x)"],
                          ids=["p", "exponent", "modulus_token", "arabic_p_and_exponent",
                               "arabic_n", "arabic_scalar", "arabic_g_power", "arabic_constant",
-                              "modulus_tab"])
+                              "modulus_tab", "modulus_plus"])
 def test_integer_that_int_cannot_convert_is_a_parse_error(spec):
     # CPython's int() refuses decimals of more than 4,300 digits; the
     # modulus grammar admits tokens such as "1-2" that are no integer.
-    # int() takes non-ASCII digits and surrounding whitespace, which the
-    # ASCII grammar refuses.
+    # int() takes non-ASCII digits, a leading + and surrounding whitespace,
+    # which the ASCII grammar refuses.
     _json_error(run_cli("analyze", spec), 2, "parse_error")
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "p=3 n=2 f=Tr(x^2)", "--seed", "\u0663"),
+    ("analyze", "p=3 n=2 f=Tr(x^2)", "--seed", " 7 "),
+    ("analyze", "p=3 n=2 f=Tr(x^2)", "--seed", "+7"),
+    ("--max-points", "1_000", "analyze", "p=3 n=2 f=Tr(x^2)"),
+    ("construct", "trinomial", "--k", "1", "--j", "2", "--t", "\u0661"),
+    ("property-suite", "--seed", "1_0"),
+], ids=["arabic_seed", "padded_seed", "plus_seed", "underscore_max_points",
+        "arabic_trinomial_t", "underscore_suite_seed"])
+def test_integer_option_outside_ascii_digits_is_a_parse_error(argv):
+    # the integer options go through the spec grammars' parser, gf.parse_int
+    _json_error(run_cli(*argv), 2, "parse_error")
 
 
 def test_removed_knobs_are_parse_errors():
@@ -348,6 +363,30 @@ def test_concat_over_budget_is_refused_before_combining(tmp_path, monkeypatch, c
     res = run_cli("--max-points", "27", "construct", "concat", "--slices", str(slices))
     assert res.returncode == 0
     assert json.loads(res.stdout)["n"] == 3
+
+
+@pytest.mark.parametrize("argv, transforms", [
+    (["construct", "trinomial", "--k", "2", "--j", "1", "--t", "1", "--analyze", "--certify"], 4),
+    (["analyze", "p=3 n=6 f=Tr(x^2)", "--certify"], 16),
+], ids=["trinomial_211", "quadratic_n6"])
+def test_certify_transforms_each_function_once(argv, transforms, monkeypatch, capsys):
+    # f and its dual once each, and one D_c f per sampled row c: two rows of
+    # 3^8 points for the trinomial, ceil(10000 / 729) = 14 rows at n = 6
+    # (the dual of a weakly regular f is only transformed by the battery)
+    import pbent.cli
+    import pbent.walsh
+
+    built = []
+    init = pbent.walsh.WalshSpectrum.__init__
+
+    def counting(self, *args):
+        built.append(args[0])
+        init(self, *args)
+
+    monkeypatch.setattr(pbent.walsh.WalshSpectrum, "__init__", counting)
+    assert pbent.cli.main(argv) == 0
+    capsys.readouterr()
+    assert len(built) == transforms
 
 
 def test_dual_form_over_its_limit_is_refused_before_any_transform(monkeypatch, capsys):

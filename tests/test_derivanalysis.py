@@ -295,8 +295,9 @@ def _pair_battery_oracle(f, pairs):
     lambda: parse_function_spec("p=3 n=4 f=Tr(x^4+g^10*x^22)")[1].truth_table(),
     lambda: quad(F81),
     lambda: quad(get_field(5, 2)),
+    lambda: quad(get_field(7, 2)),
 ], ids=["trinomial_121", "trinomial_101", "x34_x2", "sporadic_x4_x22",
-        "quadratic_p3_n4", "quadratic_p5_n2"])
+        "quadratic_p3_n4", "quadratic_p5_n2", "quadratic_p7_n2"])
 def test_wr_rows_match_pair_oracle_exhaustive(make):
     f = make()
     q = f.ctx.q
@@ -304,6 +305,22 @@ def test_wr_rows_match_pair_oracle_exhaustive(make):
     assert rep.exhaustive and rep.pair_count == q * q
     pairs = [(b, c) for c in range(q) for b in range(q)]
     assert rep.violations == _pair_battery_oracle(f, pairs)
+
+
+@pytest.mark.parametrize("p, n", [(3, 3), (5, 2), (7, 2)])
+def test_mirror_maps_read_the_row_of_minus_c(p, n):
+    # W_{D_-c f}(b) = w^-Tr(bc) conj(W_{D_c f}(-b)) holds for every f, so a
+    # seeded random table checks every (b, c) against a second transform
+    ctx = get_field(p, n)
+    rng = random.Random(p)
+    f = PFunction(ctx, [rng.randrange(p) for _ in range(ctx.q)])
+    mirror = derivanalysis._mirror_maps(p)
+    for c in range(ctx.q):
+        wc = walsh_fast(f.derivative(ctx.from_index(c))).coords
+        wneg = walsh_fast(f.derivative(-ctx.from_index(c))).coords
+        for b in range(ctx.q):
+            tr = ctx.trace(ctx.from_index(b) * ctx.from_index(c))
+            assert mirror[tr](wc[ctx.neg_index(b)]) == wneg[b]
 
 
 def _battery_rows(q, seed):
