@@ -11,10 +11,11 @@ b -> D_a D_b f(0) is linear, and a reduced kernel basis yields the first
 witness in index order without enumerating the kernel.
 
 One scan, `_constant_derivatives(g)`, finds every b with D_b g constant,
-reading x + b point by point so that a direction is dropped at its first
-failing point.  Run on g = D_a f it is the exact oracle for the
-trilinear-form path and the path for degree > 3; run on g = f it gives the
-linear space E_f and the balance witness of a quadratic.
+reading x + b point by point from a cached table of digit-wise sums, so
+that a direction is dropped at its first failing point.  Run on g = D_a f
+it is the exact oracle for the trilinear-form path and the path for
+degree > 3; run on g = f it gives the linear space E_f and the balance
+witness of a quadratic.
 
 The weakly-regular identity battery walks directions c.  A row c
 transforms D_c f, which also gives W_{D_-c f}(b) = w^-Tr(bc) conj(W_{D_c
@@ -22,15 +23,21 @@ f}(-b)) as D_-c f(x) = -D_c f(x - c), and gets the dual side at every b at
 once from the correlation identity of derivative transforms,
 W_{D_b f*}(-c) = p^-n sum_y W(y) conj(W(y + c)) w^Tr(by) with W = W_{f*}
 (transformed once): shifting y by -c folds in the check's phase, so
-w^Tr(bc) W_{D_b f*}(-c) is one pointwise product, one inverse-kernel run
-and an exact division by p^n.  Every b of a row is checked for symmetry
-of W_{D_c f} in b and c negation, that phase identity, vanishing on
-Tr(bc) != 0 and realness on Tr(bc) = 0, with -b and Tr(bc) read from
-tables (only the phase identity is sound; see `WrIdentityReport`).  Small
-fields are walked whole; larger ones fill SAMPLED_PAIRS with seeded rows
-(see `wr_identity_check`).  Given a cubic-like witness D_{c,d} f = lambda,
-a row also checks W_{D_c f}(b) = 0 whenever Tr(bd) != lambda, which holds
-for every function, so a failure is an internal inconsistency.
+P_c(b) = w^Tr(bc) W_{D_b f*}(-c) is one pointwise product, one
+inverse-kernel run and an exact division by p^n.  The same identity gives
+P_-c(b) = w^-Tr(bc) conj(P_c(-b)), so a pair of rows c, -c costs one
+derivative, one forward transform and one inverse run: the row of -c is
+the mirror image of row c on both sides.  The mirror keeps |x|^2 and
+permutes b, so the Parseval sum of row -c is row c's, and its entries are
+images of row c's exactly divided sums, so neither check is repeated.
+Every b of a row is checked for symmetry of W_{D_c f} in b and c negation,
+that phase identity, vanishing on Tr(bc) != 0 and realness on Tr(bc) = 0,
+with -b and Tr(bc) read from tables (only the phase identity is sound; see
+`WrIdentityReport`).  Small fields are walked whole; larger ones fill
+SAMPLED_PAIRS with seeded rows (see `wr_identity_check`).  Given a
+cubic-like witness D_{c,d} f = lambda, every walked row also checks
+W_{D_c f}(b) = 0 whenever Tr(bd) != lambda, which holds for every
+function, so a failure is an internal inconsistency.
 """
 
 from __future__ import annotations
@@ -40,7 +47,7 @@ import functools
 import itertools
 import random
 
-from .cyclo import CycInt, conj_coords, mul_coords
+from .cyclo import conj_coords, mul_coords
 from .errors import InternalInconsistency, PreconditionError
 from .funcrep import PFunction
 from .gf import FFElem
@@ -114,16 +121,41 @@ def _first_witness_low_degree(f: PFunction, tri: list, a_idx: int):
     return None
 
 
+@functools.lru_cache(maxsize=8)
+def _digit_sums(p: int, m: int) -> list:
+    """sums[b][x] = index of x + b for indexes of m base-p digits, built one
+    digit at a time: p^2m ints, cached because every scan of a field with
+    2m or 2m + 1 digits reads the same table."""
+    sums = [[0]]
+    for k in range(m):
+        sums = [[(xd + bd) % p * p ** k + v for xd in range(p) for v in row]
+                for bd in range(p) for row in sums]
+    return sums
+
+
 def _constant_derivatives(g: PFunction):
     """Yield (b, D_b g) in index order for every b where D_b g is constant.
 
-    x + b is read point by point with `add_index`, so a direction is
-    dropped at its first point where D_b g(x) != D_b g(0)."""
+    An index is read as (top, hi, lo): lo and hi have h = n // 2 digits
+    each, and top has the last digit when n is odd.  Adding b has no carries
+    between digits, so x + b is read from the `_digit_sums` table of h
+    digits (at most q ints) for lo and hi and from one addition mod p per
+    plane for top, and a direction is dropped at its first point x where
+    D_b g(x) != D_b g(0).  Two tables of floor and ceil(n/2) digits would
+    hold p^(n+1) ints for odd n, p^2 = q^2 at n = 1."""
     ctx = g.ctx
-    p, add, vals = ctx.p, ctx.add_index, g.values
-    for b in range(ctx.q):
+    p, q, vals = ctx.p, ctx.q, g.values
+    half = p ** (ctx.n // 2)
+    sums = _digit_sums(p, ctx.n // 2)
+    grid = [[vals[x:x + half] for x in range(y, y + half * half, half)]
+            for y in range(0, q, half * half)]
+    planes = len(grid)
+    for b, (top, hi, lo) in enumerate(itertools.product(range(planes), sums, sums)):
         const = (vals[b] - vals[0]) % p
-        if all((vals[add(x, b)] - vals[x]) % p == const for x in range(1, ctx.q)):
+        if all((s[j] - v) % p == const
+               for t, plane in enumerate(grid)
+               for row, s in zip(plane, map(grid[(t + top) % planes].__getitem__, hi))
+               for j, v in zip(lo, row)):
             yield b, const
 
 
@@ -235,13 +267,22 @@ def _phase_row(w: list, ctx, c: int) -> list:
 
 
 def _mirror_maps(p: int) -> tuple:
-    """x -> w^-t * conj(x) on coordinate tuples, indexed by t in F_p;
-    unrolled for p = 3, where conj(a + b*w) = (a - b) - b*w."""
+    """x -> w^-t * conj(x) on coordinate tuples, indexed by t in F_p: the
+    exponent count of w^i moves to w^(-i-t), then the count of w^(p-1),
+    the old count of w^(1-t), is subtracted from all.  Unrolled for p = 3."""
     if p == 3:
         return (lambda x: (x[0] - x[1], -x[1]), lambda x: (-x[0], x[1] - x[0]),
                 lambda x: (x[1], x[0]))
-    return tuple(lambda x, u=CycInt.omega_pow(p, -t % p).coords:
-                 mul_coords(u, conj_coords(x, p), p) for t in range(p))
+
+    def mirror(t):
+        src, top = [(-j - t) % p for j in range(p - 1)], (1 - t) % p
+
+        def apply(x):
+            x += (0,)
+            c = x[top]
+            return tuple([x[i] - c for i in src])
+        return apply
+    return tuple(mirror(t) for t in range(p))
 
 
 def wr_identity_check(f: PFunction, seed: int = 0,
@@ -252,8 +293,9 @@ def wr_identity_check(f: PFunction, seed: int = 0,
     non-weak-regularity; the other checks can fail on weakly regular
     functions too (see `WrIdentityReport`).  It walks rows c, each one
     transform of D_c f and one inverse-kernel run of the correlation
-    identity with the dual's memoized W_{f*} (see the module docstring):
-    all q rows when p^2n <= SAMPLED_PAIRS, otherwise ceil(SAMPLED_PAIRS /
+    identity with the dual's memoized W_{f*} (see the module docstring),
+    except a row -c walked after row c, whose both sides row c already
+    gave: all q rows when p^2n <= SAMPLED_PAIRS, otherwise ceil(SAMPLED_PAIRS /
     q) distinct rows from `random.Random(seed).sample`, in draw order, the
     last one cut so that exactly SAMPLED_PAIRS pairs are checked.  With a
     cubic-like `certificate` of f, a nonzero W_{D_c f}(b) with Tr(bd) !=
@@ -276,16 +318,25 @@ def wr_identity_check(f: PFunction, seed: int = 0,
     log, trace_of_exp, order = ctx.log_table, ctx._trace_of_exp, ctx.order
     mirror = _mirror_maps(p)
     violations = []
+    todo, pending = set(rows), {}
     for i, c in enumerate(rows):
-        wc = walsh_fast(f.derivative(ctx.from_index(c))).coords
-        phase = _phase_row(w_dual, ctx, c)
+        todo.discard(c)
+        trs = [trace_of_exp[(log[b] + log[c]) % order] if b and c else 0
+               for b in range(min(q, pair_count - i * q))]
+        if c in pending:  # stashed by row -c, walked earlier
+            wc, phase, wneg = pending.pop(c)
+        else:
+            wc = walsh_fast(f.derivative(ctx.from_index(c))).coords
+            phase = _phase_row(w_dual, ctx, c)
+            wneg = [mirror[tr](wc[nb]) for tr, nb in zip(trs, neg)]
+            if neg[c] in todo:
+                pending[neg[c]] = (wneg, [mirror[tr](phase[nb]) for tr, nb in zip(trs, neg)], wc)
         d, lam = witnesses.get(c, (0, 0))
-        for b in range(min(q, pair_count - i * q)):
-            wcb, wc_nb = wc[b], wc[neg[b]]
-            tr = trace_of_exp[(log[b] + log[c]) % order] if b and c else 0
-            if wcb != wc_nb:
+        for b, tr in enumerate(trs):
+            wcb = wc[b]
+            if wcb != wc[neg[b]]:
                 violations.append({"b": b, "c": c, "check": "symmetry_in_b"})
-            if wcb != mirror[tr](wc_nb):
+            if wcb != wneg[b]:
                 violations.append({"b": b, "c": c, "check": "symmetry_in_c"})
             if wcb != phase[b]:
                 violations.append({"b": b, "c": c, "check": "dual_phase_identity"})

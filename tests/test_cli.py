@@ -365,28 +365,41 @@ def test_concat_over_budget_is_refused_before_combining(tmp_path, monkeypatch, c
     assert json.loads(res.stdout)["n"] == 3
 
 
-@pytest.mark.parametrize("argv, transforms", [
-    (["construct", "trinomial", "--k", "2", "--j", "1", "--t", "1", "--analyze", "--certify"], 4),
-    (["analyze", "p=3 n=6 f=Tr(x^2)", "--certify"], 16),
-], ids=["trinomial_211", "quadratic_n6"])
-def test_certify_transforms_each_function_once(argv, transforms, monkeypatch, capsys):
-    # f and its dual once each, and one D_c f per sampled row c: two rows of
-    # 3^8 points for the trinomial, ceil(10000 / 729) = 14 rows at n = 6
-    # (the dual of a weakly regular f is only transformed by the battery)
+@pytest.mark.parametrize("argv, transforms, inverse_runs", [
+    (["construct", "trinomial", "--k", "2", "--j", "1", "--t", "1", "--analyze", "--certify"], 4, 2),
+    (["analyze", "p=3 n=6 f=Tr(x^2)", "--certify"], 16, 14),
+    (["construct", "trinomial", "--k", "1", "--j", "2", "--t", "1", "--analyze", "--certify"], 43, 41),
+    (["analyze", "p=5 n=2 f=Tr(x^2)", "--certify"], 15, 13),
+], ids=["trinomial_211", "quadratic_n6", "trinomial_121_exhaustive", "quadratic_p5_exhaustive"])
+def test_certify_transforms_each_function_once(argv, transforms, inverse_runs, monkeypatch,
+                                               capsys):
+    # f and its dual once each, and one D_c f and one inverse run per walked
+    # row c, except a row -c walked after row c: two rows of 3^8 points for
+    # the (2, 1, 1) trinomial, ceil(10000 / 729) = 14 rows at n = 6, and in
+    # the exhaustive walks of q = 81 and 25 rows, row 0 and the (q - 1) / 2
+    # rows c walked before -c (the dual of a weakly regular f is only
+    # transformed by the battery)
     import pbent.cli
+    import pbent.derivanalysis
     import pbent.walsh
 
-    built = []
+    built, inverse = [], []
     init = pbent.walsh.WalshSpectrum.__init__
+    inverse_sums = pbent.derivanalysis.inverse_sums
 
     def counting(self, *args):
         built.append(args[0])
         init(self, *args)
 
+    def counting_inverse(ctx, coords):
+        inverse.append(ctx)
+        return inverse_sums(ctx, coords)
+
     monkeypatch.setattr(pbent.walsh.WalshSpectrum, "__init__", counting)
+    monkeypatch.setattr(pbent.derivanalysis, "inverse_sums", counting_inverse)
     assert pbent.cli.main(argv) == 0
     capsys.readouterr()
-    assert len(built) == transforms
+    assert (len(built), len(inverse)) == (transforms, inverse_runs)
 
 
 def test_dual_form_over_its_limit_is_refused_before_any_transform(monkeypatch, capsys):

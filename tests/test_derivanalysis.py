@@ -130,6 +130,30 @@ def test_constant_derivatives_match_brute_force():
         assert [c for _, c in _constant_derivatives(inputs[5])].count(0) == ctx.q // p
 
 
+@pytest.mark.parametrize("p, n", [(3, 4), (3, 5), (5, 3), (7, 2)])
+def test_constant_derivatives_match_add_index_scan(p, n):
+    # the digit-sum tables against x + b from `add_index`, point by point;
+    # odd n puts the top digit in planes of its own
+    ctx = get_field(p, n)
+    rng = random.Random(p * 10 + n)
+    inputs = [random_quadratic(ctx, rng), random_quadratic(ctx, rng),
+              PFunction(ctx, [rng.randrange(p) for _ in range(ctx.q)]),
+              TraceForm(ctx, [(ctx.gen_power(1), 1)]).truth_table()]
+    inputs.append(inputs[0].derivative(ctx.from_index(rng.randrange(1, ctx.q))))
+    for digit in (0, n - 1):  # x_digit^2: constant exactly where b_digit = 0
+        square = [0] * ctx.q
+        square[2 * p ** digit] = 1
+        inputs.append(anf_to_truth(ANF(ctx, square)))
+    for f in inputs:
+        vals = f.values
+        oracle = [(b, (vals[b] - vals[0]) % p) for b in range(ctx.q)
+                  if all((vals[ctx.add_index(x, b)] - vals[x]) % p == (vals[b] - vals[0]) % p
+                         for x in range(ctx.q))]
+        assert list(_constant_derivatives(f)) == oracle
+    assert [len(list(_constant_derivatives(f))) for f in inputs[-3:]] == [ctx.q, ctx.q // p,
+                                                                         ctx.q // p]
+
+
 def test_first_witness_scan_matches_second_derivative_oracle():
     # degree 4, so cubic_like_certificate takes the scan for these
     for spec in ("p=3 n=4 f=Tr(x^34+x^2)", "p=3 n=4 f=Tr(x^4+g^10*x^22)"):
@@ -360,6 +384,31 @@ def test_wr_rows_fill_sampled_pairs(monkeypatch):
     pairs = [(b, c) for c in rows for b in range(27)][:100]
     assert rep.violations and rep.violations == _pair_battery_oracle(f, pairs)
     assert {v["c"] for v in rep.violations} <= set(rows)
+
+
+@pytest.mark.parametrize("pairs, seed", [(500, 3), (1000, 2)])
+def test_wr_rows_of_minus_c_match_pair_oracle_sampled(pairs, seed, monkeypatch):
+    # a row -c walked after row c reads both of its sides from row c; at
+    # 500 pairs, seed 3 walks 60 = -30 in full, and at 1000 pairs, seed 2
+    # walks 20 = -10 in full and cuts its last row, 65 = -46, after 28 b
+    monkeypatch.setattr(derivanalysis, "SAMPLED_PAIRS", pairs)
+    f = trinomial_bent(TrinomialParams(1, 2, 1)).truth_table()
+    ctx = f.ctx
+    rows = random.Random(seed).sample(range(81), math.ceil(pairs / 81))
+    later = [c for i, c in enumerate(rows) if ctx.neg_index(c) in rows[:i]]
+    assert later[0] != rows[-1] and (rows[-1] in later) == (seed == 2)
+    cert = cubic_like_certificate(f)
+    rep = wr_identity_check(f, seed=seed, certificate=cert)
+    assert not rep.exhaustive and rep.pair_count == pairs
+    expected = _pair_battery_oracle(f, [(b, c) for c in rows for b in range(81)][:pairs])
+    assert rep.violations == expected and rep.sound_violations
+    assert {v["c"] for v in rep.violations} >= set(later)
+    # the witness implication still runs on a row read from row c
+    c = later[0]
+    bad = dict(cert.witnesses)
+    bad[c] = (bad[c][0], bad[c][1] % 2 + 1)
+    with pytest.raises(InternalInconsistency):
+        wr_identity_check(f, seed=seed, certificate=CubicLikeCertificate(bad, True))
 
 
 def test_quad_like_implication():
