@@ -50,7 +50,7 @@ import random
 from .cyclo import conj_coords, mul_coords
 from .errors import InternalInconsistency, PreconditionError
 from .funcrep import PFunction
-from .gf import FFElem
+from .gf import FFElem, digit_sums
 from .linalg import mat_kernel
 from .walsh import extract_certificate, inverse_sums, is_bent, walsh_fast
 
@@ -121,24 +121,12 @@ def _first_witness_low_degree(f: PFunction, tri: list, a_idx: int):
     return None
 
 
-@functools.lru_cache(maxsize=8)
-def _digit_sums(p: int, m: int) -> list:
-    """sums[b][x] = index of x + b for indexes of m base-p digits, built one
-    digit at a time: p^2m ints, cached because every scan of a field with
-    2m or 2m + 1 digits reads the same table."""
-    sums = [[0]]
-    for k in range(m):
-        sums = [[(xd + bd) % p * p ** k + v for xd in range(p) for v in row]
-                for bd in range(p) for row in sums]
-    return sums
-
-
 def _constant_derivatives(g: PFunction):
     """Yield (b, D_b g) in index order for every b where D_b g is constant.
 
     An index is read as (top, hi, lo): lo and hi have h = n // 2 digits
     each, and top has the last digit when n is odd.  Adding b has no carries
-    between digits, so x + b is read from the `_digit_sums` table of h
+    between digits, so x + b is read from the `digit_sums` table of h
     digits (at most q ints) for lo and hi and from one addition mod p per
     plane for top, and a direction is dropped at its first point x where
     D_b g(x) != D_b g(0).  Two tables of floor and ceil(n/2) digits would
@@ -146,7 +134,7 @@ def _constant_derivatives(g: PFunction):
     ctx = g.ctx
     p, q, vals = ctx.p, ctx.q, g.values
     half = p ** (ctx.n // 2)
-    sums = _digit_sums(p, ctx.n // 2)
+    sums = digit_sums(p, ctx.n // 2)
     grid = [[vals[x:x + half] for x in range(y, y + half * half, half)]
             for y in range(0, q, half * half)]
     planes = len(grid)

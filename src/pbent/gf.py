@@ -19,37 +19,35 @@ primitivity checks, the trace vector, `mul_t` and `gen_power`, so that
 parsing a coefficient g^M builds no tables.
 
 All whole-field index tables rest on one fact: adding a fixed index has no
-carries between digits.  `shift_indexes` adds one to a list of indexes
-through two half tables (low and high digits), and `linear_table` builds
-the index table of an F_p-linear map one digit at a time from it.  The
-exp table walks the linear table of "multiply by the primitive element",
-trace-of-exp reads the linear table of the trace, `shift_table(a)` is x ->
-x + a, and the Walsh transform's trace-dual gather table is the linear
-table of the Gram matrix [Tr(alpha^(i+j))].
+carries between digits.  `shift_row` tabulates x -> x + r over indexes of
+m digits one digit at a time, and `digit_sums` stacks those rows for every
+r; `shift_indexes` adds one r to a list of indexes through two such half
+rows (low and high digits), and `linear_table` builds the index table of
+an F_p-linear map one digit at a time from it.  The exp table walks the
+linear table of "multiply by the primitive element", trace-of-exp reads
+the linear table of the trace, `shift_table(a)` is x -> x + a, and the
+Walsh transform's trace-dual gather table is the linear table of the Gram
+matrix [Tr(alpha^(i+j))].
 """
 
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
-from .errors import BudgetError, ParseError
+from .errors import BudgetError, InternalInconsistency, ParseError
 
 LOG_TABLE_MAX = 3 ** 12
 
 
-class FieldError(ValueError):
-    """Invalid field construction or field-operation precondition."""
+class FieldError(ParseError):
+    """Invalid field construction or field-operation precondition.  The
+    command line reads fields and elements only from input text, so it is a
+    ParseError there (exit 2)."""
 
 
 def is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            return False
-        d += 1
-    return True
+    return prime_factors(m) == [m]
 
 
 def prime_factors(m: int) -> list[int]:
@@ -110,6 +108,28 @@ def default_modulus(p: int, n: int) -> tuple[int, ...]:
         if _poly_is_irreducible(coeffs, p, n) and _is_primitive(_root(coeffs, p), coeffs, p):
             return coeffs
     raise FieldError("no irreducible polynomial found for p=%d n=%d" % (p, n))
+
+
+def shift_row(p: int, m: int, r: int) -> list[int]:
+    """[index(x + r) for x in range(p^m)], for r < p^m.  Adding r has no
+    carries between digits, so the row is built one digit at a time: the
+    entries with digit k of x equal to d are those of the lower digits plus
+    ((d + r_k) mod p) p^k."""
+    row = [0]
+    pw = 1
+    for _ in range(m):
+        r, rd = divmod(r, p)
+        row = [off + v for off in [(d + rd) % p * pw for d in range(p)] for v in row]
+        pw *= p
+    return row
+
+
+@lru_cache(maxsize=8)
+def digit_sums(p: int, m: int) -> list[list[int]]:
+    """sums[b][x] = index of x + b for indexes of m base-p digits, one
+    `shift_row` per b: p^2m ints, cached because every scan of a field with
+    2m or 2m + 1 digits reads the same table."""
+    return [shift_row(p, m, b) for b in range(p ** m)]
 
 
 def _digits(m: int, p: int, n: int) -> list[int]:
@@ -322,7 +342,7 @@ class FieldCtx:
                 y = _ppow(y, p, self.modulus, p)
                 acc = [a + c for a, c in zip(acc, y)]
             if any(a % p for a in acc[1:]):
-                raise FieldError("trace landed outside the prime field")
+                raise InternalInconsistency("trace landed outside the prime field")
             out.append(acc[0] % p)
         return tuple(out)
 
@@ -339,7 +359,7 @@ class FieldCtx:
         for _ in range(self.order):
             exp.append(step[exp[-1]])
         if exp.pop() != 1:
-            raise FieldError("exp table did not close (primitive order wrong)")
+            raise InternalInconsistency("exp table did not close (primitive order wrong)")
         log = [-1] * self.q
         for m, idx in enumerate(exp):
             log[idx] = m
@@ -404,11 +424,13 @@ class FieldCtx:
     def shift_indexes(self, idxs, r: int) -> list[int]:
         """[index(x + r) for x in idxs].  Adding r has no carries between
         digits, so the low h digits and the high n - h digits of each index
-        are translated by two half tables of p^h and p^(n-h) entries."""
-        half = self._powers_of_p[(self.n + 1) // 2]
+        are translated by two half tables (`shift_row`) of p^h and p^(n-h)
+        entries."""
+        h = (self.n + 1) // 2
+        half = self._powers_of_p[h]
         r_hi, r_lo = divmod(r, half)
-        lo = [self.add_index(x, r_lo) for x in range(half)]
-        hi = [self.add_index(x, r_hi) * half for x in range(self.q // half)]
+        lo = shift_row(self.p, h, r_lo)
+        hi = [v * half for v in shift_row(self.p, self.n - h, r_hi)]
         return [hi[x // half] + lo[x % half] for x in idxs]
 
     def shift_table(self, a_idx: int) -> list[int]:

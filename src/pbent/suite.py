@@ -288,8 +288,7 @@ def check_closed_forms(seed, level):
 
 def check_catalog(seed, level):
     for entry in list_catalog():
-        res = verify_entry(entry, search=False)
-        if res["status"] == "mismatch":
+        if verify_entry(entry)["status"] == "mismatch":
             return False, "catalog entry %s mismatched" % entry.label
     return True, "all catalog entries verify under their pinned realization"
 

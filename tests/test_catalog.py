@@ -1,6 +1,7 @@
 from dataclasses import replace
 
-from pbent.catalog import list_catalog, reinterpret_trace_form, verify_entry
+import pbent.catalog
+from pbent.catalog import list_catalog, verify_entry
 from pbent.funcrep import parse_function_spec
 
 
@@ -30,9 +31,8 @@ def test_catalog_contents_and_order():
 
 def test_all_entries_verify_under_pinned_realization():
     for e in list_catalog():
-        res = verify_entry(e, search=False)
-        assert res["status"] in ("match", "primitive_dependent"), (e.label, res)
-        assert res["exponent"] == e.pinned_exponent
+        res = verify_entry(e)
+        assert res["status"] == "match", (e.label, res)
 
 
 def test_sporadic_expectations():
@@ -47,36 +47,29 @@ def test_sporadic_expectations():
         e = get_entry(label)
         assert e.expected_variant == "non_weakly_regular"
         assert e.expected_dual_bent is dual_bent
-        res = verify_entry(e, search=False)
+        res = verify_entry(e)
         assert res["classification"].variant == "non_weakly_regular"
         assert res["classification"].dual_bent is dual_bent
 
 
-def test_reinterpretation_mechanics():
-    e = get_entry("sporadic_n4_x4_g10x22")
-    ctx, tf = parse_function_spec(e.spec)
-    same = reinterpret_trace_form(tf, 1)
-    assert same.truth_table() == tf.truth_table()
-    # integer coefficients are fixed by any odd exponent
-    twisted = reinterpret_trace_form(tf, 7)
-    coeff_map = dict((exp, c) for c, exp in twisted.terms)
-    assert coeff_map[4] == ctx.one()
-    assert coeff_map[22] == ctx.gen_power(70)
-
-
-def test_search_reports_primitive_dependence():
-    # expect the wrong dual-bent flag: the pinned try fails, the search
-    # cannot fix a realization-independent mismatch, so it reports mismatch
+def test_wrong_expectation_is_a_mismatch_after_one_classification(monkeypatch):
+    # the wrong dual-bent flag: the spec is classified once, as written,
+    # and the entry reports mismatch with that classification
+    calls = []
+    real = pbent.catalog.classify
+    monkeypatch.setattr(pbent.catalog, "classify",
+                        lambda f: calls.append(f) or real(f))
     e = get_entry("sporadic_n3_x8_x14")
-    wrong = replace(e, expected_dual_bent=False)
-    res = verify_entry(wrong, search=True)
+    res = verify_entry(replace(e, expected_dual_bent=False))
     assert res["status"] == "mismatch"
+    assert res["classification"].dual_bent is True
+    assert len(calls) == 1
 
 
 def test_quadratic_baselines_weakly_regular_dual_bent():
     for label in ("quadratic_n2", "quadratic_n4", "quadratic_n6"):
         e = get_entry(label)
-        res = verify_entry(e, search=False)
+        res = verify_entry(e)
         cls = res["classification"]
         assert cls.variant in ("weakly_regular", "regular")
         assert cls.dual_bent is True

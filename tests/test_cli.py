@@ -82,7 +82,7 @@ def test_certify_n8_trinomial_has_sound_violations():
 
 
 def test_verify_table1_json():
-    res = run_cli("verify-table1", "--json", "--no-search")
+    res = run_cli("verify-table1", "--json")
     assert res.returncode == 0
     out = json.loads(res.stdout)
     assert out["all_reproduced"] is True
@@ -90,6 +90,28 @@ def test_verify_table1_json():
     flags = {r["label"]: r["classification"]["dual_bent"] for r in out["rows"]}
     assert flags["sporadic_n3_x8_x14"] is True
     assert flags["sporadic_n6_g7x98"] is False
+    assert all(r["status"] == "match" and r["primitive_exponent"] == 1 for r in out["rows"])
+
+
+def test_verify_table1_flipped_expectation_is_one_classification_and_exit_5(
+        monkeypatch, capsys):
+    # one entry expects the wrong dual-bent flag: its row reads mismatch,
+    # the command exits 5, and every entry is classified exactly once
+    import dataclasses
+
+    import pbent.catalog
+    import pbent.cli
+    entries = pbent.catalog.list_catalog()
+    flipped = dataclasses.replace(entries[1], expected_dual_bent=not entries[1].expected_dual_bent)
+    monkeypatch.setattr(pbent.cli, "list_catalog", lambda: [entries[0], flipped, *entries[2:]])
+    calls = []
+    real = pbent.catalog.classify
+    monkeypatch.setattr(pbent.catalog, "classify", lambda f: calls.append(f) or real(f))
+    assert pbent.cli.main(["verify-table1", "--json"]) == 5
+    out = json.loads(capsys.readouterr().out)
+    assert out["all_reproduced"] is False
+    assert [r["status"] for r in out["rows"]] == ["match", "mismatch", "match", "match", "match"]
+    assert len(calls) == 5
 
 
 def test_spectrum_csv():
@@ -298,7 +320,8 @@ def test_integer_option_outside_ascii_digits_is_a_parse_error(argv):
 def test_removed_knobs_are_parse_errors():
     for argv in (("analyze", "p=3 n=2 f=Tr(x^2)", "--timings"),
                  ("analyze", "p=3 n=2 f=Tr(x^2)", "--naive"),
-                 ("spectrum", "p=3 n=2 f=Tr(x^2)", "--naive")):
+                 ("spectrum", "p=3 n=2 f=Tr(x^2)", "--naive"),
+                 ("verify-table1", "--no-search")):
         res = run_cli(*argv)
         _json_error(res, 2, "parse_error")
         assert argv[-1] in json.loads(res.stderr)["error"]["message"]

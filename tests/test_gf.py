@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from pbent.errors import BudgetError
-from pbent.gf import (FieldCtx, FieldError, check_field_size, default_modulus,
-                      get_field, parse_field_spec, prime_factors, _CONWAY, _ppow)
+from pbent.errors import BudgetError, InternalInconsistency, ParseError
+from pbent.gf import (FieldCtx, FieldError, check_field_size, default_modulus, digit_sums,
+                      get_field, is_prime, parse_field_spec, prime_factors, _CONWAY, _ppow)
 from test_linalg import mat_vec
 
 F9 = get_field(3, 2)
@@ -152,6 +152,20 @@ def test_shift_indexes_match_add_index():
         for r in sorted({0, 1, ctx.q - 1, rng.randrange(ctx.q)}):
             assert ctx.shift_indexes(idxs, r) == [ctx.add_index(x, r) for x in idxs]
             assert ctx.shift_table(r) == [ctx.add_index(x, r) for x in range(ctx.q)]
+    for p, m in ((3, 1), (3, 2), (5, 1), (5, 2), (7, 1)):
+        add = get_field(p, m).add_index
+        assert digit_sums(p, m) == [[add(x, b) for x in range(p ** m)] for b in range(p ** m)]
+
+
+def test_field_errors_are_parse_errors_and_bugs_are_internal():
+    assert issubclass(FieldError, ParseError)
+    assert [m for m in range(-3, 40) if is_prime(m)] == [2, 3, 5, 7, 11, 13, 17, 19, 23,
+                                                         29, 31, 37]
+    # a primitive element of the wrong order can only come from a bug
+    ctx = FieldCtx(3, 2)
+    ctx.primitive = ctx.zero()
+    with pytest.raises(InternalInconsistency, match="did not close"):
+        ctx.ensure_tables()
 
 
 def test_linear_table_matches_mat_vec():

@@ -1,4 +1,5 @@
-"""Golden CLI output: exact stdout of analyze, construct and spectrum.
+"""Golden CLI output: exact stdout of analyze, construct, spectrum and
+verify-table1.
 
 Each command's stdout is pinned by its SHA-256, so any change to a report
 byte (key order, a value, the CSV layout) fails here.  The digests were
@@ -6,8 +7,10 @@ recorded from the implementation that wrapped every Walsh value in CycInt,
 before spectra were stored as flat coordinates; the sampled p = 5
 `--certify` case was recorded from the row-wise battery, which checks every
 b of ceil(10000 / q) seeded directions c instead of 10,000 independently
-drawn pairs.  The commands run in process through
-`pbent.cli.main`.
+drawn pairs; the `verify-table1` cases were recorded while the catalog
+still searched other primitive-element realizations on a mismatch, so they
+pin that the pinned realization alone prints the same table.  The commands
+run in process through `pbent.cli.main`.
 """
 
 import contextlib
@@ -53,6 +56,10 @@ GOLDEN = [
      0, '3853921c53847e65099af6ca253e2ed392b8f12d9541d04dffc059756d8a0341'),
     (('spectrum', 'p=5 n=2 f=Tr(x^2+x)'),
      0, 'c972c98b36dbfff66d9b9689548403fd15aefbb6acf604af3a8c8810755f9ad1'),
+    (('verify-table1', '--json'),
+     0, 'fbdd8ca03af61bfbfb6b02ef5fea006d95e2763cdec008cc4ec0c9645b7cc3ba'),
+    (('verify-table1',),
+     0, '0ded89b4c32ee7e3f148c6dbfc2d9ec80c8119bb64904a02767366e1b813714f'),
 ]
 
 
