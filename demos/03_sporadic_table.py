@@ -11,7 +11,7 @@ Run:  python demos/03_sporadic_table.py
 
 import pbent as pb
 
-print("label                         spec                              expected        got")
+print("%-29s %-33s %-22s %s" % ("label", "spec", "expected", "got"))
 for entry in pb.list_catalog():
     res = pb.verify_entry(entry)
     cls = res["classification"]
@@ -21,7 +21,7 @@ for entry in pb.list_catalog():
     got = cls.variant
     if cls.dual_bent is not None:
         got += "/db" if cls.dual_bent else "/ndb"
-    print("%-29s %-33s %-15s %-24s %s"
+    print("%-29s %-33s %-22s %-24s %s"
           % (entry.label, entry.spec.split("f=")[1], expected, got, res["status"]))
 
 print("\nthe same check is scriptable:  pbent verify-table1 --json")

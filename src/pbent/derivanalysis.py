@@ -8,7 +8,9 @@ search is linear algebra on the trilinear form T(a, b, x) = D_a D_b D_x
 f(0), built once per function: D_a D_b f(x) = D_a D_b f(0) + T(a, b, x),
 so the b with D_{a,b} f constant are the kernel of T(a, ., .), on which
 b -> D_a D_b f(0) is linear, and a reduced kernel basis yields the first
-witness in index order without enumerating the kernel.
+witness in index order without enumerating the kernel: for p = 3 walked in
+Gray order on bit-sliced matrices (`_gray_witnesses`), for p >= 5 by
+`_first_witness_low_degree`, the p = 3 oracle.
 
 One scan, `_constant_derivatives(g)`, finds every b with D_b g constant,
 reading x + b point by point from a cached table of digit-wise sums, so
@@ -51,7 +53,7 @@ from .cyclo import conj_coords, mul_coords
 from .errors import InternalInconsistency, PreconditionError
 from .funcrep import PFunction
 from .gf import FFElem, digit_sums
-from .linalg import mat_kernel
+from .linalg import f3_add, f3_kernel, f3_pack, mat_kernel
 from .walsh import extract_certificate, inverse_sums, is_bent, walsh_fast
 
 SAMPLED_PAIRS = 10000
@@ -121,6 +123,32 @@ def _first_witness_low_degree(f: PFunction, tri: list, a_idx: int):
     return None
 
 
+def _gray_witnesses(f: PFunction, tri: list):
+    """Yield (a, -a, `_first_witness_low_degree` of a) for p = 3 and every
+    a whose top nonzero digit is 1.  Step k of the modular ternary Gray
+    order adds 1 to digit j = v_3(k) of a, and T(e_j, ., .) to M_a =
+    T(a, ., .) by one `f3_add`; `f3_kernel` eliminates M_a, and the indexes
+    of b, a + b and -a are read from one table of the 2^n masks."""
+    n, vals = f.ctx.n, f.values
+    steps = [f3_pack(t) for t in tri]
+    index, ruler = [0], []  # ruler: v_3(k) for k = 1 .. 3^n - 1
+    for i in range(n):
+        index += [x + 3 ** i for x in index]
+        ruler = ruler + [i] + ruler + [i] + ruler
+    a = m = (0, 0)
+    for j in ruler:
+        a, m = f3_add(a, (1 << j, 0)), f3_add(m, steps[j])
+        if a[0] > a[1]:  # the top nonzero digit of a is 1
+            ai, hit = index[a[0]] + 2 * index[a[1]], None
+            for b in f3_kernel(m, n):
+                bi, (s1, s2) = index[b[0]] + 2 * index[b[1]], f3_add(a, b)
+                const = (vals[index[s1] + 2 * index[s2]] - vals[bi] - vals[ai] + vals[0]) % 3
+                if const:
+                    hit = bi, const
+                    break
+            yield ai, index[a[1]] + 2 * index[a[0]], hit
+
+
 def _constant_derivatives(g: PFunction):
     """Yield (b, D_b g) in index order for every b where D_b g is constant.
 
@@ -156,18 +184,22 @@ def _first_witness_scan(f: PFunction, a_idx: int):
 
 def cubic_like_certificate(f: PFunction) -> CubicLikeCertificate:
     """Search every nonzero direction for a constant-nonzero second
-    derivative; complete certificates imply bentness."""
+    derivative; complete certificates imply bentness.  As D_{-a,b} f =
+    -D_{a,b} f(. - a), the first witness (b, lambda) of a gives -a's as
+    (b, -lambda), so one of each pair a, -a is searched."""
+    p, q = f.ctx.p, f.ctx.q
     tri = _trilinear_form(f) if f.algebraic_degree() <= 3 else None
+    if tri and p == 3:
+        hits = _gray_witnesses(f, tri)
+    else:
+        hits = ((a, neg, _first_witness_low_degree(f, tri, a) if tri
+                 else _first_witness_scan(f, a))
+                for a in range(1, q) if a <= (neg := f.ctx.neg_index(a)))
     witnesses = {}
-    complete = True
-    for a_idx in range(1, f.ctx.q):
-        hit = (_first_witness_low_degree(f, tri, a_idx) if tri is not None
-               else _first_witness_scan(f, a_idx))
-        if hit is None:
-            complete = False
-        else:
-            witnesses[a_idx] = hit
-    return CubicLikeCertificate(witnesses, complete)
+    for a, neg, hit in hits:
+        if hit is not None:
+            witnesses[a], witnesses[neg] = hit, (hit[0], -hit[1] % p)
+    return CubicLikeCertificate(witnesses, len(witnesses) == q - 1)
 
 
 def derivative_linear_space(f: PFunction) -> list[FFElem]:

@@ -35,15 +35,15 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 
-from .errors import BudgetError, InternalInconsistency, ParseError
+from .errors import BudgetError, InternalInconsistency, ParseError, PreconditionError
 
 LOG_TABLE_MAX = 3 ** 12
 
 
 class FieldError(ParseError):
-    """Invalid field construction or field-operation precondition.  The
-    command line reads fields and elements only from input text, so it is a
-    ParseError there (exit 2)."""
+    """Invalid field construction or element input.  The command line reads
+    fields and elements only from input text, so it is a ParseError there
+    (exit 2)."""
 
 
 def is_prime(m: int) -> bool:
@@ -326,7 +326,7 @@ class FieldCtx:
             root = next((x for x in (_digits(i, p, n) for i in range(2, self.q))
                          if _is_primitive(x, modulus, p)), None)
             if root is None:
-                raise FieldError("no primitive element found for this modulus")
+                raise InternalInconsistency("no primitive element found for this modulus")
         self.primitive = self.elem(root)
         self.trace_vec = self._build_trace_vec()
 
@@ -478,7 +478,7 @@ class FieldCtx:
     def rel_trace(self, x: FFElem, k: int) -> FFElem:
         """Trace onto the subfield F_{p^k}: sum of x^(p^(ik)) for i < n/k."""
         if self.n % k:
-            raise FieldError("k=%d does not divide n=%d" % (k, self.n))
+            raise PreconditionError("k=%d does not divide n=%d" % (k, self.n))
         acc = x
         for i in range(1, self.n // k):
             acc = acc + self.frobenius(x, i * k)
@@ -492,14 +492,14 @@ class FieldCtx:
         """Tr_1^k of an element of the subfield F_{p^k} (k Frobenius terms,
         not n); the result must land in the prime field."""
         if self.n % k:
-            raise FieldError("k=%d does not divide n=%d" % (k, self.n))
+            raise PreconditionError("k=%d does not divide n=%d" % (k, self.n))
         acc = x
         y = x
         for _ in range(k - 1):
             y = self.frobenius(y, 1)
             acc = acc + y
         if any(acc.coeffs[1:]):
-            raise FieldError("element was not in the subfield F_p^%d" % k)
+            raise PreconditionError("element was not in the subfield F_p^%d" % k)
         return acc.coeffs[0]
 
     def trace(self, x: FFElem) -> int:

@@ -21,7 +21,7 @@ from .funcrep import (ANF, PFunction, TraceForm, anf_to_truth, p_weight,
                       to_relative_trace_form, truth_to_anf,
                       truth_to_univariate, eval_univariate)
 from .gf import get_field
-from .linalg import mat_kernel
+from .linalg import f3_kernel, f3_pack, mat_kernel
 from .walsh import (bent_via_derivatives, bent_via_second_derivative_sum,
                     classify, extract_certificate, is_bent, walsh_fast,
                     walsh_naive)
@@ -247,8 +247,8 @@ def check_trinomial_family(seed, level):
 
 def check_trinomial_second_derivatives(seed, level):
     """The second proof's lemmas on seeded directions c: ker T(c, ., .) of
-    the trilinear form equals ker L_c, the symbolic D_c f equals the
-    generic derivative, and E_f = {0}."""
+    the trilinear form equals ker L_c (by `mat_kernel` and `f3_kernel`),
+    the symbolic D_c f equals the generic derivative, and E_f = {0}."""
     rng = random.Random(seed)
     cases = [(1, 2, 1)] if level == "quick" else [(1, 2, 1), (2, 1, 1)]
     for k, j, t in cases:
@@ -263,7 +263,10 @@ def check_trinomial_second_derivatives(seed, level):
             # L_c is F_p-linear: its matrix has columns L_c(e_i) on the polynomial basis
             cols = [linearized_second_derivative_coeff(params, ctx, c, e).coeffs
                     for e in basis]
-            if mat_kernel(_trilinear_slice(tri, c_idx, p), p) != mat_kernel(list(zip(*cols)), p):
+            t_c = _trilinear_slice(tri, c_idx, p)
+            sliced = [[(u >> i & 1) + 2 * (v >> i & 1) for i in range(n)]
+                      for u, v in f3_kernel(f3_pack(sum(t_c, [])), n)]
+            if not mat_kernel(t_c, p) == sliced == mat_kernel(list(zip(*cols)), p):
                 return False, "ker T(c, ., .) != ker L_c at %s, c=%d" % (params, c_idx)
             if trinomial_first_derivative_form(params, c, ctx).truth_table() != f.derivative(c):
                 return False, "symbolic D_c f mismatch at %s, c=%d" % (params, c_idx)

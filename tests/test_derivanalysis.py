@@ -1,3 +1,4 @@
+import collections
 import math
 import random
 
@@ -99,6 +100,58 @@ def test_cubic_like_quadratic_n8_complete():
     assert cert.complete and len(cert.witnesses) == ctx.q - 1
     for a_idx in random.Random(36).sample(range(1, ctx.q), 5):
         assert cert.witnesses[a_idx] == _first_witness_scan(f, a_idx)
+
+
+ORACLE_INPUTS = [(1, 2, 1), (2, 1, 1), (2, 3, 5),
+                 "p=3 n=4 f=Tr(x^34+x^2)", "p=3 n=4 f=Tr(x^4+g^10*x^22)",
+                 "p=5 n=3 f=Tr(x^6+g^1*x^2)", "p=7 n=2 f=Tr(x^2+g^1*x^8)"]
+
+
+def _oracle_input(case):
+    """A trinomial's (k, j, t), or a function spec."""
+    if isinstance(case, tuple):
+        params = TrinomialParams(*case)
+        return trinomial_bent(params, params.context()).truth_table()
+    return parse_function_spec(case)[1].truth_table()
+
+
+@pytest.mark.parametrize("case", ORACLE_INPUTS, ids=str)
+def test_certificate_matches_per_direction_oracle(case):
+    # every direction against the per-direction search; a mirror that kept
+    # lambda for -a, or a Gray step on the wrong digit, fails here
+    f = _oracle_input(case)
+    q, p = f.ctx.q, f.ctx.p
+    cert = cubic_like_certificate(f)
+    if q <= 729:
+        oracle = {a: _first_witness_scan(f, a) for a in range(1, q)}
+    else:  # n = 8: scanning all 6,560 directions takes minutes, so a sample is scanned
+        tri = _trilinear_form(f)
+        oracle = {a: _first_witness_low_degree(f, tri, a) for a in range(1, q)}
+        for a in random.Random(q).sample(range(1, q), 24):
+            assert oracle[a] == _first_witness_scan(f, a)
+    assert cert.witnesses == {a: hit for a, hit in oracle.items() if hit is not None}
+    assert cert.complete == (None not in oracle.values())
+    # the mirror pairs a with -a, so both carry the same b and opposite constants
+    for a, (b, lam) in cert.witnesses.items():
+        assert cert.witnesses[f.ctx.neg_index(a)] == (b, -lam % p)
+
+
+@pytest.mark.parametrize("case", ORACLE_INPUTS[:1] + ORACLE_INPUTS[3:]
+                         + ["p=3 n=6 f=Tr(x^13+g^3*x^4)", "p=3 n=1 f=Tr(x^2)"], ids=str)
+def test_certificate_searches_each_pair_once(case, monkeypatch):
+    # one elimination (p = 3, degree <= 3), kernel search (p >= 5) or scan
+    # (degree > 3) per pair a, -a: (q - 1) / 2 of them
+    f = _oracle_input(case)
+    calls = collections.Counter()
+    for path in ("f3_kernel", "_first_witness_low_degree", "_first_witness_scan"):
+        def counted(*args, _fn=getattr(derivanalysis, path), _path=path):
+            calls[_path] += 1
+            return _fn(*args)
+        monkeypatch.setattr(derivanalysis, path, counted)
+    cubic_like_certificate(f)
+    path = ("_first_witness_scan" if f.algebraic_degree() > 3 else
+            "f3_kernel" if f.ctx.p == 3 else "_first_witness_low_degree")
+    assert calls == {path: (f.ctx.q - 1) // 2}
 
 
 def random_quadratic(ctx, rng):

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from pbent.errors import BudgetError, InternalInconsistency, ParseError
+from pbent import gf
+from pbent.errors import BudgetError, InternalInconsistency, ParseError, PreconditionError
 from pbent.gf import (FieldCtx, FieldError, check_field_size, default_modulus, digit_sums,
                       get_field, is_prime, parse_field_spec, prime_factors, _CONWAY, _ppow)
 from test_linalg import mat_vec
@@ -94,8 +95,12 @@ def test_rel_trace_lands_in_subfield_exhaustive_f81():
         for k in (1, 2):
             t = F81.rel_trace(x, k)
             assert F81.frobenius(t, k) == t
-    with pytest.raises(FieldError):
+    with pytest.raises(PreconditionError):
         F81.rel_trace(F81.one(), 3)
+    with pytest.raises(PreconditionError, match="does not divide"):
+        F81.subfield_abs_trace(F81.one(), 3)
+    with pytest.raises(PreconditionError, match="not in the subfield"):
+        F81.subfield_abs_trace(F81.gen_power(1), 2)
 
 
 def test_trace_transitivity():
@@ -166,6 +171,13 @@ def test_field_errors_are_parse_errors_and_bugs_are_internal():
     ctx.primitive = ctx.zero()
     with pytest.raises(InternalInconsistency, match="did not close"):
         ctx.ensure_tables()
+
+
+def test_missing_primitive_element_is_internal(monkeypatch):
+    # every finite field has a primitive element, so failing to find one is a bug
+    monkeypatch.setattr(gf, "_is_primitive", lambda x, modulus, p: False)
+    with pytest.raises(InternalInconsistency, match="no primitive element"):
+        FieldCtx(3, 2, (2, 2, 1))
 
 
 def test_linear_table_matches_mat_vec():
