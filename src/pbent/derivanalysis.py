@@ -24,32 +24,33 @@ transforms D_c f, which also gives W_{D_-c f}(b) = w^-Tr(bc) conj(W_{D_c
 f}(-b)) as D_-c f(x) = -D_c f(x - c), and gets the dual side at every b at
 once from the correlation identity of derivative transforms,
 W_{D_b f*}(-c) = p^-n sum_y W(y) conj(W(y + c)) w^Tr(by) with W = W_{f*}
-(transformed once): shifting y by -c folds in the check's phase, so
-P_c(b) = w^Tr(bc) W_{D_b f*}(-c) is one pointwise product, one
-inverse-kernel run and an exact division by p^n.  The same identity gives
-P_-c(b) = w^-Tr(bc) conj(P_c(-b)), so a pair of rows c, -c costs one
-derivative, one forward transform and one inverse run: the row of -c is
-the mirror image of row c on both sides.  The mirror keeps |x|^2 and
-permutes b, so the Parseval sum of row -c is row c's, and its entries are
-images of row c's exactly divided sums, so neither check is repeated.
-Every b of a row is checked for symmetry of W_{D_c f} in b and c negation,
-that phase identity, vanishing on Tr(bc) != 0 and realness on Tr(bc) = 0,
-with -b and Tr(bc) read from tables (only the phase identity is sound; see
-`WrIdentityReport`).  Small fields are walked whole; larger ones fill
-SAMPLED_PAIRS with seeded rows (see `wr_identity_check`).  Given a
-cubic-like witness D_{c,d} f = lambda, every walked row also checks
-W_{D_c f}(b) = 0 whenever Tr(bd) != lambda, which holds for every
-function, so a failure is an internal inconsistency.
+(transformed once): shifting y by -c folds in the check's phase, so p^n
+P_c(b), P_c(b) = w^Tr(bc) W_{D_b f*}(-c), is one pointwise product and one
+inverse-kernel run, compared undivided with p^n W_{D_c f}(b).  The same
+identity gives P_-c(b) = w^-Tr(bc) conj(P_c(-b)), so a pair of rows c, -c
+costs one derivative, one forward transform and one inverse run: row -c is
+row c mirrored, a bijection b -> -b on both sides, so its phase misses are
+row c's negated and its Parseval sum and divisibility are row c's.  Each
+check is a whole-row pass (`map`, `compress`) over the row: symmetry of
+W_{D_c f} in b and in c, the phase identity, vanishing on Tr(bc) != 0 and
+realness on Tr(bc) = 0 (only the phase identity is sound; see
+`WrIdentityReport`), with -b and Tr(bc) read from tables; Python touches
+only the b where W_{D_c f}(b) != 0 or the phase identity fails.  Small
+fields are walked whole; larger ones fill SAMPLED_PAIRS with seeded rows
+(see `wr_identity_check`).  Given a cubic-like witness D_{c,d} f = lambda,
+every walked row also checks W_{D_c f}(b) = 0 whenever Tr(bd) != lambda,
+which holds for every function, so a failure is an internal inconsistency.
 """
 
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 import random
+from itertools import compress
+from operator import and_, ne, not_
 
-from .cyclo import conj_coords, mul_coords
+from .cyclo import CycInt, conj_coords, mul_coords
 from .errors import InternalInconsistency, PreconditionError
 from .funcrep import PFunction
 from .gf import FFElem, digit_sums
@@ -192,13 +193,13 @@ def cubic_like_certificate(f: PFunction) -> CubicLikeCertificate:
     if tri and p == 3:
         hits = _gray_witnesses(f, tri)
     else:
-        hits = ((a, neg, _first_witness_low_degree(f, tri, a) if tri
-                 else _first_witness_scan(f, a))
-                for a in range(1, q) if a <= (neg := f.ctx.neg_index(a)))
+        neg = f.ctx.neg_table()
+        hits = ((a, neg[a], _first_witness_low_degree(f, tri, a) if tri
+                 else _first_witness_scan(f, a)) for a in range(1, q) if a <= neg[a])
     witnesses = {}
-    for a, neg, hit in hits:
+    for a, minus_a, hit in hits:
         if hit is not None:
-            witnesses[a], witnesses[neg] = hit, (hit[0], -hit[1] % p)
+            witnesses[a], witnesses[minus_a] = hit, (hit[0], -hit[1] % p)
     return CubicLikeCertificate(witnesses, len(witnesses) == q - 1)
 
 
@@ -231,16 +232,31 @@ class WrIdentityReport:
     violations prove nothing.  Realness on Tr(bc) = 0 holds on the
     quadratic and binomial baselines but is not proven to follow from weak
     regularity, so it is not counted as sound either.
+
+    `rows` holds (c, one ascending list of failing b per check of `CHECKS`)
+    per walked row; the `violations` dicts, ordered by row, b and check, are
+    built on demand, and `to_json` builds only the first 32.
     """
 
-    __slots__ = ("pair_count", "violations", "exhaustive")
+    __slots__ = ("pair_count", "rows", "exhaustive")
 
+    CHECKS = ("symmetry_in_b", "symmetry_in_c", "dual_phase_identity",
+              "vanishing_on_nonzero_trace", "realness")
     SOUND_CHECKS = ("dual_phase_identity",)
 
-    def __init__(self, pair_count: int, violations: list, exhaustive: bool) -> None:
+    def __init__(self, pair_count: int, rows: list, exhaustive: bool) -> None:
         self.pair_count = pair_count
-        self.violations = violations
+        self.rows = rows
         self.exhaustive = exhaustive
+
+    def _dicts(self):
+        for c, lists in self.rows:
+            for b, k in sorted((b, k) for k, bs in enumerate(lists) for b in bs):
+                yield {"b": b, "c": c, "check": self.CHECKS[k]}
+
+    @property
+    def violations(self) -> list:
+        return list(self._dicts())
 
     @property
     def sound_violations(self) -> list:
@@ -248,61 +264,62 @@ class WrIdentityReport:
 
     @property
     def sound_clean(self) -> bool:
-        return not self.sound_violations
+        return not self.to_json()["sound_violation_count"]
 
     def violations_by_check(self) -> dict[str, int]:
-        return dict(collections.Counter(v["check"] for v in self.violations))
+        """Violation counts per check, keyed in order of first appearance."""
+        counts = {}
+        for _, lists in self.rows:
+            for _, k in sorted((bs[0], k) for k, bs in enumerate(lists) if bs):
+                counts[self.CHECKS[k]] = counts.get(self.CHECKS[k], 0) + len(lists[k])
+        return counts
 
     def to_json(self) -> dict:
+        counts = self.violations_by_check()
         return {
             "pairs_checked": self.pair_count,
             "exhaustive": self.exhaustive,
-            "violation_count": len(self.violations),
-            "sound_violation_count": len(self.sound_violations),
-            "violations_by_check": self.violations_by_check(),
-            "violations": self.violations[:32],
+            "violation_count": sum(counts.values()),
+            "sound_violation_count": sum(counts.get(k, 0) for k in self.SOUND_CHECKS),
+            "violations_by_check": counts,
+            "violations": list(itertools.islice(self._dicts(), 32)),
         }
 
     def __repr__(self) -> str:
-        return "WrIdentityReport(pairs=%d, violations=%d, sound=%d)" % (
-            self.pair_count, len(self.violations), len(self.sound_violations))
+        return ("WrIdentityReport(pairs=%(pairs_checked)d, violations=%(violation_count)d, "
+                "sound=%(sound_violation_count)d)" % self.to_json())
 
 
-def _phase_row(w: list, ctx, c: int) -> list:
-    """w^Tr(bc) * W_{D_b f*}(-c) at every b, from W = W_{f*}: the inverse
-    sums of W(y - c) * conj(W(y)), divided exactly by p^n.  The product is
-    unrolled for p = 3, where conj(a + b*w) = (a - b) - b*w."""
+def _phase_misses(w: list, ctx, c: int, wc: list, support: list) -> list:
+    """The b, ascending, where w^Tr(bc) W_{D_b f*}(-c) != W_{D_c f}(b), W =
+    W_{f*}: the inverse sums of W(y - c) * conj(W(y)) against p^n W_{D_c f}
+    (zero off `support`); only unequal entries are divided, exactly.  The
+    product is unrolled for p = 3, where conj(a + b*w) = (a - b) - b*w."""
     p, q = ctx.p, ctx.q
-    shifted = [w[y] for y in ctx.shift_table(ctx.neg_index(c))]
+    shifted = list(map(w.__getitem__, ctx.shift_table(ctx.neg_index(c))))
     if p == 3:
         prod = [(a1 * (a - b) + b1 * b, a * b1 - a1 * b)
                 for (a, b), (a1, b1) in zip(w, shifted)]
     else:
         prod = [mul_coords(x1, conj_coords(x, p), p) for x, x1 in zip(w, shifted)]
-    quotients = [divmod(v, q) for t in inverse_sums(ctx, prod) for v in t]
-    if any(r for _, r in quotients):
+    sums = inverse_sums(ctx, prod)
+    scaled = [(0,) * (p - 1)] * q
+    for b in support:
+        scaled[b] = tuple([q * v for v in wc[b]])
+    misses = list(compress(range(q), map(ne, sums, scaled)))
+    if any(v % q for b in misses for v in sums[b]):
         raise InternalInconsistency("correlation sums of direction %d not divisible by p^n" % c)
-    coords = iter([d for d, _ in quotients])
-    return list(zip(*[coords] * (p - 1)))
+    return misses
 
 
 def _mirror_maps(p: int) -> tuple:
-    """x -> w^-t * conj(x) on coordinate tuples, indexed by t in F_p: the
-    exponent count of w^i moves to w^(-i-t), then the count of w^(p-1),
-    the old count of w^(1-t), is subtracted from all.  Unrolled for p = 3."""
+    """x -> w^-t * conj(x) on coordinate tuples, indexed by t in F_p;
+    unrolled for p = 3."""
     if p == 3:
         return (lambda x: (x[0] - x[1], -x[1]), lambda x: (-x[0], x[1] - x[0]),
                 lambda x: (x[1], x[0]))
-
-    def mirror(t):
-        src, top = [(-j - t) % p for j in range(p - 1)], (1 - t) % p
-
-        def apply(x):
-            x += (0,)
-            c = x[top]
-            return tuple([x[i] - c for i in src])
-        return apply
-    return tuple(mirror(t) for t in range(p))
+    units = [CycInt.omega_pow(p, -t).coords for t in range(p)]
+    return tuple(lambda x, u=u: mul_coords(u, conj_coords(x, p), p) for u in units)
 
 
 def wr_identity_check(f: PFunction, seed: int = 0,
@@ -311,13 +328,11 @@ def wr_identity_check(f: PFunction, seed: int = 0,
 
     Violations of the checks in `WrIdentityReport.SOUND_CHECKS` certify
     non-weak-regularity; the other checks can fail on weakly regular
-    functions too (see `WrIdentityReport`).  It walks rows c, each one
-    transform of D_c f and one inverse-kernel run of the correlation
-    identity with the dual's memoized W_{f*} (see the module docstring),
-    except a row -c walked after row c, whose both sides row c already
-    gave: all q rows when p^2n <= SAMPLED_PAIRS, otherwise ceil(SAMPLED_PAIRS /
-    q) distinct rows from `random.Random(seed).sample`, in draw order, the
-    last one cut so that exactly SAMPLED_PAIRS pairs are checked.  With a
+    functions too (see `WrIdentityReport`).  It walks rows c (see the
+    module docstring): all q rows when p^2n <= SAMPLED_PAIRS, otherwise
+    ceil(SAMPLED_PAIRS / q) distinct rows from `random.Random(seed).sample`,
+    in draw order, the last one cut so that exactly SAMPLED_PAIRS pairs are
+    checked.  With a
     cubic-like `certificate` of f, a nonzero W_{D_c f}(b) with Tr(bd) !=
     lambda for c's witness (d, lambda) raises InternalInconsistency.
     """
@@ -333,40 +348,42 @@ def wr_identity_check(f: PFunction, seed: int = 0,
     pair_count = q * q if exhaustive else SAMPLED_PAIRS
     rows = range(q) if exhaustive else random.Random(seed).sample(range(q), -(-pair_count // q))
     witnesses = certificate.witnesses if certificate is not None else {}
-    neg = [ctx.neg_index(i) for i in range(q)]
+    neg = ctx.neg_table()
     ctx.ensure_tables()
-    log, trace_of_exp, order = ctx.log_table, ctx._trace_of_exp, ctx.order
+    log, trace_of_exp = ctx.log_table, ctx._trace_of_exp
+
+    def trace_row(x):  # Tr(bx) at every b: trace_of_exp rotated by log x, read at log b
+        rotated = trace_of_exp[log[x]:] + trace_of_exp[:log[x]] + [0]  # log 0 = -1 reads 0
+        return list(map(rotated.__getitem__, log)) if x else [0] * q
     mirror = _mirror_maps(p)
-    violations = []
-    todo, pending = set(rows), {}
+    out, todo, pending = [], set(rows), {}
     for i, c in enumerate(rows):
         todo.discard(c)
-        trs = [trace_of_exp[(log[b] + log[c]) % order] if b and c else 0
-               for b in range(min(q, pair_count - i * q))]
+        trs = trace_row(c)
         if c in pending:  # stashed by row -c, walked earlier
-            wc, phase, wneg = pending.pop(c)
+            wc, wneg, misses = pending.pop(c)
         else:
             wc = walsh_fast(f.derivative(ctx.from_index(c))).coords
-            phase = _phase_row(w_dual, ctx, c)
-            wneg = [mirror[tr](wc[nb]) for tr, nb in zip(trs, neg)]
-            if neg[c] in todo:
-                pending[neg[c]] = (wneg, [mirror[tr](phase[nb]) for tr, nb in zip(trs, neg)], wc)
+            support = list(compress(range(q), map(any, wc)))
+            wneg = [(0,) * (p - 1)] * q  # W_{D_-c f}: zero off the negated support
+            for b in support:
+                wneg[neg[b]] = mirror[trs[neg[b]]](wc[b])
+            misses = _phase_misses(w_dual, ctx, c, wc, support)
+            if neg[c] in todo:  # the mirror is a bijection b -> -b on both sides
+                pending[neg[c]] = (wneg, wc, sorted(neg[b] for b in misses))
+        nonzero = list(map(any, wc))
+        b_range = range(min(q, pair_count - i * q))
         d, lam = witnesses.get(c, (0, 0))
-        for b, tr in enumerate(trs):
-            wcb = wc[b]
-            if wcb != wc[neg[b]]:
-                violations.append({"b": b, "c": c, "check": "symmetry_in_b"})
-            if wcb != wneg[b]:
-                violations.append({"b": b, "c": c, "check": "symmetry_in_c"})
-            if wcb != phase[b]:
-                violations.append({"b": b, "c": c, "check": "dual_phase_identity"})
-            if tr != 0:
-                if any(wcb):
-                    violations.append({"b": b, "c": c, "check": "vanishing_on_nonzero_trace"})
-            elif wcb != conj_coords(wcb, p):
-                violations.append({"b": b, "c": c, "check": "realness"})
-            if d and any(wcb) and (trace_of_exp[(log[b] + log[d]) % order] if b else 0) != lam:
+        if d:
+            b = next(compress(b_range, map(and_, nonzero, map(lam.__ne__, trace_row(d)))), None)
+            if b is not None:
                 raise InternalInconsistency(
                     "W_{D_c f}(b) != 0 off Tr(bd) = lambda at c=%d, b=%d, witness (d, lambda) "
                     "= (%d, %d)" % (c, b, d, lam))
-    return WrIdentityReport(pair_count, violations, exhaustive)
+        out.append((c, (list(compress(b_range, map(ne, wc, map(wc.__getitem__, neg)))),
+                        list(compress(b_range, map(ne, wc, wneg))),
+                        list(itertools.takewhile(len(b_range).__gt__, misses)),
+                        list(compress(b_range, map(and_, nonzero, map(bool, trs)))),
+                        [b for b in compress(b_range, map(and_, nonzero, map(not_, trs)))
+                         if wc[b] != conj_coords(wc[b], p)])))
+    return WrIdentityReport(pair_count, out, exhaustive)

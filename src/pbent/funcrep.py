@@ -33,6 +33,7 @@ import re
 from array import array
 from functools import lru_cache
 from itertools import compress
+from operator import sub
 
 from .cyclo import CycInt
 from .errors import InternalInconsistency, ParseError, PreconditionError
@@ -87,8 +88,7 @@ class PFunction:
 
     def reflect(self) -> "PFunction":
         """x -> f(-x)."""
-        ctx = self.ctx
-        return PFunction(ctx, [self.values[ctx.neg_index(i)] for i in range(ctx.q)])
+        return PFunction(self.ctx, list(map(self.values.__getitem__, self.ctx.neg_table())))
 
     def translate(self, a: FFElem) -> "PFunction":
         """x -> f(x + a)."""
@@ -97,10 +97,8 @@ class PFunction:
 
     def derivative(self, a: FFElem) -> "PFunction":
         """D_a f(x) = f(x + a) - f(x)."""
-        ctx = self.ctx
-        perm = ctx.shift_table(a.index)
-        vals = self.values
-        return PFunction(ctx, [vals[perm[i]] - vals[i] for i in range(ctx.q)])
+        shifted = map(self.values.__getitem__, self.ctx.shift_table(a.index))
+        return PFunction(self.ctx, list(map(sub, shifted, self.values)))
 
     def second_derivative(self, a: FFElem, b: FFElem) -> "PFunction":
         """D_a D_b f; symmetric in (a, b)."""

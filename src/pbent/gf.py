@@ -412,14 +412,11 @@ class FieldCtx:
         return out
 
     def neg_index(self, i: int) -> int:
-        p = self.p
-        out = 0
-        mult = 1
-        while i:
-            i, a = divmod(i, p)
-            out += (-a % p) * mult
-            mult *= p
-        return out
+        return self.to_index([-a % self.p for a in _digits(i, self.p, self.n)])
+
+    def neg_table(self) -> list[int]:
+        """[neg_index(x) for every x]: the linear table of the negated basis."""
+        return self.linear_table([(self.p - 1) * pw for pw in self._powers_of_p[:-1]])
 
     def shift_indexes(self, idxs, r: int) -> list[int]:
         """[index(x + r) for x in idxs].  Adding r has no carries between
@@ -510,7 +507,7 @@ class FieldCtx:
     def subfield_indexes(self, m: int) -> list[int]:
         """Sorted element indexes of the subfield F_{p^m} inside F_{p^n}."""
         if self.n % m:
-            raise FieldError("subfield degree must divide n")
+            raise PreconditionError("subfield degree m=%d does not divide n=%d" % (m, self.n))
         if m not in self._subfield_cache:
             self._build_tables()
             step = self.order // (self.p ** m - 1)

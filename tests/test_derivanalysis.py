@@ -1,4 +1,5 @@
 import collections
+import json
 import math
 import random
 
@@ -7,7 +8,7 @@ import pytest
 from pbent import derivanalysis
 from pbent.constructions import TrinomialParams, lemma2_witness, trinomial_bent
 from pbent.cyclo import CycInt, conj_coords
-from pbent.derivanalysis import (SAMPLED_PAIRS, CubicLikeCertificate,
+from pbent.derivanalysis import (SAMPLED_PAIRS, CubicLikeCertificate, WrIdentityReport,
                                  _constant_derivatives, _first_witness_low_degree,
                                  _first_witness_scan, _trilinear_form,
                                  cubic_like_certificate,
@@ -365,6 +366,22 @@ def _pair_battery_oracle(f, pairs):
     return violations
 
 
+def _assert_json_from_dicts(rep, violations):
+    """`rep.to_json()` is byte-identical to the report that the full list of
+    violation dicts gives under the formulas of the dict-list report."""
+    sound = [v for v in violations if v["check"] in WrIdentityReport.SOUND_CHECKS]
+    expected = {
+        "pairs_checked": rep.pair_count,
+        "exhaustive": rep.exhaustive,
+        "violation_count": len(violations),
+        "sound_violation_count": len(sound),
+        "violations_by_check": dict(collections.Counter(v["check"] for v in violations)),
+        "violations": violations[:32],
+    }
+    assert json.dumps(rep.to_json(), indent=2) == json.dumps(expected, indent=2)
+    assert rep.sound_clean == (not sound)
+
+
 @pytest.mark.parametrize("make", [
     lambda: trinomial_bent(TrinomialParams(1, 2, 1)).truth_table(),
     lambda: trinomial_bent(TrinomialParams(1, 0, 1)).truth_table(),
@@ -381,7 +398,9 @@ def test_wr_rows_match_pair_oracle_exhaustive(make):
     rep = wr_identity_check(f)
     assert rep.exhaustive and rep.pair_count == q * q
     pairs = [(b, c) for c in range(q) for b in range(q)]
-    assert rep.violations == _pair_battery_oracle(f, pairs)
+    expected = _pair_battery_oracle(f, pairs)
+    assert rep.violations == expected
+    _assert_json_from_dicts(rep, expected)
 
 
 @pytest.mark.parametrize("p, n", [(3, 3), (5, 2), (7, 2)])
@@ -419,8 +438,10 @@ def test_wr_rows_match_pair_oracle_sampled(spec, seed):
     rows = _battery_rows(q, seed)
     assert len(set(rows)) == len(rows)
     pairs = [(b, c) for c in rows for b in range(q)][:SAMPLED_PAIRS]
-    assert rep.violations == _pair_battery_oracle(f, pairs)
+    expected = _pair_battery_oracle(f, pairs)
+    assert rep.violations == expected
     assert rep.violations and rep.sound_clean
+    _assert_json_from_dicts(rep, expected)
 
 
 def test_wr_rows_fill_sampled_pairs(monkeypatch):
@@ -437,6 +458,7 @@ def test_wr_rows_fill_sampled_pairs(monkeypatch):
     pairs = [(b, c) for c in rows for b in range(27)][:100]
     assert rep.violations and rep.violations == _pair_battery_oracle(f, pairs)
     assert {v["c"] for v in rep.violations} <= set(rows)
+    _assert_json_from_dicts(rep, rep.violations)
 
 
 @pytest.mark.parametrize("pairs, seed", [(500, 3), (1000, 2)])
@@ -456,12 +478,30 @@ def test_wr_rows_of_minus_c_match_pair_oracle_sampled(pairs, seed, monkeypatch):
     expected = _pair_battery_oracle(f, [(b, c) for c in rows for b in range(81)][:pairs])
     assert rep.violations == expected and rep.sound_violations
     assert {v["c"] for v in rep.violations} >= set(later)
+    _assert_json_from_dicts(rep, expected)
     # the witness implication still runs on a row read from row c
     c = later[0]
     bad = dict(cert.witnesses)
     bad[c] = (bad[c][0], bad[c][1] % 2 + 1)
     with pytest.raises(InternalInconsistency):
         wr_identity_check(f, seed=seed, certificate=CubicLikeCertificate(bad, True))
+
+
+def test_wr_report_keys_checks_in_order_of_first_appearance():
+    # row c = 0 of the sporadic function fails the dual phase identity first,
+    # and row 1 of the (1,2,1) trinomial meets realness before vanishing; the
+    # per-row lists rebuild the dicts' key order and the first 32 dicts
+    ctx, tf = parse_function_spec("p=3 n=4 f=Tr(x^4+g^10*x^22)")
+    rep = wr_identity_check(tf.truth_table())
+    assert rep.violations[0] == {"b": 3, "c": 0, "check": "dual_phase_identity"}
+    assert list(rep.violations_by_check()) == [
+        "dual_phase_identity", "symmetry_in_b", "symmetry_in_c", "vanishing_on_nonzero_trace"]
+    assert sum(rep.violations_by_check().values()) == 16574
+    rep = wr_identity_check(trinomial_bent(TrinomialParams(1, 2, 1)).truth_table())
+    assert list(rep.violations_by_check()) == [
+        "symmetry_in_b", "symmetry_in_c", "dual_phase_identity", "realness",
+        "vanishing_on_nonzero_trace"]
+    assert rep.to_json()["violations"] == rep.violations[:32]
 
 
 def test_quad_like_implication():

@@ -286,6 +286,17 @@ def test_subfield_indexes():
         F81.scalar(c).index for c in range(3))
 
 
+def test_subfield_degree_not_dividing_n_is_a_precondition_error():
+    with pytest.raises(PreconditionError):
+        F81.subfield_indexes(3)
+
+
+@pytest.mark.parametrize("p, n", [(3, 1), (3, 4), (3, 5), (5, 1), (5, 3), (7, 2)])
+def test_neg_table_matches_neg_index(p, n):
+    ctx = get_field(p, n)
+    assert ctx.neg_table() == [ctx.neg_index(i) for i in range(ctx.q)]
+
+
 def test_log_tables_roundtrip():
     F81.ensure_tables()
     for x in range(1, 81):

@@ -90,6 +90,17 @@ def test_fast_equals_naive_p5():
         assert walsh_fast(f).values == walsh_naive(f).values
 
 
+@pytest.mark.parametrize("p, n", [(5, 1), (5, 2), (5, 3), (7, 1), (7, 2), (7, 3), (11, 1),
+                                  (11, 2), (89, 1)])
+def test_fast_equals_naive_generic_column(p, n):
+    # n = 1 runs the generic column on single columns (its per-coordinate
+    # path), n >= 2 on runs of p^(n-1) >= p columns (its plane path)
+    ctx = get_field(p, n)
+    rng = random.Random(p * 10 + n)
+    for f in (rand_f(ctx, rng), rand_f(ctx, rng), PFunction(ctx, [0] * ctx.q)):
+        assert walsh_fast(f).coords == walsh_naive(f).coords
+
+
 def test_single_walsh_value_matches_spectrum():
     rng = random.Random(23)
     f = rand_f(F81, rng)
