@@ -19,27 +19,24 @@ it is the exact oracle for the trilinear-form path and the path for
 degree > 3; run on g = f it gives the linear space E_f and the balance
 witness of a quadratic.
 
-The weakly-regular identity battery walks directions c.  A row c
-transforms D_c f, which also gives W_{D_-c f}(b) = w^-Tr(bc) conj(W_{D_c
-f}(-b)) as D_-c f(x) = -D_c f(x - c), and gets the dual side at every b at
-once from the correlation identity of derivative transforms,
-W_{D_b f*}(-c) = p^-n sum_y W(y) conj(W(y + c)) w^Tr(by) with W = W_{f*}
+The weakly-regular identity battery walks rows c.  Row c transforms D_c f
+and gets the dual side at every b at once from the correlation identity
+W_{D_b f*}(-c) = p^-n sum_y W(y) conj(W(y + c)) w^Tr(by), W = W_{f*}
 (transformed once): shifting y by -c folds in the check's phase, so p^n
 P_c(b), P_c(b) = w^Tr(bc) W_{D_b f*}(-c), is one pointwise product and one
-inverse-kernel run, compared undivided with p^n W_{D_c f}(b).  The same
-identity gives P_-c(b) = w^-Tr(bc) conj(P_c(-b)), so a pair of rows c, -c
-costs one derivative, one forward transform and one inverse run: row -c is
-row c mirrored, a bijection b -> -b on both sides, so its phase misses are
-row c's negated and its Parseval sum and divisibility are row c's.  Each
-check is a whole-row pass (`map`, `compress`) over the row: symmetry of
+inverse-kernel run, compared undivided with p^n W_{D_c f}(b).  As D_-c f(x)
+= -D_c f(x - c), W_{D_-c f}(b) = w^-Tr(bc) conj(W_{D_c f}(-b)), and P_-c
+is P_c mirrored alike: row -c is row c under a bijection b -> -b, so a pair
+c, -c costs one derivative, one forward transform and one inverse run, and
+row -c's phase misses are row c's negated.  Each check is a whole-row pass
+(`map`, `compress`), with -b and Tr(bc) read from tables: symmetry of
 W_{D_c f} in b and in c, the phase identity, vanishing on Tr(bc) != 0 and
 realness on Tr(bc) = 0 (only the phase identity is sound; see
-`WrIdentityReport`), with -b and Tr(bc) read from tables; Python touches
-only the b where W_{D_c f}(b) != 0 or the phase identity fails.  Small
-fields are walked whole; larger ones fill SAMPLED_PAIRS with seeded rows
-(see `wr_identity_check`).  Given a cubic-like witness D_{c,d} f = lambda,
-every walked row also checks W_{D_c f}(b) = 0 whenever Tr(bd) != lambda,
-which holds for every function, so a failure is an internal inconsistency.
+`WrIdentityReport`).  Small fields are walked whole; larger ones fill
+SAMPLED_PAIRS with seeded rows (see `wr_identity_check`).  Given a
+cubic-like witness D_{c,d} f = lambda, every walked row also checks
+W_{D_c f}(b) = 0 whenever Tr(bd) != lambda, which holds for every
+function, so a failure is an internal inconsistency.
 """
 
 from __future__ import annotations
@@ -48,9 +45,9 @@ import functools
 import itertools
 import random
 from itertools import compress
-from operator import and_, ne, not_
+from operator import and_, itemgetter, ne, not_
 
-from .cyclo import CycInt, conj_coords, mul_coords
+from .cyclo import conj_coords, coords_from_counts, mul_coords
 from .errors import InternalInconsistency, PreconditionError
 from .funcrep import PFunction
 from .gf import FFElem, digit_sums
@@ -290,13 +287,13 @@ class WrIdentityReport:
                 "sound=%(sound_violation_count)d)" % self.to_json())
 
 
-def _phase_misses(w: list, ctx, c: int, wc: list, support: list) -> list:
+def _phase_misses(w: list, ctx, c: int, minus_c: int, wc: list, support: list) -> list:
     """The b, ascending, where w^Tr(bc) W_{D_b f*}(-c) != W_{D_c f}(b), W =
     W_{f*}: the inverse sums of W(y - c) * conj(W(y)) against p^n W_{D_c f}
     (zero off `support`); only unequal entries are divided, exactly.  The
     product is unrolled for p = 3, where conj(a + b*w) = (a - b) - b*w."""
     p, q = ctx.p, ctx.q
-    shifted = list(map(w.__getitem__, ctx.shift_table(ctx.neg_index(c))))
+    shifted = list(map(w.__getitem__, ctx.shift_table(minus_c)))
     if p == 3:
         prod = [(a1 * (a - b) + b1 * b, a * b1 - a1 * b)
                 for (a, b), (a1, b1) in zip(w, shifted)]
@@ -313,13 +310,13 @@ def _phase_misses(w: list, ctx, c: int, wc: list, support: list) -> list:
 
 
 def _mirror_maps(p: int) -> tuple:
-    """x -> w^-t * conj(x) on coordinate tuples, indexed by t in F_p;
-    unrolled for p = 3."""
+    """x -> w^-t * conj(x) on coordinate tuples, indexed by t in F_p: the
+    count of w^j is the count of w^(-j-t) in x.  Unrolled for p = 3."""
     if p == 3:
         return (lambda x: (x[0] - x[1], -x[1]), lambda x: (-x[0], x[1] - x[0]),
                 lambda x: (x[1], x[0]))
-    units = [CycInt.omega_pow(p, -t).coords for t in range(p)]
-    return tuple(lambda x, u=u: mul_coords(u, conj_coords(x, p), p) for u in units)
+    gets = [itemgetter(*[(-j - t) % p for j in range(p)]) for t in range(p)]
+    return tuple(lambda x, get=get: coords_from_counts(p, get(x + (0,))) for get in gets)
 
 
 def wr_identity_check(f: PFunction, seed: int = 0,
@@ -332,9 +329,9 @@ def wr_identity_check(f: PFunction, seed: int = 0,
     module docstring): all q rows when p^2n <= SAMPLED_PAIRS, otherwise
     ceil(SAMPLED_PAIRS / q) distinct rows from `random.Random(seed).sample`,
     in draw order, the last one cut so that exactly SAMPLED_PAIRS pairs are
-    checked.  With a
-    cubic-like `certificate` of f, a nonzero W_{D_c f}(b) with Tr(bd) !=
-    lambda for c's witness (d, lambda) raises InternalInconsistency.
+    checked.  With a cubic-like `certificate` of f, a nonzero W_{D_c f}(b)
+    with Tr(bd) != lambda for c's witness (d, lambda) raises
+    InternalInconsistency.
     """
     ctx = f.ctx
     p, q = ctx.p, ctx.q
@@ -368,7 +365,7 @@ def wr_identity_check(f: PFunction, seed: int = 0,
             wneg = [(0,) * (p - 1)] * q  # W_{D_-c f}: zero off the negated support
             for b in support:
                 wneg[neg[b]] = mirror[trs[neg[b]]](wc[b])
-            misses = _phase_misses(w_dual, ctx, c, wc, support)
+            misses = _phase_misses(w_dual, ctx, c, neg[c], wc, support)
             if neg[c] in todo:  # the mirror is a bijection b -> -b on both sides
                 pending[neg[c]] = (wneg, wc, sorted(neg[b] for b in misses))
         nonzero = list(map(any, wc))

@@ -412,7 +412,14 @@ class FieldCtx:
         return out
 
     def neg_index(self, i: int) -> int:
-        return self.to_index([-a % self.p for a in _digits(i, self.p, self.n)])
+        p = self.p
+        out = 0
+        mult = 1
+        while i:
+            i, a = divmod(i, p)
+            out += (-a % p) * mult
+            mult *= p
+        return out
 
     def neg_table(self) -> list[int]:
         """[neg_index(x) for every x]: the linear table of the negated basis."""

@@ -32,7 +32,6 @@ spectrum on f, so a command transforms f once; `walsh_naive` never reads it.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import sub
 
 from .cyclo import CycInt, norm_coords, unit_class, unit_power_forms
 from .errors import InternalInconsistency, PreconditionError
@@ -158,22 +157,11 @@ def _dft3_column(sign: int):
 def _dft_generic_column(p: int, sign: int):
     """Size-p DFT column map, kernel w^(sign*s*t), on (p-1)-coordinate
     tuples: output t counts coordinate i of input s at exponent i +
-    sign*s*t.  Runs of p or more columns are summed as coordinate planes;
-    shorter ones (n = 1) add the nonzero coordinates one at a time, so the
-    powers of w of a forward transform cost p^2 additions, as the direct sum."""
+    sign*s*t, and only the nonzero coordinates are added, so the powers of
+    w of a forward transform cost p^2 additions, as the direct sum."""
     shifts = [[sign * s * t % p for s in range(p)] for t in range(p)]
 
     def column(rows):
-        if len(rows[0]) >= p:
-            zero = (0,) * len(rows[0])
-            planes = [2 * (list(zip(*row)) + [zero]) for row in rows]
-            out = []
-            for row in shifts:
-                acc = [list(map(sum, zip(*[pl[e - m + p] for pl, m in zip(planes, row)])))
-                       for e in range(p)]
-                top = acc.pop()
-                out.append(list(zip(*[map(sub, a, top) for a in acc])))
-            return out
         out = [[] for _ in range(p)]
         for col in zip(*rows):
             terms = [(i, s, c) for s, v in enumerate(col) for i, c in enumerate(v) if c]

@@ -93,8 +93,8 @@ def test_fast_equals_naive_p5():
 @pytest.mark.parametrize("p, n", [(5, 1), (5, 2), (5, 3), (7, 1), (7, 2), (7, 3), (11, 1),
                                   (11, 2), (89, 1)])
 def test_fast_equals_naive_generic_column(p, n):
-    # n = 1 runs the generic column on single columns (its per-coordinate
-    # path), n >= 2 on runs of p^(n-1) >= p columns (its plane path)
+    # n = 1 runs the generic column on single columns, n >= 2 on runs of
+    # p^(n-1) columns; the zero function has no nonzero coordinate to add
     ctx = get_field(p, n)
     rng = random.Random(p * 10 + n)
     for f in (rand_f(ctx, rng), rand_f(ctx, rng), PFunction(ctx, [0] * ctx.q)):
