@@ -20,23 +20,27 @@ degree > 3; run on g = f it gives the linear space E_f and the balance
 witness of a quadratic.
 
 The weakly-regular identity battery walks rows c.  Row c transforms D_c f
-and gets the dual side at every b at once from the correlation identity
-W_{D_b f*}(-c) = p^-n sum_y W(y) conj(W(y + c)) w^Tr(by), W = W_{f*}
-(transformed once): shifting y by -c folds in the check's phase, so p^n
-P_c(b), P_c(b) = w^Tr(bc) W_{D_b f*}(-c), is one pointwise product and one
-inverse-kernel run, compared undivided with p^n W_{D_c f}(b).  As D_-c f(x)
-= -D_c f(x - c), W_{D_-c f}(b) = w^-Tr(bc) conj(W_{D_c f}(-b)), and P_-c
-is P_c mirrored alike: row -c is row c under a bijection b -> -b, so a pair
-c, -c costs one derivative, one forward transform and one inverse run, and
-row -c's phase misses are row c's negated.  Each check is a whole-row pass
-(`map`, `compress`), with -b and Tr(bc) read from tables: symmetry of
-W_{D_c f} in b and in c, the phase identity, vanishing on Tr(bc) != 0 and
-realness on Tr(bc) = 0 (only the phase identity is sound; see
-`WrIdentityReport`).  Small fields are walked whole; larger ones fill
-SAMPLED_PAIRS with seeded rows (see `wr_identity_check`).  Given a
-cubic-like witness D_{c,d} f = lambda, every walked row also checks
-W_{D_c f}(b) = 0 whenever Tr(bd) != lambda, which holds for every
-function, so a failure is an internal inconsistency.
+and checks P_c(b) = w^Tr(bc) W_{D_b f*}(-c) against W_{D_c f}(b) at every b
+at once: by the correlation identity W_{D_b f*}(-c) = p^-n sum_y W(y)
+conj(W(y + c)) w^Tr(by), W = W_{f*} (transformed once), shifted by -c, p^n
+P_c is the inverse sums of W(y - c) conj(W(y)).  A bent f* has W(y) = s(y)
+U w^j(y) with U conj(U) = p^n, so P_c - W_{D_c f} is the inverse sums of
+d_c(y) = s(y - c) s(y) w^(j(y - c) - j(y)) - w^(D_c f(-y)), and a row where
+d_c vanishes, as on every row of a weakly regular f, runs no inverse
+transform (`_phase_difference`); a dual that is not bent takes the product
+through one inverse run (`_phase_misses`).  As D_-c f(x) = -D_c f(x - c),
+W_{D_-c f}(b) = w^-Tr(bc) conj(W_{D_c f}(-b)), and P_-c is P_c mirrored
+alike: row -c is row c under a bijection b -> -b, so a pair c, -c costs one
+derivative, one forward transform and at most one inverse run, and row -c's
+phase misses are row c's negated.  Each check is a whole-row pass (`map`,
+`compress`), with -b and Tr(bc) read from tables: symmetry of W_{D_c f} in
+b and in c, the phase identity, vanishing on Tr(bc) != 0 and realness on
+Tr(bc) = 0 (only the phase identity is sound; see `WrIdentityReport`).
+Small fields are walked whole; larger ones fill SAMPLED_PAIRS with seeded
+rows (see `wr_identity_check`).  Given a cubic-like witness D_{c,d} f =
+lambda, every walked row also checks W_{D_c f}(b) = 0 whenever Tr(bd) !=
+lambda, which holds for every function, so a failure is an internal
+inconsistency.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ import functools
 import itertools
 import random
 from itertools import compress
-from operator import and_, itemgetter, ne, not_
+from operator import and_, itemgetter, ne, not_, sub
 
 from .cyclo import conj_coords, coords_from_counts, mul_coords
 from .errors import InternalInconsistency, PreconditionError
@@ -288,10 +292,11 @@ class WrIdentityReport:
 
 
 def _phase_misses(w: list, ctx, c: int, minus_c: int, wc: list, support: list) -> list:
-    """The b, ascending, where w^Tr(bc) W_{D_b f*}(-c) != W_{D_c f}(b), W =
-    W_{f*}: the inverse sums of W(y - c) * conj(W(y)) against p^n W_{D_c f}
-    (zero off `support`); only unequal entries are divided, exactly.  The
-    product is unrolled for p = 3, where conj(a + b*w) = (a - b) - b*w."""
+    """The product path (for a dual that is not bent; the oracle of
+    `_phase_difference`): the b, ascending, where w^Tr(bc) W_{D_b f*}(-c) !=
+    W_{D_c f}(b), from the inverse sums of W(y - c) * conj(W(y)), W = W_{f*},
+    against p^n W_{D_c f} (zero off `support`); only unequal entries are
+    divided, exactly.  Unrolled for p = 3: conj(a + b*w) = (a - b) - b*w."""
     p, q = ctx.p, ctx.q
     shifted = list(map(w.__getitem__, ctx.shift_table(minus_c)))
     if p == 3:
@@ -307,6 +312,30 @@ def _phase_misses(w: list, ctx, c: int, minus_c: int, wc: list, support: list) -
     if any(v % q for b in misses for v in sums[b]):
         raise InternalInconsistency("correlation sums of direction %d not divisible by p^n" % c)
     return misses
+
+
+@functools.lru_cache(maxsize=8)
+def _signed_powers(p: int) -> tuple:
+    """Coordinates of z^k, k in [0, 2p), z = -w^((p+1)/2): as z^2 = w and
+    z^p = -1, s w^j = z^(2j + p[s < 0])."""
+    return tuple(coords_from_counts(p, [(-1) ** k * (i == k * (p + 1) // 2 % p) for i in range(p)])
+                 for k in range(2 * p))
+
+
+def _phase_difference(codes: list, ctx, minus_c: int, local: list) -> list:
+    """d_c(y) = s(y - c) s(y) w^(j(y - c) - j(y)) - w^local(y) at every y,
+    or [] if it is zero at every y; `codes` holds the exponents of z
+    (`_signed_powers`) of a bent dual's W_{f*}(y) = s(y) U w^j(y).  With
+    local(y) = D_c f(-y), the inverse sums of d_c are P_c - W_{D_c f}."""
+    powers = _signed_powers(ctx.p)  # read at k1 - k2 in (-2p, 2p), so mod 2p
+    lhs = list(map(powers.__getitem__, map(sub, map(codes.__getitem__,
+                                                    ctx.shift_table(minus_c)), codes)))
+    rhs = list(map(powers[::2].__getitem__, local))
+    points = list(compress(range(ctx.q), map(ne, lhs, rhs)))
+    d = [(0,) * (ctx.p - 1)] * ctx.q if points else []
+    for y in points:
+        d[y] = tuple(map(sub, lhs[y], rhs[y]))
+    return d
 
 
 def _mirror_maps(p: int) -> tuple:
@@ -329,16 +358,20 @@ def wr_identity_check(f: PFunction, seed: int = 0,
     module docstring): all q rows when p^2n <= SAMPLED_PAIRS, otherwise
     ceil(SAMPLED_PAIRS / q) distinct rows from `random.Random(seed).sample`,
     in draw order, the last one cut so that exactly SAMPLED_PAIRS pairs are
-    checked.  With a cubic-like `certificate` of f, a nonzero W_{D_c f}(b)
-    with Tr(bd) != lambda for c's witness (d, lambda) raises
-    InternalInconsistency.
+    checked.  A row runs the inverse kernel only where its phase difference
+    d_c is nonzero, or on the product path when the dual is not bent.  With
+    a cubic-like `certificate` of f, a nonzero W_{D_c f}(b) with Tr(bd) !=
+    lambda for c's witness (d, lambda) raises InternalInconsistency.
     """
     ctx = f.ctx
     p, q = ctx.p, ctx.q
     s = walsh_fast(f)
     if not is_bent(s):
         raise PreconditionError("wr_identity_check requires a bent function")
-    w_dual = walsh_fast(extract_certificate(s).dual).coords
+    s_dual = walsh_fast(extract_certificate(s).dual)
+    cert = extract_certificate(s_dual) if s_dual.bent else None
+    codes = cert and [(2 * j + p * (sign < 0)) % (2 * p)
+                       for sign, j in zip(cert.signs, cert.dual.values)]
 
     # a sample never repeats a pair, so a field with fewer pairs is walked whole
     exhaustive = q * q <= SAMPLED_PAIRS
@@ -360,12 +393,17 @@ def wr_identity_check(f: PFunction, seed: int = 0,
         if c in pending:  # stashed by row -c, walked earlier
             wc, wneg, misses = pending.pop(c)
         else:
-            wc = walsh_fast(f.derivative(ctx.from_index(c))).coords
+            g = f.derivative(ctx.from_index(c))
+            wc = walsh_fast(g).coords
             support = list(compress(range(q), map(any, wc)))
             wneg = [(0,) * (p - 1)] * q  # W_{D_-c f}: zero off the negated support
             for b in support:
                 wneg[neg[b]] = mirror[trs[neg[b]]](wc[b])
-            misses = _phase_misses(w_dual, ctx, c, neg[c], wc, support)
+            if codes is None:
+                misses = _phase_misses(s_dual.coords, ctx, c, neg[c], wc, support)
+            else:
+                d = _phase_difference(codes, ctx, neg[c], list(map(g.values.__getitem__, neg)))
+                misses = list(compress(range(q), map(any, inverse_sums(ctx, d)))) if d else []
             if neg[c] in todo:  # the mirror is a bijection b -> -b on both sides
                 pending[neg[c]] = (wneg, wc, sorted(neg[b] for b in misses))
         nonzero = list(map(any, wc))

@@ -13,13 +13,14 @@ v(y) = (Tr(alpha^j y))_j, so the transform is n size-p DFT passes
 for p = 3) read out at v(y) through one gather table, the linear table of
 the Gram matrix [Tr(alpha^(i+j))].  As Tr(x y) = v(x) . y too,
 `inverse_sums` runs the same passes with the conjugate DFT and the same
-gather: the inverse sums before the division by p^n, which the identity
-battery of `derivanalysis` divides exactly.
+gather: the inverse sums before any division by p^n, which the identity
+battery of `derivanalysis` reads as they are.
 
 Both paths produce flat coordinate tuples in Z[w] ((a, b) = a + b*w for
 p = 3, p - 1 integers otherwise), and a WalshSpectrum stores exactly those.
 Its constructor makes one pass over the points that computes each norm
-|W(y)|^2 as an integer expression on the coordinates; from that pass it
+|W(y)|^2 as an integer expression on the coordinates (for p >= 5 only at
+the nonzero points, whose norms alone can be nonzero); from that pass it
 checks Parseval (sum_y |W(y)|^2 = p^(2n), exactly) and sets the bent flag,
 so a constructed WalshSpectrum is already a certificate of internal
 consistency, and `is_bent` only reads the flag.  The bent certificate is
@@ -72,7 +73,7 @@ class WalshSpectrum:
             parseval, bent = q * q, q
         else:
             pad = (0,) * ((p - 3) // 2)
-            norms = [norm_coords(c, p) for c in coords]
+            norms = [norm_coords(c, p) for c in filter(any, coords)]  # |0|^2 = 0
             total = tuple(map(sum, zip(*norms)))
             parseval, bent = (q * q,) + pad, (q,) + pad
         if total != parseval:

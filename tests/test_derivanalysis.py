@@ -7,7 +7,7 @@ import pytest
 
 from pbent import derivanalysis
 from pbent.constructions import TrinomialParams, lemma2_witness, trinomial_bent
-from pbent.cyclo import CycInt, conj_coords
+from pbent.cyclo import CycInt, conj_coords, unit_power_forms
 from pbent.derivanalysis import (SAMPLED_PAIRS, CubicLikeCertificate, WrIdentityReport,
                                  _constant_derivatives, _first_witness_low_degree,
                                  _first_witness_scan, _trilinear_form,
@@ -18,7 +18,7 @@ from pbent.errors import InternalInconsistency, PreconditionError
 from pbent.funcrep import (ANF, PFunction, TraceForm, anf_to_truth, p_weight,
                            parse_function_spec)
 from pbent.gf import get_field
-from pbent.walsh import extract_certificate, is_bent, walsh_fast
+from pbent.walsh import extract_certificate, inverse_sums, is_bent, walsh_fast
 
 F3 = get_field(3, 1)
 F9 = get_field(3, 2)
@@ -387,12 +387,16 @@ def _assert_json_from_dicts(rep, violations):
     lambda: trinomial_bent(TrinomialParams(1, 0, 1)).truth_table(),
     lambda: parse_function_spec("p=3 n=4 f=Tr(x^34+x^2)")[1].truth_table(),
     lambda: parse_function_spec("p=3 n=4 f=Tr(x^4+g^10*x^22)")[1].truth_table(),
+    lambda: parse_function_spec("p=3 n=3 f=Tr(x^8+x^14)")[1].truth_table(),
     lambda: quad(F81),
     lambda: quad(get_field(5, 2)),
     lambda: quad(get_field(7, 2)),
-], ids=["trinomial_121", "trinomial_101", "x34_x2", "sporadic_x4_x22",
+], ids=["trinomial_121", "trinomial_101", "x34_x2", "sporadic_x4_x22", "x8_x14",
         "quadratic_p3_n4", "quadratic_p5_n2", "quadratic_p7_n2"])
 def test_wr_rows_match_pair_oracle_exhaustive(make):
+    # the sporadic function's dual is not bent, so its rows take the product
+    # path; x^8 + x^14 is non-weakly regular with a bent dual, and its 108
+    # sound violations come from the nonzero phase differences
     f = make()
     q = f.ctx.q
     rep = wr_identity_check(f)
@@ -417,6 +421,38 @@ def test_mirror_maps_read_the_row_of_minus_c(p, n):
         for b in range(ctx.q):
             tr = ctx.trace(ctx.from_index(b) * ctx.from_index(c))
             assert mirror[tr](wc[ctx.neg_index(b)]) == wneg[b]
+
+
+@pytest.mark.parametrize("p, n", [(3, 3), (3, 4), (5, 1), (5, 2), (7, 1), (7, 2)])
+def test_phase_difference_matches_product_sums(p, n):
+    # a bent-shaped W = s U w^j with seeded signs and exponents, U the unit
+    # of (p, n), and a seeded local(y) in the place of D_c f(-y): row by row,
+    # the inverse sums of d_c plus those of w^local are the product sums of
+    # W(y - c) conj(W(y)) divided by p^n, and the product path's misses
+    # against the sums of w^local are the nonzero sums of d_c
+    ctx = get_field(p, n)
+    q = ctx.q
+    rng = random.Random(10 * p + n)
+    form = {sj: coords for coords, sj in unit_power_forms(p, n).items()}
+    signs = [rng.choice((1, -1)) for _ in range(q)]
+    exps = [rng.randrange(p) for _ in range(q)]
+    w = [form[s, j] for s, j in zip(signs, exps)]
+    codes = [(2 * j + p * (s < 0)) % (2 * p) for s, j in zip(signs, exps)]
+    local = [rng.randrange(p) for _ in range(q)]
+    local_sums = inverse_sums(ctx, [CycInt.omega_pow(p, v).coords for v in local])
+    support = [b for b in range(q) if any(local_sums[b])]
+    for c in range(q):
+        minus_c = ctx.neg_index(c)
+        prod = [(CycInt(p, w[ctx.add_index(y, minus_c)]) * CycInt(p, w[y]).conj()).coords
+                for y in range(q)]
+        product_sums = inverse_sums(ctx, prod)
+        d = derivanalysis._phase_difference(codes, ctx, minus_c, local)
+        assert d and len(d) == q
+        sums = inverse_sums(ctx, d)
+        assert [tuple(q * (a + b) for a, b in zip(x, y))
+                for x, y in zip(sums, local_sums)] == product_sums
+        misses = derivanalysis._phase_misses(w, ctx, c, minus_c, local_sums, support)
+        assert misses == [b for b in range(q) if any(sums[b])]
 
 
 def _battery_rows(q, seed):
