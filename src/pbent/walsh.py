@@ -13,8 +13,8 @@ v(y) = (Tr(alpha^j y))_j, so the transform is n size-p DFT passes
 for p = 3) read out at v(y) through one gather table, the linear table of
 the Gram matrix [Tr(alpha^(i+j))].  As Tr(x y) = v(x) . y too,
 `inverse_sums` runs the same passes with the conjugate DFT and the same
-gather: the inverse sums before any division by p^n, which the identity
-battery of `derivanalysis` reads as they are.
+gather: the inverse sums before the division by p^n, which the identity
+battery of `derivanalysis` needs, and does exactly, on its product path only.
 
 Both paths produce flat coordinate tuples in Z[w] ((a, b) = a + b*w for
 p = 3, p - 1 integers otherwise), and a WalshSpectrum stores exactly those.
