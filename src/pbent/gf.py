@@ -438,8 +438,8 @@ class FieldCtx:
         return [hi[x // half] + lo[x % half] for x in idxs]
 
     def shift_table(self, a_idx: int) -> list[int]:
-        """perm[x] = index(x + a)."""
-        return self.shift_indexes(range(self.q), a_idx)
+        """perm[x] = index(x + a): one `shift_row` over all n digits."""
+        return shift_row(self.p, self.n, a_idx)
 
     def linear_table(self, cols) -> list[int]:
         """Index table of the F_p-linear map v -> sum_j v_j c_j, given the

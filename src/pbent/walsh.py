@@ -19,26 +19,32 @@ battery of `derivanalysis` needs, and does exactly, on its product path only.
 Both paths produce flat coordinate tuples in Z[w] ((a, b) = a + b*w for
 p = 3, p - 1 integers otherwise), and a WalshSpectrum stores exactly those.
 Its constructor makes one pass over the points that computes each norm
-|W(y)|^2 as an integer expression on the coordinates (for p >= 5 only at
-the nonzero points, whose norms alone can be nonzero); from that pass it
-checks Parseval (sum_y |W(y)|^2 = p^(2n), exactly) and sets the bent flag,
-so a constructed WalshSpectrum is already a certificate of internal
-consistency, and `is_bent` only reads the flag.  The bent certificate is
-recognized on coordinates (`cyclo.unit_power_forms`) once per spectrum and
-cached.  CycInt stays the scalar type at the API boundary: `s[y]` and
-`s.values`, a view built on first access.  `walsh_fast` memoizes the
-spectrum on f, so a command transforms f once; `walsh_naive` never reads it.
+|W(y)|^2 as an integer expression on the coordinates (for p = 3 as
+|W(y)|^2 - p^n, zero at every bent point; for p >= 5 only at the nonzero
+points, whose norms alone can be nonzero, and read as p^n for a point in
+bent normal form); from that pass it checks Parseval (sum_y |W(y)|^2 =
+p^(2n), exactly) and sets the bent flag, so a constructed WalshSpectrum is
+already a certificate of internal consistency, and `is_bent` only reads the
+flag.  The bent certificate is recognized on coordinates
+(`cyclo.unit_power_forms`) once per spectrum and cached.  In odd
+characteristic it is the whole spectrum, W(y) = s(y) U p^(n/2) w^(j(y)),
+so a certified spectrum is held by its certificate: it drops its tuples,
+and `coords` rebuilds them from (s, j) on the next read.  CycInt stays the
+scalar type at the API boundary: `s[y]` and `s.values`, a view built on
+first access.  `walsh_fast` memoizes the spectrum on f, so a command
+transforms f once; `walsh_naive` never reads it.
 """
 
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
 
 from .cyclo import CycInt, norm_coords, unit_class, unit_power_forms
 from .errors import InternalInconsistency, PreconditionError
 from .funcrep import PFunction
 from .gf import FieldCtx
-from .linalg import axis_passes
+from .linalg import axis_passes, lane_typecode
 
 NOT_BENT = "not_bent"
 REGULAR = "regular"
@@ -50,10 +56,11 @@ class WalshSpectrum:
     """Full map y -> W_f(y) as exact coordinate tuples in Z[w].
 
     `values` may hold CycInt values or their coordinate tuples.  `bent` is
-    set by the construction-time norm pass.
+    set by the construction-time norm pass.  A certified spectrum is held
+    by its certificate (`extract_certificate`), which rebuilds `coords`.
     """
 
-    __slots__ = ("ctx", "coords", "provenance", "bent", "_values", "_certificate")
+    __slots__ = ("ctx", "_coords", "provenance", "bent", "_values", "_certificate")
 
     def __init__(self, ctx: FieldCtx, values, provenance: str) -> None:
         coords = list(values)
@@ -63,22 +70,37 @@ class WalshSpectrum:
         if len(coords) != q:
             raise ValueError("spectrum must have p^n values")
         self.ctx = ctx
-        self.coords = coords
+        self._coords = coords
         self.provenance = provenance
         self._values = None
         self._certificate = None
         if p == 3:
-            norms = [a * a - a * b + b * b for a, b in coords]
-            total = sum(norms)
-            parseval, bent = q * q, q
+            # |W(y)|^2 - p^n: the cached int 0 at every bent point, not q
+            # distinct ints equal to p^n
+            devs = [a * a - a * b + b * b - q for a, b in coords]
+            parseval = sum(devs) == 0
+            self.bent = not any(devs)
         else:
             pad = (0,) * ((p - 3) // 2)
-            norms = [norm_coords(c, p) for c in filter(any, coords)]  # |0|^2 = 0
-            total = tuple(map(sum, zip(*norms)))
-            parseval, bent = (q * q,) + pad, (q,) + pad
-        if total != parseval:
+            bent = (q,) + pad
+            forms = unit_power_forms(p, ctx.n)  # norm p^n by construction
+            norms = [bent if c in forms else norm_coords(c, p)
+                     for c in filter(any, coords)]  # |0|^2 = 0
+            parseval = tuple(map(sum, zip(*norms))) == (q * q,) + pad
+            self.bent = norms.count(bent) == q
+        if not parseval:
             raise InternalInconsistency("Parseval failed: sum |W|^2 != p^(2n)")
-        self.bent = norms.count(bent) == q
+
+    @property
+    def coords(self) -> list:
+        """The spectrum as coordinate tuples.  A certified spectrum is held
+        by its certificate; its first read rebuilds s(y) U p^(n/2) w^(j(y))
+        through the inverse of `unit_power_forms` and keeps it."""
+        if self._coords is None:
+            cert, ctx = self._certificate, self.ctx
+            form = {sj: c for c, sj in unit_power_forms(ctx.p, ctx.n).items()}
+            self._coords = list(map(form.__getitem__, zip(cert.signs, cert.dual.values)))
+        return self._coords
 
     @property
     def values(self) -> list[CycInt]:
@@ -124,15 +146,15 @@ def walsh_naive(f: PFunction) -> WalshSpectrum:
 _DUAL_CACHE: dict = {}
 
 
-def _dual_table(ctx: FieldCtx) -> list[int]:
+def _dual_table(ctx: FieldCtx) -> array:
     """table[y] = index of y's trace-dual coordinates (Tr(alpha^j y))_j,
-    cached per field realization: the linear table whose column i is the
-    Gram row (Tr(alpha^(i+j)))_j."""
+    cached per field realization as an `array`: the linear table whose
+    column i is the Gram row (Tr(alpha^(i+j)))_j."""
     key = (ctx.p, ctx.n, ctx.modulus)
     if key not in _DUAL_CACHE:
         basis = [ctx.from_index(ctx.p ** i).coeffs for i in range(ctx.n)]
-        _DUAL_CACHE[key] = ctx.linear_table(
-            [ctx.to_index([ctx.trace_coeffs(ctx.mul_t(a, b)) for b in basis]) for a in basis])
+        _DUAL_CACHE[key] = array(lane_typecode(ctx.q), ctx.linear_table(
+            [ctx.to_index([ctx.trace_coeffs(ctx.mul_t(a, b)) for b in basis]) for a in basis]))
     return _DUAL_CACHE[key]
 
 
@@ -189,7 +211,7 @@ def _trace_sums(ctx: FieldCtx, vals, sign: int) -> list:
     # raised the n = 12 peak RSS by 1.8 MB
     table = _dual_table(ctx)
     flat = axis_passes(vals, ctx.p, ctx.n, _dft_column(ctx.p, sign))
-    return [flat[i] for i in table]
+    return list(map(flat.__getitem__, table))
 
 
 def walsh_fast(f: PFunction) -> WalshSpectrum:
@@ -240,7 +262,9 @@ class BentCertificate:
 
 def extract_certificate(s: WalshSpectrum) -> BentCertificate:
     """Decompose a bent spectrum into (dual, signs, unit kind); computed
-    once per spectrum and cached on it."""
+    once per spectrum and cached on it.  The spectrum is then held by its
+    certificate: it releases its coordinate tuples, which `coords` rebuilds
+    on demand."""
     if s._certificate is None:
         ctx = s.ctx
         if not s.bent:
@@ -253,6 +277,7 @@ def extract_certificate(s: WalshSpectrum) -> BentCertificate:
         signs = [r[0] for r in recs]
         dual = PFunction(ctx, [r[1] for r in recs])
         s._certificate = BentCertificate(ctx, dual, signs, unit_class(ctx.p, ctx.n))
+        s._coords = None  # held by the certificate from here on
     return s._certificate
 
 

@@ -4,7 +4,9 @@
 expressions on coordinate tuples, and `extract_certificate` recognizes the
 bent normal form by table lookup.  Here both are checked point by point
 against CycInt arithmetic (`norm_sq`, products with the Gauss sum), on
-seeded random functions for p in {3, 5, 7} at even and odd n.
+seeded random functions for p in {3, 5, 7} at even and odd n.  A certified
+spectrum, held by its certificate, is checked against the values it had
+before certification and against the direct sums.
 """
 
 import random
@@ -114,3 +116,54 @@ def test_parseval_still_guards_construction(p, n):
         WalshSpectrum(ctx, bad, "corrupted")
     with pytest.raises(InternalInconsistency):
         WalshSpectrum(ctx, [CycInt(p, c) for c in bad], "corrupted")
+
+
+@pytest.mark.parametrize("p,n", FIELDS)
+def test_certified_spectrum_is_rebuilt_from_its_certificate(p, n):
+    """After `extract_certificate` the spectrum holds no tuples of its own;
+    `coords`, `values` and `s[y]` rebuilt from (s, j) equal the transform's
+    values from before certification and the direct sums."""
+    ctx = get_field(p, n)
+    rng = random.Random(2000 * p + n)
+    for f in random_functions(ctx, rng)[1:]:
+        s = walsh_fast(f)
+        before = list(s.coords)
+        extract_certificate(s)
+        assert s._coords is None
+        naive = walsh_naive(f)
+        assert s.coords == before == naive.coords
+        assert s.coords is s.coords  # rebuilt once, then kept
+        assert s.values == [CycInt(p, c) for c in before] == naive.values
+        assert [s[y] for y in range(ctx.q)] == naive.values
+
+
+@pytest.mark.parametrize("p,n", FIELDS)
+def test_altered_bent_spectrum_fails_parseval(p, n):
+    """One coordinate of one point moved by +-1 breaks Parseval; for p >= 5
+    the altered spectra mix points read as bent normal forms with points
+    whose norm is computed, one to three of the latter."""
+    ctx = get_field(p, n)
+    rng = random.Random(3000 * p + n)
+    coords = walsh_fast(random_functions(ctx, rng)[1]).coords
+    for _ in range(10):
+        bad = list(coords)
+        for y in rng.sample(range(ctx.q), 1 if p == 3 else rng.randint(1, 3)):
+            i = rng.randrange(p - 1)
+            bad[y] = bad[y][:i] + (bad[y][i] + rng.choice((1, -1)),) + bad[y][i + 1:]
+        assert sum(c not in unit_power_forms(p, n) for c in bad) >= 1
+        with pytest.raises(InternalInconsistency):
+            WalshSpectrum(ctx, bad, "altered")
+
+
+@pytest.mark.parametrize("p,n", FIELDS)
+def test_derivative_spectrum_is_not_bent(p, n):
+    """The derivatives of a bent function have unrecognized points (a
+    quadratic's are affine: one spike of norm p^(2n)); their spectra pass
+    Parseval and stay not bent, as the CycInt oracle says."""
+    ctx = get_field(p, n)
+    rng = random.Random(4000 * p + n)
+    for f in random_functions(ctx, rng)[1:]:
+        g = f.derivative(ctx.from_index(rng.randrange(1, ctx.q)))
+        s = walsh_fast(g)
+        assert s.bent is False and oracle_bent(s) is False
+        assert s.coords == walsh_naive(g).coords

@@ -155,7 +155,7 @@ def test_dual_table_reads_trace_dual_coordinates():
     fields = [get_field(3, 1), F27, F81, get_field(3, 4, (1, 1, 1, 1, 1)),
               get_field(5, 3), get_field(7, 2)]
     for ctx in fields:
-        assert _dual_table(ctx) == [_dual_coordinates_index(ctx, y) for y in range(ctx.q)]
+        assert list(_dual_table(ctx)) == [_dual_coordinates_index(ctx, y) for y in range(ctx.q)]
     ctx = get_field(3, 12)
     table = _dual_table(ctx)
     rng = random.Random(26)
