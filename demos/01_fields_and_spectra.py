@@ -23,14 +23,13 @@ print("a^4 == 1 - a:", a ** 4 == F81.one() - a)
 # Walsh values are exact elements of Z[w]
 # ---------------------------------------------------------------------------
 f = pb.PFunction(pb.get_field(3, 1), [0, 1, 1])   # f(x) = x^2 on F_3
-spectrum = pb.walsh_naive(f)
-print("\nW of x^2 on F_3:", [str(v) for v in spectrum.values])
-print("gauss_sum(3) =", pb.gauss_sum(3), " squared:", pb.gauss_sum(3) * pb.gauss_sum(3))
+print("\nW of x^2 on F_3:", [str(pb.single_walsh_value(f, y)) for y in range(3)])
+print("gauss_sum(3) =", pb.gauss_sum(3), " norm:", pb.gauss_sum(3).norm_sq())
 
 # the fast transform agrees coordinate-for-coordinate with the naive sum
 F27 = pb.get_field(3, 3)
 sporadic = pb.parse_function_spec("p=3 n=3 f=Tr(x^8+x^14)")[1].truth_table()
-assert pb.walsh_fast(sporadic).values == pb.walsh_naive(sporadic).values
+assert pb.walsh_fast(sporadic).coords == pb.walsh_naive(sporadic).coords
 print("\nfast == naive on Tr(x^8 + x^14) over F_27")
 
 # ---------------------------------------------------------------------------

@@ -257,9 +257,12 @@ def trinomial_closed_form_walsh(params: TrinomialParams, y: FFElem,
     def tr(z):
         return ctx.subfield_abs_trace(z, k)
 
+    def value(sign, e):  # sign * 3^(2k) * w^e
+        return CycInt.from_exponent_counts(3, [sign * scale * (i == e % 3) for i in range(3)])
+
     if y0.is_zero():
         e = tr(((y1 + y3) * (y1 + y3) + (y1 + y2) * (y1 + y2)) * B.scale(s_j))
-        return CycInt.omega_pow(3, e) * (-scale)
+        return value(-1, e)
 
     a1 = (B * y0).scale(s_k) - Binv.scale(s_j)       # x_1^2 coefficient
     a2 = -(B * y0).scale(s_k) - Binv.scale(s_j)      # x_2^2 coefficient
@@ -272,14 +275,14 @@ def trinomial_closed_form_walsh(params: TrinomialParams, y: FFElem,
         # y_0 = s_j s_k B^-2: summing x_1 forces x_2 = l1 / (s_k B y_0)
         x2 = l1 * m.inverse().scale(-1)
         e = tr(c0 + a2 * x2 * x2 + l2 * x2)
-        return CycInt.omega_pow(3, e) * scale
+        return value(1, e)
 
     q2pre = Binv * Binv + y0 * y0 * B * B
     nn = l2 * a1 + l1 * m
     e = (tr(c0) - tr(l1 * l1 * a1.inverse())
          - tr(nn * nn * (q2pre * a1).inverse())) % 3
     sign = -_quadratic_character(ctx, q2pre, k)
-    return CycInt.omega_pow(3, e) * (sign * scale)
+    return value(sign, e)
 
 
 _SETUP_CACHE: dict = {}

@@ -4,7 +4,10 @@ Every Walsh value computed by this package lives here.  Elements are kept
 in the canonical integer basis {1, w, ..., w^(p-2)}: the relation
 1 + w + ... + w^(p-1) = 0 is applied eagerly, so equality is coordinate-wise
 and zero has all-zero coordinates.  No floating point anywhere: bentness
-and sign classifications are certificates, not approximations.
+and sign classifications are certificates, not approximations.  The ring's
+arithmetic is the functions on bare coordinate tuples (`coords_from_counts`,
+`mul_coords`, `conj_coords`, `norm_coords`); `CycInt` is a plain value, a
+tuple with its p, that the one-point functions return.
 
 The quadratic Gauss sum g = sum_{x in F_p} w^(x^2) realizes sqrt(p) inside
 the ring (g * conj(g) = p, g^2 = (-1)^((p-1)/2) * p), which is how values
@@ -14,69 +17,30 @@ of magnitude p^(n/2) for odd n are recognized without irrational numbers.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import index
 
 
 class CycInt:
-    """An element of Z[w] in canonical coordinates."""
+    """An element of Z[w] in canonical coordinates; each coordinate must be
+    an integer (`operator.index`), so a float or a string is refused."""
 
     __slots__ = ("p", "coords")
 
     def __init__(self, p: int, coords) -> None:
         self.p = p
-        coords = tuple(int(c) for c in coords)
+        coords = tuple(map(index, coords))
         if len(coords) != p - 1:
             raise ValueError("need %d coordinates for p=%d" % (p - 1, p))
         self.coords = coords
-
-    # -- constructors ---------------------------------------------------------
-
-    @classmethod
-    def integer(cls, p: int, m: int) -> "CycInt":
-        return cls(p, (m,) + (0,) * (p - 2))
-
-    @classmethod
-    def omega_pow(cls, p: int, j: int) -> "CycInt":
-        """w^j reduced to canonical form."""
-        j %= p
-        if j < p - 1:
-            return cls(p, tuple(1 if i == j else 0 for i in range(p - 1)))
-        return cls(p, (-1,) * (p - 1))
 
     @classmethod
     def from_exponent_counts(cls, p: int, counts) -> "CycInt":
         """sum_j counts[j] * w^j for a length-p count vector."""
         return cls(p, coords_from_counts(p, counts))
 
-    # -- ring operations --------------------------------------------------------
-
-    def __add__(self, other: "CycInt") -> "CycInt":
-        return CycInt(self.p, tuple(a + b for a, b in zip(self.coords, other.coords)))
-
-    def __sub__(self, other: "CycInt") -> "CycInt":
-        return CycInt(self.p, tuple(a - b for a, b in zip(self.coords, other.coords)))
-
-    def __neg__(self) -> "CycInt":
-        return CycInt(self.p, tuple(-a for a in self.coords))
-
-    def __mul__(self, other) -> "CycInt":
-        if isinstance(other, int):
-            return CycInt(self.p, tuple(other * a for a in self.coords))
-        if not isinstance(other, CycInt):
-            return NotImplemented
-        return CycInt(self.p, mul_coords(self.coords, other.coords, self.p))
-
-    def __rmul__(self, other) -> "CycInt":
-        return self.__mul__(other)
-
-    def conj(self) -> "CycInt":
-        """Complex conjugation w -> w^(p-1); an involutive ring automorphism."""
-        return CycInt(self.p, conj_coords(self.coords, self.p))
-
     def norm_sq(self) -> "CycInt":
         """x * conj(x); the squared complex magnitude as a ring element."""
-        return self * self.conj()
-
-    # -- predicates and views ----------------------------------------------------
+        return CycInt(self.p, mul_coords(self.coords, conj_coords(self.coords, self.p), self.p))
 
     def is_zero(self) -> bool:
         return not any(self.coords)
@@ -105,8 +69,8 @@ class CycInt:
 
 # -- flat coordinate tuples ------------------------------------------------------
 #
-# Walsh spectra hold their values as bare coordinate tuples; these functions
-# are the arithmetic they need, and the CycInt methods delegate to them.
+# All ring arithmetic of the package: Walsh spectra hold their values as bare
+# coordinate tuples, and CycInt defines no operators of its own.
 
 
 def coords_from_counts(p: int, counts) -> tuple:
@@ -168,12 +132,12 @@ def unit_power_forms(p: int, n: int) -> dict:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    unit = CycInt.integer(p, 1) if n % 2 == 0 else gauss_sum(p)
+    unit = gauss_sum(p).coords if n % 2 else (1,) + (0,) * (p - 2)
     forms = {}
     for j in range(p):
-        base = unit * CycInt.omega_pow(p, j)
+        base = mul_coords(unit, coords_from_counts(p, [int(i == j) for i in range(p)]), p)
         for s in (1, -1):
-            forms[(base * (s * p ** (n // 2))).coords] = (s, j)
+            forms[tuple([s * p ** (n // 2) * v for v in base])] = (s, j)
     return forms
 
 

@@ -23,24 +23,25 @@ The weakly-regular identity battery walks rows c.  Row c transforms D_c f
 and checks P_c(b) = w^Tr(bc) W_{D_b f*}(-c) against W_{D_c f}(b) at every b
 at once: by the correlation identity W_{D_b f*}(-c) = p^-n sum_y W(y)
 conj(W(y + c)) w^Tr(by), W = W_{f*} (transformed once), shifted by -c, p^n
-P_c is the inverse sums of W(y - c) conj(W(y)).  A bent f* has W(y) = s(y)
-U w^j(y) with U conj(U) = p^n, so P_c - W_{D_c f} is the inverse sums of
-d_c(y) = s(y - c) s(y) w^(j(y - c) - j(y)) - w^(D_c f(-y)), and a row where
-d_c vanishes, as on every row of a weakly regular f, runs no inverse
-transform (`_phase_difference`); a dual that is not bent takes the product
-through one inverse run (`_phase_misses`).  As D_-c f(x) = -D_c f(x - c),
-W_{D_-c f}(b) = w^-Tr(bc) conj(W_{D_c f}(-b)), and P_-c is P_c mirrored
-alike: row -c is row c under a bijection b -> -b, so a pair c, -c costs one
-derivative, one forward transform and at most one inverse run, and row -c's
-phase misses are row c's negated.  Each check is a whole-row pass (`map`,
-`compress`), with -b and Tr(bc) read from tables: symmetry of W_{D_c f} in
-b and in c, the phase identity, vanishing on Tr(bc) != 0 and realness on
-Tr(bc) = 0 (only the phase identity is sound; see `WrIdentityReport`).
-Small fields are walked whole; larger ones fill SAMPLED_PAIRS with seeded
-rows (see `wr_identity_check`).  Given a cubic-like witness D_{c,d} f =
-lambda, every walked row also checks W_{D_c f}(b) = 0 whenever Tr(bd) !=
-lambda, which holds for every function, so a failure is an internal
-inconsistency.
+P_c is the inverse sums of W(y - c) conj(W(y)), and p^n W_{D_c f} those of
+p^n w^(D_c f(-y)).  A bent f* has W(y) = s(y) U w^j(y) with U conj(U) =
+p^n, so P_c - W_{D_c f} is the inverse sums of d_c(y) = s(y - c) s(y)
+w^(j(y - c) - j(y)) - w^(D_c f(-y)).  One path (`_phase_misses`) takes
+either pair of sides and runs one inverse transform of their difference,
+none where it vanishes, as on every row of a weakly regular f; a dual that
+is not bent has no (s, j) form and takes the product side.  As D_-c f(x) =
+-D_c f(x - c), W_{D_-c f}(b) = w^-Tr(bc) conj(W_{D_c f}(-b)), and P_-c is
+P_c mirrored alike: row -c is row c under a bijection b -> -b, so a pair
+c, -c costs one derivative, one forward transform and at most one inverse
+run, and row -c's phase misses are row c's negated.  Each check is a
+whole-row pass (`map`, `compress`), with -b and Tr(bc) read from tables:
+symmetry of W_{D_c f} in b and in c, the phase identity, vanishing on
+Tr(bc) != 0 and realness on Tr(bc) = 0 (only the phase identity is sound;
+see `WrIdentityReport`).  Small fields are walked whole; larger ones fill
+SAMPLED_PAIRS with seeded rows (see `wr_identity_check`).  Given a
+cubic-like witness D_{c,d} f = lambda, every walked row also checks
+W_{D_c f}(b) = 0 whenever Tr(bd) != lambda, which holds for every function,
+so a failure is an internal inconsistency.
 """
 
 from __future__ import annotations
@@ -291,27 +292,14 @@ class WrIdentityReport:
                 "sound=%(sound_violation_count)d)" % self.to_json())
 
 
-def _phase_misses(w: list, ctx, c: int, minus_c: int, wc: list, support: list) -> list:
-    """The product path (for a dual that is not bent; the oracle of
-    `_phase_difference`): the b, ascending, where w^Tr(bc) W_{D_b f*}(-c) !=
-    W_{D_c f}(b), from the inverse sums of W(y - c) * conj(W(y)), W = W_{f*},
-    against p^n W_{D_c f} (zero off `support`); only unequal entries are
-    divided, exactly.  Unrolled for p = 3: conj(a + b*w) = (a - b) - b*w."""
-    p, q = ctx.p, ctx.q
-    shifted = list(map(w.__getitem__, ctx.shift_table(minus_c)))
+def _correlation_products(w: list, shift: list, p: int) -> list:
+    """W(y - c) * conj(W(y)) at every y, with shift[y] = y - c: the
+    product side of a phase row, for a dual that is not bent.  Unrolled for
+    p = 3: conj(a + b*w) = (a - b) - b*w."""
+    shifted = map(w.__getitem__, shift)
     if p == 3:
-        prod = [(a1 * (a - b) + b1 * b, a * b1 - a1 * b)
-                for (a, b), (a1, b1) in zip(w, shifted)]
-    else:
-        prod = [mul_coords(x1, conj_coords(x, p), p) for x, x1 in zip(w, shifted)]
-    sums = inverse_sums(ctx, prod)
-    scaled = [(0,) * (p - 1)] * q
-    for b in support:
-        scaled[b] = tuple([q * v for v in wc[b]])
-    misses = list(compress(range(q), map(ne, sums, scaled)))
-    if any(v % q for b in misses for v in sums[b]):
-        raise InternalInconsistency("correlation sums of direction %d not divisible by p^n" % c)
-    return misses
+        return [(a1 * (a - b) + b1 * b, a * b1 - a1 * b) for (a, b), (a1, b1) in zip(w, shifted)]
+    return [mul_coords(x1, conj_coords(x, p), p) for x, x1 in zip(w, shifted)]
 
 
 @functools.lru_cache(maxsize=8)
@@ -322,20 +310,25 @@ def _signed_powers(p: int) -> tuple:
                  for k in range(2 * p))
 
 
-def _phase_difference(codes: list, ctx, minus_c: int, local: list) -> list:
-    """d_c(y) = s(y - c) s(y) w^(j(y - c) - j(y)) - w^local(y) at every y,
-    or [] if it is zero at every y; `codes` holds the exponents of z
-    (`_signed_powers`) of a bent dual's W_{f*}(y) = s(y) U w^j(y).  With
-    local(y) = D_c f(-y), the inverse sums of d_c are P_c - W_{D_c f}."""
-    powers = _signed_powers(ctx.p)  # read at k1 - k2 in (-2p, 2p), so mod 2p
-    lhs = list(map(powers.__getitem__, map(sub, map(codes.__getitem__,
-                                                    ctx.shift_table(minus_c)), codes)))
-    rhs = list(map(powers[::2].__getitem__, local))
-    points = list(compress(range(ctx.q), map(ne, lhs, rhs)))
-    d = [(0,) * (ctx.p - 1)] * ctx.q if points else []
-    for y in points:
+def _phase_misses(lhs: list, rhs: list, ctx, c: int, divisor: int) -> list:
+    """Row c's phase misses: the b, ascending, where w^Tr(bc) W_{D_b f*}(-c)
+    != W_{D_c f}(b).  The inverse sums of lhs - rhs are `divisor` times
+    P_c - W_{D_c f}: lhs(y) is W(y - c) conj(W(y)), W = W_{f*}, against
+    rhs(y) = p^n w^(D_c f(-y)) with divisor p^n, or for a bent dual the
+    signed power s(y - c) s(y) w^(j(y - c) - j(y)) against w^(D_c f(-y))
+    with divisor 1.  Where lhs = rhs at every y, as on every row of a
+    weakly regular f, there are no misses and no inverse run; otherwise the
+    misses are the nonzero sums, each divisible by `divisor`, exactly."""
+    if lhs == rhs:
+        return []
+    d = [(0,) * (ctx.p - 1)] * ctx.q
+    for y in compress(range(ctx.q), map(ne, lhs, rhs)):
         d[y] = tuple(map(sub, lhs[y], rhs[y]))
-    return d
+    sums = inverse_sums(ctx, d)
+    misses = list(compress(range(ctx.q), map(any, sums)))
+    if any(v % divisor for b in misses for v in sums[b]):
+        raise InternalInconsistency("correlation sums of direction %d not divisible by p^n" % c)
+    return misses
 
 
 def _mirror_maps(p: int) -> tuple:
@@ -358,8 +351,9 @@ def wr_identity_check(f: PFunction, seed: int = 0,
     module docstring): all q rows when p^2n <= SAMPLED_PAIRS, otherwise
     ceil(SAMPLED_PAIRS / q) distinct rows from `random.Random(seed).sample`,
     in draw order, the last one cut so that exactly SAMPLED_PAIRS pairs are
-    checked.  A row runs the inverse kernel only where its phase difference
-    d_c is nonzero, or on the product path when the dual is not bent.  With
+    checked.  A row runs the inverse kernel only where its two phase sides
+    differ: the signed powers of a bent dual against w^(D_c f(-y)), or the
+    products W_{f*}(y - c) conj(W_{f*}(y)) against p^n w^(D_c f(-y)).  With
     a cubic-like `certificate` of f, a nonzero W_{D_c f}(b) with Tr(bd) !=
     lambda for c's witness (d, lambda) raises InternalInconsistency.
     """
@@ -372,6 +366,9 @@ def wr_identity_check(f: PFunction, seed: int = 0,
     cert = extract_certificate(s_dual) if s_dual.bent else None
     codes = cert and [(2 * j + p * (sign < 0)) % (2 * p)
                        for sign, j in zip(cert.signs, cert.dual.values)]
+    powers = _signed_powers(p)  # z^(2j) = w^j
+    divisor = 1 if cert else q  # the product side carries the factor p^n
+    rhs_powers = [tuple([divisor * v for v in x]) for x in powers[::2]]  # divisor * w^j
 
     # a sample never repeats a pair, so a field with fewer pairs is walked whole
     exhaustive = q * q <= SAMPLED_PAIRS
@@ -395,15 +392,16 @@ def wr_identity_check(f: PFunction, seed: int = 0,
         else:
             g = f.derivative(ctx.from_index(c))
             wc = walsh_fast(g).coords
-            support = list(compress(range(q), map(any, wc)))
             wneg = [(0,) * (p - 1)] * q  # W_{D_-c f}: zero off the negated support
-            for b in support:
+            for b in compress(range(q), map(any, wc)):
                 wneg[neg[b]] = mirror[trs[neg[b]]](wc[b])
             if codes is None:
-                misses = _phase_misses(s_dual.coords, ctx, c, neg[c], wc, support)
-            else:
-                d = _phase_difference(codes, ctx, neg[c], list(map(g.values.__getitem__, neg)))
-                misses = list(compress(range(q), map(any, inverse_sums(ctx, d)))) if d else []
+                lhs = _correlation_products(s_dual.coords, ctx.shift_table(neg[c]), p)
+            else:  # read at k1 - k2 in (-2p, 2p), so mod 2p
+                lhs = list(map(powers.__getitem__, map(sub, map(
+                    codes.__getitem__, ctx.shift_table(neg[c])), codes)))
+            rhs = list(map(rhs_powers.__getitem__, map(g.values.__getitem__, neg)))  # D_c f(-y)
+            misses = _phase_misses(lhs, rhs, ctx, c, divisor)
             if neg[c] in todo:  # the mirror is a bijection b -> -b on both sides
                 pending[neg[c]] = (wneg, wc, sorted(neg[b] for b in misses))
         nonzero = list(map(any, wc))

@@ -35,7 +35,7 @@ from functools import lru_cache
 from itertools import compress
 from operator import sub
 
-from .cyclo import CycInt
+from .cyclo import coords_from_counts
 from .errors import InternalInconsistency, ParseError, PreconditionError
 from .gf import FFElem, FieldCtx, parse_field_spec, parse_int
 from .linalg import lane_passes, lane_typecode
@@ -119,7 +119,7 @@ class PFunction:
         counts = self.value_counts()
         target = self.ctx.q // self.ctx.p
         balanced = all(c == target for c in counts)
-        char_zero = CycInt.from_exponent_counts(self.ctx.p, counts).is_zero()
+        char_zero = not any(coords_from_counts(self.ctx.p, counts))
         if balanced != char_zero:
             raise InternalInconsistency("balance count disagrees with character sum")
         return balanced

@@ -12,7 +12,7 @@ from .constructions import (TrinomialParams, linearized_second_derivative_coeff,
                             mm_special_form, trinomial_bent,
                             trinomial_closed_form_walsh,
                             trinomial_first_derivative_form)
-from .cyclo import CycInt, gauss_sum, unit_power_forms
+from .cyclo import conj_coords, coords_from_counts, gauss_sum, mul_coords, unit_power_forms
 from .derivanalysis import (_trilinear_form, _trilinear_slice,
                             cubic_like_certificate, derivative_linear_space,
                             quadratic_balance_witness, wr_identity_check)
@@ -48,7 +48,7 @@ def check_fast_equals_naive(seed, level):
     trials = 30 if level == "quick" else 200
     for i in range(trials):
         f = _random_function(ctx, rng)
-        if walsh_naive(f).values != walsh_fast(f).values:
+        if walsh_naive(f).coords != walsh_fast(f).coords:
             return False, "disagreement at trial %d" % i
     return True, "%d random functions agree" % trials
 
@@ -58,8 +58,8 @@ def check_balance_via_character_sum(seed, level):
     ctx4 = get_field(3, 4)
     for _ in range(40):
         f = _random_function(ctx4, rng)
-        w0 = walsh_fast(f).values[0]
-        if f.is_balanced() != w0.is_zero():
+        w0_zero = not any(walsh_fast(f).coords[0])
+        if f.is_balanced() != w0_zero:
             return False, "balance mismatch"
     return True, "balance iff W(0)=0 on samples"
 
@@ -125,25 +125,24 @@ def check_field_invariants(seed, level):
 def check_cyclotomic_ring(seed, level):
     rng = random.Random(seed)
     for p in (3, 5, 7):
-        g = gauss_sum(p)
-        if g * g.conj() != CycInt.integer(p, p):
+        pad = (0,) * (p - 2)
+        g = gauss_sum(p).coords
+        if mul_coords(g, conj_coords(g, p), p) != (p,) + pad:
             return False, "gauss norm failed p=%d" % p
-        want = CycInt.integer(p, p if p % 4 == 1 else -p)
-        if g * g != want:
+        if mul_coords(g, g, p) != (p if p % 4 == 1 else -p,) + pad:
             return False, "gauss square failed p=%d" % p
         for _ in range(20):
-            x = CycInt(p, [rng.randrange(-9, 10) for _ in range(p - 1)])
-            y = CycInt(p, [rng.randrange(-9, 10) for _ in range(p - 1)])
-            if x.conj().conj() != x or (x * y) != (y * x):
+            x = tuple(rng.randrange(-9, 10) for _ in range(p - 1))
+            y = tuple(rng.randrange(-9, 10) for _ in range(p - 1))
+            if conj_coords(conj_coords(x, p), p) != x or mul_coords(x, y, p) != mul_coords(y, x, p):
                 return False, "ring identities failed"
         for n in (1, 2, 3, 4):
+            unit = g if n % 2 else (1,) + pad
             for j in range(p):
+                base = mul_coords(unit, coords_from_counts(p, [int(i == j) for i in range(p)]), p)
                 for sign in (1, -1):
-                    if n % 2 == 0:
-                        v = CycInt.omega_pow(p, j) * (sign * p ** (n // 2))
-                    else:
-                        v = gauss_sum(p) * CycInt.omega_pow(p, j) * (sign * p ** ((n - 1) // 2))
-                    if unit_power_forms(p, n).get(v.coords) != (sign, j):
+                    v = tuple([sign * p ** (n // 2) * c for c in base])
+                    if unit_power_forms(p, n).get(v) != (sign, j):
                         return False, "recognition round trip failed"
     return True, "conjugation, gauss sums, recognition round trips"
 
@@ -284,7 +283,7 @@ def check_closed_forms(seed, level):
         spec = walsh_naive(f)
         for idx in range(ctx.q):
             got = trinomial_closed_form_walsh(params, ctx.from_index(idx), ctx)
-            if got != spec.values[ctx.neg_index(idx)]:
+            if got.coords != spec.coords[ctx.neg_index(idx)]:
                 return False, "closed form mismatch at j=%d idx=%d" % (j, idx)
     return True, "all 81 points for j in {0, 2}"
 

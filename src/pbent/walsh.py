@@ -29,10 +29,9 @@ flag.  The bent certificate is recognized on coordinates
 (`cyclo.unit_power_forms`) once per spectrum and cached.  In odd
 characteristic it is the whole spectrum, W(y) = s(y) U p^(n/2) w^(j(y)),
 so a certified spectrum is held by its certificate: it drops its tuples,
-and `coords` rebuilds them from (s, j) on the next read.  CycInt stays the
-scalar type at the API boundary: `s[y]` and `s.values`, a view built on
-first access.  `walsh_fast` memoizes the spectrum on f, so a command
-transforms f once; `walsh_naive` never reads it.
+and `coords` rebuilds them from (s, j) on the next read; `coords` is the
+only view of a spectrum.  `walsh_fast` memoizes the spectrum on f, so a
+command transforms f once; `walsh_naive` never reads it.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from __future__ import annotations
 from array import array
 from functools import lru_cache
 
-from .cyclo import CycInt, norm_coords, unit_class, unit_power_forms
+from .cyclo import CycInt, coords_from_counts, norm_coords, unit_class, unit_power_forms
 from .errors import InternalInconsistency, PreconditionError
 from .funcrep import PFunction
 from .gf import FieldCtx
@@ -55,24 +54,20 @@ NON_WEAKLY_REGULAR = "non_weakly_regular"
 class WalshSpectrum:
     """Full map y -> W_f(y) as exact coordinate tuples in Z[w].
 
-    `values` may hold CycInt values or their coordinate tuples.  `bent` is
-    set by the construction-time norm pass.  A certified spectrum is held
-    by its certificate (`extract_certificate`), which rebuilds `coords`.
+    `bent` is set by the construction-time norm pass.  A certified spectrum
+    is held by its certificate (`extract_certificate`), which rebuilds
+    `coords`.
     """
 
-    __slots__ = ("ctx", "_coords", "provenance", "bent", "_values", "_certificate")
+    __slots__ = ("ctx", "_coords", "provenance", "bent", "_certificate")
 
-    def __init__(self, ctx: FieldCtx, values, provenance: str) -> None:
-        coords = list(values)
-        if coords and isinstance(coords[0], CycInt):
-            coords = [v.coords for v in coords]
+    def __init__(self, ctx: FieldCtx, coords: list, provenance: str) -> None:
         p, q = ctx.p, ctx.q
         if len(coords) != q:
             raise ValueError("spectrum must have p^n values")
         self.ctx = ctx
         self._coords = coords
         self.provenance = provenance
-        self._values = None
         self._certificate = None
         if p == 3:
             # |W(y)|^2 - p^n: the cached int 0 at every bent point, not q
@@ -102,17 +97,6 @@ class WalshSpectrum:
             self._coords = list(map(form.__getitem__, zip(cert.signs, cert.dual.values)))
         return self._coords
 
-    @property
-    def values(self) -> list[CycInt]:
-        """The spectrum as CycInt values, built on first access."""
-        if self._values is None:
-            p = self.ctx.p
-            self._values = [CycInt(p, c) for c in self.coords]
-        return self._values
-
-    def __getitem__(self, y_index: int) -> CycInt:
-        return self.values[y_index]
-
     def __repr__(self) -> str:
         return "WalshSpectrum(p=%d, n=%d, %s)" % (self.ctx.p, self.ctx.n, self.provenance)
 
@@ -140,7 +124,8 @@ def single_walsh_value(f: PFunction, y_index: int) -> CycInt:
 def walsh_naive(f: PFunction) -> WalshSpectrum:
     """Direct evaluation of the defining double loop, one point at a time;
     the independent oracle of `walsh_fast`."""
-    return WalshSpectrum(f.ctx, [single_walsh_value(f, y) for y in range(f.ctx.q)], "naive")
+    return WalshSpectrum(f.ctx, [single_walsh_value(f, y).coords for y in range(f.ctx.q)],
+                         "naive")
 
 
 _DUAL_CACHE: dict = {}
@@ -161,7 +146,7 @@ def _dual_table(ctx: FieldCtx) -> array:
 @lru_cache(maxsize=8)
 def _omega_coords(p: int) -> tuple:
     """Coordinates of w^0, ..., w^(p-1)."""
-    return tuple(CycInt.omega_pow(p, j).coords for j in range(p))
+    return tuple(coords_from_counts(p, [int(i == j) for i in range(p)]) for j in range(p))
 
 
 def _dft3_column(sign: int):
@@ -392,4 +377,4 @@ def second_derivative_triple_sum(f: PFunction) -> CycInt:
 def bent_via_second_derivative_sum(f: PFunction) -> bool:
     """True iff the triple sum equals p^(2n) exactly."""
     ctx = f.ctx
-    return second_derivative_triple_sum(f) == CycInt.integer(ctx.p, ctx.q * ctx.q)
+    return second_derivative_triple_sum(f).coords == (ctx.q * ctx.q,) + (0,) * (ctx.p - 2)

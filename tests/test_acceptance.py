@@ -19,6 +19,7 @@ import pytest
 import pbent as pb
 from pbent.cyclo import unit_power_forms
 from pbent.funcrep import p_weight
+from ring_oracle import Zw
 
 F3 = pb.get_field(3, 1)
 F9 = pb.get_field(3, 2)
@@ -139,7 +140,7 @@ def test_06_closed_forms_match_spectrum():
             signs = set()
             for idx in range(81):
                 got = pb.trinomial_closed_form_walsh(params, ctx.from_index(idx), ctx)
-                assert got == spec.values[ctx.neg_index(idx)]
+                assert got.coords == spec.coords[ctx.neg_index(idx)]
                 signs.add(unit_power_forms(3, 4)[got.coords][0])
             assert signs == {1, -1}
 
@@ -208,17 +209,17 @@ def test_10_transform_correctness():
             f = rand_f(F27, rng)
             sn = pb.walsh_naive(f)
             sf = pb.walsh_fast(f)
-            assert sn.values == sf.values
+            assert sn.coords == sf.coords
         for entry in pb.list_catalog():
             _, tf = pb.parse_function_spec(entry.spec)
             f = tf.truth_table()
-            assert pb.walsh_naive(f).values == pb.walsh_fast(f).values
+            assert pb.walsh_naive(f).coords == pb.walsh_fast(f).coords
         # Parseval is asserted inside every spectrum constructor; recheck one
         f = rand_f(F27, rng)
-        total = pb.CycInt.integer(3, 0)
-        for v in pb.walsh_fast(f).values:
-            total = total + v.norm_sq()
-        assert total == pb.CycInt.integer(3, 27 * 27)
+        total = Zw.integer(3, 0)
+        for c in pb.walsh_fast(f).coords:
+            total = total + Zw(3, c).norm_sq()
+        assert total == Zw.integer(3, 27 * 27)
 
 
 def test_11_bentness_criteria_agreement():

@@ -7,7 +7,7 @@ import pytest
 
 from pbent import derivanalysis
 from pbent.constructions import TrinomialParams, lemma2_witness, trinomial_bent
-from pbent.cyclo import CycInt, conj_coords, unit_power_forms
+from pbent.cyclo import conj_coords, unit_power_forms
 from pbent.derivanalysis import (SAMPLED_PAIRS, CubicLikeCertificate, WrIdentityReport,
                                  _constant_derivatives, _first_witness_low_degree,
                                  _first_witness_scan, _trilinear_form,
@@ -19,6 +19,7 @@ from pbent.funcrep import (ANF, PFunction, TraceForm, anf_to_truth, p_weight,
                            parse_function_spec)
 from pbent.gf import get_field
 from pbent.walsh import extract_certificate, inverse_sums, is_bent, walsh_fast
+from ring_oracle import Zw
 
 F3 = get_field(3, 1)
 F9 = get_field(3, 2)
@@ -324,11 +325,11 @@ def test_trinomial_derivative_spike_location():
         spec = walsh_fast(f.derivative(c))
         for y in range(81):
             if y == e.index:
-                assert spec.values[y].norm_sq() == CycInt.integer(3, 81 ** 2)
+                assert Zw(3, spec.coords[y]).norm_sq() == Zw.integer(3, 81 ** 2)
             else:
-                assert spec.values[y].is_zero()
+                assert not any(spec.coords[y])
         # the spike sits away from its mirror image: the symmetry check fails
-        assert spec.values[ctx.neg_index(e.index)] != spec.values[e.index]
+        assert spec.coords[ctx.neg_index(e.index)] != spec.coords[e.index]
 
 
 def _pair_battery_oracle(f, pairs):
@@ -356,7 +357,7 @@ def _pair_battery_oracle(f, pairs):
         if wcb != deriv(f, nc)[b]:
             violations.append({"b": b, "c": c, "check": "symmetry_in_c"})
         tr = ctx.trace(ctx.from_index(b) * ctx.from_index(c))
-        if CycInt(p, wcb) != CycInt(p, deriv(fstar, b)[nc]) * CycInt.omega_pow(p, tr):
+        if Zw(p, wcb) != Zw(p, deriv(fstar, b)[nc]) * Zw.omega_pow(p, tr):
             violations.append({"b": b, "c": c, "check": "dual_phase_identity"})
         if tr != 0:
             if any(wcb):
@@ -427,9 +428,11 @@ def test_mirror_maps_read_the_row_of_minus_c(p, n):
 def test_phase_difference_matches_product_sums(p, n):
     # a bent-shaped W = s U w^j with seeded signs and exponents, U the unit
     # of (p, n), and a seeded local(y) in the place of D_c f(-y): row by row,
-    # the inverse sums of d_c plus those of w^local are the product sums of
-    # W(y - c) conj(W(y)) divided by p^n, and the product path's misses
-    # against the sums of w^local are the nonzero sums of d_c
+    # the inverse sums of the signed powers minus w^local, plus those of
+    # w^local, are the product sums of W(y - c) conj(W(y)) divided by p^n,
+    # and `_phase_misses` gives the same misses from either side: the
+    # signed powers against w^local (divisor 1), or the products against
+    # p^n w^local (divisor p^n)
     ctx = get_field(p, n)
     q = ctx.q
     rng = random.Random(10 * p + n)
@@ -438,21 +441,36 @@ def test_phase_difference_matches_product_sums(p, n):
     exps = [rng.randrange(p) for _ in range(q)]
     w = [form[s, j] for s, j in zip(signs, exps)]
     codes = [(2 * j + p * (s < 0)) % (2 * p) for s, j in zip(signs, exps)]
-    local = [rng.randrange(p) for _ in range(q)]
-    local_sums = inverse_sums(ctx, [CycInt.omega_pow(p, v).coords for v in local])
-    support = [b for b in range(q) if any(local_sums[b])]
+    powers = derivanalysis._signed_powers(p)
+    local = [Zw.omega_pow(p, v).coords for v in (rng.randrange(p) for _ in range(q))]
+    scaled = [tuple(q * v for v in x) for x in local]
+    local_sums = inverse_sums(ctx, local)
     for c in range(q):
-        minus_c = ctx.neg_index(c)
-        prod = [(CycInt(p, w[ctx.add_index(y, minus_c)]) * CycInt(p, w[y]).conj()).coords
-                for y in range(q)]
+        shift = [ctx.add_index(y, ctx.neg_index(c)) for y in range(q)]
+        prod = [(Zw(p, w[shift[y]]) * Zw(p, w[y]).conj()).coords for y in range(q)]
+        assert derivanalysis._correlation_products(w, shift, p) == prod
         product_sums = inverse_sums(ctx, prod)
-        d = derivanalysis._phase_difference(codes, ctx, minus_c, local)
-        assert d and len(d) == q
-        sums = inverse_sums(ctx, d)
+        signed = [powers[(codes[shift[y]] - codes[y]) % (2 * p)] for y in range(q)]
+        sums = inverse_sums(ctx, [tuple(a - b for a, b in zip(x, v))
+                                  for x, v in zip(signed, local)])
         assert [tuple(q * (a + b) for a, b in zip(x, y))
                 for x, y in zip(sums, local_sums)] == product_sums
-        misses = derivanalysis._phase_misses(w, ctx, c, minus_c, local_sums, support)
-        assert misses == [b for b in range(q) if any(sums[b])]
+        misses = [b for b in range(q) if product_sums[b] != tuple(q * v for v in local_sums[b])]
+        assert misses and misses == [b for b in range(q) if any(sums[b])]
+        assert derivanalysis._phase_misses(signed, local, ctx, c, 1) == misses
+        assert derivanalysis._phase_misses(prod, scaled, ctx, c, q) == misses
+        assert derivanalysis._phase_misses(signed, list(signed), ctx, c, 1) == []
+
+
+def test_phase_misses_divides_exactly():
+    # one nonzero entry 1 at y = 0: its inverse sums are 1 at every b, a
+    # miss everywhere, and not divisible by p^n
+    ctx = F9
+    lhs = [(1, 0)] + [(0, 0)] * (ctx.q - 1)
+    rhs = [(0, 0)] * ctx.q
+    assert derivanalysis._phase_misses(lhs, rhs, ctx, 0, 1) == list(range(ctx.q))
+    with pytest.raises(InternalInconsistency):
+        derivanalysis._phase_misses(lhs, rhs, ctx, 0, ctx.q)
 
 
 def _battery_rows(q, seed):

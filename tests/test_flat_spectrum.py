@@ -1,12 +1,13 @@
-"""The flat-coordinate spectrum path against the CycInt oracle.
+"""The flat-coordinate spectrum path against the ring oracle.
 
 `WalshSpectrum` decides Parseval and bentness from integer norm
 expressions on coordinate tuples, and `extract_certificate` recognizes the
 bent normal form by table lookup.  Here both are checked point by point
-against CycInt arithmetic (`norm_sq`, products with the Gauss sum), on
-seeded random functions for p in {3, 5, 7} at even and odd n.  A certified
-spectrum, held by its certificate, is checked against the values it had
-before certification and against the direct sums.
+against the reference arithmetic of `ring_oracle` (norms, products with the
+Gauss sum), on seeded random functions for p in {3, 5, 7} at even and odd
+n, and the coordinate functions of `pbent.cyclo` against the same oracle.
+A certified spectrum, held by its certificate, is checked against the
+values it had before certification and against the direct sums.
 """
 
 import random
@@ -14,13 +15,14 @@ import random
 import pytest
 
 from pbent.constructions import TrinomialParams, trinomial_bent
-from pbent.cyclo import (CycInt, conj_coords, coords_from_counts, gauss_sum,
-                         mul_coords, norm_coords, unit_power_forms)
+from pbent.cyclo import (conj_coords, coords_from_counts, gauss_sum, mul_coords,
+                         norm_coords, unit_power_forms)
 from pbent.errors import InternalInconsistency, PreconditionError
 from pbent.funcrep import PFunction, TraceForm
 from pbent.gf import get_field
 from pbent.walsh import (WalshSpectrum, extract_certificate, is_bent,
                          walsh_fast, walsh_naive)
+from ring_oracle import Zw, gauss
 from test_walsh import reconstruct
 
 FIELDS = [(3, 4), (3, 5), (5, 2), (5, 3), (7, 1), (7, 2)]
@@ -46,15 +48,15 @@ def random_functions(ctx, rng):
 
 def oracle_bent(s):
     ctx = s.ctx
-    target = CycInt.integer(ctx.p, ctx.q)
-    return all(CycInt(ctx.p, c).norm_sq() == target for c in s.coords)
+    target = Zw.integer(ctx.p, ctx.q)
+    return all(Zw(ctx.p, c).norm_sq() == target for c in s.coords)
 
 
 def oracle_form(v, p, n, sign, j):
-    """v matches s * unit * p^(n/2) * w^j, by CycInt products alone."""
+    """v matches s * unit * p^(n/2) * w^j, by oracle products alone."""
     if n % 2 == 0:
-        return v == CycInt.omega_pow(p, j) * (sign * p ** (n // 2))
-    return v * gauss_sum(p).conj() == CycInt.omega_pow(p, j) * (sign * p ** ((n + 1) // 2))
+        return v == Zw.omega_pow(p, j) * (sign * p ** (n // 2))
+    return v * gauss(p).conj() == Zw.omega_pow(p, j) * (sign * p ** ((n + 1) // 2))
 
 
 @pytest.mark.parametrize("p,n", FIELDS)
@@ -75,7 +77,7 @@ def test_flat_path_matches_cycint_oracle(p, n):
         assert cert is extract_certificate(s)
         assert cert.unit_kind == ("real" if n % 2 == 0 or p % 4 == 1 else "imaginary")
         for y in range(ctx.q):
-            v = s[y]
+            v = Zw(p, s.coords[y])
             sign, j = cert.signs[y], cert.dual.values[y]
             assert sign in (1, -1)
             assert oracle_form(v, p, n, sign, j)
@@ -86,15 +88,23 @@ def test_flat_path_matches_cycint_oracle(p, n):
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11])
 def test_coordinate_arithmetic_matches_cycint(p):
+    # the oracle (`ring_oracle`) reduces by Phi_p; `pbent.cyclo` folds
+    # exponents mod p, so neither checks the other against itself
     rng = random.Random(p)
+    assert gauss_sum(p).coords == gauss(p).coords
     for _ in range(100):
-        x = CycInt(p, [rng.randrange(-7, 8) for _ in range(p - 1)])
+        x = Zw(p, [rng.randrange(-7, 8) for _ in range(p - 1)])
+        y = Zw(p, [rng.randrange(-7, 8) for _ in range(p - 1)])
         j = rng.randrange(p)
         # w^j * x shifts the exponent counts (coordinates, then 0) by j
         counts = x.coords + (0,)
         rotated = coords_from_counts(p, [counts[(i - j) % p] for i in range(p)])
-        assert mul_coords(x.coords, CycInt.omega_pow(p, j).coords, p) == rotated
+        assert mul_coords(x.coords, Zw.omega_pow(p, j).coords, p) == rotated
+        assert rotated == (x * Zw.omega_pow(p, j)).coords
+        assert mul_coords(x.coords, y.coords, p) == (x * y).coords
         assert conj_coords(x.coords, p) == x.conj().coords
+        tally = [rng.randrange(-7, 8) for _ in range(p)]
+        assert coords_from_counts(p, tally) == Zw.from_exponent_counts(p, tally).coords
         # norm_coords is (N_0 - N_1, N_2 - N_1, ..., N_h - N_1); the
         # canonical coordinates of |x|^2 are N_k - N_1 at k, N_k = N_(p-k)
         key = norm_coords(x.coords, p)
@@ -108,33 +118,29 @@ def test_parseval_still_guards_construction(p, n):
     ctx = get_field(p, n)
     f = TraceForm(ctx, [(ctx.one(), 2)]).truth_table()
     s = walsh_fast(f)
-    # the CycInt and the coordinate form of the same values are accepted
-    assert WalshSpectrum(ctx, s.values, "copy").coords == s.coords
+    assert WalshSpectrum(ctx, list(s.coords), "copy").coords == s.coords
     bad = list(s.coords)
     bad[1] = tuple(2 * c for c in bad[1])
     with pytest.raises(InternalInconsistency):
         WalshSpectrum(ctx, bad, "corrupted")
-    with pytest.raises(InternalInconsistency):
-        WalshSpectrum(ctx, [CycInt(p, c) for c in bad], "corrupted")
 
 
 @pytest.mark.parametrize("p,n", FIELDS)
 def test_certified_spectrum_is_rebuilt_from_its_certificate(p, n):
     """After `extract_certificate` the spectrum holds no tuples of its own;
-    `coords`, `values` and `s[y]` rebuilt from (s, j) equal the transform's
-    values from before certification and the direct sums."""
+    `coords` rebuilt from (s, j) equals the transform's values from before
+    certification, the direct sums and the oracle's products."""
     ctx = get_field(p, n)
     rng = random.Random(2000 * p + n)
     for f in random_functions(ctx, rng)[1:]:
         s = walsh_fast(f)
         before = list(s.coords)
-        extract_certificate(s)
+        cert = extract_certificate(s)
         assert s._coords is None
         naive = walsh_naive(f)
         assert s.coords == before == naive.coords
         assert s.coords is s.coords  # rebuilt once, then kept
-        assert s.values == [CycInt(p, c) for c in before] == naive.values
-        assert [s[y] for y in range(ctx.q)] == naive.values
+        assert s.coords == [reconstruct(cert, y).coords for y in range(ctx.q)]
 
 
 @pytest.mark.parametrize("p,n", FIELDS)
@@ -159,7 +165,7 @@ def test_altered_bent_spectrum_fails_parseval(p, n):
 def test_derivative_spectrum_is_not_bent(p, n):
     """The derivatives of a bent function have unrecognized points (a
     quadratic's are affine: one spike of norm p^(2n)); their spectra pass
-    Parseval and stay not bent, as the CycInt oracle says."""
+    Parseval and stay not bent, as the ring oracle says."""
     ctx = get_field(p, n)
     rng = random.Random(4000 * p + n)
     for f in random_functions(ctx, rng)[1:]:
