@@ -112,6 +112,12 @@ def norm_coords(coords: tuple, p: int) -> tuple:
 
 
 @lru_cache(maxsize=8)
+def omega_coords(p: int) -> tuple:
+    """Coordinates of w^0, ..., w^(p-1)."""
+    return tuple(coords_from_counts(p, [int(i == j) for i in range(p)]) for j in range(p))
+
+
+@lru_cache(maxsize=8)
 def gauss_sum(p: int) -> CycInt:
     """The quadratic Gauss sum of F_p as an exact element of Z[w]."""
     counts = [0] * p
@@ -134,8 +140,8 @@ def unit_power_forms(p: int, n: int) -> dict:
         raise ValueError("n must be >= 1")
     unit = gauss_sum(p).coords if n % 2 else (1,) + (0,) * (p - 2)
     forms = {}
-    for j in range(p):
-        base = mul_coords(unit, coords_from_counts(p, [int(i == j) for i in range(p)]), p)
+    for j, omega in enumerate(omega_coords(p)):
+        base = mul_coords(unit, omega, p)
         for s in (1, -1):
             forms[tuple([s * p ** (n // 2) * v for v in base])] = (s, j)
     return forms

@@ -52,7 +52,7 @@ import random
 from itertools import compress
 from operator import and_, itemgetter, ne, not_, sub
 
-from .cyclo import conj_coords, coords_from_counts, mul_coords
+from .cyclo import conj_coords, coords_from_counts, mul_coords, omega_coords
 from .errors import InternalInconsistency, PreconditionError
 from .funcrep import PFunction
 from .gf import FFElem, digit_sums
@@ -324,6 +324,7 @@ def _phase_misses(lhs: list, rhs: list, ctx, c: int, divisor: int) -> list:
     d = [(0,) * (ctx.p - 1)] * ctx.q
     for y in compress(range(ctx.q), map(ne, lhs, rhs)):
         d[y] = tuple(map(sub, lhs[y], rhs[y]))
+    del lhs, rhs  # the last references when the caller passes them unbound
     sums = inverse_sums(ctx, d)
     misses = list(compress(range(ctx.q), map(any, sums)))
     if any(v % divisor for b in misses for v in sums[b]):
@@ -366,9 +367,9 @@ def wr_identity_check(f: PFunction, seed: int = 0,
     cert = extract_certificate(s_dual) if s_dual.bent else None
     codes = cert and [(2 * j + p * (sign < 0)) % (2 * p)
                        for sign, j in zip(cert.signs, cert.dual.values)]
-    powers = _signed_powers(p)  # z^(2j) = w^j
+    powers = _signed_powers(p)
     divisor = 1 if cert else q  # the product side carries the factor p^n
-    rhs_powers = [tuple([divisor * v for v in x]) for x in powers[::2]]  # divisor * w^j
+    rhs_powers = [tuple([divisor * v for v in x]) for x in omega_coords(p)]  # divisor * w^j
 
     # a sample never repeats a pair, so a field with fewer pairs is walked whole
     exhaustive = q * q <= SAMPLED_PAIRS
@@ -395,13 +396,14 @@ def wr_identity_check(f: PFunction, seed: int = 0,
             wneg = [(0,) * (p - 1)] * q  # W_{D_-c f}: zero off the negated support
             for b in compress(range(q), map(any, wc)):
                 wneg[neg[b]] = mirror[trs[neg[b]]](wc[b])
-            if codes is None:
-                lhs = _correlation_products(s_dual.coords, ctx.shift_table(neg[c]), p)
-            else:  # read at k1 - k2 in (-2p, 2p), so mod 2p
-                lhs = list(map(powers.__getitem__, map(sub, map(
-                    codes.__getitem__, ctx.shift_table(neg[c])), codes)))
-            rhs = list(map(rhs_powers.__getitem__, map(g.values.__getitem__, neg)))  # D_c f(-y)
-            misses = _phase_misses(lhs, rhs, ctx, c, divisor)
+            # passed unbound, so that `_phase_misses` frees both sides before
+            # its inverse run: bound here, they raised the n = 12 peak by 5 MB
+            misses = _phase_misses(
+                _correlation_products(s_dual.coords, ctx.shift_table(neg[c]), p) if codes is None
+                else list(map(powers.__getitem__, map(sub, map(  # k1 - k2 in (-2p, 2p): mod 2p
+                    codes.__getitem__, ctx.shift_table(neg[c])), codes))),
+                list(map(rhs_powers.__getitem__, map(g.values.__getitem__, neg))),  # D_c f(-y)
+                ctx, c, divisor)
             if neg[c] in todo:  # the mirror is a bijection b -> -b on both sides
                 pending[neg[c]] = (wneg, wc, sorted(neg[b] for b in misses))
         nonzero = list(map(any, wc))

@@ -12,7 +12,7 @@ from .constructions import (TrinomialParams, linearized_second_derivative_coeff,
                             mm_special_form, trinomial_bent,
                             trinomial_closed_form_walsh,
                             trinomial_first_derivative_form)
-from .cyclo import conj_coords, coords_from_counts, gauss_sum, mul_coords, unit_power_forms
+from .cyclo import conj_coords, gauss_sum, mul_coords, omega_coords, unit_power_forms
 from .derivanalysis import (_trilinear_form, _trilinear_slice,
                             cubic_like_certificate, derivative_linear_space,
                             quadratic_balance_witness, wr_identity_check)
@@ -58,8 +58,7 @@ def check_balance_via_character_sum(seed, level):
     ctx4 = get_field(3, 4)
     for _ in range(40):
         f = _random_function(ctx4, rng)
-        w0_zero = not any(walsh_fast(f).coords[0])
-        if f.is_balanced() != w0_zero:
+        if f.is_balanced() != (not any(walsh_fast(f).coords[0])):
             return False, "balance mismatch"
     return True, "balance iff W(0)=0 on samples"
 
@@ -138,8 +137,8 @@ def check_cyclotomic_ring(seed, level):
                 return False, "ring identities failed"
         for n in (1, 2, 3, 4):
             unit = g if n % 2 else (1,) + pad
-            for j in range(p):
-                base = mul_coords(unit, coords_from_counts(p, [int(i == j) for i in range(p)]), p)
+            for j, omega in enumerate(omega_coords(p)):
+                base = mul_coords(unit, omega, p)
                 for sign in (1, -1):
                     v = tuple([sign * p ** (n // 2) * c for c in base])
                     if unit_power_forms(p, n).get(v) != (sign, j):

@@ -37,9 +37,8 @@ command transforms f once; `walsh_naive` never reads it.
 from __future__ import annotations
 
 from array import array
-from functools import lru_cache
 
-from .cyclo import CycInt, coords_from_counts, norm_coords, unit_class, unit_power_forms
+from .cyclo import CycInt, norm_coords, omega_coords, unit_class, unit_power_forms
 from .errors import InternalInconsistency, PreconditionError
 from .funcrep import PFunction
 from .gf import FieldCtx
@@ -143,12 +142,6 @@ def _dual_table(ctx: FieldCtx) -> array:
     return _DUAL_CACHE[key]
 
 
-@lru_cache(maxsize=8)
-def _omega_coords(p: int) -> tuple:
-    """Coordinates of w^0, ..., w^(p-1)."""
-    return tuple(coords_from_counts(p, [int(i == j) for i in range(p)]) for j in range(p))
-
-
 def _dft3_column(sign: int):
     """Unrolled size-3 DFT column map, kernel w^(sign*s*t), on (a, b) = a + b*w."""
     def column(rows):
@@ -203,7 +196,7 @@ def walsh_fast(f: PFunction) -> WalshSpectrum:
     """Tensor-decomposed transform, memoized on f; same values as walsh_naive."""
     if f._spectrum is None:
         ctx = f.ctx
-        omega = _omega_coords(ctx.p).__getitem__
+        omega = omega_coords(ctx.p).__getitem__
         # a lazy map: `axis_passes` copies its input anyway, and a q-entry
         # list held across the passes raised the n = 12 peak RSS by 7 MB
         f._spectrum = WalshSpectrum(ctx, _trace_sums(ctx, map(omega, f.values), -1), "fast")

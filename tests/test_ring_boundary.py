@@ -33,7 +33,8 @@ def _names(tree):
 
 def test_cycint_defines_no_arithmetic_dunder():
     tree = ast.parse((PACKAGE / "cyclo.py").read_text())
-    (cls,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "CycInt"]
+    (cls,) = [node for node in tree.body
+              if isinstance(node, ast.ClassDef) and node.name == "CycInt"]
     members = {node.name for node in cls.body if isinstance(node, ast.FunctionDef)}
     members |= {target.id for node in cls.body if isinstance(node, ast.Assign)
                 for target in node.targets if isinstance(target, ast.Name)}
