@@ -396,8 +396,8 @@ def wr_identity_check(f: PFunction, seed: int = 0,
             wneg = [(0,) * (p - 1)] * q  # W_{D_-c f}: zero off the negated support
             for b in compress(range(q), map(any, wc)):
                 wneg[neg[b]] = mirror[trs[neg[b]]](wc[b])
-            # passed unbound, so that `_phase_misses` frees both sides before
-            # its inverse run: bound here, they raised the n = 12 peak by 5 MB
+            # passed unbound, so that `_phase_misses` frees both sides before its
+            # inverse run: bound here, they raised the n = 12 battery's peak by 5 MB
             misses = _phase_misses(
                 _correlation_products(s_dual.coords, ctx.shift_table(neg[c]), p) if codes is None
                 else list(map(powers.__getitem__, map(sub, map(  # k1 - k2 in (-2p, 2p): mod 2p
