@@ -316,8 +316,16 @@ class ConcatenationFamily:
         self.slices = slices
 
 
-def _combined_ctx(inner_ctx: FieldCtx, outer_ctx: FieldCtx) -> FieldCtx:
-    return get_field(inner_ctx.p, inner_ctx.n + outer_ctx.n)
+def _slice_certificates(slices) -> list:
+    """The bent certificate of every slice; a slice that is not bent is a
+    PreconditionError."""
+    certs = []
+    for idx, sl in enumerate(slices):
+        s = walsh_fast(sl)
+        if not is_bent(s):
+            raise PreconditionError("slice %d is not bent" % idx)
+        certs.append(extract_certificate(s))
+    return certs
 
 
 def bent_concatenation(fam: ConcatenationFamily):
@@ -329,47 +337,23 @@ def bent_concatenation(fam: ConcatenationFamily):
     inapplicable rather than raised.
     """
     inner, outer = fam.inner_ctx, fam.outer_ctx
-    qi, qo = inner.q, outer.q
-    certs = []
-    for y_idx, sl in enumerate(fam.slices):
-        s = walsh_fast(sl)
-        if not is_bent(s):
-            raise PreconditionError("slice %d is not bent" % y_idx)
-        certs.append(extract_certificate(s))
-    combined = _combined_ctx(inner, outer)
-    values = [0] * combined.q
-    for y_idx in range(qo):
-        base = y_idx * qi
-        sv = fam.slices[y_idx].values
-        for x_idx in range(qi):
-            values[base + x_idx] = sv[x_idx]
-    f = PFunction(combined, values)
+    certs = _slice_certificates(fam.slices)
+    combined = get_field(inner.p, inner.n + outer.n)
+    f = PFunction(combined, [v for sl in fam.slices for v in sl.values])
 
-    units_constant = all(
-        len({certs[y].signs[s_idx] for y in range(qo)}) == 1
-        for s_idx in range(qi))
+    units_constant = all(len(set(signs)) == 1 for signs in zip(*(c.signs for c in certs)))
     report = {"applicable": units_constant, "slices_bent": True}
     if not units_constant:
         report["reason"] = "unit u_y(s) depends on y"
         return f, report
 
-    phi_all_bent = True
-    phi_certs = []
-    for s_idx in range(qi):
-        phi = PFunction(outer, [certs[y].dual.values[s_idx] for y in range(qo)])
-        sp = walsh_fast(phi)
-        if not is_bent(sp):
-            phi_all_bent = False
-            phi_certs.append(None)
-        else:
-            phi_certs.append(extract_certificate(sp))
-    report["bent"] = phi_all_bent
-    if phi_all_bent:
-        dual_vals = [0] * combined.q
-        for t_idx in range(qo):
-            for s_idx in range(qi):
-                dual_vals[t_idx * qi + s_idx] = phi_certs[s_idx].dual.values[t_idx]
-        report["dual"] = PFunction(combined, dual_vals)
+    # the s-section y -> f*_y(s) of the slice duals, one per s
+    sections = [walsh_fast(PFunction(outer, list(col)))
+                for col in zip(*(c.dual.values for c in certs))]
+    report["bent"] = all(map(is_bent, sections))
+    if report["bent"]:
+        duals = [extract_certificate(sp).dual.values for sp in sections]
+        report["dual"] = PFunction(combined, [v for row in zip(*duals) for v in row])
     return f, report
 
 
@@ -385,47 +369,26 @@ def mm_special_form(gs, pi, inner_ctx: FieldCtx, d: int):
         raise PreconditionError("d must be >= 1")
     p = inner_ctx.p
     ctx_d = get_field(p, d)
-    qd, qi = ctx_d.q, inner_ctx.q
+    qd = ctx_d.q
     gs = list(gs)
     if len(gs) != qd:
         raise PreconditionError("need one slice per element of F_p^d")
     pi = list(pi)
     if sorted(pi) != list(range(qd)):
         raise PreconditionError("pi is not a permutation of F_p^d")
-    certs = []
-    for c_idx, g in enumerate(gs):
-        s = walsh_fast(g)
-        if not is_bent(s):
-            raise PreconditionError("slice %d is not bent" % c_idx)
-        certs.append(extract_certificate(s))
+    certs = _slice_certificates(gs)
     combined = get_field(p, inner_ctx.n + 2 * d)
-    values = [0] * combined.q
-    for y2 in range(qd):
-        g_vals = gs[y2].values
-        for y1 in range(qd):
-            pairing = ctx_d.trace(ctx_d.from_index(y1) * ctx_d.from_index(pi[y2]))
-            base = (y2 * qd + y1) * qi
-            for x_idx in range(qi):
-                values[base + x_idx] = (g_vals[x_idx] + pairing) % p
-    f = PFunction(combined, values)
+    pairing = [ctx_d.trace_row(c) for c in range(qd)]  # pairing[c][y] = Tr_d(c y), symmetric
+    f = PFunction(combined, [(v + t) % p for g, c in zip(gs, pi)
+                             for t in pairing[c] for v in g.values])
 
     report = {"bent": True}
     duals_bent = [is_bent(walsh_fast(c.dual)) for c in certs]
     report["slices_dual_bent"] = all(duals_bent)
     if all(duals_bent):
-        pi_inv = [0] * qd
-        for i, img in enumerate(pi):
-            pi_inv[img] = i
-        dual_vals = [0] * combined.q
-        for t2 in range(qd):
-            for t1 in range(qd):
-                c_idx = pi_inv[t1]
-                pairing = ctx_d.trace(ctx_d.from_index(c_idx) * ctx_d.from_index(t2))
-                gstar = certs[c_idx].dual.values
-                base = (t2 * qd + t1) * qi
-                for s_idx in range(qi):
-                    dual_vals[base + s_idx] = (gstar[s_idx] - pairing) % p
-        report["dual"] = PFunction(combined, dual_vals)
+        pi_inv = sorted(range(qd), key=pi.__getitem__)
+        report["dual"] = PFunction(combined, [(v - row[c]) % p for row in pairing
+                                              for c in pi_inv for v in certs[c].dual.values])
     return f, report
 
 
@@ -471,8 +434,7 @@ def add_quadratic(f: PFunction, coeffs):
             if a.is_zero():
                 continue
             b = b + ctx.frobenius(a * c, ctx.n - jj) + a * ctx.frobenius(c, jj)
-        w = single_walsh_value(f.derivative(c), b.index)
-        if not w.is_zero():
+        if any(single_walsh_value(f.derivative(c), b.index).coords):
             condition = False
             break
     spectral = is_bent(walsh_fast(g))

@@ -42,9 +42,6 @@ class CycInt:
         """x * conj(x); the squared complex magnitude as a ring element."""
         return CycInt(self.p, mul_coords(self.coords, conj_coords(self.coords, self.p), self.p))
 
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, CycInt) and self.p == other.p and self.coords == other.coords
 

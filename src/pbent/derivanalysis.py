@@ -34,7 +34,8 @@ is not bent has no (s, j) form and takes the product side.  As D_-c f(x) =
 P_c mirrored alike: row -c is row c under a bijection b -> -b, so a pair
 c, -c costs one derivative, one forward transform and at most one inverse
 run, and row -c's phase misses are row c's negated.  Each check is a
-whole-row pass (`map`, `compress`), with -b and Tr(bc) read from tables:
+whole-row pass (`map`, `compress`), with -b read from `neg_table` and
+Tr(bc) from `FieldCtx.trace_row`:
 symmetry of W_{D_c f} in b and in c, the phase identity, vanishing on
 Tr(bc) != 0 and realness on Tr(bc) = 0 (only the phase identity is sound;
 see `WrIdentityReport`).  Small fields are walked whole; larger ones fill
@@ -377,17 +378,11 @@ def wr_identity_check(f: PFunction, seed: int = 0,
     rows = range(q) if exhaustive else random.Random(seed).sample(range(q), -(-pair_count // q))
     witnesses = certificate.witnesses if certificate is not None else {}
     neg = ctx.neg_table()
-    ctx.ensure_tables()
-    log, trace_of_exp = ctx.log_table, ctx._trace_of_exp
-
-    def trace_row(x):  # Tr(bx) at every b: trace_of_exp rotated by log x, read at log b
-        rotated = trace_of_exp[log[x]:] + trace_of_exp[:log[x]] + [0]  # log 0 = -1 reads 0
-        return list(map(rotated.__getitem__, log)) if x else [0] * q
     mirror = _mirror_maps(p)
     out, todo, pending = [], set(rows), {}
     for i, c in enumerate(rows):
         todo.discard(c)
-        trs = trace_row(c)
+        trs = ctx.trace_row(c)
         if c in pending:  # stashed by row -c, walked earlier
             wc, wneg, misses = pending.pop(c)
         else:
@@ -410,7 +405,8 @@ def wr_identity_check(f: PFunction, seed: int = 0,
         b_range = range(min(q, pair_count - i * q))
         d, lam = witnesses.get(c, (0, 0))
         if d:
-            b = next(compress(b_range, map(and_, nonzero, map(lam.__ne__, trace_row(d)))), None)
+            off = map(lam.__ne__, ctx.trace_row(d))  # Tr(bd) != lambda
+            b = next(compress(b_range, map(and_, nonzero, off)), None)
             if b is not None:
                 raise InternalInconsistency(
                     "W_{D_c f}(b) != 0 off Tr(bd) = lambda at c=%d, b=%d, witness (d, lambda) "

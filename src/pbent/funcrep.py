@@ -187,8 +187,7 @@ class TraceForm:
         for coeff, exp in self.terms:
             cs = "" if coeff == ctx.one() else "g^%d*" % ctx.log_table[coeff.index]
             parts.append("%sx^%d" % (cs, exp))
-        body = "+".join(parts) if parts else "0"
-        out = "Tr(%s)" % body
+        out = "Tr(%s)" % "+".join(parts)
         if self.constant:
             out += "+%d" % self.constant
         return out
@@ -457,6 +456,8 @@ def parse_function_spec(text: str, max_points: int | None = None):
     pos = 0
     sign = 1
     if inner.startswith(("+", "-")):
+        if len(inner) == 1:
+            raise ParseError("sign without a term in %r" % inner)
         sign = 1 if inner[0] == "+" else -1
         pos = 1
     while pos < len(inner):

@@ -37,6 +37,7 @@ command transforms f once; `walsh_naive` never reads it.
 from __future__ import annotations
 
 from array import array
+from operator import sub
 
 from .cyclo import CycInt, norm_coords, omega_coords, unit_class, unit_power_forms
 from .errors import InternalInconsistency, PreconditionError
@@ -102,21 +103,10 @@ class WalshSpectrum:
 
 def single_walsh_value(f: PFunction, y_index: int) -> CycInt:
     """W_f(y) for one point, without materializing the whole spectrum."""
-    ctx = f.ctx
-    ctx.ensure_tables()
-    p = ctx.p
+    p = f.ctx.p
     counts = [0] * p
-    vals = f.values
-    counts[vals[0]] += 1
-    if y_index == 0:
-        for idx in range(1, ctx.q):
-            counts[vals[idx]] += 1
-    else:
-        exp_t, log_t, troe = ctx.exp_table, ctx.log_table, ctx._trace_of_exp
-        my = log_t[y_index]
-        order = ctx.order
-        for m in range(order):
-            counts[(vals[exp_t[m]] - troe[(m + my) % order]) % p] += 1
+    for e in map(sub, f.values, f.ctx.trace_row(y_index)):
+        counts[e % p] += 1
     return CycInt.from_exponent_counts(p, counts)
 
 

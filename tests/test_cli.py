@@ -182,6 +182,11 @@ def test_out_of_range_exponent_is_a_parse_error():
     _json_error(run_cli("analyze", "p=3 n=2 f=Tr(x^99)"), 2, "parse_error")
 
 
+@pytest.mark.parametrize("spec", ["p=3 n=2 f=Tr(+)", "p=3 n=2 f=Tr(-)"])
+def test_a_sign_without_a_term_is_a_parse_error(spec):
+    _json_error(run_cli("analyze", spec), 2, "parse_error")
+
+
 def test_construct_certify_without_analyze_is_a_parse_error():
     res = run_cli("construct", "trinomial", "--k", "1", "--j", "2", "--t", "1", "--certify")
     _json_error(res, 2, "parse_error")

@@ -353,6 +353,99 @@ def test_bent_concatenation_error_and_inapplicable():
     assert "bent" not in rep
 
 
+def _concatenation_oracle(fam):
+    """f and the dual of `bent_concatenation`, one index at a time."""
+    inner, outer = fam.inner_ctx, fam.outer_ctx
+    qi, qo = inner.q, outer.q
+    combined = get_field(inner.p, inner.n + outer.n)
+    values = [0] * combined.q
+    for y_idx in range(qo):
+        for x_idx in range(qi):
+            values[y_idx * qi + x_idx] = fam.slices[y_idx].values[x_idx]
+    certs = [extract_certificate(walsh_fast(sl)) for sl in fam.slices]
+    if any(len({certs[y].signs[s_idx] for y in range(qo)}) > 1 for s_idx in range(qi)):
+        return values, None  # units depend on y: no dual
+    phis = [walsh_fast(PFunction(outer, [certs[y].dual.values[s_idx] for y in range(qo)]))
+            for s_idx in range(qi)]
+    dual_vals = None
+    if all(is_bent(sp) for sp in phis):
+        dual_vals = [0] * combined.q
+        for t_idx in range(qo):
+            for s_idx in range(qi):
+                dual_vals[t_idx * qi + s_idx] = extract_certificate(phis[s_idx]).dual.values[t_idx]
+    return values, dual_vals
+
+
+def _special_form_oracle(gs, pi, inner, d):
+    """f and the dual of `mm_special_form`, one index at a time, with the
+    pairing Tr_d(y1 pi(y2)) from field products."""
+    p = inner.p
+    ctx_d = get_field(p, d)
+    qd, qi = ctx_d.q, inner.q
+    combined = get_field(p, inner.n + 2 * d)
+    values = [0] * combined.q
+    for y2 in range(qd):
+        for y1 in range(qd):
+            pairing = ctx_d.trace(ctx_d.from_index(y1) * ctx_d.from_index(pi[y2]))
+            for x_idx in range(qi):
+                values[(y2 * qd + y1) * qi + x_idx] = (gs[y2].values[x_idx] + pairing) % p
+    pi_inv = [pi.index(t) for t in range(qd)]
+    dual_vals = [0] * combined.q
+    for t2 in range(qd):
+        for t1 in range(qd):
+            c_idx = pi_inv[t1]
+            pairing = ctx_d.trace(ctx_d.from_index(c_idx) * ctx_d.from_index(t2))
+            gstar = extract_certificate(walsh_fast(gs[c_idx])).dual.values
+            for s_idx in range(qi):
+                dual_vals[(t2 * qd + t1) * qi + s_idx] = (gstar[s_idx] - pairing) % p
+    return values, dual_vals
+
+
+def _distinct_quadratic_slices(ctx, count, rng):
+    """count distinct slices Tr(a x^2 + b x) + k, a != 0: bent with bent duals."""
+    triples = [(a, b, k) for a in range(1, ctx.q) for b in range(ctx.q) for k in range(ctx.p)]
+    return [TraceForm(ctx, [(ctx.from_index(a), 2), (ctx.from_index(b), 1)], k).truth_table()
+            for a, b, k in rng.sample(triples, count)]
+
+
+@pytest.mark.parametrize("p, n, d", [(3, 2, 2), (5, 1, 1), (3, 1, 2)])
+def test_builders_match_their_index_formulas(p, n, d):
+    rng = random.Random(p * 100 + n * 10 + d)
+    inner, outer = get_field(p, n), get_field(p, d)
+    gs = _distinct_quadratic_slices(inner, outer.q, rng)
+    pi = list(range(outer.q))
+    while pi == sorted(pi):
+        rng.shuffle(pi)
+    f, rep = mm_special_form(gs, pi, inner, d)
+    values, dual_vals = _special_form_oracle(gs, pi, inner, d)
+    assert rep["slices_dual_bent"]
+    assert f.values == values and rep["dual"].values == dual_vals
+    fam = ConcatenationFamily(inner, outer, gs)
+    f, rep = bent_concatenation(fam)
+    values, dual_vals = _concatenation_oracle(fam)
+    assert f.values == values
+    if dual_vals is None:
+        assert "dual" not in rep
+    else:
+        assert rep["dual"].values == dual_vals
+
+
+def test_bent_concatenation_of_distinct_slices_matches_its_index_formulas():
+    # distinct slices Tr(x^2 + c_y x) + k_y on F_9 with one unit pattern,
+    # whose dual sections are bent on F_9
+    inner = outer = F9
+    specs = [(0, 0), (1, 2), (5, 2), (2, 0), (3, 1), (0, 0), (6, 0), (4, 0), (7, 1)]
+    slices = [TraceForm(F9, [(F9.one(), 2)] + ([(F9.gen_power(m), 1)] if y else []), k)
+              .truth_table() for y, (m, k) in enumerate(specs)]
+    assert len(set(slices)) == len(slices)
+    fam = ConcatenationFamily(inner, outer, slices)
+    f, rep = bent_concatenation(fam)
+    assert rep["applicable"] and rep["bent"]
+    assert is_bent(walsh_fast(f))
+    values, dual_vals = _concatenation_oracle(fam)
+    assert f.values == values and rep["dual"].values == dual_vals
+
+
 # -- quadratic addition -------------------------------------------------------------
 
 

@@ -311,9 +311,27 @@ def test_parse_function_spec():
     assert tf4.terms == ((ctx4.scalar(2), 4),) and tf4.constant == 1
 
     for bad in ("p=3 n=2 Tr(x)", "p=3 n=2 f=Tr(x", "p=3 n=2 f=Tr(x^2)junk",
-                "p=3 n=2 f=Tr(x^2+)", "p=3 n=2 f=Tr(y^2)"):
+                "p=3 n=2 f=Tr(x^2+)", "p=3 n=2 f=Tr(y^2)", "p=3 n=2 f=Tr(+)",
+                "p=3 n=2 f=Tr(-)"):
         with pytest.raises(ParseError):
             parse_function_spec(bad)
+    _, tf5 = parse_function_spec("p=3 n=2 f=Tr()")  # the empty sum is the zero form
+    assert tf5.terms == () and tf5.truth_table().values == [0] * 9
+
+
+def test_spec_string_round_trips_through_the_parser():
+    rng = random.Random(24)
+    for p in (3, 5):
+        ctx = get_field(p, 2)
+        field = "p=%d n=2" % p
+        forms = [TraceForm(ctx, []), TraceForm(ctx, [], 1)]
+        for _ in range(20):
+            terms = [(ctx.from_index(rng.randrange(ctx.q)), rng.randrange(ctx.q))
+                     for _ in range(rng.randrange(1, 4))]
+            forms.append(TraceForm(ctx, terms, rng.randrange(p)))
+        for form in forms:
+            _, parsed = parse_function_spec(field + " f=" + form.spec_string())
+            assert parsed.truth_table() == form.truth_table(), form.spec_string()
 
 
 def test_spec_string_builds_the_tables_it_reads():

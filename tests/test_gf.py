@@ -220,6 +220,14 @@ def test_tables_n12_sampled():
         assert ctx._trace_of_exp[m] == ctx.trace_coeffs(x)
 
 
+@pytest.mark.parametrize("p, n", [(3, 1), (3, 2), (3, 4), (5, 2), (7, 1)])
+def test_trace_row_is_the_trace_pairing(p, n):
+    ctx = get_field(p, n)
+    xs = list(ctx.elements())
+    for y in xs:  # y = 0 included
+        assert ctx.trace_row(y.index) == [ctx.trace(x * y) for x in xs]
+
+
 def _oracle_inputs():
     """Every x in F81, and seeded x in F_{3^8} and F_{3^12}."""
     rng = random.Random(13)
