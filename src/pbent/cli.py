@@ -18,6 +18,7 @@ object on stderr and exit with a distinct code per failure kind: 2 parse,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -46,8 +47,7 @@ DUAL_FORM_MAX_POINTS = 3 ** 9
 
 
 def _emit(obj) -> None:
-    json.dump(obj, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(obj, indent=2) + "\n")
 
 
 def analyze_function(f: PFunction, certify: bool = False, dual_form: bool = False,
@@ -255,7 +255,10 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: `parse_args` keeps
+    no state between calls, so in-process callers of `main` share it."""
     ap = _ArgumentParser(
         prog="pbent",
         description="Exact Walsh-spectrum analysis of p-ary functions")

@@ -33,16 +33,18 @@ is not bent has no (s, j) form and takes the product side.  As D_-c f(x) =
 -D_c f(x - c), W_{D_-c f}(b) = w^-Tr(bc) conj(W_{D_c f}(-b)), and P_-c is
 P_c mirrored alike: row -c is row c under a bijection b -> -b, so a pair
 c, -c costs one derivative, one forward transform and at most one inverse
-run, and row -c's phase misses are row c's negated.  Each check is a
-whole-row pass (`map`, `compress`), with -b read from `neg_table` and
-Tr(bc) from `FieldCtx.trace_row`:
-symmetry of W_{D_c f} in b and in c, the phase identity, vanishing on
-Tr(bc) != 0 and realness on Tr(bc) = 0 (only the phase identity is sound;
-see `WrIdentityReport`).  Small fields are walked whole; larger ones fill
-SAMPLED_PAIRS with seeded rows (see `wr_identity_check`).  Given a
-cubic-like witness D_{c,d} f = lambda, every walked row also checks
-W_{D_c f}(b) = 0 whenever Tr(bd) != lambda, which holds for every function,
-so a failure is an internal inconsistency.
+run, and row -c's phase misses are row c's negated.  The phase identity
+reads whole rows; the other checks read the support S of W_{D_c f} (the b
+where it is nonzero, at most q/p of them for a cubic-like f) and -S, with
+-b read from `neg_table` and Tr(bc) at S only from `FieldCtx.trace_row`:
+symmetry of W_{D_c f} in b and in c on S and -S, where either side may be
+nonzero, and vanishing on Tr(bc) != 0 and realness on Tr(bc) = 0 on S
+(only the phase identity is sound; see `WrIdentityReport`).  Small fields
+are walked whole; larger ones fill SAMPLED_PAIRS with seeded rows (see
+`wr_identity_check`).  Given a cubic-like witness D_{c,d} f = lambda,
+every walked row also checks W_{D_c f}(b) = 0 whenever Tr(bd) != lambda,
+which holds for every function, so a failure is an internal
+inconsistency.
 """
 
 from __future__ import annotations
@@ -50,8 +52,9 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+from bisect import bisect_left
 from itertools import compress
-from operator import and_, itemgetter, ne, not_, sub
+from operator import itemgetter, ne, sub
 
 from .cyclo import conj_coords, coords_from_counts, mul_coords, omega_coords
 from .errors import InternalInconsistency, PreconditionError
@@ -86,14 +89,15 @@ class CubicLikeCertificate:
 
 def _trilinear_form(f: PFunction) -> list[list[int]]:
     """T(e_i, e_j, e_k) = D_{e_i} D_{e_j} D_{e_k} f(0) mod p (deg f <= 3),
-    as n flattened n x n matrices T(e_i, ., .); T is symmetric."""
-    p, n, add = f.ctx.p, f.ctx.n, f.ctx.add_index
-    e = [p ** i for i in range(n)]
+    as n flattened n x n matrices T(e_i, ., .); T is symmetric.  A sum of
+    at most three basis vectors has index sum(p^d) over its picks d, except
+    3 e_i = 0 for p = 3."""
+    p, n = f.ctx.p, f.ctx.n
     tri = [[0] * (n * n) for _ in range(n)]
     for ijk in itertools.combinations_with_replacement(range(n), 3):
-        val = 0
+        e, val = [p ** d for d in ijk], 0
         for picks in itertools.product((0, 1), repeat=3):
-            x = functools.reduce(add, (e[d] for pick, d in zip(picks, ijk) if pick), 0)
+            x = 0 if p == 3 and all(picks) and ijk[0] == ijk[2] else sum(compress(e, picks))
             val += (-1) ** (3 - sum(picks)) * f.values[x]
         for i, j, k in set(itertools.permutations(ijk)):
             tri[i][j * n + k] = val % p
@@ -355,9 +359,11 @@ def wr_identity_check(f: PFunction, seed: int = 0,
     in draw order, the last one cut so that exactly SAMPLED_PAIRS pairs are
     checked.  A row runs the inverse kernel only where its two phase sides
     differ: the signed powers of a bent dual against w^(D_c f(-y)), or the
-    products W_{f*}(y - c) conj(W_{f*}(y)) against p^n w^(D_c f(-y)).  With
-    a cubic-like `certificate` of f, a nonzero W_{D_c f}(b) with Tr(bd) !=
-    lambda for c's witness (d, lambda) raises InternalInconsistency.
+    products W_{f*}(y - c) conj(W_{f*}(y)) against p^n w^(D_c f(-y)).  The
+    other checks read only the row's support S and its negation -S, off
+    which they hold trivially.  With a cubic-like `certificate` of f, a
+    nonzero W_{D_c f}(b) with Tr(bd) != lambda for c's witness (d, lambda)
+    raises InternalInconsistency.
     """
     ctx = f.ctx
     p, q = ctx.p, ctx.q
@@ -370,7 +376,9 @@ def wr_identity_check(f: PFunction, seed: int = 0,
                        for sign, j in zip(cert.signs, cert.dual.values)]
     powers = _signed_powers(p)
     divisor = 1 if cert else q  # the product side carries the factor p^n
-    rhs_powers = [tuple([divisor * v for v in x]) for x in omega_coords(p)]  # divisor * w^j
+    # divisor * w^j; for a bent dual as z^(2j) = w^j, so that equal sides hold the same tuples
+    rhs_powers = (powers[::2] if cert
+                  else [tuple([divisor * v for v in x]) for x in omega_coords(p)])
 
     # a sample never repeats a pair, so a field with fewer pairs is walked whole
     exhaustive = q * q <= SAMPLED_PAIRS
@@ -382,15 +390,18 @@ def wr_identity_check(f: PFunction, seed: int = 0,
     out, todo, pending = [], set(rows), {}
     for i, c in enumerate(rows):
         todo.discard(c)
-        trs = ctx.trace_row(c)
         if c in pending:  # stashed by row -c, walked earlier
-            wc, wneg, misses = pending.pop(c)
+            wc, wneg, support, negated, misses = pending.pop(c)
+            trs = ctx.trace_row(c, support)
         else:
             g = f.derivative(ctx.from_index(c))
             wc = walsh_fast(g).coords
-            wneg = [(0,) * (p - 1)] * q  # W_{D_-c f}: zero off the negated support
-            for b in compress(range(q), map(any, wc)):
-                wneg[neg[b]] = mirror[trs[neg[b]]](wc[b])
+            support = list(compress(range(q), map(any, wc)))  # S: W_{D_c f}(b) != 0
+            negated = sorted(map(neg.__getitem__, support))
+            trs = ctx.trace_row(c, support)
+            wneg = [(0,) * (p - 1)] * q  # W_{D_-c f}: zero off -S
+            for b, t in zip(support, trs):  # Tr(-bc) = -Tr(bc): mirror[-t] is mirror[p - t]
+                wneg[neg[b]] = mirror[-t](wc[b])
             # passed unbound, so that `_phase_misses` frees both sides before its
             # inverse run: bound here, they raised the n = 12 battery's peak by 5 MB
             misses = _phase_misses(
@@ -400,21 +411,25 @@ def wr_identity_check(f: PFunction, seed: int = 0,
                 list(map(rhs_powers.__getitem__, map(g.values.__getitem__, neg))),  # D_c f(-y)
                 ctx, c, divisor)
             if neg[c] in todo:  # the mirror is a bijection b -> -b on both sides
-                pending[neg[c]] = (wneg, wc, sorted(neg[b] for b in misses))
-        nonzero = list(map(any, wc))
-        b_range = range(min(q, pair_count - i * q))
+                pending[neg[c]] = (wneg, wc, negated, support, sorted(neg[b] for b in misses))
+        # the last sampled row stops at b = limit; both symmetry sides vanish off S and -S
+        limit = min(q, pair_count - i * q)
+        cut = bisect_left(support, limit)
+        support, trs = support[:cut], trs[:cut]
+        both = sorted(set(support).union(negated[:bisect_left(negated, limit)]))
         d, lam = witnesses.get(c, (0, 0))
         if d:
-            off = map(lam.__ne__, ctx.trace_row(d))  # Tr(bd) != lambda
-            b = next(compress(b_range, map(and_, nonzero, off)), None)
-            if b is not None:
+            b = next(compress(support, map(lam.__ne__, ctx.trace_row(d, support))), None)
+            if b is not None:  # W_{D_c f}(b) != 0 with Tr(bd) != lambda
                 raise InternalInconsistency(
                     "W_{D_c f}(b) != 0 off Tr(bd) = lambda at c=%d, b=%d, witness (d, lambda) "
                     "= (%d, %d)" % (c, b, d, lam))
-        out.append((c, (list(compress(b_range, map(ne, wc, map(wc.__getitem__, neg)))),
-                        list(compress(b_range, map(ne, wc, wneg))),
-                        list(itertools.takewhile(len(b_range).__gt__, misses)),
-                        list(compress(b_range, map(and_, nonzero, map(bool, trs)))),
-                        [b for b in compress(b_range, map(and_, nonzero, map(not_, trs)))
-                         if wc[b] != conj_coords(wc[b], p)])))
+        w_b = list(map(wc.__getitem__, both))
+        w_minus_b = map(wc.__getitem__, map(neg.__getitem__, both))
+        out.append((c, (list(compress(both, map(ne, w_b, w_minus_b))),
+                        list(compress(both, map(ne, w_b, map(wneg.__getitem__, both)))),
+                        list(itertools.takewhile(limit.__gt__, misses)),
+                        list(compress(support, trs)),  # Tr(bc) != 0
+                        [b for b, t in zip(support, trs)
+                         if not t and wc[b] != conj_coords(wc[b], p)])))
     return WrIdentityReport(pair_count, out, exhaustive)

@@ -14,8 +14,9 @@ operation that needs a discrete log (`power`, `frobenius` as the power
 p^e, `rel_trace` as a sum of Frobenius terms, the trace-of-exp table
 and `trace_row`) reads the exp/log tables, built on first use for
 |F| <= 3^12.  `trace_row(y)` is the trace pairing as one row, Tr(x y) at
-every x in index order: the one-point Walsh value, the identity battery
-and the Maiorana-McFarland special form all read it.  The
+every x in index order: the one-point Walsh value and the Maiorana-McFarland
+special form read it, and `trace_row(y, xs)` reads it at the given x only,
+as the identity battery does on a row's support.  The
 module's polynomial core (`_pmul`, `_ppow`) serves only what must run
 before the tables exist or must not build them: the irreducibility and
 primitivity checks, the trace vector, `mul_t` and `gen_power`, so that
@@ -512,14 +513,17 @@ class FieldCtx:
     def trace(self, x: FFElem) -> int:
         return self.trace_coeffs(x.coeffs)
 
-    def trace_row(self, y_idx: int) -> list[int]:
-        """[Tr(x y) for x in index order]: trace-of-exp rotated by log y and
-        read at log x, where log 0 = -1 reads an appended 0."""
+    def trace_row(self, y_idx: int, xs: list[int] | None = None) -> list[int]:
+        """[Tr(x y) for x in xs], by default every x in index order:
+        trace-of-exp rotated by log y and read at log x, where log 0 = -1
+        reads an appended 0."""
         if not y_idx:
-            return [0] * self.q
+            return [0] * (self.q if xs is None else len(xs))
         self._build_tables()
-        t, k = self._trace_of_exp, self.log_table[y_idx]
-        return list(map((t[k:] + t[:k] + [0]).__getitem__, self.log_table))
+        log = self.log_table
+        t, k = self._trace_of_exp, log[y_idx]
+        return list(map((t[k:] + t[:k] + [0]).__getitem__,
+                        log if xs is None else map(log.__getitem__, xs)))
 
     # -- subfields -------------------------------------------------------------
 

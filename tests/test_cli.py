@@ -237,6 +237,34 @@ def test_seed_is_not_an_option_of_concat_or_add_quadratic(tmp_path):
         assert "--seed" in json.loads(res.stderr)["error"]["message"]
 
 
+def test_one_parser_per_process_keeps_no_option_between_commands(capsys):
+    # a parse error, a certified analysis with a seed, then a plain analysis
+    # on the one cached parser: no option leaks into the next command, and
+    # each command prints what it prints on a parser of its own
+    import pbent.cli
+    spec = "p=3 n=3 f=Tr(x^8+x^14)"
+    argvs = [["analyze", spec, "--seed", "x"],
+             ["analyze", spec, "--certify", "--seed", "5"],
+             ["analyze", spec]]
+
+    def run(argv):
+        code = pbent.cli.main(argv)
+        return (code, *capsys.readouterr())
+
+    pbent.cli.build_parser.cache_clear()
+    shared = [run(argv) for argv in argvs]
+    assert pbent.cli.build_parser.cache_info()[:2] == (2, 1)  # hits, misses
+    args = pbent.cli.build_parser().parse_args(argvs[2])
+    assert args.certify is False and args.seed == 0
+    fresh = []
+    for argv in argvs:
+        pbent.cli.build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert [code for code, _, _ in shared] == [2, 0, 0]
+    assert "wr_identities" in shared[1][1] and "wr_identities" not in shared[2][1]
+    assert shared == fresh
+
+
 def test_budget_refusal_builds_no_field_tables(monkeypatch, capsys):
     import pbent.cli
     import pbent.gf

@@ -1,4 +1,6 @@
 import collections
+import functools
+import itertools
 import json
 import math
 import random
@@ -65,6 +67,34 @@ def _paths_agree(f, directions):
     hits = [_first_witness_low_degree(f, tri, a) for a in directions]
     assert hits == [_first_witness_scan(f, a) for a in directions]
     return hits
+
+
+def _trilinear_form_oracle(f):
+    """The trilinear form with each pick's index reduced by `add_index`
+    over the picked basis vectors: the oracle of `_trilinear_form`."""
+    p, n = f.ctx.p, f.ctx.n
+    e = [p ** i for i in range(n)]
+    tri = [[0] * (n * n) for _ in range(n)]
+    for ijk in itertools.combinations_with_replacement(range(n), 3):
+        val = 0
+        for picks in itertools.product((0, 1), repeat=3):
+            x = functools.reduce(f.ctx.add_index,
+                                 (e[d] for pick, d in zip(picks, ijk) if pick), 0)
+            val += (-1) ** (3 - sum(picks)) * f.values[x]
+        for i, j, k in itertools.permutations(ijk):
+            tri[i][j * n + k] = val % p
+    return tri
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_trilinear_form_reads_sums_of_basis_vectors(p, n):
+    # seeded tables of any degree: every triple i <= j <= k, i = j = k
+    # included, whose three picks of e_i carry into 0 for p = 3 alone
+    ctx = get_field(p, n)
+    rng = random.Random(100 * p + n)
+    f = PFunction(ctx, [rng.randrange(p) for _ in range(ctx.q)])
+    assert _trilinear_form(f) == _trilinear_form_oracle(f)
 
 
 def test_witness_paths_agree():
@@ -404,6 +434,23 @@ def test_wr_rows_match_pair_oracle_exhaustive(make):
     assert rep.exhaustive and rep.pair_count == q * q
     pairs = [(b, c) for c in range(q) for b in range(q)]
     expected = _pair_battery_oracle(f, pairs)
+    assert rep.violations == expected
+    _assert_json_from_dicts(rep, expected)
+
+
+def test_wr_rows_read_the_support_where_only_minus_b_is_nonzero():
+    # the symmetry checks read S and -S, S the support of W_{D_c f}: rows
+    # of the (1, 2, 1) trinomial have b with W(b) = 0 != W(-b), which a
+    # read of S alone would miss; the witness implication runs on every row
+    f = trinomial_bent(TrinomialParams(1, 2, 1)).truth_table()
+    ctx, q = f.ctx, f.ctx.q
+    one_sided = 0
+    for c in range(q):
+        wc = walsh_fast(f.derivative(ctx.from_index(c))).coords
+        one_sided += sum(1 for b in range(q) if not any(wc[b]) and any(wc[ctx.neg_index(b)]))
+    assert one_sided
+    rep = wr_identity_check(f, certificate=cubic_like_certificate(f))
+    expected = _pair_battery_oracle(f, [(b, c) for c in range(q) for b in range(q)])
     assert rep.violations == expected
     _assert_json_from_dicts(rep, expected)
 

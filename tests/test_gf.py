@@ -228,6 +228,16 @@ def test_trace_row_is_the_trace_pairing(p, n):
         assert ctx.trace_row(y.index) == [ctx.trace(x * y) for x in xs]
 
 
+@pytest.mark.parametrize("p, n", [(3, 1), (3, 2), (3, 4), (5, 2), (7, 1)])
+def test_trace_row_at_given_points_reads_the_row(p, n):
+    ctx = get_field(p, n)
+    rng = random.Random(10 * p + n)
+    for y in range(ctx.q):  # y = 0 included
+        row = ctx.trace_row(y)
+        for xs in ([], sorted(rng.sample(range(ctx.q), ctx.q // 3)), range(ctx.q)):
+            assert ctx.trace_row(y, xs) == [row[x] for x in xs]
+
+
 def _oracle_inputs():
     """Every x in F81, and seeded x in F_{3^8} and F_{3^12}."""
     rng = random.Random(13)
