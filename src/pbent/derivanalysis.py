@@ -19,7 +19,7 @@ it is the exact oracle for the trilinear-form path and the path for
 degree > 3; run on g = f it gives the linear space E_f and the balance
 witness of a quadratic.
 
-The weakly-regular identity battery walks rows c.  Row c transforms D_c f
+The weakly-regular identity battery walks rows c.  Row c reads W_{D_c f}
 and checks P_c(b) = w^Tr(bc) W_{D_b f*}(-c) against W_{D_c f}(b) at every b
 at once: by the correlation identity W_{D_b f*}(-c) = p^-n sum_y W(y)
 conj(W(y + c)) w^Tr(by), W = W_{f*} (transformed once), shifted by -c, p^n
@@ -32,7 +32,7 @@ none where it vanishes, as on every row of a weakly regular f; a dual that
 is not bent has no (s, j) form and takes the product side.  As D_-c f(x) =
 -D_c f(x - c), W_{D_-c f}(b) = w^-Tr(bc) conj(W_{D_c f}(-b)), and P_-c is
 P_c mirrored alike: row -c is row c under a bijection b -> -b, so a pair
-c, -c costs one derivative, one forward transform and at most one inverse
+c, -c costs one derivative, one row W_{D_c f} and at most one inverse
 run, and row -c's phase misses are row c's negated.  The phase identity
 reads whole rows; the other checks read the support S of W_{D_c f} (the b
 where it is nonzero, at most q/p of them for a cubic-like f) and -S, with
@@ -45,6 +45,12 @@ are walked whole; larger ones fill SAMPLED_PAIRS with seeded rows (see
 every walked row also checks W_{D_c f}(b) = 0 whenever Tr(bd) != lambda,
 which holds for every function, so a failure is an internal
 inconsistency.
+
+For deg f <= 3, D_c f is quadratic with Hessian T(c, ., .), and a row reads
+W_{D_c f} in closed form (`walsh_quadratic`): a quadratic Gauss sum,
+nonzero on p^r points, r the rank of the Hessian, with no transform.  For
+degree > 3 the row transforms D_c f (`walsh_fast`), the path the tests also
+hold the closed form against.
 """
 
 from __future__ import annotations
@@ -61,7 +67,7 @@ from .errors import InternalInconsistency, PreconditionError
 from .funcrep import PFunction
 from .gf import FFElem, digit_sums
 from .linalg import f3_add, f3_kernel, f3_pack, mat_kernel
-from .walsh import extract_certificate, inverse_sums, is_bent, walsh_fast
+from .walsh import extract_certificate, inverse_sums, is_bent, walsh_fast, walsh_quadratic
 
 SAMPLED_PAIRS = 10000
 
@@ -357,7 +363,10 @@ def wr_identity_check(f: PFunction, seed: int = 0,
     module docstring): all q rows when p^2n <= SAMPLED_PAIRS, otherwise
     ceil(SAMPLED_PAIRS / q) distinct rows from `random.Random(seed).sample`,
     in draw order, the last one cut so that exactly SAMPLED_PAIRS pairs are
-    checked.  A row runs the inverse kernel only where its two phase sides
+    checked.  For deg f <= 3 a row reads W_{D_c f} in closed form
+    (`walsh_quadratic`); otherwise it transforms D_c f, the path that is
+    also the closed form's oracle in the tests.  A row runs the inverse
+    kernel only where its two phase sides
     differ: the signed powers of a bent dual against w^(D_c f(-y)), or the
     products W_{f*}(y - c) conj(W_{f*}(y)) against p^n w^(D_c f(-y)).  The
     other checks read only the row's support S and its negation -S, off
@@ -387,6 +396,7 @@ def wr_identity_check(f: PFunction, seed: int = 0,
     witnesses = certificate.witnesses if certificate is not None else {}
     neg = ctx.neg_table()
     mirror = _mirror_maps(p)
+    quadratic_rows = f.algebraic_degree() <= 3  # deg D_c f <= 2
     out, todo, pending = [], set(rows), {}
     for i, c in enumerate(rows):
         todo.discard(c)
@@ -395,8 +405,11 @@ def wr_identity_check(f: PFunction, seed: int = 0,
             trs = ctx.trace_row(c, support)
         else:
             g = f.derivative(ctx.from_index(c))
-            wc = walsh_fast(g).coords
-            support = list(compress(range(q), map(any, wc)))  # S: W_{D_c f}(b) != 0
+            if quadratic_rows:  # S: W_{D_c f}(b) != 0
+                support, wc = walsh_quadratic(g)
+            else:  # degree > 3; also the closed form's oracle in the tests
+                wc = walsh_fast(g).coords
+                support = list(compress(range(q), map(any, wc)))
             negated = sorted(map(neg.__getitem__, support))
             trs = ctx.trace_row(c, support)
             wneg = [(0,) * (p - 1)] * q  # W_{D_-c f}: zero off -S
@@ -426,10 +439,12 @@ def wr_identity_check(f: PFunction, seed: int = 0,
                     "= (%d, %d)" % (c, b, d, lam))
         w_b = list(map(wc.__getitem__, both))
         w_minus_b = map(wc.__getitem__, map(neg.__getitem__, both))
+        trace_zero = [b for b, t in zip(support, trs) if not t]  # Tr(bc) = 0
+        # a row holds few distinct values (p in closed form): conjugate each once
+        real = {x: x == conj_coords(x, p) for x in set(map(wc.__getitem__, trace_zero))}
         out.append((c, (list(compress(both, map(ne, w_b, w_minus_b))),
                         list(compress(both, map(ne, w_b, map(wneg.__getitem__, both)))),
                         list(itertools.takewhile(limit.__gt__, misses)),
                         list(compress(support, trs)),  # Tr(bc) != 0
-                        [b for b, t in zip(support, trs)
-                         if not t and wc[b] != conj_coords(wc[b], p)])))
+                        [b for b in trace_zero if not real[wc[b]]])))
     return WrIdentityReport(pair_count, out, exhaustive)

@@ -25,9 +25,9 @@ parsing a coefficient g^M builds no tables.
 All whole-field index tables rest on one fact: adding a fixed index has no
 carries between digits.  `shift_row` tabulates x -> x + r over indexes of
 m digits one digit at a time, and `digit_sums` stacks those rows for every
-r; `shift_indexes` adds one r to a list of indexes through two such half
-rows (low and high digits), and `linear_table` builds the index table of
-an F_p-linear map one digit at a time from it.  The exp table walks the
+r; `half_rows` splits x -> x + r into two such half rows (low and high
+digits), and `linear_table` builds the index table of an F_p-affine map
+one digit at a time from each column's half rows.  The exp table walks the
 linear table of "multiply by the primitive element", trace-of-exp reads
 the linear table of the trace, `shift_table(a)` is x -> x + a, and the
 Walsh transform's trace-dual gather table is the linear table of the Gram
@@ -126,6 +126,17 @@ def shift_row(p: int, m: int, r: int) -> list[int]:
         row = [off + v for off in [(d + rd) % p * pw for d in range(p)] for v in row]
         pw *= p
     return row
+
+
+@lru_cache(maxsize=32)
+def half_rows(p: int, n: int, r: int) -> tuple:
+    """x -> index(x + r) over indexes of n digits as (hi, lo, p^h), h =
+    ceil(n/2): index(x + r) = hi[x // p^h] + lo[x % p^h], with lo the
+    `shift_row` of the low h digits and hi that of the high n - h digits
+    scaled by p^h.  Cached, since the columns of linear tables recur."""
+    half = p ** ((n + 1) // 2)
+    r_hi, r_lo = divmod(r, half)
+    return [v * half for v in shift_row(p, n // 2, r_hi)], shift_row(p, (n + 1) // 2, r_lo), half
 
 
 @lru_cache(maxsize=8)
@@ -429,32 +440,21 @@ class FieldCtx:
         """[neg_index(x) for every x]: the linear table of the negated basis."""
         return self.linear_table([(self.p - 1) * pw for pw in self._powers_of_p[:-1]])
 
-    def shift_indexes(self, idxs, r: int) -> list[int]:
-        """[index(x + r) for x in idxs].  Adding r has no carries between
-        digits, so the low h digits and the high n - h digits of each index
-        are translated by two half tables (`shift_row`) of p^h and p^(n-h)
-        entries."""
-        h = (self.n + 1) // 2
-        half = self._powers_of_p[h]
-        r_hi, r_lo = divmod(r, half)
-        lo = shift_row(self.p, h, r_lo)
-        hi = [v * half for v in shift_row(self.p, self.n - h, r_hi)]
-        return [hi[x // half] + lo[x % half] for x in idxs]
-
     def shift_table(self, a_idx: int) -> list[int]:
         """perm[x] = index(x + a): one `shift_row` over all n digits."""
         return shift_row(self.p, self.n, a_idx)
 
-    def linear_table(self, cols) -> list[int]:
-        """Index table of the F_p-linear map v -> sum_j v_j c_j, given the
-        column indexes c_j, built one digit at a time: the entries with
-        digit j equal to t are those of the lower digits shifted by c_j,
-        t times."""
-        table = [0]
+    def linear_table(self, cols, base: int = 0) -> list[int]:
+        """Index table of the F_p-affine map v -> base + sum_j v_j c_j,
+        given the column indexes c_j, built one digit at a time: the
+        entries with digit j equal to t are those of the lower digits
+        shifted by c_j, t times, through c_j's `half_rows`."""
+        table = [base]
         for c in cols:
+            hi, lo, half = half_rows(self.p, self.n, c)
             blocks = [table]
             for _ in range(self.p - 1):
-                blocks.append(self.shift_indexes(blocks[-1], c))
+                blocks.append([hi[x // half] + lo[x % half] for x in blocks[-1]])
             table = [v for block in blocks for v in block]
         return table
 

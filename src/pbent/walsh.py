@@ -15,6 +15,9 @@ the Gram matrix [Tr(alpha^(i+j))].  As Tr(x y) = v(x) . y too,
 `inverse_sums` runs the same passes with the conjugate DFT and the same
 gather: the inverse sums before the division by p^n, which the identity
 battery of `derivanalysis` needs, and does exactly, on its product path only.
+A function of degree <= 2, as the battery's derivatives of a cubic are,
+needs no passes: `walsh_quadratic` reads its spectrum, a quadratic Gauss
+sum, from its Hessian in closed form.
 
 Both paths produce flat coordinate tuples in Z[w] ((a, b) = a + b*w for
 p = 3, p - 1 integers otherwise), and a WalshSpectrum stores exactly those.
@@ -37,13 +40,15 @@ command transforms f once; `walsh_naive` never reads it.
 from __future__ import annotations
 
 from array import array
-from operator import sub
+from itertools import compress, product
+from operator import add, mul, sub
 
-from .cyclo import CycInt, norm_coords, omega_coords, unit_class, unit_power_forms
+from .cyclo import (CycInt, coords_from_counts, norm_coords, omega_coords, unit_class,
+                    unit_power_forms)
 from .errors import InternalInconsistency, PreconditionError
 from .funcrep import PFunction
 from .gf import FieldCtx
-from .linalg import axis_passes, lane_typecode
+from .linalg import axis_passes, lane_typecode, mat_kernel
 
 NOT_BENT = "not_bent"
 REGULAR = "regular"
@@ -130,6 +135,74 @@ def _dual_table(ctx: FieldCtx) -> array:
         _DUAL_CACHE[key] = array(lane_typecode(ctx.q), ctx.linear_table(
             [ctx.to_index([ctx.trace_coeffs(ctx.mul_t(a, b)) for b in basis]) for a in basis]))
     return _DUAL_CACHE[key]
+
+
+_INVERSE_DUAL_CACHE: dict = {}
+
+
+def _inverse_dual_table(ctx: FieldCtx) -> array:
+    """table[v] = the y whose trace-dual coordinates have index v: the
+    inverse permutation of `_dual_table`, cached alike."""
+    key = (ctx.p, ctx.n, ctx.modulus)
+    if key not in _INVERSE_DUAL_CACHE:
+        dual = _dual_table(ctx)
+        inverse = _INVERSE_DUAL_CACHE[key] = array(dual.typecode, dual)
+        for y, v in enumerate(dual):
+            inverse[v] = y
+    return _INVERSE_DUAL_CACHE[key]
+
+
+def walsh_quadratic(g: PFunction) -> tuple[list, list]:
+    """W_g of a g of degree <= 2 in closed form, with no transform: the
+    support (the y where W_g(y) != 0, ascending) and the coordinates at
+    every y.  The degree is the caller's to ensure; it is not checked.
+
+    In polynomial-basis coordinates g(x) = g(0) + a.x + x^T H x / 2, with
+    the Hessian H_ij = D_{e_i} D_{e_j} g and a_i = g(e_i) - g(0) - H_ii / 2,
+    and Tr(xy) = x.v(y) (`_dual_table`).  So W_g(y) is a quadratic Gauss
+    sum: 0 unless v(y) = a + Hz for some z, and then W_g(y_0) w^(-z^T H z
+    / 2), v(y_0) = a.  Over the pivot columns of H, those that are no
+    `mat_kernel` vector's last nonzero coordinate, z -> Hz is one-to-one,
+    so the support has p^r points, r = rank H: a linear table over z, read
+    through the inverse of `_dual_table`.  The phase is read from g's
+    table, as z^T H z / 2 = (g(z) + g(-z)) / 2 - g(0), and every value is
+    W_g(y_0), one `single_walsh_value`, times a power of w.  Parseval,
+    p^r |W_g(y_0)|^2 = p^(2n), is checked exactly; a failure is an
+    InternalInconsistency."""
+    ctx = g.ctx
+    p, n, q, vals = ctx.p, ctx.n, ctx.q, g.values
+    g0, half = vals[0], (p + 1) // 2  # 2 half = 1 mod p
+    pows = [p ** i for i in range(n)]
+    ge = [vals[pw] - g0 for pw in pows]  # g(e_i) - g(0)
+    hess = [[(vals[pi + pj] - gi - gj - g0) % p for pj, gj in zip(pows, ge)]
+            for pi, gi in zip(pows, ge)]
+    a = [(gi - row[i] * half) % p for i, (gi, row) in enumerate(zip(ge, hess))]
+    free = {max(compress(range(n), vec)) for vec in mat_kernel(hess, p)}
+    pivots = [j for j in range(n) if j not in free]
+    # z with balanced digits z_j in [-m, m], m = (p-1)/2, the first pivot's
+    # running fastest, so that -z sits at the mirrored position and z = 0 in
+    # the middle; the support point at v(y) = a + Hz (H is symmetric) from
+    # the corner z_j = -m, through the F_p-linear inverse of `_dual_table`
+    m = p // 2
+    zs = list(map(sum, product(*[[t % p * pows[j] for t in range(-m, m + 1)]
+                                 for j in reversed(pivots)])))
+    inverse = _inverse_dual_table(ctx)
+    corner = sum((v - m * sum(map(row.__getitem__, pivots))) % p * pw
+                 for v, row, pw in zip(a, hess, pows))
+    points = ctx.linear_table([inverse[sum(map(mul, hess[j], pows))] for j in pivots],
+                              inverse[corner])
+    w0 = single_walsh_value(g, points[len(points) // 2]).coords  # v(y_0) = a
+    if norm_coords(w0, p) != (q * q // len(points),) + (0,) * ((p - 3) // 2):
+        raise InternalInconsistency("Parseval failed on a quadratic's closed-form spectrum")
+    counts = w0 + (0,)  # of w^0, ..., w^(p-1); w^k W_g(y_0) has them rotated by k
+    rotations = [coords_from_counts(p, counts[-k:] + counts[:-k]) for k in range(p)]
+    # W_g(y) = W_g(y_0) w^(g(0) - e / 2) for e = g(z) + g(-z) in [0, 2p - 2]
+    by_sum = [rotations[(g0 - e * half) % p] for e in range(2 * p - 1)]
+    gz = list(map(vals.__getitem__, zs))
+    coords = [(0,) * (p - 1)] * q
+    for y, w in zip(points, map(by_sum.__getitem__, map(add, gz, reversed(gz)))):
+        coords[y] = w
+    return sorted(points), coords
 
 
 def _dft3_column(sign: int):

@@ -422,25 +422,27 @@ def test_concat_over_budget_is_refused_before_combining(tmp_path, monkeypatch, c
 
 
 @pytest.mark.parametrize("argv, transforms, inverse_runs", [
-    (["construct", "trinomial", "--k", "2", "--j", "1", "--t", "1", "--analyze", "--certify"], 4, 2),
-    (["analyze", "p=3 n=6 f=Tr(x^2)", "--certify"], 16, 0),
-    (["construct", "trinomial", "--k", "1", "--j", "2", "--t", "1", "--analyze", "--certify"], 43, 27),
-    (["analyze", "p=5 n=2 f=Tr(x^2)", "--certify"], 15, 0),
+    (["construct", "trinomial", "--k", "2", "--j", "1", "--t", "1", "--analyze", "--certify"], 2, 2),
+    (["analyze", "p=3 n=6 f=Tr(x^2)", "--certify"], 2, 0),
+    (["construct", "trinomial", "--k", "1", "--j", "2", "--t", "1", "--analyze", "--certify"], 2, 27),
+    (["analyze", "p=5 n=2 f=Tr(x^2)", "--certify"], 2, 0),
     (["analyze", "p=3 n=4 f=Tr(x^4+g^10*x^22)", "--certify"], 43, 41),
+    (["analyze", "p=3 n=4 f=Tr(x^34+x^2)", "--certify"], 43, 0),
 ], ids=["trinomial_211", "quadratic_n6", "trinomial_121_exhaustive", "quadratic_p5_exhaustive",
-        "sporadic_not_dual_bent"])
+        "sporadic_not_dual_bent", "binomial_degree_4"])
 def test_certify_transforms_each_function_once(argv, transforms, inverse_runs, monkeypatch,
                                                capsys):
-    # f and its dual once each, and one D_c f per walked row c, except a row
-    # -c walked after row c: two rows of 3^8 points for the (2, 1, 1)
-    # trinomial, ceil(10000 / 729) = 14 rows at n = 6, and in the exhaustive
-    # walks of q = 81 and 25 rows, row 0 and the (q - 1) / 2 rows c walked
-    # before -c (the dual of a weakly regular f is only transformed by the
-    # battery).  With a bent dual, a transformed row runs the inverse kernel
-    # only where its phase difference is nonzero: never for a weakly regular
-    # f, on 27 of the 41 rows of the (1, 2, 1) trinomial and on both rows of
-    # the (2, 1, 1) one.  The sporadic function's dual is not bent, so each
-    # of its 41 transformed rows runs the product path's inverse kernel.
+    # f and its dual once each (the dual of a weakly regular f is only
+    # transformed by the battery).  A row of an f of degree <= 3 reads
+    # W_{D_c f} in closed form and builds no spectrum; for degree 4, one
+    # D_c f is transformed per walked row c, except a row -c walked after
+    # row c: in the exhaustive walks of q = 81 rows, row 0 and the 40 rows c
+    # walked before -c.  With a bent dual, a walked row runs the inverse
+    # kernel only where its phase difference is nonzero: never for a weakly
+    # regular f (the quadratics and the binomial), on 27 of the 41 rows of
+    # the (1, 2, 1) trinomial and on both rows of the (2, 1, 1) one.  The
+    # sporadic function's dual is not bent, so each of its 41 rows c runs
+    # the product path's inverse kernel.
     import pbent.cli
     import pbent.derivanalysis
     import pbent.walsh

@@ -7,9 +7,9 @@ import random
 
 import pytest
 
-from pbent import derivanalysis
+from pbent import derivanalysis, walsh
 from pbent.constructions import TrinomialParams, lemma2_witness, trinomial_bent
-from pbent.cyclo import conj_coords, unit_power_forms
+from pbent.cyclo import CycInt, conj_coords, unit_power_forms
 from pbent.derivanalysis import (SAMPLED_PAIRS, CubicLikeCertificate, WrIdentityReport,
                                  _constant_derivatives, _first_witness_low_degree,
                                  _first_witness_scan, _trilinear_form,
@@ -20,7 +20,8 @@ from pbent.errors import InternalInconsistency, PreconditionError
 from pbent.funcrep import (ANF, PFunction, TraceForm, anf_to_truth, p_weight,
                            parse_function_spec)
 from pbent.gf import get_field
-from pbent.walsh import extract_certificate, inverse_sums, is_bent, walsh_fast
+from pbent.walsh import (classify, extract_certificate, inverse_sums, is_bent, walsh_fast,
+                         walsh_quadratic)
 from ring_oracle import Zw
 
 F3 = get_field(3, 1)
@@ -518,6 +519,76 @@ def test_phase_misses_divides_exactly():
     assert derivanalysis._phase_misses(lhs, rhs, ctx, 0, 1) == list(range(ctx.q))
     with pytest.raises(InternalInconsistency):
         derivanalysis._phase_misses(lhs, rhs, ctx, 0, ctx.q)
+
+
+def random_anf(ctx, rng, degree):
+    """A seeded function whose ANF has random coefficients on the monomials
+    of p-weight <= degree, drawn until its degree is exactly `degree`."""
+    p = ctx.p
+    while True:
+        f = anf_to_truth(ANF(ctx, [rng.randrange(p) if p_weight(i, p) <= degree else 0
+                                   for i in range(ctx.q)]))
+        if f.algebraic_degree() == degree:
+            return f
+
+
+@pytest.mark.parametrize("p, n", [(3, n) for n in range(1, 7)] + [(5, n) for n in range(1, 4)]
+                         + [pytest.param(5, 4, marks=pytest.mark.slow)]
+                         + [(7, n) for n in range(1, 4)])
+def test_closed_form_rows_match_the_transform_of_every_derivative(p, n):
+    # every row c of a seeded cubic, which is not bent, against the
+    # transform of D_c f, the closed form's oracle: c = 0 (D_0 f = 0, rank
+    # 0) and rows of higher rank, full rank at most sizes; and up to 3^5
+    # points, every row of a seeded quadratic, whose derivatives are affine
+    # (H = 0).  Over F_3 a function of one variable has degree <= 2.
+    ctx = get_field(p, n)
+    q = ctx.q
+    rng = random.Random(10 * p + n)
+    funcs = [random_anf(ctx, rng, min(3, n * (p - 1)))]
+    funcs += [random_anf(ctx, rng, 2)] if q <= 3 ** 5 else []
+    if funcs[0].algebraic_degree() == 3:
+        assert not is_bent(walsh_fast(funcs[0]))
+    for f in funcs:
+        ranks = set()
+        for c in range(q):
+            g = f.derivative(ctx.from_index(c))
+            support, coords = walsh_quadratic(g)
+            expected = walsh_fast(g).coords
+            assert coords == expected, c
+            assert support == [b for b in range(q) if any(expected[b])], c
+            ranks.add(round(math.log(len(support), p)))
+        assert 0 in ranks and (len(ranks) > 1) == (f.algebraic_degree() == 3)
+
+
+@pytest.mark.parametrize("p, seed, total", [(5, 1, 514), (7, 1, 1500)])
+def test_wr_rows_match_pair_oracle_on_bent_cubics(p, seed, total):
+    # the first bent one among seeded ANF cubics at n = 2; its rows of
+    # ranks 0 to 2 are read in closed form, through the mirror maps of p >= 5
+    ctx = get_field(p, 2)
+    rng = random.Random(seed)
+    f = random_anf(ctx, rng, 3)
+    while not is_bent(walsh_fast(f)):
+        f = random_anf(ctx, rng, 3)
+    q = ctx.q
+    rep = wr_identity_check(f, certificate=cubic_like_certificate(f))
+    assert rep.exhaustive and rep.sound_clean and classify(f).bent
+    expected = _pair_battery_oracle(f, [(b, c) for c in range(q) for b in range(q)])
+    assert rep.violations == expected and len(expected) == total
+    _assert_json_from_dicts(rep, expected)
+
+
+def test_closed_form_rows_check_parseval(monkeypatch):
+    # a W_g(y_0) that is off by a factor 2 breaks p^r |W_g(y_0)|^2 = p^(2n)
+    f = trinomial_bent(TrinomialParams(1, 2, 1)).truth_table()
+    g = f.derivative(f.ctx.from_index(5))
+    assert walsh_quadratic(g)[1] == walsh_fast(g).coords
+    one_point = walsh.single_walsh_value
+    monkeypatch.setattr(walsh, "single_walsh_value", lambda g, y: CycInt(
+        g.ctx.p, [2 * v for v in one_point(g, y).coords]))
+    with pytest.raises(InternalInconsistency, match="Parseval"):
+        walsh_quadratic(g)
+    with pytest.raises(InternalInconsistency, match="Parseval"):
+        wr_identity_check(f)
 
 
 def _battery_rows(q, seed):

@@ -150,12 +150,14 @@ def test_index_arithmetic_matches_elements():
             assert perm[x] == (F81.from_index(x) + F81.from_index(a)).index
 
 
-def test_shift_indexes_match_add_index():
+def test_half_rows_match_add_index():
     rng = random.Random(8)
     for ctx in INDEX_FIELDS:
         idxs = [rng.randrange(ctx.q) for _ in range(40)]
         for r in sorted({0, 1, ctx.q - 1, rng.randrange(ctx.q)}):
-            assert ctx.shift_indexes(idxs, r) == [ctx.add_index(x, r) for x in idxs]
+            hi, lo, half = gf.half_rows(ctx.p, ctx.n, r)
+            assert [hi[x // half] + lo[x % half] for x in idxs] == [ctx.add_index(x, r)
+                                                                    for x in idxs]
             assert ctx.shift_table(r) == [ctx.add_index(x, r) for x in range(ctx.q)]
     for p, m in ((3, 1), (3, 2), (5, 1), (5, 2), (7, 1)):
         add = get_field(p, m).add_index
@@ -189,6 +191,41 @@ def test_linear_table_matches_mat_vec():
             assert ctx.linear_table(cols) == [
                 ctx.to_index(mat_vec(mat, list(ctx.from_index(v).coeffs), ctx.p))
                 for v in range(ctx.q)]
+
+
+def _linear_table_oracle(ctx, cols):
+    """The linear table as built before each column's half rows were
+    cached: every block shifted by `shift_row`s of its own."""
+    h = (ctx.n + 1) // 2
+    half = ctx.p ** h
+    table = [0]
+    for c in cols:
+        blocks = [table]
+        for _ in range(ctx.p - 1):
+            c_hi, c_lo = divmod(c, half)
+            lo = gf.shift_row(ctx.p, h, c_lo)
+            hi = [v * half for v in gf.shift_row(ctx.p, ctx.n - h, c_hi)]
+            blocks.append([hi[x // half] + lo[x % half] for x in blocks[-1]])
+        table = [v for block in blocks for v in block]
+    return table
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_linear_table_matches_per_block_shifts(p, n):
+    # seeded columns, zero and repeated ones included, from none up to n + 1;
+    # with a base, every entry is shifted by it
+    ctx = get_field(p, n)
+    rng = random.Random(100 * p + n)
+    cols_list = [[], [0], [ctx.q - 1, ctx.q - 1]]
+    cols_list += [[rng.randrange(ctx.q) for _ in range(k)] for k in range(1, min(n, 3) + 2)]
+    if p ** n <= 3 ** 6:
+        cols_list.append([rng.randrange(ctx.q) for _ in range(n)])
+    for cols in cols_list:
+        expected = _linear_table_oracle(ctx, cols)
+        assert ctx.linear_table(cols) == expected
+        base = rng.randrange(ctx.q)
+        assert ctx.linear_table(cols, base) == [ctx.add_index(base, v) for v in expected]
 
 
 def test_tables_match_powers_and_trace():
