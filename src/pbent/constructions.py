@@ -23,6 +23,7 @@ quadratic Gauss sum standing in for every irrational factor.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 from .cyclo import CycInt
@@ -187,7 +188,6 @@ class _ClosedFormSetup:
 
     def __init__(self, params: TrinomialParams, ctx: FieldCtx) -> None:
         k = params.k
-        self.params = params
         self.ctx = ctx
         self.k = k
         # a root of x^4 + x - 1 inside F_{3^(4k)}; for the pinned k=1
@@ -247,7 +247,7 @@ def trinomial_closed_form_walsh(params: TrinomialParams, y: FFElem,
             "closed forms cover k odd, j in {0, 2k}, t = (3^k - 1)/2 only")
     if ctx is None:
         ctx = params.context()
-    setup = _closed_form_setup(params, ctx)
+    setup = _closed_form_setup(params.k, params.j, params.t, ctx)
     k = setup.k
     s_k, s_j = setup.s_k, setup.s_j
     B, Binv = setup.big_b, setup.big_b_inv
@@ -285,14 +285,9 @@ def trinomial_closed_form_walsh(params: TrinomialParams, y: FFElem,
     return value(sign, e)
 
 
-_SETUP_CACHE: dict = {}
-
-
-def _closed_form_setup(params: TrinomialParams, ctx: FieldCtx) -> _ClosedFormSetup:
-    key = (params.k, params.j, params.t, ctx.modulus)
-    if key not in _SETUP_CACHE:
-        _SETUP_CACHE[key] = _ClosedFormSetup(params, ctx)
-    return _SETUP_CACHE[key]
+@functools.lru_cache(maxsize=8)
+def _closed_form_setup(k: int, j: int, t: int, ctx: FieldCtx) -> _ClosedFormSetup:
+    return _ClosedFormSetup(TrinomialParams(k, j, t), ctx)
 
 
 # -- concatenation constructions ------------------------------------------------

@@ -206,7 +206,7 @@ def cubic_like_certificate(f: PFunction) -> CubicLikeCertificate:
     if tri and p == 3:
         hits = _gray_witnesses(f, tri)
     else:
-        neg = f.ctx.neg_table()
+        neg = f.ctx.neg_table
         hits = ((a, neg[a], _first_witness_low_degree(f, tri, a) if tri
                  else _first_witness_scan(f, a)) for a in range(1, q) if a <= neg[a])
     witnesses = {}
@@ -394,7 +394,7 @@ def wr_identity_check(f: PFunction, seed: int = 0,
     pair_count = q * q if exhaustive else SAMPLED_PAIRS
     rows = range(q) if exhaustive else random.Random(seed).sample(range(q), -(-pair_count // q))
     witnesses = certificate.witnesses if certificate is not None else {}
-    neg = ctx.neg_table()
+    neg = ctx.neg_table
     mirror = _mirror_maps(p)
     quadratic_rows = f.algebraic_degree() <= 3  # deg D_c f <= 2
     out, todo, pending = [], set(rows), {}

@@ -88,7 +88,7 @@ class PFunction:
 
     def reflect(self) -> "PFunction":
         """x -> f(-x)."""
-        return PFunction(self.ctx, list(map(self.values.__getitem__, self.ctx.neg_table())))
+        return PFunction(self.ctx, list(map(self.values.__getitem__, self.ctx.neg_table)))
 
     def translate(self, a: FFElem) -> "PFunction":
         """x -> f(x + a)."""

@@ -29,17 +29,25 @@ r; `half_rows` splits x -> x + r into two such half rows (low and high
 digits), and `linear_table` builds the index table of an F_p-affine map
 one digit at a time from each column's half rows.  The exp table walks the
 linear table of "multiply by the primitive element", trace-of-exp reads
-the linear table of the trace, `shift_table(a)` is x -> x + a, and the
-Walsh transform's trace-dual gather table is the linear table of the Gram
-matrix [Tr(alpha^(i+j))].
+the linear table of the trace, and `shift_table(a)` is x -> x + a.
+
+The field's other index tables live on the FieldCtx too, each built once,
+on first read, as a cached attribute: `neg_table` (x -> -x, the linear
+table of the negated basis), `dual_table` (y -> v(y), the trace-dual
+coordinates (Tr(alpha^j y))_j, the linear table of the Gram matrix
+[Tr(alpha^(i+j))], through which the Walsh transforms read Tr(xy) =
+x . v(y)) and `inverse_dual_table` (v(y) -> y).  A context dropped from
+the field cache takes its tables with it.
 """
 
 from __future__ import annotations
 
 import re
-from functools import lru_cache
+from array import array
+from functools import cached_property, lru_cache
 
 from .errors import BudgetError, InternalInconsistency, ParseError, PreconditionError
+from .linalg import lane_typecode
 
 LOG_TABLE_MAX = 3 ** 12
 
@@ -307,8 +315,9 @@ class FieldCtx:
     """A concrete realization of F_{p^n}.
 
     The field itself (p, n, modulus, primitive element, trace vector) is
-    fixed at construction; the exp/log tables and the subfield cache fill
-    on first use and never change after.  The modulus is verified
+    fixed at construction; the exp/log tables, the subfield cache and the
+    cached index tables (`neg_table`, `dual_table`, `inverse_dual_table`)
+    fill on first use and never change after.  The modulus is verified
     irreducible and the primitive element's order is verified against the
     prime factors of p^n - 1, so a successfully built context is a
     certificate of both.
@@ -338,7 +347,7 @@ class FieldCtx:
         self._subfield_cache: dict[int, list[int]] = {}
         root = _root(modulus, p)
         if not _is_primitive(root, modulus, p):
-            root = next((x for x in (_digits(i, p, n) for i in range(2, self.q))
+            root = next((x for x in (_digits(i, p, n) for i in range(1, self.q))
                          if _is_primitive(x, modulus, p)), None)
             if root is None:
                 raise InternalInconsistency("no primitive element found for this modulus")
@@ -436,9 +445,29 @@ class FieldCtx:
             mult *= p
         return out
 
+    @cached_property
     def neg_table(self) -> list[int]:
         """[neg_index(x) for every x]: the linear table of the negated basis."""
         return self.linear_table([(self.p - 1) * pw for pw in self._powers_of_p[:-1]])
+
+    @cached_property
+    def dual_table(self) -> array:
+        """table[y] = index of y's trace-dual coordinates (Tr(alpha^j y))_j,
+        as an `array`: the linear table whose column i is the Gram row
+        (Tr(alpha^(i+j)))_j."""
+        basis = [_digits(pw, self.p, self.n) for pw in self._powers_of_p[:-1]]
+        return array(lane_typecode(self.q), self.linear_table(
+            [self.to_index([self.trace_coeffs(self.mul_t(a, b)) for b in basis]) for a in basis]))
+
+    @cached_property
+    def inverse_dual_table(self) -> array:
+        """table[v] = the y whose trace-dual coordinates have index v: the
+        inverse permutation of `dual_table`."""
+        dual = self.dual_table
+        inverse = array(dual.typecode, dual)
+        for y, v in enumerate(dual):
+            inverse[v] = y
+        return inverse
 
     def shift_table(self, a_idx: int) -> list[int]:
         """perm[x] = index(x + a): one `shift_row` over all n digits."""
@@ -561,7 +590,10 @@ _FIELD_CACHE: dict = {}
 
 
 def get_field(p: int, n: int, modulus=None) -> FieldCtx:
-    """Cached field constructor; modulus None selects the pinned default."""
+    """Cached field constructor; modulus None selects the pinned default.
+    The key reduces the modulus mod p, so p is checked first."""
+    if not is_prime(p):
+        raise FieldError("p must be prime, got %d" % p)
     key = (p, n, tuple(c % p for c in modulus) if modulus is not None else None)
     if key not in _FIELD_CACHE:
         _FIELD_CACHE[key] = FieldCtx(p, n, modulus)

@@ -10,8 +10,10 @@ decomposition.  The fast path writes Tr(x y) = x . v(y), the coordinates
 of x in the polynomial basis {alpha^j} against the trace-dual coordinates
 v(y) = (Tr(alpha^j y))_j, so the transform is n size-p DFT passes
 (`linalg.axis_passes`, the DFT on Z[w] coordinates as column map, unrolled
-for p = 3) read out at v(y) through one gather table, the linear table of
-the Gram matrix [Tr(alpha^(i+j))].  As Tr(x y) = v(x) . y too,
+for p = 3) read out at v(y) through one gather table, the field's
+`dual_table` (the linear table of the Gram matrix [Tr(alpha^(i+j))]; it
+and its inverse live on the `FieldCtx`, built once per field, and this
+module keeps no table of its own).  As Tr(x y) = v(x) . y too,
 `inverse_sums` runs the same passes with the conjugate DFT and the same
 gather: the inverse sums before the division by p^n, which the identity
 battery of `derivanalysis` needs, and does exactly, on its product path only.
@@ -39,7 +41,6 @@ command transforms f once; `walsh_naive` never reads it.
 
 from __future__ import annotations
 
-from array import array
 from itertools import compress, product
 from operator import add, mul, sub
 
@@ -48,7 +49,7 @@ from .cyclo import (CycInt, coords_from_counts, norm_coords, omega_coords, unit_
 from .errors import InternalInconsistency, PreconditionError
 from .funcrep import PFunction
 from .gf import FieldCtx
-from .linalg import axis_passes, lane_typecode, mat_kernel
+from .linalg import axis_passes, mat_kernel
 
 NOT_BENT = "not_bent"
 REGULAR = "regular"
@@ -122,36 +123,6 @@ def walsh_naive(f: PFunction) -> WalshSpectrum:
                          "naive")
 
 
-_DUAL_CACHE: dict = {}
-
-
-def _dual_table(ctx: FieldCtx) -> array:
-    """table[y] = index of y's trace-dual coordinates (Tr(alpha^j y))_j,
-    cached per field realization as an `array`: the linear table whose
-    column i is the Gram row (Tr(alpha^(i+j)))_j."""
-    key = (ctx.p, ctx.n, ctx.modulus)
-    if key not in _DUAL_CACHE:
-        basis = [ctx.from_index(ctx.p ** i).coeffs for i in range(ctx.n)]
-        _DUAL_CACHE[key] = array(lane_typecode(ctx.q), ctx.linear_table(
-            [ctx.to_index([ctx.trace_coeffs(ctx.mul_t(a, b)) for b in basis]) for a in basis]))
-    return _DUAL_CACHE[key]
-
-
-_INVERSE_DUAL_CACHE: dict = {}
-
-
-def _inverse_dual_table(ctx: FieldCtx) -> array:
-    """table[v] = the y whose trace-dual coordinates have index v: the
-    inverse permutation of `_dual_table`, cached alike."""
-    key = (ctx.p, ctx.n, ctx.modulus)
-    if key not in _INVERSE_DUAL_CACHE:
-        dual = _dual_table(ctx)
-        inverse = _INVERSE_DUAL_CACHE[key] = array(dual.typecode, dual)
-        for y, v in enumerate(dual):
-            inverse[v] = y
-    return _INVERSE_DUAL_CACHE[key]
-
-
 def walsh_quadratic(g: PFunction) -> tuple[list, list]:
     """W_g of a g of degree <= 2 in closed form, with no transform: the
     support (the y where W_g(y) != 0, ascending) and the coordinates at
@@ -159,16 +130,16 @@ def walsh_quadratic(g: PFunction) -> tuple[list, list]:
 
     In polynomial-basis coordinates g(x) = g(0) + a.x + x^T H x / 2, with
     the Hessian H_ij = D_{e_i} D_{e_j} g and a_i = g(e_i) - g(0) - H_ii / 2,
-    and Tr(xy) = x.v(y) (`_dual_table`).  So W_g(y) is a quadratic Gauss
-    sum: 0 unless v(y) = a + Hz for some z, and then W_g(y_0) w^(-z^T H z
-    / 2), v(y_0) = a.  Over the pivot columns of H, those that are no
-    `mat_kernel` vector's last nonzero coordinate, z -> Hz is one-to-one,
-    so the support has p^r points, r = rank H: a linear table over z, read
-    through the inverse of `_dual_table`.  The phase is read from g's
-    table, as z^T H z / 2 = (g(z) + g(-z)) / 2 - g(0), and every value is
-    W_g(y_0), one `single_walsh_value`, times a power of w.  Parseval,
-    p^r |W_g(y_0)|^2 = p^(2n), is checked exactly; a failure is an
-    InternalInconsistency."""
+    and Tr(xy) = x.v(y) (`FieldCtx.dual_table`).  So W_g(y) is a quadratic
+    Gauss sum: 0 unless v(y) = a + Hz for some z, and then W_g(y_0)
+    w^(-z^T H z / 2), v(y_0) = a.  Over the pivot columns of H, those that
+    are no `mat_kernel` vector's last nonzero coordinate, z -> Hz is
+    one-to-one, so the support has p^r points, r = rank H: a linear table
+    over z, read through `FieldCtx.inverse_dual_table`.  The phase is read
+    from g's table, as z^T H z / 2 = (g(z) + g(-z)) / 2 - g(0), and every
+    value is W_g(y_0), one `single_walsh_value`, times a power of w.
+    Parseval, p^r |W_g(y_0)|^2 = p^(2n), is checked exactly; a failure is
+    an InternalInconsistency."""
     ctx = g.ctx
     p, n, q, vals = ctx.p, ctx.n, ctx.q, g.values
     g0, half = vals[0], (p + 1) // 2  # 2 half = 1 mod p
@@ -182,11 +153,11 @@ def walsh_quadratic(g: PFunction) -> tuple[list, list]:
     # z with balanced digits z_j in [-m, m], m = (p-1)/2, the first pivot's
     # running fastest, so that -z sits at the mirrored position and z = 0 in
     # the middle; the support point at v(y) = a + Hz (H is symmetric) from
-    # the corner z_j = -m, through the F_p-linear inverse of `_dual_table`
+    # the corner z_j = -m, through the F_p-linear `inverse_dual_table`
     m = p // 2
     zs = list(map(sum, product(*[[t % p * pows[j] for t in range(-m, m + 1)]
                                  for j in reversed(pivots)])))
-    inverse = _inverse_dual_table(ctx)
+    inverse = ctx.inverse_dual_table
     corner = sum((v - m * sum(map(row.__getitem__, pivots))) % p * pw
                  for v, row, pw in zip(a, hess, pows))
     points = ctx.linear_table([inverse[sum(map(mul, hess[j], pows))] for j in pivots],
@@ -247,10 +218,10 @@ def _trace_sums(ctx: FieldCtx, vals, sign: int) -> list:
     """sum_x vals[x] * w^(sign * Tr(xy)) at every y, for the p^n entries of
     the iterable `vals`.  Tr(xy) = x . v(y) with v the trace-dual
     coordinates, so the passes run on `vals` as given and the result is
-    read through `_dual_table`."""
-    # built before the passes: built after them, the table's first build
+    read through `FieldCtx.dual_table`."""
+    # read before the passes: built after them, the table's first build
     # raised the n = 12 peak RSS by 1.8 MB
-    table = _dual_table(ctx)
+    table = ctx.dual_table
     flat = axis_passes(vals, ctx.p, ctx.n, _dft_column(ctx.p, sign))
     return list(map(flat.__getitem__, table))
 

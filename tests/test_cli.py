@@ -198,6 +198,22 @@ def test_even_p_is_refused():
     _json_error(run_cli("spectrum", "p=2 n=2 f=Tr(x)"), 3, "precondition_error")
 
 
+def test_p_zero_with_a_modulus_is_a_parse_error(tmp_path, capsys):
+    # the field cache's key reduces the modulus mod p, so p is checked first
+    import pbent.cli
+    slices = tmp_path / "slices.txt"
+    slices.write_text("p=0 n=1 mod=[1,1] f=Tr(x^2)\n")
+    for argv in (["analyze", "p=0 n=2 mod=[1,1,1] f=Tr(x)"],
+                 ["construct", "add-quadratic", "--f", "p=0 n=2 mod=[1,1,1] f=Tr(x)",
+                  "--coeffs", "1,0"],
+                 ["construct", "concat", "--slices", str(slices)]):
+        assert pbent.cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err)["error"] == {"kind": "parse_error",
+                                            "message": "p must be prime, got 0"}
+
+
 def test_bad_quadratic_coefficient_is_a_parse_error():
     # one ASCII grammar: g^<digits>, or <digits> with an optional leading minus
     for coeffs in ("a,0", "g^x,0", "1_0,0", "g^1_0,0", " +1,0", "\u0663,0", "g^-1,0"):

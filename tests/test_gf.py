@@ -182,6 +182,12 @@ def test_missing_primitive_element_is_internal(monkeypatch):
         FieldCtx(3, 2, (2, 2, 1))
 
 
+@pytest.mark.parametrize("p, primitive", [(2, (1,)), (3, (2,)), (5, (2,))])
+def test_modulus_x_finds_a_primitive_element_from_one(p, primitive):
+    # the root of x is 0, so the search runs; 1 has order p - 1 only in F_2
+    assert FieldCtx(p, 1, (0, 1)).primitive.coeffs == primitive
+
+
 def test_linear_table_matches_mat_vec():
     rng = random.Random(9)
     for ctx in INDEX_FIELDS:
@@ -349,7 +355,7 @@ def test_subfield_degree_not_dividing_n_is_a_precondition_error():
 @pytest.mark.parametrize("p, n", [(3, 1), (3, 4), (3, 5), (5, 1), (5, 3), (7, 2)])
 def test_neg_table_matches_neg_index(p, n):
     ctx = get_field(p, n)
-    assert ctx.neg_table() == [ctx.neg_index(i) for i in range(ctx.q)]
+    assert ctx.neg_table == [ctx.neg_index(i) for i in range(ctx.q)]
 
 
 def test_log_tables_roundtrip():

@@ -7,7 +7,7 @@ from pbent.errors import PreconditionError
 from pbent.funcrep import PFunction, TraceForm
 from pbent.gf import get_field
 from pbent.linalg import axis_passes
-from pbent.walsh import (_dft3_column, _dft_generic_column, _dual_table,
+from pbent.walsh import (_dft3_column, _dft_generic_column,
                          _second_derivative_counts,
                          bent_via_derivatives, bent_via_second_derivative_sum, classify,
                          dual_iteration_check, extract_certificate, inverse_sums,
@@ -152,12 +152,24 @@ def test_dual_table_reads_trace_dual_coordinates():
     fields = [get_field(3, 1), F27, F81, get_field(3, 4, (1, 1, 1, 1, 1)),
               get_field(5, 3), get_field(7, 2)]
     for ctx in fields:
-        assert list(_dual_table(ctx)) == [_dual_coordinates_index(ctx, y) for y in range(ctx.q)]
+        assert list(ctx.dual_table) == [_dual_coordinates_index(ctx, y) for y in range(ctx.q)]
     ctx = get_field(3, 12)
-    table = _dual_table(ctx)
+    table = ctx.dual_table
     rng = random.Random(26)
     for y in rng.sample(range(ctx.q), 2000):
         assert table[y] == _dual_coordinates_index(ctx, y)
+
+
+@pytest.mark.parametrize("p, n", [(p, n) for p in (3, 5, 7) for n in range(1, 7)])
+def test_field_index_tables_match_their_oracles(p, n):
+    # the trace-dual table at every point of a field of up to 2,000 points,
+    # at a seeded 2,000 of a larger one
+    ctx = get_field(p, n)
+    dual, inverse = ctx.dual_table, ctx.inverse_dual_table
+    assert ctx.neg_table == [ctx.neg_index(y) for y in range(ctx.q)]
+    for y in random.Random(27).sample(range(ctx.q), min(ctx.q, 2000)):
+        assert dual[y] == _dual_coordinates_index(ctx, y)
+    assert len(inverse) == ctx.q and all(inverse[v] == y for y, v in enumerate(dual))
 
 
 def test_inverse_roundtrip_table_row():
