@@ -168,8 +168,10 @@ def _parse_pi_file(path: str) -> list:
 
 def cmd_construct_concat(args) -> int:
     inner_ctx, slices = _parse_slice_file(args.slices, args.max_points)
-    if args.pi:
-        pi = _parse_pi_file(args.pi)
+    pi = _parse_pi_file(args.pi) if args.pi else None
+    if len(slices) == 1:  # m = 0: there is no field F_(p^0) and no F_p^0 for pi
+        raise PreconditionError("slice count 1: a concatenation needs p^m slices, m >= 1")
+    if pi:
         d = round(math.log(len(pi), inner_ctx.p))
         if inner_ctx.p ** d != len(pi) or len(slices) != len(pi):
             raise PreconditionError("permutation length must be p^d and match slice count")
@@ -238,7 +240,7 @@ def cmd_verify_table1(args) -> int:
 
 
 def cmd_property_suite(args) -> int:
-    names = args.only.split(",") if args.only else None
+    names = None if args.only is None else args.only.split(",")
     records = run_suite(seed=args.seed, level=args.level, names=names)
     ok = all(r["passed"] for r in records)
     _emit({"seed": args.seed, "level": args.level, "all_passed": ok,

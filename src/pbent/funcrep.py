@@ -25,6 +25,13 @@ at the cyclotomic coset leaders j only, about q/n sums of q - 1 terms each
 expands the leaders by Frobenius.  `TraceForm.truth_table` is the one
 table evaluator: a relative trace form is evaluated as a trace form over
 F_{p^n}, and a conjugate-closed univariate list as its relative trace form.
+
+A function spec is a field spec, then, with whitespace removed, f=Tr(terms)
+and an optional +c or -c (`parse_function_spec`).  The terms are none (the
+zero form) or a sequence of [coef[*]]x[^E] with a sign before every term
+but the first, whose sign is optional; coef is g^M (a power of the field's
+primitive element) or an integer, an omitted coefficient or exponent is 1,
+and M, E and c are ASCII [0-9]+.
 """
 
 from __future__ import annotations
@@ -396,15 +403,18 @@ def anf_to_truth(a: ANF) -> PFunction:
 
 # -- the function-spec grammar ----------------------------------------------------
 
-_TERM_RE = re.compile(r"(?:(g\^[0-9]+|[0-9]+)\*?)?x(?:\^([0-9]+))?")
-_COEFF_RE = re.compile(r"g\^[0-9]+|-?[0-9]+")
+_COEFF = r"g\^[0-9]+|[0-9]+"
+# one term: its sign, its coefficient g^M or integer (omitted: 1), x, its exponent (omitted: 1)
+_TERM_RE = re.compile(r"([+-]?)(?:(%s)\*?)?x(?:\^([0-9]+))?" % _COEFF)
+# Tr(terms) and a +c or -c tail; `match` stops where the longest valid prefix ends
+_SPEC_RE = re.compile(r"Tr\((?P<terms>(?:%s(?=[-+)]))*)(?P<close>\)(?P<const>[+-][0-9]+)?)?"
+                      % _TERM_RE.pattern)
 
 
 def parse_coeff(ctx: FieldCtx, token: str) -> FFElem:
-    """A coefficient of the spec grammars: g^<digits>, a power of the
-    context's primitive element, or <digits> with an optional leading
-    minus, a prime-field scalar.  Digits are ASCII [0-9]."""
-    if not _COEFF_RE.fullmatch(token):
+    """A coefficient of the spec grammars: g^M, a power of the context's
+    primitive element, or a prime-field scalar -?[0-9]+ (ASCII digits)."""
+    if not re.fullmatch(_COEFF + "|-[0-9]+", token):
         raise ParseError("coefficient %r is neither an integer nor g^<integer>" % token)
     if token.startswith("g^"):
         return ctx.gen_power(parse_int(token[2:]))
@@ -414,12 +424,11 @@ def parse_coeff(ctx: FieldCtx, token: str) -> FFElem:
 def parse_function_spec(text: str, max_points: int | None = None):
     """Parse "p=3 n=6 f=Tr(g^7*x^98)" into (FieldCtx, TraceForm).
 
-    Grammar: field spec, then f=Tr(term +- term ...) optionally followed by
-    +c / -c for a prime-field constant.  A term is [coef][*]x^E with coef a
-    power of the context primitive (g^M), a decimal integer, or omitted
-    (`parse_coeff`); every digit is ASCII.
-    Even p is refused with PreconditionError.  With max_points, a field of
-    more elements, or above the exp/log table cap, is refused (BudgetError)
+    With whitespace removed, the text after f= matches `_SPEC_RE`: Tr(, the
+    terms of `_TERM_RE` ([sign][coef[*]]x[^E]), each followed by a sign or
+    ")", the ")" and an optional +c or -c (module docstring).  Even p is
+    refused with PreconditionError.  With max_points, a field of more
+    elements, or above the exp/log table cap, is refused (BudgetError)
     before it is built.  Every integer goes through `gf.parse_int`.
     """
     at = text.find("f=")
@@ -431,50 +440,14 @@ def parse_function_spec(text: str, max_points: int | None = None):
             "p=%d: functions are analyzed for odd p only (the Gauss-sum unit "
             "class and the bent normal form assume it)" % ctx.p)
     body = re.sub(r"\s+", "", text[at + 2:])
-    if not body.startswith("Tr("):
-        raise ParseError("function must start with Tr( at position %d" % (at + 2))
-    depth, close = 1, None
-    for i in range(3, len(body)):
-        if body[i] == "(":
-            depth += 1
-        elif body[i] == ")":
-            depth -= 1
-            if depth == 0:
-                close = i
-                break
-    if close is None:
-        raise ParseError("unbalanced parentheses in function spec")
-    inner = body[3:close]
-    rest = body[close + 1:]
-    constant = 0
-    if rest:
-        m = re.fullmatch(r"([+-])([0-9]+)", rest)
-        if not m:
-            raise ParseError("junk after Tr(...) at position %d: %r" % (at + 2 + close + 1, rest))
-        constant = parse_int(m.group(2)) * (1 if m.group(1) == "+" else -1)
+    m = _SPEC_RE.match(body)
+    if not (m and m["close"] and m.end() == len(body)):
+        pos = m.end() if m else 0
+        raise ParseError("bad function at position %d after f= (spaces removed), at %r: "
+                         "expected Tr(terms) and an optional +c or -c" % (pos, body[pos:pos + 20]))
     terms = []
-    pos = 0
-    sign = 1
-    if inner.startswith(("+", "-")):
-        if len(inner) == 1:
-            raise ParseError("sign without a term in %r" % inner)
-        sign = 1 if inner[0] == "+" else -1
-        pos = 1
-    while pos < len(inner):
-        m = _TERM_RE.match(inner, pos)
-        if not m:
-            raise ParseError("bad term at position %d in %r" % (pos, inner))
-        coef_tok, exp_tok = m.group(1), m.group(2)
-        exp = parse_int(exp_tok) if exp_tok else 1
-        coeff = ctx.one() if coef_tok is None else parse_coeff(ctx, coef_tok)
-        terms.append((coeff.scale(sign) if sign < 0 else coeff, exp))
-        pos = m.end()
-        if pos == len(inner):
-            break
-        if inner[pos] not in "+-":
-            raise ParseError("expected + or - at position %d in %r" % (pos, inner))
-        sign = 1 if inner[pos] == "+" else -1
-        pos += 1
-        if pos == len(inner):
-            raise ParseError("dangling sign at end of %r" % inner)
+    for sign, coef, exp in _TERM_RE.findall(m["terms"]):
+        coeff = parse_coeff(ctx, coef) if coef else ctx.one()
+        terms.append((coeff.scale(-1) if sign == "-" else coeff, parse_int(exp) if exp else 1))
+    constant = parse_int(m["const"].lstrip("+")) if m["const"] else 0
     return ctx, TraceForm(ctx, terms, constant)

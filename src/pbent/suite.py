@@ -346,7 +346,7 @@ def run_suite(seed: int = 0, level: str = "quick", names=None) -> list[dict]:
     returns one record per check.  An unknown name is a ParseError."""
     unknown = sorted(set(names or ()) - {name for name, _ in ALL_CHECKS})
     if unknown:
-        raise ParseError("unknown check name(s): %s" % ", ".join(unknown))
+        raise ParseError("unknown check name(s): %s" % ", ".join(map(repr, unknown)))
     out = []
     for name, fn in ALL_CHECKS:
         if names and name not in names:

@@ -142,6 +142,22 @@ def test_property_suite_subset():
         assert only.split(",")[-1] in err["message"]
 
 
+def test_property_suite_empty_check_name_is_a_parse_error(monkeypatch, capsys):
+    import pbent.cli
+    import pbent.suite
+
+    def never(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(pbent.suite, "ALL_CHECKS", [("parseval", never)])
+    for only in ("", ",", "parseval,"):
+        assert pbent.cli.main(["property-suite", "--only", only]) == 2
+        out, err = capsys.readouterr()
+        error = json.loads(err)["error"]
+        assert out == "" and error["kind"] == "parse_error"
+        assert error["message"] == "unknown check name(s): ''"
+
+
 def test_construct_concat_and_add_quadratic(tmp_path):
     slices = tmp_path / "slices.txt"
     slices.write_text("\n".join(["p=3 n=2 f=Tr(x^2)"] * 3) + "\n")
@@ -410,6 +426,27 @@ def test_malformed_permutation_file_is_a_parse_error(tmp_path):
         pi.write_text(body)
         _json_error(run_cli("construct", "concat", "--slices", str(slices),
                             "--pi", str(pi)), 2, "parse_error")
+
+
+def test_concat_of_one_slice_is_refused_before_any_field_is_built(tmp_path, monkeypatch,
+                                                                  capsys):
+    import pbent.cli
+
+    def never(*args):
+        raise AssertionError("a field or form built for one slice")
+
+    for name in ("get_field", "check_field_size", "bent_concatenation", "mm_special_form"):
+        monkeypatch.setattr(pbent.cli, name, never)
+    slices = tmp_path / "slices.txt"
+    slices.write_text("# one slice: m = 0\n\np=3 n=2 f=Tr(x^2)\n")
+    pi = tmp_path / "pi.json"
+    pi.write_text("[0]")
+    for extra in ([], ["--pi", str(pi)]):
+        assert pbent.cli.main(["construct", "concat", "--slices", str(slices)] + extra) == 3
+        out, err = capsys.readouterr()
+        error = json.loads(err)["error"]
+        assert out == "" and error["kind"] == "precondition_error"
+        assert "slice count 1" in error["message"] and "p^m slices, m >= 1" in error["message"]
 
 
 def test_concat_over_budget_is_refused_before_combining(tmp_path, monkeypatch, capsys):

@@ -1,8 +1,9 @@
 import random
+import time
 
 import pytest
 
-from pbent.errors import InternalInconsistency
+from pbent.errors import InternalInconsistency, PreconditionError
 from pbent.funcrep import (ANF, PFunction, RelativeTraceForm, TraceForm, anf_to_truth,
                            coset_leaders, coset_size, eval_univariate,
                            parse_function_spec, p_weight,
@@ -310,13 +311,36 @@ def test_parse_function_spec():
     ctx4, tf4 = parse_function_spec("p=3 n=2 f=Tr( 2 * x ^ 4 ) + 1")
     assert tf4.terms == ((ctx4.scalar(2), 4),) and tf4.constant == 1
 
-    for bad in ("p=3 n=2 Tr(x)", "p=3 n=2 f=Tr(x", "p=3 n=2 f=Tr(x^2)junk",
-                "p=3 n=2 f=Tr(x^2+)", "p=3 n=2 f=Tr(y^2)", "p=3 n=2 f=Tr(+)",
-                "p=3 n=2 f=Tr(-)"):
+    with pytest.raises(ParseError):
+        parse_function_spec("p=3 n=2 Tr(x)")
+    for body in ("Tr(", "Tr(x", "Tr(x^2)junk", "Tr(x^2+)", "Tr(y^2)", "Tr(+)", "Tr(-)",
+                 "Tr((x))", "Tr(x^)", "Tr(*x)", "Tr(xx)", "Tr(x)+1+2", "Tr(x^2++x)", "Tr(x))",
+                 "Tr(x)(x)", "Tr(x)+", "Tr(g^*x)", "Tr(x^2*)", "Tr(x^-1)", "tr(x)", "",
+                 "Tr(x^9)",  # above q - 1 = 8: the exponent-range check of TraceForm
+                 "Tr(x)+%s" % ("1" * 5000)):  # more digits than int() converts
         with pytest.raises(ParseError):
-            parse_function_spec(bad)
+            parse_function_spec("p=3 n=2 f=" + body)
+        with pytest.raises(PreconditionError):  # even p is refused before the body is read
+            parse_function_spec("p=2 n=1 f=" + body)
     _, tf5 = parse_function_spec("p=3 n=2 f=Tr()")  # the empty sum is the zero form
     assert tf5.terms == () and tf5.truth_table().values == [0] * 9
+    # whitespace inside tokens, a coefficient without *, a leading sign, a - tail
+    ctx6, tf6 = parse_function_spec("p=3 n=2 f= T r ( - g ^ 1 x - 2 * x ^ 2 ) - 1 ")
+    assert tf6.terms == ((ctx6.gen_power(1).scale(-1), 1), (ctx6.scalar(-2), 2))
+    assert tf6.constant == 2
+
+
+def test_parse_function_spec_reads_20000_terms_within_2_s():
+    terms = "+".join("g^%d*x^%d" % (i % 80, i % 9) for i in range(20000))
+    t0 = time.perf_counter()
+    _, tf = parse_function_spec("p=3 n=2 f=Tr(%s)" % terms)
+    t1 = time.perf_counter()
+    # a bad last term: the valid prefix ends at its sign, after "Tr(" and the other terms
+    with pytest.raises(ParseError, match="position %d " % (3 + terms.rindex("+"))):
+        parse_function_spec("p=3 n=2 f=Tr(%s^)" % terms)
+    t2 = time.perf_counter()
+    assert len(tf.terms) == 9
+    assert t1 - t0 < 2 and t2 - t1 < 2, (t1 - t0, t2 - t1)
 
 
 def test_spec_string_round_trips_through_the_parser():
