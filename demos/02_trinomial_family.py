@@ -56,7 +56,7 @@ spec = pb.walsh_naive(f)
 mismatches = 0
 for idx in range(ctx.q):
     y = ctx.from_index(idx)
-    if pb.trinomial_closed_form_walsh(params, y, ctx).coords != spec.coords[ctx.neg_index(idx)]:
+    if pb.trinomial_closed_form_walsh(params, y, ctx).coords != spec.coords[ctx.neg_table[idx]]:
         mismatches += 1
 print("\nclosed form vs spectrum: %d mismatches out of %d" % (mismatches, ctx.q))
 

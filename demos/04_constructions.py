@@ -14,14 +14,13 @@ quad = pb.TraceForm(F9, [(F9.one(), 2)]).truth_table()
 # ---------------------------------------------------------------------------
 slices = [pb.PFunction(F3, [(x * x + y * x) % 3 for x in range(3)])
           for y in range(3)]
-f, rep = pb.bent_concatenation(pb.ConcatenationFamily(F3, F3, slices))
+f, rep = pb.bent_concatenation(slices, F3, F3)
 print("concatenated x^2 + yx slices: applicable=%s bent=%s -> %s"
       % (rep["applicable"], rep["bent"], pb.classify(f)))
 
 # identical slices make every dual section constant, hence nothing bent
 g3 = pb.PFunction(F3, [0, 1, 1])
-f2, rep2 = pb.bent_concatenation(
-    pb.ConcatenationFamily(F3, pb.get_field(3, 2), [g3] * 9))
+f2, rep2 = pb.bent_concatenation([g3] * 9, F3, pb.get_field(3, 2))
 print("nine identical slices:        applicable=%s bent=%s"
       % (rep2["applicable"], rep2["bent"]))
 
@@ -37,7 +36,7 @@ signs = {m: pb.extract_certificate(pb.walsh_fast(
     for m in range(2)}
 flipped = pb.TraceForm(F9, [(F9.gen_power(1), 2)]).truth_table()
 print("slice signs Tr(x^2)/Tr(gx^2):", signs[0], signs[1])
-f4, _ = pb.construction1_k1([quad, quad, flipped], F9)
+f4, _ = pb.mm_special_form([quad, quad, flipped], range(3), F9, 1)
 print("mixed-sign construction:", pb.classify(f4))
 
 # ---------------------------------------------------------------------------

@@ -23,9 +23,8 @@ from .walsh import (BentCertificate, Classification, WalshSpectrum,
 from .derivanalysis import (CubicLikeCertificate, WrIdentityReport,
                             cubic_like_certificate, derivative_linear_space,
                             quadratic_balance_witness, wr_identity_check)
-from .constructions import (ConcatenationFamily, TrinomialParams,
-                            add_quadratic, bent_concatenation,
-                            construction1_k1, lemma2_witness, mm_special_form,
+from .constructions import (TrinomialParams, add_quadratic, bent_concatenation,
+                            lemma2_witness, mm_special_form,
                             nonvanishing_quadratic_search,
                             quadratic_part_function, trinomial_bent,
                             trinomial_closed_form_walsh,

@@ -24,8 +24,7 @@ import math
 import sys
 
 from .catalog import list_catalog, verify_entry
-from .constructions import (ConcatenationFamily, TrinomialParams,
-                            add_quadratic, bent_concatenation,
+from .constructions import (TrinomialParams, add_quadratic, bent_concatenation,
                             mm_special_form, trinomial_bent)
 from .derivanalysis import cubic_like_certificate, wr_identity_check
 from .errors import (BudgetError, InternalInconsistency, ParseError,
@@ -184,7 +183,7 @@ def cmd_construct_concat(args) -> int:
             raise PreconditionError("slice count must be a power of p")
         check_field_size(inner_ctx.p, inner_ctx.n + m, args.max_points)
         outer_ctx = get_field(inner_ctx.p, m)
-        f, rep = bent_concatenation(ConcatenationFamily(inner_ctx, outer_ctx, slices))
+        f, rep = bent_concatenation(slices, inner_ctx, outer_ctx)
         mode = "concatenation"
     out = {"construction": mode, "p": f.ctx.p, "n": f.ctx.n,
            "report": {k: (v if not isinstance(v, PFunction) else "function(%d points)" % f.ctx.q)

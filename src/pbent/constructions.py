@@ -3,6 +3,12 @@ Maiorana-McFarland-style special form, quadratic addition to weakly regular
 functions, and the cubic trinomial family over F_{3^(4k)} together with its
 closed-form Walsh values and dual for the odd-k cases.
 
+The builders take their parts as plain arguments: `bent_concatenation`
+the slices with the inner and outer fields, `mm_special_form` the slices,
+the permutation pi and d.  Every field they build the result on is a
+verified `FieldCtx`, whose modulus passed Berlekamp's kernel test for
+irreducibility.
+
 The trinomial family is
 
     f(x) = Tr_n(x^(3^k+2) - x^(2*3^k+1) + b x^(3^j+1)),   n = 4k,
@@ -123,8 +129,8 @@ def lemma2_witness(c: FFElem, params: TrinomialParams,
     if c.is_zero():
         raise PreconditionError("c must be nonzero")
     b = params.b_coefficient(ctx)
-    in_2k = ctx.in_subfield(c, 2 * k)
-    in_k = ctx.in_subfield(c, k)
+    in_2k = ctx.frobenius(c, 2 * k) == c
+    in_k = ctx.frobenius(c, k) == c
     tr_bc = ctx.rel_trace(b * c, k)
     if not in_2k and (in_k or tr_bc.is_zero()):
         raise PreconditionError(
@@ -182,45 +188,20 @@ def _quadratic_character(ctx: FieldCtx, z: FFElem, k: int) -> int:
     raise InternalInconsistency("character of a non-subfield element requested")
 
 
-class _ClosedFormSetup:
-    """Shared data for the closed-form Walsh evaluation (k odd, j in
-    {0, 2k}, t = (3^k-1)/2)."""
-
-    def __init__(self, params: TrinomialParams, ctx: FieldCtx) -> None:
-        k = params.k
-        self.ctx = ctx
-        self.k = k
-        # a root of x^4 + x - 1 inside F_{3^(4k)}; for the pinned k=1
-        # realization this is the modulus root itself
-        root = None
-        for idx in ctx.subfield_indexes(4):
-            cand = ctx.from_index(idx)
-            if ctx.power(cand, 4) + cand == ctx.one():
-                root = cand
-                break
-        if root is None:
-            raise InternalInconsistency("no root of x^4 + x - 1 in F_3^(4k)")
-        if ctx.modulus == TRINOMIAL_MODULUS_K1:
-            root = ctx.primitive
-        self.a = root
-        self.s_k = 1 if k % 4 == 1 else -1
-        self.s_j = 1 if params.j == 0 else -1
-        b = params.b_coefficient(ctx)
-        a20 = ctx.power(self.a, 20)
-        self.big_b = b.inverse() * a20
-        if ctx.frobenius(self.big_b, k) != self.big_b:
-            raise InternalInconsistency("B = b^-1 a^20 escaped F_3^k")
-        self.big_b_inv = self.big_b.inverse()
-        self.a_pows = [ctx.one(), self.a, self.a * self.a, self.a * self.a * self.a]
-
-    def coordinates(self, y: FFElem):
-        """(y_0, y_1, y_2, y_3) of y = y_3 a^3 + y_2 a^2 + y_1 a + y_0."""
-        ctx, k = self.ctx, self.k
-        y0 = ctx.rel_trace(y, k)
-        y3 = ctx.rel_trace(self.a_pows[1] * y, k)
-        y2 = ctx.rel_trace(self.a_pows[2] * y, k)
-        y1 = ctx.rel_trace(self.a_pows[3] * y, k)
-        return y0, y1, y2, y3
+@functools.lru_cache(maxsize=8)
+def _closed_form_setup(k: int, j: int, t: int, ctx: FieldCtx):
+    """(a, B, B^-1) of the closed form (k odd, j in {0, 2k}, t = (3^k-1)/2):
+    a the first root of x^4 + x - 1 in F_{3^(4k)} in index order (for the
+    pinned k = 1 realization, the modulus root alpha), and B = b^-1 a^20,
+    which lies in F_{3^k}."""
+    a = next((z for z in map(ctx.from_index, ctx.subfield_indexes(4))
+              if ctx.power(z, 4) + z == ctx.one()), None)
+    if a is None:
+        raise InternalInconsistency("no root of x^4 + x - 1 in F_3^(4k)")
+    big_b = TrinomialParams(k, j, t).b_coefficient(ctx).inverse() * ctx.power(a, 20)
+    if ctx.frobenius(big_b, k) != big_b:
+        raise InternalInconsistency("B = b^-1 a^20 escaped F_3^k")
+    return a, big_b, big_b.inverse()
 
 
 def trinomial_closed_form_walsh(params: TrinomialParams, y: FFElem,
@@ -247,11 +228,12 @@ def trinomial_closed_form_walsh(params: TrinomialParams, y: FFElem,
             "closed forms cover k odd, j in {0, 2k}, t = (3^k - 1)/2 only")
     if ctx is None:
         ctx = params.context()
-    setup = _closed_form_setup(params.k, params.j, params.t, ctx)
-    k = setup.k
-    s_k, s_j = setup.s_k, setup.s_j
-    B, Binv = setup.big_b, setup.big_b_inv
-    y0, y1, y2, y3 = setup.coordinates(y)
+    k = params.k
+    a, B, Binv = _closed_form_setup(k, params.j, params.t, ctx)
+    s_k = 1 if k % 4 == 1 else -1
+    s_j = 1 if params.j == 0 else -1
+    # y = y_3 a^3 + y_2 a^2 + y_1 a + y_0
+    y0, y3, y2, y1 = (ctx.rel_trace(ctx.power(a, i) * y, k) for i in range(4))
     scale = 3 ** (2 * k)
 
     def tr(z):
@@ -285,30 +267,7 @@ def trinomial_closed_form_walsh(params: TrinomialParams, y: FFElem,
     return value(sign, e)
 
 
-@functools.lru_cache(maxsize=8)
-def _closed_form_setup(k: int, j: int, t: int, ctx: FieldCtx) -> _ClosedFormSetup:
-    return _ClosedFormSetup(TrinomialParams(k, j, t), ctx)
-
-
 # -- concatenation constructions ------------------------------------------------
-
-
-class ConcatenationFamily:
-    """Bent slices f_y on an inner field, one per element y of an outer
-    field; the built function lives on a field of degree n + m with index
-    split z = x + p^n * y."""
-
-    __slots__ = ("inner_ctx", "outer_ctx", "slices")
-
-    def __init__(self, inner_ctx: FieldCtx, outer_ctx: FieldCtx, slices) -> None:
-        if inner_ctx.p != outer_ctx.p:
-            raise PreconditionError("inner and outer fields must share p")
-        slices = list(slices)
-        if len(slices) != outer_ctx.q:
-            raise PreconditionError("need one slice per outer field element")
-        self.inner_ctx = inner_ctx
-        self.outer_ctx = outer_ctx
-        self.slices = slices
 
 
 def _slice_certificates(slices) -> list:
@@ -323,18 +282,24 @@ def _slice_certificates(slices) -> list:
     return certs
 
 
-def bent_concatenation(fam: ConcatenationFamily):
-    """Concatenate bent slices; bent iff every s-section of the slice duals
-    is bent, in which case the dual (for the component-wise trace pairing)
-    is returned as well.
+def bent_concatenation(slices, inner_ctx: FieldCtx, outer_ctx: FieldCtx):
+    """Concatenate bent slices f_y on an inner field, one per element y of
+    an outer field, into a function on the field of degree n + m with index
+    split z = x + p^n * y; bent iff every s-section of the slice duals is
+    bent, in which case the dual (for the component-wise trace pairing) is
+    returned as well.
 
     Raises on a non-bent slice; a y-dependent unit pattern is reported as
     inapplicable rather than raised.
     """
-    inner, outer = fam.inner_ctx, fam.outer_ctx
-    certs = _slice_certificates(fam.slices)
-    combined = get_field(inner.p, inner.n + outer.n)
-    f = PFunction(combined, [v for sl in fam.slices for v in sl.values])
+    if inner_ctx.p != outer_ctx.p:
+        raise PreconditionError("inner and outer fields must share p")
+    slices = list(slices)
+    if len(slices) != outer_ctx.q:
+        raise PreconditionError("need one slice per outer field element")
+    certs = _slice_certificates(slices)
+    combined = get_field(inner_ctx.p, inner_ctx.n + outer_ctx.n)
+    f = PFunction(combined, [v for sl in slices for v in sl.values])
 
     units_constant = all(len(set(signs)) == 1 for signs in zip(*(c.signs for c in certs)))
     report = {"applicable": units_constant, "slices_bent": True}
@@ -343,7 +308,7 @@ def bent_concatenation(fam: ConcatenationFamily):
         return f, report
 
     # the s-section y -> f*_y(s) of the slice duals, one per s
-    sections = [walsh_fast(PFunction(outer, list(col)))
+    sections = [walsh_fast(PFunction(outer_ctx, list(col)))
                 for col in zip(*(c.dual.values for c in certs))]
     report["bent"] = all(map(is_bent, sections))
     if report["bent"]:
@@ -356,8 +321,8 @@ def mm_special_form(gs, pi, inner_ctx: FieldCtx, d: int):
     """f(x, y1, y2) = g_{y2}(x) + Tr_d(y1 * pi(y2)) on a field of degree
     n + 2d; bent whenever every g_c is bent, with no condition on units.
 
-    pi is a permutation of the outer field given as an index table.  When
-    every slice is dual-bent the dual f*(s, t1, t2) =
+    pi is a permutation of the outer field given as an index table; d = 1
+    with pi = range(p) gives g_{y2}(x) + y1 y2.  When every slice is dual-bent the dual f*(s, t1, t2) =
     g*_{pi^-1(t1)}(s) - Tr_d(pi^-1(t1) * t2) is returned too.
     """
     if d < 1:
@@ -385,12 +350,6 @@ def mm_special_form(gs, pi, inner_ctx: FieldCtx, d: int):
         report["dual"] = PFunction(combined, [(v - row[c]) % p for row in pairing
                                               for c in pi_inv for v in certs[c].dual.values])
     return f, report
-
-
-def construction1_k1(gs, inner_ctx: FieldCtx):
-    """f(x, x_{n+1}, x_{n+2}) = g_{x_{n+2}}(x) + x_{n+1} x_{n+2}: the d = 1,
-    identity-permutation case of the special form."""
-    return mm_special_form(gs, list(range(inner_ctx.p)), inner_ctx, 1)
 
 
 # -- quadratic addition -----------------------------------------------------------

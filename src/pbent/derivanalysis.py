@@ -127,13 +127,13 @@ def _first_witness_low_degree(f: PFunction, tri: list, a_idx: int):
     """First b (canonical order) with D_{a,b} f a nonzero constant, for
     deg f <= 3: the first vector of the reduced basis of ker T(a, ., .)
     (`mat_kernel`) whose constant D_a D_b f(0) is nonzero."""
-    p, vals = f.ctx.p, f.values
-    for vec in mat_kernel(_trilinear_slice(tri, a_idx, p), p):
-        b_idx = sum(c * p ** i for i, c in enumerate(vec))
-        const = (vals[f.ctx.add_index(a_idx, b_idx)] - vals[b_idx]
-                 - vals[a_idx] + vals[0]) % p
+    ctx, vals = f.ctx, f.values
+    for vec in mat_kernel(_trilinear_slice(tri, a_idx, ctx.p), ctx.p):
+        b = ctx.elem(vec)
+        const = (vals[(b + ctx.from_index(a_idx)).index] - vals[b.index]
+                 - vals[a_idx] + vals[0]) % ctx.p
         if const:
-            return b_idx, const
+            return b.index, const
     return None
 
 

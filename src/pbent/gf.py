@@ -18,9 +18,12 @@ every x in index order: the one-point Walsh value and the Maiorana-McFarland
 special form read it, and `trace_row(y, xs)` reads it at the given x only,
 as the identity battery does on a row's support.  The
 module's polynomial core (`_pmul`, `_ppow`) serves only what must run
-before the tables exist or must not build them: the irreducibility and
-primitivity checks, the trace vector, `mul_t` and `gen_power`, so that
-parsing a coefficient g^M builds no tables.
+before the tables exist or must not build them: the irreducibility check,
+the primitivity check, the trace vector, `mul_t` and `gen_power`, so that
+parsing a coefficient g^M builds no tables.  Irreducibility is Berlekamp's
+kernel test: once x^(p^n) = x (mod f), f is irreducible exactly when
+Q - I, row i of Q being x^(ip) mod f, has a one-dimensional kernel, which
+`linalg.mat_kernel` reads.
 
 All whole-field index tables rest on one fact: adding a fixed index has no
 carries between digits.  `shift_row` tabulates x -> x + r over indexes of
@@ -47,7 +50,7 @@ from array import array
 from functools import cached_property, lru_cache
 
 from .errors import BudgetError, InternalInconsistency, ParseError, PreconditionError
-from .linalg import lane_typecode
+from .linalg import lane_typecode, mat_kernel
 
 LOG_TABLE_MAX = 3 ** 12
 
@@ -194,50 +197,18 @@ def _ppow(a, e, modulus, p):
 
 
 def _poly_is_irreducible(modulus, p, n) -> bool:
-    # Rabin: x^(p^n) == x mod f, and gcd(x^(p^d) - x, f) == 1 for d | n, d < n.
-    x = tuple([0, 1] + [0] * (n - 2)) if n >= 2 else (0,)
-    if n == 1:
-        return True
-    h = x
-    powers = {}
-    for d in range(1, n + 1):
-        h = _ppow(h, p, modulus, p)
-        powers[d] = h
-    if powers[n] != x:
+    """Berlekamp's criterion.  x^(p^n) = x (mod f) makes f squarefree with
+    factors of degrees dividing n; f is then irreducible exactly when Q - I
+    has a one-dimensional kernel, where row i of Q is x^(ip) mod f."""
+    x = _root(modulus, p)  # x mod f
+    if _ppow(x, p ** n, modulus, p) != x:
         return False
-    for d in range(1, n):
-        if n % d:
-            continue
-        diff = tuple((a - b) % p for a, b in zip(powers[d], x))
-        if _poly_gcd_with_modulus(diff, modulus, p) is not None:
-            return False
-    return True
-
-
-def _poly_gcd_with_modulus(a_vec, modulus, p):
-    """Nontrivial gcd(poly(a_vec), modulus) or None if coprime."""
-    a = [v % p for v in modulus]
-    b = [v % p for v in a_vec]
-    while any(b):
-        while b and b[-1] == 0:
-            b.pop()
-        if not b:
-            break
-        inv = pow(b[-1], -1, p)
-        r = list(a)
-        while len(r) >= len(b) and any(r):
-            while r and r[-1] == 0:
-                r.pop()
-            if len(r) < len(b):
-                break
-            f = (r[-1] * inv) % p
-            off = len(r) - len(b)
-            for i, bv in enumerate(b):
-                r[off + i] = (r[off + i] - f * bv) % p
-        a, b = b, r
-    while a and a[-1] == 0:
-        a.pop()
-    return a if len(a) > 1 else None
+    xp = _ppow(x, p, modulus, p)
+    rows, row = [], (1,) + (0,) * (n - 1)
+    for i in range(n):
+        rows.append([(c - (i == j)) % p for j, c in enumerate(row)])
+        row = _pmul(row, xp, modulus, p)
+    return len(mat_kernel(rows, p)) == 1
 
 
 def _root(modulus, p) -> tuple[int, ...]:
@@ -337,7 +308,7 @@ class FieldCtx:
         modulus = tuple(c % p for c in modulus)
         if len(modulus) != n + 1 or modulus[-1] != 1:
             raise FieldError("modulus must be monic of degree n")
-        if n >= 2 and not _poly_is_irreducible(modulus, p, n):
+        if not _poly_is_irreducible(modulus, p, n):
             raise FieldError("modulus is reducible over F_%d" % p)
         self.modulus = modulus
         self._powers_of_p = [p ** i for i in range(n + 1)]
@@ -418,36 +389,9 @@ class FieldCtx:
     def to_index(self, coeffs) -> int:
         return sum(c * self._powers_of_p[i] for i, c in enumerate(coeffs))
 
-    def elements(self):
-        """All field elements in canonical index order."""
-        for idx in range(self.q):
-            yield self.from_index(idx)
-
-    def add_index(self, i: int, j: int) -> int:
-        """Index of the sum of the elements with indexes i and j."""
-        p = self.p
-        out = 0
-        mult = 1
-        while i or j:
-            i, a = divmod(i, p)
-            j, b = divmod(j, p)
-            out += ((a + b) % p) * mult
-            mult *= p
-        return out
-
-    def neg_index(self, i: int) -> int:
-        p = self.p
-        out = 0
-        mult = 1
-        while i:
-            i, a = divmod(i, p)
-            out += (-a % p) * mult
-            mult *= p
-        return out
-
     @cached_property
     def neg_table(self) -> list[int]:
-        """[neg_index(x) for every x]: the linear table of the negated basis."""
+        """table[x] = index of -x: the linear table of the negated basis."""
         return self.linear_table([(self.p - 1) * pw for pw in self._powers_of_p[:-1]])
 
     @cached_property
@@ -566,9 +510,6 @@ class FieldCtx:
             idxs = {0} | {self.exp_table[i * step] for i in range(self.p ** m - 1)}
             self._subfield_cache[m] = sorted(idxs)
         return self._subfield_cache[m]
-
-    def in_subfield(self, x: FFElem, m: int) -> bool:
-        return self.frobenius(x, m) == x
 
     # -- misc -------------------------------------------------------------------
 

@@ -103,7 +103,7 @@ def check_representation_roundtrips(seed, level):
 def check_field_invariants(seed, level):
     rng = random.Random(seed)
     ctx = get_field(3, 4)
-    for x in ctx.elements():
+    for x in map(ctx.from_index, range(ctx.q)):
         for k in (1, 2, 4):
             t = ctx.rel_trace(x, k)
             if ctx.frobenius(t, k) != t:
@@ -282,7 +282,7 @@ def check_closed_forms(seed, level):
         spec = walsh_naive(f)
         for idx in range(ctx.q):
             got = trinomial_closed_form_walsh(params, ctx.from_index(idx), ctx)
-            if got.coords != spec.coords[ctx.neg_index(idx)]:
+            if got.coords != spec.coords[ctx.neg_table[idx]]:
                 return False, "closed form mismatch at j=%d idx=%d" % (j, idx)
     return True, "all 81 points for j in {0, 2}"
 
@@ -342,14 +342,15 @@ ALL_CHECKS = [
 
 
 def run_suite(seed: int = 0, level: str = "quick", names=None) -> list[dict]:
-    """Run the batteries (all, or those in `names`) in canonical order;
+    """Run the batteries (all when `names` is None, else those in `names`)
+    in canonical order;
     returns one record per check.  An unknown name is a ParseError."""
     unknown = sorted(set(names or ()) - {name for name, _ in ALL_CHECKS})
     if unknown:
         raise ParseError("unknown check name(s): %s" % ", ".join(map(repr, unknown)))
     out = []
     for name, fn in ALL_CHECKS:
-        if names and name not in names:
+        if names is not None and name not in names:
             continue
         try:
             passed, detail = fn(seed, level)

@@ -140,7 +140,7 @@ def test_06_closed_forms_match_spectrum():
             signs = set()
             for idx in range(81):
                 got = pb.trinomial_closed_form_walsh(params, ctx.from_index(idx), ctx)
-                assert got.coords == spec.coords[ctx.neg_index(idx)]
+                assert got.coords == spec.coords[ctx.neg_table[idx]]
                 signs.add(unit_power_forms(3, 4)[got.coords][0])
             assert signs == {1, -1}
 

@@ -2,9 +2,7 @@ import random
 
 import pytest
 
-from pbent.constructions import (ConcatenationFamily, TrinomialParams,
-                                 add_quadratic, bent_concatenation,
-                                 construction1_k1,
+from pbent.constructions import (TrinomialParams, add_quadratic, bent_concatenation,
                                  linearized_second_derivative_coeff,
                                  lemma2_witness, mm_special_form,
                                  nonvanishing_quadratic_search,
@@ -61,7 +59,7 @@ def test_b_coefficient_relations():
         assert ctx.frobenius(b, k) == -b
         assert ctx.rel_trace(b, k).is_zero()
         zeta = params.zeta(ctx)
-        assert ctx.in_subfield(zeta, 2 * k)
+        assert ctx.frobenius(zeta, 2 * k) == zeta
         assert ctx.power(zeta, 3 ** (2 * k) - 1) == ctx.one()
 
 
@@ -101,12 +99,11 @@ def test_lemma2_witness_subfield_cases():
         d = lemma2_witness(c, params, ctx)
         z = b * ctx.power(c, 9) + ctx.frobenius(b, -2) * ctx.frobenius(c, -2)
         assert ctx.trace(z * d) != 0
-        assert ctx.in_subfield(d, 2)
+        assert ctx.frobenius(d, 2) == d
     with pytest.raises(PreconditionError):
         lemma2_witness(ctx.zero(), params, ctx)
     # a direction outside the covered cases: c not in F_9 with Tr_k^n(bc) = 0
-    l = next(ctx.from_index(i) for i in range(81)
-             if not ctx.in_subfield(ctx.from_index(i), 2))
+    l = next(x for x in map(ctx.from_index, range(81)) if ctx.frobenius(x, 2) != x)
     c_out = b.inverse() * (l - ctx.frobenius(l, 1))
     assert ctx.rel_trace(b * c_out, 1).is_zero()
     with pytest.raises(PreconditionError):
@@ -120,7 +117,7 @@ def test_lemma2_witness_full_field_case():
     count = 0
     for c_idx in range(1, 81):
         c = ctx.from_index(c_idx)
-        if ctx.in_subfield(c, 2) or ctx.rel_trace(b * c, 1).is_zero():
+        if ctx.frobenius(c, 2) == c or ctx.rel_trace(b * c, 1).is_zero():
             continue
         d = lemma2_witness(c, params, ctx)
         z = b * ctx.power(c, 9) + ctx.frobenius(b, -2) * ctx.frobenius(c, -2)
@@ -161,7 +158,7 @@ def test_second_derivative_structure_for_zero_trace_directions():
     tested = 0
     while tested < 6:
         l = ctx.from_index(rng.randrange(81))
-        if ctx.in_subfield(l, 2):
+        if ctx.frobenius(l, 2) == l:
             continue
         tested += 1
         c = b.inverse() * (l - ctx.frobenius(l, k))
@@ -194,7 +191,7 @@ def test_closed_form_matches_spectrum():
         spec = walsh_naive(f)
         for idx in range(81):
             got = trinomial_closed_form_walsh(params, ctx.from_index(idx), ctx)
-            assert got.coords == spec.coords[ctx.neg_index(idx)], (j, idx)
+            assert got.coords == spec.coords[ctx.neg_table[idx]], (j, idx)
 
 
 def test_trinomial_dual_degree_k1():
@@ -292,7 +289,7 @@ def test_mm_special_form_validation():
 
 def test_construction1_matches_special_form_and_sign_mixing():
     g_plus = quad(F9)
-    f_uniform, _ = construction1_k1([g_plus] * 3, F9)
+    f_uniform, _ = mm_special_form([g_plus] * 3, range(3), F9, 1)
     f_mm, _ = mm_special_form([g_plus] * 3, [0, 1, 2], F9, 1)
     assert f_uniform == f_mm
     assert classify(f_uniform).variant in (REGULAR, WEAKLY_REGULAR)
@@ -305,7 +302,7 @@ def test_construction1_matches_special_form_and_sign_mixing():
     flip = next(m for m, s in signs.items()
                 if s != extract_certificate(walsh_fast(g_plus)).signs[0])
     g_minus = TraceForm(F9, [(F9.gen_power(flip), 2)]).truth_table()
-    f_mixed, _ = construction1_k1([g_plus, g_plus, g_minus], F9)
+    f_mixed, _ = mm_special_form([g_plus, g_plus, g_minus], range(3), F9, 1)
     assert classify(f_mixed).variant == NON_WEAKLY_REGULAR
 
 
@@ -316,7 +313,7 @@ def test_bent_concatenation_valid_family():
     for y in range(3):
         vals = [(x * x + y * x) % 3 for x in range(3)]
         slices.append(PFunction(inner, vals))
-    f, rep = bent_concatenation(ConcatenationFamily(inner, outer, slices))
+    f, rep = bent_concatenation(slices, inner, outer)
     assert rep["applicable"] and rep["bent"]
     assert is_bent(walsh_fast(f))
     dual = rep["dual"]
@@ -330,7 +327,7 @@ def test_bent_concatenation_valid_family():
 def test_bent_concatenation_identical_slices_not_bent():
     # f(x, y) = g(x) ignores y: sections of the dual are constant, not bent
     g = PFunction(F3, [0, 1, 1])
-    f, rep = bent_concatenation(ConcatenationFamily(F3, get_field(3, 2), [g] * 9))
+    f, rep = bent_concatenation([g] * 9, F3, get_field(3, 2))
     assert rep["applicable"]
     assert rep["bent"] is False
     assert not is_bent(walsh_fast(f))
@@ -340,7 +337,11 @@ def test_bent_concatenation_error_and_inapplicable():
     g = PFunction(F3, [0, 1, 1])
     lin = PFunction(F3, [0, 1, 2])
     with pytest.raises(PreconditionError):
-        bent_concatenation(ConcatenationFamily(F3, F3, [g, g, lin]))
+        bent_concatenation([g, g, lin], F3, F3)
+    with pytest.raises(PreconditionError, match="^inner and outer fields must share p$"):
+        bent_concatenation([g] * 5, F3, get_field(5, 1))
+    with pytest.raises(PreconditionError, match="^need one slice per outer field element$"):
+        bent_concatenation([g] * 2, F3, F3)
     # units depending on y: mix opposite-sign quadratic slices on F_9
     g_plus = quad(F9)
     m = next(m for m in range(1, 9)
@@ -348,21 +349,20 @@ def test_bent_concatenation_error_and_inapplicable():
                  TraceForm(F9, [(F9.gen_power(m), 2)]).truth_table())).signs[0]
              != extract_certificate(walsh_fast(g_plus)).signs[0])
     g_minus = TraceForm(F9, [(F9.gen_power(m), 2)]).truth_table()
-    f, rep = bent_concatenation(ConcatenationFamily(F9, F3, [g_plus, g_plus, g_minus]))
+    f, rep = bent_concatenation([g_plus, g_plus, g_minus], F9, F3)
     assert not rep["applicable"]
     assert "bent" not in rep
 
 
-def _concatenation_oracle(fam):
+def _concatenation_oracle(slices, inner, outer):
     """f and the dual of `bent_concatenation`, one index at a time."""
-    inner, outer = fam.inner_ctx, fam.outer_ctx
     qi, qo = inner.q, outer.q
     combined = get_field(inner.p, inner.n + outer.n)
     values = [0] * combined.q
     for y_idx in range(qo):
         for x_idx in range(qi):
-            values[y_idx * qi + x_idx] = fam.slices[y_idx].values[x_idx]
-    certs = [extract_certificate(walsh_fast(sl)) for sl in fam.slices]
+            values[y_idx * qi + x_idx] = slices[y_idx].values[x_idx]
+    certs = [extract_certificate(walsh_fast(sl)) for sl in slices]
     if any(len({certs[y].signs[s_idx] for y in range(qo)}) > 1 for s_idx in range(qi)):
         return values, None  # units depend on y: no dual
     phis = [walsh_fast(PFunction(outer, [certs[y].dual.values[s_idx] for y in range(qo)]))
@@ -420,9 +420,8 @@ def test_builders_match_their_index_formulas(p, n, d):
     values, dual_vals = _special_form_oracle(gs, pi, inner, d)
     assert rep["slices_dual_bent"]
     assert f.values == values and rep["dual"].values == dual_vals
-    fam = ConcatenationFamily(inner, outer, gs)
-    f, rep = bent_concatenation(fam)
-    values, dual_vals = _concatenation_oracle(fam)
+    f, rep = bent_concatenation(gs, inner, outer)
+    values, dual_vals = _concatenation_oracle(gs, inner, outer)
     assert f.values == values
     if dual_vals is None:
         assert "dual" not in rep
@@ -438,11 +437,10 @@ def test_bent_concatenation_of_distinct_slices_matches_its_index_formulas():
     slices = [TraceForm(F9, [(F9.one(), 2)] + ([(F9.gen_power(m), 1)] if y else []), k)
               .truth_table() for y, (m, k) in enumerate(specs)]
     assert len(set(slices)) == len(slices)
-    fam = ConcatenationFamily(inner, outer, slices)
-    f, rep = bent_concatenation(fam)
+    f, rep = bent_concatenation(slices, inner, outer)
     assert rep["applicable"] and rep["bent"]
     assert is_bent(walsh_fast(f))
-    values, dual_vals = _concatenation_oracle(fam)
+    values, dual_vals = _concatenation_oracle(slices, inner, outer)
     assert f.values == values and rep["dual"].values == dual_vals
 
 

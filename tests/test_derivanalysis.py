@@ -22,6 +22,7 @@ from pbent.funcrep import (ANF, PFunction, TraceForm, anf_to_truth, p_weight,
 from pbent.gf import get_field
 from pbent.walsh import (classify, extract_certificate, inverse_sums, is_bent, walsh_fast,
                          walsh_quadratic)
+from digit_oracle import index_add
 from ring_oracle import Zw
 
 F3 = get_field(3, 1)
@@ -71,7 +72,7 @@ def _paths_agree(f, directions):
 
 
 def _trilinear_form_oracle(f):
-    """The trilinear form with each pick's index reduced by `add_index`
+    """The trilinear form with each pick's index reduced by `index_add`
     over the picked basis vectors: the oracle of `_trilinear_form`."""
     p, n = f.ctx.p, f.ctx.n
     e = [p ** i for i in range(n)]
@@ -79,7 +80,7 @@ def _trilinear_form_oracle(f):
     for ijk in itertools.combinations_with_replacement(range(n), 3):
         val = 0
         for picks in itertools.product((0, 1), repeat=3):
-            x = functools.reduce(f.ctx.add_index,
+            x = functools.reduce(lambda i, j: index_add(p, i, j),
                                  (e[d] for pick, d in zip(picks, ijk) if pick), 0)
             val += (-1) ** (3 - sum(picks)) * f.values[x]
         for i, j, k in itertools.permutations(ijk):
@@ -166,7 +167,7 @@ def test_certificate_matches_per_direction_oracle(case):
     assert cert.complete == (None not in oracle.values())
     # the mirror pairs a with -a, so both carry the same b and opposite constants
     for a, (b, lam) in cert.witnesses.items():
-        assert cert.witnesses[f.ctx.neg_index(a)] == (b, -lam % p)
+        assert cert.witnesses[f.ctx.neg_table[a]] == (b, -lam % p)
 
 
 @pytest.mark.parametrize("case", ORACLE_INPUTS[:1] + ORACLE_INPUTS[3:]
@@ -218,7 +219,7 @@ def test_constant_derivatives_match_brute_force():
 
 @pytest.mark.parametrize("p, n", [(3, 4), (3, 5), (5, 3), (7, 2)])
 def test_constant_derivatives_match_add_index_scan(p, n):
-    # the digit-sum tables against x + b from `add_index`, point by point;
+    # the digit-sum tables against x + b from `index_add`, point by point;
     # odd n puts the top digit in planes of its own
     ctx = get_field(p, n)
     rng = random.Random(p * 10 + n)
@@ -233,7 +234,7 @@ def test_constant_derivatives_match_add_index_scan(p, n):
     for f in inputs:
         vals = f.values
         oracle = [(b, (vals[b] - vals[0]) % p) for b in range(ctx.q)
-                  if all((vals[ctx.add_index(x, b)] - vals[x]) % p == (vals[b] - vals[0]) % p
+                  if all((vals[index_add(p, x, b)] - vals[x]) % p == (vals[b] - vals[0]) % p
                          for x in range(ctx.q))]
         assert list(_constant_derivatives(f)) == oracle
     assert [len(list(_constant_derivatives(f))) for f in inputs[-3:]] == [ctx.q, ctx.q // p,
@@ -360,7 +361,7 @@ def test_trinomial_derivative_spike_location():
             else:
                 assert not any(spec.coords[y])
         # the spike sits away from its mirror image: the symmetry check fails
-        assert spec.coords[ctx.neg_index(e.index)] != spec.coords[e.index]
+        assert spec.coords[ctx.neg_table[e.index]] != spec.coords[e.index]
 
 
 def _pair_battery_oracle(f, pairs):
@@ -380,7 +381,7 @@ def _pair_battery_oracle(f, pairs):
 
     violations = []
     for b, c in pairs:
-        nb, nc = ctx.neg_index(b), ctx.neg_index(c)
+        nb, nc = index_add(p, 0, b, -1), index_add(p, 0, c, -1)
         wc = deriv(f, c)
         wcb = wc[b]
         if wcb != wc[nb]:
@@ -448,7 +449,7 @@ def test_wr_rows_read_the_support_where_only_minus_b_is_nonzero():
     one_sided = 0
     for c in range(q):
         wc = walsh_fast(f.derivative(ctx.from_index(c))).coords
-        one_sided += sum(1 for b in range(q) if not any(wc[b]) and any(wc[ctx.neg_index(b)]))
+        one_sided += sum(1 for b in range(q) if not any(wc[b]) and any(wc[ctx.neg_table[b]]))
     assert one_sided
     rep = wr_identity_check(f, certificate=cubic_like_certificate(f))
     expected = _pair_battery_oracle(f, [(b, c) for c in range(q) for b in range(q)])
@@ -469,7 +470,7 @@ def test_mirror_maps_read_the_row_of_minus_c(p, n):
         wneg = walsh_fast(f.derivative(-ctx.from_index(c))).coords
         for b in range(ctx.q):
             tr = ctx.trace(ctx.from_index(b) * ctx.from_index(c))
-            assert mirror[tr](wc[ctx.neg_index(b)]) == wneg[b]
+            assert mirror[tr](wc[ctx.neg_table[b]]) == wneg[b]
 
 
 @pytest.mark.parametrize("p, n", [(3, 3), (3, 4), (5, 1), (5, 2), (7, 1), (7, 2)])
@@ -494,7 +495,7 @@ def test_phase_difference_matches_product_sums(p, n):
     scaled = [tuple(q * v for v in x) for x in local]
     local_sums = inverse_sums(ctx, local)
     for c in range(q):
-        shift = [ctx.add_index(y, ctx.neg_index(c)) for y in range(q)]
+        shift = [index_add(p, y, c, -1) for y in range(q)]
         prod = [(Zw(p, w[shift[y]]) * Zw(p, w[y]).conj()).coords for y in range(q)]
         assert derivanalysis._correlation_products(w, shift, p) == prod
         product_sums = inverse_sums(ctx, prod)
@@ -642,7 +643,7 @@ def test_wr_rows_of_minus_c_match_pair_oracle_sampled(pairs, seed, monkeypatch):
     f = trinomial_bent(TrinomialParams(1, 2, 1)).truth_table()
     ctx = f.ctx
     rows = random.Random(seed).sample(range(81), math.ceil(pairs / 81))
-    later = [c for i, c in enumerate(rows) if ctx.neg_index(c) in rows[:i]]
+    later = [c for i, c in enumerate(rows) if ctx.neg_table[c] in rows[:i]]
     assert later[0] != rows[-1] and (rows[-1] in later) == (seed == 2)
     cert = cubic_like_certificate(f)
     rep = wr_identity_check(f, seed=seed, certificate=cert)

@@ -292,7 +292,7 @@ def test_translate_reflect():
         assert g.values[idx] == f.values[(F81.from_index(idx) + a).index]
     h = f.reflect()
     for idx in (0, 5, 44):
-        assert h.values[idx] == f.values[F81.neg_index(idx)]
+        assert h.values[idx] == f.values[F81.neg_table[idx]]
 
 
 def test_parse_function_spec():

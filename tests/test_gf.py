@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from pbent import gf
 from pbent.errors import BudgetError, InternalInconsistency, ParseError, PreconditionError
 from pbent.gf import (FieldCtx, FieldError, check_field_size, default_modulus, digit_sums,
                       get_field, is_prime, parse_field_spec, prime_factors, _CONWAY, _ppow)
+from digit_oracle import index_add
 from test_linalg import mat_vec
 
 F9 = get_field(3, 2)
@@ -21,10 +23,44 @@ INDEX_FIELDS = [get_field(3, 1), get_field(3, 3), F81, F81_SEARCHED, get_field(3
 def test_construction_rejects_bad_moduli():
     with pytest.raises(FieldError):
         FieldCtx(3, 2, (1, 2, 1))  # (x+1)^2
+    # (x+1)(x^2+1)(x^3+2x+1): x^(3^6) = x mod f, so only the kernel refuses it
+    with pytest.raises(FieldError, match="^modulus is reducible over F_3$"):
+        FieldCtx(3, 6, (1, 0, 0, 1, 0, 1, 1))
     with pytest.raises(FieldError):
         FieldCtx(3, 2, (1, 1))  # wrong degree
     with pytest.raises(FieldError):
         FieldCtx(4, 2)  # p not prime
+
+
+def _monic(p, n):
+    return [tail + (1,) for tail in itertools.product(range(p), repeat=n)]
+
+
+def _poly_mul(g, h, p):
+    out = [0] * (len(g) + len(h) - 1)
+    for i, a in enumerate(g):
+        for j, b in enumerate(h):
+            out[i + j] = (out[i + j] + a * b) % p
+    return tuple(out)
+
+
+def _mobius(d):
+    primes = prime_factors(d)
+    return 0 if any(d % (r * r) == 0 for r in primes) else (-1) ** len(primes)
+
+
+@pytest.mark.parametrize("p, n", [(3, 2), (3, 3), (3, 4), (3, 5), (3, 6),
+                                  (5, 2), (5, 3), (7, 2), (7, 3)])
+def test_irreducibility_matches_the_product_oracle(p, n):
+    # a monic f is irreducible exactly when it is no product of two monic
+    # polynomials of positive degree; their count is Gauss's formula
+    # (1/n) sum_{d | n} mu(d) p^(n/d)
+    products = {_poly_mul(g, h, p) for d in range(1, n // 2 + 1)
+                for g in _monic(p, d) for h in _monic(p, n - d)}
+    irreducible = [f for f in _monic(p, n) if f not in products]
+    assert [f for f in _monic(p, n) if gf._poly_is_irreducible(f, p, n)] == irreducible
+    assert n * len(irreducible) == sum(_mobius(d) * p ** (n // d)
+                                       for d in range(1, n + 1) if n % d == 0)
 
 
 def test_pinned_moduli_are_conway_compatible():
@@ -44,7 +80,7 @@ def test_pinned_moduli_are_conway_compatible():
 
 def test_mul_identity_exhaustive_f9():
     one = F9.one()
-    for x in F9.elements():
+    for x in map(F9.from_index, range(F9.q)):
         assert x * one == x
 
 
@@ -91,7 +127,7 @@ def test_rel_trace_direct_power_sum_f9():
 
 
 def test_rel_trace_lands_in_subfield_exhaustive_f81():
-    for x in F81.elements():
+    for x in map(F81.from_index, range(F81.q)):
         for k in (1, 2):
             t = F81.rel_trace(x, k)
             assert F81.frobenius(t, k) == t
@@ -104,7 +140,7 @@ def test_rel_trace_lands_in_subfield_exhaustive_f81():
 
 
 def test_trace_transitivity():
-    for x in F81.elements():
+    for x in map(F81.from_index, range(F81.q)):
         assert F81.trace(x) == F81.subfield_abs_trace(F81.rel_trace(x, 2), 2)
     big = get_field(3, 8)
     rng = random.Random(3)
@@ -142,8 +178,9 @@ def test_index_arithmetic_matches_elements():
     rng = random.Random(6)
     for _ in range(40):
         i, j = rng.randrange(81), rng.randrange(81)
-        assert F81.add_index(i, j) == (F81.from_index(i) + F81.from_index(j)).index
-        assert F81.neg_index(i) == (-F81.from_index(i)).index
+        assert index_add(3, i, j) == (F81.from_index(i) + F81.from_index(j)).index
+        assert index_add(3, i, j, -1) == (F81.from_index(i) - F81.from_index(j)).index
+        assert index_add(3, 0, i, -1) == (-F81.from_index(i)).index
     for a in (0, 1, 17, 80):
         perm = F81.shift_table(a)
         for x in (0, 1, 40, 80):
@@ -156,12 +193,12 @@ def test_half_rows_match_add_index():
         idxs = [rng.randrange(ctx.q) for _ in range(40)]
         for r in sorted({0, 1, ctx.q - 1, rng.randrange(ctx.q)}):
             hi, lo, half = gf.half_rows(ctx.p, ctx.n, r)
-            assert [hi[x // half] + lo[x % half] for x in idxs] == [ctx.add_index(x, r)
+            assert [hi[x // half] + lo[x % half] for x in idxs] == [index_add(ctx.p, x, r)
                                                                     for x in idxs]
-            assert ctx.shift_table(r) == [ctx.add_index(x, r) for x in range(ctx.q)]
+            assert ctx.shift_table(r) == [index_add(ctx.p, x, r) for x in range(ctx.q)]
     for p, m in ((3, 1), (3, 2), (5, 1), (5, 2), (7, 1)):
-        add = get_field(p, m).add_index
-        assert digit_sums(p, m) == [[add(x, b) for x in range(p ** m)] for b in range(p ** m)]
+        assert digit_sums(p, m) == [[index_add(p, x, b) for x in range(p ** m)]
+                                    for b in range(p ** m)]
 
 
 def test_field_errors_are_parse_errors_and_bugs_are_internal():
@@ -231,7 +268,7 @@ def test_linear_table_matches_per_block_shifts(p, n):
         expected = _linear_table_oracle(ctx, cols)
         assert ctx.linear_table(cols) == expected
         base = rng.randrange(ctx.q)
-        assert ctx.linear_table(cols, base) == [ctx.add_index(base, v) for v in expected]
+        assert ctx.linear_table(cols, base) == [index_add(p, base, v) for v in expected]
 
 
 def test_tables_match_powers_and_trace():
@@ -266,7 +303,7 @@ def test_tables_n12_sampled():
 @pytest.mark.parametrize("p, n", [(3, 1), (3, 2), (3, 4), (5, 2), (7, 1)])
 def test_trace_row_is_the_trace_pairing(p, n):
     ctx = get_field(p, n)
-    xs = list(ctx.elements())
+    xs = list(map(ctx.from_index, range(ctx.q)))
     for y in xs:  # y = 0 included
         assert ctx.trace_row(y.index) == [ctx.trace(x * y) for x in xs]
 
@@ -284,7 +321,7 @@ def test_trace_row_at_given_points_reads_the_row(p, n):
 def _oracle_inputs():
     """Every x in F81, and seeded x in F_{3^8} and F_{3^12}."""
     rng = random.Random(13)
-    yield F81, list(F81.elements())
+    yield F81, list(map(F81.from_index, range(F81.q)))
     for n in (8, 12):
         ctx = get_field(3, n)
         yield ctx, [ctx.zero(), ctx.one()] + [ctx.from_index(rng.randrange(ctx.q))
@@ -342,7 +379,7 @@ def test_subfield_indexes():
     assert len(sub) == 9
     for idx in sub:
         x = F81.from_index(idx)
-        assert F81.in_subfield(x, 2)
+        assert F81.frobenius(x, 2) == x
     assert F81.subfield_indexes(1) == sorted(
         F81.scalar(c).index for c in range(3))
 
@@ -355,7 +392,7 @@ def test_subfield_degree_not_dividing_n_is_a_precondition_error():
 @pytest.mark.parametrize("p, n", [(3, 1), (3, 4), (3, 5), (5, 1), (5, 3), (7, 2)])
 def test_neg_table_matches_neg_index(p, n):
     ctx = get_field(p, n)
-    assert ctx.neg_table == [ctx.neg_index(i) for i in range(ctx.q)]
+    assert ctx.neg_table == [index_add(p, 0, i, -1) for i in range(ctx.q)]
 
 
 def test_log_tables_roundtrip():

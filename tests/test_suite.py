@@ -12,6 +12,10 @@ def test_quick_suite_passes_every_check():
     assert [r["name"] for r in records if not r["passed"]] == []
 
 
+def test_an_empty_name_list_runs_no_check():
+    assert run_suite(seed=0, level="quick", names=[]) == []
+
+
 def test_second_derivative_check_sees_a_wrong_linearized_coefficient(monkeypatch):
     def d_cubed(params, ctx, c, d):
         return constructions.linearized_second_derivative_coeff(
