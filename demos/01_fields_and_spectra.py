@@ -24,7 +24,7 @@ print("a^4 == 1 - a:", a ** 4 == F81.one() - a)
 # ---------------------------------------------------------------------------
 f = pb.PFunction(pb.get_field(3, 1), [0, 1, 1])   # f(x) = x^2 on F_3
 print("\nW of x^2 on F_3:", [str(pb.single_walsh_value(f, y)) for y in range(3)])
-print("gauss_sum(3) =", pb.gauss_sum(3), " norm:", pb.gauss_sum(3).norm_sq())
+print("gauss_sum(3) =", pb.CycInt(3, pb.gauss_sum(3)), " norm:", pb.CycInt(3, pb.gauss_sum(3)).norm_sq())
 
 # the fast transform agrees coordinate-for-coordinate with the naive sum
 F27 = pb.get_field(3, 3)

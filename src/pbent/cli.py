@@ -69,7 +69,6 @@ def analyze_function(f: PFunction, certify: bool = False, dual_form: bool = Fals
         report["dual_bent"] = cls.dual_bent
         if dual_form:
             dform = to_relative_trace_form(cert.dual)
-            f.ctx.ensure_tables()
             report["dual_relative_trace_form"] = {
                 "nonlinear_terms": dform.nonlinear_term_count(),
                 "entries": [[j, "g^%d" % f.ctx.log_table[a.index]]

@@ -159,8 +159,6 @@ def trinomial_first_derivative_form(params: TrinomialParams, c: FFElem,
     k, j = params.k, params.j
     k3 = 3 ** k
     b = params.b_coefficient(ctx)
-    if c.is_zero():
-        return TraceForm(ctx, [])
     ck = ctx.frobenius(c, k)      # c^(3^k)
     c2k = ck * ck                 # c^(2*3^k)
     cj = ctx.power(c, 3 ** j)
@@ -364,10 +362,11 @@ def quadratic_part_function(ctx: FieldCtx, coeffs) -> PFunction:
 def add_quadratic(f: PFunction, coeffs):
     """g = f + q for weakly regular bent f and a pure quadratic q.
 
-    The sufficiency condition is checked per nonzero direction c: either
-    q(c) != 0 or the derivative transform of f vanishes at
-    b(c) = sum_j ((a_j c)^(p^(n-j)) + a_j c^(p^j)); its truth implies g is
-    bent.  A full spectral verdict is returned alongside for cross-checking.
+    The condition is exact and checked per nonzero direction c: D_c g(x) =
+    D_c f(x) + Tr(L(c) x) + q(c) with L(c) = sum_j ((a_j c)^(p^(n-j)) +
+    a_j c^(p^j)), so W_{D_c g}(0) = w^q(c) W_{D_c f}(-L(c)), and g is bent
+    exactly when W_{D_c f}(-L(c)) = 0 for every c != 0.  The full spectral
+    verdict is returned alongside for cross-checking.
     """
     ctx = f.ctx
     cls = classify(f)
@@ -379,16 +378,13 @@ def add_quadratic(f: PFunction, coeffs):
     qf = quadratic_part_function(ctx, coeffs)
     g = f + qf
     condition = True
-    for c_idx in range(1, ctx.q):
-        if qf.values[c_idx] != 0:
-            continue
-        c = ctx.from_index(c_idx)
+    for c in map(ctx.from_index, range(1, ctx.q)):
         b = ctx.zero()
         for jj, a in enumerate(coeffs):
             if a.is_zero():
                 continue
             b = b + ctx.frobenius(a * c, ctx.n - jj) + a * ctx.frobenius(c, jj)
-        if any(single_walsh_value(f.derivative(c), b.index).coords):
+        if any(single_walsh_value(f.derivative(c), ctx.neg_table[b.index]).coords):
             condition = False
             break
     spectral = is_bent(walsh_fast(g))

@@ -6,8 +6,10 @@ in the canonical integer basis {1, w, ..., w^(p-2)}: the relation
 and zero has all-zero coordinates.  No floating point anywhere: bentness
 and sign classifications are certificates, not approximations.  The ring's
 arithmetic is the functions on bare coordinate tuples (`coords_from_counts`,
-`mul_coords`, `conj_coords`, `norm_coords`); `CycInt` is a plain value, a
-tuple with its p, that the one-point functions return.
+`mul_coords`, `conj_coords`, `norm_coords`), and the powers of w are read
+from one table, `signed_powers` (s w^j is entry 2j + p[s < 0] mod 2p).
+`CycInt` is a plain value, a tuple with its p, that only the one-point
+functions `single_walsh_value` and `trinomial_closed_form_walsh` return.
 
 The quadratic Gauss sum g = sum_{x in F_p} w^(x^2) realizes sqrt(p) inside
 the ring (g * conj(g) = p, g^2 = (-1)^((p-1)/2) * p), which is how values
@@ -109,18 +111,21 @@ def norm_coords(coords: tuple, p: int) -> tuple:
 
 
 @lru_cache(maxsize=8)
-def omega_coords(p: int) -> tuple:
-    """Coordinates of w^0, ..., w^(p-1)."""
-    return tuple(coords_from_counts(p, [int(i == j) for i in range(p)]) for j in range(p))
+def signed_powers(p: int) -> tuple:
+    """Coordinates of z^k, k in [0, 2p), z = -w^((p+1)/2): as z^2 = w and
+    z^p = -1, s w^j = z^(2j + p[s < 0]), and w^j is entry 2j."""
+    return tuple(coords_from_counts(p, [(-1) ** k * (i == k * (p + 1) // 2 % p) for i in range(p)])
+                 for k in range(2 * p))
 
 
 @lru_cache(maxsize=8)
-def gauss_sum(p: int) -> CycInt:
-    """The quadratic Gauss sum of F_p as an exact element of Z[w]."""
+def gauss_sum(p: int) -> tuple:
+    """The quadratic Gauss sum of F_p as the coordinates of an exact
+    element of Z[w]."""
     counts = [0] * p
     for x in range(p):
         counts[(x * x) % p] += 1
-    return CycInt.from_exponent_counts(p, counts)
+    return coords_from_counts(p, counts)
 
 
 @lru_cache(maxsize=32)
@@ -135,9 +140,9 @@ def unit_power_forms(p: int, n: int) -> dict:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    unit = gauss_sum(p).coords if n % 2 else (1,) + (0,) * (p - 2)
+    unit = gauss_sum(p) if n % 2 else (1,) + (0,) * (p - 2)
     forms = {}
-    for j, omega in enumerate(omega_coords(p)):
+    for j, omega in enumerate(signed_powers(p)[::2]):
         base = mul_coords(unit, omega, p)
         for s in (1, -1):
             forms[tuple([s * p ** (n // 2) * v for v in base])] = (s, j)

@@ -55,14 +55,13 @@ hold the closed form against.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 from bisect import bisect_left
 from itertools import compress
 from operator import itemgetter, ne, sub
 
-from .cyclo import conj_coords, coords_from_counts, mul_coords, omega_coords
+from .cyclo import conj_coords, coords_from_counts, mul_coords, signed_powers
 from .errors import InternalInconsistency, PreconditionError
 from .funcrep import PFunction
 from .gf import FFElem, digit_sums
@@ -313,14 +312,6 @@ def _correlation_products(w: list, shift: list, p: int) -> list:
     return [mul_coords(x1, conj_coords(x, p), p) for x, x1 in zip(w, shifted)]
 
 
-@functools.lru_cache(maxsize=8)
-def _signed_powers(p: int) -> tuple:
-    """Coordinates of z^k, k in [0, 2p), z = -w^((p+1)/2): as z^2 = w and
-    z^p = -1, s w^j = z^(2j + p[s < 0])."""
-    return tuple(coords_from_counts(p, [(-1) ** k * (i == k * (p + 1) // 2 % p) for i in range(p)])
-                 for k in range(2 * p))
-
-
 def _phase_misses(lhs: list, rhs: list, ctx, c: int, divisor: int) -> list:
     """Row c's phase misses: the b, ascending, where w^Tr(bc) W_{D_b f*}(-c)
     != W_{D_c f}(b).  The inverse sums of lhs - rhs are `divisor` times
@@ -383,11 +374,10 @@ def wr_identity_check(f: PFunction, seed: int = 0,
     cert = extract_certificate(s_dual) if s_dual.bent else None
     codes = cert and [(2 * j + p * (sign < 0)) % (2 * p)
                        for sign, j in zip(cert.signs, cert.dual.values)]
-    powers = _signed_powers(p)
+    powers = signed_powers(p)
     divisor = 1 if cert else q  # the product side carries the factor p^n
     # divisor * w^j; for a bent dual as z^(2j) = w^j, so that equal sides hold the same tuples
-    rhs_powers = (powers[::2] if cert
-                  else [tuple([divisor * v for v in x]) for x in omega_coords(p)])
+    rhs_powers = powers[::2] if cert else [tuple([q * v for v in x]) for x in powers[::2]]
 
     # a sample never repeats a pair, so a field with fewer pairs is walked whole
     exhaustive = q * q <= SAMPLED_PAIRS

@@ -221,10 +221,10 @@ class RelativeTraceForm:
         Tr_s(a_j x^j) = Tr_n(u_s a_j x^j) for any u_s with Tr^n_s(u_s) = 1,
         and top * x^(q-1) = Tr_n(u_1 top x^(q-1))."""
         ctx = self.ctx
-        terms = [(_rel_trace_unit(ctx, coset_size(j, ctx.p, ctx.order)) * a, j)
+        terms = [(ctx.rel_trace_unit(coset_size(j, ctx.p, ctx.order)) * a, j)
                  for j, a in self.entries]
         if self.top_coeff:
-            terms.append((_rel_trace_unit(ctx, 1).scale(self.top_coeff), ctx.q - 1))
+            terms.append((ctx.rel_trace_unit(1).scale(self.top_coeff), ctx.q - 1))
         return TraceForm(ctx, terms).truth_table()
 
     def nonlinear_term_count(self) -> int:
@@ -263,14 +263,6 @@ def coset_size(e: int, p: int, modulus: int) -> int:
         size += 1
         cur = (cur * p) % modulus
     return size
-
-
-def _rel_trace_unit(ctx: FieldCtx, s: int) -> FFElem:
-    """The first element u, in index order, with Tr^n_s(u) = 1.  The scalar
-    (n/s)^-1 would not do: it does not exist when p divides n/s."""
-    one = ctx.one()
-    return next(u for u in map(ctx.from_index, range(1, ctx.q))
-                if ctx.rel_trace(u, s) == one)
 
 
 def to_relative_trace_form(f: PFunction) -> RelativeTraceForm:

@@ -469,19 +469,21 @@ class FieldCtx:
         """Absolute trace to F_p of a coefficient tuple, as an integer residue."""
         return sum(c * t for c, t in zip(coeffs, self.trace_vec)) % self.p
 
+    def rel_trace_unit(self, s: int) -> FFElem:
+        """The first element u, in index order, with Tr^n_s(u) = 1.  The
+        scalar (n/s)^-1 would not do: it does not exist when p divides n/s."""
+        one = self.one()
+        return next(u for u in map(self.from_index, range(1, self.q))
+                    if self.rel_trace(u, s) == one)
+
     def subfield_abs_trace(self, x: FFElem, k: int) -> int:
-        """Tr_1^k of an element of the subfield F_{p^k} (k Frobenius terms,
-        not n); the result must land in the prime field."""
+        """Tr_1^k of an element x of the subfield F_{p^k}, as Tr_n(u x) with
+        Tr^n_k(u) = 1: Tr^n_k(u x) = x Tr^n_k(u) = x."""
         if self.n % k:
             raise PreconditionError("k=%d does not divide n=%d" % (k, self.n))
-        acc = x
-        y = x
-        for _ in range(k - 1):
-            y = self.frobenius(y, 1)
-            acc = acc + y
-        if any(acc.coeffs[1:]):
+        if self.frobenius(x, k) != x:
             raise PreconditionError("element was not in the subfield F_p^%d" % k)
-        return acc.coeffs[0]
+        return self.trace(self.rel_trace_unit(k) * x)
 
     def trace(self, x: FFElem) -> int:
         return self.trace_coeffs(x.coeffs)

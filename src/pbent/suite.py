@@ -5,6 +5,7 @@ trims sample sizes, full level runs the documented counts.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from .catalog import list_catalog, verify_entry
@@ -12,7 +13,7 @@ from .constructions import (TrinomialParams, linearized_second_derivative_coeff,
                             mm_special_form, trinomial_bent,
                             trinomial_closed_form_walsh,
                             trinomial_first_derivative_form)
-from .cyclo import conj_coords, gauss_sum, mul_coords, omega_coords, unit_power_forms
+from .cyclo import conj_coords, gauss_sum, mul_coords, signed_powers, unit_power_forms
 from .derivanalysis import (_trilinear_form, _trilinear_slice,
                             cubic_like_certificate, derivative_linear_space,
                             quadratic_balance_witness, wr_identity_check)
@@ -125,7 +126,7 @@ def check_cyclotomic_ring(seed, level):
     rng = random.Random(seed)
     for p in (3, 5, 7):
         pad = (0,) * (p - 2)
-        g = gauss_sum(p).coords
+        g = gauss_sum(p)
         if mul_coords(g, conj_coords(g, p), p) != (p,) + pad:
             return False, "gauss norm failed p=%d" % p
         if mul_coords(g, g, p) != (p if p % 4 == 1 else -p,) + pad:
@@ -137,7 +138,7 @@ def check_cyclotomic_ring(seed, level):
                 return False, "ring identities failed"
         for n in (1, 2, 3, 4):
             unit = g if n % 2 else (1,) + pad
-            for j, omega in enumerate(omega_coords(p)):
+            for j, omega in enumerate(signed_powers(p)[::2]):
                 base = mul_coords(unit, omega, p)
                 for sign in (1, -1):
                     v = tuple([sign * p ** (n // 2) * c for c in base])
@@ -182,14 +183,9 @@ def check_quadratic_balance(seed, level):
     ctx = get_field(3, 2)
     monomials = [0, 1, 3, 2, 6, 4]  # 1, x1, x2, x1^2, x2^2, x1x2
     count = 0
-    for code in range(3 ** 6):
-        digs = []
-        m = code
-        for _ in range(6):
-            m, r = divmod(m, 3)
-            digs.append(r)
+    for code, digs in enumerate(itertools.product(range(3), repeat=6)):  # top digit first
         coeffs = [0] * 9
-        for mono, c in zip(monomials, digs):
+        for mono, c in zip(reversed(monomials), digs):
             coeffs[mono] = c
         f = anf_to_truth(ANF(ctx, coeffs))
         witness = quadratic_balance_witness(f)
@@ -295,7 +291,6 @@ def check_catalog(seed, level):
 
 
 def check_mm_form(seed, level):
-    import itertools
     ctx1 = get_field(3, 1)
     g = PFunction(ctx1, [0, 1, 1])
     h = PFunction(ctx1, [0, 2, 2])

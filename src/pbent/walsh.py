@@ -13,10 +13,10 @@ v(y) = (Tr(alpha^j y))_j, so the transform is n size-p DFT passes
 for p = 3) read out at v(y) through one gather table, the field's
 `dual_table` (the linear table of the Gram matrix [Tr(alpha^(i+j))]; it
 and its inverse live on the `FieldCtx`, built once per field, and this
-module keeps no table of its own).  As Tr(x y) = v(x) . y too,
-`inverse_sums` runs the same passes with the conjugate DFT and the same
-gather: the inverse sums before the division by p^n, which the identity
-battery of `derivanalysis` needs, and does exactly, on its product path only.
+module keeps no table of its own).  The column map has one direction, the
+kernel w^(-st): `inverse_sums`, sum_y d(y) w^Tr(xy), the inverse sums before
+the division by p^n that the identity battery of `derivanalysis` needs, is
+the forward sums of d read at -x, through `neg_table` and the same gather.
 A function of degree <= 2, as the battery's derivatives of a cubic are,
 needs no passes: `walsh_quadratic` reads its spectrum, a quadratic Gauss
 sum, from its Hessian in closed form.
@@ -41,11 +41,11 @@ command transforms f once; `walsh_naive` never reads it.
 
 from __future__ import annotations
 
-from itertools import compress, product
+from itertools import compress
 from operator import add, mul, sub
 
-from .cyclo import (CycInt, coords_from_counts, norm_coords, omega_coords, unit_class,
-                    unit_power_forms)
+from .cyclo import (CycInt, coords_from_counts, mul_coords, norm_coords, signed_powers,
+                    unit_class, unit_power_forms)
 from .errors import InternalInconsistency, PreconditionError
 from .funcrep import PFunction
 from .gf import FieldCtx
@@ -150,51 +150,44 @@ def walsh_quadratic(g: PFunction) -> tuple[list, list]:
     a = [(gi - row[i] * half) % p for i, (gi, row) in enumerate(zip(ge, hess))]
     free = {max(compress(range(n), vec)) for vec in mat_kernel(hess, p)}
     pivots = [j for j in range(n) if j not in free]
-    # z with balanced digits z_j in [-m, m], m = (p-1)/2, the first pivot's
-    # running fastest, so that -z sits at the mirrored position and z = 0 in
-    # the middle; the support point at v(y) = a + Hz (H is symmetric) from
-    # the corner z_j = -m, through the F_p-linear `inverse_dual_table`
-    m = p // 2
-    zs = list(map(sum, product(*[[t % p * pows[j] for t in range(-m, m + 1)]
-                                 for j in reversed(pivots)])))
+    # z over the pivot coordinates, the first pivot's digit running fastest,
+    # and the support point y at v(y) = a + Hz (H is symmetric) in the same
+    # order, through the F_p-linear `inverse_dual_table`; z = 0 gives y_0
     inverse = ctx.inverse_dual_table
-    corner = sum((v - m * sum(map(row.__getitem__, pivots))) % p * pw
-                 for v, row, pw in zip(a, hess, pows))
+    zs = ctx.linear_table([pows[j] for j in pivots])
     points = ctx.linear_table([inverse[sum(map(mul, hess[j], pows))] for j in pivots],
-                              inverse[corner])
-    w0 = single_walsh_value(g, points[len(points) // 2]).coords  # v(y_0) = a
+                              inverse[sum(map(mul, a, pows))])
+    w0 = single_walsh_value(g, points[0]).coords  # v(y_0) = a
     if norm_coords(w0, p) != (q * q // len(points),) + (0,) * ((p - 3) // 2):
         raise InternalInconsistency("Parseval failed on a quadratic's closed-form spectrum")
-    counts = w0 + (0,)  # of w^0, ..., w^(p-1); w^k W_g(y_0) has them rotated by k
-    rotations = [coords_from_counts(p, counts[-k:] + counts[:-k]) for k in range(p)]
+    rotations = [mul_coords(w0, x, p) for x in signed_powers(p)[::2]]  # W_g(y_0) w^k
     # W_g(y) = W_g(y_0) w^(g(0) - e / 2) for e = g(z) + g(-z) in [0, 2p - 2]
     by_sum = [rotations[(g0 - e * half) % p] for e in range(2 * p - 1)]
-    gz = list(map(vals.__getitem__, zs))
+    gz = map(vals.__getitem__, zs)
+    g_minus_z = map(vals.__getitem__, map(ctx.neg_table.__getitem__, zs))
     coords = [(0,) * (p - 1)] * q
-    for y, w in zip(points, map(by_sum.__getitem__, map(add, gz, reversed(gz)))):
+    for y, w in zip(points, map(by_sum.__getitem__, map(add, gz, g_minus_z))):
         coords[y] = w
     return sorted(points), coords
 
 
-def _dft3_column(sign: int):
-    """Unrolled size-3 DFT column map, kernel w^(sign*s*t), on (a, b) = a + b*w."""
-    def column(rows):
-        total, down, up = [], [], []
-        for (x0, y0), (x1, y1), (x2, y2) in zip(*rows):
-            # w*(a,b) = (-b, a-b); w^2*(a,b) = (b-a, -a)
-            total.append((x0 + x1 + x2, y0 + y1 + y2))
-            down.append((x0 + y1 - x1 - y2, y0 - x1 + x2 - y2))  # x0 + w^2 x1 + w x2
-            up.append((x0 - y1 + y2 - x2, y0 + x1 - y1 - x2))  # x0 + w x1 + w^2 x2
-        return (total, down, up) if sign < 0 else (total, up, down)
-    return column
+def _dft3_column(rows):
+    """Unrolled size-3 DFT column map, kernel w^(-s*t), on (a, b) = a + b*w."""
+    total, down, up = [], [], []
+    for (x0, y0), (x1, y1), (x2, y2) in zip(*rows):
+        # w*(a,b) = (-b, a-b); w^2*(a,b) = (b-a, -a)
+        total.append((x0 + x1 + x2, y0 + y1 + y2))
+        down.append((x0 + y1 - x1 - y2, y0 - x1 + x2 - y2))  # x0 + w^2 x1 + w x2
+        up.append((x0 - y1 + y2 - x2, y0 + x1 - y1 - x2))  # x0 + w x1 + w^2 x2
+    return total, down, up
 
 
-def _dft_generic_column(p: int, sign: int):
-    """Size-p DFT column map, kernel w^(sign*s*t), on (p-1)-coordinate
-    tuples: output t counts coordinate i of input s at exponent i +
-    sign*s*t, and only the nonzero coordinates are added, so the powers of
-    w of a forward transform cost p^2 additions, as the direct sum."""
-    shifts = [[sign * s * t % p for s in range(p)] for t in range(p)]
+def _dft_generic_column(p: int):
+    """Size-p DFT column map, kernel w^(-s*t), on (p-1)-coordinate tuples:
+    output t counts coordinate i of input s at exponent i - s*t, and only
+    the nonzero coordinates are added, so the powers of w of a transform
+    cost p^2 additions, as the direct sum."""
+    shifts = [[-s * t % p for s in range(p)] for t in range(p)]
 
     def column(rows):
         out = [[] for _ in range(p)]
@@ -209,20 +202,13 @@ def _dft_generic_column(p: int, sign: int):
     return column
 
 
-def _dft_column(p: int, sign: int):
-    """The size-p DFT column map for `axis_passes`; unrolled for p = 3."""
-    return _dft3_column(sign) if p == 3 else _dft_generic_column(p, sign)
-
-
-def _trace_sums(ctx: FieldCtx, vals, sign: int) -> list:
-    """sum_x vals[x] * w^(sign * Tr(xy)) at every y, for the p^n entries of
-    the iterable `vals`.  Tr(xy) = x . v(y) with v the trace-dual
-    coordinates, so the passes run on `vals` as given and the result is
-    read through `FieldCtx.dual_table`."""
-    # read before the passes: built after them, the table's first build
-    # raised the n = 12 peak RSS by 1.8 MB
-    table = ctx.dual_table
-    flat = axis_passes(vals, ctx.p, ctx.n, _dft_column(ctx.p, sign))
+def _trace_sums(ctx: FieldCtx, vals, table) -> list:
+    """F(vals)(y) = sum_x vals[x] * w^(-Tr(xy)) for the p^n entries of the
+    iterable `vals`, read at table[0], table[1], ...  Tr(xy) = x . v(y) with
+    v the trace-dual coordinates, so the passes run on `vals` as given and
+    F(vals)(y) sits at index `FieldCtx.dual_table[y]` of their output."""
+    column = _dft3_column if ctx.p == 3 else _dft_generic_column(ctx.p)
+    flat = axis_passes(vals, ctx.p, ctx.n, column)
     return list(map(flat.__getitem__, table))
 
 
@@ -230,17 +216,21 @@ def walsh_fast(f: PFunction) -> WalshSpectrum:
     """Tensor-decomposed transform, memoized on f; same values as walsh_naive."""
     if f._spectrum is None:
         ctx = f.ctx
-        omega = omega_coords(ctx.p).__getitem__
+        omega = signed_powers(ctx.p)[::2].__getitem__  # w^j
         # a lazy map: `axis_passes` copies its input anyway, and a q-entry
-        # list held across the passes raised the n = 12 peak RSS by 7 MB
-        f._spectrum = WalshSpectrum(ctx, _trace_sums(ctx, map(omega, f.values), -1), "fast")
+        # list held across the passes raised the n = 12 peak RSS by 7 MB;
+        # the table is read before the passes, as its first build after
+        # them raised that peak by 1.8 MB
+        sums = _trace_sums(ctx, map(omega, f.values), ctx.dual_table)
+        f._spectrum = WalshSpectrum(ctx, sums, "fast")
     return f._spectrum
 
 
 def inverse_sums(ctx: FieldCtx, coords: list) -> list:
     """sum_y coords[y] * w^Tr(xy) at every x, as coordinate tuples: the
-    inverse transform before its division by p^n."""
-    return _trace_sums(ctx, coords, 1)
+    inverse transform before its division by p^n, which is the forward
+    sums read at -x."""
+    return _trace_sums(ctx, coords, map(ctx.dual_table.__getitem__, ctx.neg_table))
 
 
 def is_bent(s: WalshSpectrum) -> bool:
@@ -382,26 +372,21 @@ def _second_derivative_counts(f: PFunction) -> list[int]:
     over all (d, x) the pair (x, y) runs through every pair of points, so
     the count of v for one c is sum_k hist[k] hist[(k + v) % p], with hist
     the value histogram of g: O(q^2 + q p^2)."""
-    ctx = f.ctx
-    p, q = ctx.p, ctx.q
-    vals = f.values
+    p = f.ctx.p
     counts = [0] * p
-    for c in range(q):
-        pc = ctx.shift_table(c)
-        hist = [0] * p
-        for x in range(q):
-            hist[(vals[pc[x]] - vals[x]) % p] += 1
+    for c in map(f.ctx.from_index, range(f.ctx.q)):
+        hist = f.derivative(c).value_counts()
         for v in range(p):
             counts[v] += sum(h * hist[(k + v) % p] for k, h in enumerate(hist))
     return counts
 
 
-def second_derivative_triple_sum(f: PFunction) -> CycInt:
-    """sum over c, d, x of w^(D_{c,d} f(x)), exactly."""
-    return CycInt.from_exponent_counts(f.ctx.p, _second_derivative_counts(f))
+def second_derivative_triple_sum(f: PFunction) -> tuple:
+    """sum over c, d, x of w^(D_{c,d} f(x)), exactly, as coordinates."""
+    return coords_from_counts(f.ctx.p, _second_derivative_counts(f))
 
 
 def bent_via_second_derivative_sum(f: PFunction) -> bool:
     """True iff the triple sum equals p^(2n) exactly."""
     ctx = f.ctx
-    return second_derivative_triple_sum(f).coords == (ctx.q * ctx.q,) + (0,) * (ctx.p - 2)
+    return second_derivative_triple_sum(f) == (ctx.q * ctx.q,) + (0,) * (ctx.p - 2)

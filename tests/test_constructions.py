@@ -467,14 +467,39 @@ def test_add_quadratic_requires_weakly_regular():
         add_quadratic(trinom, [ctx.zero()] * 4)
 
 
-def test_add_quadratic_condition_is_not_sufficient_in_general():
-    # q = 2x^2 never vanishes on F_3^*, yet f + q collapses to zero: the
-    # stated sufficient condition has genuine false positives
+def test_add_quadratic_condition_is_exact_on_a_cancelling_quadratic():
+    # q = 2x^2 never vanishes on F_3^*, yet f + q collapses to zero; the
+    # condition reads W_{D_c f}(-L(c)) at every c != 0, nonzero here, so it
+    # does not hold
     f = PFunction(F3, [0, 1, 1])
     g, rep = add_quadratic(f, [F3.scalar(2)])
-    assert rep["condition_holds"] is True
+    assert rep["condition_holds"] is False
     assert rep["spectrally_bent"] is False
     assert g.values == [0, 0, 0]
+
+
+@pytest.mark.parametrize("p, n", [(3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2)])
+def test_add_quadratic_condition_matches_the_spectral_verdict(p, n):
+    # seeded weakly regular f (a bent quadratic plus a linear term) and
+    # pure quadratics q, some coefficients zero: g = f + q is bent exactly
+    # when W_{D_c f}(-L(c)) = 0 for every c != 0
+    ctx = get_field(p, n)
+    rng = random.Random(10 * p + n)
+
+    def coeffs():
+        return [ctx.from_index(rng.randrange(ctx.q)) if rng.random() < 0.7 else ctx.zero()
+                for _ in range(n)]
+
+    verdicts = []
+    while len(verdicts) < 48:
+        f = (quadratic_part_function(ctx, coeffs())
+             + TraceForm(ctx, [(ctx.from_index(rng.randrange(ctx.q)), 1)]).truth_table())
+        if classify(f).variant not in (REGULAR, WEAKLY_REGULAR):
+            continue
+        g, rep = add_quadratic(f, coeffs())
+        assert rep["condition_holds"] == rep["spectrally_bent"] == is_bent(walsh_fast(g))
+        verdicts.append(rep["spectrally_bent"])
+    assert True in verdicts and False in verdicts
 
 
 def test_nonvanishing_quadratic_search():

@@ -9,7 +9,7 @@ import pytest
 
 from pbent import derivanalysis, walsh
 from pbent.constructions import TrinomialParams, lemma2_witness, trinomial_bent
-from pbent.cyclo import CycInt, conj_coords, unit_power_forms
+from pbent.cyclo import CycInt, conj_coords, signed_powers, unit_power_forms
 from pbent.derivanalysis import (SAMPLED_PAIRS, CubicLikeCertificate, WrIdentityReport,
                                  _constant_derivatives, _first_witness_low_degree,
                                  _first_witness_scan, _trilinear_form,
@@ -264,6 +264,37 @@ def test_certificate_complete_iff_bent_low_degree():
         assert cubic_like_certificate(f).complete == is_bent(walsh_fast(f))
 
 
+@pytest.mark.parametrize("p, n, seed, found", [(3, 2, None, (18, 18)), (5, 2, 2, (8, 8)),
+                                               (3, 3, 0, (2, 2))])
+def test_cubics_are_bent_exactly_when_cubic_like(p, n, seed, found):
+    # cubics built from their ANF terms of degree 2 and 3: all 243 at p = 3,
+    # n = 2, seeded slices of 500 at p = 5, n = 2 and p = 3, n = 3; a cubic
+    # is bent exactly when its certificate is complete, and the weakly
+    # regular ones have no sound violation in the battery; `found` counts
+    # (bent, weakly regular)
+    ctx = get_field(p, n)
+    monomials = [sum(e * p ** i for i, e in enumerate(exps))
+                 for exps in itertools.product(range(p), repeat=n) if sum(exps) in (2, 3)]
+    if seed is None:
+        codes = itertools.product(range(p), repeat=len(monomials))
+    else:
+        rng = random.Random(seed)
+        codes = ([rng.randrange(p) for _ in monomials] for _ in range(500))
+    bent = weakly_regular = 0
+    for code in codes:
+        coeffs = [0] * ctx.q
+        for m, c in zip(monomials, code):
+            coeffs[m] = c
+        f = anf_to_truth(ANF(ctx, coeffs))
+        cert = cubic_like_certificate(f)
+        assert is_bent(walsh_fast(f)) == cert.complete, code
+        bent += cert.complete
+        if cert.complete and classify(f).variant in (walsh.REGULAR, walsh.WEAKLY_REGULAR):
+            weakly_regular += 1
+            assert wr_identity_check(f, certificate=cert).sound_clean, code
+    assert (bent, weakly_regular) == found
+
+
 def test_derivative_linear_space():
     lin = TraceForm(F9, [(F9.gen_power(3), 1)]).truth_table()
     assert len(derivative_linear_space(lin)) == 9
@@ -490,7 +521,7 @@ def test_phase_difference_matches_product_sums(p, n):
     exps = [rng.randrange(p) for _ in range(q)]
     w = [form[s, j] for s, j in zip(signs, exps)]
     codes = [(2 * j + p * (s < 0)) % (2 * p) for s, j in zip(signs, exps)]
-    powers = derivanalysis._signed_powers(p)
+    powers = signed_powers(p)
     local = [Zw.omega_pow(p, v).coords for v in (rng.randrange(p) for _ in range(q))]
     scaled = [tuple(q * v for v in x) for x in local]
     local_sums = inverse_sums(ctx, local)

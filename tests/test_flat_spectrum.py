@@ -91,7 +91,7 @@ def test_coordinate_arithmetic_matches_cycint(p):
     # the oracle (`ring_oracle`) reduces by Phi_p; `pbent.cyclo` folds
     # exponents mod p, so neither checks the other against itself
     rng = random.Random(p)
-    assert gauss_sum(p).coords == gauss(p).coords
+    assert gauss_sum(p) == gauss(p).coords
     for _ in range(100):
         x = Zw(p, [rng.randrange(-7, 8) for _ in range(p - 1)])
         y = Zw(p, [rng.randrange(-7, 8) for _ in range(p - 1)])

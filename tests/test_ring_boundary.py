@@ -1,9 +1,10 @@
 """Z[w] arithmetic in src/pbent runs through the coordinate functions of
 `pbent.cyclo` alone.
 
-`CycInt` is a plain value type: the one-point functions (`single_walsh_value`,
-`trinomial_closed_form_walsh`, `second_derivative_triple_sum`, `gauss_sum`)
-return it, and it defines no arithmetic of its own.  The scan parses
+`CycInt` is a plain value type: only the one-point functions
+`single_walsh_value` and `trinomial_closed_form_walsh` return it
+(`gauss_sum` and `second_derivative_triple_sum` return coordinate tuples),
+and it defines no arithmetic of its own.  The scan parses
 src/pbent/*.py with `ast`, as `test_callers.py` does; `__init__.py` is
 excluded, since a re-export is not a use.
 """
