@@ -9,10 +9,11 @@ built, so an over-budget request is refused before any primality test,
 modulus search or table.  A field read from a function spec, and a
 trinomial's field, is also held to the exp/log table cap 3^12, since its
 functions are evaluated through those tables; concat's combined field is
-held to --max-points alone.  The integer options are read by the spec
-grammars' `gf.parse_int` (ASCII -?[0-9]+).  Errors print a machine-readable
-object on stderr and exit with a distinct code per failure kind: 2 parse,
-3 precondition, 4 budget, 5 internal inconsistency.
+held to --max-points alone.  add-quadratic's derivative condition reads
+q^2 points, so q^2 is held to --max-points too.  The integer options are
+read by the spec grammars' `gf.parse_int` (ASCII -?[0-9]+).  Errors print
+a machine-readable object on stderr and exit with a distinct code per
+failure kind: 2 parse, 3 precondition, 4 budget, 5 internal inconsistency.
 """
 
 from __future__ import annotations
@@ -195,6 +196,10 @@ def cmd_construct_concat(args) -> int:
 
 def cmd_construct_add_quadratic(args) -> int:
     ctx, tf = parse_function_spec(args.f, args.max_points)
+    if ctx.q * ctx.q > args.max_points:  # the condition reads q derivatives of q points
+        raise BudgetError("add-quadratic's derivative condition reads q^2 = %d points, over "
+                          "the spectrum budget %d (raise it with --max-points)"
+                          % (ctx.q * ctx.q, args.max_points))
     f = tf.truth_table()
     coeff_tokens = args.coeffs.split(",")
     if len(coeff_tokens) != ctx.n:

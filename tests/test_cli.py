@@ -177,6 +177,21 @@ def test_construct_concat_and_add_quadratic(tmp_path):
     assert out2["analysis"]["bent"] is True
 
 
+def test_add_quadratic_condition_is_held_to_the_budget(capsys):
+    # the derivative condition reads q^2 points: 3^8 for p = 3, n = 4
+    import pbent.cli
+    argv = ["construct", "add-quadratic", "--f", "p=3 n=4 f=Tr(x^2)", "--coeffs", "1,0,0,0"]
+    assert pbent.cli.main(["--max-points", str(3 ** 8 - 1)] + argv) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"] == {
+        "kind": "budget_error",
+        "message": "add-quadratic's derivative condition reads q^2 = 6561 points, over "
+                   "the spectrum budget 6560 (raise it with --max-points)"}
+    assert pbent.cli.main(["--max-points", str(3 ** 8)] + argv) == 0
+    assert json.loads(capsys.readouterr().out)["condition_holds"] is True
+
+
 def test_concat_without_pi_runs_plain_concatenation(tmp_path):
     slices = tmp_path / "slices.txt"
     slices.write_text("\n".join(["p=3 n=1 f=Tr(x^2)"] * 3) + "\n")
