@@ -54,9 +54,9 @@ for n in (1, 2, 3):
     g, verdict = pb.add_quadratic(base, found)
     print("   Tr(x^2) + q:", verdict)
 
-# the condition is exact, W_{D_c f}(-L(c)) = 0 for every c != 0: a
-# never-vanishing q can still cancel the base function outright, and the
-# condition fails there as the spectral verdict does
+# the verdict is g's spectrum, which the paper's criterion W_{D_c f}(-L(c)) = 0
+# for every c != 0 matches: a never-vanishing q can still cancel the base
+# function outright, and g is not bent there
 f1 = pb.PFunction(F3, [0, 1, 1])
 g, verdict = pb.add_quadratic(f1, [F3.scalar(2)])
-print("\nx^2 + 2x^2:", verdict, "(condition false, sum is the zero function)")
+print("\nx^2 + 2x^2:", verdict, "(not bent, sum is the zero function)")

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -173,23 +174,49 @@ def test_construct_concat_and_add_quadratic(tmp_path):
     res2 = run_cli("construct", "add-quadratic", "--f", "p=3 n=1 f=Tr(x^2)",
                    "--coeffs", "1", "--analyze")
     out2 = json.loads(res2.stdout)
-    assert out2["condition_holds"] is True and out2["spectrally_bent"] is True
+    assert list(out2) == ["construction", "p", "n", "spectrally_bent", "analysis"]
+    assert out2["spectrally_bent"] is True
     assert out2["analysis"]["bent"] is True
 
 
-def test_add_quadratic_condition_is_held_to_the_budget(capsys):
-    # the derivative condition reads q^2 points: 3^8 for p = 3, n = 4
+def test_add_quadratic_is_held_to_the_field_size_check_alone(capsys):
+    # the verdict is one transform of q points, so the field's size check is
+    # the only budget: n = 7 passes the default cap and exits 0
     import pbent.cli
-    argv = ["construct", "add-quadratic", "--f", "p=3 n=4 f=Tr(x^2)", "--coeffs", "1,0,0,0"]
-    assert pbent.cli.main(["--max-points", str(3 ** 8 - 1)] + argv) == 4
+    argv = ["construct", "add-quadratic", "--f", "p=3 n=7 f=Tr(x^2)",
+            "--coeffs", "1,0,0,0,0,0,0"]
+    assert pbent.cli.main(argv) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out) == {"construction": "add_quadratic", "p": 3, "n": 7,
+                               "spectrally_bent": True}
+    assert pbent.cli.main(["--max-points", str(3 ** 7 - 1)] + argv) == 4
     out, err = capsys.readouterr()
     assert out == ""
     assert json.loads(err)["error"] == {
         "kind": "budget_error",
-        "message": "add-quadratic's derivative condition reads q^2 = 6561 points, over "
-                   "the spectrum budget 6560 (raise it with --max-points)"}
-    assert pbent.cli.main(["--max-points", str(3 ** 8)] + argv) == 0
-    assert json.loads(capsys.readouterr().out)["condition_holds"] is True
+        "message": "field size 3^7 exceeds the spectrum budget 2186 (raise it with --max-points)"}
+
+
+def test_add_quadratic_checks_its_coefficients_before_building_tables(monkeypatch, capsys):
+    # a wrong count or a bad token is refused before f's tables and truth
+    # table, under the default budget and one raised over the table cap
+    import pbent.cli
+    import pbent.gf
+
+    def never(self):
+        raise AssertionError("field tables built before --coeffs was checked")
+
+    monkeypatch.setattr(pbent.gf.FieldCtx, "_build_tables", never)
+    for budget, (coeffs, message) in itertools.product((3 ** 12, 3 ** 24), (
+            ("1,0,0", "need exactly n=12 quadratic coefficients"),
+            ("1" + ",0" * 10 + ",x", "coefficient 'x' is neither an integer nor g^<integer>"))):
+        argv = ["--max-points", str(budget), "construct", "add-quadratic",
+                "--f", "p=3 n=12 f=Tr(x^2)", "--coeffs", coeffs]
+        assert pbent.cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert json.loads(err)["error"] == {"kind": "parse_error", "message": message}
 
 
 def test_concat_without_pi_runs_plain_concatenation(tmp_path):

@@ -14,8 +14,8 @@ from pbent.errors import PreconditionError
 from pbent.funcrep import (ANF, PFunction, TraceForm, anf_to_truth,
                            to_relative_trace_form)
 from pbent.gf import get_field
-from pbent.walsh import (classify, extract_certificate, is_bent, walsh_fast,
-                         walsh_naive, NON_WEAKLY_REGULAR, REGULAR,
+from pbent.walsh import (bent_via_derivatives, classify, extract_certificate, is_bent,
+                         walsh_fast, walsh_naive, NON_WEAKLY_REGULAR, REGULAR,
                          WEAKLY_REGULAR)
 
 F3 = get_field(3, 1)
@@ -450,13 +450,13 @@ def test_bent_concatenation_of_distinct_slices_matches_its_index_formulas():
 def test_add_quadratic_zero_q():
     f = quad(F9)
     g, rep = add_quadratic(f, [F9.zero(), F9.zero()])
-    assert g == f and rep["condition_holds"] and rep["spectrally_bent"]
+    assert g == f and rep == {"spectrally_bent": True}
 
 
 def test_add_quadratic_n1_example():
     f = PFunction(F3, [0, 1, 1])
     g, rep = add_quadratic(f, [F3.one()])
-    assert rep["condition_holds"] and rep["spectrally_bent"]
+    assert rep == {"spectrally_bent": True}
     assert g.values == [0, 2, 2]
 
 
@@ -473,16 +473,46 @@ def test_add_quadratic_condition_is_exact_on_a_cancelling_quadratic():
     # does not hold
     f = PFunction(F3, [0, 1, 1])
     g, rep = add_quadratic(f, [F3.scalar(2)])
-    assert rep["condition_holds"] is False
+    assert bent_via_derivatives(g) is False
     assert rep["spectrally_bent"] is False
     assert g.values == [0, 0, 0]
 
 
+def test_add_quadratic_checks_the_coefficient_count_before_classifying(monkeypatch):
+    import pbent.constructions
+
+    def never(f):
+        raise AssertionError("f classified before the coefficient count was checked")
+
+    monkeypatch.setattr(pbent.constructions, "classify", never)
+    with pytest.raises(PreconditionError, match="need n quadratic coefficients"):
+        add_quadratic(quad(F9), [F9.one()])
+
+
+def test_add_quadratic_reads_no_derivative(monkeypatch):
+    # the verdict is g's spectrum: no D_c g is built
+    def never(self, c):
+        raise AssertionError("derivative built")
+
+    monkeypatch.setattr(PFunction, "derivative", never)
+    ctx = get_field(3, 4)
+    g, rep = add_quadratic(quad(ctx), [ctx.one()] + [ctx.zero()] * 3)
+    assert rep == {"spectrally_bent": True}
+    assert g == TraceForm(ctx, [(ctx.scalar(2), 2)]).truth_table()
+
+
 @pytest.mark.parametrize("p, n", [(3, 1), (3, 2), (3, 3), (3, 4), (5, 1), (5, 2)])
 def test_add_quadratic_condition_matches_the_spectral_verdict(p, n):
-    # seeded weakly regular f (a bent quadratic plus a linear term) and
-    # pure quadratics q, some coefficients zero: g = f + q is bent exactly
-    # when W_{D_c f}(-L(c)) = 0 for every c != 0
+    """The paper's criterion against the spectral verdict, on seeded weakly
+    regular f (a bent quadratic plus a linear term) and pure quadratics q,
+    some coefficients zero.
+
+    D_c g(x) = D_c f(x) + Tr(L(c) x) + q(c), with L(c) = sum_j ((a_j c)^(p^(n-j))
+    + a_j c^(p^j)), gives W_{D_c g}(0) = w^q(c) W_{D_c f}(-L(c)).  So every
+    D_c g with c != 0 is balanced (`bent_via_derivatives(g)`) exactly when
+    W_{D_c f}(-L(c)) = 0 for every c != 0, and g = f + q is bent exactly
+    then.
+    """
     ctx = get_field(p, n)
     rng = random.Random(10 * p + n)
 
@@ -497,7 +527,7 @@ def test_add_quadratic_condition_matches_the_spectral_verdict(p, n):
         if classify(f).variant not in (REGULAR, WEAKLY_REGULAR):
             continue
         g, rep = add_quadratic(f, coeffs())
-        assert rep["condition_holds"] == rep["spectrally_bent"] == is_bent(walsh_fast(g))
+        assert bent_via_derivatives(g) == rep["spectrally_bent"] == is_bent(walsh_fast(g))
         verdicts.append(rep["spectrally_bent"])
     assert True in verdicts and False in verdicts
 
