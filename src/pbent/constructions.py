@@ -32,7 +32,7 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .cyclo import CycInt
+from .cyclo import CycInt, bent_code, unit_power_forms
 from .errors import PreconditionError, InternalInconsistency
 from .funcrep import PFunction, TraceForm
 from .gf import FFElem, FieldCtx, get_field
@@ -233,13 +233,13 @@ def trinomial_closed_form_walsh(params: TrinomialParams, y: FFElem,
     s_j = 1 if params.j == 0 else -1
     # y = y_3 a^3 + y_2 a^2 + y_1 a + y_0
     y0, y3, y2, y1 = (ctx.rel_trace(ctx.power(a, i) * y, k) for i in range(4))
-    scale = 3 ** (2 * k)
+    forms = unit_power_forms(3, ctx.n)[0]  # 3^(2k) z^c by code c
 
     def tr(z):  # z is built from y_0..y_3 and B, all in F_3^k
         return ctx.trace(u * z)
 
     def value(sign, e):  # sign * 3^(2k) * w^e
-        return CycInt.from_exponent_counts(3, [sign * scale * (i == e % 3) for i in range(3)])
+        return CycInt(3, forms[bent_code(3, sign, e)])
 
     if y0.is_zero():
         e = tr(((y1 + y3) * (y1 + y3) + (y1 + y2) * (y1 + y2)) * B.scale(s_j))

@@ -7,9 +7,12 @@ and zero has all-zero coordinates.  No floating point anywhere: bentness
 and sign classifications are certificates, not approximations.  The ring's
 arithmetic is the functions on bare coordinate tuples (`coords_from_counts`,
 `mul_coords`, `conj_coords`, `norm_coords`), and the powers of w are read
-from one table, `signed_powers` (s w^j is entry 2j + p[s < 0] mod 2p).
-`CycInt` is a plain value, a tuple with its p, that only the one-point
-functions `single_walsh_value` and `trinomial_closed_form_walsh` return.
+from one table, `signed_powers`: z^k for k < 2p, z = -w^((p+1)/2).  A bent
+Walsh value is U p^(n/2) z^k with U a fixed unit, and its code k is the one
+encoding of it (`unit_power_forms`, `bent_code`: s w^j is k = 2j + p[s < 0]
+mod 2p).  `CycInt` is a plain value, a tuple with its p, that only the
+one-point functions `single_walsh_value` and `trinomial_closed_form_walsh`
+return.
 
 The quadratic Gauss sum g = sum_{x in F_p} w^(x^2) realizes sqrt(p) inside
 the ring (g * conj(g) = p, g^2 = (-1)^((p-1)/2) * p), which is how values
@@ -129,24 +132,25 @@ def gauss_sum(p: int) -> tuple:
 
 
 @lru_cache(maxsize=32)
-def unit_power_forms(p: int, n: int) -> dict:
-    """The 2p bent-coefficient normal forms, coordinates -> (s, j).
+def unit_power_forms(p: int, n: int) -> tuple[list, dict]:
+    """The 2p bent values U p^(n/2) z^k, z^k = `signed_powers(p)[k]`, as a
+    list indexed by their code k < 2p, and the dict from value back to k.
 
-    For even n the forms are s * p^(n/2) * w^j; for odd n they are
-    s * p^((n-1)/2) * g * w^j with g the Gauss sum, i.e. exactly the x with
-    x * conj(g) = s * p^((n+1)/2) * w^j, which absorbs the imaginary unit
-    occurring when p = 3 mod 4.  The forms are pairwise distinct for odd p,
-    so a dictionary lookup recognizes a coordinate tuple exactly.
+    For even n, U p^(n/2) = p^(n/2); for odd n it is p^((n-1)/2) g with g
+    the Gauss sum, which absorbs the imaginary unit occurring when p = 3 mod
+    4.  The values are pairwise distinct for odd p, so a dictionary lookup
+    recognizes a coordinate tuple exactly.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     unit = gauss_sum(p) if n % 2 else (1,) + (0,) * (p - 2)
-    forms = {}
-    for j, omega in enumerate(signed_powers(p)[::2]):
-        base = mul_coords(unit, omega, p)
-        for s in (1, -1):
-            forms[tuple([s * p ** (n // 2) * v for v in base])] = (s, j)
-    return forms
+    forms = [tuple([p ** (n // 2) * v for v in mul_coords(unit, z, p)]) for z in signed_powers(p)]
+    return forms, {c: k for k, c in enumerate(forms)}
+
+
+def bent_code(p: int, s: int, j: int) -> int:
+    """The code k of s w^j, s = +-1: k is odd exactly when s = -1."""
+    return (2 * j + p * (s < 0)) % (2 * p)
 
 
 def unit_class(p: int, n: int) -> str:

@@ -371,13 +371,11 @@ def wr_identity_check(f: PFunction, seed: int = 0,
     if not is_bent(s):
         raise PreconditionError("wr_identity_check requires a bent function")
     s_dual = walsh_fast(extract_certificate(s).dual)
-    cert = extract_certificate(s_dual) if s_dual.bent else None
-    codes = cert and [(2 * j + p * (sign < 0)) % (2 * p)
-                       for sign, j in zip(cert.signs, cert.dual.values)]
+    codes = s_dual.codes  # None when the dual is not bent
     powers = signed_powers(p)
-    divisor = 1 if cert else q  # the product side carries the factor p^n
+    divisor = 1 if codes else q  # the product side carries the factor p^n
     # divisor * w^j; for a bent dual as z^(2j) = w^j, so that equal sides hold the same tuples
-    rhs_powers = powers[::2] if cert else [tuple([q * v for v in x]) for x in powers[::2]]
+    rhs_powers = powers[::2] if codes else [tuple([q * v for v in x]) for x in powers[::2]]
 
     # a sample never repeats a pair, so a field with fewer pairs is walked whole
     exhaustive = q * q <= SAMPLED_PAIRS

@@ -66,11 +66,10 @@ class PFunction:
 
     def __init__(self, ctx: FieldCtx, values) -> None:
         self.ctx = ctx
-        values = list(values)
-        if len(values) != ctx.q:
-            raise ValueError("truth table must have p^n entries")
         p = ctx.p
         self.values = [v % p for v in values]
+        if len(self.values) != ctx.q:
+            raise ValueError("truth table must have p^n entries")
         self._degree = None
         self._spectrum = None
 
@@ -335,10 +334,9 @@ class ANF:
 
     def __init__(self, ctx: FieldCtx, coeffs) -> None:
         self.ctx = ctx
-        coeffs = list(coeffs)
-        if len(coeffs) != ctx.q:
-            raise ValueError("ANF needs p^n coefficients")
         self.coeffs = [c % ctx.p for c in coeffs]
+        if len(self.coeffs) != ctx.q:
+            raise ValueError("ANF needs p^n coefficients")
 
     def degree(self) -> int:
         """The largest p-weight at a nonzero coefficient.  Index h*m + l, with

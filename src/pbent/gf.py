@@ -534,12 +534,15 @@ _FIELD_CACHE: dict = {}
 
 def get_field(p: int, n: int, modulus=None) -> FieldCtx:
     """Cached field constructor; modulus None selects the pinned default.
-    The key reduces the modulus mod p, so p is checked first."""
+    The key reduces the modulus mod p, so p is checked first.  A context is
+    also filed under its realized modulus, so that a spelled-out default
+    modulus gives the same context."""
     if not is_prime(p):
         raise FieldError("p must be prime, got %d" % p)
     key = (p, n, tuple(c % p for c in modulus) if modulus is not None else None)
     if key not in _FIELD_CACHE:
-        _FIELD_CACHE[key] = FieldCtx(p, n, modulus)
+        ctx = FieldCtx(p, n, modulus)
+        _FIELD_CACHE[key] = _FIELD_CACHE.setdefault((p, n, ctx.modulus), ctx)
     return _FIELD_CACHE[key]
 
 

@@ -13,7 +13,7 @@ from .constructions import (TrinomialParams, linearized_second_derivative_coeff,
                             mm_special_form, trinomial_bent,
                             trinomial_closed_form_walsh,
                             trinomial_first_derivative_form)
-from .cyclo import conj_coords, gauss_sum, mul_coords, signed_powers, unit_power_forms
+from .cyclo import bent_code, conj_coords, gauss_sum, mul_coords, signed_powers, unit_power_forms
 from .derivanalysis import (_trilinear_form, _trilinear_slice,
                             cubic_like_certificate, derivative_linear_space,
                             quadratic_balance_witness, wr_identity_check)
@@ -142,7 +142,7 @@ def check_cyclotomic_ring(seed, level):
                 base = mul_coords(unit, omega, p)
                 for sign in (1, -1):
                     v = tuple([sign * p ** (n // 2) * c for c in base])
-                    if unit_power_forms(p, n).get(v) != (sign, j):
+                    if unit_power_forms(p, n)[1].get(v) != bent_code(p, sign, j):
                         return False, "recognition round trip failed"
     return True, "conjugation, gauss sums, recognition round trips"
 

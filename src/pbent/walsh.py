@@ -22,21 +22,19 @@ needs no passes: `walsh_quadratic` reads its spectrum, a quadratic Gauss
 sum, from its Hessian in closed form.
 
 Both paths produce flat coordinate tuples in Z[w] ((a, b) = a + b*w for
-p = 3, p - 1 integers otherwise), and a WalshSpectrum stores exactly those.
-Its constructor makes one pass over the points that computes each norm
-|W(y)|^2 as an integer expression on the coordinates (for p = 3 as
-|W(y)|^2 - p^n, zero at every bent point; for p >= 5 only at the nonzero
-points, whose norms alone can be nonzero, and read as p^n for a point in
-bent normal form); from that pass it checks Parseval (sum_y |W(y)|^2 =
-p^(2n), exactly) and sets the bent flag, so a constructed WalshSpectrum is
-already a certificate of internal consistency, and `is_bent` only reads the
-flag.  The bent certificate is recognized on coordinates
-(`cyclo.unit_power_forms`) once per spectrum and cached.  In odd
-characteristic it is the whole spectrum, W(y) = s(y) U p^(n/2) w^(j(y)),
-so a certified spectrum is held by its certificate: it drops its tuples,
-and `coords` rebuilds them from (s, j) on the next read; `coords` is the
-only view of a spectrum.  `walsh_fast` memoizes the spectrum on f, so a
-command transforms f once; `walsh_naive` never reads it.
+p = 3, p - 1 integers otherwise).  A WalshSpectrum's constructor looks
+each one up in the code dict of `cyclo.unit_power_forms`, in one C-level
+pass: f is bent exactly when every W(y) is U p^(n/2) z^k for a code k < 2p,
+and then the spectrum keeps its codes and drops its tuples (Parseval holds
+by construction: q points of norm p^n sum to p^(2n)).  `BentCertificate`
+(signs, dual, unit kind) reads those codes, and `coords` rebuilds the
+tuples from them.  Any other spectrum keeps its tuples, and one pass
+computes each |W(y)|^2 as an integer expression on them (for p = 3 as
+|W(y)|^2 - p^n; for p >= 5 at the nonzero points only) to check Parseval
+exactly, and that not every norm is p^n.  So a constructed WalshSpectrum is
+a certificate of internal consistency, and `is_bent` only reads its flag.
+`coords` is the only view of a spectrum.  `walsh_fast` memoizes the
+spectrum on f, so a command transforms f once; `walsh_naive` never reads it.
 """
 
 from __future__ import annotations
@@ -58,49 +56,49 @@ NON_WEAKLY_REGULAR = "non_weakly_regular"
 
 
 class WalshSpectrum:
-    """Full map y -> W_f(y) as exact coordinate tuples in Z[w].
+    """Full map y -> W_f(y) in Z[w].  A bent spectrum (`bent`, set at
+    construction) holds the code k of each value, W(y) = U p^(n/2) z^k
+    (`cyclo.unit_power_forms`), and no coordinate tuples; any other
+    spectrum holds its tuples."""
 
-    `bent` is set by the construction-time norm pass.  A certified spectrum
-    is held by its certificate (`extract_certificate`), which rebuilds
-    `coords`.
-    """
-
-    __slots__ = ("ctx", "_coords", "provenance", "bent", "_certificate")
+    __slots__ = ("ctx", "_coords", "codes", "provenance", "bent", "_certificate")
 
     def __init__(self, ctx: FieldCtx, coords: list, provenance: str) -> None:
         p, q = ctx.p, ctx.q
         if len(coords) != q:
             raise ValueError("spectrum must have p^n values")
         self.ctx = ctx
-        self._coords = coords
         self.provenance = provenance
         self._certificate = None
+        index = unit_power_forms(p, ctx.n)[1]
+        try:  # q points of norm p^n: Parseval holds by construction
+            self.codes, self._coords = list(map(index.__getitem__, coords)), None
+        except KeyError:
+            self.codes, self._coords = None, coords
+        self.bent = self.codes is not None
+        if self.bent:
+            return
         if p == 3:
-            # |W(y)|^2 - p^n: the cached int 0 at every bent point, not q
-            # distinct ints equal to p^n
+            # |W(y)|^2 - p^n: the cached int 0 at every flat point
             devs = [a * a - a * b + b * b - q for a, b in coords]
-            parseval = sum(devs) == 0
-            self.bent = not any(devs)
+            parseval, flat = sum(devs) == 0, not any(devs)
         else:
             pad = (0,) * ((p - 3) // 2)
-            bent = (q,) + pad
-            forms = unit_power_forms(p, ctx.n)  # norm p^n by construction
-            norms = [bent if c in forms else norm_coords(c, p)
-                     for c in filter(any, coords)]  # |0|^2 = 0
+            norms = [norm_coords(c, p) for c in filter(any, coords)]  # |0|^2 = 0
             parseval = tuple(map(sum, zip(*norms))) == (q * q,) + pad
-            self.bent = norms.count(bent) == q
+            flat = norms.count((q,) + pad) == q
         if not parseval:
             raise InternalInconsistency("Parseval failed: sum |W|^2 != p^(2n)")
+        if flat:  # every norm p^n, yet a value without a code
+            raise InternalInconsistency("bent coefficient without unit*power form")
 
     @property
     def coords(self) -> list:
-        """The spectrum as coordinate tuples.  A certified spectrum is held
-        by its certificate; its first read rebuilds s(y) U p^(n/2) w^(j(y))
-        through the inverse of `unit_power_forms` and keeps it."""
+        """The spectrum as coordinate tuples; a bent spectrum's first read
+        rebuilds them from its codes and keeps them."""
         if self._coords is None:
-            cert, ctx = self._certificate, self.ctx
-            form = {sj: c for c, sj in unit_power_forms(ctx.p, ctx.n).items()}
-            self._coords = list(map(form.__getitem__, zip(cert.signs, cert.dual.values)))
+            forms = unit_power_forms(self.ctx.p, self.ctx.n)[0]
+            self._coords = list(map(forms.__getitem__, self.codes))
         return self._coords
 
     def __repr__(self) -> str:
@@ -239,47 +237,44 @@ def is_bent(s: WalshSpectrum) -> bool:
 
 
 class BentCertificate:
-    """Per-point decomposition W(y) = sign(y) * unit * p^(n/2) * w^(dual(y)).
+    """Per-point decomposition W(y) = sign(y) * unit * p^(n/2) * w^(dual(y)),
+    read from the spectrum's codes k (its own list, not a copy): the sign is
+    -1 where k is odd, and dual(y) = k (p+1)/2 mod p.
 
     unit_kind is 'real' (unit = 1) or 'imaginary' (unit = i, realized through
     the Gauss sum: the unit times p^(n/2) is p^((n-1)/2) times the Gauss sum
     of F_p, as in `cyclo.unit_power_forms`).
     """
 
-    __slots__ = ("ctx", "dual", "signs", "unit_kind")
+    __slots__ = ("ctx", "codes", "dual", "unit_kind")
 
-    def __init__(self, ctx: FieldCtx, dual: PFunction, signs: list[int], unit_kind: str) -> None:
+    def __init__(self, ctx: FieldCtx, codes: list) -> None:
+        p = ctx.p
         self.ctx = ctx
-        self.dual = dual
-        self.signs = signs
-        self.unit_kind = unit_kind
+        self.codes = codes
+        duals = [k * (p + 1) // 2 % p for k in range(2 * p)]  # j of z^k = +-w^j
+        self.dual = PFunction(ctx, map(duals.__getitem__, codes))
+        self.unit_kind = unit_class(p, ctx.n)
+
+    @property
+    def signs(self) -> list[int]:
+        return [1 - 2 * (k & 1) for k in self.codes]
 
     def sign_histogram(self) -> dict[str, int]:
-        plus = sum(1 for s in self.signs if s > 0)
-        return {"plus": plus, "minus": len(self.signs) - plus}
+        minus = sum(k & 1 for k in self.codes)
+        return {"plus": len(self.codes) - minus, "minus": minus}
 
     def is_constant_sign(self) -> bool:
-        return len(set(self.signs)) == 1
+        return len({k & 1 for k in self.codes}) == 1
 
 
 def extract_certificate(s: WalshSpectrum) -> BentCertificate:
-    """Decompose a bent spectrum into (dual, signs, unit kind); computed
-    once per spectrum and cached on it.  The spectrum is then held by its
-    certificate: it releases its coordinate tuples, which `coords` rebuilds
-    on demand."""
+    """The certificate (dual, signs, unit kind) of a bent spectrum, read
+    from its codes; built once per spectrum and cached on it."""
     if s._certificate is None:
-        ctx = s.ctx
         if not s.bent:
             raise PreconditionError("extract_certificate requires a bent spectrum")
-        forms = unit_power_forms(ctx.p, ctx.n)
-        recs = [forms.get(c) for c in s.coords]
-        if None in recs:
-            raise InternalInconsistency(
-                "bent coefficient without unit*power form at index %d" % recs.index(None))
-        signs = [r[0] for r in recs]
-        dual = PFunction(ctx, [r[1] for r in recs])
-        s._certificate = BentCertificate(ctx, dual, signs, unit_class(ctx.p, ctx.n))
-        s._coords = None  # held by the certificate from here on
+        s._certificate = BentCertificate(s.ctx, s.codes)
     return s._certificate
 
 
@@ -327,7 +322,7 @@ def classify(f: PFunction) -> Classification:
         return Classification(NOT_BENT)
     cert = extract_certificate(s)
     if cert.is_constant_sign():
-        sign = cert.signs[0]
+        sign = 1 - 2 * (cert.codes[0] & 1)
         if sign == 1 and cert.unit_kind == "real":
             return Classification(REGULAR, sign=1, dual_bent=True)
         return Classification(WEAKLY_REGULAR, sign=sign, dual_bent=True)

@@ -42,8 +42,9 @@ def rand_f(ctx, rng):
 
 
 def dual_value(w, p, n):
-    """The dual value j of a bent coefficient s * unit * p^(n/2) * w^j."""
-    return unit_power_forms(p, n)[w.coords][1]
+    """The dual value j of a bent coefficient s * unit * p^(n/2) * w^j,
+    read from its code k: j = k (p+1)/2 mod p."""
+    return unit_power_forms(p, n)[1][w.coords] * (p + 1) // 2 % p
 
 
 def trinomial_dual(params, ctx):
@@ -141,7 +142,7 @@ def test_06_closed_forms_match_spectrum():
             for idx in range(81):
                 got = pb.trinomial_closed_form_walsh(params, ctx.from_index(idx), ctx)
                 assert got.coords == spec.coords[ctx.neg_table[idx]]
-                signs.add(unit_power_forms(3, 4)[got.coords][0])
+                signs.add((-1) ** unit_power_forms(3, 4)[1][got.coords])  # k odd: -1
             assert signs == {1, -1}
 
 

@@ -229,6 +229,17 @@ def test_concat_without_pi_runs_plain_concatenation(tmp_path):
     assert out["report"]["applicable"] is True
 
 
+def test_concat_slices_may_spell_out_the_default_modulus(tmp_path):
+    # x + 1 is F_3's default modulus, so the three slices share one field
+    slices = tmp_path / "slices.txt"
+    slices.write_text("p=3 n=1 f=Tr(x^2)\np=3 n=1 mod=[1,1] f=Tr(x^2)\np=3 n=1 f=Tr(x^2)\n")
+    res = run_cli("construct", "concat", "--slices", str(slices))
+    assert res.returncode == 0, res.stderr
+    plain = tmp_path / "plain.txt"
+    plain.write_text("p=3 n=1 f=Tr(x^2)\n" * 3)
+    assert res.stdout == run_cli("construct", "concat", "--slices", str(plain)).stdout
+
+
 def _json_error(res, code, kind):
     assert res.returncode == code
     assert res.stdout == ""

@@ -270,10 +270,10 @@ def test_mm_special_form_bent_and_dual():
                                       + y1 * t1 + y2 * t2)
                                 counts[(f.values[(y2 * 3 + y1) * 3 + x] - tr) % 3] += 1
                     w = CycInt.from_exponent_counts(3, counts)
-                    rec = unit_power_forms(3, 3).get(w.coords)
-                    assert rec is not None
+                    code = unit_power_forms(3, 3)[1].get(w.coords)
+                    assert code is not None
                     combined_idx = s_idx + 3 * (t1 + 3 * t2)
-                    assert rec[1] == dual.values[combined_idx]
+                    assert code * 2 % 3 == dual.values[combined_idx]  # j = 2k mod 3
 
 
 def test_mm_special_form_validation():
@@ -320,8 +320,8 @@ def test_bent_concatenation_valid_family():
     for s_idx in range(3):
         for t_idx in range(3):
             w = _product_pairing_walsh(f, inner, outer, s_idx, t_idx)
-            rec = unit_power_forms(3, 2).get(w.coords)
-            assert rec is not None and rec[1] == dual.values[t_idx * 3 + s_idx]
+            code = unit_power_forms(3, 2)[1].get(w.coords)
+            assert code is not None and code * 2 % 3 == dual.values[t_idx * 3 + s_idx]
 
 
 def test_bent_concatenation_identical_slices_not_bent():

@@ -1,16 +1,21 @@
+import itertools
+import math
 import random
 
 import pytest
 
-from pbent.cyclo import (CycInt, conj_coords, coords_from_counts, gauss_sum, mul_coords,
-                         unit_class, unit_power_forms)
+from pbent.cyclo import (CycInt, bent_code, conj_coords, coords_from_counts, gauss_sum,
+                         mul_coords, unit_class, unit_power_forms)
 from ring_oracle import Zw, bent_value
 
 W = Zw.omega_pow
 
 
 def recognize(x, p, n):
-    return unit_power_forms(p, n).get(x.coords)
+    """(s, j) of x = s U p^(n/2) w^j, read from its code k (s = -1 exactly
+    when k is odd, j = k (p+1)/2 mod p), or None for any other x."""
+    k = unit_power_forms(p, n)[1].get(x.coords)
+    return None if k is None else ((-1) ** k, k * (p + 1) // 2 % p)
 
 
 def zero(p):
@@ -130,3 +135,56 @@ def test_real_detection():
     x = (W(5, 1) + W(5, 4)).coords
     assert conj_coords(x, 5) == x and any(x[1:])
     assert conj_coords(W(5, 1).coords, 5) != W(5, 1).coords
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_bent_codes_round_trip_through_the_list_and_the_dict(p):
+    # code k is z^k times U p^(n/2): odd k is the sign -1, and k (p+1)/2
+    # mod p the exponent j, each value checked against the ring oracle
+    for n in (1, 2, 3, 4):
+        forms, index = unit_power_forms(p, n)
+        assert len(forms) == len(index) == 2 * p
+        for k, v in enumerate(forms):
+            assert index[v] == k
+            sign, j = (-1 if k % 2 else 1), k * (p + 1) // 2 % p
+            assert bent_code(p, sign, j) == k
+            assert v == bent_value(p, n, sign, j).coords
+
+
+def _recognized_iff_norm(p, n, tuples):
+    """Each tuple is in the code dict exactly when its oracle norm is p^n;
+    the counts of (recognized, not) are returned."""
+    index = unit_power_forms(p, n)[1]
+    target = Zw.integer(p, p ** n)
+    seen = [0, 0]
+    for t in tuples:
+        bent = Zw(p, t).norm_sq() == target
+        assert (t in index) is bent, (p, n, t)
+        seen[bent] += 1
+    return seen
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_recognition_holds_exactly_at_norm_p_to_the_n_p3(n):
+    bound = math.isqrt(3 ** n) + 2  # floor(3^(n/2)) + 2
+    box = itertools.product(range(-bound, bound + 1), repeat=2)
+    not_bent, bent = _recognized_iff_norm(3, n, box)
+    assert bent == 6 and not_bent > 0
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_recognition_holds_exactly_at_norm_p_to_the_n_near_the_forms(p):
+    # 2,000 seeded tuples: a bent value with 0-2 coordinates moved by up to
+    # 2, so about a fifth of them are bent values themselves
+    rng = random.Random(p)
+    seen = [0, 0]
+    for n in (1, 2, 3, 4):
+        forms = unit_power_forms(p, n)[0]
+        tuples = []
+        for _ in range(500):
+            t = list(rng.choice(forms))
+            for i in rng.sample(range(p - 1), rng.choice((0, 1, 1, 2, 2))):
+                t[i] += rng.choice((-2, -1, 1, 2))
+            tuples.append(tuple(t))
+        seen = [a + b for a, b in zip(seen, _recognized_iff_norm(p, n, tuples))]
+    assert min(seen) > 100

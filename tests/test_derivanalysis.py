@@ -23,7 +23,7 @@ from pbent.gf import get_field
 from pbent.walsh import (classify, extract_certificate, inverse_sums, is_bent, walsh_fast,
                          walsh_quadratic)
 from digit_oracle import index_add
-from ring_oracle import Zw
+from ring_oracle import Zw, bent_value
 
 F3 = get_field(3, 1)
 F9 = get_field(3, 2)
@@ -516,11 +516,11 @@ def test_phase_difference_matches_product_sums(p, n):
     ctx = get_field(p, n)
     q = ctx.q
     rng = random.Random(10 * p + n)
-    form = {sj: coords for coords, sj in unit_power_forms(p, n).items()}
     signs = [rng.choice((1, -1)) for _ in range(q)]
     exps = [rng.randrange(p) for _ in range(q)]
-    w = [form[s, j] for s, j in zip(signs, exps)]
+    w = [bent_value(p, n, s, j).coords for s, j in zip(signs, exps)]
     codes = [(2 * j + p * (s < 0)) % (2 * p) for s, j in zip(signs, exps)]
+    assert w == [unit_power_forms(p, n)[0][k] for k in codes]
     powers = signed_powers(p)
     local = [Zw.omega_pow(p, v).coords for v in (rng.randrange(p) for _ in range(q))]
     scaled = [tuple(q * v for v in x) for x in local]

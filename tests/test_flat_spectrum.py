@@ -1,26 +1,27 @@
 """The flat-coordinate spectrum path against the ring oracle.
 
-`WalshSpectrum` decides Parseval and bentness from integer norm
-expressions on coordinate tuples, and `extract_certificate` recognizes the
-bent normal form by table lookup.  Here both are checked point by point
-against the reference arithmetic of `ring_oracle` (norms, products with the
-Gauss sum), on seeded random functions for p in {3, 5, 7} at even and odd
-n, and the coordinate functions of `pbent.cyclo` against the same oracle.
-A certified spectrum, held by its certificate, is checked against the
-values it had before certification and against the direct sums.
+`WalshSpectrum` recognizes the bent normal form by table lookup, and
+decides Parseval from integer norm expressions on the coordinate tuples of
+a spectrum that is not bent.  Here both are checked point by point against
+the reference arithmetic of `ring_oracle` (norms, products with the Gauss
+sum), on seeded random functions for p in {3, 5, 7} at even and odd n, and
+the coordinate functions of `pbent.cyclo` against the same oracle.  A bent
+spectrum, held by its codes, is checked against the direct sums.
 """
 
 import random
 
 import pytest
 
+from pbent import derivanalysis
 from pbent.constructions import TrinomialParams, trinomial_bent
 from pbent.cyclo import (conj_coords, coords_from_counts, gauss_sum, mul_coords,
                          norm_coords, unit_power_forms)
+from pbent.derivanalysis import wr_identity_check
 from pbent.errors import InternalInconsistency, PreconditionError
 from pbent.funcrep import PFunction, TraceForm
 from pbent.gf import get_field
-from pbent.walsh import (WalshSpectrum, extract_certificate, is_bent,
+from pbent.walsh import (WalshSpectrum, extract_certificate, is_bent, single_walsh_value,
                          walsh_fast, walsh_naive)
 from ring_oracle import Zw, gauss
 from test_walsh import reconstruct
@@ -81,7 +82,8 @@ def test_flat_path_matches_cycint_oracle(p, n):
             sign, j = cert.signs[y], cert.dual.values[y]
             assert sign in (1, -1)
             assert oracle_form(v, p, n, sign, j)
-            assert unit_power_forms(p, n).get(v.coords) == (sign, j)
+            assert unit_power_forms(p, n)[1].get(v.coords) == cert.codes[y]
+            assert cert.codes[y] == (2 * j + p * (sign < 0)) % (2 * p)
             assert reconstruct(cert, y) == v
     assert kinds[0] is False and all(kinds[1:])
 
@@ -127,18 +129,17 @@ def test_parseval_still_guards_construction(p, n):
 
 @pytest.mark.parametrize("p,n", FIELDS)
 def test_certified_spectrum_is_rebuilt_from_its_certificate(p, n):
-    """After `extract_certificate` the spectrum holds no tuples of its own;
-    `coords` rebuilt from (s, j) equals the transform's values from before
-    certification, the direct sums and the oracle's products."""
+    """A bent spectrum holds no tuples of its own from construction on, only
+    its codes, which its certificate shares; `coords` rebuilt from the
+    codes equals the direct sums and the oracle's products."""
     ctx = get_field(p, n)
     rng = random.Random(2000 * p + n)
     for f in random_functions(ctx, rng)[1:]:
         s = walsh_fast(f)
-        before = list(s.coords)
+        assert s._coords is None and len(s.codes) == ctx.q
         cert = extract_certificate(s)
-        assert s._coords is None
-        naive = walsh_naive(f)
-        assert s.coords == before == naive.coords
+        assert cert.codes is s.codes and s._coords is None
+        assert s.coords == [single_walsh_value(f, y).coords for y in range(ctx.q)]
         assert s.coords is s.coords  # rebuilt once, then kept
         assert s.coords == [reconstruct(cert, y).coords for y in range(ctx.q)]
 
@@ -156,7 +157,7 @@ def test_altered_bent_spectrum_fails_parseval(p, n):
         for y in rng.sample(range(ctx.q), 1 if p == 3 else rng.randint(1, 3)):
             i = rng.randrange(p - 1)
             bad[y] = bad[y][:i] + (bad[y][i] + rng.choice((1, -1)),) + bad[y][i + 1:]
-        assert sum(c not in unit_power_forms(p, n) for c in bad) >= 1
+        assert sum(c not in unit_power_forms(p, n)[1] for c in bad) >= 1
         with pytest.raises(InternalInconsistency):
             WalshSpectrum(ctx, bad, "altered")
 
@@ -173,3 +174,47 @@ def test_derivative_spectrum_is_not_bent(p, n):
         s = walsh_fast(g)
         assert s.bent is False and oracle_bent(s) is False
         assert s.coords == walsh_naive(g).coords
+
+
+@pytest.mark.parametrize("p,n", FIELDS)
+def test_a_bent_spectrum_holds_codes_from_construction(p, n):
+    """`WalshSpectrum(...)` on the direct sums of a bent function keeps
+    codes and no tuples; `coords` rebuilt from them are those sums."""
+    ctx = get_field(p, n)
+    f = random_functions(ctx, random.Random(5000 * p + n))[1]
+    sums = [single_walsh_value(f, y).coords for y in range(ctx.q)]
+    s = WalshSpectrum(ctx, list(sums), "direct")
+    assert s.bent and s._coords is None
+    assert s.codes == [unit_power_forms(p, n)[1][c] for c in sums]
+    assert s.coords == sums == walsh_naive(f).coords
+
+
+@pytest.mark.parametrize("p,n", [(3, 2), (3, 3), (5, 2), (7, 1)])
+def test_a_flat_spectrum_outside_the_code_table_is_inconsistent(p, n, monkeypatch):
+    """Every |W(y)|^2 = p^n but one value missing from the code dict: the
+    constructor raises instead of calling the spectrum not bent."""
+    ctx = get_field(p, n)
+    sums = [single_walsh_value(TraceForm(ctx, [(ctx.one(), 2)]).truth_table(), y).coords
+            for y in range(ctx.q)]
+    monkeypatch.delitem(unit_power_forms(p, n)[1], sums[0])
+    with pytest.raises(InternalInconsistency, match="without unit\\*power form"):
+        WalshSpectrum(ctx, sums, "patched")
+
+
+@pytest.mark.parametrize("n,exps", [(2, (2,)), (3, (8, 14))])
+def test_the_battery_reads_the_dual_codes_without_a_certificate(n, exps, monkeypatch):
+    """`wr_identity_check` reads the codes of a bent dual's spectrum, and
+    builds no certificate of it: `extract_certificate` sees f's spectrum
+    only (Tr(x^2) is weakly regular, Tr(x^8 + x^14) is not)."""
+    ctx = get_field(3, n)
+    f = TraceForm(ctx, [(ctx.one(), e) for e in exps]).truth_table()
+    s_dual = walsh_fast(extract_certificate(walsh_fast(f)).dual)
+    assert s_dual.bent
+    seen = []
+
+    def recording(s):
+        seen.append(s)
+        return extract_certificate(s)
+    monkeypatch.setattr(derivanalysis, "extract_certificate", recording)
+    wr_identity_check(f)
+    assert seen and all(x is walsh_fast(f) for x in seen)

@@ -367,3 +367,14 @@ def test_p_weight():
     assert p_weight(5, 3) == 3   # 5 = 1*3 + 2
     assert p_weight(34, 3) == 4  # 27 + 2*3 + 1
     assert p_weight(0, 3) == 0
+
+
+def test_constructors_check_the_length_of_a_generator():
+    # the input is reduced in one pass and then counted, so an iterator of
+    # the wrong length is refused as a list is
+    with pytest.raises(ValueError, match="p\\^n entries"):
+        PFunction(F27, (v for v in range(26)))
+    with pytest.raises(ValueError, match="p\\^n coefficients"):
+        ANF(F27, (v for v in range(28)))
+    assert PFunction(F27, (v for v in range(27))).values == [v % 3 for v in range(27)]
+    assert ANF(F27, iter([-1] * 27)).coeffs == [2] * 27

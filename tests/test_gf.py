@@ -425,3 +425,16 @@ def test_enumeration_order_is_base_p_digits():
     x = F81.from_index(5)  # 5 = 2 + 1*3
     assert x.coeffs == (2, 1, 0, 0)
     assert F81.to_index((2, 1, 0, 0)) == 5
+
+
+@pytest.mark.parametrize("default_first", [True, False])
+def test_the_default_modulus_spelled_out_is_the_same_field(default_first, monkeypatch):
+    # one context under both keys, in either order of calls, so elements of
+    # the two spellings compare equal
+    monkeypatch.setattr(gf, "_FIELD_CACHE", {})
+    calls = [lambda: get_field(3, 4), lambda: get_field(3, 4, (2, 0, 0, 2, 1))]
+    first, second = (calls if default_first else calls[::-1])
+    ctx = first()
+    assert second() is ctx and ctx.modulus == (2, 0, 0, 2, 1)
+    assert get_field(3, 4, (-1, 3, 0, -1, 4)) is ctx  # the same modulus mod 3
+    assert get_field(3, 4).from_index(5) == get_field(3, 4, (2, 0, 0, 2, 1)).from_index(5)
