@@ -38,7 +38,7 @@ print("e.g. direction %d with witness %d gives constant %d" % (a_idx, b_idx, con
 
 # witness directions can be produced structurally instead of searched
 c = ctx.scalar(1)
-d = pb.lemma2_witness(c, params, ctx)
+d = pb.lemma2_witness(c, params)
 dd = f.second_derivative(c, d)
 print("lemma witness for c=1: d index %d, second derivative constant %d"
       % (d.index, dd.values[0]))
@@ -56,7 +56,7 @@ spec = pb.walsh_naive(f)
 mismatches = 0
 for idx in range(ctx.q):
     y = ctx.from_index(idx)
-    if pb.trinomial_closed_form_walsh(params, y, ctx).coords != spec.coords[ctx.neg_table[idx]]:
+    if pb.trinomial_closed_form_walsh(params, y).coords != spec.coords[ctx.neg_table[idx]]:
         mismatches += 1
 print("\nclosed form vs spectrum: %d mismatches out of %d" % (mismatches, ctx.q))
 

@@ -14,20 +14,20 @@ quad = pb.TraceForm(F9, [(F9.one(), 2)]).truth_table()
 # ---------------------------------------------------------------------------
 slices = [pb.PFunction(F3, [(x * x + y * x) % 3 for x in range(3)])
           for y in range(3)]
-f, rep = pb.bent_concatenation(slices, F3, F3)
+f, rep = pb.bent_concatenation(slices, F3)
 print("concatenated x^2 + yx slices: applicable=%s bent=%s -> %s"
       % (rep["applicable"], rep["bent"], pb.classify(f)))
 
 # identical slices make every dual section constant, hence nothing bent
 g3 = pb.PFunction(F3, [0, 1, 1])
-f2, rep2 = pb.bent_concatenation([g3] * 9, F3, pb.get_field(3, 2))
+f2, rep2 = pb.bent_concatenation([g3] * 9, pb.get_field(3, 2))
 print("nine identical slices:        applicable=%s bent=%s"
       % (rep2["applicable"], rep2["bent"]))
 
 # ---------------------------------------------------------------------------
 # The special form g_{y2}(x) + y1 * pi(y2) needs no condition at all
 # ---------------------------------------------------------------------------
-f3, rep3 = pb.mm_special_form([g3, g3, g3], [1, 2, 0], F3, 1)
+f3, rep3 = pb.mm_special_form([g3, g3, g3], [1, 2, 0], 1)
 print("\nspecial form with a 3-cycle:", pb.classify(f3))
 
 # mixing slice signs yields non-weakly regular output
@@ -36,7 +36,7 @@ signs = {m: pb.extract_certificate(pb.walsh_fast(
     for m in range(2)}
 flipped = pb.TraceForm(F9, [(F9.gen_power(1), 2)]).truth_table()
 print("slice signs Tr(x^2)/Tr(gx^2):", signs[0], signs[1])
-f4, _ = pb.mm_special_form([quad, quad, flipped], range(3), F9, 1)
+f4, _ = pb.mm_special_form([quad, quad, flipped], range(3), 1)
 print("mixed-sign construction:", pb.classify(f4))
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from .funcrep import (ANF, PFunction, RelativeTraceForm, TraceForm,
                       eval_univariate, parse_function_spec, p_weight,
                       to_relative_trace_form, truth_to_anf,
                       truth_to_univariate)
-from .walsh import (BentCertificate, Classification, WalshSpectrum,
+from .walsh import (Classification, WalshSpectrum,
                     NON_WEAKLY_REGULAR, NOT_BENT, REGULAR, WEAKLY_REGULAR,
                     bent_via_derivatives, bent_via_second_derivative_sum,
                     classify, dual_iteration_check, extract_certificate,

@@ -174,7 +174,7 @@ def cmd_construct_concat(args) -> int:
         if inner_ctx.p ** d != len(pi) or len(slices) != len(pi):
             raise PreconditionError("permutation length must be p^d and match slice count")
         check_field_size(inner_ctx.p, inner_ctx.n + 2 * d, args.max_points)
-        f, rep = mm_special_form(slices, pi, inner_ctx, d)
+        f, rep = mm_special_form(slices, pi, d)
         mode = "special_form"
     else:
         m = round(math.log(len(slices), inner_ctx.p))
@@ -182,7 +182,7 @@ def cmd_construct_concat(args) -> int:
             raise PreconditionError("slice count must be a power of p")
         check_field_size(inner_ctx.p, inner_ctx.n + m, args.max_points)
         outer_ctx = get_field(inner_ctx.p, m)
-        f, rep = bent_concatenation(slices, inner_ctx, outer_ctx)
+        f, rep = bent_concatenation(slices, outer_ctx)
         mode = "concatenation"
     out = {"construction": mode, "p": f.ctx.p, "n": f.ctx.n,
            "report": {k: (v if not isinstance(v, PFunction) else "function(%d points)" % f.ctx.q)

@@ -3,11 +3,10 @@ Maiorana-McFarland-style special form, quadratic addition to weakly regular
 functions, and the cubic trinomial family over F_{3^(4k)} together with its
 closed-form Walsh values and dual for the odd-k cases.
 
-The builders take their parts as plain arguments: `bent_concatenation`
-the slices with the inner and outer fields, `mm_special_form` the slices,
+The two concatenations take slices on one context, the inner field, and
+plain arguments: `bent_concatenation` the outer field, `mm_special_form`
 the permutation pi and d.  Every field they build the result on is a
-verified `FieldCtx`, whose modulus passed Berlekamp's kernel test for
-irreducibility.
+verified `FieldCtx`, whose modulus passed Berlekamp's irreducibility test.
 
 The trinomial family is
 
@@ -102,11 +101,11 @@ def trinomial_bent(params: TrinomialParams, ctx: FieldCtx | None = None) -> Trac
     ])
 
 
-def linearized_second_derivative_coeff(params: TrinomialParams, ctx: FieldCtx,
-                                       c: FFElem, d: FFElem) -> FFElem:
-    """L_c(d), the x-coefficient of D_{c,d} f: zero exactly when the second
-    derivative in directions (c, d) is constant."""
-    k = params.k
+def linearized_second_derivative_coeff(params: TrinomialParams, c: FFElem,
+                                       d: FFElem) -> FFElem:
+    """L_c(d), the x-coefficient of D_{c,d} f in c's field: zero exactly
+    when the second derivative in directions (c, d) is constant."""
+    ctx, k = c.ctx, params.k
     u = ctx.frobenius(c, k) - c
     v = ctx.frobenius(c, 2 * k) - c
     return (ctx.frobenius(u, 3 * k) * ctx.frobenius(d, 3 * k)
@@ -114,18 +113,15 @@ def linearized_second_derivative_coeff(params: TrinomialParams, ctx: FieldCtx,
             + ctx.frobenius(v, k) * d)
 
 
-def lemma2_witness(c: FFElem, params: TrinomialParams,
-                   ctx: FieldCtx | None = None) -> FFElem:
-    """A direction d making Tr_n((b c^(3^j) + b^(3^-j) c^(3^-j)) d) nonzero.
+def lemma2_witness(c: FFElem, params: TrinomialParams) -> FFElem:
+    """A direction d in c's field making Tr_n((b c^(3^j) + b^(3^-j) c^(3^-j)) d) nonzero.
 
     Defined for c in F_{3^(2k)}^* and for c outside F_{3^k} with
     Tr_k^n(bc) != 0; the search runs through F_{3^k}, then F_{3^(2k)},
     then the whole field, in canonical order.  Exhaustion would contradict
     the family's structure and raises an internal inconsistency.
     """
-    if ctx is None:
-        ctx = params.context()
-    k, j = params.k, params.j
+    ctx, k, j = c.ctx, params.k, params.j
     if c.is_zero():
         raise PreconditionError("c must be nonzero")
     b = params.b_coefficient(ctx)
@@ -150,13 +146,10 @@ def lemma2_witness(c: FFElem, params: TrinomialParams,
     raise InternalInconsistency("no witness direction exists; family structure violated")
 
 
-def trinomial_first_derivative_form(params: TrinomialParams, c: FFElem,
-                                    ctx: FieldCtx | None = None) -> TraceForm:
-    """Symbolic expansion of D_c f as a trace form (matches the generic
-    derivative pointwise)."""
-    if ctx is None:
-        ctx = params.context()
-    k, j = params.k, params.j
+def trinomial_first_derivative_form(params: TrinomialParams, c: FFElem) -> TraceForm:
+    """Symbolic expansion of D_c f as a trace form over c's field (matches
+    the generic derivative pointwise)."""
+    ctx, k, j = c.ctx, params.k, params.j
     k3 = 3 ** k
     b = params.b_coefficient(ctx)
     ck = ctx.frobenius(c, k)      # c^(3^k)
@@ -176,12 +169,12 @@ def trinomial_first_derivative_form(params: TrinomialParams, c: FFElem,
     return TraceForm(ctx, terms)
 
 
-def _quadratic_character(ctx: FieldCtx, z: FFElem, k: int) -> int:
+def _quadratic_character(z: FFElem, k: int) -> int:
     """eta(z) over F_{3^k} as +-1; z must be a nonzero subfield element."""
-    val = ctx.power(z, (3 ** k - 1) // 2)
-    if val == ctx.one():
+    val = z ** ((3 ** k - 1) // 2)
+    if val == z.ctx.one():
         return 1
-    if val == ctx.scalar(-1):
+    if val == z.ctx.scalar(-1):
         return -1
     raise InternalInconsistency("character of a non-subfield element requested")
 
@@ -205,7 +198,7 @@ def _closed_form_setup(k: int, j: int, t: int, ctx: FieldCtx):
 
 def trinomial_closed_form_walsh(params: TrinomialParams, y: FFElem,
                                 ctx: FieldCtx | None = None) -> CycInt:
-    """W_f(-y) in closed form, as an exact cyclotomic integer.
+    """W_f(-y) on y's field in closed form, as an exact cyclotomic integer.
 
     Summing out x_0 pins x_3 = x_1 + x_2 + B y_0 and leaves a two-variable
     quadratic exponent with coefficients (s_j = +-1 for j = 0 / 2k)
@@ -225,9 +218,9 @@ def trinomial_closed_form_walsh(params: TrinomialParams, y: FFElem,
             or params.t != (3 ** params.k - 1) // 2:
         raise PreconditionError(
             "closed forms cover k odd, j in {0, 2k}, t = (3^k - 1)/2 only")
-    if ctx is None:
-        ctx = params.context()
-    k = params.k
+    if ctx not in (None, y.ctx):
+        raise PreconditionError("ctx must be y's own field context")
+    ctx, k = y.ctx, params.k
     a, B, Binv, u = _closed_form_setup(k, params.j, params.t, ctx)
     s_k = 1 if k % 4 == 1 else -1
     s_j = 1 if params.j == 0 else -1
@@ -262,18 +255,20 @@ def trinomial_closed_form_walsh(params: TrinomialParams, y: FFElem,
     nn = l2 * a1 + l1 * m
     e = (tr(c0) - tr(l1 * l1 * a1.inverse())
          - tr(nn * nn * (q2pre * a1).inverse())) % 3
-    sign = -_quadratic_character(ctx, q2pre, k)
+    sign = -_quadratic_character(q2pre, k)
     return value(sign, e)
 
 
 # -- concatenation constructions ------------------------------------------------
 
 
-def _slice_certificates(slices) -> list:
-    """The bent certificate of every slice; a slice that is not bent is a
-    PreconditionError."""
+def _slice_certificates(slices: list) -> list:
+    """The bent spectrum of every slice, its certificate; a slice that is
+    not bent, or not on slice 0's context, is a PreconditionError."""
     certs = []
     for idx, sl in enumerate(slices):
+        if sl.ctx is not slices[0].ctx:
+            raise PreconditionError("slice %d is not on slice 0's field context" % idx)
         s = walsh_fast(sl)
         if not is_bent(s):
             raise PreconditionError("slice %d is not bent" % idx)
@@ -281,23 +276,23 @@ def _slice_certificates(slices) -> list:
     return certs
 
 
-def bent_concatenation(slices, inner_ctx: FieldCtx, outer_ctx: FieldCtx):
-    """Concatenate bent slices f_y on an inner field, one per element y of
+def bent_concatenation(slices, outer_ctx: FieldCtx):
+    """Concatenate bent slices f_y on one inner field, one per element y of
     an outer field, into a function on the field of degree n + m with index
     split z = x + p^n * y; bent iff every s-section of the slice duals is
     bent, in which case the dual (for the component-wise trace pairing) is
     returned as well.
 
-    Raises on a non-bent slice; a y-dependent unit pattern is reported as
-    inapplicable rather than raised.
+    Raises on a non-bent slice and on slices of two contexts; a
+    y-dependent unit pattern is reported as inapplicable rather than raised.
     """
-    if inner_ctx.p != outer_ctx.p:
-        raise PreconditionError("inner and outer fields must share p")
     slices = list(slices)
     if len(slices) != outer_ctx.q:
         raise PreconditionError("need one slice per outer field element")
+    if slices[0].ctx.p != outer_ctx.p:
+        raise PreconditionError("inner and outer fields must share p")
     certs = _slice_certificates(slices)
-    combined = get_field(inner_ctx.p, inner_ctx.n + outer_ctx.n)
+    combined = get_field(outer_ctx.p, slices[0].ctx.n + outer_ctx.n)
     f = PFunction(combined, [v for sl in slices for v in sl.values])
 
     units_constant = all(len(set(signs)) == 1 for signs in zip(*(c.signs for c in certs)))
@@ -316,27 +311,28 @@ def bent_concatenation(slices, inner_ctx: FieldCtx, outer_ctx: FieldCtx):
     return f, report
 
 
-def mm_special_form(gs, pi, inner_ctx: FieldCtx, d: int):
+def mm_special_form(gs, pi, d: int):
     """f(x, y1, y2) = g_{y2}(x) + Tr_d(y1 * pi(y2)) on a field of degree
     n + 2d; bent whenever every g_c is bent, with no condition on units.
 
     pi is a permutation of the outer field given as an index table; d = 1
-    with pi = range(p) gives g_{y2}(x) + y1 y2.  When every slice is dual-bent the dual f*(s, t1, t2) =
-    g*_{pi^-1(t1)}(s) - Tr_d(pi^-1(t1) * t2) is returned too.
+    with pi = range(p) gives g_{y2}(x) + y1 y2.  When every slice is
+    dual-bent the dual f*(s, t1, t2) = g*_{pi^-1(t1)}(s) - Tr_d(pi^-1(t1) *
+    t2) is returned too.  Slices on two contexts are refused.
     """
     if d < 1:
         raise PreconditionError("d must be >= 1")
-    p = inner_ctx.p
+    gs = list(gs)
+    if not gs or len(gs) != gs[0].ctx.p ** d:
+        raise PreconditionError("need one slice per element of F_p^d")
+    p, n = gs[0].ctx.p, gs[0].ctx.n
     ctx_d = get_field(p, d)
     qd = ctx_d.q
-    gs = list(gs)
-    if len(gs) != qd:
-        raise PreconditionError("need one slice per element of F_p^d")
     pi = list(pi)
     if sorted(pi) != list(range(qd)):
         raise PreconditionError("pi is not a permutation of F_p^d")
     certs = _slice_certificates(gs)
-    combined = get_field(p, inner_ctx.n + 2 * d)
+    combined = get_field(p, n + 2 * d)
     pairing = [ctx_d.trace_row(c) for c in range(qd)]  # pairing[c][y] = Tr_d(c y), symmetric
     f = PFunction(combined, [(v + t) % p for g, c in zip(gs, pi)
                              for t in pairing[c] for v in g.values])

@@ -84,10 +84,10 @@ class PFunction:
         return hash((self.ctx, tuple(self.values)))
 
     def __add__(self, other: "PFunction") -> "PFunction":
-        return PFunction(self.ctx, [a + b for a, b in zip(self.values, other.values)])
+        return PFunction(self.ctx, [a + b for a, b in zip(self.values, self.ctx.own(other).values)])
 
     def __sub__(self, other: "PFunction") -> "PFunction":
-        return PFunction(self.ctx, [a - b for a, b in zip(self.values, other.values)])
+        return PFunction(self.ctx, [a - b for a, b in zip(self.values, self.ctx.own(other).values)])
 
     def __neg__(self) -> "PFunction":
         return PFunction(self.ctx, [-a for a in self.values])
@@ -153,7 +153,7 @@ class TraceForm:
         for coeff, exp in terms:
             if not 0 <= exp <= ctx.q - 1:
                 raise ParseError("exponent %d out of range [0, %d]" % (exp, ctx.q - 1))
-            merged[exp] = merged[exp] + coeff if exp in merged else coeff
+            merged[exp] = merged[exp] + coeff if exp in merged else ctx.own(coeff)
         self.terms = tuple(sorted(((c, e) for e, c in merged.items() if not c.is_zero()),
                                   key=lambda t: t[1]))
         self.constant = constant % ctx.p

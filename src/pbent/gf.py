@@ -245,16 +245,16 @@ class FFElem:
         return not any(self.coeffs)
 
     def __add__(self, other: "FFElem") -> "FFElem":
-        return FFElem(self.ctx, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return FFElem(self.ctx, [a + b for a, b in zip(self.coeffs, self.ctx.own(other).coeffs)])
 
     def __sub__(self, other: "FFElem") -> "FFElem":
-        return FFElem(self.ctx, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return FFElem(self.ctx, [a - b for a, b in zip(self.coeffs, self.ctx.own(other).coeffs)])
 
     def __neg__(self) -> "FFElem":
         return FFElem(self.ctx, [-a for a in self.coeffs])
 
     def __mul__(self, other: "FFElem") -> "FFElem":
-        return FFElem(self.ctx, self.ctx.mul_t(self.coeffs, other.coeffs))
+        return FFElem(self.ctx, self.ctx.mul_t(self.coeffs, self.ctx.own(other).coeffs))
 
     def __pow__(self, e: int) -> "FFElem":
         return self.ctx.power(self, e)
@@ -292,6 +292,9 @@ class FieldCtx:
     irreducible and the primitive element's order is verified against the
     prime factors of p^n - 1, so a successfully built context is a
     certificate of both.
+
+    A field is its context: contexts compare by identity, and arithmetic
+    refuses elements and functions of any other context (`own`).
     """
 
     def __init__(self, p: int, n: int, modulus=None) -> None:
@@ -368,6 +371,13 @@ class FieldCtx:
 
     # -- element plumbing ----------------------------------------------------
 
+    def own(self, x):
+        """x, an element or function of this context; any other context's,
+        an equal field's included, is a FieldError."""
+        if x.ctx is not self:
+            raise FieldError("an operand of %r used in %r" % (x.ctx, self))
+        return x
+
     def elem(self, coeffs) -> FFElem:
         return FFElem(self, coeffs)
 
@@ -439,7 +449,7 @@ class FieldCtx:
 
     def power(self, x: FFElem, e: int) -> FFElem:
         """x^e; e may be any integer (negative requires x != 0)."""
-        if x.is_zero():
+        if self.own(x).is_zero():
             if e < 0:
                 raise ZeroDivisionError("negative power of zero")
             return self.one() if e == 0 else self.zero()
@@ -486,7 +496,7 @@ class FieldCtx:
         return self.trace(self.rel_trace_unit(k) * x)
 
     def trace(self, x: FFElem) -> int:
-        return self.trace_coeffs(x.coeffs)
+        return self.trace_coeffs(self.own(x).coeffs)
 
     def trace_row(self, y_idx: int, xs: list[int] | None = None) -> list[int]:
         """[Tr(x y) for x in xs], by default every x in index order:
@@ -520,13 +530,6 @@ class FieldCtx:
 
     def __repr__(self) -> str:
         return "FieldCtx(%s)" % self.spec_string()
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, FieldCtx) and self.p == other.p and self.n == other.n
-                and self.modulus == other.modulus and self.primitive.coeffs == other.primitive.coeffs)
-
-    def __hash__(self) -> int:
-        return hash((self.p, self.n, self.modulus))
 
 
 _FIELD_CACHE: dict = {}

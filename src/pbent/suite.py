@@ -255,14 +255,13 @@ def check_trinomial_second_derivatives(seed, level):
         for c_idx in rng.sample(range(1, ctx.q), 20):
             c = ctx.from_index(c_idx)
             # L_c is F_p-linear: its matrix has columns L_c(e_i) on the polynomial basis
-            cols = [linearized_second_derivative_coeff(params, ctx, c, e).coeffs
-                    for e in basis]
+            cols = [linearized_second_derivative_coeff(params, c, e).coeffs for e in basis]
             t_c = _trilinear_slice(tri, c_idx, p)
             sliced = [[(u >> i & 1) + 2 * (v >> i & 1) for i in range(n)]
                       for u, v in f3_kernel(f3_pack(sum(t_c, [])), n)]
             if not mat_kernel(t_c, p) == sliced == mat_kernel(list(zip(*cols)), p):
                 return False, "ker T(c, ., .) != ker L_c at %s, c=%d" % (params, c_idx)
-            if trinomial_first_derivative_form(params, c, ctx).truth_table() != f.derivative(c):
+            if trinomial_first_derivative_form(params, c).truth_table() != f.derivative(c):
                 return False, "symbolic D_c f mismatch at %s, c=%d" % (params, c_idx)
         if derivative_linear_space(f) != [ctx.zero()]:
             return False, "E_f != {0} at %s" % (params,)
@@ -277,7 +276,7 @@ def check_closed_forms(seed, level):
         f = trinomial_bent(params, ctx).truth_table()
         spec = walsh_naive(f)
         for idx in range(ctx.q):
-            got = trinomial_closed_form_walsh(params, ctx.from_index(idx), ctx)
+            got = trinomial_closed_form_walsh(params, ctx.from_index(idx))
             if got.coords != spec.coords[ctx.neg_table[idx]]:
                 return False, "closed form mismatch at j=%d idx=%d" % (j, idx)
     return True, "all 81 points for j in {0, 2}"
@@ -297,7 +296,7 @@ def check_mm_form(seed, level):
     count = 0
     for pi in itertools.permutations(range(3)):
         for slices in ((g, g, g), (g, h, g)):
-            f, rep = mm_special_form(list(slices), list(pi), ctx1, 1)
+            f, rep = mm_special_form(list(slices), list(pi), 1)
             if not is_bent(walsh_fast(f)):
                 return False, "special form output not bent for pi=%s" % (pi,)
             count += 1

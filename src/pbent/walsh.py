@@ -26,13 +26,14 @@ p = 3, p - 1 integers otherwise).  A WalshSpectrum's constructor looks
 each one up in the code dict of `cyclo.unit_power_forms`, in one C-level
 pass: f is bent exactly when every W(y) is U p^(n/2) z^k for a code k < 2p,
 and then the spectrum keeps its codes and drops its tuples (Parseval holds
-by construction: q points of norm p^n sum to p^(2n)).  `BentCertificate`
-(signs, dual, unit kind) reads those codes, and `coords` rebuilds the
-tuples from them.  Any other spectrum keeps its tuples, and one pass
-computes each |W(y)|^2 as an integer expression on them (for p = 3 as
-|W(y)|^2 - p^n; for p >= 5 at the nonzero points only) to check Parseval
-exactly, and that not every norm is p^n.  So a constructed WalshSpectrum is
-a certificate of internal consistency, and `is_bent` only reads its flag.
+by construction: q points of norm p^n sum to p^(2n)).  A bent spectrum
+is its own certificate (signs, dual, unit kind), read from those codes,
+and `coords` rebuilds the tuples from them.  Any other spectrum keeps its
+tuples, and one pass computes each |W(y)|^2 as an integer expression on
+them (for p = 3 as |W(y)|^2 - p^n; for p >= 5 at the nonzero points only)
+to check Parseval exactly, and that not every norm is p^n.  So a
+constructed WalshSpectrum is a certificate of internal consistency, and
+`is_bent` only reads its flag.
 `coords` is the only view of a spectrum.  `walsh_fast` memoizes the
 spectrum on f, so a command transforms f once; `walsh_naive` never reads it.
 """
@@ -59,9 +60,15 @@ class WalshSpectrum:
     """Full map y -> W_f(y) in Z[w].  A bent spectrum (`bent`, set at
     construction) holds the code k of each value, W(y) = U p^(n/2) z^k
     (`cyclo.unit_power_forms`), and no coordinate tuples; any other
-    spectrum holds its tuples."""
+    spectrum holds its tuples.
 
-    __slots__ = ("ctx", "_coords", "codes", "provenance", "bent", "_certificate")
+    A bent spectrum is its own certificate W(y) = sign(y) U p^(n/2)
+    w^(f*(y)): the sign is -1 where k is odd, the `dual` f*(y) = k (p+1)/2
+    mod p is built on first read and kept, and `unit_kind` is 'real' (U =
+    1) or 'imaginary' (U = i, realized through the Gauss sum of F_p as in
+    `cyclo.unit_power_forms`)."""
+
+    __slots__ = ("ctx", "_coords", "codes", "provenance", "bent", "_dual")
 
     def __init__(self, ctx: FieldCtx, coords: list, provenance: str) -> None:
         p, q = ctx.p, ctx.q
@@ -69,7 +76,7 @@ class WalshSpectrum:
             raise ValueError("spectrum must have p^n values")
         self.ctx = ctx
         self.provenance = provenance
-        self._certificate = None
+        self._dual = None
         index = unit_power_forms(p, ctx.n)[1]
         try:  # q points of norm p^n: Parseval holds by construction
             self.codes, self._coords = list(map(index.__getitem__, coords)), None
@@ -100,6 +107,34 @@ class WalshSpectrum:
             forms = unit_power_forms(self.ctx.p, self.ctx.n)[0]
             self._coords = list(map(forms.__getitem__, self.codes))
         return self._coords
+
+    def _bent_codes(self) -> list:
+        if not self.bent:
+            raise PreconditionError("a spectrum that is not bent has no certificate")
+        return self.codes
+
+    @property
+    def dual(self) -> PFunction:
+        if self._dual is None:
+            p = self.ctx.p
+            duals = [k * (p + 1) // 2 % p for k in range(2 * p)]  # j of z^k = +-w^j
+            self._dual = PFunction(self.ctx, map(duals.__getitem__, self._bent_codes()))
+        return self._dual
+
+    @property
+    def signs(self) -> list[int]:
+        return [1 - 2 * (k & 1) for k in self._bent_codes()]
+
+    def sign_histogram(self) -> dict[str, int]:
+        minus = sum(k & 1 for k in self._bent_codes())
+        return {"plus": len(self.codes) - minus, "minus": minus}
+
+    def is_constant_sign(self) -> bool:
+        return len({k & 1 for k in self._bent_codes()}) == 1
+
+    @property
+    def unit_kind(self) -> str:
+        return unit_class(self.ctx.p, self.ctx.n)
 
     def __repr__(self) -> str:
         return "WalshSpectrum(p=%d, n=%d, %s)" % (self.ctx.p, self.ctx.n, self.provenance)
@@ -236,46 +271,11 @@ def is_bent(s: WalshSpectrum) -> bool:
     return s.bent
 
 
-class BentCertificate:
-    """Per-point decomposition W(y) = sign(y) * unit * p^(n/2) * w^(dual(y)),
-    read from the spectrum's codes k (its own list, not a copy): the sign is
-    -1 where k is odd, and dual(y) = k (p+1)/2 mod p.
-
-    unit_kind is 'real' (unit = 1) or 'imaginary' (unit = i, realized through
-    the Gauss sum: the unit times p^(n/2) is p^((n-1)/2) times the Gauss sum
-    of F_p, as in `cyclo.unit_power_forms`).
-    """
-
-    __slots__ = ("ctx", "codes", "dual", "unit_kind")
-
-    def __init__(self, ctx: FieldCtx, codes: list) -> None:
-        p = ctx.p
-        self.ctx = ctx
-        self.codes = codes
-        duals = [k * (p + 1) // 2 % p for k in range(2 * p)]  # j of z^k = +-w^j
-        self.dual = PFunction(ctx, map(duals.__getitem__, codes))
-        self.unit_kind = unit_class(p, ctx.n)
-
-    @property
-    def signs(self) -> list[int]:
-        return [1 - 2 * (k & 1) for k in self.codes]
-
-    def sign_histogram(self) -> dict[str, int]:
-        minus = sum(k & 1 for k in self.codes)
-        return {"plus": len(self.codes) - minus, "minus": minus}
-
-    def is_constant_sign(self) -> bool:
-        return len({k & 1 for k in self.codes}) == 1
-
-
-def extract_certificate(s: WalshSpectrum) -> BentCertificate:
-    """The certificate (dual, signs, unit kind) of a bent spectrum, read
-    from its codes; built once per spectrum and cached on it."""
-    if s._certificate is None:
-        if not s.bent:
-            raise PreconditionError("extract_certificate requires a bent spectrum")
-        s._certificate = BentCertificate(s.ctx, s.codes)
-    return s._certificate
+def extract_certificate(s: WalshSpectrum) -> WalshSpectrum:
+    """A bent spectrum s, its own certificate, with its dual built; a
+    spectrum that is not bent is a PreconditionError."""
+    s.dual  # built on first read
+    return s
 
 
 class Classification:

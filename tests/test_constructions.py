@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from pbent import constructions, gf
 from pbent.constructions import (TrinomialParams, add_quadratic, bent_concatenation,
                                  linearized_second_derivative_coeff,
                                  lemma2_witness, mm_special_form,
@@ -13,7 +14,7 @@ from pbent.cyclo import CycInt, unit_power_forms
 from pbent.errors import PreconditionError
 from pbent.funcrep import (ANF, PFunction, TraceForm, anf_to_truth,
                            to_relative_trace_form)
-from pbent.gf import get_field
+from pbent.gf import FieldCtx, get_field
 from pbent.walsh import (bent_via_derivatives, classify, extract_certificate, is_bent,
                          walsh_fast, walsh_naive, NON_WEAKLY_REGULAR, REGULAR,
                          WEAKLY_REGULAR)
@@ -96,18 +97,18 @@ def test_lemma2_witness_subfield_cases():
         if c_idx == 0:
             continue
         c = ctx.from_index(c_idx)
-        d = lemma2_witness(c, params, ctx)
+        d = lemma2_witness(c, params)
         z = b * ctx.power(c, 9) + ctx.frobenius(b, -2) * ctx.frobenius(c, -2)
         assert ctx.trace(z * d) != 0
         assert ctx.frobenius(d, 2) == d
     with pytest.raises(PreconditionError):
-        lemma2_witness(ctx.zero(), params, ctx)
+        lemma2_witness(ctx.zero(), params)
     # a direction outside the covered cases: c not in F_9 with Tr_k^n(bc) = 0
     l = next(x for x in map(ctx.from_index, range(81)) if ctx.frobenius(x, 2) != x)
     c_out = b.inverse() * (l - ctx.frobenius(l, 1))
     assert ctx.rel_trace(b * c_out, 1).is_zero()
     with pytest.raises(PreconditionError):
-        lemma2_witness(c_out, params, ctx)
+        lemma2_witness(c_out, params)
 
 
 def test_lemma2_witness_full_field_case():
@@ -119,7 +120,7 @@ def test_lemma2_witness_full_field_case():
         c = ctx.from_index(c_idx)
         if ctx.frobenius(c, 2) == c or ctx.rel_trace(b * c, 1).is_zero():
             continue
-        d = lemma2_witness(c, params, ctx)
+        d = lemma2_witness(c, params)
         z = b * ctx.power(c, 9) + ctx.frobenius(b, -2) * ctx.frobenius(c, -2)
         assert ctx.trace(z * d) != 0
         count += 1
@@ -130,11 +131,11 @@ def test_first_derivative_form():
     params = TrinomialParams(1, 2, 1)
     ctx = params.context()
     f = trinomial_bent(params, ctx).truth_table()
-    assert trinomial_first_derivative_form(params, ctx.zero(), ctx).terms == ()
+    assert trinomial_first_derivative_form(params, ctx.zero()).terms == ()
     rng = random.Random(41)
     for _ in range(8):
         c = ctx.from_index(rng.randrange(81))
-        sym = trinomial_first_derivative_form(params, c, ctx).truth_table()
+        sym = trinomial_first_derivative_form(params, c).truth_table()
         assert sym == f.derivative(c)
     # for c in the prime field the derivative collapses to an affine form
     b = params.b_coefficient(ctx)
@@ -163,7 +164,7 @@ def test_second_derivative_structure_for_zero_trace_directions():
         tested += 1
         c = b.inverse() * (l - ctx.frobenius(l, k))
         r = ctx.frobenius(l, 3 * k) + l
-        assert linearized_second_derivative_coeff(params, ctx, c, r).is_zero()
+        assert linearized_second_derivative_coeff(params, c, r).is_zero()
         for s_val in (1, 2):
             d = r.scale(s_val)
             dd = f.second_derivative(c, d)
@@ -253,7 +254,7 @@ def _product_pairing_walsh(f, inner_ctx, outer_ctx, s_idx, t_idx):
 def test_mm_special_form_bent_and_dual():
     g = PFunction(F3, [0, 1, 1])
     for pi in ([0, 1, 2], [1, 0, 2], [2, 1, 0]):
-        f, rep = mm_special_form([g, g, g], pi, F3, 1)
+        f, rep = mm_special_form([g, g, g], pi, 1)
         assert rep["bent"]
         assert is_bent(walsh_fast(f))
         assert rep["slices_dual_bent"]
@@ -279,18 +280,18 @@ def test_mm_special_form_bent_and_dual():
 def test_mm_special_form_validation():
     g = PFunction(F3, [0, 1, 1])
     with pytest.raises(PreconditionError):
-        mm_special_form([g, g, g], [0, 1, 1], F3, 1)  # not a permutation
+        mm_special_form([g, g, g], [0, 1, 1], 1)  # not a permutation
     with pytest.raises(PreconditionError):
-        mm_special_form([g, g], [0, 1, 2], F3, 1)     # wrong slice count
+        mm_special_form([g, g], [0, 1, 2], 1)  # wrong slice count
     lin = PFunction(F3, [0, 1, 2])
     with pytest.raises(PreconditionError):
-        mm_special_form([g, lin, g], [0, 1, 2], F3, 1)  # non-bent slice
+        mm_special_form([g, lin, g], [0, 1, 2], 1)  # non-bent slice
 
 
 def test_construction1_matches_special_form_and_sign_mixing():
     g_plus = quad(F9)
-    f_uniform, _ = mm_special_form([g_plus] * 3, range(3), F9, 1)
-    f_mm, _ = mm_special_form([g_plus] * 3, [0, 1, 2], F9, 1)
+    f_uniform, _ = mm_special_form([g_plus] * 3, range(3), 1)
+    f_mm, _ = mm_special_form([g_plus] * 3, [0, 1, 2], 1)
     assert f_uniform == f_mm
     assert classify(f_uniform).variant in (REGULAR, WEAKLY_REGULAR)
 
@@ -302,7 +303,7 @@ def test_construction1_matches_special_form_and_sign_mixing():
     flip = next(m for m, s in signs.items()
                 if s != extract_certificate(walsh_fast(g_plus)).signs[0])
     g_minus = TraceForm(F9, [(F9.gen_power(flip), 2)]).truth_table()
-    f_mixed, _ = mm_special_form([g_plus, g_plus, g_minus], range(3), F9, 1)
+    f_mixed, _ = mm_special_form([g_plus, g_plus, g_minus], range(3), 1)
     assert classify(f_mixed).variant == NON_WEAKLY_REGULAR
 
 
@@ -313,7 +314,7 @@ def test_bent_concatenation_valid_family():
     for y in range(3):
         vals = [(x * x + y * x) % 3 for x in range(3)]
         slices.append(PFunction(inner, vals))
-    f, rep = bent_concatenation(slices, inner, outer)
+    f, rep = bent_concatenation(slices, outer)
     assert rep["applicable"] and rep["bent"]
     assert is_bent(walsh_fast(f))
     dual = rep["dual"]
@@ -327,7 +328,7 @@ def test_bent_concatenation_valid_family():
 def test_bent_concatenation_identical_slices_not_bent():
     # f(x, y) = g(x) ignores y: sections of the dual are constant, not bent
     g = PFunction(F3, [0, 1, 1])
-    f, rep = bent_concatenation([g] * 9, F3, get_field(3, 2))
+    f, rep = bent_concatenation([g] * 9, get_field(3, 2))
     assert rep["applicable"]
     assert rep["bent"] is False
     assert not is_bent(walsh_fast(f))
@@ -337,11 +338,11 @@ def test_bent_concatenation_error_and_inapplicable():
     g = PFunction(F3, [0, 1, 1])
     lin = PFunction(F3, [0, 1, 2])
     with pytest.raises(PreconditionError):
-        bent_concatenation([g, g, lin], F3, F3)
+        bent_concatenation([g, g, lin], F3)
     with pytest.raises(PreconditionError, match="^inner and outer fields must share p$"):
-        bent_concatenation([g] * 5, F3, get_field(5, 1))
+        bent_concatenation([g] * 5, get_field(5, 1))
     with pytest.raises(PreconditionError, match="^need one slice per outer field element$"):
-        bent_concatenation([g] * 2, F3, F3)
+        bent_concatenation([g] * 2, F3)
     # units depending on y: mix opposite-sign quadratic slices on F_9
     g_plus = quad(F9)
     m = next(m for m in range(1, 9)
@@ -349,7 +350,7 @@ def test_bent_concatenation_error_and_inapplicable():
                  TraceForm(F9, [(F9.gen_power(m), 2)]).truth_table())).signs[0]
              != extract_certificate(walsh_fast(g_plus)).signs[0])
     g_minus = TraceForm(F9, [(F9.gen_power(m), 2)]).truth_table()
-    f, rep = bent_concatenation([g_plus, g_plus, g_minus], F9, F3)
+    f, rep = bent_concatenation([g_plus, g_plus, g_minus], F3)
     assert not rep["applicable"]
     assert "bent" not in rep
 
@@ -416,11 +417,11 @@ def test_builders_match_their_index_formulas(p, n, d):
     pi = list(range(outer.q))
     while pi == sorted(pi):
         rng.shuffle(pi)
-    f, rep = mm_special_form(gs, pi, inner, d)
+    f, rep = mm_special_form(gs, pi, d)
     values, dual_vals = _special_form_oracle(gs, pi, inner, d)
     assert rep["slices_dual_bent"]
     assert f.values == values and rep["dual"].values == dual_vals
-    f, rep = bent_concatenation(gs, inner, outer)
+    f, rep = bent_concatenation(gs, outer)
     values, dual_vals = _concatenation_oracle(gs, inner, outer)
     assert f.values == values
     if dual_vals is None:
@@ -437,7 +438,7 @@ def test_bent_concatenation_of_distinct_slices_matches_its_index_formulas():
     slices = [TraceForm(F9, [(F9.one(), 2)] + ([(F9.gen_power(m), 1)] if y else []), k)
               .truth_table() for y, (m, k) in enumerate(specs)]
     assert len(set(slices)) == len(slices)
-    f, rep = bent_concatenation(slices, inner, outer)
+    f, rep = bent_concatenation(slices, outer)
     assert rep["applicable"] and rep["bent"]
     assert is_bent(walsh_fast(f))
     values, dual_vals = _concatenation_oracle(slices, inner, outer)
@@ -557,3 +558,87 @@ def test_paper_style_diagonal_forms_are_nonvanishing():
     coeffs[6] = 1   # x2^2
     q2 = anf_to_truth(ANF(F9, coeffs))
     assert all(q2.values[c] != 0 for c in range(1, 9))
+
+
+# -- the field is read from the arguments -------------------------------------------
+# The Conway F_81 (`get_field(3, 4)`) is not the family's default realization
+# (x^4 + x - 1), so a helper that computed in the default field would be
+# wrong here.
+
+CONWAY_F81 = get_field(3, 4)
+
+
+def test_first_derivative_form_on_the_conway_field():
+    params = TrinomialParams(1, 2, 1)
+    assert CONWAY_F81 is not params.context()
+    f = trinomial_bent(params, CONWAY_F81).truth_table()
+    for c in map(CONWAY_F81.from_index, range(1, 81)):
+        sym = trinomial_first_derivative_form(params, c)
+        assert sym.ctx is CONWAY_F81 and sym.truth_table() == f.derivative(c), c.index
+
+
+@pytest.mark.parametrize("j", [0, 2])
+def test_closed_form_on_the_conway_field(j):
+    params = TrinomialParams(1, j, 1)
+    spec = walsh_naive(trinomial_bent(params, CONWAY_F81).truth_table())
+    for idx in range(81):
+        got = trinomial_closed_form_walsh(params, CONWAY_F81.from_index(idx))
+        assert got.coords == spec.coords[CONWAY_F81.neg_table[idx]], (j, idx)
+
+
+def test_closed_form_refuses_a_ctx_other_than_ys():
+    params = TrinomialParams(1, 0, 1)
+    y = CONWAY_F81.one()
+    assert trinomial_closed_form_walsh(params, y, CONWAY_F81) is not None
+    with pytest.raises(PreconditionError):
+        trinomial_closed_form_walsh(params, y, params.context())
+
+
+def test_closed_form_setup_is_cached_per_context(monkeypatch):
+    # an equal field built after a cache reset gets a setup of its own
+    old = get_field(3, 4, (2, 1, 0, 0, 1))
+    constructions._closed_form_setup(1, 0, 1, old)
+    monkeypatch.setattr(gf, "_FIELD_CACHE", {})
+    new = get_field(3, 4, (2, 1, 0, 0, 1))
+    assert new is not old
+    assert all(z.ctx is new for z in constructions._closed_form_setup(1, 0, 1, new))
+
+
+def test_lemma2_witness_on_the_conway_field():
+    params = TrinomialParams(1, 2, 1)
+    ctx = CONWAY_F81
+    b = params.b_coefficient(ctx)
+    witnesses = 0
+    for c in map(ctx.from_index, range(1, 81)):
+        covered = ctx.frobenius(c, 2) == c or (ctx.frobenius(c, 1) != c
+                                                and not ctx.rel_trace(b * c, 1).is_zero())
+        if not covered:
+            with pytest.raises(PreconditionError):
+                lemma2_witness(c, params)
+            continue
+        d = lemma2_witness(c, params)
+        z = b * ctx.power(c, 9) + ctx.frobenius(b, -2) * ctx.frobenius(c, -2)
+        assert d.ctx is ctx and ctx.trace(z * d) != 0, c.index
+        witnesses += 1
+    assert witnesses == 56
+
+
+def test_linearized_coefficient_on_the_conway_field():
+    # L_c(d) = 0 exactly when D_{c,d} f is constant, on c's field
+    params = TrinomialParams(1, 2, 1)
+    ctx = CONWAY_F81
+    f = trinomial_bent(params, ctx).truth_table()
+    rng = random.Random(7)
+    for _ in range(30):
+        c, d = (ctx.from_index(rng.randrange(1, 81)) for _ in range(2))
+        constant = len(set(f.second_derivative(c, d).values)) == 1
+        assert linearized_second_derivative_coeff(params, c, d).is_zero() == constant
+
+
+def test_slices_on_two_contexts_are_refused():
+    # x^2 on the pinned F_3 and on a context of the same field built apart
+    g, other = quad(F3), quad(FieldCtx(3, 1, F3.modulus))
+    with pytest.raises(PreconditionError, match="field context"):
+        bent_concatenation([g, g, other], F3)
+    with pytest.raises(PreconditionError, match="field context"):
+        mm_special_form([g, other, g], [0, 1, 2], 1)

@@ -715,7 +715,7 @@ def test_quad_like_implication():
     ctx = params.context()
     f = trinomial_bent(params, ctx).truth_table()
     c = ctx.scalar(1)
-    d = lemma2_witness(c, params, ctx)
+    d = lemma2_witness(c, params)
     lam = f.second_derivative(c, d).values[0]
     assert lam != 0 and set(f.second_derivative(c, d).values) == {lam}
     lemma = CubicLikeCertificate({c.index: (d.index, lam)}, False)

@@ -9,7 +9,7 @@ from pbent.funcrep import (ANF, PFunction, RelativeTraceForm, TraceForm, anf_to_
                            parse_function_spec, p_weight,
                            to_relative_trace_form, truth_to_anf,
                            truth_to_univariate, ParseError)
-from pbent.gf import FieldCtx, get_field
+from pbent.gf import FieldCtx, FieldError, get_field
 from pbent.walsh import walsh_fast
 from ring_oracle import Zw
 
@@ -378,3 +378,21 @@ def test_constructors_check_the_length_of_a_generator():
         ANF(F27, (v for v in range(28)))
     assert PFunction(F27, (v for v in range(27))).values == [v % 3 for v in range(27)]
     assert ANF(F27, iter([-1] * 27)).coeffs == [2] * 27
+
+
+def test_functions_and_trace_forms_refuse_another_context():
+    # x^4 + x - 1 and the Conway modulus: equal fields, two contexts
+    a, b = get_field(3, 4, (2, 1, 0, 0, 1)), F81
+    fa = TraceForm(a, [(a.one(), 2)]).truth_table()
+    fb = TraceForm(b, [(b.one(), 2)]).truth_table()
+    assert (fa + fa).ctx is a and fa != fb
+    for left, right in ((fa, fb), (fb, fa)):
+        with pytest.raises(FieldError):
+            left + right
+        with pytest.raises(FieldError):
+            left - right
+    for ctx, other in ((a, b), (b, a)):
+        with pytest.raises(FieldError):
+            TraceForm(ctx, [(other.primitive, 2)])
+        with pytest.raises(FieldError):
+            TraceForm(ctx, [(ctx.one(), 2), (other.primitive, 4)])

@@ -1,4 +1,5 @@
 import itertools
+import operator
 import random
 
 import pytest
@@ -438,3 +439,38 @@ def test_the_default_modulus_spelled_out_is_the_same_field(default_first, monkey
     assert second() is ctx and ctx.modulus == (2, 0, 0, 2, 1)
     assert get_field(3, 4, (-1, 3, 0, -1, 4)) is ctx  # the same modulus mod 3
     assert get_field(3, 4).from_index(5) == get_field(3, 4, (2, 0, 0, 2, 1)).from_index(5)
+
+
+def test_a_field_is_its_context():
+    # equality and hashing are object identity: a context built apart from
+    # the cache is another field, even with the same modulus
+    assert "__eq__" not in vars(FieldCtx) and "__hash__" not in vars(FieldCtx)
+    ctx = get_field(3, 2)
+    twin = FieldCtx(3, 2, ctx.modulus)
+    assert twin != ctx and len({ctx, twin}) == 2
+    assert twin.from_index(4) != ctx.from_index(4)
+
+
+def _two_realizations_of_f81():
+    # x^4 + x - 1 and the Conway modulus: equal fields, two contexts
+    return get_field(3, 4, (2, 1, 0, 0, 1)), get_field(3, 4)
+
+
+@pytest.mark.parametrize("op", ["add", "sub", "mul", "truediv"])
+def test_element_arithmetic_refuses_another_context(op):
+    a, b = _two_realizations_of_f81()
+    x, y = a.primitive, b.primitive
+    assert getattr(operator, op)(x, a.primitive) is not None
+    for left, right in ((x, y), (y, x)):
+        with pytest.raises(FieldError):
+            getattr(operator, op)(left, right)
+
+
+def test_context_operations_refuse_an_element_of_another_context():
+    a, b = _two_realizations_of_f81()
+    y = b.primitive
+    for call in (lambda: a.power(y, 2), lambda: a.frobenius(y, 1), lambda: a.trace(y),
+                 lambda: a.rel_trace(y, 2)):
+        with pytest.raises(FieldError):
+            call()
+    assert a.own(a.one()) == a.one()

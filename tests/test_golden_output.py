@@ -1,5 +1,5 @@
-"""Golden CLI output: exact stdout of analyze, construct, spectrum and
-verify-table1.
+"""Golden CLI output: exact stdout of analyze, construct, spectrum,
+verify-table1 and property-suite, and of the demos.
 
 Each command's stdout is pinned by its SHA-256, so any change to a report
 byte (key order, a value, the CSV layout) fails here.  The digests were
@@ -9,13 +9,20 @@ before spectra were stored as flat coordinates; the sampled p = 5
 b of ceil(10000 / q) seeded directions c instead of 10,000 independently
 drawn pairs; the `verify-table1` cases were recorded while the catalog
 still searched other primitive-element realizations on a mismatch, so they
-pin that the pinned realization alone prints the same table.  The commands
-run in process through `pbent.cli.main`.
+pin that the pinned realization alone prints the same table.  The last
+five commands, the `--certify` runs on a dual that is not bent and at odd
+n, the k = 2 trinomial `--certify`, `add-quadratic --analyze` and the quick
+property suite, were recorded before the trinomial helpers read their
+field from their arguments.  The commands run in process through
+`pbent.cli.main`, and the demos through `runpy`, their stdout pinned the
+same way.
 """
 
 import contextlib
 import hashlib
 import io
+import os
+import runpy
 
 import pytest
 
@@ -60,6 +67,25 @@ GOLDEN = [
      0, 'fbdd8ca03af61bfbfb6b02ef5fea006d95e2763cdec008cc4ec0c9645b7cc3ba'),
     (('verify-table1',),
      0, '0ded89b4c32ee7e3f148c6dbfc2d9ec80c8119bb64904a02767366e1b813714f'),
+    (('analyze', 'p=3 n=4 f=Tr(x^4+g^10*x^22)', '--certify'),
+     0, '6b437f76d7511d180ae6e3213ee83ce5dcd7bb26b8f35b293288a2e1e167e296'),
+    (('analyze', 'p=7 n=3 f=Tr(x^2)', '--certify'),
+     0, '3b7516a4f80e7b28213de8496abd46dfe1e8474660e6f92e3dc0b8b69f50e587'),
+    (('construct', 'trinomial', '--k', '2', '--j', '1', '--t', '1', '--analyze', '--certify'),
+     0, '8e3d39ae3e0764fb35787f9ab2af6785f47ad20129a50add90b98d29c6b4525b'),
+    (('construct', 'add-quadratic', '--f', 'p=3 n=4 f=Tr(x^2)', '--coeffs', '1,0,0,0',
+      '--analyze'),
+     0, '20a947c27a19d2373ba9d20f5125eba5a7bf0fceb58c8bef1adc81f103af2b3d'),
+    (('property-suite',),
+     0, 'd6147fb05dfb8732732fc03b5d816b696edf36e4ed36e6bd4a98d1894d9e8cb1'),
+]
+
+# stdout of each demo, run in process
+DEMOS = [
+    ('01_fields_and_spectra.py', 'c7fa5ea354affa1d74f88e448cfd8cb4bb8d5d78d5a0c6d52c98e7f521b39637'),
+    ('02_trinomial_family.py', 'abfa58e497f681b3fbf0fd7dcd394f3c859e9ae2d86fbd310369597145025701'),
+    ('03_sporadic_table.py', '16fcfa8cc505ee18e8447105d5089012e680fde715ee2cb375a755610eb9f5c8'),
+    ('04_constructions.py', 'ec45a31aec6b27920fe243e95e0b080481ff0d3432296337473c00f8efc33f60'),
 ]
 
 
@@ -70,4 +96,13 @@ def test_cli_stdout_is_pinned(argv, code, digest):
     with contextlib.redirect_stdout(buf):
         got = main(list(argv))
     assert got == code
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name,digest", DEMOS, ids=[d[0] for d in DEMOS])
+def test_demo_stdout_is_pinned(name, digest):
+    path = os.path.join(os.path.dirname(__file__), "..", "demos", name)
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        runpy.run_path(path, run_name="__main__")
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest

@@ -17,9 +17,9 @@ def test_an_empty_name_list_runs_no_check():
 
 
 def test_second_derivative_check_sees_a_wrong_linearized_coefficient(monkeypatch):
-    def d_cubed(params, ctx, c, d):
+    def d_cubed(params, c, d):
         return constructions.linearized_second_derivative_coeff(
-            params, ctx, c, ctx.frobenius(d, 1))
+            params, c, c.ctx.frobenius(d, 1))
 
     assert check_trinomial_second_derivatives(0, "quick")[0]
     monkeypatch.setattr(suite, "linearized_second_derivative_coeff", d_cubed)
@@ -35,9 +35,9 @@ def test_second_derivative_check_sees_a_wrong_bit_sliced_kernel(monkeypatch):
 
 
 def test_second_derivative_check_sees_a_wrong_first_derivative_form(monkeypatch):
-    def c_cubed(params, c, ctx=None):
+    def c_cubed(params, c):
         return constructions.trinomial_first_derivative_form(
-            params, ctx.frobenius(c, 1), ctx)
+            params, c.ctx.frobenius(c, 1))
 
     monkeypatch.setattr(suite, "trinomial_first_derivative_form", c_cubed)
     passed, detail = check_trinomial_second_derivatives(0, "quick")

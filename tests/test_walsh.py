@@ -347,3 +347,21 @@ def test_classification_invariant_under_affine():
             c = ctx.from_index(rng.randrange(ctx.q))
             lin = TraceForm(ctx, [(c, 1)], rng.randrange(3)).truth_table()
             assert classify(f + lin).variant == want
+
+
+def test_a_bent_spectrum_is_its_own_certificate():
+    import pbent
+    assert not hasattr(pbent, "BentCertificate")
+    for f in (quad(F81), PFunction(get_field(3, 1), [0, 1, 1])):
+        s = walsh_fast(f)
+        assert s._dual is None
+        assert extract_certificate(s) is s
+        dual = s._dual
+        assert dual is not None and s.dual is dual and extract_certificate(s).dual is dual
+
+
+def test_certificate_members_of_a_spectrum_that_is_not_bent_are_refused():
+    s = walsh_fast(PFunction(F9, [0] * F9.q))
+    for read in (lambda: s.dual, lambda: s.signs, s.sign_histogram, s.is_constant_sign):
+        with pytest.raises(PreconditionError):
+            read()
