@@ -24,7 +24,7 @@ from .derivanalysis import (CubicLikeCertificate, WrIdentityReport,
                             cubic_like_certificate, derivative_linear_space,
                             quadratic_balance_witness, wr_identity_check)
 from .constructions import (TrinomialParams, add_quadratic, bent_concatenation,
-                            lemma2_witness, mm_special_form,
+                            lemma2_witness, mm_special_form, outer_degree,
                             nonvanishing_quadratic_search,
                             quadratic_part_function, trinomial_bent,
                             trinomial_closed_form_walsh,

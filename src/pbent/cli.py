@@ -20,18 +20,17 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 
 from .catalog import list_catalog, verify_entry
 from .constructions import (TrinomialParams, add_quadratic, bent_concatenation,
-                            mm_special_form, trinomial_bent)
+                            mm_special_form, outer_degree, trinomial_bent)
 from .derivanalysis import cubic_like_certificate, wr_identity_check
 from .errors import (BudgetError, InternalInconsistency, ParseError,
                      PreconditionError)
 from .funcrep import (PFunction, parse_coeff, parse_function_spec,
                       to_relative_trace_form)
-from .gf import check_field_size, get_field, parse_int
+from .gf import check_field_size, parse_int
 from .suite import run_suite
 from .walsh import classify, extract_certificate, walsh_fast
 
@@ -137,21 +136,15 @@ def _read_input_file(path: str, what: str) -> str:
         raise ParseError("cannot read %s %s: %s" % (what, path, exc)) from None
 
 
-def _parse_slice_file(path: str, max_points: int):
-    ctxs = []
-    slices = []
-    for line in _read_input_file(path, "slice file").splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        ctx, tf = parse_function_spec(line, max_points)
-        ctxs.append(ctx)
-        slices.append(tf.truth_table())
+def _parse_slice_file(path: str, max_points: int) -> list:
+    lines = [line.strip() for line in _read_input_file(path, "slice file").splitlines()]
+    slices = [parse_function_spec(line, max_points)[1].truth_table()
+              for line in lines if line and not line.startswith("#")]
     if not slices:
         raise ParseError("slice file %s contains no function specs" % path)
-    if any(c is not ctxs[0] for c in ctxs):
+    if any(sl.ctx is not slices[0].ctx for sl in slices):
         raise ParseError("all slices must share one field spec")
-    return ctxs[0], slices
+    return slices
 
 
 def _parse_pi_file(path: str) -> list:
@@ -165,24 +158,17 @@ def _parse_pi_file(path: str) -> list:
 
 
 def cmd_construct_concat(args) -> int:
-    inner_ctx, slices = _parse_slice_file(args.slices, args.max_points)
+    slices = _parse_slice_file(args.slices, args.max_points)
     pi = _parse_pi_file(args.pi) if args.pi else None
-    if len(slices) == 1:  # m = 0: there is no field F_(p^0) and no F_p^0 for pi
-        raise PreconditionError("slice count 1: a concatenation needs p^m slices, m >= 1")
+    m = outer_degree(slices)
+    if pi and len(pi) != len(slices):
+        raise PreconditionError("permutation length must be p^d and match slice count")
+    check_field_size(slices[0].ctx.p, slices[0].ctx.n + (2 * m if pi else m), args.max_points)
     if pi:
-        d = round(math.log(len(pi), inner_ctx.p))
-        if inner_ctx.p ** d != len(pi) or len(slices) != len(pi):
-            raise PreconditionError("permutation length must be p^d and match slice count")
-        check_field_size(inner_ctx.p, inner_ctx.n + 2 * d, args.max_points)
-        f, rep = mm_special_form(slices, pi, d)
+        f, rep = mm_special_form(slices, pi)
         mode = "special_form"
     else:
-        m = round(math.log(len(slices), inner_ctx.p))
-        if inner_ctx.p ** m != len(slices):
-            raise PreconditionError("slice count must be a power of p")
-        check_field_size(inner_ctx.p, inner_ctx.n + m, args.max_points)
-        outer_ctx = get_field(inner_ctx.p, m)
-        f, rep = bent_concatenation(slices, outer_ctx)
+        f, rep = bent_concatenation(slices)
         mode = "concatenation"
     out = {"construction": mode, "p": f.ctx.p, "n": f.ctx.n,
            "report": {k: (v if not isinstance(v, PFunction) else "function(%d points)" % f.ctx.q)

@@ -3,9 +3,9 @@ Maiorana-McFarland-style special form, quadratic addition to weakly regular
 functions, and the cubic trinomial family over F_{3^(4k)} together with its
 closed-form Walsh values and dual for the odd-k cases.
 
-The two concatenations take slices on one context, the inner field, and
-plain arguments: `bent_concatenation` the outer field, `mm_special_form`
-the permutation pi and d.  Every field they build the result on is a
+The two concatenations read every field from their p^m slices on one
+context (`outer_degree` is the one rule for m); the special form takes the
+permutation pi besides.  Every field they build the result on is a
 verified `FieldCtx`, whose modulus passed Berlekamp's irreducibility test.
 
 The trinomial family is
@@ -75,9 +75,15 @@ class TrinomialParams:
             return get_field(3, 4, TRINOMIAL_MODULUS_K1)
         return get_field(3, self.n)
 
+    def realized_by(self, ctx: FieldCtx) -> FieldCtx:
+        """ctx if it realizes F_{3^(4k)}; every helper below reads its field through here."""
+        if ctx.p != 3 or ctx.n != self.n:
+            raise PreconditionError("context must realize F_3^(4k)")
+        return ctx
+
     def zeta(self, ctx: FieldCtx) -> FFElem:
         """Primitive element of the subfield F_{3^(2k)}."""
-        return ctx.gen_power((3 ** self.n - 1) // (3 ** (2 * self.k) - 1))
+        return self.realized_by(ctx).gen_power((3 ** self.n - 1) // (3 ** (2 * self.k) - 1))
 
     def b_coefficient(self, ctx: FieldCtx) -> FFElem:
         return ctx.power(self.zeta(ctx), self.t * (3 ** self.k + 1) // 2)
@@ -88,10 +94,7 @@ class TrinomialParams:
 
 def trinomial_bent(params: TrinomialParams, ctx: FieldCtx | None = None) -> TraceForm:
     """The family member as a trace form over its field context."""
-    if ctx is None:
-        ctx = params.context()
-    if ctx.p != 3 or ctx.n != params.n:
-        raise PreconditionError("context must realize F_3^(4k)")
+    ctx = params.context() if ctx is None else ctx
     k3 = 3 ** params.k
     b = params.b_coefficient(ctx)
     return TraceForm(ctx, [
@@ -105,7 +108,7 @@ def linearized_second_derivative_coeff(params: TrinomialParams, c: FFElem,
                                        d: FFElem) -> FFElem:
     """L_c(d), the x-coefficient of D_{c,d} f in c's field: zero exactly
     when the second derivative in directions (c, d) is constant."""
-    ctx, k = c.ctx, params.k
+    ctx, k = params.realized_by(c.ctx), params.k
     u = ctx.frobenius(c, k) - c
     v = ctx.frobenius(c, 2 * k) - c
     return (ctx.frobenius(u, 3 * k) * ctx.frobenius(d, 3 * k)
@@ -220,7 +223,7 @@ def trinomial_closed_form_walsh(params: TrinomialParams, y: FFElem,
             "closed forms cover k odd, j in {0, 2k}, t = (3^k - 1)/2 only")
     if ctx not in (None, y.ctx):
         raise PreconditionError("ctx must be y's own field context")
-    ctx, k = y.ctx, params.k
+    ctx, k = params.realized_by(y.ctx), params.k
     a, B, Binv, u = _closed_form_setup(k, params.j, params.t, ctx)
     s_k = 1 if k % 4 == 1 else -1
     s_j = 1 if params.j == 0 else -1
@@ -276,23 +279,33 @@ def _slice_certificates(slices: list) -> list:
     return certs
 
 
-def bent_concatenation(slices, outer_ctx: FieldCtx):
-    """Concatenate bent slices f_y on one inner field, one per element y of
-    an outer field, into a function on the field of degree n + m with index
-    split z = x + p^n * y; bent iff every s-section of the slice duals is
-    bent, in which case the dual (for the component-wise trace pairing) is
-    returned as well.
+def outer_degree(slices) -> int:
+    """The m >= 1 with len(slices) = p^m, p the slices' characteristic: a
+    concatenation indexes its slices by F_{p^m}.  Any other count is refused."""
+    m, q = 0, 1
+    while slices and q < len(slices):
+        m, q = m + 1, q * slices[0].ctx.p
+    if m < 1 or q != len(slices):
+        raise PreconditionError("slice count %d: a concatenation needs p^m slices, m >= 1"
+                                % len(slices))
+    return m
 
-    Raises on a non-bent slice and on slices of two contexts; a
-    y-dependent unit pattern is reported as inapplicable rather than raised.
+
+def bent_concatenation(slices):
+    """Concatenate p^m bent slices f_y on one inner field, one per element
+    y of F_{p^m} = `get_field(p, m)`, into a function on the field of degree
+    n + m with index split z = x + p^n * y; bent iff every s-section of the
+    slice duals is bent, in which case the dual (for the component-wise
+    trace pairing) is returned as well.
+
+    Raises on a slice count other than p^m, a non-bent slice and slices of
+    two contexts; a y-dependent unit pattern is reported as inapplicable.
     """
     slices = list(slices)
-    if len(slices) != outer_ctx.q:
-        raise PreconditionError("need one slice per outer field element")
-    if slices[0].ctx.p != outer_ctx.p:
-        raise PreconditionError("inner and outer fields must share p")
+    m = outer_degree(slices)
+    p, n = slices[0].ctx.p, slices[0].ctx.n
     certs = _slice_certificates(slices)
-    combined = get_field(outer_ctx.p, slices[0].ctx.n + outer_ctx.n)
+    outer_ctx, combined = get_field(p, m), get_field(p, n + m)
     f = PFunction(combined, [v for sl in slices for v in sl.values])
 
     units_constant = all(len(set(signs)) == 1 for signs in zip(*(c.signs for c in certs)))
@@ -311,20 +324,18 @@ def bent_concatenation(slices, outer_ctx: FieldCtx):
     return f, report
 
 
-def mm_special_form(gs, pi, d: int):
+def mm_special_form(gs, pi):
     """f(x, y1, y2) = g_{y2}(x) + Tr_d(y1 * pi(y2)) on a field of degree
-    n + 2d; bent whenever every g_c is bent, with no condition on units.
+    n + 2d, p^d = len(gs); bent whenever every g_c is bent, with no
+    condition on units.
 
-    pi is a permutation of the outer field given as an index table; d = 1
-    with pi = range(p) gives g_{y2}(x) + y1 y2.  When every slice is
-    dual-bent the dual f*(s, t1, t2) = g*_{pi^-1(t1)}(s) - Tr_d(pi^-1(t1) *
-    t2) is returned too.  Slices on two contexts are refused.
+    pi is a permutation of F_{p^d} given as an index table; d = 1 with pi =
+    range(p) gives g_{y2}(x) + y1 y2.  When every slice is dual-bent the
+    dual f*(s, t1, t2) = g*_{pi^-1(t1)}(s) - Tr_d(pi^-1(t1) * t2) is
+    returned too.  Slices on two contexts are refused.
     """
-    if d < 1:
-        raise PreconditionError("d must be >= 1")
     gs = list(gs)
-    if not gs or len(gs) != gs[0].ctx.p ** d:
-        raise PreconditionError("need one slice per element of F_p^d")
+    d = outer_degree(gs)
     p, n = gs[0].ctx.p, gs[0].ctx.n
     ctx_d = get_field(p, d)
     qd = ctx_d.q
@@ -350,10 +361,10 @@ def mm_special_form(gs, pi, d: int):
 # -- quadratic addition -----------------------------------------------------------
 
 
-def quadratic_part_function(ctx: FieldCtx, coeffs) -> PFunction:
-    """q(x) = Tr_n(sum_j a_j x^(p^j + 1)) as a truth table."""
-    terms = [(a, ctx.p ** jj + 1) for jj, a in enumerate(coeffs) if not a.is_zero()]
-    return TraceForm(ctx, terms).truth_table()
+def quadratic_part_function(coeffs) -> PFunction:
+    """q(x) = Tr_n(sum_j a_j x^(p^j + 1)) on the field of the a_j, as a truth table."""
+    terms = [(a, a.ctx.p ** jj + 1) for jj, a in enumerate(coeffs) if not a.is_zero()]
+    return TraceForm(coeffs[0].ctx, terms).truth_table()
 
 
 def add_quadratic(f: PFunction, coeffs):
@@ -369,25 +380,24 @@ def add_quadratic(f: PFunction, coeffs):
         raise PreconditionError("need n quadratic coefficients")
     if classify(f).variant not in (WEAKLY_REGULAR, REGULAR):
         raise PreconditionError("add_quadratic requires a weakly regular bent function")
-    g = f + quadratic_part_function(ctx, coeffs)
+    g = f + quadratic_part_function(coeffs)
     return g, {"spectrally_bent": is_bent(walsh_fast(g))}
 
 
 def nonvanishing_quadratic_search(p: int, n: int):
     """A pure quadratic q with q(c) != 0 for all c != 0, or None.
 
-    Exhaustive over coefficient vectors for n <= 2; for n = 3 the scan runs
-    to completion and returns None; for n >= 4 the degree comparison of the
-    indicator identity (left side degree <= 2(p-1), right side n(p-1))
-    already excludes a solution, so None is returned without scanning.
+    Exhaustive over coefficient vectors for n <= 2.  For n >= 3 there is none
+    (Chevalley-Warning; or 1 - q(x)^(p-1) = [x = 0] would equate degrees
+    <= 2(p-1) and n(p-1)), so None is returned without scanning.
     """
-    if n >= 4:
+    if n >= 3:
         return None
     ctx = get_field(p, n)
     # reversed so that the first coefficient varies fastest
     for rev in itertools.product(range(ctx.q), repeat=n):
         if any(rev):
             coeffs = [ctx.from_index(ci) for ci in reversed(rev)]
-            if all(quadratic_part_function(ctx, coeffs).values[1:]):
+            if all(quadratic_part_function(coeffs).values[1:]):
                 return coeffs
     return None

@@ -310,12 +310,13 @@ def truth_to_univariate(f: PFunction) -> list[FFElem]:
     return coeffs
 
 
-def eval_univariate(ctx: FieldCtx, coeffs) -> PFunction:
-    """Evaluate the q coefficients a_0..a_{q-1} as a p-valued function.
+def eval_univariate(coeffs) -> PFunction:
+    """Evaluate the q coefficients a_0..a_{q-1} as a function on their field.
 
     The list is F_p-valued exactly when it is conjugate-closed: a_0 and
     a_{q-1} are scalars and a_{p*i mod (q-1)} = a_i^p.  Anything else
     raises; a closed list is evaluated as its relative trace form."""
+    ctx = coeffs[0].ctx
     p, order = ctx.p, ctx.order
     if any(coeffs[0].coeffs[1:]) or any(coeffs[-1].coeffs[1:]):
         raise InternalInconsistency("constant or top univariate coefficient not scalar")

@@ -92,7 +92,7 @@ def check_representation_roundtrips(seed, level):
     for _ in range(trials):
         f = _random_function(ctx, rng)
         coeffs = truth_to_univariate(f)
-        if eval_univariate(ctx, coeffs) != f:
+        if eval_univariate(coeffs) != f:
             return False, "univariate round trip failed"
         if to_relative_trace_form(f).truth_table() != f:
             return False, "relative trace form round trip failed"
@@ -296,7 +296,7 @@ def check_mm_form(seed, level):
     count = 0
     for pi in itertools.permutations(range(3)):
         for slices in ((g, g, g), (g, h, g)):
-            f, rep = mm_special_form(list(slices), list(pi), 1)
+            f, rep = mm_special_form(slices, pi)
             if not is_bent(walsh_fast(f)):
                 return False, "special form output not bent for pi=%s" % (pi,)
             count += 1

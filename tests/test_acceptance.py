@@ -237,13 +237,13 @@ def test_12_nonvanishing_quadratic_and_addition():
     with criterion(12, "nonvanishing quadratics for n <= 2, bent sums, None at n = 3"):
         found1 = pb.nonvanishing_quadratic_search(3, 1)
         assert found1 is not None
-        q1 = pb.quadratic_part_function(F3, found1)
+        q1 = pb.quadratic_part_function(found1)
         assert all(q1.values[c] != 0 for c in range(1, 3))
         assert pb.truth_to_anf(q1).coeffs == [0, 0, 1]  # x_1^2
 
         found2 = pb.nonvanishing_quadratic_search(3, 2)
         assert found2 is not None
-        q2 = pb.quadratic_part_function(F9, found2)
+        q2 = pb.quadratic_part_function(found2)
         assert all(q2.values[c] != 0 for c in range(1, 9))
         anf2 = pb.truth_to_anf(q2).coeffs
         assert anf2[2] == anf2[6] == 1 and sum(anf2) == 2  # x_1^2 + x_2^2

@@ -3,6 +3,7 @@ from dataclasses import replace
 import pbent.catalog
 from pbent.catalog import list_catalog, verify_entry
 from pbent.funcrep import parse_function_spec
+from pbent.walsh import NON_WEAKLY_REGULAR, REGULAR, Classification
 
 
 def get_entry(label):
@@ -73,3 +74,12 @@ def test_quadratic_baselines_weakly_regular_dual_bent():
         cls = res["classification"]
         assert cls.variant in ("weakly_regular", "regular")
         assert cls.dual_bent is True
+
+
+def test_matches_compares_the_variant():
+    entry = get_entry("binomial_wr_n4")
+    assert entry.expected_variant == "weakly_regular"
+    assert not pbent.catalog._matches(Classification(NON_WEAKLY_REGULAR), entry)
+    entry = get_entry("sporadic_n3_x8_x14")
+    assert entry.expected_variant == "non_weakly_regular"
+    assert not pbent.catalog._matches(Classification(REGULAR, sign=1), entry)

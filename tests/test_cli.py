@@ -484,11 +484,13 @@ def test_malformed_permutation_file_is_a_parse_error(tmp_path):
 def test_concat_of_one_slice_is_refused_before_any_field_is_built(tmp_path, monkeypatch,
                                                                   capsys):
     import pbent.cli
+    import pbent.constructions
 
     def never(*args):
         raise AssertionError("a field or form built for one slice")
 
-    for name in ("get_field", "check_field_size", "bent_concatenation", "mm_special_form"):
+    monkeypatch.setattr(pbent.constructions, "get_field", never)
+    for name in ("check_field_size", "bent_concatenation", "mm_special_form"):
         monkeypatch.setattr(pbent.cli, name, never)
     slices = tmp_path / "slices.txt"
     slices.write_text("# one slice: m = 0\n\np=3 n=2 f=Tr(x^2)\n")
@@ -584,3 +586,8 @@ def test_dual_form_over_its_limit_is_refused_before_any_transform(monkeypatch, c
     out, err = capsys.readouterr()
     assert out == ""
     assert json.loads(err)["error"]["kind"] == "budget_error"
+
+
+def test_trinomial_certify_without_analyze_is_a_parse_error():
+    _json_error(run_cli("construct", "trinomial", "--k", "1", "--j", "0", "--t", "1",
+                        "--certify"), 2, "parse_error")

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -254,7 +255,7 @@ def _product_pairing_walsh(f, inner_ctx, outer_ctx, s_idx, t_idx):
 def test_mm_special_form_bent_and_dual():
     g = PFunction(F3, [0, 1, 1])
     for pi in ([0, 1, 2], [1, 0, 2], [2, 1, 0]):
-        f, rep = mm_special_form([g, g, g], pi, 1)
+        f, rep = mm_special_form([g, g, g], pi)
         assert rep["bent"]
         assert is_bent(walsh_fast(f))
         assert rep["slices_dual_bent"]
@@ -280,18 +281,18 @@ def test_mm_special_form_bent_and_dual():
 def test_mm_special_form_validation():
     g = PFunction(F3, [0, 1, 1])
     with pytest.raises(PreconditionError):
-        mm_special_form([g, g, g], [0, 1, 1], 1)  # not a permutation
+        mm_special_form([g, g, g], [0, 1, 1])  # not a permutation
     with pytest.raises(PreconditionError):
-        mm_special_form([g, g], [0, 1, 2], 1)  # wrong slice count
+        mm_special_form([g, g], [0, 1, 2])  # wrong slice count
     lin = PFunction(F3, [0, 1, 2])
     with pytest.raises(PreconditionError):
-        mm_special_form([g, lin, g], [0, 1, 2], 1)  # non-bent slice
+        mm_special_form([g, lin, g], [0, 1, 2])  # non-bent slice
 
 
 def test_construction1_matches_special_form_and_sign_mixing():
     g_plus = quad(F9)
-    f_uniform, _ = mm_special_form([g_plus] * 3, range(3), 1)
-    f_mm, _ = mm_special_form([g_plus] * 3, [0, 1, 2], 1)
+    f_uniform, _ = mm_special_form([g_plus] * 3, range(3))
+    f_mm, _ = mm_special_form([g_plus] * 3, [0, 1, 2])
     assert f_uniform == f_mm
     assert classify(f_uniform).variant in (REGULAR, WEAKLY_REGULAR)
 
@@ -303,7 +304,7 @@ def test_construction1_matches_special_form_and_sign_mixing():
     flip = next(m for m, s in signs.items()
                 if s != extract_certificate(walsh_fast(g_plus)).signs[0])
     g_minus = TraceForm(F9, [(F9.gen_power(flip), 2)]).truth_table()
-    f_mixed, _ = mm_special_form([g_plus, g_plus, g_minus], range(3), 1)
+    f_mixed, _ = mm_special_form([g_plus, g_plus, g_minus], range(3))
     assert classify(f_mixed).variant == NON_WEAKLY_REGULAR
 
 
@@ -314,7 +315,7 @@ def test_bent_concatenation_valid_family():
     for y in range(3):
         vals = [(x * x + y * x) % 3 for x in range(3)]
         slices.append(PFunction(inner, vals))
-    f, rep = bent_concatenation(slices, outer)
+    f, rep = bent_concatenation(slices)
     assert rep["applicable"] and rep["bent"]
     assert is_bent(walsh_fast(f))
     dual = rep["dual"]
@@ -328,7 +329,7 @@ def test_bent_concatenation_valid_family():
 def test_bent_concatenation_identical_slices_not_bent():
     # f(x, y) = g(x) ignores y: sections of the dual are constant, not bent
     g = PFunction(F3, [0, 1, 1])
-    f, rep = bent_concatenation([g] * 9, get_field(3, 2))
+    f, rep = bent_concatenation([g] * 9)
     assert rep["applicable"]
     assert rep["bent"] is False
     assert not is_bent(walsh_fast(f))
@@ -338,11 +339,10 @@ def test_bent_concatenation_error_and_inapplicable():
     g = PFunction(F3, [0, 1, 1])
     lin = PFunction(F3, [0, 1, 2])
     with pytest.raises(PreconditionError):
-        bent_concatenation([g, g, lin], F3)
-    with pytest.raises(PreconditionError, match="^inner and outer fields must share p$"):
-        bent_concatenation([g] * 5, get_field(5, 1))
-    with pytest.raises(PreconditionError, match="^need one slice per outer field element$"):
-        bent_concatenation([g] * 2, F3)
+        bent_concatenation([g, g, lin])
+    with pytest.raises(PreconditionError,
+                       match=r"^slice count 2: a concatenation needs p\^m slices, m >= 1$"):
+        bent_concatenation([g] * 2)
     # units depending on y: mix opposite-sign quadratic slices on F_9
     g_plus = quad(F9)
     m = next(m for m in range(1, 9)
@@ -350,7 +350,7 @@ def test_bent_concatenation_error_and_inapplicable():
                  TraceForm(F9, [(F9.gen_power(m), 2)]).truth_table())).signs[0]
              != extract_certificate(walsh_fast(g_plus)).signs[0])
     g_minus = TraceForm(F9, [(F9.gen_power(m), 2)]).truth_table()
-    f, rep = bent_concatenation([g_plus, g_plus, g_minus], F3)
+    f, rep = bent_concatenation([g_plus, g_plus, g_minus])
     assert not rep["applicable"]
     assert "bent" not in rep
 
@@ -417,11 +417,11 @@ def test_builders_match_their_index_formulas(p, n, d):
     pi = list(range(outer.q))
     while pi == sorted(pi):
         rng.shuffle(pi)
-    f, rep = mm_special_form(gs, pi, d)
+    f, rep = mm_special_form(gs, pi)
     values, dual_vals = _special_form_oracle(gs, pi, inner, d)
     assert rep["slices_dual_bent"]
     assert f.values == values and rep["dual"].values == dual_vals
-    f, rep = bent_concatenation(gs, outer)
+    f, rep = bent_concatenation(gs)
     values, dual_vals = _concatenation_oracle(gs, inner, outer)
     assert f.values == values
     if dual_vals is None:
@@ -438,7 +438,7 @@ def test_bent_concatenation_of_distinct_slices_matches_its_index_formulas():
     slices = [TraceForm(F9, [(F9.one(), 2)] + ([(F9.gen_power(m), 1)] if y else []), k)
               .truth_table() for y, (m, k) in enumerate(specs)]
     assert len(set(slices)) == len(slices)
-    f, rep = bent_concatenation(slices, outer)
+    f, rep = bent_concatenation(slices)
     assert rep["applicable"] and rep["bent"]
     assert is_bent(walsh_fast(f))
     values, dual_vals = _concatenation_oracle(slices, inner, outer)
@@ -523,7 +523,7 @@ def test_add_quadratic_condition_matches_the_spectral_verdict(p, n):
 
     verdicts = []
     while len(verdicts) < 48:
-        f = (quadratic_part_function(ctx, coeffs())
+        f = (quadratic_part_function(coeffs())
              + TraceForm(ctx, [(ctx.from_index(rng.randrange(ctx.q)), 1)]).truth_table())
         if classify(f).variant not in (REGULAR, WEAKLY_REGULAR):
             continue
@@ -536,16 +536,26 @@ def test_add_quadratic_condition_matches_the_spectral_verdict(p, n):
 def test_nonvanishing_quadratic_search():
     r1 = nonvanishing_quadratic_search(3, 1)
     assert r1 is not None
-    q1 = quadratic_part_function(F3, r1)
+    q1 = quadratic_part_function(r1)
     assert all(q1.values[c] != 0 for c in range(1, 3))
 
     r2 = nonvanishing_quadratic_search(3, 2)
     assert r2 is not None
-    q2 = quadratic_part_function(F9, r2)
+    q2 = quadratic_part_function(r2)
     assert all(q2.values[c] != 0 for c in range(1, 9))
 
     assert nonvanishing_quadratic_search(3, 3) is None
     assert nonvanishing_quadratic_search(3, 5) is None
+
+
+def test_no_quadratic_on_f27_is_nonvanishing():
+    # the oracle of the None above: every nonzero coefficient vector on
+    # F_27 gives a quadratic with a nonzero root
+    F27 = get_field(3, 3)
+    for vec in itertools.product(range(27), repeat=3):
+        if any(vec):
+            q = quadratic_part_function([F27.from_index(i) for i in vec])
+            assert not all(q.values[1:]), vec
 
 
 def test_paper_style_diagonal_forms_are_nonvanishing():
@@ -639,6 +649,21 @@ def test_slices_on_two_contexts_are_refused():
     # x^2 on the pinned F_3 and on a context of the same field built apart
     g, other = quad(F3), quad(FieldCtx(3, 1, F3.modulus))
     with pytest.raises(PreconditionError, match="field context"):
-        bent_concatenation([g, g, other], F3)
+        bent_concatenation([g, g, other])
     with pytest.raises(PreconditionError, match="field context"):
-        mm_special_form([g, other, g], [0, 1, 2], 1)
+        mm_special_form([g, other, g], [0, 1, 2])
+
+
+@pytest.mark.parametrize("field", [(3, 8), (5, 4)])
+def test_trinomial_helpers_refuse_a_field_other_than_f_3_4k(field):
+    ctx = get_field(*field)
+    params = TrinomialParams(1, 2, 1)
+    c, d = ctx.from_index(5), ctx.from_index(7)
+    calls = [lambda: lemma2_witness(c, params),
+             lambda: trinomial_first_derivative_form(params, c),
+             lambda: linearized_second_derivative_coeff(params, c, d),
+             lambda: params.b_coefficient(ctx),
+             lambda: trinomial_closed_form_walsh(TrinomialParams(1, 0, 1), c)]
+    for call in calls:
+        with pytest.raises(PreconditionError, match=r"^context must realize F_3\^\(4k\)$"):
+            call()

@@ -188,3 +188,8 @@ def test_recognition_holds_exactly_at_norm_p_to_the_n_near_the_forms(p):
             tuples.append(tuple(t))
         seen = [a + b for a, b in zip(seen, _recognized_iff_norm(p, n, tuples))]
     assert min(seen) > 100
+
+
+def test_unit_power_forms_need_n_at_least_one():
+    with pytest.raises(ValueError):
+        unit_power_forms(3, 0)

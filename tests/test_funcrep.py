@@ -64,7 +64,7 @@ def test_univariate_roundtrip_random():
     rng = random.Random(7)
     for _ in range(10):
         f = rand_f(F27, rng)
-        assert eval_univariate(F27, truth_to_univariate(f)) == f
+        assert eval_univariate(truth_to_univariate(f)) == f
 
 
 def test_relative_trace_form_known_support():
@@ -132,9 +132,9 @@ def test_eval_univariate_refuses_a_list_that_is_not_conjugate_closed():
     coeffs = [F27.zero()] * 27
     coeffs[1] = F27.from_index(3)  # alpha alone, without alpha^3 and alpha^9
     with pytest.raises(InternalInconsistency):
-        eval_univariate(F27, coeffs)
+        eval_univariate(coeffs)
     coeffs[3], coeffs[9] = F27.frobenius(coeffs[1], 1), F27.frobenius(coeffs[1], 2)
-    assert eval_univariate(F27, coeffs) == TraceForm(F27, [(coeffs[1], 1)]).truth_table()
+    assert eval_univariate(coeffs) == TraceForm(F27, [(coeffs[1], 1)]).truth_table()
 
 
 def coset_leader(e, p, modulus):
@@ -396,3 +396,18 @@ def test_functions_and_trace_forms_refuse_another_context():
             TraceForm(ctx, [(other.primitive, 2)])
         with pytest.raises(FieldError):
             TraceForm(ctx, [(ctx.one(), 2), (other.primitive, 4)])
+
+
+def test_eval_univariate_refuses_a_constant_that_is_not_scalar():
+    coeffs = [F27.zero()] * 27
+    coeffs[0] = F27.from_index(3)  # alpha
+    with pytest.raises(InternalInconsistency,
+                       match="^constant or top univariate coefficient not scalar$"):
+        eval_univariate(coeffs)
+
+
+def test_relative_trace_form_of_x_squared_on_f3_is_its_top_term():
+    # x^2 = x^(q-1) on F_3: no entries, the top coefficient counted as nonlinear
+    form = to_relative_trace_form(PFunction(F3, [0, 1, 1]))
+    assert form.entries == () and form.top_coeff == 1
+    assert form.nonlinear_term_count() == 1

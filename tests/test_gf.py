@@ -474,3 +474,14 @@ def test_context_operations_refuse_an_element_of_another_context():
         with pytest.raises(FieldError):
             call()
     assert a.own(a.one()) == a.one()
+
+
+def test_index_out_of_range_is_a_field_error():
+    with pytest.raises(FieldError):
+        get_field(3, 1).from_index(3)
+
+
+def test_negative_power_of_zero_is_refused():
+    F = get_field(3, 1)
+    with pytest.raises(ZeroDivisionError):
+        F.power(F.zero(), -1)

@@ -12,7 +12,7 @@ from pbent.walsh import (_dft3_column, _dft_generic_column,
                          bent_via_derivatives, bent_via_second_derivative_sum, classify,
                          dual_iteration_check, extract_certificate, inverse_sums,
                          is_bent, second_derivative_triple_sum,
-                         single_walsh_value, walsh_fast, walsh_naive,
+                         single_walsh_value, walsh_fast, walsh_naive, WalshSpectrum,
                          NOT_BENT, REGULAR, WEAKLY_REGULAR)
 from digit_oracle import index_add
 from ring_oracle import Zw, bent_value
@@ -365,3 +365,8 @@ def test_certificate_members_of_a_spectrum_that_is_not_bent_are_refused():
     for read in (lambda: s.dual, lambda: s.signs, s.sign_histogram, s.is_constant_sign):
         with pytest.raises(PreconditionError):
             read()
+
+
+def test_spectrum_of_the_wrong_length_is_refused():
+    with pytest.raises(ValueError):
+        WalshSpectrum(get_field(3, 1), [(0, 0)] * 2, "fast")
