@@ -42,6 +42,8 @@ EXIT_INTERNAL = 5
 DEFAULT_SPECTRUM_BUDGET = 3 ** 12
 # `analyze --dual-form` interpolates about q/n character sums of q terms each
 DUAL_FORM_MAX_POINTS = 3 ** 9
+# `analyze --certify` above degree 3 scans about q^2 point pairs for its witnesses
+CERTIFY_SCAN_MAX_POINTS = 5 ** 5
 
 
 def _emit(obj) -> None:
@@ -90,6 +92,9 @@ def cmd_analyze(args) -> int:
         raise BudgetError("--dual-form is limited to field size %d, got %d"
                           % (DUAL_FORM_MAX_POINTS, ctx.q))
     f = tf.truth_table()
+    if args.certify and ctx.q > CERTIFY_SCAN_MAX_POINTS and f.algebraic_degree() > 3:
+        raise BudgetError("--certify above degree 3 is limited to field size %d, got %d"
+                          % (CERTIFY_SCAN_MAX_POINTS, ctx.q))
     report = analyze_function(f, certify=args.certify, dual_form=args.dual_form, seed=args.seed)
     out = {"input": args.spec}
     out.update(report)

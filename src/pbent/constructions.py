@@ -22,8 +22,9 @@ For k odd, j in {0, 2k} and t = (3^k-1)/2 the Walsh transform collapses in
 closed form over the realization F_{3^k}[a] with a^4 + a = 1: expanding
 y = y_3 a^3 + y_2 a^2 + y_1 a + y_0 with y_i in F_{3^k}, W_f(-y) is a
 single +-3^(2k) w^e value whose sign involves the quadratic character of
-F_{3^k}; the three y_0 branches are implemented exactly, with the
-quadratic Gauss sum standing in for every irrational factor.
+F_{3^k}; its two y_0 branches (the degenerate value and the generic case,
+y_0 = 0 included) are implemented exactly, with the quadratic Gauss sum
+standing in for every irrational factor.
 """
 
 from __future__ import annotations
@@ -121,8 +122,9 @@ def lemma2_witness(c: FFElem, params: TrinomialParams) -> FFElem:
 
     Defined for c in F_{3^(2k)}^* and for c outside F_{3^k} with
     Tr_k^n(bc) != 0; the search runs through F_{3^k}, then F_{3^(2k)},
-    then the whole field, in canonical order.  Exhaustion would contradict
-    the family's structure and raises an internal inconsistency.
+    then the whole field, in canonical order (a pool holds the one before,
+    all of whose elements failed, so reading them again finds the same d).
+    Exhaustion would contradict the family's structure: InternalInconsistency.
     """
     ctx, k, j = c.ctx, params.k, params.j
     if c.is_zero():
@@ -136,17 +138,11 @@ def lemma2_witness(c: FFElem, params: TrinomialParams) -> FFElem:
             "c is outside the covered cases: need c in F_3^(2k)* or "
             "c not in F_3^k with Tr_k^n(bc) != 0")
     z = b * ctx.power(c, 3 ** j) + ctx.frobenius(b, -j) * ctx.frobenius(c, -j)
-    tried = set()
-    for sub in (k, 2 * k, params.n):
-        pool = (ctx.subfield_indexes(sub) if sub < params.n else range(ctx.q))
-        for d_idx in pool:
-            if d_idx in tried or d_idx == 0:
-                continue
-            tried.add(d_idx)
-            d = ctx.from_index(d_idx)
-            if ctx.trace(z * d) != 0:
-                return d
-    raise InternalInconsistency("no witness direction exists; family structure violated")
+    pools = itertools.chain(ctx.subfield_indexes(k), ctx.subfield_indexes(2 * k), range(ctx.q))
+    d = next((d for d in map(ctx.from_index, pools) if ctx.trace(z * d)), None)
+    if d is None:
+        raise InternalInconsistency("no witness direction exists; family structure violated")
+    return d
 
 
 def trinomial_first_derivative_form(params: TrinomialParams, c: FFElem) -> TraceForm:
@@ -211,11 +207,12 @@ def trinomial_closed_form_walsh(params: TrinomialParams, y: FFElem,
         x_1:   y_3 + y_1 + s_j y_0         x_2: y_2 + y_1 - s_j y_0 + s_k B^2 y_0^2
         const: s_k B y_0 + s_j B y_0^2 + B y_0 y_1
 
-    evaluated by exact Gauss completions.  Three branches on y_0: the
+    evaluated by exact Gauss completions.  Two branches on y_0: the
     degenerate value y_0 = s_j s_k B^-2 (the x_1 sum turns linear and the
-    value is +3^(2k) w^e), y_0 = 0 (two clean squares, sign -1), and the
-    generic case whose sign is -eta(B^-2 + y_0^2 B^2) with eta the
-    quadratic character of F_3^k.  Always equals the spectral W_f(-y).
+    value is +3^(2k) w^e), and the generic case, sign -eta(B^-2 + y_0^2 B^2)
+    with eta the quadratic character of F_3^k; at y_0 = 0 (m = c_0 = 0, two
+    clean squares) it reads e = Tr_k(s_j B (l_1^2 + l_2^2)) and sign -1.
+    Always equals the spectral W_f(-y).
     """
     if params.k % 2 == 0 or params.j not in (0, 2 * params.k) \
             or params.t != (3 ** params.k - 1) // 2:
@@ -236,10 +233,6 @@ def trinomial_closed_form_walsh(params: TrinomialParams, y: FFElem,
 
     def value(sign, e):  # sign * 3^(2k) * w^e
         return CycInt(3, forms[bent_code(3, sign, e)])
-
-    if y0.is_zero():
-        e = tr(((y1 + y3) * (y1 + y3) + (y1 + y2) * (y1 + y2)) * B.scale(s_j))
-        return value(-1, e)
 
     a1 = (B * y0).scale(s_k) - Binv.scale(s_j)       # x_1^2 coefficient
     a2 = -(B * y0).scale(s_k) - Binv.scale(s_j)      # x_2^2 coefficient
@@ -363,6 +356,8 @@ def mm_special_form(gs, pi):
 
 def quadratic_part_function(coeffs) -> PFunction:
     """q(x) = Tr_n(sum_j a_j x^(p^j + 1)) on the field of the a_j, as a truth table."""
+    if not coeffs:
+        raise PreconditionError("a quadratic needs at least one coefficient a_0")
     terms = [(a, a.ctx.p ** jj + 1) for jj, a in enumerate(coeffs) if not a.is_zero()]
     return TraceForm(coeffs[0].ctx, terms).truth_table()
 

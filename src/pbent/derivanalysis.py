@@ -41,10 +41,10 @@ symmetry of W_{D_c f} in b and in c on S and -S, where either side may be
 nonzero, and vanishing on Tr(bc) != 0 and realness on Tr(bc) = 0 on S
 (only the phase identity is sound; see `WrIdentityReport`).  Small fields
 are walked whole; larger ones fill SAMPLED_PAIRS with seeded rows (see
-`wr_identity_check`).  Given a cubic-like witness D_{c,d} f = lambda,
-every walked row also checks W_{D_c f}(b) = 0 whenever Tr(bd) != lambda,
-which holds for every function, so a failure is an internal
-inconsistency.
+`wr_identity_check`), whose limit cuts only the last row's report: every
+check reads whole rows.  Given a cubic-like witness D_{c,d} f = lambda,
+every walked row checks W_{D_c f}(b) = 0 whenever Tr(bd) != lambda, which
+holds for every function, so a failure is an internal inconsistency.
 
 For deg f <= 3, D_c f is quadratic with Hessian T(c, ., .), and a row reads
 W_{D_c f} in closed form (`walsh_quadratic`): a quadratic Gauss sum,
@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from bisect import bisect_left
 from itertools import compress
 from operator import itemgetter, ne, sub
 
@@ -94,16 +93,14 @@ class CubicLikeCertificate:
 
 def _trilinear_form(f: PFunction) -> list[list[int]]:
     """T(e_i, e_j, e_k) = D_{e_i} D_{e_j} D_{e_k} f(0) mod p (deg f <= 3),
-    as n flattened n x n matrices T(e_i, ., .); T is symmetric.  A sum of
-    at most three basis vectors has index sum(p^d) over its picks d, except
-    3 e_i = 0 for p = 3."""
+    as n flattened n x n matrices T(e_i, ., .); T is symmetric.  Picks among
+    e_i <= e_j <= e_k sum to index sum(p^d) mod p e_k: only 3 e_k = 0 carries."""
     p, n = f.ctx.p, f.ctx.n
     tri = [[0] * (n * n) for _ in range(n)]
     for ijk in itertools.combinations_with_replacement(range(n), 3):
         e, val = [p ** d for d in ijk], 0
         for picks in itertools.product((0, 1), repeat=3):
-            x = 0 if p == 3 and all(picks) and ijk[0] == ijk[2] else sum(compress(e, picks))
-            val += (-1) ** (3 - sum(picks)) * f.values[x]
+            val += (-1) ** (3 - sum(picks)) * f.values[sum(compress(e, picks)) % (p * e[2])]
         for i, j, k in set(itertools.permutations(ijk)):
             tri[i][j * n + k] = val % p
     return tri
@@ -353,17 +350,17 @@ def wr_identity_check(f: PFunction, seed: int = 0,
     functions too (see `WrIdentityReport`).  It walks rows c (see the
     module docstring): all q rows when p^2n <= SAMPLED_PAIRS, otherwise
     ceil(SAMPLED_PAIRS / q) distinct rows from `random.Random(seed).sample`,
-    in draw order, the last one cut so that exactly SAMPLED_PAIRS pairs are
-    checked.  For deg f <= 3 a row reads W_{D_c f} in closed form
-    (`walsh_quadratic`); otherwise it transforms D_c f, the path that is
-    also the closed form's oracle in the tests.  A row runs the inverse
-    kernel only where its two phase sides
-    differ: the signed powers of a bent dual against w^(D_c f(-y)), or the
-    products W_{f*}(y - c) conj(W_{f*}(y)) against p^n w^(D_c f(-y)).  The
-    other checks read only the row's support S and its negation -S, off
-    which they hold trivially.  With a cubic-like `certificate` of f, a
-    nonzero W_{D_c f}(b) with Tr(bd) != lambda for c's witness (d, lambda)
-    raises InternalInconsistency.
+    in draw order.  Every check reads whole rows; their failure lists ascend
+    in b, so the last row's are cut once, to SAMPLED_PAIRS pairs in all.
+    For deg f <= 3 a row reads W_{D_c f} in closed form (`walsh_quadratic`);
+    otherwise it transforms D_c f, the path that is also the closed form's
+    oracle in the tests.  A row runs the inverse kernel only where its two
+    phase sides differ: the signed powers of a bent dual against
+    w^(D_c f(-y)), or the products W_{f*}(y - c) conj(W_{f*}(y)) against
+    p^n w^(D_c f(-y)).  The other checks read only the row's support S and
+    its negation -S, off which they hold trivially.  With a cubic-like
+    `certificate` of f, a nonzero W_{D_c f}(b) with Tr(bd) != lambda for c's
+    witness (d, lambda) raises InternalInconsistency, past the cut too.
     """
     ctx = f.ctx
     p, q = ctx.p, ctx.q
@@ -413,11 +410,7 @@ def wr_identity_check(f: PFunction, seed: int = 0,
                 ctx, c, divisor)
             if neg[c] in todo:  # the mirror is a bijection b -> -b on both sides
                 pending[neg[c]] = (wneg, wc, negated, support, sorted(neg[b] for b in misses))
-        # the last sampled row stops at b = limit; both symmetry sides vanish off S and -S
-        limit = min(q, pair_count - i * q)
-        cut = bisect_left(support, limit)
-        support, trs = support[:cut], trs[:cut]
-        both = sorted(set(support).union(negated[:bisect_left(negated, limit)]))
+        both = sorted(set(support).union(negated))  # both symmetry sides vanish off S and -S
         d, lam = witnesses.get(c, (0, 0))
         if d:
             b = next(compress(support, map(lam.__ne__, ctx.trace_row(d, support))), None)
@@ -430,9 +423,11 @@ def wr_identity_check(f: PFunction, seed: int = 0,
         trace_zero = [b for b, t in zip(support, trs) if not t]  # Tr(bc) = 0
         # a row holds few distinct values (p in closed form): conjugate each once
         real = {x: x == conj_coords(x, p) for x in set(map(wc.__getitem__, trace_zero))}
-        out.append((c, (list(compress(both, map(ne, w_b, w_minus_b))),
-                        list(compress(both, map(ne, w_b, map(wneg.__getitem__, both)))),
-                        list(itertools.takewhile(limit.__gt__, misses)),
-                        list(compress(support, trs)),  # Tr(bc) != 0
-                        [b for b in trace_zero if not real[wc[b]]])))
+        limit = min(q, pair_count - i * q)  # the last sampled row's report stops at b = limit
+        out.append((c, tuple(list(itertools.takewhile(limit.__gt__, bs)) for bs in (
+            compress(both, map(ne, w_b, w_minus_b)),
+            compress(both, map(ne, w_b, map(wneg.__getitem__, both))),
+            misses,
+            compress(support, trs),  # Tr(bc) != 0
+            [b for b in trace_zero if not real[wc[b]]]))))
     return WrIdentityReport(pair_count, out, exhaustive)

@@ -316,6 +316,8 @@ def eval_univariate(coeffs) -> PFunction:
     The list is F_p-valued exactly when it is conjugate-closed: a_0 and
     a_{q-1} are scalars and a_{p*i mod (q-1)} = a_i^p.  Anything else
     raises; a closed list is evaluated as its relative trace form."""
+    if not coeffs or len(coeffs) != coeffs[0].ctx.q:
+        raise PreconditionError("eval_univariate needs the q coefficients a_0..a_{q-1}")
     ctx = coeffs[0].ctx
     p, order = ctx.p, ctx.order
     if any(coeffs[0].coeffs[1:]) or any(coeffs[-1].coeffs[1:]):

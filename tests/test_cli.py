@@ -591,3 +591,47 @@ def test_dual_form_over_its_limit_is_refused_before_any_transform(monkeypatch, c
 def test_trinomial_certify_without_analyze_is_a_parse_error():
     _json_error(run_cli("construct", "trinomial", "--k", "1", "--j", "0", "--t", "1",
                         "--certify"), 2, "parse_error")
+
+
+def test_certify_above_degree_3_is_refused_above_its_limit(monkeypatch, capsys):
+    # the witness scan of a degree > 3 input reads about q^2 point pairs
+    import pbent.cli
+
+    def never(f):
+        raise AssertionError("certificate built above the --certify limit")
+
+    monkeypatch.setattr(pbent.cli, "cubic_like_certificate", never)
+    assert pbent.cli.CERTIFY_SCAN_MAX_POINTS == 5 ** 5
+    assert pbent.cli.main(["analyze", "p=3 n=8 f=Tr(x^14)", "--certify"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err)["error"] == {
+        "kind": "budget_error",
+        "message": "--certify above degree 3 is limited to field size 3125, got 6561"}
+
+
+def test_certify_limit_admits_its_field_size_and_runs_without_certify(monkeypatch):
+    import pbent.cli
+
+    calls = []
+    monkeypatch.setattr(pbent.cli, "analyze_function",
+                        lambda f, **kw: calls.append((f.ctx.q, f.algebraic_degree(), kw)) or {})
+    assert pbent.cli.main(["analyze", "p=5 n=5 f=Tr(x^4)", "--certify"]) == 0
+    assert pbent.cli.main(["analyze", "p=3 n=8 f=Tr(x^14)"]) == 0  # no --certify
+    assert calls == [(3125, 4, {"certify": True, "dual_form": False, "seed": 0}),
+                     (6561, 4, {"certify": False, "dual_form": False, "seed": 0})]
+    # a quadratic above the limit: test_certify_n8_quadratic_is_sound_clean
+
+
+def test_internal_inconsistency_is_exit_5_with_a_json_error(monkeypatch, capsys):
+    import pbent.cli
+    from pbent.errors import InternalInconsistency
+
+    def broken(f, **kw):
+        raise InternalInconsistency("planted")
+
+    monkeypatch.setattr(pbent.cli, "analyze_function", broken)
+    assert pbent.cli.main(["analyze", "p=3 n=2 f=Tr(x^2)"]) == 5
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert json.loads(err) == {"error": {"kind": "internal_inconsistency", "message": "planted"}}

@@ -667,3 +667,33 @@ def test_trinomial_helpers_refuse_a_field_other_than_f_3_4k(field):
     for call in calls:
         with pytest.raises(PreconditionError, match=r"^context must realize F_3\^\(4k\)$"):
             call()
+
+
+def test_quadratic_part_function_refuses_an_empty_list():
+    with pytest.raises(PreconditionError):
+        quadratic_part_function([])
+
+
+@pytest.mark.parametrize("j", [0, 6])
+def test_closed_form_at_k3_matches_one_point_values(j):
+    # n = 12, a few points of each kind: y_0 = 0, the degenerate y_0 =
+    # s_j s_k B^-2 and generic y_0; y_0 = Tr^n_k(y) is set through u, Tr^n_k(u) = 1
+    from pbent.walsh import single_walsh_value
+    params = TrinomialParams(3, j, 13)
+    ctx = params.context()
+    f = trinomial_bent(params, ctx).truth_table()
+    _, big_b, b_inv, u = constructions._closed_form_setup(3, j, 13, ctx)
+    s_j, s_k = (1 if j == 0 else -1), -1
+    degenerate = (b_inv * b_inv).scale(s_j * s_k)
+    assert (big_b * degenerate).scale(s_k) == b_inv.scale(s_j)  # the x_1^2 coefficient is 0
+    rng = random.Random(j)
+    draws = (ctx.from_index(rng.randrange(1, ctx.q)) for _ in itertools.count())
+    generic = (z for z in draws if ctx.rel_trace(z, 3) not in (ctx.zero(), degenerate))
+    points = list(itertools.islice(generic, 2))
+    for y0 in (ctx.zero(), ctx.zero(), degenerate):
+        z = next(draws)
+        points.append(z + (y0 - ctx.rel_trace(z, 3)) * u)
+        assert ctx.rel_trace(points[-1], 3) == y0
+    for y in points:
+        got = trinomial_closed_form_walsh(params, y)
+        assert got.coords == single_walsh_value(f, (-y).index).coords, (j, y.index)

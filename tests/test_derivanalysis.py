@@ -746,3 +746,24 @@ def test_quad_like_implication_corrupted_witness_raises(spec):
     with pytest.raises(InternalInconsistency):
         wr_identity_check(f, seed=1, certificate=CubicLikeCertificate(bad, True))
     assert rep.sound_clean
+
+
+@pytest.mark.parametrize("seed", [0, 12])
+def test_witness_implication_reads_the_cut_part_of_the_last_sampled_row(seed):
+    # 42 rows of 243 b fill SAMPLED_PAIRS, the last one cut after 37 b, and
+    # the last row's one support point lies past the cut; at seed 12 that
+    # row is read from row -c, walked earlier
+    ctx, tf = parse_function_spec("p=3 n=5 f=Tr(x^2)")
+    f = tf.truth_table()
+    rows = _battery_rows(ctx.q, seed)
+    c = rows[-1]
+    support, _ = walsh_quadratic(f.derivative(ctx.from_index(c)))
+    assert SAMPLED_PAIRS - (len(rows) - 1) * ctx.q == 37 and len(support) == 1
+    assert support[0] >= 37 and (ctx.neg_table[c] in rows) == (seed == 12)
+    cert = cubic_like_certificate(f)
+    assert wr_identity_check(f, seed=seed, certificate=cert).sound_clean
+    d, lam = cert.witnesses[c]
+    bad = dict(cert.witnesses)
+    bad[c] = (d, lam % 2 + 1)
+    with pytest.raises(InternalInconsistency, match="at c=%d, b=%d," % (c, support[0])):
+        wr_identity_check(f, seed=seed, certificate=CubicLikeCertificate(bad, True))

@@ -411,3 +411,30 @@ def test_relative_trace_form_of_x_squared_on_f3_is_its_top_term():
     form = to_relative_trace_form(PFunction(F3, [0, 1, 1]))
     assert form.entries == () and form.top_coeff == 1
     assert form.nonlinear_term_count() == 1
+
+
+@pytest.mark.parametrize("count", [0, 5, 26, 28])
+def test_eval_univariate_refuses_a_list_of_other_than_q_coefficients(count):
+    with pytest.raises(PreconditionError, match="needs the q coefficients"):
+        eval_univariate([F27.zero()] * count)
+
+
+def test_function_call_and_negation_read_the_table():
+    f = rand_f(F27, random.Random(7))
+    assert [f(x) for x in map(F27.from_index, range(27))] == f.values
+    g = -f
+    assert g.ctx is F27 and g.values == [(-v) % 3 for v in f.values]
+    assert g + f == PFunction(F27, [0] * 27) and -g == f
+
+
+def test_anf_equality_reads_context_and_reduced_coefficients():
+    f = rand_f(F81, random.Random(3))
+    a = truth_to_anf(f)
+    assert a == truth_to_anf(PFunction(F81, list(f.values)))
+    assert a == ANF(F81, [c + 3 for c in a.coeffs])  # reduced mod p
+    changed = list(a.coeffs)
+    changed[5] = (changed[5] + 1) % 3
+    assert a != ANF(F81, changed)
+    other = get_field(3, 4, (2, 1, 0, 0, 1))
+    assert other is not F81 and a != ANF(other, a.coeffs)
+    assert a != f

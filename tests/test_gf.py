@@ -485,3 +485,10 @@ def test_negative_power_of_zero_is_refused():
     F = get_field(3, 1)
     with pytest.raises(ZeroDivisionError):
         F.power(F.zero(), -1)
+
+
+def test_element_vector_of_the_wrong_length_is_a_field_error():
+    for coeffs in ((), (1, 0), (1, 0, 0, 0, 0)):
+        with pytest.raises(FieldError, match="length n"):
+            gf.FFElem(F81, coeffs)
+    assert gf.FFElem(F81, (4, 0, 0, 5)).coeffs == (1, 0, 0, 2)

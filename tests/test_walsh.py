@@ -370,3 +370,14 @@ def test_certificate_members_of_a_spectrum_that_is_not_bent_are_refused():
 def test_spectrum_of_the_wrong_length_is_refused():
     with pytest.raises(ValueError):
         WalshSpectrum(get_field(3, 1), [(0, 0)] * 2, "fast")
+
+
+def test_classification_equality_reads_variant_sign_and_dual_flag():
+    from pbent.walsh import NON_WEAKLY_REGULAR, Classification
+    assert classify(quad(F9)) == classify(quad(F9))
+    assert Classification(WEAKLY_REGULAR, -1, True) == Classification(WEAKLY_REGULAR, -1, True)
+    assert Classification(WEAKLY_REGULAR, -1, True) != Classification(WEAKLY_REGULAR, 1, True)
+    assert Classification(REGULAR, 1, True) != Classification(WEAKLY_REGULAR, 1, True)
+    assert (Classification(NON_WEAKLY_REGULAR, dual_bent=True)
+            != Classification(NON_WEAKLY_REGULAR, dual_bent=False))
+    assert Classification(NOT_BENT) != NOT_BENT
