@@ -43,11 +43,10 @@ dd = f.second_derivative(c, d)
 print("lemma witness for c=1: d index %d, second derivative constant %d"
       % (d.index, dd.values[0]))
 
-# the symmetry and vanishing checks fail on weakly regular functions too;
-# only violations of the dual phase identity certify non-weak-regularity
+# weak regularity implies the dual phase identity, so each of its violations
+# certifies non-weak-regularity
 rep = pb.wr_identity_check(f)
-print("identity violations by kind:", rep.violations_by_check())
-print("sound (dual identity) violations:", len(rep.sound_violations))
+print("sound (dual phase identity) violations:", len(rep.violations))
 
 # ---------------------------------------------------------------------------
 # Closed-form Walsh values for k odd, j in {0, 2k}, t = (3^k-1)/2

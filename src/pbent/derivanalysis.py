@@ -1,5 +1,5 @@
-"""Second-order-derivative certificates and weakly-regular first-derivative
-identity checks.
+"""Second-order-derivative certificates and the weakly-regular dual phase
+identity battery.
 
 A function is "cubic-like bent" when every nonzero direction a admits a b
 with D_{a,b} f a nonzero constant; this implies bentness, and for functions
@@ -19,38 +19,28 @@ it is the exact oracle for the trilinear-form path and the path for
 degree > 3; run on g = f it gives the linear space E_f and the balance
 witness of a quadratic.
 
-The weakly-regular identity battery walks rows c.  Row c reads W_{D_c f}
-and checks P_c(b) = w^Tr(bc) W_{D_b f*}(-c) against W_{D_c f}(b) at every b
-at once: by the correlation identity W_{D_b f*}(-c) = p^-n sum_y W(y)
-conj(W(y + c)) w^Tr(by), W = W_{f*} (transformed once), shifted by -c, p^n
-P_c is the inverse sums of W(y - c) conj(W(y)), and p^n W_{D_c f} those of
-p^n w^(D_c f(-y)).  A bent f* has W(y) = s(y) U w^j(y) with U conj(U) =
-p^n, so P_c - W_{D_c f} is the inverse sums of d_c(y) = s(y - c) s(y)
+The weakly-regular identity battery walks rows c.  A row is one phase row
+and, given a cubic-like witness, one witness check.  The phase row checks
+P_c(b) = w^Tr(bc) W_{D_b f*}(-c) against W_{D_c f}(b) at every b at once,
+the one identity of the paper's list that weak regularity implies: by the
+correlation identity W_{D_b f*}(-c) = p^-n sum_y W(y) conj(W(y + c))
+w^Tr(by), W = W_{f*} (transformed once), shifted by -c, p^n P_c is the
+inverse sums of W(y - c) conj(W(y)), and p^n W_{D_c f} those of p^n
+w^(D_c f(-y)).  A bent f* has W(y) = s(y) U w^j(y) with U conj(U) = p^n,
+so P_c - W_{D_c f} is the inverse sums of d_c(y) = s(y - c) s(y)
 w^(j(y - c) - j(y)) - w^(D_c f(-y)).  One path (`_phase_misses`) takes
 either pair of sides and runs one inverse transform of their difference,
 none where it vanishes, as on every row of a weakly regular f; a dual that
 is not bent has no (s, j) form and takes the product side.  As D_-c f(x) =
 -D_c f(x - c), W_{D_-c f}(b) = w^-Tr(bc) conj(W_{D_c f}(-b)), and P_-c is
-P_c mirrored alike: row -c is row c under a bijection b -> -b, so a pair
-c, -c costs one derivative, one row W_{D_c f} and at most one inverse
-run, and row -c's phase misses are row c's negated.  The phase identity
-reads whole rows; the other checks read the support S of W_{D_c f} (the b
-where it is nonzero, at most q/p of them for a cubic-like f) and -S, with
--b read from `neg_table` and Tr(bc) at S only from `FieldCtx.trace_row`:
-symmetry of W_{D_c f} in b and in c on S and -S, where either side may be
-nonzero, and vanishing on Tr(bc) != 0 and realness on Tr(bc) = 0 on S
-(only the phase identity is sound; see `WrIdentityReport`).  Small fields
-are walked whole; larger ones fill SAMPLED_PAIRS with seeded rows (see
-`wr_identity_check`), whose limit cuts only the last row's report: every
-check reads whole rows.  Given a cubic-like witness D_{c,d} f = lambda,
-every walked row checks W_{D_c f}(b) = 0 whenever Tr(bd) != lambda, which
-holds for every function, so a failure is an internal inconsistency.
-
-For deg f <= 3, D_c f is quadratic with Hessian T(c, ., .), and a row reads
-W_{D_c f} in closed form (`walsh_quadratic`): a quadratic Gauss sum,
-nonzero on p^r points, r the rank of the Hessian, with no transform.  For
-degree > 3 the row transforms D_c f (`walsh_fast`), the path the tests also
-hold the closed form against.
+P_c mirrored alike: row -c is row c under the bijection b -> -b, so a pair
+c, -c costs one derivative and at most one inverse run, and row -c's
+misses are row c's negated.  Small fields are walked whole; larger ones
+fill SAMPLED_PAIRS with seeded rows (see `wr_identity_check`), whose limit
+cuts only the last row's report.  Given a cubic-like witness (d, lambda)
+of c, the row checks D_d D_c f = lambda at all q points: one derivative of
+D_c f and no transform, at every degree and past the cut, so a corrupted
+witness is an internal inconsistency.
 """
 
 from __future__ import annotations
@@ -58,14 +48,14 @@ from __future__ import annotations
 import itertools
 import random
 from itertools import compress
-from operator import itemgetter, ne, sub
+from operator import ne, sub
 
-from .cyclo import conj_coords, coords_from_counts, mul_coords, signed_powers
+from .cyclo import conj_coords, mul_coords, signed_powers
 from .errors import InternalInconsistency, PreconditionError
 from .funcrep import PFunction
 from .gf import FFElem, digit_sums
 from .linalg import f3_add, f3_kernel, f3_pack, mat_kernel
-from .walsh import extract_certificate, inverse_sums, is_bent, walsh_fast, walsh_quadratic
+from .walsh import extract_certificate, inverse_sums, is_bent, walsh_fast
 
 SAMPLED_PAIRS = 10000
 
@@ -229,29 +219,17 @@ def quadratic_balance_witness(qf: PFunction):
 
 
 class WrIdentityReport:
-    """Outcome of the weakly-regular first-derivative identity battery.
+    """Outcome of the weakly-regular first-derivative identity battery: the
+    misses of the dual phase identity W_{D_c f}(b) = w^Tr(bc) W_{D_b f*}(-c),
+    which weak regularity implies for odd p, so every miss is a sound
+    certificate of non-weak-regularity.
 
-    Of the recorded checks, only the dual-phase identity
-    W_{D_c f}(b) = w^Tr(bc) W_{D_b f*}(-c) is implied by weak regularity
-    for odd p; its violations are therefore a sound certificate of
-    non-weak-regularity.  The symmetry and vanishing checks are kept for
-    completeness but fail already for quadratic bent functions, whose
-    derivative transforms are one-point spikes at b = 2c (asymmetric, and
-    supported on a point with Tr(bc) = 2 Tr(c^2) != 0 in general), so their
-    violations prove nothing.  Realness on Tr(bc) = 0 holds on the
-    quadratic and binomial baselines but is not proven to follow from weak
-    regularity, so it is not counted as sound either.
-
-    `rows` holds (c, one ascending list of failing b per check of `CHECKS`)
-    per walked row; the `violations` dicts, ordered by row, b and check, are
-    built on demand, and `to_json` builds only the first 32.
+    `rows` holds (c, ascending list of the b that miss) per walked row; the
+    `violations` dicts, ordered by row and b, are built on demand, and
+    `to_json` builds only the first 32.
     """
 
     __slots__ = ("pair_count", "rows", "exhaustive")
-
-    CHECKS = ("symmetry_in_b", "symmetry_in_c", "dual_phase_identity",
-              "vanishing_on_nonzero_trace", "realness")
-    SOUND_CHECKS = ("dual_phase_identity",)
 
     def __init__(self, pair_count: int, rows: list, exhaustive: bool) -> None:
         self.pair_count = pair_count
@@ -259,44 +237,31 @@ class WrIdentityReport:
         self.exhaustive = exhaustive
 
     def _dicts(self):
-        for c, lists in self.rows:
-            for b, k in sorted((b, k) for k, bs in enumerate(lists) for b in bs):
-                yield {"b": b, "c": c, "check": self.CHECKS[k]}
+        for c, bs in self.rows:
+            for b in bs:
+                yield {"b": b, "c": c}
 
     @property
     def violations(self) -> list:
         return list(self._dicts())
 
     @property
-    def sound_violations(self) -> list:
-        return [v for v in self.violations if v["check"] in self.SOUND_CHECKS]
-
-    @property
     def sound_clean(self) -> bool:
-        return not self.to_json()["sound_violation_count"]
-
-    def violations_by_check(self) -> dict[str, int]:
-        """Violation counts per check, keyed in order of first appearance."""
-        counts = {}
-        for _, lists in self.rows:
-            for _, k in sorted((bs[0], k) for k, bs in enumerate(lists) if bs):
-                counts[self.CHECKS[k]] = counts.get(self.CHECKS[k], 0) + len(lists[k])
-        return counts
+        return not any(bs for _, bs in self.rows)
 
     def to_json(self) -> dict:
-        counts = self.violations_by_check()
+        count = sum(len(bs) for _, bs in self.rows)
         return {
             "pairs_checked": self.pair_count,
             "exhaustive": self.exhaustive,
-            "violation_count": sum(counts.values()),
-            "sound_violation_count": sum(counts.get(k, 0) for k in self.SOUND_CHECKS),
-            "violations_by_check": counts,
+            "violation_count": count,  # the same count, kept for readers of either key
+            "sound_violation_count": count,
             "violations": list(itertools.islice(self._dicts(), 32)),
         }
 
     def __repr__(self) -> str:
-        return ("WrIdentityReport(pairs=%(pairs_checked)d, violations=%(violation_count)d, "
-                "sound=%(sound_violation_count)d)" % self.to_json())
+        return "WrIdentityReport(pairs=%(pairs_checked)d, sound=%(sound_violation_count)d)" % (
+            self.to_json())
 
 
 def _correlation_products(w: list, shift: list, p: int) -> list:
@@ -331,36 +296,21 @@ def _phase_misses(lhs: list, rhs: list, ctx, c: int, divisor: int) -> list:
     return misses
 
 
-def _mirror_maps(p: int) -> tuple:
-    """x -> w^-t * conj(x) on coordinate tuples, indexed by t in F_p: the
-    count of w^j is the count of w^(-j-t) in x.  Unrolled for p = 3."""
-    if p == 3:
-        return (lambda x: (x[0] - x[1], -x[1]), lambda x: (-x[0], x[1] - x[0]),
-                lambda x: (x[1], x[0]))
-    gets = [itemgetter(*[(-j - t) % p for j in range(p)]) for t in range(p)]
-    return tuple(lambda x, get=get: coords_from_counts(p, get(x + (0,))) for get in gets)
-
-
 def wr_identity_check(f: PFunction, seed: int = 0,
                       certificate: CubicLikeCertificate | None = None) -> WrIdentityReport:
-    """Run the derivative-transform identity battery on a bent function.
+    """Run the dual phase identity battery on a bent function; every
+    violation certifies non-weak-regularity (see `WrIdentityReport`).
 
-    Violations of the checks in `WrIdentityReport.SOUND_CHECKS` certify
-    non-weak-regularity; the other checks can fail on weakly regular
-    functions too (see `WrIdentityReport`).  It walks rows c (see the
-    module docstring): all q rows when p^2n <= SAMPLED_PAIRS, otherwise
-    ceil(SAMPLED_PAIRS / q) distinct rows from `random.Random(seed).sample`,
-    in draw order.  Every check reads whole rows; their failure lists ascend
-    in b, so the last row's are cut once, to SAMPLED_PAIRS pairs in all.
-    For deg f <= 3 a row reads W_{D_c f} in closed form (`walsh_quadratic`);
-    otherwise it transforms D_c f, the path that is also the closed form's
-    oracle in the tests.  A row runs the inverse kernel only where its two
-    phase sides differ: the signed powers of a bent dual against
-    w^(D_c f(-y)), or the products W_{f*}(y - c) conj(W_{f*}(y)) against
-    p^n w^(D_c f(-y)).  The other checks read only the row's support S and
-    its negation -S, off which they hold trivially.  With a cubic-like
-    `certificate` of f, a nonzero W_{D_c f}(b) with Tr(bd) != lambda for c's
-    witness (d, lambda) raises InternalInconsistency, past the cut too.
+    It walks rows c (see the module docstring): all q rows when p^2n <=
+    SAMPLED_PAIRS, otherwise ceil(SAMPLED_PAIRS / q) distinct rows from
+    `random.Random(seed).sample`, in draw order.  A row's misses ascend in
+    b, so the last row's are cut once, to SAMPLED_PAIRS pairs in all.  A
+    row runs the inverse kernel only where its two phase sides differ: the
+    signed powers of a bent dual against w^(D_c f(-y)), or the products
+    W_{f*}(y - c) conj(W_{f*}(y)) against p^n w^(D_c f(-y)).  With a
+    cubic-like `certificate` of f, a walked row c whose witness (d, lambda)
+    has D_d D_c f != lambda at some point raises InternalInconsistency,
+    past the cut too.
     """
     ctx = f.ctx
     p, q = ctx.p, ctx.q
@@ -380,26 +330,13 @@ def wr_identity_check(f: PFunction, seed: int = 0,
     rows = range(q) if exhaustive else random.Random(seed).sample(range(q), -(-pair_count // q))
     witnesses = certificate.witnesses if certificate is not None else {}
     neg = ctx.neg_table
-    mirror = _mirror_maps(p)
-    quadratic_rows = f.algebraic_degree() <= 3  # deg D_c f <= 2
     out, todo, pending = [], set(rows), {}
     for i, c in enumerate(rows):
         todo.discard(c)
         if c in pending:  # stashed by row -c, walked earlier
-            wc, wneg, support, negated, misses = pending.pop(c)
-            trs = ctx.trace_row(c, support)
+            g, sign, misses = pending.pop(c)
         else:
-            g = f.derivative(ctx.from_index(c))
-            if quadratic_rows:  # S: W_{D_c f}(b) != 0
-                support, wc = walsh_quadratic(g)
-            else:  # degree > 3; also the closed form's oracle in the tests
-                wc = walsh_fast(g).coords
-                support = list(compress(range(q), map(any, wc)))
-            negated = sorted(map(neg.__getitem__, support))
-            trs = ctx.trace_row(c, support)
-            wneg = [(0,) * (p - 1)] * q  # W_{D_-c f}: zero off -S
-            for b, t in zip(support, trs):  # Tr(-bc) = -Tr(bc): mirror[-t] is mirror[p - t]
-                wneg[neg[b]] = mirror[-t](wc[b])
+            g, sign = f.derivative(ctx.from_index(c)), 1
             # passed unbound, so that `_phase_misses` frees both sides before its
             # inverse run: bound here, they raised the n = 12 battery's peak by 5 MB
             misses = _phase_misses(
@@ -408,26 +345,15 @@ def wr_identity_check(f: PFunction, seed: int = 0,
                     codes.__getitem__, ctx.shift_table(neg[c])), codes))),
                 list(map(rhs_powers.__getitem__, map(g.values.__getitem__, neg))),  # D_c f(-y)
                 ctx, c, divisor)
-            if neg[c] in todo:  # the mirror is a bijection b -> -b on both sides
-                pending[neg[c]] = (wneg, wc, negated, support, sorted(neg[b] for b in misses))
-        both = sorted(set(support).union(negated))  # both symmetry sides vanish off S and -S
+            if neg[c] in todo:  # D_-c f(x) = -D_c f(x - c); both sides mirror b -> -b
+                pending[neg[c]] = (g, -1, sorted(neg[b] for b in misses))
         d, lam = witnesses.get(c, (0, 0))
-        if d:
-            b = next(compress(support, map(lam.__ne__, ctx.trace_row(d, support))), None)
-            if b is not None:  # W_{D_c f}(b) != 0 with Tr(bd) != lambda
-                raise InternalInconsistency(
-                    "W_{D_c f}(b) != 0 off Tr(bd) = lambda at c=%d, b=%d, witness (d, lambda) "
-                    "= (%d, %d)" % (c, b, d, lam))
-        w_b = list(map(wc.__getitem__, both))
-        w_minus_b = map(wc.__getitem__, map(neg.__getitem__, both))
-        trace_zero = [b for b, t in zip(support, trs) if not t]  # Tr(bc) = 0
-        # a row holds few distinct values (p in closed form): conjugate each once
-        real = {x: x == conj_coords(x, p) for x in set(map(wc.__getitem__, trace_zero))}
+        # D_d D_c f = lambda at every x; for a row read from row -c, g is D_-c f
+        # and D_c f(x) = -g(x + c), so D_d g = -lambda at every x
+        if d and g.derivative(ctx.from_index(d)).values.count(sign * lam % p) != q:
+            raise InternalInconsistency(
+                "D_d D_c f is not the constant lambda at c=%d, witness (d, lambda) = (%d, %d)"
+                % (c, d, lam))
         limit = min(q, pair_count - i * q)  # the last sampled row's report stops at b = limit
-        out.append((c, tuple(list(itertools.takewhile(limit.__gt__, bs)) for bs in (
-            compress(both, map(ne, w_b, w_minus_b)),
-            compress(both, map(ne, w_b, map(wneg.__getitem__, both))),
-            misses,
-            compress(support, trs),  # Tr(bc) != 0
-            [b for b in trace_zero if not real[wc[b]]]))))
+        out.append((c, list(itertools.takewhile(limit.__gt__, misses))))
     return WrIdentityReport(pair_count, out, exhaustive)

@@ -15,32 +15,30 @@ p^e, `rel_trace` as a sum of Frobenius terms, the trace-of-exp table
 and `trace_row`) reads the exp/log tables, built on first use for
 |F| <= 3^12.  `trace_row(y)` is the trace pairing as one row, Tr(x y) at
 every x in index order: the one-point Walsh value and the Maiorana-McFarland
-special form read it, and `trace_row(y, xs)` reads it at the given x only,
-as the identity battery does on a row's support.  The
-module's polynomial core (`_pmul`, `_ppow`) serves only what must run
-before the tables exist or must not build them: the irreducibility check,
-the primitivity check, the trace vector, `mul_t` and `gen_power`, so that
-parsing a coefficient g^M builds no tables.  Irreducibility is Berlekamp's
-kernel test: once x^(p^n) = x (mod f), f is irreducible exactly when
-Q - I, row i of Q being x^(ip) mod f, has a one-dimensional kernel, which
-`linalg.mat_kernel` reads.
+special form read it.  The module's polynomial core (`_pmul`, `_ppow`)
+serves only what must run before the tables exist or must not build them:
+the irreducibility check, the primitivity check, the trace vector, `mul_t`
+and `gen_power`, so that parsing a coefficient g^M builds no tables.
+Irreducibility is Berlekamp's kernel test: once x^(p^n) = x (mod f), f is
+irreducible exactly when Q - I, row i of Q being x^(ip) mod f, has a
+one-dimensional kernel, which `linalg.mat_kernel` reads.
 
 All whole-field index tables rest on one fact: adding a fixed index has no
 carries between digits.  `shift_row` tabulates x -> x + r over indexes of
 m digits one digit at a time, and `digit_sums` stacks those rows for every
 r; `half_rows` splits x -> x + r into two such half rows (low and high
-digits), and `linear_table` builds the index table of an F_p-affine map
+digits), and `linear_table` builds the index table of an F_p-linear map
 one digit at a time from each column's half rows.  The exp table walks the
 linear table of "multiply by the primitive element", trace-of-exp reads
 the linear table of the trace, and `shift_table(a)` is x -> x + a.
 
 The field's other index tables live on the FieldCtx too, each built once,
 on first read, as a cached attribute: `neg_table` (x -> -x, the linear
-table of the negated basis), `dual_table` (y -> v(y), the trace-dual
+table of the negated basis) and `dual_table` (y -> v(y), the trace-dual
 coordinates (Tr(alpha^j y))_j, the linear table of the Gram matrix
 [Tr(alpha^(i+j))], through which the Walsh transforms read Tr(xy) =
-x . v(y)) and `inverse_dual_table` (v(y) -> y).  A context dropped from
-the field cache takes its tables with it.
+x . v(y)).  A context dropped from the field cache takes its tables with
+it.
 """
 
 from __future__ import annotations
@@ -287,11 +285,10 @@ class FieldCtx:
 
     The field itself (p, n, modulus, primitive element, trace vector) is
     fixed at construction; the exp/log tables, the subfield cache and the
-    cached index tables (`neg_table`, `dual_table`, `inverse_dual_table`)
-    fill on first use and never change after.  The modulus is verified
-    irreducible and the primitive element's order is verified against the
-    prime factors of p^n - 1, so a successfully built context is a
-    certificate of both.
+    cached index tables (`neg_table`, `dual_table`) fill on first use and
+    never change after.  The modulus is verified irreducible and the
+    primitive element's order is verified against the prime factors of
+    p^n - 1, so a successfully built context is a certificate of both.
 
     A field is its context: contexts compare by identity, and arithmetic
     refuses elements and functions of any other context (`own`).
@@ -413,26 +410,16 @@ class FieldCtx:
         return array(lane_typecode(self.q), self.linear_table(
             [self.to_index([self.trace_coeffs(self.mul_t(a, b)) for b in basis]) for a in basis]))
 
-    @cached_property
-    def inverse_dual_table(self) -> array:
-        """table[v] = the y whose trace-dual coordinates have index v: the
-        inverse permutation of `dual_table`."""
-        dual = self.dual_table
-        inverse = array(dual.typecode, dual)
-        for y, v in enumerate(dual):
-            inverse[v] = y
-        return inverse
-
     def shift_table(self, a_idx: int) -> list[int]:
         """perm[x] = index(x + a): one `shift_row` over all n digits."""
         return shift_row(self.p, self.n, a_idx)
 
-    def linear_table(self, cols, base: int = 0) -> list[int]:
-        """Index table of the F_p-affine map v -> base + sum_j v_j c_j,
-        given the column indexes c_j, built one digit at a time: the
-        entries with digit j equal to t are those of the lower digits
-        shifted by c_j, t times, through c_j's `half_rows`."""
-        table = [base]
+    def linear_table(self, cols) -> list[int]:
+        """Index table of the F_p-linear map v -> sum_j v_j c_j, given the
+        column indexes c_j, built one digit at a time: the entries with
+        digit j equal to t are those of the lower digits shifted by c_j, t
+        times, through c_j's `half_rows`."""
+        table = [0]
         for c in cols:
             hi, lo, half = half_rows(self.p, self.n, c)
             blocks = [table]
@@ -498,17 +485,15 @@ class FieldCtx:
     def trace(self, x: FFElem) -> int:
         return self.trace_coeffs(self.own(x).coeffs)
 
-    def trace_row(self, y_idx: int, xs: list[int] | None = None) -> list[int]:
-        """[Tr(x y) for x in xs], by default every x in index order:
-        trace-of-exp rotated by log y and read at log x, where log 0 = -1
-        reads an appended 0."""
+    def trace_row(self, y_idx: int) -> list[int]:
+        """[Tr(x y) for every x in index order]: trace-of-exp rotated by
+        log y and read at log x, where log 0 = -1 reads an appended 0."""
         if not y_idx:
-            return [0] * (self.q if xs is None else len(xs))
+            return [0] * self.q
         self._build_tables()
         log = self.log_table
         t, k = self._trace_of_exp, log[y_idx]
-        return list(map((t[k:] + t[:k] + [0]).__getitem__,
-                        log if xs is None else map(log.__getitem__, xs)))
+        return list(map((t[k:] + t[:k] + [0]).__getitem__, log))
 
     # -- subfields -------------------------------------------------------------
 

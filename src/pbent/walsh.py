@@ -11,15 +11,12 @@ of x in the polynomial basis {alpha^j} against the trace-dual coordinates
 v(y) = (Tr(alpha^j y))_j, so the transform is n size-p DFT passes
 (`linalg.axis_passes`, the DFT on Z[w] coordinates as column map, unrolled
 for p = 3) read out at v(y) through one gather table, the field's
-`dual_table` (the linear table of the Gram matrix [Tr(alpha^(i+j))]; it
-and its inverse live on the `FieldCtx`, built once per field, and this
-module keeps no table of its own).  The column map has one direction, the
-kernel w^(-st): `inverse_sums`, sum_y d(y) w^Tr(xy), the inverse sums before
-the division by p^n that the identity battery of `derivanalysis` needs, is
-the forward sums of d read at -x, through `neg_table` and the same gather.
-A function of degree <= 2, as the battery's derivatives of a cubic are,
-needs no passes: `walsh_quadratic` reads its spectrum, a quadratic Gauss
-sum, from its Hessian in closed form.
+`dual_table` (the linear table of the Gram matrix [Tr(alpha^(i+j))],
+which lives on the `FieldCtx`, built once per field; this module keeps no
+table of its own).  The column map has one direction, the kernel w^(-st):
+`inverse_sums`, sum_y d(y) w^Tr(xy), the inverse sums before the division
+by p^n that the identity battery of `derivanalysis` needs, is the forward
+sums of d read at -x, through `neg_table` and the same gather.
 
 Both paths produce flat coordinate tuples in Z[w] ((a, b) = a + b*w for
 p = 3, p - 1 integers otherwise).  A WalshSpectrum's constructor looks
@@ -40,15 +37,14 @@ spectrum on f, so a command transforms f once; `walsh_naive` never reads it.
 
 from __future__ import annotations
 
-from itertools import compress
-from operator import add, mul, sub
+from operator import sub
 
-from .cyclo import (CycInt, coords_from_counts, mul_coords, norm_coords, signed_powers,
-                    unit_class, unit_power_forms)
+from .cyclo import (CycInt, coords_from_counts, norm_coords, signed_powers, unit_class,
+                    unit_power_forms)
 from .errors import InternalInconsistency, PreconditionError
 from .funcrep import PFunction
 from .gf import FieldCtx
-from .linalg import axis_passes, mat_kernel
+from .linalg import axis_passes
 
 NOT_BENT = "not_bent"
 REGULAR = "regular"
@@ -154,54 +150,6 @@ def walsh_naive(f: PFunction) -> WalshSpectrum:
     the independent oracle of `walsh_fast`."""
     return WalshSpectrum(f.ctx, [single_walsh_value(f, y).coords for y in range(f.ctx.q)],
                          "naive")
-
-
-def walsh_quadratic(g: PFunction) -> tuple[list, list]:
-    """W_g of a g of degree <= 2 in closed form, with no transform: the
-    support (the y where W_g(y) != 0, ascending) and the coordinates at
-    every y.  The degree is the caller's to ensure; it is not checked.
-
-    In polynomial-basis coordinates g(x) = g(0) + a.x + x^T H x / 2, with
-    the Hessian H_ij = D_{e_i} D_{e_j} g and a_i = g(e_i) - g(0) - H_ii / 2,
-    and Tr(xy) = x.v(y) (`FieldCtx.dual_table`).  So W_g(y) is a quadratic
-    Gauss sum: 0 unless v(y) = a + Hz for some z, and then W_g(y_0)
-    w^(-z^T H z / 2), v(y_0) = a.  Over the pivot columns of H, those that
-    are no `mat_kernel` vector's last nonzero coordinate, z -> Hz is
-    one-to-one, so the support has p^r points, r = rank H: a linear table
-    over z, read through `FieldCtx.inverse_dual_table`.  The phase is read
-    from g's table, as z^T H z / 2 = (g(z) + g(-z)) / 2 - g(0), and every
-    value is W_g(y_0), one `single_walsh_value`, times a power of w.
-    Parseval, p^r |W_g(y_0)|^2 = p^(2n), is checked exactly; a failure is
-    an InternalInconsistency."""
-    ctx = g.ctx
-    p, n, q, vals = ctx.p, ctx.n, ctx.q, g.values
-    g0, half = vals[0], (p + 1) // 2  # 2 half = 1 mod p
-    pows = [p ** i for i in range(n)]
-    ge = [vals[pw] - g0 for pw in pows]  # g(e_i) - g(0)
-    hess = [[(vals[pi + pj] - gi - gj - g0) % p for pj, gj in zip(pows, ge)]
-            for pi, gi in zip(pows, ge)]
-    a = [(gi - row[i] * half) % p for i, (gi, row) in enumerate(zip(ge, hess))]
-    free = {max(compress(range(n), vec)) for vec in mat_kernel(hess, p)}
-    pivots = [j for j in range(n) if j not in free]
-    # z over the pivot coordinates, the first pivot's digit running fastest,
-    # and the support point y at v(y) = a + Hz (H is symmetric) in the same
-    # order, through the F_p-linear `inverse_dual_table`; z = 0 gives y_0
-    inverse = ctx.inverse_dual_table
-    zs = ctx.linear_table([pows[j] for j in pivots])
-    points = ctx.linear_table([inverse[sum(map(mul, hess[j], pows))] for j in pivots],
-                              inverse[sum(map(mul, a, pows))])
-    w0 = single_walsh_value(g, points[0]).coords  # v(y_0) = a
-    if norm_coords(w0, p) != (q * q // len(points),) + (0,) * ((p - 3) // 2):
-        raise InternalInconsistency("Parseval failed on a quadratic's closed-form spectrum")
-    rotations = [mul_coords(w0, x, p) for x in signed_powers(p)[::2]]  # W_g(y_0) w^k
-    # W_g(y) = W_g(y_0) w^(g(0) - e / 2) for e = g(z) + g(-z) in [0, 2p - 2]
-    by_sum = [rotations[(g0 - e * half) % p] for e in range(2 * p - 1)]
-    gz = map(vals.__getitem__, zs)
-    g_minus_z = map(vals.__getitem__, map(ctx.neg_table.__getitem__, zs))
-    coords = [(0,) * (p - 1)] * q
-    for y, w in zip(points, map(by_sum.__getitem__, map(add, gz, g_minus_z))):
-        coords[y] = w
-    return sorted(points), coords
 
 
 def _dft3_column(rows):

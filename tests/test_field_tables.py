@@ -20,7 +20,7 @@ from pbent.funcrep import parse_function_spec
 from pbent.gf import FieldCtx, get_field
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "pbent"
-TABLES = ("neg_table", "dual_table", "inverse_dual_table")
+TABLES = ("neg_table", "dual_table")
 
 
 @pytest.fixture
@@ -40,11 +40,10 @@ def builds(monkeypatch):
 
 
 @pytest.mark.parametrize("spec, built", [
-    # degree 4: the scan witness search and the battery read -x, and the
-    # battery's rows are transformed
+    # degree 4: the scan witness search and the battery read -x
     ("p=3 n=4 f=Tr(x^4+g^10*x^22)", {"neg_table": 1, "dual_table": 1}),
-    # degree 2 at p = 5: the pairing of a, -a, and closed-form battery rows
-    ("p=5 n=3 f=Tr(x^6+g^1*x^2)", {"neg_table": 1, "dual_table": 1, "inverse_dual_table": 1}),
+    # degree 2 at p = 5: the pairing of a, -a
+    ("p=5 n=3 f=Tr(x^6+g^1*x^2)", {"neg_table": 1, "dual_table": 1}),
 ], ids=["p3_n4_degree_4", "p5_n3"])
 def test_second_certify_on_a_field_builds_no_table(spec, built, builds, monkeypatch, capsys):
     monkeypatch.setattr(pbent.gf, "_FIELD_CACHE", {})  # a cold field

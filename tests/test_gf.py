@@ -257,8 +257,7 @@ def _linear_table_oracle(ctx, cols):
 @pytest.mark.parametrize("p", [3, 5, 7])
 @pytest.mark.parametrize("n", range(1, 7))
 def test_linear_table_matches_per_block_shifts(p, n):
-    # seeded columns, zero and repeated ones included, from none up to n + 1;
-    # with a base, every entry is shifted by it
+    # seeded columns, zero and repeated ones included, from none up to n + 1
     ctx = get_field(p, n)
     rng = random.Random(100 * p + n)
     cols_list = [[], [0], [ctx.q - 1, ctx.q - 1]]
@@ -266,10 +265,7 @@ def test_linear_table_matches_per_block_shifts(p, n):
     if p ** n <= 3 ** 6:
         cols_list.append([rng.randrange(ctx.q) for _ in range(n)])
     for cols in cols_list:
-        expected = _linear_table_oracle(ctx, cols)
-        assert ctx.linear_table(cols) == expected
-        base = rng.randrange(ctx.q)
-        assert ctx.linear_table(cols, base) == [index_add(p, base, v) for v in expected]
+        assert ctx.linear_table(cols) == _linear_table_oracle(ctx, cols)
 
 
 def test_tables_match_powers_and_trace():
@@ -307,16 +303,6 @@ def test_trace_row_is_the_trace_pairing(p, n):
     xs = list(map(ctx.from_index, range(ctx.q)))
     for y in xs:  # y = 0 included
         assert ctx.trace_row(y.index) == [ctx.trace(x * y) for x in xs]
-
-
-@pytest.mark.parametrize("p, n", [(3, 1), (3, 2), (3, 4), (5, 2), (7, 1)])
-def test_trace_row_at_given_points_reads_the_row(p, n):
-    ctx = get_field(p, n)
-    rng = random.Random(10 * p + n)
-    for y in range(ctx.q):  # y = 0 included
-        row = ctx.trace_row(y)
-        for xs in ([], sorted(rng.sample(range(ctx.q), ctx.q // 3)), range(ctx.q)):
-            assert ctx.trace_row(y, xs) == [row[x] for x in xs]
 
 
 def _oracle_inputs():
