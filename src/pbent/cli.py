@@ -31,7 +31,6 @@ from .errors import (BudgetError, InternalInconsistency, ParseError,
 from .funcrep import (PFunction, parse_coeff, parse_function_spec,
                       to_relative_trace_form)
 from .gf import check_field_size, parse_int
-from .suite import run_suite
 from .walsh import classify, extract_certificate, walsh_fast
 
 EXIT_PARSE = 2
@@ -227,6 +226,7 @@ def cmd_verify_table1(args) -> int:
 
 
 def cmd_property_suite(args) -> int:
+    from .suite import run_suite  # loaded by this command alone
     names = None if args.only is None else args.only.split(",")
     records = run_suite(seed=args.seed, level=args.level, names=names)
     ok = all(r["passed"] for r in records)

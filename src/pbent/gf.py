@@ -13,30 +13,33 @@ modulus is irreducible and the primitive element has full order.  Every
 operation that needs a discrete log (`power`, `frobenius` as the power
 p^e, `rel_trace` as a sum of Frobenius terms, the trace-of-exp table
 and `trace_row`) reads the exp/log tables, built on first use for
-|F| <= 3^12.  `trace_row(y)` is the trace pairing as one row, Tr(x y) at
-every x in index order: the one-point Walsh value and the Maiorana-McFarland
-special form read it.  The module's polynomial core (`_pmul`, `_ppow`)
-serves only what must run before the tables exist or must not build them:
-the irreducibility check, the primitivity check, the trace vector, `mul_t`
-and `gen_power`, so that parsing a coefficient g^M builds no tables.
-Irreducibility is Berlekamp's kernel test: once x^(p^n) = x (mod f), f is
-irreducible exactly when Q - I, row i of Q being x^(ip) mod f, has a
-one-dimensional kernel, which `linalg.mat_kernel` reads.
+|F| <= 3^12, as `array`s, by whole-int lane passes: the coordinate planes
+of g^m hold one lane per exponent m, and the matrix of multiplication by
+g^L doubles the range of m (`_build_tables`).  `trace_row(y)` is the trace
+pairing as one row, Tr(x y) at every x in index order: the one-point Walsh
+value and the Maiorana-McFarland special form read it.  The module's
+polynomial core (`_pmul`, `_ppow`) serves only what must run before the
+tables exist or must not build them: the irreducibility check, the
+primitivity check, `mul_t` and `gen_power`, so that parsing a coefficient
+g^M builds no tables.  The trace vector Tr(alpha^i) comes from the
+modulus' coefficients alone, by Newton's identities.  Irreducibility is
+Berlekamp's kernel test: once x^(p^n) = x (mod f), f is irreducible
+exactly when Q - I, row i of Q being x^(ip) mod f, has a one-dimensional
+kernel, which `linalg.mat_kernel` reads.
 
-All whole-field index tables rest on one fact: adding a fixed index has no
-carries between digits.  `shift_row` tabulates x -> x + r over indexes of
-m digits one digit at a time, and `digit_sums` stacks those rows for every
-r; `half_rows` splits x -> x + r into two such half rows (low and high
-digits), and `linear_table` builds the index table of an F_p-linear map
-one digit at a time from each column's half rows.  The exp table walks the
-linear table of "multiply by the primitive element", trace-of-exp reads
-the linear table of the trace, and `shift_table(a)` is x -> x + a.
+The index tables of maps x -> y rest on one fact: adding a fixed index has
+no carries between digits.  `shift_row` tabulates x -> x + r over indexes
+of m digits one digit at a time, and `digit_sums` stacks those rows for
+every r; `half_rows` splits x -> x + r into two such half rows (low and
+high digits), `linear_table` builds the index table of an F_p-linear map
+one digit at a time from each column's half rows, and `shift_table(a)` is
+x -> x + a.
 
 The field's other index tables live on the FieldCtx too, each built once,
-on first read, as a cached attribute: `neg_table` (x -> -x, the linear
-table of the negated basis) and `dual_table` (y -> v(y), the trace-dual
-coordinates (Tr(alpha^j y))_j, the linear table of the Gram matrix
-[Tr(alpha^(i+j))], through which the Walsh transforms read Tr(xy) =
+on first read, as a cached `array` attribute: `neg_table` (x -> -x, the
+linear table of the negated basis) and `dual_table` (y -> v(y), the
+trace-dual coordinates (Tr(alpha^j y))_j, the linear table of the Gram
+matrix [Tr(alpha^(i+j))], through which the Walsh transforms read Tr(xy) =
 x . v(y)).  A context dropped from the field cache takes its tables with
 it.
 """
@@ -44,11 +47,13 @@ it.
 from __future__ import annotations
 
 import re
+import sys
 from array import array
+from collections import deque
 from functools import cached_property, lru_cache
 
 from .errors import BudgetError, InternalInconsistency, ParseError, PreconditionError
-from .linalg import lane_typecode, mat_kernel
+from .linalg import lane_mod, lane_typecode, mat_kernel
 
 LOG_TABLE_MAX = 3 ** 12
 
@@ -154,6 +159,38 @@ def digit_sums(p: int, m: int) -> list[list[int]]:
     `shift_row` per b: p^2m ints, cached because every scan of a field with
     2m or 2m + 1 digits reads the same table."""
     return [shift_row(p, m, b) for b in range(p ** m)]
+
+
+def _residue_lanes(p: int, n: int):
+    """Lanes for sums of n products of two residues mod p, which reach
+    n(p-1)^2, as (typecode, reduced): bytes while that bound is below 256,
+    reduced mod p by one `bytes.translate`, else the lanes of
+    `lane_typecode(bound)`, reduced by `lane_mod`.  `reduced(accs, count)`
+    is the list of the ints of `accs`, of `count` lanes each, reduced."""
+    top = n * (p - 1) ** 2
+    if top < 256:
+        residues = bytes(v % p for v in range(256))
+
+        def reduced(accs: list[int], count: int) -> list[int]:
+            return [int.from_bytes(acc.to_bytes(count, "little").translate(residues), "little")
+                    for acc in accs]
+        return "B", reduced
+    tc = lane_typecode(top)
+
+    def reduced(accs: list[int], count: int) -> list[int]:
+        mod = lane_mod(p, 8 * array(tc).itemsize,
+                       int.from_bytes(array(tc, [1]) * count, sys.byteorder), top)
+        return list(map(mod, accs))
+    return tc, reduced
+
+
+def _lane_array(tc: str, lanes: int, count: int) -> array:
+    """The `array` of typecode tc whose items are the first `count` lanes
+    of an int, lane 0 in its lowest bits."""
+    out = array(tc, lanes.to_bytes(count * array(tc).itemsize, "little"))
+    if sys.byteorder == "big":
+        out.byteswap()
+    return out
 
 
 def _digits(m: int, p: int, n: int) -> list[int]:
@@ -286,7 +323,9 @@ class FieldCtx:
     The field itself (p, n, modulus, primitive element, trace vector) is
     fixed at construction; the exp/log tables, the subfield cache and the
     cached index tables (`neg_table`, `dual_table`) fill on first use and
-    never change after.  The modulus is verified irreducible and the
+    never change after.  Every q-entry table is an `array`: exp, log and
+    trace-of-exp built together by lane passes, the other two packed from
+    their linear tables.  The modulus is verified irreducible and the
     primitive element's order is verified against the prime factors of
     p^n - 1, so a successfully built context is a certificate of both.
 
@@ -312,9 +351,9 @@ class FieldCtx:
             raise FieldError("modulus is reducible over F_%d" % p)
         self.modulus = modulus
         self._powers_of_p = [p ** i for i in range(n + 1)]
-        self.exp_table: list[int] | None = None
-        self.log_table: list[int] | None = None
-        self._trace_of_exp: list[int] | None = None
+        self.exp_table: array | None = None
+        self.log_table: array | None = None
+        self._trace_of_exp: array | None = None
         self._subfield_cache: dict[int, list[int]] = {}
         root = _root(modulus, p)
         if not _is_primitive(root, modulus, p):
@@ -328,40 +367,65 @@ class FieldCtx:
     # -- construction helpers ------------------------------------------------
 
     def _build_trace_vec(self) -> tuple[int, ...]:
-        """Tr(alpha^i) for i < n, as the sum of the n Frobenius powers."""
-        p, n = self.p, self.n
-        out = []
-        for pw in self._powers_of_p[:-1]:
-            y = acc = _digits(pw, p, n)
-            for _ in range(n - 1):
-                y = _ppow(y, p, self.modulus, p)
-                acc = [a + c for a, c in zip(acc, y)]
-            if any(a % p for a in acc[1:]):
-                raise InternalInconsistency("trace landed outside the prime field")
-            out.append(acc[0] % p)
-        return tuple(out)
+        """Tr(alpha^i) for i < n: the i-th power sum P_i of the modulus'
+        roots alpha^(p^j), by Newton's identities for the monic modulus
+        sum_j c_j x^j, P_0 = n and P_i = -(i c_(n-i) + sum_(0<j<i)
+        c_(n-j) P_(i-j)), in O(n^2) operations on residues."""
+        c, n, p = self.modulus, self.n, self.p
+        sums = [n % p]
+        for i in range(1, n):
+            sums.append(-(i * c[n - i] + sum(c[n - j] * sums[i - j] for j in range(1, i))) % p)
+        return tuple(sums)
 
     def _build_tables(self) -> None:
+        """exp, log and trace-of-exp over the exponents m < p^n - 1, as
+        `array`s, by whole-int lane passes.
+
+        Plane i holds coordinate i of g^m in lane m, in the lanes of
+        `_residue_lanes`.  The planes of m < L give those of L <= m < 2L
+        through the n x n matrix of multiplication by g^L, so the range
+        doubles in n^2 lane multiply-adds.  exp is the planes' base-p sum
+        in lanes of an `array("i")` item, and trace-of-exp their sum
+        weighted by `trace_vec`.  log is one scatter of exp; exp is
+        one-to-one onto the nonzero indexes exactly when that leaves one
+        entry, log 0, at -1, which checks the primitive element's order.
+        """
         if self.exp_table is not None:
             return
         if self.q > LOG_TABLE_MAX:
             raise BudgetError("log tables capped at |F| <= 3^12")
-        g = self.primitive.coeffs
-        step = self.linear_table(
-            [self.to_index(self.mul_t(g, _digits(pw, self.p, self.n)))
-             for pw in self._powers_of_p[:-1]])
-        exp = [1]
-        for _ in range(self.order):
-            exp.append(step[exp[-1]])
-        if exp.pop() != 1:
-            raise InternalInconsistency("exp table did not close (primitive order wrong)")
-        log = [-1] * self.q
-        for m, idx in enumerate(exp):
-            log[idx] = m
-        trace = self.linear_table(self.trace_vec)
+        p, n, order = self.p, self.n, self.order
+        tc, reduced = _residue_lanes(p, n)
+        size = array(tc).itemsize
+        width = 8 * size
+        basis = [_digits(pw, p, n) for pw in self._powers_of_p[:-1]]
+        planes, done, g_l = [1] + [0] * (n - 1), 1, self.primitive.coeffs
+        while done < order:
+            take = min(done, order - done)
+            low = [plane & ((1 << width * take) - 1) for plane in planes]
+            cols = [self.mul_t(g_l, b) for b in basis]  # column j: g^L alpha^j
+            high = reduced([sum(col[i] * lo for col, lo in zip(cols, low) if col[i])
+                            for i in range(n)], take)
+            planes = [plane | h << width * done for plane, h in zip(planes, high)]
+            done += take
+            g_l = self.mul_t(g_l, g_l)
+        trace, = reduced([sum(t * plane for t, plane in zip(self.trace_vec, planes) if t)], order)
+        exp_size = array("i").itemsize
+        acc = 0
+        for plane in reversed(planes):
+            raw, wide = plane.to_bytes(size * order, "little"), bytearray(exp_size * order)
+            for k in range(min(size, exp_size)):
+                wide[k::exp_size] = raw[k::size]
+            acc = acc * p + int.from_bytes(wide, "little")
+        exp = _lane_array("i", acc, order)
+        log = array("i", [-1]) * self.q
+        deque(map(log.__setitem__, exp, range(order)), 0)
+        if log.count(-1) != 1 or log[0] != -1:
+            raise InternalInconsistency(
+                "exp table did not close into one cycle of the nonzero indexes (primitive order wrong)")
         self.exp_table = exp
         self.log_table = log
-        self._trace_of_exp = [trace[i] for i in exp]
+        self._trace_of_exp = _lane_array(tc, trace, order)
 
     def ensure_tables(self) -> None:
         self._build_tables()
@@ -397,9 +461,11 @@ class FieldCtx:
         return sum(c * self._powers_of_p[i] for i, c in enumerate(coeffs))
 
     @cached_property
-    def neg_table(self) -> list[int]:
-        """table[x] = index of -x: the linear table of the negated basis."""
-        return self.linear_table([(self.p - 1) * pw for pw in self._powers_of_p[:-1]])
+    def neg_table(self) -> array:
+        """table[x] = index of -x, as an `array`: the linear table of the
+        negated basis."""
+        return array(lane_typecode(self.q), self.linear_table(
+            [(self.p - 1) * pw for pw in self._powers_of_p[:-1]]))
 
     @cached_property
     def dual_table(self) -> array:
@@ -493,7 +559,7 @@ class FieldCtx:
         self._build_tables()
         log = self.log_table
         t, k = self._trace_of_exp, log[y_idx]
-        return list(map((t[k:] + t[:k] + [0]).__getitem__, log))
+        return list(map((t[k:] + t[:k] + array(t.typecode, [0])).__getitem__, log))
 
     # -- subfields -------------------------------------------------------------
 

@@ -11,7 +11,8 @@ Two kernels apply a size-p map along every base-p digit of a table's index,
 one pass per digit, each pass mapping the top digit and moving it to the
 bottom.  `lane_passes` is the F_p kernel of the ANF conversions: the table
 is one Python int with a fixed-width lane per entry, so a pass is a few
-dozen whole-table integer operations.  `axis_passes` is the kernel of the
+dozen whole-table integer operations.  Its reduction mod p, `lane_mod`,
+also serves `gf`'s table build.  `axis_passes` is the kernel of the
 Z[w] transforms in `walsh`, whose entries are coordinate tuples.
 """
 
@@ -111,17 +112,38 @@ def lane_typecode(bound: int) -> str:
 def _lane_plan(mat: tuple, p: int):
     """Per output row of `mat`: its nonzero coefficients (t, c), centred
     into (-p/2, p/2); the bias, the least multiple of p that keeps every
-    lane of the row's sum non-negative; and the number of conditional
-    subtractions that bring a lane below p.  Also the lane typecode, sized
-    for the largest lane value a row can reach."""
+    lane of the row's sum non-negative; and the largest lane value the
+    row's sum can reach.  Also the lane typecode, sized for the largest of
+    those."""
     rows, bound = [], p - 1
     for row in mat:
         coeffs = [(t, c - p if 2 * c > p else c) for t, c in enumerate(row) if c]
         bias = -((p - 1) * sum(c for _, c in coeffs if c < 0) // p) * p
         top = bias + (p - 1) * sum(c for _, c in coeffs if c > 0)
-        rows.append((coeffs, bias, (top // p).bit_length()))
+        rows.append((coeffs, bias, top))
         bound = max(bound, top)
     return rows, lane_typecode(bound)
+
+
+def lane_mod(p: int, width: int, ones: int, top: int):
+    """`reduce(acc)`: every `width`-bit lane of the int acc, at most the
+    lanes where `ones` has a 1, each holding 0..top below its top bit,
+    reduced mod p.
+
+    It makes conditional subtractions of p*2^j, j descending:
+    (lane | guard) - p*2^j keeps a lane's guard (top) bit exactly where
+    lane >= p*2^j, so no borrow crosses a lane, and that bit, moved down
+    to bit j and multiplied by p, is what the lane loses.  A lane of acc
+    beyond its top stays 0.
+    """
+    guard = ones << (width - 1)
+    steps = [((p << j) * ones, width - 1 - j) for j in reversed(range((top // p).bit_length()))]
+
+    def reduce(acc: int) -> int:
+        for sub, shift in steps:
+            acc -= (((acc | guard) - sub & guard) >> shift) * p
+        return acc
+    return reduce
 
 
 def lane_passes(vals: list[int], p: int, n: int, mat: tuple) -> list[int]:
@@ -135,34 +157,28 @@ def lane_passes(vals: list[int], p: int, n: int, mat: tuple) -> list[int]:
     matrices).  A pass cuts row t, the m = p^(n-1) entries whose
     top digit is t, out of the contiguous lanes [t*m, (t+1)*m) with one
     shift and mask.  Output row u is sum_t c_ut row_t + bias_u, formed on
-    all m lanes at once.  It is reduced by conditional subtractions of
-    p*2^j, j descending: (lane | guard) - p*2^j keeps a lane's guard (top)
-    bit exactly where lane >= p*2^j, so no borrow crosses a lane, and that
-    bit, moved down to bit j and multiplied by p, is what the lane loses.
-    Row u then goes to the entries r*p + u by a strided array store, which
-    moves the mapped digit to the bottom, as in `axis_passes`.  The lane
-    constants are 1/p of the table and are rebuilt on every call.
+    all m lanes at once and reduced by `lane_mod`.  Row u then goes to the
+    entries r*p + u by a strided array store, which moves the mapped digit
+    to the bottom, as in `axis_passes`.  The lane constants are 1/p of the
+    table and are rebuilt on every call.
     """
     rows, tc = _lane_plan(mat, p)
     size = array(tc).itemsize
     width = 8 * size
     m = p ** (n - 1)
     ones = int.from_bytes(array(tc, [1]) * m, sys.byteorder)
-    low, guard = (1 << width * m) - 1, ones << (width - 1)
-    prog = [(coeffs, bias * ones, [((p << j) * ones, width - 1 - j) for j in reversed(range(steps))])
-            for coeffs, bias, steps in rows]
+    low = (1 << width * m) - 1
+    prog = [(coeffs, bias * ones, lane_mod(p, width, ones, top)) for coeffs, bias, top in rows]
     # array items are native-endian: on a big-endian machine entry 0 is the top lane
     order = range(p) if sys.byteorder == "little" else range(p - 1, -1, -1)
     out = array(tc, vals)
     for _ in range(n):
         table = int.from_bytes(out, sys.byteorder)
         cut = [(table >> width * m * t) & low for t in order]
-        for u, (coeffs, acc, steps) in enumerate(prog):
+        for u, (coeffs, acc, reduce) in enumerate(prog):
             for t, c in coeffs:
                 acc += c * cut[t]
-            for sub, shift in steps:
-                acc -= (((acc | guard) - sub & guard) >> shift) * p
-            out[u::p] = array(tc, acc.to_bytes(size * m, sys.byteorder))
+            out[u::p] = array(tc, reduce(acc).to_bytes(size * m, sys.byteorder))
     return out.tolist()
 
 

@@ -1,6 +1,7 @@
 import itertools
 import operator
 import random
+from array import array
 
 import pytest
 
@@ -297,7 +298,100 @@ def test_tables_n12_sampled():
         assert ctx._trace_of_exp[m] == ctx.trace_coeffs(x)
 
 
-@pytest.mark.parametrize("p, n", [(3, 1), (3, 2), (3, 4), (5, 2), (7, 1)])
+def _walk_tables(ctx):
+    """The labelled oracle of `FieldCtx._build_tables`: exp by a walk of the
+    linear table of multiplication by g, one entry per step, log by a
+    per-entry scatter, and trace-of-exp read from the linear table of the
+    trace."""
+    g = ctx.primitive.coeffs
+    step = ctx.linear_table([ctx.to_index(ctx.mul_t(g, ctx.from_index(ctx.p ** i).coeffs))
+                             for i in range(ctx.n)])
+    exp = [1]
+    for _ in range(ctx.order):
+        exp.append(step[exp[-1]])
+    assert exp.pop() == 1
+    log = [-1] * ctx.q
+    for m, idx in enumerate(exp):
+        log[idx] = m
+    trace = ctx.linear_table(ctx.trace_vec)
+    return exp, log, [trace[i] for i in exp]
+
+
+# every lane width: bytes up to p = 13, two bytes from p = 11 (n >= 3),
+# four at p = 727 and eight at p = 46349, where (p - 1)^2 passes 2^31
+WALK_FIELDS = ([(3, n) for n in (*range(1, 10), 12)] + [(5, n) for n in range(1, 6)]
+               + [(7, n) for n in range(1, 5)] + [(11, n) for n in range(1, 5)]
+               + [(13, n) for n in range(1, 4)] + [(17, n) for n in range(1, 4)]
+               + [(89, 1), (89, 2), (727, 1), (46349, 1)])
+# the roots of x^4+x^3+x^2+x+1 over F_3 and of x^2+2 over F_5 are not
+# primitive, so their generators are searched
+CUSTOM_MODULI = [(3, 4, (2, 1, 0, 0, 1)), (3, 4, (1, 1, 1, 1, 1)), (5, 2, (2, 0, 1))]
+
+
+def test_the_walk_grid_covers_every_lane_width():
+    assert {array(gf._residue_lanes(p, n)[0]).itemsize for p, n in WALK_FIELDS} == {1, 2, 4, 8}
+    assert [get_field(*spec).primitive.index == spec[0] for spec in CUSTOM_MODULI] == [
+        True, False, False]
+
+
+@pytest.mark.parametrize("spec", WALK_FIELDS + CUSTOM_MODULI, ids=str)
+def test_tables_match_the_walk(spec):
+    ctx = get_field(*spec)
+    ctx.ensure_tables()
+    exp, log, trace = _walk_tables(ctx)
+    assert ctx.exp_table.tolist() == exp
+    assert ctx.log_table.tolist() == log
+    assert ctx._trace_of_exp.tolist() == trace
+
+
+@pytest.mark.parametrize("p, n", [(17, 1), (3, 12), (5, 8), (7, 6), (11, 5), (13, 5),
+                                  (727, 2), (46349, 1), (531383, 1)])
+def test_residue_lanes_hold_the_largest_sum(p, n):
+    # n products (p - 1)(p - 1) in every lane reach the bound n(p - 1)^2;
+    # at p = 17, n = 1 it is 256, one more than a byte holds
+    tc, reduced = gf._residue_lanes(p, n)
+    width = 8 * array(tc).itemsize
+    ones = sum(1 << width * k for k in range(5))
+    top = n * (p - 1) ** 2
+    assert reduced([top * ones, 0, (p - 1) * ones], 5) == [top % p * ones, 0, (p - 1) * ones]
+
+
+@pytest.mark.parametrize("p, n, e", [(3, 4, 2), (3, 4, 5), (3, 4, 40), (11, 3, 7)])
+def test_a_generator_of_lower_order_fails_the_log_check(p, n, e):
+    # g^e has order (q - 1) / gcd(e, q - 1): exp repeats, and log keeps
+    # more than one entry at -1
+    ctx = FieldCtx(p, n)
+    ctx.primitive = ctx.gen_power(e)
+    with pytest.raises(InternalInconsistency, match="did not close"):
+        ctx.ensure_tables()
+    assert ctx.exp_table is None
+
+
+def _frobenius_trace_vec(ctx):
+    """The labelled oracle of `FieldCtx._build_trace_vec`: Tr(alpha^i) as
+    the sum of the n Frobenius powers (alpha^i)^(p^j), which lands in the
+    prime field."""
+    p, n = ctx.p, ctx.n
+    out = []
+    for i in range(n):
+        y = acc = ctx.from_index(p ** i).coeffs
+        for _ in range(n - 1):
+            y = _ppow(y, p, ctx.modulus, p)
+            acc = [a + c for a, c in zip(acc, y)]
+        assert not any(a % p for a in acc[1:]), "trace landed outside the prime field"
+        out.append(acc[0] % p)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("spec", sorted(_CONWAY) + [(5, 5), (11, 2), (13, 3)] + CUSTOM_MODULI,
+                         ids=str)
+def test_trace_vec_matches_the_frobenius_sums(spec):
+    # every pinned modulus, searched default moduli and custom moduli
+    ctx = get_field(*spec)
+    assert ctx.trace_vec == _frobenius_trace_vec(ctx)
+
+
+@pytest.mark.parametrize("p, n", [(3, 1), (3, 2), (3, 4), (5, 2), (7, 1), (13, 2)])
 def test_trace_row_is_the_trace_pairing(p, n):
     ctx = get_field(p, n)
     xs = list(map(ctx.from_index, range(ctx.q)))
@@ -379,7 +473,7 @@ def test_subfield_degree_not_dividing_n_is_a_precondition_error():
 @pytest.mark.parametrize("p, n", [(3, 1), (3, 4), (3, 5), (5, 1), (5, 3), (7, 2)])
 def test_neg_table_matches_neg_index(p, n):
     ctx = get_field(p, n)
-    assert ctx.neg_table == [index_add(p, 0, i, -1) for i in range(ctx.q)]
+    assert ctx.neg_table.tolist() == [index_add(p, 0, i, -1) for i in range(ctx.q)]
 
 
 def test_log_tables_roundtrip():
