@@ -24,29 +24,26 @@ and, given a cubic-like witness, one witness check.  The phase row checks
 P_c(b) = w^Tr(bc) W_{D_b f*}(-c) against W_{D_c f}(b) at every b at once,
 the one identity of the paper's list that weak regularity implies: by the
 correlation identity W_{D_b f*}(-c) = p^-n sum_y W(y) conj(W(y + c))
-w^Tr(by), W = W_{f*} (transformed once), shifted by -c, p^n P_c is the
-inverse sums of W(y - c) conj(W(y)), and p^n W_{D_c f} those of p^n
-w^(D_c f(-y)).  A bent f* has W(y) = s(y) U w^j(y) with U conj(U) = p^n,
-so P_c - W_{D_c f} is the inverse sums of d_c(y) = s(y - c) s(y)
-w^(j(y - c) - j(y)) - w^(D_c f(-y)).  One path (`_phase_misses`) takes
-either pair of sides and runs one inverse transform of their difference,
-none where it vanishes, as on every row of a weakly regular f; a dual that
-is not bent has no (s, j) form and takes the product side.  As D_-c f(x) =
--D_c f(x - c), W_{D_-c f}(b) = w^-Tr(bc) conj(W_{D_c f}(-b)), and P_-c is
-P_c mirrored alike: row -c is row c under the bijection b -> -b, so a pair
-c, -c costs one derivative and at most one inverse run, and row -c's
-misses are row c's negated.  Small fields are walked whole; larger ones
-fill SAMPLED_PAIRS with seeded rows (see `wr_identity_check`), whose limit
-cuts only the last row's report.  Given a cubic-like witness (d, lambda)
-of c, the row checks D_d D_c f = lambda at all q points: one derivative of
-D_c f and no transform, at every degree and past the cut, so a corrupted
-witness is an internal inconsistency.
+w^Tr(by), W = W_{f*}, p^n P_c is the inverse sums of W(y - c) conj(W(y)),
+and p^n W_{D_c f} those of p^n w^(D_c f(-y)).  A bent f* has W(y) =
+u z^k(y), codes k, u conj(u) = p^n, so P_c - W_{D_c f} is the inverse
+sums of d_c(y) = z^(k(y - c) - k(y)) - z^(2 D_c f(-y)), zero exactly where
+the phase class v(y) = k(y) - 2 f(-y) mod 2p, built once per battery, has
+v(y - c) = v(y).  A row gathers v through y -> y - c: a clean row, where
+the classes agree at every y (every row of a weakly regular f, v being
+constant), has no misses, and any other builds d_c where they differ and
+runs one inverse transform (`_phase_misses`).  A dual that is not bent
+compares the product sides at every y.  Row -c is row c mirrored, b -> -b,
+as D_-c f(x) = -D_c f(x - c).  A witness (d, lambda) of c is checked as
+D_d D_c f(x) = D_d f(x + c) - D_d f(x) = lambda at all q points, through
+the translation tables of d and c, past the sample's cut too.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from collections import deque
 from itertools import compress
 from operator import ne, sub
 
@@ -274,21 +271,20 @@ def _correlation_products(w: list, shift: list, p: int) -> list:
     return [mul_coords(x1, conj_coords(x, p), p) for x, x1 in zip(w, shifted)]
 
 
-def _phase_misses(lhs: list, rhs: list, ctx, c: int, divisor: int) -> list:
-    """Row c's phase misses: the b, ascending, where w^Tr(bc) W_{D_b f*}(-c)
-    != W_{D_c f}(b).  The inverse sums of lhs - rhs are `divisor` times
-    P_c - W_{D_c f}: lhs(y) is W(y - c) conj(W(y)), W = W_{f*}, against
-    rhs(y) = p^n w^(D_c f(-y)) with divisor p^n, or for a bent dual the
-    signed power s(y - c) s(y) w^(j(y - c) - j(y)) against w^(D_c f(-y))
-    with divisor 1.  Where lhs = rhs at every y, as on every row of a
-    weakly regular f, there are no misses and no inverse run; otherwise the
-    misses are the nonzero sums, each divisible by `divisor`, exactly."""
-    if lhs == rhs:
+def _phase_misses(diffs, ctx, c: int, divisor: int) -> list:
+    """Row c's phase misses, the b where w^Tr(bc) W_{D_b f*}(-c) != W_{D_c
+    f}(b), ascending.  `diffs` holds the y where the row's phase sides
+    differ and d(y), their difference, at each: the inverse sums of d are
+    `divisor` times P_c - W_{D_c f}.  A clean row, with no such y, runs no
+    inverse; otherwise the misses are the nonzero sums, each divisible by
+    `divisor`, exactly."""
+    ys, values = diffs
+    del diffs  # the last reference when the caller passes them unbound
+    if not ys:
         return []
     d = [(0,) * (ctx.p - 1)] * ctx.q
-    for y in compress(range(ctx.q), map(ne, lhs, rhs)):
-        d[y] = tuple(map(sub, lhs[y], rhs[y]))
-    del lhs, rhs  # the last references when the caller passes them unbound
+    deque(map(d.__setitem__, ys, values), 0)
+    del ys, values
     sums = inverse_sums(ctx, d)
     misses = list(compress(range(ctx.q), map(any, sums)))
     if any(v % divisor for b in misses for v in sums[b]):
@@ -304,13 +300,10 @@ def wr_identity_check(f: PFunction, seed: int = 0,
     It walks rows c (see the module docstring): all q rows when p^2n <=
     SAMPLED_PAIRS, otherwise ceil(SAMPLED_PAIRS / q) distinct rows from
     `random.Random(seed).sample`, in draw order.  A row's misses ascend in
-    b, so the last row's are cut once, to SAMPLED_PAIRS pairs in all.  A
-    row runs the inverse kernel only where its two phase sides differ: the
-    signed powers of a bent dual against w^(D_c f(-y)), or the products
-    W_{f*}(y - c) conj(W_{f*}(y)) against p^n w^(D_c f(-y)).  With a
-    cubic-like `certificate` of f, a walked row c whose witness (d, lambda)
-    has D_d D_c f != lambda at some point raises InternalInconsistency,
-    past the cut too.
+    b, so the last row's are cut once, to SAMPLED_PAIRS pairs in all.  With
+    a cubic-like `certificate` of f, a walked row c whose witness
+    (d, lambda) has D_d D_c f != lambda at some point raises
+    InternalInconsistency, past the cut too.
     """
     ctx = f.ctx
     p, q = ctx.p, ctx.q
@@ -320,40 +313,47 @@ def wr_identity_check(f: PFunction, seed: int = 0,
     s_dual = walsh_fast(extract_certificate(s).dual)
     codes = s_dual.codes  # None when the dual is not bent
     powers = signed_powers(p)
-    divisor = 1 if codes else q  # the product side carries the factor p^n
-    # divisor * w^j; for a bent dual as z^(2j) = w^j, so that equal sides hold the same tuples
-    rhs_powers = powers[::2] if codes else [tuple([q * v for v in x]) for x in powers[::2]]
+    neg, vals = ctx.neg_table, f.values  # D_c f(-y) = f(-(y - c)) - f(-y)
+    if codes is None:
+        f_neg = list(map(vals.__getitem__, neg))  # f(-y)
+        scaled = [tuple([q * v for v in x]) for x in powers[::2]]  # p^n w^j
+
+        def differences(shift):  # shift[y] = y - c
+            lhs = _correlation_products(s_dual.coords, shift, p)
+            rhs = list(map(scaled.__getitem__, map(sub, map(f_neg.__getitem__, shift), f_neg)))
+            ys = list(compress(range(q), map(ne, lhs, rhs)))
+            return ys, [tuple(map(sub, lhs[y], rhs[y])) for y in ys]
+    else:
+        # z^(k(y - c) - k(y)) = w^(D_c f(-y)) exactly where v(y - c) = v(y)
+        phase = [(k - 2 * v) % (2 * p) for k, v in zip(codes, map(vals.__getitem__, neg))]
+
+        def differences(shift):
+            moved = list(map(phase.__getitem__, shift))  # v(y - c)
+            ys = [] if moved == phase else list(compress(range(q), map(ne, moved, phase)))
+            return ys, [tuple(map(sub, powers[codes[x] - codes[y]],
+                                  powers[2 * (vals[neg[x]] - vals[neg[y]])]))
+                        for x, y in zip(map(shift.__getitem__, ys), ys)]
 
     # a sample never repeats a pair, so a field with fewer pairs is walked whole
     exhaustive = q * q <= SAMPLED_PAIRS
     pair_count = q * q if exhaustive else SAMPLED_PAIRS
     rows = range(q) if exhaustive else random.Random(seed).sample(range(q), -(-pair_count // q))
     witnesses = certificate.witnesses if certificate is not None else {}
-    neg = ctx.neg_table
-    out, todo, pending = [], set(rows), {}
+    out, mirrored = [], {}
     for i, c in enumerate(rows):
-        todo.discard(c)
-        if c in pending:  # stashed by row -c, walked earlier
-            g, sign, misses = pending.pop(c)
+        if c in mirrored:  # row -c was walked earlier; D_-c f(x) = -D_c f(x - c)
+            misses = mirrored.pop(c)
         else:
-            g, sign = f.derivative(ctx.from_index(c)), 1
-            # passed unbound, so that `_phase_misses` frees both sides before its
-            # inverse run: bound here, they raised the n = 12 battery's peak by 5 MB
-            misses = _phase_misses(
-                _correlation_products(s_dual.coords, ctx.shift_table(neg[c]), p) if codes is None
-                else list(map(powers.__getitem__, map(sub, map(  # k1 - k2 in (-2p, 2p): mod 2p
-                    codes.__getitem__, ctx.shift_table(neg[c])), codes))),
-                list(map(rhs_powers.__getitem__, map(g.values.__getitem__, neg))),  # D_c f(-y)
-                ctx, c, divisor)
-            if neg[c] in todo:  # D_-c f(x) = -D_c f(x - c); both sides mirror b -> -b
-                pending[neg[c]] = (g, -1, sorted(neg[b] for b in misses))
+            # passed unbound, so that `_phase_misses` frees them before its inverse run
+            misses = _phase_misses(differences(ctx.shift_table(neg[c])), ctx, c, 1 if codes else q)
+            mirrored[neg[c]] = sorted(neg[b] for b in misses)  # both sides mirror, b -> -b
         d, lam = witnesses.get(c, (0, 0))
-        # D_d D_c f = lambda at every x; for a row read from row -c, g is D_-c f
-        # and D_c f(x) = -g(x + c), so D_d g = -lambda at every x
-        if d and g.derivative(ctx.from_index(d)).values.count(sign * lam % p) != q:
-            raise InternalInconsistency(
-                "D_d D_c f is not the constant lambda at c=%d, witness (d, lambda) = (%d, %d)"
-                % (c, d, lam))
+        if d:  # D_d D_c f(x) = D_d f(x + c) - D_d f(x) = lambda at every x
+            g = list(map(sub, map(vals.__getitem__, ctx.shift_table(d)), vals))  # D_d f
+            if {v % p for v in set(map(sub, map(g.__getitem__, ctx.shift_table(c)), g))} != {lam}:
+                raise InternalInconsistency(
+                    "D_d D_c f is not the constant lambda at c=%d, witness (d, lambda) = (%d, %d)"
+                    % (c, d, lam))
         limit = min(q, pair_count - i * q)  # the last sampled row's report stops at b = limit
         out.append((c, list(itertools.takewhile(limit.__gt__, misses))))
     return WrIdentityReport(pair_count, out, exhaustive)

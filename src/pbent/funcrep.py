@@ -98,8 +98,7 @@ class PFunction:
 
     def translate(self, a: FFElem) -> "PFunction":
         """x -> f(x + a)."""
-        perm = self.ctx.shift_table(a.index)
-        return PFunction(self.ctx, [self.values[perm[i]] for i in range(self.ctx.q)])
+        return PFunction(self.ctx, map(self.values.__getitem__, self.ctx.shift_table(a.index)))
 
     def derivative(self, a: FFElem) -> "PFunction":
         """D_a f(x) = f(x + a) - f(x)."""

@@ -28,12 +28,12 @@ exactly when Q - I, row i of Q being x^(ip) mod f, has a one-dimensional
 kernel, which `linalg.mat_kernel` reads.
 
 The index tables of maps x -> y rest on one fact: adding a fixed index has
-no carries between digits.  `shift_row` tabulates x -> x + r over indexes
-of m digits one digit at a time, and `digit_sums` stacks those rows for
-every r; `half_rows` splits x -> x + r into two such half rows (low and
-high digits), `linear_table` builds the index table of an F_p-linear map
-one digit at a time from each column's half rows, and `shift_table(a)` is
-x -> x + a.
+no carries between digits.  `shift_row` (cached) tabulates x -> x + r over
+indexes of m digits one digit at a time, and `digit_sums` stacks those
+rows for every r; `half_rows` splits x -> x + r into two such rows, of the
+low and high digits, from which `shift_table(a)`, x -> x + a, is composed
+block by block, and `linear_table` builds the index table of an F_p-linear
+map one digit at a time.
 
 The field's other index tables live on the FieldCtx too, each built once,
 on first read, as a cached `array` attribute: `neg_table` (x -> -x, the
@@ -128,11 +128,12 @@ def default_modulus(p: int, n: int) -> tuple[int, ...]:
     raise FieldError("no irreducible polynomial found for p=%d n=%d" % (p, n))
 
 
+@lru_cache(maxsize=64)
 def shift_row(p: int, m: int, r: int) -> list[int]:
     """[index(x + r) for x in range(p^m)], for r < p^m.  Adding r has no
     carries between digits, so the row is built one digit at a time: the
     entries with digit k of x equal to d are those of the lower digits plus
-    ((d + r_k) mod p) p^k."""
+    ((d + r_k) mod p) p^k.  Cached: `FieldCtx.shift_table` rereads them."""
     row = [0]
     pw = 1
     for _ in range(m):
@@ -142,12 +143,11 @@ def shift_row(p: int, m: int, r: int) -> list[int]:
     return row
 
 
-@lru_cache(maxsize=32)
 def half_rows(p: int, n: int, r: int) -> tuple:
     """x -> index(x + r) over indexes of n digits as (hi, lo, p^h), h =
     ceil(n/2): index(x + r) = hi[x // p^h] + lo[x % p^h], with lo the
     `shift_row` of the low h digits and hi that of the high n - h digits
-    scaled by p^h.  Cached, since the columns of linear tables recur."""
+    scaled by p^h."""
     half = p ** ((n + 1) // 2)
     r_hi, r_lo = divmod(r, half)
     return [v * half for v in shift_row(p, n // 2, r_hi)], shift_row(p, (n + 1) // 2, r_lo), half
@@ -477,8 +477,9 @@ class FieldCtx:
             [self.to_index([self.trace_coeffs(self.mul_t(a, b)) for b in basis]) for a in basis]))
 
     def shift_table(self, a_idx: int) -> list[int]:
-        """perm[x] = index(x + a): one `shift_row` over all n digits."""
-        return shift_row(self.p, self.n, a_idx)
+        """perm[x] = index(x + a), block by block from a's `half_rows`."""
+        hi, lo, _ = half_rows(self.p, self.n, a_idx)
+        return [h + v for h in hi for v in lo]
 
     def linear_table(self, cols) -> list[int]:
         """Index table of the F_p-linear map v -> sum_j v_j c_j, given the

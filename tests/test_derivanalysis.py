@@ -8,7 +8,8 @@ import random
 import pytest
 
 from pbent import derivanalysis, walsh
-from pbent.constructions import TrinomialParams, lemma2_witness, trinomial_bent
+from pbent.constructions import (TrinomialParams, lemma2_witness, mm_special_form,
+                                 trinomial_bent)
 from pbent.cyclo import signed_powers, unit_power_forms
 from pbent.derivanalysis import (SAMPLED_PAIRS, CubicLikeCertificate,
                                  _constant_derivatives, _first_witness_low_degree,
@@ -355,22 +356,30 @@ def test_wr_identity_trinomial_violations():
     assert len(rep.violations) > 0
 
 
+def _no_inverse(*args):
+    raise AssertionError("an inverse transform ran")
+
+
 @pytest.mark.parametrize("p, n, kinds", [
     (3, 2, {walsh.REGULAR: 108, walsh.WEAKLY_REGULAR: 54}),
     (5, 1, {walsh.REGULAR: 10, walsh.WEAKLY_REGULAR: 10}),
 ], ids=["p3_n2", "p5_n1"])
-def test_wr_identity_census_every_weakly_regular_bent_function_is_clean(p, n, kinds):
+def test_wr_identity_census_every_weakly_regular_bent_function_is_clean(p, n, kinds,
+                                                                        monkeypatch):
     # every function with f(0) = 0, that is every function up to an additive
     # constant: the bent ones are all weakly regular here, and not one pair
-    # of theirs is reported, so every reported violation is sound
+    # of theirs is reported, so every reported violation is sound; every
+    # row is clean, so no battery runs an inverse transform
     ctx = get_field(p, n)
     found = collections.Counter()
-    for tail in itertools.product(range(p), repeat=ctx.q - 1):
-        f = PFunction(ctx, (0,) + tail)
-        if is_bent(walsh_fast(f)):
-            found[classify(f).variant] += 1
-            rep = wr_identity_check(f)
-            assert rep.exhaustive and rep.sound_clean, (tail, rep)
+    with monkeypatch.context() as patched:
+        patched.setattr(derivanalysis, "inverse_sums", _no_inverse)
+        for tail in itertools.product(range(p), repeat=ctx.q - 1):
+            f = PFunction(ctx, (0,) + tail)
+            if is_bent(walsh_fast(f)):
+                found[classify(f).variant] += 1
+                rep = wr_identity_check(f)
+                assert rep.exhaustive and rep.sound_clean, (tail, rep)
     assert found == kinds
     # the control: the (1, 2, 1) trinomial is non-weakly regular and reported
     g = trinomial_bent(TrinomialParams(1, 2, 1)).truth_table()
@@ -478,6 +487,12 @@ def test_wr_rows_match_pair_oracle_exhaustive(make):
     _assert_json_from_dicts(rep, expected)
 
 
+def _differences(lhs, rhs):
+    """The y where the two sides differ, and lhs[y] - rhs[y] at each."""
+    ys = [y for y, (x, v) in enumerate(zip(lhs, rhs)) if x != v]
+    return ys, [tuple(a - b for a, b in zip(lhs[y], rhs[y])) for y in ys]
+
+
 @pytest.mark.parametrize("p, n", [(3, 3), (3, 4), (5, 1), (5, 2), (7, 1), (7, 2)])
 def test_phase_difference_matches_product_sums(p, n):
     # a bent-shaped W = s U w^j with seeded signs and exponents, U the unit
@@ -511,20 +526,18 @@ def test_phase_difference_matches_product_sums(p, n):
                 for x, y in zip(sums, local_sums)] == product_sums
         misses = [b for b in range(q) if product_sums[b] != tuple(q * v for v in local_sums[b])]
         assert misses and misses == [b for b in range(q) if any(sums[b])]
-        assert derivanalysis._phase_misses(signed, local, ctx, c, 1) == misses
-        assert derivanalysis._phase_misses(prod, scaled, ctx, c, q) == misses
-        assert derivanalysis._phase_misses(signed, list(signed), ctx, c, 1) == []
+        assert derivanalysis._phase_misses(_differences(signed, local), ctx, c, 1) == misses
+        assert derivanalysis._phase_misses(_differences(prod, scaled), ctx, c, q) == misses
+        assert derivanalysis._phase_misses(_differences(signed, signed), ctx, c, 1) == []
 
 
 def test_phase_misses_divides_exactly():
     # one nonzero entry 1 at y = 0: its inverse sums are 1 at every b, a
     # miss everywhere, and not divisible by p^n
     ctx = F9
-    lhs = [(1, 0)] + [(0, 0)] * (ctx.q - 1)
-    rhs = [(0, 0)] * ctx.q
-    assert derivanalysis._phase_misses(lhs, rhs, ctx, 0, 1) == list(range(ctx.q))
+    assert derivanalysis._phase_misses(([0], [(1, 0)]), ctx, 0, 1) == list(range(ctx.q))
     with pytest.raises(InternalInconsistency):
-        derivanalysis._phase_misses(lhs, rhs, ctx, 0, ctx.q)
+        derivanalysis._phase_misses(([0], [(1, 0)]), ctx, 0, ctx.q)
 
 
 def random_anf(ctx, rng, degree):
@@ -626,6 +639,96 @@ def test_wr_rows_of_minus_c_match_pair_oracle_sampled(pairs, seed, monkeypatch):
     bad[c] = (bad[c][0], bad[c][1] % 2 + 1)
     with pytest.raises(InternalInconsistency):
         wr_identity_check(f, seed=seed, certificate=CubicLikeCertificate(bad, True))
+
+
+def _inverse_rows(f, monkeypatch, **kwargs):
+    """The battery's report, and the rows c, in walk order, that ran an
+    inverse transform: each inverse run is credited to the row whose
+    `_phase_misses` call it ran in."""
+    ran, current = [], []
+    phase_misses, inverse = derivanalysis._phase_misses, derivanalysis.inverse_sums
+
+    def tagged(diffs, ctx, c, divisor):
+        current[:] = [c]
+        return phase_misses(diffs, ctx, c, divisor)
+
+    def credited(ctx, d):
+        ran.extend(current)
+        return inverse(ctx, d)
+
+    monkeypatch.setattr(derivanalysis, "_phase_misses", tagged)
+    monkeypatch.setattr(derivanalysis, "inverse_sums", credited)
+    return wr_identity_check(f, **kwargs), ran
+
+
+def _special_form_n6():
+    """A sampled non-weakly regular input at n = 6 with a bent dual: the
+    d = 1 special form of a quadratic and two (1, 2, 1) trinomials."""
+    t = trinomial_bent(TrinomialParams(1, 2, 1)).truth_table()
+    return mm_special_form([quad(t.ctx), t, t], [1, 0, 2])[0]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: trinomial_bent(TrinomialParams(1, 2, 1)).truth_table(),
+    lambda: parse_function_spec("p=3 n=3 f=Tr(x^8+x^14)")[1].truth_table(),
+    _special_form_n6,
+], ids=["trinomial_121", "x8_x14", "special_form_n6_sampled"])
+def test_rows_run_an_inverse_transform_exactly_where_they_miss(make, monkeypatch):
+    # a bent dual, not weakly regular: a row walked in its own right runs
+    # one inverse transform if the pair oracle finds a miss in it, and none
+    # if it finds none (its phase classes agree at every y); a row -c walked
+    # after row c runs none
+    f = make()
+    ctx = f.ctx
+    assert walsh_fast(extract_certificate(walsh_fast(f)).dual).bent
+    assert classify(f).variant == walsh.NON_WEAKLY_REGULAR
+    rep, ran = _inverse_rows(f, monkeypatch)
+    walked, own = set(), []
+    for c, _ in rep.rows:
+        if ctx.neg_table[c] not in walked:
+            own.append(c)
+        walked.add(c)
+    missed = {v["c"] for v in _pair_battery_oracle(f, [(b, c) for c in own for b in range(ctx.q)])}
+    assert ran == [c for c in own if c in missed]
+    assert 0 < len(ran) < len(own)
+    assert rep.exhaustive == (ctx.q * ctx.q <= SAMPLED_PAIRS)
+
+
+def test_weakly_regular_battery_runs_no_inverse_transform(monkeypatch):
+    # every row of a weakly regular f is clean, at p = 89 too, where the
+    # battery is exhaustive and every row but 0 has a witness
+    monkeypatch.setattr(derivanalysis, "inverse_sums", _no_inverse)
+    f = parse_function_spec("p=89 n=1 f=Tr(x^2)")[1].truth_table()
+    cert = cubic_like_certificate(f)
+    rep = wr_identity_check(f, certificate=cert)
+    assert rep.exhaustive and rep.sound_clean and len(cert.witnesses) == 88
+
+
+@pytest.mark.parametrize("pairs, seed", [(None, 0), (1000, 2)], ids=["exhaustive", "sampled"])
+def test_corrupted_witness_raises_on_every_kind_of_row(pairs, seed, monkeypatch):
+    # the (1, 2, 1) trinomial walked whole, and on 13 rows at seed 2: a
+    # clean row (no inverse run), a row with misses (one inverse run) and a
+    # row -c read from row c each raise once their witness's lambda is
+    # corrupted
+    if pairs:
+        monkeypatch.setattr(derivanalysis, "SAMPLED_PAIRS", pairs)
+    f = trinomial_bent(TrinomialParams(1, 2, 1)).truth_table()
+    ctx = f.ctx
+    cert = cubic_like_certificate(f)
+    rep = wr_identity_check(f, seed=seed, certificate=cert)
+    assert rep.exhaustive == (pairs is None) and cert.complete
+    rows = [c for c, _ in rep.rows]
+    misses = dict(rep.rows[:-1])  # the last row may be cut
+    mirrored = [c for i, c in enumerate(rows) if ctx.neg_table[c] in rows[:i]]
+    own = [c for c in misses if c and c not in mirrored]
+    kinds = (next(c for c in own if not misses[c]), next(c for c in own if misses[c]),
+             next(c for c in mirrored if c in misses))
+    for c in kinds:
+        d, lam = cert.witnesses[c]
+        bad = dict(cert.witnesses)
+        bad[c] = (d, lam % 2 + 1)
+        with pytest.raises(InternalInconsistency, match="at c=%d," % c):
+            wr_identity_check(f, seed=seed, certificate=CubicLikeCertificate(bad, True))
 
 
 def test_quad_like_implication():
