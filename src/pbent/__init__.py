@@ -10,10 +10,8 @@ from .errors import (BudgetError, InternalInconsistency, ParseError,
                      PreconditionError)
 from .gf import FFElem, FieldCtx, FieldError, get_field, parse_field_spec
 from .funcrep import (ANF, PFunction, RelativeTraceForm, TraceForm,
-                      anf_to_truth, coset_leaders,
-                      eval_univariate, parse_function_spec, p_weight,
-                      to_relative_trace_form, truth_to_anf,
-                      truth_to_univariate)
+                      anf_to_truth, coset_leaders, parse_function_spec,
+                      p_weight, to_relative_trace_form, truth_to_anf)
 from .walsh import (Classification, WalshSpectrum,
                     NON_WEAKLY_REGULAR, NOT_BENT, REGULAR, WEAKLY_REGULAR,
                     bent_via_derivatives, bent_via_second_derivative_sum,

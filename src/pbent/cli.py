@@ -299,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_vt.add_argument("--json", action="store_true")
     p_vt.set_defaults(fn=cmd_verify_table1)
 
-    p_ps = sub.add_parser("property-suite", help="run the invariant batteries")
+    p_ps = sub.add_parser("property-suite", help="run the seeded checks of the paper's claims")
     p_ps.add_argument("--seed", type=parse_int, default=0)
     p_ps.add_argument("--level", choices=("quick", "full"), default="quick")
     p_ps.add_argument("--only",

@@ -4,16 +4,17 @@ A PFunction is a dense truth table over the canonical element enumeration
 of its field context.  The other representations round-trip through it:
 
     trace form        sum of Tr_n(a_i x^(d_i)) terms plus a constant
-    univariate        coefficients a_0..a_{q-1} with a_{p*i} = a_i^p
     relative trace    one term Tr_{o(j)}(a_j x^j) per cyclotomic coset leader
     ANF               multivariate coefficients, exponents below p per variable
 
 The algebraic degree is the maximal p-weight (base-p digit sum) of an
-exponent carrying a nonzero univariate coefficient; it equals the total
-degree of the ANF, which is how it is computed here.  `truth_to_anf` runs
-the packed-lane F_p kernel `linalg.lane_passes` with the inverse
-Vandermonde matrix over F_p, one pass per digit on the whole table held as
-one int, and `anf_to_truth` runs it with the Vandermonde matrix itself.
+exponent carrying a nonzero univariate coefficient (equally, of a nonzero
+leader of the relative trace form: Frobenius conjugates share a p-weight);
+it equals the total degree of the ANF, which is how it is computed here.
+`truth_to_anf` runs the packed-lane F_p kernel `linalg.lane_passes` with
+the inverse Vandermonde matrix over F_p, one pass per digit on the whole
+table held as one int, and `anf_to_truth` runs it with the Vandermonde
+matrix itself.
 The inverse is written down, not computed: it is the interpolation formula
 c_0 = f(0), c_e = -sum_t t^(p-1-e) f(t) for e >= 1.
 `ANF.degree` reads the largest p-weight at a nonzero coefficient from
@@ -21,10 +22,9 @@ cached per-(p, n) tables of p-weights, by `itertools.compress`.
 
 Interpolation computes the character sums a_j = -sum_{x!=0} f(x) x^(-j)
 at the cyclotomic coset leaders j only, about q/n sums of q - 1 terms each
-(`analyze --dual-form` at n = 9 takes seconds), and `truth_to_univariate`
-expands the leaders by Frobenius.  `TraceForm.truth_table` is the one
-table evaluator: a relative trace form is evaluated as a trace form over
-F_{p^n}, and a conjugate-closed univariate list as its relative trace form.
+(`analyze --dual-form` at n = 9 takes seconds).  `TraceForm.truth_table`
+is the one table evaluator: a relative trace form is evaluated as a trace
+form over F_{p^n}.
 
 A function spec is a field spec, then, with whitespace removed, f=Tr(terms)
 and an optional +c or -c (`parse_function_spec`).  The terms are none (the
@@ -95,10 +95,6 @@ class PFunction:
     def reflect(self) -> "PFunction":
         """x -> f(-x)."""
         return PFunction(self.ctx, list(map(self.values.__getitem__, self.ctx.neg_table)))
-
-    def translate(self, a: FFElem) -> "PFunction":
-        """x -> f(x + a)."""
-        return PFunction(self.ctx, map(self.values.__getitem__, self.ctx.shift_table(a.index)))
 
     def derivative(self, a: FFElem) -> "PFunction":
         """D_a f(x) = f(x + a) - f(x)."""
@@ -291,41 +287,6 @@ def to_relative_trace_form(f: PFunction) -> RelativeTraceForm:
     if form.truth_table().values != vals:
         raise InternalInconsistency("relative trace form failed to re-evaluate")
     return form
-
-
-def truth_to_univariate(f: PFunction) -> list[FFElem]:
-    """Coefficients a_0..a_{q-1} of the unique univariate representation:
-    the relative trace form's leaders expanded by Frobenius."""
-    ctx = f.ctx
-    p, order = ctx.p, ctx.order
-    form = to_relative_trace_form(f)
-    coeffs = [ctx.zero()] * ctx.q
-    for j, a in form.entries:
-        e = j
-        for i in range(coset_size(j, p, order)):
-            coeffs[e] = ctx.frobenius(a, i)
-            e = (e * p) % order
-    coeffs[-1] = ctx.scalar(form.top_coeff)
-    return coeffs
-
-
-def eval_univariate(coeffs) -> PFunction:
-    """Evaluate the q coefficients a_0..a_{q-1} as a function on their field.
-
-    The list is F_p-valued exactly when it is conjugate-closed: a_0 and
-    a_{q-1} are scalars and a_{p*i mod (q-1)} = a_i^p.  Anything else
-    raises; a closed list is evaluated as its relative trace form."""
-    if not coeffs or len(coeffs) != coeffs[0].ctx.q:
-        raise PreconditionError("eval_univariate needs the q coefficients a_0..a_{q-1}")
-    ctx = coeffs[0].ctx
-    p, order = ctx.p, ctx.order
-    if any(coeffs[0].coeffs[1:]) or any(coeffs[-1].coeffs[1:]):
-        raise InternalInconsistency("constant or top univariate coefficient not scalar")
-    for i in range(1, order):
-        if coeffs[(i * p) % order] != ctx.frobenius(coeffs[i], 1):
-            raise InternalInconsistency("univariate coefficients not conjugate-closed")
-    entries = [(j, coeffs[j]) for j in coset_leaders(p, order) if not coeffs[j].is_zero()]
-    return RelativeTraceForm(ctx, entries, coeffs[-1].coeffs[0]).truth_table()
 
 
 class ANF:

@@ -383,8 +383,9 @@ class FieldCtx:
 
         Plane i holds coordinate i of g^m in lane m, in the lanes of
         `_residue_lanes`.  The planes of m < L give those of L <= m < 2L
-        through the n x n matrix of multiplication by g^L, so the range
-        doubles in n^2 lane multiply-adds.  exp is the planes' base-p sum
+        through the n x n matrix of multiplication by g^L, whose column j,
+        g^L alpha^j, is column j - 1 times alpha, so the range doubles in
+        n^2 lane multiply-adds.  exp is the planes' base-p sum
         in lanes of an `array("i")` item, and trace-of-exp their sum
         weighted by `trace_vec`.  log is one scatter of exp; exp is
         one-to-one onto the nonzero indexes exactly when that leaves one
@@ -398,12 +399,13 @@ class FieldCtx:
         tc, reduced = _residue_lanes(p, n)
         size = array(tc).itemsize
         width = 8 * size
-        basis = [_digits(pw, p, n) for pw in self._powers_of_p[:-1]]
         planes, done, g_l = [1] + [0] * (n - 1), 1, self.primitive.coeffs
         while done < order:
             take = min(done, order - done)
             low = [plane & ((1 << width * take) - 1) for plane in planes]
-            cols = [self.mul_t(g_l, b) for b in basis]  # column j: g^L alpha^j
+            cols = [g_l]  # column j: g^L alpha^j
+            for _ in range(n - 1):
+                cols.append(self.mul_t(cols[-1], (0, 1)))
             high = reduced([sum(col[i] * lo for col, lo in zip(cols, low) if col[i])
                             for i in range(n)], take)
             planes = [plane | h << width * done for plane, h in zip(planes, high)]
@@ -539,15 +541,6 @@ class FieldCtx:
         one = self.one()
         return next(u for u in map(self.from_index, range(1, self.q))
                     if self.rel_trace(u, s) == one)
-
-    def subfield_abs_trace(self, x: FFElem, k: int) -> int:
-        """Tr_1^k of an element x of the subfield F_{p^k}, as Tr_n(u x) with
-        Tr^n_k(u) = 1: Tr^n_k(u x) = x Tr^n_k(u) = x."""
-        if self.n % k:
-            raise PreconditionError("k=%d does not divide n=%d" % (k, self.n))
-        if self.frobenius(x, k) != x:
-            raise PreconditionError("element was not in the subfield F_p^%d" % k)
-        return self.trace(self.rel_trace_unit(k) * x)
 
     def trace(self, x: FFElem) -> int:
         return self.trace_coeffs(self.own(x).coeffs)

@@ -75,7 +75,7 @@ BLANK = ["", "  ", "# a comment", "  # indented comment"]
 BAD_LINE = ["p=3 n=1 f=Tr(x", "p=4 n=1 f=Tr(x)", "p=3 n=9 f=Tr(x^2)", "x"]
 PI = ["[0,", "{}", "3", "[]", "[true, false, 1]", "[0.0, 1.0, 2.0]", "[0, 0, 1]", "[0, 1]",
       "[0]", "[1, 2, 0]", "[%s]" % ("9" * 5000), "\xff"]
-CHECKS = ["parseval", "derivative_identities", "cyclotomic_ring", "trinomial_family",
+CHECKS = ["criteria_agreement", "wr_sound_identity", "catalog", "trinomial_family",
           "mm_special_form", "dual_derivative_balance"]
 
 

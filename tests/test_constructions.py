@@ -172,7 +172,7 @@ def test_second_derivative_structure_for_zero_trace_directions():
             kk = ((ctx.frobenius(c, 2 * k) - c) ** (3 ** k + 1)
                   + b * ctx.power(c, 3 ** j)
                   + ctx.frobenius(b, -j) * ctx.frobenius(c, -j)) * r
-            want = (ctx.subfield_abs_trace(ctx.rel_trace(kk, k), k) * s_val) % 3
+            want = (ctx.trace(ctx.rel_trace_unit(k) * ctx.rel_trace(kk, k)) * s_val) % 3
             assert dd.values == [want] * 81
 
 

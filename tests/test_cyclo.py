@@ -54,9 +54,9 @@ def test_gauss_magnitude_product():
 def test_conj():
     rng = random.Random(0)
     assert conj_coords(integer(5, 7), 5) == integer(5, 7)
-    for p in (3, 5):
+    for p in (3, 5, 7):
         for _ in range(30):
-            x = rand_coords(rng, p, 5)
+            x = rand_coords(rng, p, 9)
             assert conj_coords(conj_coords(x, p), p) == x
     # conj(1 + 2w) = 1 + 2w^2, canonically (-1, -2)
     assert conj_coords((1, 2), 3) == (-1, -2)
@@ -64,9 +64,9 @@ def test_conj():
 
 def test_ring_laws_sampled():
     rng = random.Random(1)
-    for p in (3, 5):
+    for p in (3, 5, 7):
         for _ in range(25):
-            x, y, z = (rand_coords(rng, p, 5) for _ in range(3))
+            x, y, z = (rand_coords(rng, p, 9) for _ in range(3))
             assert mul_coords(x, y, p) == mul_coords(y, x, p)
             assert mul_coords(mul_coords(x, y, p), z, p) == mul_coords(x, mul_coords(y, z, p), p)
             assert mul_coords(x, add(y, z), p) == add(mul_coords(x, y, p), mul_coords(x, z, p))

@@ -115,7 +115,7 @@ def test_coordinate_arithmetic_matches_cycint(p):
         assert want == x.norm_sq().coords
 
 
-@pytest.mark.parametrize("p,n", [(3, 3), (5, 2)])
+@pytest.mark.parametrize("p,n", [(3, 3), (3, 4), (3, 6), (5, 2)])
 def test_parseval_still_guards_construction(p, n):
     ctx = get_field(p, n)
     f = TraceForm(ctx, [(ctx.one(), 2)]).truth_table()
@@ -125,6 +125,14 @@ def test_parseval_still_guards_construction(p, n):
     bad[1] = tuple(2 * c for c in bad[1])
     with pytest.raises(InternalInconsistency):
         WalshSpectrum(ctx, bad, "corrupted")
+    # 20 random spectra pass the constructor's check, and sum_y |W(y)|^2 =
+    # p^(2n) by the oracle's norms
+    rng = random.Random(0)
+    for _ in range(20):
+        total = Zw.integer(p, 0)
+        for c in walsh_fast(PFunction(ctx, [rng.randrange(p) for _ in range(ctx.q)])).coords:
+            total = total + Zw(p, c).norm_sq()
+        assert total == Zw.integer(p, ctx.q ** 2)
 
 
 @pytest.mark.parametrize("p,n", FIELDS)

@@ -3,12 +3,10 @@ import time
 
 import pytest
 
-from pbent.errors import InternalInconsistency, PreconditionError
+from pbent.errors import PreconditionError
 from pbent.funcrep import (ANF, PFunction, RelativeTraceForm, TraceForm, anf_to_truth,
-                           coset_leaders, coset_size, eval_univariate,
-                           parse_function_spec, p_weight,
-                           to_relative_trace_form, truth_to_anf,
-                           truth_to_univariate, ParseError)
+                           coset_leaders, coset_size, parse_function_spec, p_weight,
+                           to_relative_trace_form, truth_to_anf, ParseError)
 from pbent.gf import FieldCtx, FieldError, get_field
 from pbent.walsh import walsh_fast
 from ring_oracle import Zw
@@ -45,26 +43,11 @@ def test_trace_form_merges_and_validates():
         TraceForm(F27, [(F27.one(), 27)])
 
 
-def test_truth_to_univariate_constant_and_trace():
-    const = PFunction(F27, [2] * 27)
-    coeffs = truth_to_univariate(const)
-    assert coeffs[0] == F27.scalar(2)
-    assert all(c.is_zero() for c in coeffs[1:])
-
-    tr = TraceForm(F27, [(F27.one(), 1)]).truth_table()
-    coeffs = truth_to_univariate(tr)
-    for i, c in enumerate(coeffs):
-        if i in (1, 3, 9):
-            assert c == F27.one()
-        else:
-            assert c.is_zero()
-
-
-def test_univariate_roundtrip_random():
-    rng = random.Random(7)
-    for _ in range(10):
-        f = rand_f(F27, rng)
-        assert eval_univariate(truth_to_univariate(f)) == f
+def test_relative_trace_form_constant_and_trace():
+    form = to_relative_trace_form(PFunction(F27, [2] * 27))
+    assert form.entries == ((0, F27.scalar(2)),) and form.top_coeff == 0
+    form = to_relative_trace_form(TraceForm(F27, [(F27.one(), 1)]).truth_table())
+    assert form.entries == ((1, F27.one()),) and form.top_coeff == 0
 
 
 def test_relative_trace_form_known_support():
@@ -83,7 +66,7 @@ def test_relative_trace_form_zero_function():
 
 def test_relative_trace_form_roundtrip_random():
     rng = random.Random(8)
-    for _ in range(8):
+    for _ in range(25):
         f = rand_f(F27, rng)
         assert to_relative_trace_form(f).truth_table() == f
 
@@ -128,15 +111,6 @@ def test_relative_trace_form_table_matches_frobenius_sums():
         assert form.truth_table().values == frobenius_sum_table(form)
 
 
-def test_eval_univariate_refuses_a_list_that_is_not_conjugate_closed():
-    coeffs = [F27.zero()] * 27
-    coeffs[1] = F27.from_index(3)  # alpha alone, without alpha^3 and alpha^9
-    with pytest.raises(InternalInconsistency):
-        eval_univariate(coeffs)
-    coeffs[3], coeffs[9] = F27.frobenius(coeffs[1], 1), F27.frobenius(coeffs[1], 2)
-    assert eval_univariate(coeffs) == TraceForm(F27, [(coeffs[1], 1)]).truth_table()
-
-
 def coset_leader(e, p, modulus):
     """The minimal member of e's cyclotomic class, by walking the class:
     the oracle of `coset_leaders`."""
@@ -149,11 +123,13 @@ def coset_leader(e, p, modulus):
     return best
 
 
-def univariate_degree(coeffs, p):
-    """Max p-weight over exponents with a nonzero univariate coefficient:
-    a degree oracle independent of the ANF."""
-    return max((p_weight(i, p) for i, c in enumerate(coeffs) if not c.is_zero()),
-               default=0)
+def univariate_degree(form):
+    """Max p-weight over exponents with a nonzero univariate coefficient,
+    read at the relative trace form's leaders (Frobenius conjugates share a
+    p-weight) and at x^(q-1): a degree oracle independent of the ANF."""
+    ctx = form.ctx
+    top = [ctx.n * (ctx.p - 1)] if form.top_coeff else []
+    return max([p_weight(j, ctx.p) for j, _ in form.entries] + top, default=0)
 
 
 def test_coset_utilities():
@@ -188,7 +164,7 @@ def test_univariate_degree_equals_anf_degree():
     for ctx in (F27, F125, F49):
         for _ in range(6):
             f = rand_f(ctx, rng)
-            assert univariate_degree(truth_to_univariate(f), ctx.p) == f.algebraic_degree()
+            assert univariate_degree(to_relative_trace_form(f)) == f.algebraic_degree()
 
 
 def test_anf_basics():
@@ -199,7 +175,7 @@ def test_anf_basics():
     assert anf.degree() == 2
     rng = random.Random(10)
     for ctx in (F27, F125, F49, get_field(11, 2), get_field(13, 2)):
-        for _ in range(10):
+        for _ in range(25):
             f = rand_f(ctx, rng)
             assert anf_to_truth(truth_to_anf(f)) == f
 
@@ -245,13 +221,17 @@ def test_second_derivative():
 
 
 def test_derivative_degree_drop():
+    # on 50 random (f, a, b): D_a f drops the degree, D_a D_b f = D_b D_a f,
+    # and the chain rule D_a f(x + b) = D_a f(x) + D_a D_b f(x) point by point
     rng = random.Random(12)
-    for _ in range(10):
+    for _ in range(50):
         f = rand_f(F27, rng)
-        if f.algebraic_degree() == 0:
-            continue
-        a = F27.from_index(rng.randrange(1, 27))
-        assert f.derivative(a).algebraic_degree() <= f.algebraic_degree() - 1
+        a, b = (F27.from_index(rng.randrange(27)) for _ in range(2))
+        da, dab = f.derivative(a), f.second_derivative(a, b)
+        assert da.algebraic_degree() <= max(f.algebraic_degree() - 1, 0)
+        assert dab == f.second_derivative(b, a)
+        for x in map(F27.from_index, range(27)):
+            assert da(x + b) == (da(x) + dab(x)) % 3
 
 
 def test_is_balanced():
@@ -278,18 +258,14 @@ def test_balance_iff_w0_exhaustive_f9():
 
 def test_balance_iff_w0_random_f81():
     rng = random.Random(13)
-    for _ in range(30):
+    for _ in range(40):
         f = rand_f(F81, rng)
         assert f.is_balanced() == (not any(walsh_fast(f).coords[0]))
 
 
-def test_translate_reflect():
+def test_reflect():
     rng = random.Random(14)
     f = rand_f(F81, rng)
-    a = F81.from_index(17)
-    g = f.translate(a)
-    for idx in (0, 5, 44):
-        assert g.values[idx] == f.values[(F81.from_index(idx) + a).index]
     h = f.reflect()
     for idx in (0, 5, 44):
         assert h.values[idx] == f.values[F81.neg_table[idx]]
@@ -398,25 +374,11 @@ def test_functions_and_trace_forms_refuse_another_context():
             TraceForm(ctx, [(ctx.one(), 2), (other.primitive, 4)])
 
 
-def test_eval_univariate_refuses_a_constant_that_is_not_scalar():
-    coeffs = [F27.zero()] * 27
-    coeffs[0] = F27.from_index(3)  # alpha
-    with pytest.raises(InternalInconsistency,
-                       match="^constant or top univariate coefficient not scalar$"):
-        eval_univariate(coeffs)
-
-
 def test_relative_trace_form_of_x_squared_on_f3_is_its_top_term():
     # x^2 = x^(q-1) on F_3: no entries, the top coefficient counted as nonlinear
     form = to_relative_trace_form(PFunction(F3, [0, 1, 1]))
     assert form.entries == () and form.top_coeff == 1
     assert form.nonlinear_term_count() == 1
-
-
-@pytest.mark.parametrize("count", [0, 5, 26, 28])
-def test_eval_univariate_refuses_a_list_of_other_than_q_coefficients(count):
-    with pytest.raises(PreconditionError, match="needs the q coefficients"):
-        eval_univariate([F27.zero()] * count)
 
 
 def test_function_call_and_negation_read_the_table():

@@ -18,9 +18,11 @@ were recorded again when the identity battery kept only the dual phase
 identity: a JSON diff against the earlier reports showed changes in the
 battery's block alone (the `violations_by_check` key and each violation's
 `check` field gone, and the violations of the other checks dropped from
-`violations`).  The commands run in process through
-`pbent.cli.main`, and the demos through `runpy`, their stdout pinned the
-same way.
+`violations`).  The property suite's digest was recorded again when the
+suite kept only the paper's 11 checks: its report is the earlier one with
+the seven removed checks' records dropped.  The commands run in process
+through `pbent.cli.main`, and the demos through `runpy`, their stdout
+pinned the same way.
 """
 
 import contextlib
@@ -82,7 +84,7 @@ GOLDEN = [
       '--analyze'),
      0, '20a947c27a19d2373ba9d20f5125eba5a7bf0fceb58c8bef1adc81f103af2b3d'),
     (('property-suite',),
-     0, 'd6147fb05dfb8732732fc03b5d816b696edf36e4ed36e6bd4a98d1894d9e8cb1'),
+     0, '302b907293fc352ab60742031385902ce2c608a2c3f1cb14f15edb9d18444639'),
 ]
 
 # stdout of each demo, run in process

@@ -72,7 +72,7 @@ def test_naive_n1_square():
 
 def test_fast_equals_naive_random():
     rng = random.Random(21)
-    for _ in range(40):
+    for _ in range(200):
         f = rand_f(F27, rng)
         assert walsh_fast(f).coords == walsh_naive(f).coords
     for _ in range(5):
