@@ -8,9 +8,9 @@ search is linear algebra on the trilinear form T(a, b, x) = D_a D_b D_x
 f(0), built once per function: D_a D_b f(x) = D_a D_b f(0) + T(a, b, x),
 so the b with D_{a,b} f constant are the kernel of T(a, ., .), on which
 b -> D_a D_b f(0) is linear, and a reduced kernel basis yields the first
-witness in index order without enumerating the kernel: for p = 3 walked in
-Gray order on bit-sliced matrices (`_gray_witnesses`), for p >= 5 by
-`_first_witness_low_degree`, the p = 3 oracle.
+witness in index order without enumerating the kernel: for p = 3 by one
+bit-sliced elimination of all directions (`_lane_witnesses`), for p >= 5
+by `_first_witness_low_degree`, the p = 3 oracle.
 
 One scan, `_constant_derivatives(g)`, finds every b with D_b g constant,
 reading x + b point by point from a cached table of digit-wise sums, so
@@ -43,7 +43,10 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
+from array import array
 from collections import deque
+from functools import reduce
 from itertools import compress
 from operator import ne, sub
 
@@ -51,10 +54,12 @@ from .cyclo import conj_coords, mul_coords, signed_powers
 from .errors import InternalInconsistency, PreconditionError
 from .funcrep import PFunction
 from .gf import FFElem, digit_sums
-from .linalg import f3_add, f3_kernel, f3_pack, mat_kernel
+from .linalg import f3_add, f3_times, mat_kernel
 from .walsh import extract_certificate, inverse_sums, is_bent, walsh_fast
 
 SAMPLED_PAIRS = 10000
+_F3_TABLES = bytes.maketrans(b"\0\1\2", b"010"), bytes.maketrans(b"\0\1\2", b"001")
+_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 class CubicLikeCertificate:
@@ -120,30 +125,66 @@ def _first_witness_low_degree(f: PFunction, tri: list, a_idx: int):
     return None
 
 
-def _gray_witnesses(f: PFunction, tri: list):
-    """Yield (a, -a, `_first_witness_low_degree` of a) for p = 3 and every
-    a whose top nonzero digit is 1.  Step k of the modular ternary Gray
-    order adds 1 to digit j = v_3(k) of a, and T(e_j, ., .) to M_a =
-    T(a, ., .) by one `f3_add`; `f3_kernel` eliminates M_a, and the indexes
-    of b, a + b and -a are read from one table of the 2^n masks."""
-    n, vals = f.ctx.n, f.values
-    steps = [f3_pack(t) for t in tri]
-    index, ruler = [0], []  # ruler: v_3(k) for k = 1 .. 3^n - 1
-    for i in range(n):
-        index += [x + 3 ** i for x in index]
-        ruler = ruler + [i] + ruler + [i] + ruler
-    a = m = (0, 0)
-    for j in ruler:
-        a, m = f3_add(a, (1 << j, 0)), f3_add(m, steps[j])
-        if a[0] > a[1]:  # the top nonzero digit of a is 1
-            ai, hit = index[a[0]] + 2 * index[a[1]], None
-            for b in f3_kernel(m, n):
-                bi, (s1, s2) = index[b[0]] + 2 * index[b[1]], f3_add(a, b)
-                const = (vals[index[s1] + 2 * index[s2]] - vals[bi] - vals[ai] + vals[0]) % 3
-                if const:
-                    hit = bi, const
-                    break
-            yield ai, index[a[1]] + 2 * index[a[0]], hit
+def _lane_witnesses(f: PFunction, tri: list):
+    """`_first_witness_low_degree` of every direction a for p = 3, as arrays
+    of b and of lambda by a (lambda = 0: none); bit a of each (ones, twos)
+    mask stands for a.  M_a = T(a, ., .) is reduced by Gauss-Jordan
+    elimination, one pivot row per lane (the first row not yet a pivot with
+    a nonzero entry, divided by it: x^-1 = x in F_3), and rows never move.
+    The kernel is read as `mat_kernel` reads it; on it D_a D_b f(0) =
+    sum_i b_i L_a(e_i), L_a(e_i) = D_a D_{e_i} f(0) + T(a, e_i, e_i), as
+    -1/2 = 1 mod 3."""
+    def masks(entries):  # bit a of the first where entry a is 1, of the second where 2
+        return tuple(int(entries[::-1].translate(t), 2) for t in _F3_TABLES)
+
+    def lane_ints(digits):  # sum_k 3^k d_k by lane, each mask's base-2 string
+        acc, low = 0, array("i", [1]).tobytes().index(1)  # spread to the low bytes of ints
+        for k, pair in enumerate(digits):
+            for weight, mask in zip((3 ** k, 2 * 3 ** k), pair):
+                spread = bytearray(4 * q)
+                spread[low::4] = format(mask, "0%db" % q)[::-1].encode().translate(_BITS)
+                acc += weight * int.from_bytes(spread, sys.byteorder)
+        return array("i", acc.to_bytes(4 * q, sys.byteorder))
+
+    def pick(sel, k):  # column k of the rows r, each in the lanes sel[r]
+        return tuple(sum(row[k][j] & s for row, s in zip(m, sel)) for j in (0, 1))
+    n, q, vals = f.ctx.n, f.ctx.q, f.values
+    full, steps = (1 << q) - 1, [3 ** i for i in range(n)]
+    digits = [masks((bytes(s) + b"\1" * s + b"\2" * s) * (q // (3 * s))) for s in steps]
+    m = [[(0, 0)] * n for _ in range(n)]
+    for t, (d1, d2) in zip(tri, digits):
+        for k, v in enumerate(t):
+            r, c = divmod(k, n)
+            if v and r <= c:  # T is symmetric
+                m[r][c] = m[c][r] = f3_add(m[r][c], (d1, d2) if v == 1 else (d2, d1))
+    # f(a + e_i) - f(a) + f(0) - f(e_i) + T(a, e_i, e_i); a + e_i wraps by 2 3^i where a_i = 2
+    fm, const = masks(bytes(vals)), ((0, 0), (full, 0), (0, full))
+    lin = [f3_add(f3_add(tuple(x >> s & ~d2 | x << 2 * s & d2 for x in fm), fm[::-1]),
+                  f3_add(const[(vals[0] - vals[s]) % 3], m[i][i]))
+           for i, (s, (_, d2)) in enumerate(zip(steps, digits))]
+    free, pivots = [full] * n, []  # free[r]: the lanes where row r is no pivot
+    for c in range(n):
+        sel, found = [0] * n, 0  # sel[r]: the lanes where row r is c's pivot
+        for r, row in enumerate(m):
+            sel[r] = (row[c][0] | row[c][1]) & free[r] & ~found
+            found |= sel[r]
+            free[r] ^= sel[r]
+        pivots.append((found, sel))
+        piv = [pick(sel, k) for k in range(c, n)]
+        piv = [f3_times(x, piv[0]) for x in piv]
+        for row, s in zip(m, sel):
+            neg = row[c][::-1]
+            for k, x in enumerate(piv, c):
+                u, v = f3_add(row[k], f3_times(neg, x))
+                row[k] = u | x[0] & s, v | x[1] & s
+    wit, lam = [(0, 0)] * n, (0, 0)
+    for fc, (found, _) in enumerate(pivots):  # b[fc] = 1, b[pc] = -(pivot row of pc)[fc]
+        b = [pick(sel, fc)[::-1] for _, sel in pivots[:fc]] + [(full, 0)]
+        value = reduce(f3_add, map(f3_times, b, lin))
+        hit = (value[0] | value[1]) & ~(lam[0] | lam[1] | found)
+        wit[:fc + 1] = [(u | x & hit, v | y & hit) for (u, v), (x, y) in zip(wit, b)]
+        lam = lam[0] | value[0] & hit, lam[1] | value[1] & hit
+    return lane_ints(wit), lane_ints([lam])
 
 
 def _constant_derivatives(g: PFunction):
@@ -181,17 +222,18 @@ def _first_witness_scan(f: PFunction, a_idx: int):
 
 def cubic_like_certificate(f: PFunction) -> CubicLikeCertificate:
     """Search every nonzero direction for a constant-nonzero second
-    derivative; complete certificates imply bentness.  As D_{-a,b} f =
-    -D_{a,b} f(. - a), the first witness (b, lambda) of a gives -a's as
-    (b, -lambda), so one of each pair a, -a is searched."""
+    derivative; complete certificates imply bentness.  Past p = 3 at degree
+    <= 3, as D_{-a,b} f = -D_{a,b} f(. - a), the first witness (b, lambda)
+    of a gives -a's as (b, -lambda), so one of each pair a, -a is searched."""
     p, q = f.ctx.p, f.ctx.q
     tri = _trilinear_form(f) if f.algebraic_degree() <= 3 else None
     if tri and p == 3:
-        hits = _gray_witnesses(f, tri)
-    else:
-        neg = f.ctx.neg_table
-        hits = ((a, neg[a], _first_witness_low_degree(f, tri, a) if tri
-                 else _first_witness_scan(f, a)) for a in range(1, q) if a <= neg[a])
+        bs, lams = _lane_witnesses(f, tri)
+        witnesses = dict(compress(enumerate(zip(bs, lams)), lams))
+        return CubicLikeCertificate(witnesses, len(witnesses) == q - 1)
+    neg = f.ctx.neg_table
+    hits = ((a, neg[a], _first_witness_low_degree(f, tri, a) if tri
+             else _first_witness_scan(f, a)) for a in range(1, q) if a <= neg[a])
     witnesses = {}
     for a, minus_a, hit in hits:
         if hit is not None:

@@ -2,8 +2,8 @@
 
 Matrices are lists of row lists with entries in [0, p).  `mat_kernel`, by
 Gaussian elimination, serves the derivative certificates, whose matrices
-are tiny (n x n for n <= 12); for p = 3, `f3_kernel` gives the same basis
-from a bit-sliced matrix.  Nothing here inverts a matrix: the two
+are tiny (n x n for n <= 12); for p = 3, `f3_add` and `f3_times` reduce
+them all at once, bit-sliced.  Nothing here inverts a matrix: the two
 changes of basis that need an inverse have closed forms, the trace-dual
 gather table in `walsh` and the interpolation formula in `funcrep`.
 
@@ -58,13 +58,6 @@ def mat_kernel(mat: list[list[int]], p: int) -> list[list[int]]:
     return basis
 
 
-def f3_pack(entries: list) -> tuple[int, int]:
-    """Entries in [0, 3) bit-sliced: entry k is bit k of the first mask
-    where it is 1 and of the second where it is 2."""
-    return (sum(1 << k for k, v in enumerate(entries) if v == 1),
-            sum(1 << k for k, v in enumerate(entries) if v == 2))
-
-
 def f3_add(x: tuple, y: tuple) -> tuple:
     """Entrywise sum over F_3 of two bit-sliced (ones, twos) operands, in
     seven logical operations; -y is y with its masks swapped."""
@@ -73,33 +66,10 @@ def f3_add(x: tuple, y: tuple) -> tuple:
     return (x2 | y2) ^ t, (x1 | y1) ^ t
 
 
-def f3_kernel(mat: tuple, n: int):
-    """Yield `mat_kernel`'s reduced basis, as (ones, twos) masks, of the
-    n x n matrix over F_3 whose row-major entries `f3_pack` packed.  Row r
-    is the n-bit lane at bit r*n; column c is cleared by adding to the lanes
-    with a 2 (a 1) there the normalized pivot row (its negative), copied by
-    a product with their shifted mask, and the cleared pivot row is written
-    back.  Rows are not swapped: the reduced form ignores their order."""
-    u, v = mat
-    full = (1 << n) - 1
-    lanes = free = sum(1 << r * n for r in range(n))
-    pivots = {}
-    for c in range(n):
-        hit = (u | v) >> c & free
-        if hit:
-            s = pivots[c] = (hit & -hit).bit_length() - 1
-            free ^= 1 << s
-            pu, pv = u >> s & full, v >> s & full
-            if pv >> c & 1:
-                pu, pv = pv, pu
-            l1, l2 = u >> c & lanes, v >> c & lanes
-            u, v = f3_add((u, v), (l1 * pv | l2 * pu, l1 * pu | l2 * pv))
-            u, v = u | pu << s, v | pv << s
-    rows = [(1 << c, u >> s & full, v >> s & full) for c, s in pivots.items()]
-    for fc in range(n):
-        if fc not in pivots:  # 1 at fc, -row[fc] at each pivot column
-            yield (1 << fc | sum(bit for bit, _, two in rows if two >> fc & 1),
-                   sum(bit for bit, one, _ in rows if one >> fc & 1))
+def f3_times(x: tuple, y: tuple) -> tuple:
+    """Entrywise product over F_3 of two bit-sliced (ones, twos) operands."""
+    (x1, x2), (y1, y2) = x, y
+    return x1 & y1 | x2 & y2, x1 & y2 | x2 & y1
 
 
 def lane_typecode(bound: int) -> str:

@@ -13,7 +13,8 @@ from pbent.constructions import (TrinomialParams, lemma2_witness, mm_special_for
 from pbent.cyclo import signed_powers, unit_power_forms
 from pbent.derivanalysis import (SAMPLED_PAIRS, CubicLikeCertificate,
                                  _constant_derivatives, _first_witness_low_degree,
-                                 _first_witness_scan, _trilinear_form,
+                                 _first_witness_scan, _lane_witnesses, _trilinear_form,
+                                 _trilinear_slice,
                                  cubic_like_certificate,
                                  derivative_linear_space,
                                  quadratic_balance_witness, wr_identity_check)
@@ -21,6 +22,7 @@ from pbent.errors import InternalInconsistency, PreconditionError
 from pbent.funcrep import (ANF, PFunction, TraceForm, anf_to_truth, p_weight,
                            parse_function_spec)
 from pbent.gf import get_field
+from pbent.linalg import mat_kernel
 from pbent.walsh import classify, extract_certificate, inverse_sums, is_bent, walsh_fast
 from digit_oracle import index_add
 from ring_oracle import Zw, bent_value
@@ -152,7 +154,7 @@ def _oracle_input(case):
 @pytest.mark.parametrize("case", ORACLE_INPUTS, ids=str)
 def test_certificate_matches_per_direction_oracle(case):
     # every direction against the per-direction search; a mirror that kept
-    # lambda for -a, or a Gray step on the wrong digit, fails here
+    # lambda for -a (p >= 5), or a lane read wrong (p = 3), fails here
     f = _oracle_input(case)
     q, p = f.ctx.q, f.ctx.p
     cert = cubic_like_certificate(f)
@@ -173,19 +175,56 @@ def test_certificate_matches_per_direction_oracle(case):
 @pytest.mark.parametrize("case", ORACLE_INPUTS[:1] + ORACLE_INPUTS[3:]
                          + ["p=3 n=6 f=Tr(x^13+g^3*x^4)", "p=3 n=1 f=Tr(x^2)"], ids=str)
 def test_certificate_searches_each_pair_once(case, monkeypatch):
-    # one elimination (p = 3, degree <= 3), kernel search (p >= 5) or scan
-    # (degree > 3) per pair a, -a: (q - 1) / 2 of them
+    # one `_lane_witnesses` call for every direction (p = 3, degree <= 3);
+    # otherwise one kernel search (p >= 5) or scan (degree > 3) per pair
+    # a, -a: (q - 1) / 2 of them
     f = _oracle_input(case)
     calls = collections.Counter()
-    for path in ("f3_kernel", "_first_witness_low_degree", "_first_witness_scan"):
+    for path in ("_lane_witnesses", "_first_witness_low_degree", "_first_witness_scan"):
         def counted(*args, _fn=getattr(derivanalysis, path), _path=path):
             calls[_path] += 1
             return _fn(*args)
         monkeypatch.setattr(derivanalysis, path, counted)
     cubic_like_certificate(f)
-    path = ("_first_witness_scan" if f.algebraic_degree() > 3 else
-            "f3_kernel" if f.ctx.p == 3 else "_first_witness_low_degree")
-    assert calls == {path: (f.ctx.q - 1) // 2}
+    if f.algebraic_degree() > 3:
+        assert calls == {"_first_witness_scan": (f.ctx.q - 1) // 2}
+    elif f.ctx.p == 3:
+        assert calls == {"_lane_witnesses": 1}
+    else:
+        assert calls == {"_first_witness_low_degree": (f.ctx.q - 1) // 2}
+
+
+def sparse_cubic(ctx, rng, terms):
+    """`terms` random ANF terms of 3-weight 3 (all of them if there are
+    fewer), with random nonzero coefficients."""
+    coeffs = [0] * ctx.q
+    cubic = [i for i in range(ctx.q) if p_weight(i, 3) == 3]
+    for i in rng.sample(cubic, min(terms, len(cubic))):
+        coeffs[i] = rng.randrange(1, 3)
+    return anf_to_truth(ANF(ctx, coeffs))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_lane_witnesses_match_per_direction_oracle(n):
+    # seeded cubics of a few terms and of all terms of 3-weight <= 3: every
+    # direction's lanes against `_first_witness_low_degree`, and the pair
+    # a, -a as (b, lambda), (b, -lambda), which the lanes do not build in.
+    # For 2 <= n <= 6 the matrices T(a, ., .) take every rank 0..n; at
+    # n = 1 the degree is at most 2, so T = 0.
+    ctx = get_field(3, n)
+    rng = random.Random(60 + n)
+    neg, ranks = ctx.neg_table, set()
+    for terms in (1, 2, 4, None) if n <= 6 else (3, None):
+        f = random_low_degree(ctx, rng) if terms is None else sparse_cubic(ctx, rng, terms)
+        tri = _trilinear_form(f)
+        bs, lams = _lane_witnesses(f, tri)
+        for a in range(ctx.q):
+            assert (bs[a], lams[a]) == (_first_witness_low_degree(f, tri, a) or (0, 0)), a
+            assert (bs[neg[a]], lams[neg[a]]) == (bs[a], -lams[a] % 3), a
+            if n <= 6:
+                ranks.add(n - len(mat_kernel(_trilinear_slice(tri, a, 3), 3)))
+    if n <= 6:
+        assert ranks == (set(range(n + 1)) if n > 1 else {0})
 
 
 def random_quadratic(ctx, rng):

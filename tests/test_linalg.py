@@ -2,12 +2,9 @@ import itertools
 import random
 from array import array
 
-import pytest
-
 from pbent.funcrep import PFunction, _vandermonde, anf_to_truth
 from pbent.gf import get_field, is_prime
-from pbent.linalg import (_lane_plan, axis_passes, f3_add, f3_kernel, f3_pack, lane_passes,
-                          mat_kernel)
+from pbent.linalg import _lane_plan, axis_passes, f3_add, f3_times, lane_passes, mat_kernel
 
 
 def mat_vec(mat, vec, p):
@@ -58,34 +55,30 @@ def test_kernel_of_zero_and_invertible_matrices():
     assert mat_kernel([[1, 2], [0, 1]], 3) == []
 
 
+def _f3_pack(entries):
+    """Entries in [0, 3) bit-sliced: entry k is bit k of the first mask
+    where it is 1 and of the second where it is 2."""
+    return (sum(1 << k for k, v in enumerate(entries) if v == 1),
+            sum(1 << k for k, v in enumerate(entries) if v == 2))
+
+
 def _f3_vector(masks, n):
     u, v = masks
     return [(u >> i & 1) + 2 * (v >> i & 1) for i in range(n)]
 
 
-@pytest.mark.parametrize("n", range(1, 13))
-def test_f3_kernel_matches_mat_kernel(n):
-    # the bit-sliced kernel against `mat_kernel`: the zero and identity
-    # matrices, and seeded matrices of every density and of every rank
-    rng = random.Random(47 + n)
-    mats = [[[0] * n for _ in range(n)], [[int(r == c) for c in range(n)] for r in range(n)]]
-    for _ in range(30):
-        density = rng.random()
-        mats.append([[rng.randrange(3) if rng.random() < density else 0 for _ in range(n)]
-                     for _ in range(n)])
-        base = [[rng.randrange(3) for _ in range(n)] for _ in range(rng.randrange(n + 1))]
-        mats.append([[sum(rng.randrange(3) * row[c] for row in base) % 3 for c in range(n)]
-                     for _ in range(n)])
-    for mat in mats:
-        assert [_f3_vector(b, n) for b in f3_kernel(f3_pack(sum(mat, [])), n)] == mat_kernel(mat, 3)
+DIGIT_PAIRS = list(itertools.product(range(3), repeat=2))
+X, Y = _f3_pack([a for a, _ in DIGIT_PAIRS]), _f3_pack([b for _, b in DIGIT_PAIRS])
 
 
 def test_f3_add_is_addition_mod_3():
-    digits = list(itertools.product(range(3), repeat=2))
-    x = f3_pack([a for a, _ in digits])
-    y = f3_pack([b for _, b in digits])
-    assert _f3_vector(f3_add(x, y), 9) == [(a + b) % 3 for a, b in digits]
-    assert _f3_vector(f3_add(x, y[::-1]), 9) == [(a - b) % 3 for a, b in digits]
+    assert _f3_vector(f3_add(X, Y), 9) == [(a + b) % 3 for a, b in DIGIT_PAIRS]
+    assert _f3_vector(f3_add(X, Y[::-1]), 9) == [(a - b) % 3 for a, b in DIGIT_PAIRS]
+
+
+def test_f3_times_is_multiplication_mod_3():
+    assert _f3_vector(f3_times(X, Y), 9) == [a * b % 3 for a, b in DIGIT_PAIRS]
+    assert _f3_vector(f3_times(X, Y[::-1]), 9) == [-a * b % 3 for a, b in DIGIT_PAIRS]
 
 
 def test_closed_form_inverse_vandermonde_is_a_two_sided_inverse():
