@@ -33,7 +33,8 @@ print("dual degree:", cert.dual.algebraic_degree(), "(the function itself is cub
 like = pb.cubic_like_certificate(f)
 print("\nevery nonzero direction has a constant nonzero second derivative:",
       like.complete)
-a_idx, (b_idx, const) = next(iter(sorted(like.witnesses.items())))
+a_idx = next(a for a, lam in enumerate(like.lam) if lam)  # lam[a] = 0: no witness
+b_idx, const = like.b[a_idx], like.lam[a_idx]
 print("e.g. direction %d with witness %d gives constant %d" % (a_idx, b_idx, const))
 
 # witness directions can be produced structurally instead of searched

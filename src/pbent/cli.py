@@ -78,7 +78,6 @@ def analyze_function(f: PFunction, certify: bool = False, dual_form: bool = Fals
     if certify:
         cert3 = cubic_like_certificate(f)
         report["cubic_like"] = cert3.to_json()
-        report["cubic_like"]["implies_bent"] = cert3.complete
         if cls.bent:
             wr = wr_identity_check(f, seed=seed, certificate=cert3)
             report["wr_identities"] = wr.to_json()

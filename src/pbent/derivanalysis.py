@@ -2,15 +2,16 @@
 identity battery.
 
 A function is "cubic-like bent" when every nonzero direction a admits a b
-with D_{a,b} f a nonzero constant; this implies bentness, and for functions
-of degree <= 3 it is equivalent to it.  For such functions the witness
-search is linear algebra on the trilinear form T(a, b, x) = D_a D_b D_x
-f(0), built once per function: D_a D_b f(x) = D_a D_b f(0) + T(a, b, x),
-so the b with D_{a,b} f constant are the kernel of T(a, ., .), on which
-b -> D_a D_b f(0) is linear, and a reduced kernel basis yields the first
-witness in index order without enumerating the kernel: for p = 3 by one
-bit-sliced elimination of all directions (`_lane_witnesses`), for p >= 5
-by `_first_witness_low_degree`, the p = 3 oracle.
+with D_{a,b} f a nonzero constant lambda; this implies bentness, and for
+functions of degree <= 3 it is equivalent to it.  For such functions the
+witness search is linear algebra on the trilinear form T(a, b, x) =
+D_a D_b D_x f(0), built once per function: D_a D_b f(x) = D_a D_b f(0) +
+T(a, b, x), so the b with D_{a,b} f constant are the kernel of T(a, ., .),
+on which b -> D_a D_b f(0) is linear, and a reduced kernel basis yields
+the first witness in index order without enumerating the kernel: for p = 3
+by one bit-sliced elimination of all directions (`_lane_witnesses`), for
+p >= 5 by `_first_witness_low_degree`, the p = 3 oracle.  The certificate
+is b and lambda in two arrays by a, lambda = 0 where a has none.
 
 One scan, `_constant_derivatives(g)`, finds every b with D_b g constant,
 reading x + b point by point from a cached table of digit-wise sums, so
@@ -48,7 +49,7 @@ from array import array
 from collections import deque
 from functools import reduce
 from itertools import compress
-from operator import ne, sub
+from operator import gt, ne, sub
 
 from .cyclo import conj_coords, mul_coords, signed_powers
 from .errors import InternalInconsistency, PreconditionError
@@ -63,24 +64,27 @@ _BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 class CubicLikeCertificate:
-    """Witness map a -> (b, constant) with D_{a,b} f = constant != 0."""
+    """Witnesses D_{a,b[a]} f = lam[a] != 0 as two `array("i")`s of length q
+    by direction a; lam[a] = 0 where a has none, always at a = 0.
+    `complete`, every nonzero direction witnessed, implies bentness."""
 
-    __slots__ = ("witnesses", "complete")
+    __slots__ = ("b", "lam", "complete")
 
-    def __init__(self, witnesses: dict, complete: bool) -> None:
-        self.witnesses = witnesses
-        self.complete = complete
+    def __init__(self, b: array, lam: array) -> None:
+        self.b, self.lam, self.complete = b, lam, lam.count(0) == 1
 
     def to_json(self) -> dict:
+        b, lam = self.b, self.lam
         return {
             "complete": self.complete,
-            "witness_count": len(self.witnesses),
-            "witnesses": {str(a): [b, c] for a, (b, c) in sorted(self.witnesses.items())},
+            "witness_count": len(lam) - lam.count(0),
+            "witnesses": {str(a): [b[a], lam[a]] for a in compress(range(len(lam)), lam)},
+            "implies_bent": self.complete,
         }
 
     def __repr__(self) -> str:
         return "CubicLikeCertificate(complete=%s, %d witnesses)" % (
-            self.complete, len(self.witnesses))
+            self.complete, len(self.lam) - self.lam.count(0))
 
 
 def _trilinear_form(f: PFunction) -> list[list[int]]:
@@ -228,17 +232,14 @@ def cubic_like_certificate(f: PFunction) -> CubicLikeCertificate:
     p, q = f.ctx.p, f.ctx.q
     tri = _trilinear_form(f) if f.algebraic_degree() <= 3 else None
     if tri and p == 3:
-        bs, lams = _lane_witnesses(f, tri)
-        witnesses = dict(compress(enumerate(zip(bs, lams)), lams))
-        return CubicLikeCertificate(witnesses, len(witnesses) == q - 1)
-    neg = f.ctx.neg_table
-    hits = ((a, neg[a], _first_witness_low_degree(f, tri, a) if tri
-             else _first_witness_scan(f, a)) for a in range(1, q) if a <= neg[a])
-    witnesses = {}
-    for a, minus_a, hit in hits:
-        if hit is not None:
-            witnesses[a], witnesses[minus_a] = hit, (hit[0], -hit[1] % p)
-    return CubicLikeCertificate(witnesses, len(witnesses) == q - 1)
+        return CubicLikeCertificate(*_lane_witnesses(f, tri))
+    neg, bs, lams = f.ctx.neg_table, array("i", [0]) * q, array("i", [0]) * q
+    for a in compress(range(q), map(gt, neg, range(q))):  # a < -a: one search per pair
+        hit = _first_witness_low_degree(f, tri, a) if tri else _first_witness_scan(f, a)
+        if hit:
+            bs[a] = bs[neg[a]] = hit[0]
+            lams[a], lams[neg[a]] = hit[1], -hit[1] % p
+    return CubicLikeCertificate(bs, lams)
 
 
 def derivative_linear_space(f: PFunction) -> list[FFElem]:
@@ -380,7 +381,7 @@ def wr_identity_check(f: PFunction, seed: int = 0,
     exhaustive = q * q <= SAMPLED_PAIRS
     pair_count = q * q if exhaustive else SAMPLED_PAIRS
     rows = range(q) if exhaustive else random.Random(seed).sample(range(q), -(-pair_count // q))
-    witnesses = certificate.witnesses if certificate is not None else {}
+    bs, lams = (certificate.b, certificate.lam) if certificate is not None else (bytes(q),) * 2
     out, mirrored = [], {}
     for i, c in enumerate(rows):
         if c in mirrored:  # row -c was walked earlier; D_-c f(x) = -D_c f(x - c)
@@ -389,8 +390,8 @@ def wr_identity_check(f: PFunction, seed: int = 0,
             # passed unbound, so that `_phase_misses` frees them before its inverse run
             misses = _phase_misses(differences(ctx.shift_table(neg[c])), ctx, c, 1 if codes else q)
             mirrored[neg[c]] = sorted(neg[b] for b in misses)  # both sides mirror, b -> -b
-        d, lam = witnesses.get(c, (0, 0))
-        if d:  # D_d D_c f(x) = D_d f(x + c) - D_d f(x) = lambda at every x
+        d, lam = bs[c], lams[c]
+        if lam:  # D_d D_c f(x) = D_d f(x + c) - D_d f(x) = lambda at every x
             g = list(map(sub, map(vals.__getitem__, ctx.shift_table(d)), vals))  # D_d f
             if {v % p for v in set(map(sub, map(g.__getitem__, ctx.shift_table(c)), g))} != {lam}:
                 raise InternalInconsistency(

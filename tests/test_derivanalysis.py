@@ -4,6 +4,8 @@ import itertools
 import json
 import math
 import random
+from array import array
+from itertools import compress
 
 import pytest
 
@@ -43,12 +45,21 @@ def random_low_degree(ctx, rng, max_weight=3):
     return anf_to_truth(ANF(ctx, coeffs))
 
 
+def _edited(cert, c, b=None, lam=None):
+    """A copy of `cert` whose witness of c has the given b and lambda."""
+    bs, lams = cert.b[:], cert.lam[:]
+    bs[c] = bs[c] if b is None else b
+    lams[c] = lams[c] if lam is None else lam
+    return CubicLikeCertificate(bs, lams)
+
+
 def test_cubic_like_quadratic_bent_complete():
     cert = cubic_like_certificate(quad(F81))
     assert cert.complete
-    assert len(cert.witnesses) == 80
+    assert len(cert.lam) == 81 and cert.lam.count(0) == 1
     f = quad(F81)
-    for a_idx, (b_idx, const) in list(cert.witnesses.items())[:10]:
+    for a_idx in list(compress(range(81), cert.lam))[:10]:
+        b_idx, const = cert.b[a_idx], cert.lam[a_idx]
         dd = f.second_derivative(F81.from_index(a_idx), F81.from_index(b_idx))
         assert dd.values == [const] * 81 and const != 0
 
@@ -56,7 +67,7 @@ def test_cubic_like_quadratic_bent_complete():
 def test_cubic_like_zero_function_incomplete():
     cert = cubic_like_certificate(PFunction(F81, [0] * F81.q))
     assert not cert.complete
-    assert cert.witnesses == {}
+    assert cert.b == cert.lam == array("i", [0]) * 81
 
 
 def test_cubic_like_trinomial_complete():
@@ -120,12 +131,12 @@ def test_witness_paths_agree_on_incomplete_cubic():
     f = tf.truth_table()
     assert f.algebraic_degree() == 3
     cert = cubic_like_certificate(f)
-    assert not cert.complete and len(cert.witnesses) == 26
+    assert not cert.complete and ctx.q - cert.lam.count(0) == 26
     rng = random.Random(35)
-    bare = [a for a in range(1, ctx.q) if a not in cert.witnesses]
-    directions = rng.sample(sorted(cert.witnesses), 3) + rng.sample(bare, 3)
+    bare = [a for a in range(1, ctx.q) if not cert.lam[a]]
+    directions = rng.sample(list(compress(range(ctx.q), cert.lam)), 3) + rng.sample(bare, 3)
     hits = _paths_agree(f, directions)
-    assert hits[:3] == [cert.witnesses[a] for a in directions[:3]]
+    assert hits[:3] == [(cert.b[a], cert.lam[a]) for a in directions[:3]]
     assert hits[3:] == [None] * 3
 
 
@@ -133,9 +144,9 @@ def test_cubic_like_quadratic_n8_complete():
     ctx, tf = parse_function_spec("p=3 n=8 f=Tr(x^2)")
     f = tf.truth_table()
     cert = cubic_like_certificate(f)
-    assert cert.complete and len(cert.witnesses) == ctx.q - 1
+    assert cert.complete and len(cert.lam) == ctx.q and cert.lam.count(0) == 1
     for a_idx in random.Random(36).sample(range(1, ctx.q), 5):
-        assert cert.witnesses[a_idx] == _first_witness_scan(f, a_idx)
+        assert (cert.b[a_idx], cert.lam[a_idx]) == _first_witness_scan(f, a_idx)
 
 
 ORACLE_INPUTS = [(1, 2, 1), (2, 1, 1), (2, 3, 5),
@@ -165,11 +176,52 @@ def test_certificate_matches_per_direction_oracle(case):
         oracle = {a: _first_witness_low_degree(f, tri, a) for a in range(1, q)}
         for a in random.Random(q).sample(range(1, q), 24):
             assert oracle[a] == _first_witness_scan(f, a)
-    assert cert.witnesses == {a: hit for a, hit in oracle.items() if hit is not None}
+    assert list(zip(cert.b, cert.lam)) == [(0, 0)] + [oracle[a] or (0, 0) for a in range(1, q)]
     assert cert.complete == (None not in oracle.values())
     # the mirror pairs a with -a, so both carry the same b and opposite constants
-    for a, (b, lam) in cert.witnesses.items():
-        assert cert.witnesses[f.ctx.neg_table[a]] == (b, -lam % p)
+    for a, minus_a in enumerate(f.ctx.neg_table):
+        assert (cert.b[minus_a], cert.lam[minus_a]) == (cert.b[a], -cert.lam[a] % p)
+
+
+def _sparse_low_degree(p, n, seed):
+    """Seeded ANF terms of p-weight <= 3, each drawn with probability 0.3."""
+    ctx, rng = get_field(p, n), random.Random(seed)
+    return anf_to_truth(ANF(ctx, [rng.randrange(p) if p_weight(i, p) <= 3 and rng.random() < 0.3
+                                  else 0 for i in range(ctx.q)]))
+
+
+@pytest.mark.parametrize("make, complete", [
+    (lambda: _oracle_input((1, 2, 1)), True),
+    (lambda: _oracle_input("p=3 n=6 f=Tr(x^13+g^3*x^4)"), False),
+    (lambda: _oracle_input("p=5 n=3 f=Tr(x^6+g^1*x^2)"), True),
+    (lambda: _sparse_low_degree(5, 2, 14), False),
+    (lambda: _oracle_input("p=7 n=2 f=Tr(x^2+g^1*x^8)"), True),
+    (lambda: _sparse_low_degree(7, 2, 8), False),
+    (lambda: _oracle_input("p=3 n=4 f=Tr(x^34+x^2)"), False),
+], ids=["trinomial_121", "p3_incomplete", "p5", "p5_incomplete", "p7", "p7_incomplete",
+        "p3_degree4_scan"])
+def test_certificate_json_matches_per_direction_oracles(make, complete):
+    # the printed map against a dict of per-direction oracle hits, in index
+    # order: `_first_witness_low_degree` at degree <= 3, `_first_witness_scan`
+    # above it; an incomplete certificate lists only its witnessed directions
+    f = make()
+    p, q, neg = f.ctx.p, f.ctx.q, f.ctx.neg_table
+    if f.algebraic_degree() <= 3:
+        hit = functools.partial(_first_witness_low_degree, f, _trilinear_form(f))
+    else:
+        hit = functools.partial(_first_witness_scan, f)
+    hits = {a: hit(a) for a in range(1, q)}
+    witnesses = {str(a): list(h) for a, h in hits.items() if h}
+    assert witnesses and complete == (len(witnesses) == q - 1)
+    cert = cubic_like_certificate(f)
+    out = cert.to_json()
+    assert out == {"complete": complete, "witness_count": len(witnesses),
+                   "witnesses": witnesses, "implies_bent": complete}
+    assert list(out) == ["complete", "witness_count", "witnesses", "implies_bent"]
+    assert list(out["witnesses"]) == list(witnesses)
+    assert cert.complete == (cert.lam.count(0) == 1)
+    for a in range(q):
+        assert (cert.b[neg[a]], cert.lam[neg[a]]) == (cert.b[a], -cert.lam[a] % p), a
 
 
 @pytest.mark.parametrize("case", ORACLE_INPUTS[:1] + ORACLE_INPUTS[3:]
@@ -674,10 +726,10 @@ def test_wr_rows_of_minus_c_match_pair_oracle_sampled(pairs, seed, monkeypatch):
     _assert_json_from_dicts(rep, expected)
     # the witness check still runs on a row read from row c
     c = later[0]
-    bad = dict(cert.witnesses)
-    bad[c] = (bad[c][0], bad[c][1] % 2 + 1)
+    assert cert.lam[c]
+    bad = _edited(cert, c, lam=cert.lam[c] % 2 + 1)
     with pytest.raises(InternalInconsistency):
-        wr_identity_check(f, seed=seed, certificate=CubicLikeCertificate(bad, True))
+        wr_identity_check(f, seed=seed, certificate=bad)
 
 
 def _inverse_rows(f, monkeypatch, **kwargs):
@@ -740,7 +792,7 @@ def test_weakly_regular_battery_runs_no_inverse_transform(monkeypatch):
     f = parse_function_spec("p=89 n=1 f=Tr(x^2)")[1].truth_table()
     cert = cubic_like_certificate(f)
     rep = wr_identity_check(f, certificate=cert)
-    assert rep.exhaustive and rep.sound_clean and len(cert.witnesses) == 88
+    assert rep.exhaustive and rep.sound_clean and len(cert.lam) == 89 and cert.lam.count(0) == 1
 
 
 @pytest.mark.parametrize("pairs, seed", [(None, 0), (1000, 2)], ids=["exhaustive", "sampled"])
@@ -763,11 +815,10 @@ def test_corrupted_witness_raises_on_every_kind_of_row(pairs, seed, monkeypatch)
     kinds = (next(c for c in own if not misses[c]), next(c for c in own if misses[c]),
              next(c for c in mirrored if c in misses))
     for c in kinds:
-        d, lam = cert.witnesses[c]
-        bad = dict(cert.witnesses)
-        bad[c] = (d, lam % 2 + 1)
+        assert cert.lam[c]
+        bad = _edited(cert, c, lam=cert.lam[c] % 2 + 1)
         with pytest.raises(InternalInconsistency, match="at c=%d," % c):
-            wr_identity_check(f, seed=seed, certificate=CubicLikeCertificate(bad, True))
+            wr_identity_check(f, seed=seed, certificate=bad)
 
 
 def test_quad_like_implication():
@@ -780,7 +831,10 @@ def test_quad_like_implication():
     d = lemma2_witness(c, params)
     lam = f.second_derivative(c, d).values[0]
     assert lam != 0 and set(f.second_derivative(c, d).values) == {lam}
-    lemma = CubicLikeCertificate({c.index: (d.index, lam)}, False)
+    bs, lams = array("i", [0]) * ctx.q, array("i", [0]) * ctx.q
+    bs[c.index], lams[c.index] = d.index, lam
+    lemma = CubicLikeCertificate(bs, lams)
+    assert not lemma.complete
     assert wr_identity_check(f, certificate=lemma).violations == wr_identity_check(f).violations
     wr_identity_check(f, certificate=cubic_like_certificate(f))
 
@@ -800,13 +854,12 @@ def test_quad_like_implication_corrupted_witness_raises(spec):
     f = tf.truth_table()
     cert = cubic_like_certificate(f)
     rep = wr_identity_check(f, seed=1, certificate=cert)
-    c = next(c for c in _battery_rows(ctx.q, 1)[:-1] if c in cert.witnesses)
-    d, lam = cert.witnesses[c]
-    bad = dict(cert.witnesses)
-    bad[c] = (d, lam % (ctx.p - 1) + 1)
-    assert bad[c] != (d, lam)
+    c = next(c for c in _battery_rows(ctx.q, 1)[:-1] if cert.lam[c])
+    lam = cert.lam[c]
+    bad = _edited(cert, c, lam=lam % (ctx.p - 1) + 1)
+    assert (bad.b[c], bad.lam[c]) != (cert.b[c], lam)
     with pytest.raises(InternalInconsistency, match="at c=%d," % c):
-        wr_identity_check(f, seed=1, certificate=CubicLikeCertificate(bad, True))
+        wr_identity_check(f, seed=1, certificate=bad)
     assert rep.sound_clean
 
 
@@ -821,12 +874,10 @@ def test_witness_check_raises_on_a_direction_that_is_no_witness(make):
     f = make()
     ctx = f.ctx
     cert = cubic_like_certificate(f)
-    c, d = next((c, d) for c in cert.witnesses for d in range(1, ctx.q) if len(set(
-        f.second_derivative(ctx.from_index(c), ctx.from_index(d)).values)) > 1)
-    bad = dict(cert.witnesses)
-    bad[c] = (d, cert.witnesses[c][1])
+    c, d = next((c, d) for c in compress(range(ctx.q), cert.lam) for d in range(1, ctx.q)
+                if len(set(f.second_derivative(ctx.from_index(c), ctx.from_index(d)).values)) > 1)
     with pytest.raises(InternalInconsistency, match="at c=%d," % c):
-        wr_identity_check(f, seed=1, certificate=CubicLikeCertificate(bad, True))
+        wr_identity_check(f, seed=1, certificate=_edited(cert, c, b=d))
 
 
 @pytest.mark.parametrize("seed", [0, 12])
@@ -843,9 +894,9 @@ def test_witness_implication_reads_the_cut_part_of_the_last_sampled_row(seed):
     assert (ctx.neg_table[c] in rows) == (seed == 12)
     cert = cubic_like_certificate(f)
     assert wr_identity_check(f, seed=seed, certificate=cert).sound_clean
-    d, lam = cert.witnesses[c]
-    bad = dict(cert.witnesses)
-    bad[c] = (d, lam % 2 + 1)
+    d, lam = cert.b[c], cert.lam[c]
+    assert lam
+    bad = _edited(cert, c, lam=lam % 2 + 1)
     with pytest.raises(InternalInconsistency, match=r"at c=%d, witness \(d, lambda\) = \(%d, %d\)"
                        % (c, d, lam % 2 + 1)):
-        wr_identity_check(f, seed=seed, certificate=CubicLikeCertificate(bad, True))
+        wr_identity_check(f, seed=seed, certificate=bad)
