@@ -30,14 +30,18 @@ and p^n W_{D_c f} those of p^n w^(D_c f(-y)).  A bent f* has W(y) =
 u z^k(y), codes k, u conj(u) = p^n, so P_c - W_{D_c f} is the inverse
 sums of d_c(y) = z^(k(y - c) - k(y)) - z^(2 D_c f(-y)), zero exactly where
 the phase class v(y) = k(y) - 2 f(-y) mod 2p, built once per battery, has
-v(y - c) = v(y).  A row gathers v through y -> y - c: a clean row, where
-the classes agree at every y (every row of a weakly regular f, v being
-constant), has no misses, and any other builds d_c where they differ and
-runs one inverse transform (`_phase_misses`).  A dual that is not bent
-compares the product sides at every y.  Row -c is row c mirrored, b -> -b,
-as D_-c f(x) = -D_c f(x - c).  A witness (d, lambda) of c is checked as
-D_d D_c f(x) = D_d f(x + c) - D_d f(x) = lambda at all q points, through
-the translation tables of d and c, past the sample's cut too.
+v(y - c) = v(y).  A weakly regular f has v constant, so every row is clean
+and none gathers.  Otherwise a row gathers v through its one translation
+table y -> y - c: a clean row, where the classes agree at every y, has no
+misses, and any other reads d_c where they differ from one 2p x 2p table
+of z^a - z^b and runs one inverse transform (`_phase_misses`).  A dual
+that is not bent compares the product sides at every y.  Row -c is row c
+mirrored, b -> -b, as D_-c f(x) = -D_c f(x - c).  A witness (d, lambda) of
+c is checked through the same table as D_c D_d f(y - c) = D_d f(y) -
+D_d f(y - c) = lambda at all q points, past the sample's cut too, with
+D_d f built once per battery.  As D_d D_-c f(x) = -D_d D_c f(x - c), a
+row -c walked after row c passed takes (d, -lambda) as checked; any other
+witness of -c is checked in its own right.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from array import array
 from collections import deque
 from functools import reduce
 from itertools import compress
-from operator import gt, ne, sub
+from operator import getitem, gt, ne, sub
 
 from .cyclo import conj_coords, mul_coords, signed_powers
 from .errors import InternalInconsistency, PreconditionError
@@ -344,12 +348,16 @@ def wr_identity_check(f: PFunction, seed: int = 0,
     SAMPLED_PAIRS, otherwise ceil(SAMPLED_PAIRS / q) distinct rows from
     `random.Random(seed).sample`, in draw order.  A row's misses ascend in
     b, so the last row's are cut once, to SAMPLED_PAIRS pairs in all.  With
-    a cubic-like `certificate` of f, a walked row c whose witness
-    (d, lambda) has D_d D_c f != lambda at some point raises
-    InternalInconsistency, past the cut too.
+    a cubic-like `certificate` of f (its arrays q long, or
+    PreconditionError), a walked row c whose witness (d, lambda) has
+    D_c D_d f != lambda at some point raises InternalInconsistency, past
+    the cut too, unless row -c was walked earlier and its witness passed
+    as (d, -lambda), which implies c's.
     """
     ctx = f.ctx
     p, q = ctx.p, ctx.q
+    if certificate is not None and not len(certificate.b) == len(certificate.lam) == q:
+        raise PreconditionError("the certificate's witness arrays need q = %d entries" % q)
     s = walsh_fast(f)
     if not is_bent(s):
         raise PreconditionError("wr_identity_check requires a bent function")
@@ -357,46 +365,64 @@ def wr_identity_check(f: PFunction, seed: int = 0,
     codes = s_dual.codes  # None when the dual is not bent
     powers = signed_powers(p)
     neg, vals = ctx.neg_table, f.values  # D_c f(-y) = f(-(y - c)) - f(-y)
+    twice = [2 * v for v in map(vals.__getitem__, neg)]  # 2 f(-y)
     if codes is None:
-        f_neg = list(map(vals.__getitem__, neg))  # f(-y)
-        scaled = [tuple([q * v for v in x]) for x in powers[::2]]  # p^n w^j
+        scaled = [tuple([q * v for v in x]) for x in powers]  # p^n z^k
 
         def differences(shift):  # shift[y] = y - c
             lhs = _correlation_products(s_dual.coords, shift, p)
-            rhs = list(map(scaled.__getitem__, map(sub, map(f_neg.__getitem__, shift), f_neg)))
+            rhs = list(map(scaled.__getitem__, map(sub, map(twice.__getitem__, shift), twice)))
             ys = list(compress(range(q), map(ne, lhs, rhs)))
             return ys, [tuple(map(sub, lhs[y], rhs[y])) for y in ys]
     else:
         # z^(k(y - c) - k(y)) = w^(D_c f(-y)) exactly where v(y - c) = v(y)
-        phase = [(k - 2 * v) % (2 * p) for k, v in zip(codes, map(vals.__getitem__, neg))]
+        phase = [(k - v) % (2 * p) for k, v in zip(codes, twice)]
+        if phase.count(phase[0]) == q:  # v constant (f weakly regular): every row is clean
+            differences = None
+        else:
+            table = [[tuple(map(sub, x, y)) for y in powers] for x in powers]  # z^a - z^b
 
-        def differences(shift):
-            moved = list(map(phase.__getitem__, shift))  # v(y - c)
-            ys = [] if moved == phase else list(compress(range(q), map(ne, moved, phase)))
-            return ys, [tuple(map(sub, powers[codes[x] - codes[y]],
-                                  powers[2 * (vals[neg[x]] - vals[neg[y]])]))
-                        for x, y in zip(map(shift.__getitem__, ys), ys)]
+            def differences(shift):
+                moved = list(map(phase.__getitem__, shift))  # v(y - c)
+                ys = [] if moved == phase else list(compress(range(q), map(ne, moved, phase)))
+                xs = list(map(shift.__getitem__, ys))
+                return ys, list(map(getitem, map(table.__getitem__, map(
+                    sub, map(codes.__getitem__, xs), map(codes.__getitem__, ys))), map(
+                    sub, map(twice.__getitem__, xs), map(twice.__getitem__, ys))))
+
+    bs, lams = (certificate.b, certificate.lam) if certificate is not None else (bytes(q),) * 2
+    derivatives = {}  # D_d f by witness d
+
+    def checked(c, shift):
+        """`shift`, y -> y - c, once row c's witness (d, lambda) has
+        D_c D_d f(y - c) = D_d f(y) - D_d f(y - c) = lambda at every y."""
+        d, lam = bs[c], lams[c]
+        if lam:
+            g = derivatives.get(d) or derivatives.setdefault(
+                d, list(map(sub, map(vals.__getitem__, ctx.shift_table(d)), vals)))
+            if {v % p for v in set(map(sub, g, map(g.__getitem__, shift)))} != {lam}:
+                raise InternalInconsistency(
+                    "D_d D_c f is not the constant lambda at c=%d, witness (d, lambda) = (%d, %d)"
+                    % (c, d, lam))
+        return shift
 
     # a sample never repeats a pair, so a field with fewer pairs is walked whole
     exhaustive = q * q <= SAMPLED_PAIRS
     pair_count = q * q if exhaustive else SAMPLED_PAIRS
     rows = range(q) if exhaustive else random.Random(seed).sample(range(q), -(-pair_count // q))
-    bs, lams = (certificate.b, certificate.lam) if certificate is not None else (bytes(q),) * 2
     out, mirrored = [], {}
     for i, c in enumerate(rows):
-        if c in mirrored:  # row -c was walked earlier; D_-c f(x) = -D_c f(x - c)
-            misses = mirrored.pop(c)
+        mirror = mirrored.pop(c, None)  # row -c, walked earlier: D_-c f(x) = -D_c f(x - c)
+        if mirror is not None or differences is None:
+            misses, implied = mirror or ([], None)
+            if lams[c] and (bs[c], lams[c]) != implied:
+                checked(c, ctx.shift_table(neg[c]))
         else:
-            # passed unbound, so that `_phase_misses` frees them before its inverse run
-            misses = _phase_misses(differences(ctx.shift_table(neg[c])), ctx, c, 1 if codes else q)
-            mirrored[neg[c]] = sorted(neg[b] for b in misses)  # both sides mirror, b -> -b
-        d, lam = bs[c], lams[c]
-        if lam:  # D_d D_c f(x) = D_d f(x + c) - D_d f(x) = lambda at every x
-            g = list(map(sub, map(vals.__getitem__, ctx.shift_table(d)), vals))  # D_d f
-            if {v % p for v in set(map(sub, map(g.__getitem__, ctx.shift_table(c)), g))} != {lam}:
-                raise InternalInconsistency(
-                    "D_d D_c f is not the constant lambda at c=%d, witness (d, lambda) = (%d, %d)"
-                    % (c, d, lam))
+            # the row's one table, passed unbound: freed before `_phase_misses`' inverse run
+            misses = _phase_misses(differences(checked(c, ctx.shift_table(neg[c]))), ctx, c,
+                                   1 if codes else q)
+        if mirror is None:  # both phase sides mirror, b -> -b, and D_d D_-c f(x) = -D_d D_c f(x - c)
+            mirrored[neg[c]] = sorted(neg[b] for b in misses), (bs[c], -lams[c] % p)
         limit = min(q, pair_count - i * q)  # the last sampled row's report stops at b = limit
         out.append((c, list(itertools.takewhile(limit.__gt__, misses))))
     return WrIdentityReport(pair_count, out, exhaustive)

@@ -795,6 +795,76 @@ def test_weakly_regular_battery_runs_no_inverse_transform(monkeypatch):
     assert rep.exhaustive and rep.sound_clean and len(cert.lam) == 89 and cert.lam.count(0) == 1
 
 
+def _no_gather(*args):
+    raise AssertionError("a phase row was gathered")
+
+
+@pytest.mark.parametrize("spec", ["p=3 n=4 f=Tr(x^2)", "p=5 n=2 f=Tr(x^2)", "p=89 n=1 f=Tr(x^2)"])
+def test_weakly_regular_battery_gathers_nothing(spec, monkeypatch):
+    # a weakly regular f has one phase class, so no row reaches
+    # `_phase_misses`; its witnesses are checked all the same, on a row c
+    # walked in its own right and on row -c, walked after it
+    ctx, tf = parse_function_spec(spec)
+    f = tf.truth_table()
+    cert = cubic_like_certificate(f)
+    monkeypatch.setattr(derivanalysis, "_phase_misses", _no_gather)
+    rep = wr_identity_check(f, certificate=cert)
+    assert rep.exhaustive and rep.sound_clean and cert.complete
+    c = next(c for c in range(1, ctx.q) if c < ctx.neg_table[c])
+    for row in (c, ctx.neg_table[c]):
+        bad = _edited(cert, row, lam=cert.lam[row] % (ctx.p - 1) + 1)
+        with pytest.raises(InternalInconsistency, match="at c=%d," % row):
+            wr_identity_check(f, certificate=bad)
+    # the control: a non-weakly regular f has more than one class and gathers
+    g = trinomial_bent(TrinomialParams(1, 2, 1)).truth_table()
+    with pytest.raises(AssertionError, match="gathered"):
+        wr_identity_check(g)
+
+
+@pytest.mark.parametrize("n_f, n_cert", [(4, 2), (2, 4)])
+def test_battery_refuses_a_certificate_of_another_size(n_f, n_cert, monkeypatch):
+    # the witness arrays must be q long; the refusal comes before any
+    # spectrum is read, so before any row is walked
+    f = quad(get_field(3, n_f))
+    cert = cubic_like_certificate(quad(get_field(3, n_cert)))
+    assert cert.complete and len(cert.lam) == 3 ** n_cert
+    def unread(*args):
+        raise AssertionError("a spectrum was read")
+    monkeypatch.setattr(derivanalysis, "walsh_fast", unread)
+    with pytest.raises(PreconditionError, match="certificate"):
+        wr_identity_check(f, certificate=cert)
+
+
+def test_mirrored_witness_is_taken_as_checked_only_when_negated():
+    # the (1, 2, 1) trinomial walked whole: row c < -c is checked first, and
+    # row -c takes its stored (b[c], -lambda) as checked, D_d D_-c f(x) =
+    # -D_d D_c f(x - c); any other entry of -c is checked in its own right
+    f = trinomial_bent(TrinomialParams(1, 2, 1)).truth_table()
+    ctx = f.ctx
+    cert = cubic_like_certificate(f)
+    assert cert.complete and wr_identity_check(f, certificate=cert).exhaustive
+    checked = 0
+    for c in [c for c in range(1, ctx.q) if c < ctx.neg_table[c]]:
+        m, d, lam = ctx.neg_table[c], cert.b[c], cert.lam[c]
+        assert (cert.b[m], cert.lam[m]) == (d, -lam % 3)
+        constants = {e: set(f.second_derivative(ctx.from_index(m), ctx.from_index(e)).values)
+                     for e in range(1, ctx.q)}
+        if all(len(vs) == 1 for vs in constants.values()):
+            continue  # c in F_3^*: every D_e D_-c f is constant
+        checked += 1
+        # (d, +lambda) is no witness of -c
+        with pytest.raises(InternalInconsistency, match="at c=%d," % m):
+            wr_identity_check(f, certificate=_edited(cert, m, lam=lam))
+        # another true witness of -c passes
+        other = next(e for e, vs in constants.items() if e != d and len(vs) == 1 and 0 not in vs)
+        wr_identity_check(f, certificate=_edited(cert, m, b=other, lam=constants[other].pop()))
+        # a direction that is no witness, with the implied lambda, raises
+        wrong = next(e for e, vs in constants.items() if len(vs) > 1)
+        with pytest.raises(InternalInconsistency, match="at c=%d," % m):
+            wr_identity_check(f, certificate=_edited(cert, m, b=wrong))
+    assert checked == 39
+
+
 @pytest.mark.parametrize("pairs, seed", [(None, 0), (1000, 2)], ids=["exhaustive", "sampled"])
 def test_corrupted_witness_raises_on_every_kind_of_row(pairs, seed, monkeypatch):
     # the (1, 2, 1) trinomial walked whole, and on 13 rows at seed 2: a
@@ -884,8 +954,8 @@ def test_witness_check_raises_on_a_direction_that_is_no_witness(make):
 def test_witness_implication_reads_the_cut_part_of_the_last_sampled_row(seed):
     # 42 rows of 243 b fill SAMPLED_PAIRS, the last one cut after 37 b; its
     # witness is checked at all 243 points all the same.  At seed 12 that
-    # row is read from row -c, walked earlier, and its check reads
-    # D_-c f = -D_c f(. - c)
+    # row is read from row -c, walked earlier, and its corrupted witness,
+    # not row -c's (d, -lambda), is checked in its own right
     ctx, tf = parse_function_spec("p=3 n=5 f=Tr(x^2)")
     f = tf.truth_table()
     rows = _battery_rows(ctx.q, seed)
