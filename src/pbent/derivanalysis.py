@@ -13,9 +13,9 @@ by one bit-sliced elimination of all directions (`_lane_witnesses`), for
 p >= 5 by `_first_witness_low_degree`, the p = 3 oracle.  The certificate
 is b and lambda in two arrays by a, lambda = 0 where a has none.
 
-One scan, `_constant_derivatives(g)`, finds every b with D_b g constant,
-reading x + b point by point from a cached table of digit-wise sums, so
-that a direction is dropped at its first failing point.  Run on g = D_a f
+One scan, `_constant_derivatives(g)`, finds every b with D_b g constant:
+a sieve at the n basis vectors, then a check of each b it keeps at every
+point, each reading x + b through `FieldCtx.shift_table`.  Run on g = D_a f
 it is the exact oracle for the trilinear-form path and the path for
 degree > 3; run on g = f it gives the linear space E_f and the balance
 witness of a quadratic.
@@ -52,13 +52,13 @@ import sys
 from array import array
 from collections import deque
 from functools import reduce
-from itertools import compress
-from operator import getitem, gt, ne, sub
+from itertools import compress, repeat
+from operator import eq, getitem, gt, ne, sub
 
 from .cyclo import conj_coords, mul_coords, signed_powers
 from .errors import InternalInconsistency, PreconditionError
 from .funcrep import PFunction
-from .gf import FFElem, digit_sums
+from .gf import FFElem
 from .linalg import f3_add, f3_times, mat_kernel
 from .walsh import extract_certificate, inverse_sums, is_bent, walsh_fast
 
@@ -198,32 +198,28 @@ def _lane_witnesses(f: PFunction, tri: list):
 def _constant_derivatives(g: PFunction):
     """Yield (b, D_b g) in index order for every b where D_b g is constant.
 
-    An index is read as (top, hi, lo): lo and hi have h = n // 2 digits
-    each, and top has the last digit when n is odd.  Adding b has no carries
-    between digits, so x + b is read from the `digit_sums` table of h
-    digits (at most q ints) for lo and hi and from one addition mod p per
-    plane for top, and a direction is dropped at its first point x where
-    D_b g(x) != D_b g(0).  Two tables of floor and ceil(n/2) digits would
-    hold p^(n+1) ints for odd n, p^2 = q^2 at n = 1."""
+    A sieve at the basis vectors e_i keeps the b with D_b g(e_i) = D_b g(0),
+    all b at once through e_i's `shift_table`; each b it keeps is then
+    checked at every x through its own.  For deg g <= 2, D_b g(x) - D_b g(0)
+    is linear in x, so the sieve keeps exactly the b sought; at any degree
+    the check alone decides."""
     ctx = g.ctx
-    p, q, vals = ctx.p, ctx.q, g.values
-    half = p ** (ctx.n // 2)
-    sums = digit_sums(p, ctx.n // 2)
-    grid = [[vals[x:x + half] for x in range(y, y + half * half, half)]
-            for y in range(0, q, half * half)]
-    planes = len(grid)
-    for b, (top, hi, lo) in enumerate(itertools.product(range(planes), sums, sums)):
-        const = (vals[b] - vals[0]) % p
-        if all((s[j] - v) % p == const
-               for t, plane in enumerate(grid)
-               for row, s in zip(plane, map(grid[(t + top) % planes].__getitem__, hi))
-               for j, v in zip(lo, row)):
-            yield b, const
+    p, vals = ctx.p, g.values
+    consts = [(v - vals[0]) % p for v in vals]  # D_b g(0)
+    kept = range(ctx.q)
+    for e in map(p.__pow__, range(ctx.n)):  # g(e_i + b) - g(e_i) = D_b g(0)
+        moved = map(vals.__getitem__, map(ctx.shift_table(e).__getitem__, kept))
+        kept = list(compress(kept, map(eq, map(p.__rmod__, map(sub, moved, repeat(vals[e]))),
+                                       map(consts.__getitem__, kept))))
+    for b in kept:
+        if {v % p for v in set(map(sub, map(vals.__getitem__, ctx.shift_table(b)), vals))} == {
+                consts[b]}:
+            yield b, consts[b]
 
 
 def _first_witness_scan(f: PFunction, a_idx: int):
-    """The same witness by scanning every b: the exact oracle for
-    `_first_witness_low_degree`, and the path for degree > 3."""
+    """The same witness from the linear structures of D_a f: the exact
+    oracle for `_first_witness_low_degree`, and the path for degree > 3."""
     g = f.derivative(f.ctx.from_index(a_idx))
     return next(((b, c) for b, c in _constant_derivatives(g) if c), None)
 

@@ -29,11 +29,12 @@ kernel, which `linalg.mat_kernel` reads.
 
 The index tables of maps x -> y rest on one fact: adding a fixed index has
 no carries between digits.  `shift_row` (cached) tabulates x -> x + r over
-indexes of m digits one digit at a time, and `digit_sums` stacks those
-rows for every r; `half_rows` splits x -> x + r into two such rows, of the
-low and high digits, from which `shift_table(a)`, x -> x + a, is composed
-block by block, and `linear_table` builds the index table of an F_p-linear
-map one digit at a time.
+indexes of m digits one digit at a time; `half_rows` splits x -> x + r
+into two such rows, of the low and high digits, from which
+`shift_table(a)`, x -> x + a, is composed block by block, and
+`linear_table` builds the index table of an F_p-linear map one digit at a
+time.  `shift_table` is the one whole-table reader of x + a: derivatives,
+the linear-structure scan and the identity battery read it.
 
 The field's other index tables live on the FieldCtx too, each built once,
 on first read, as a cached `array` attribute: `neg_table` (x -> -x, the
@@ -151,14 +152,6 @@ def half_rows(p: int, n: int, r: int) -> tuple:
     half = p ** ((n + 1) // 2)
     r_hi, r_lo = divmod(r, half)
     return [v * half for v in shift_row(p, n // 2, r_hi)], shift_row(p, (n + 1) // 2, r_lo), half
-
-
-@lru_cache(maxsize=8)
-def digit_sums(p: int, m: int) -> list[list[int]]:
-    """sums[b][x] = index of x + b for indexes of m base-p digits, one
-    `shift_row` per b: p^2m ints, cached because every scan of a field with
-    2m or 2m + 1 digits reads the same table."""
-    return [shift_row(p, m, b) for b in range(p ** m)]
 
 
 def _residue_lanes(p: int, n: int):

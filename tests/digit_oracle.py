@@ -1,6 +1,7 @@
 """Index arithmetic of F_{p^n} one base-p digit at a time: the oracle of
 the field's index tables (`neg_table`, `shift_row`, `half_rows`,
-`linear_table`) and of the digit-sum scans of `_constant_derivatives`."""
+`shift_table`, `linear_table`) and of the linear-structure scan
+`_constant_derivatives`."""
 
 
 def index_add(p: int, i: int, j: int, sign: int = 1) -> int:

@@ -308,26 +308,37 @@ def test_constant_derivatives_match_brute_force():
         assert [c for _, c in _constant_derivatives(inputs[5])].count(0) == ctx.q // p
 
 
-@pytest.mark.parametrize("p, n", [(3, 4), (3, 5), (5, 3), (7, 2)])
+@pytest.mark.parametrize("p, n", [(3, 4), (3, 5), (5, 3), (7, 2), (89, 1)])
 def test_constant_derivatives_match_add_index_scan(p, n):
-    # the digit-sum tables against x + b from `index_add`, point by point;
-    # odd n puts the top digit in planes of its own
+    # the sieve at the basis vectors and the check of what it keeps, against
+    # x + b from `index_add`, point by point; the cubic D_a f is the first
+    # of a quartic f's seeded directions a on which the sieve keeps some b
+    # that is no linear structure, which the check must drop
     ctx = get_field(p, n)
     rng = random.Random(p * 10 + n)
+
+    def oracle(f, points):  # (b, D_b f(0)) where D_b f(x) = D_b f(0) at every x in points
+        vals = f.values
+        return [(b, (vals[b] - vals[0]) % p) for b in range(ctx.q)
+                if all((vals[index_add(p, x, b)] - vals[x]) % p == (vals[b] - vals[0]) % p
+                       for x in points)]
+    quartic = anf_to_truth(ANF(ctx, [rng.randrange(p) if p_weight(i, p) <= 4 else 0
+                                     for i in range(ctx.q)]))
+    basis, every = [p ** i for i in range(n)], range(ctx.q)
+    cubic = next(g for g in map(quartic.derivative, map(ctx.from_index,
+                                                        rng.sample(range(1, ctx.q), ctx.q - 1)))
+                 if len(oracle(g, basis)) > len(oracle(g, every)))
+    assert cubic.algebraic_degree() >= 3
     inputs = [random_quadratic(ctx, rng), random_quadratic(ctx, rng),
               PFunction(ctx, [rng.randrange(p) for _ in range(ctx.q)]),
-              TraceForm(ctx, [(ctx.gen_power(1), 1)]).truth_table()]
+              TraceForm(ctx, [(ctx.gen_power(1), 1)]).truth_table(), cubic]
     inputs.append(inputs[0].derivative(ctx.from_index(rng.randrange(1, ctx.q))))
     for digit in (0, n - 1):  # x_digit^2: constant exactly where b_digit = 0
         square = [0] * ctx.q
         square[2 * p ** digit] = 1
         inputs.append(anf_to_truth(ANF(ctx, square)))
     for f in inputs:
-        vals = f.values
-        oracle = [(b, (vals[b] - vals[0]) % p) for b in range(ctx.q)
-                  if all((vals[index_add(p, x, b)] - vals[x]) % p == (vals[b] - vals[0]) % p
-                         for x in range(ctx.q))]
-        assert list(_constant_derivatives(f)) == oracle
+        assert list(_constant_derivatives(f)) == oracle(f, every)
     assert [len(list(_constant_derivatives(f))) for f in inputs[-3:]] == [ctx.q, ctx.q // p,
                                                                          ctx.q // p]
 

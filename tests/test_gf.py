@@ -7,7 +7,7 @@ import pytest
 
 from pbent import gf
 from pbent.errors import BudgetError, InternalInconsistency, ParseError, PreconditionError
-from pbent.gf import (FieldCtx, FieldError, check_field_size, default_modulus, digit_sums,
+from pbent.gf import (FieldCtx, FieldError, check_field_size, default_modulus,
                       get_field, is_prime, parse_field_spec, prime_factors, _CONWAY, _ppow)
 from digit_oracle import index_add
 from test_linalg import mat_vec
@@ -202,8 +202,8 @@ def test_half_rows_match_add_index():
                                                                     for x in idxs]
             assert ctx.shift_table(r) == [index_add(ctx.p, x, r) for x in range(ctx.q)]
     for p, m in ((3, 1), (3, 2), (5, 1), (5, 2), (7, 1)):
-        assert digit_sums(p, m) == [[index_add(p, x, b) for x in range(p ** m)]
-                                    for b in range(p ** m)]
+        assert [gf.shift_row(p, m, b) for b in range(p ** m)] == [
+            [index_add(p, x, b) for x in range(p ** m)] for b in range(p ** m)]
 
 
 def test_field_errors_are_parse_errors_and_bugs_are_internal():
