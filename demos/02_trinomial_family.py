@@ -52,11 +52,11 @@ print("sound (dual phase identity) violations:", len(rep.violations))
 # ---------------------------------------------------------------------------
 # Closed-form Walsh values for k odd, j in {0, 2k}, t = (3^k-1)/2
 # ---------------------------------------------------------------------------
-spec = pb.walsh_naive(f)
+spec = pb.walsh_naive(f).coords
 mismatches = 0
 for idx in range(ctx.q):
     y = ctx.from_index(idx)
-    if pb.trinomial_closed_form_walsh(params, y).coords != spec.coords[ctx.neg_table[idx]]:
+    if pb.trinomial_closed_form_walsh(params, y).coords != spec[ctx.neg_table[idx]]:
         mismatches += 1
 print("\nclosed form vs spectrum: %d mismatches out of %d" % (mismatches, ctx.q))
 

@@ -41,7 +41,7 @@ EXIT_INTERNAL = 5
 DEFAULT_SPECTRUM_BUDGET = 3 ** 12
 # `analyze --dual-form` interpolates about q/n character sums of q terms each
 DUAL_FORM_MAX_POINTS = 3 ** 9
-# `analyze --certify` above degree 3: per direction, n shift tables plus one per sieve survivor
+# `analyze --certify` above degree 3: n basis shift tables, and per direction one per survivor
 CERTIFY_SCAN_MAX_POINTS = 5 ** 5
 
 

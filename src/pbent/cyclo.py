@@ -22,7 +22,7 @@ of magnitude p^(n/2) for odd n are recognized without irrational numbers.
 from __future__ import annotations
 
 from functools import lru_cache
-from operator import index
+from operator import index, mul
 
 
 class CycInt:
@@ -78,7 +78,7 @@ class CycInt:
 def coords_from_counts(p: int, counts) -> tuple:
     """Canonical coordinates of sum_j counts[j] * w^j (length-p counts)."""
     top = counts[p - 1]
-    return tuple(counts[i] - top for i in range(p - 1))
+    return tuple([c - top for c in counts[:p - 1]])
 
 
 def conj_coords(coords: tuple, p: int) -> tuple:
@@ -108,17 +108,24 @@ def norm_coords(coords: tuple, p: int) -> tuple:
     For p = 3 it is (a^2 - ab + b^2,).
     """
     c = coords + (0,)
-    acf = [sum(c[i] * c[i - k] for i in range(p)) for k in range((p + 1) // 2)]
+    acf = [sum(map(mul, c, c[-k:] + c[:-k])) for k in range((p + 1) // 2)]  # c[i] c[i - k]
     n1 = acf[1]
     return (acf[0] - n1,) + tuple(v - n1 for v in acf[2:])
+
+
+def _signed_rotations(p: int, counts: tuple, scale: int) -> list:
+    """scale z^k x for k < 2p, x given by its p exponent counts: z^k =
+    (-1)^k w^j, j = k (p+1)/2 mod p, moves x's counts up j places."""
+    js = [k * (p + 1) // 2 % p for k in range(2 * p)]
+    return [coords_from_counts(p, [s * c for c in counts[-j:] + counts[:-j]])
+            for s, j in zip([scale, -scale] * p, js)]
 
 
 @lru_cache(maxsize=8)
 def signed_powers(p: int) -> tuple:
     """Coordinates of z^k, k in [0, 2p), z = -w^((p+1)/2): as z^2 = w and
     z^p = -1, s w^j = z^(2j + p[s < 0]), and w^j is entry 2j."""
-    return tuple(coords_from_counts(p, [(-1) ** k * (i == k * (p + 1) // 2 % p) for i in range(p)])
-                 for k in range(2 * p))
+    return tuple(_signed_rotations(p, (1,) + (0,) * (p - 1), 1))
 
 
 @lru_cache(maxsize=8)
@@ -138,13 +145,14 @@ def unit_power_forms(p: int, n: int) -> tuple[list, dict]:
 
     For even n, U p^(n/2) = p^(n/2); for odd n it is p^((n-1)/2) g with g
     the Gauss sum, which absorbs the imaginary unit occurring when p = 3 mod
-    4.  The values are pairwise distinct for odd p, so a dictionary lookup
-    recognizes a coordinate tuple exactly.
+    4.  Each value is U's exponent counts rotated (`_signed_rotations`):
+    O(p^2) in all.  The values are pairwise distinct for odd p, so a
+    dictionary lookup recognizes a coordinate tuple exactly.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     unit = gauss_sum(p) if n % 2 else (1,) + (0,) * (p - 2)
-    forms = [tuple([p ** (n // 2) * v for v in mul_coords(unit, z, p)]) for z in signed_powers(p)]
+    forms = _signed_rotations(p, unit + (0,), p ** (n // 2))  # U's counts: its coordinates, 0
     return forms, {c: k for k, c in enumerate(forms)}
 
 

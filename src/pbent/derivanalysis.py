@@ -17,8 +17,8 @@ One scan, `_constant_derivatives(g)`, finds every b with D_b g constant:
 a sieve at the n basis vectors, then a check of each b it keeps at every
 point, each reading x + b through `FieldCtx.shift_table`.  Run on g = D_a f
 it is the exact oracle for the trilinear-form path and the path for
-degree > 3; run on g = f it gives the linear space E_f and the balance
-witness of a quadratic.
+degree > 3, whose directions share the basis vectors' tables; run on g = f
+it gives the linear space E_f and the balance witness of a quadratic.
 
 The weakly-regular identity battery walks rows c.  A row is one phase row
 and, given a cubic-like witness, one witness check.  The phase row checks
@@ -35,13 +35,15 @@ and none gathers.  Otherwise a row gathers v through its one translation
 table y -> y - c: a clean row, where the classes agree at every y, has no
 misses, and any other reads d_c where they differ from one 2p x 2p table
 of z^a - z^b and runs one inverse transform (`_phase_misses`).  A dual
-that is not bent compares the product sides at every y.  Row -c is row c
-mirrored, b -> -b, as D_-c f(x) = -D_c f(x - c).  A witness (d, lambda) of
-c is checked through the same table as D_c D_d f(y - c) = D_d f(y) -
-D_d f(y - c) = lambda at all q points, past the sample's cut too, with
-D_d f built once per battery.  As D_d D_-c f(x) = -D_d D_c f(x - c), a
-row -c walked after row c passed takes (d, -lambda) as checked; any other
-witness of -c is checked in its own right.
+that is not bent compares the product sides at every y, W(y - c)
+conj(W(y)) read by its pair of codes into the dual's table of values,
+each distinct pair multiplied once per battery (`_pair_products`).  Row -c
+is row c mirrored, b -> -b, as D_-c f(x) = -D_c f(x - c).  A witness
+(d, lambda) of c is checked through the same table as D_c D_d f(y - c) =
+D_d f(y) - D_d f(y - c) = lambda at all q points, past the sample's cut
+too, with D_d f built once per battery.  As D_d D_-c f(x) = -D_d D_c
+f(x - c), a row -c walked after row c passed takes (d, -lambda) as
+checked; any other witness of -c is checked in its own right.
 """
 
 from __future__ import annotations
@@ -195,21 +197,22 @@ def _lane_witnesses(f: PFunction, tri: list):
     return lane_ints(wit), lane_ints([lam])
 
 
-def _constant_derivatives(g: PFunction):
+def _constant_derivatives(g: PFunction, basis: list | None = None):
     """Yield (b, D_b g) in index order for every b where D_b g is constant.
 
     A sieve at the basis vectors e_i keeps the b with D_b g(e_i) = D_b g(0),
-    all b at once through e_i's `shift_table`; each b it keeps is then
-    checked at every x through its own.  For deg g <= 2, D_b g(x) - D_b g(0)
-    is linear in x, so the sieve keeps exactly the b sought; at any degree
-    the check alone decides."""
+    all b at once through `basis[i]`, e_i's `shift_table` (built here if not
+    given); each b it keeps is then checked at every x through its own.
+    For deg g <= 2, D_b g(x) - D_b g(0) is linear in x, so the sieve keeps
+    exactly the b sought; at any degree the check alone decides."""
     ctx = g.ctx
     p, vals = ctx.p, g.values
     consts = [(v - vals[0]) % p for v in vals]  # D_b g(0)
     kept = range(ctx.q)
-    for e in map(p.__pow__, range(ctx.n)):  # g(e_i + b) - g(e_i) = D_b g(0)
-        moved = map(vals.__getitem__, map(ctx.shift_table(e).__getitem__, kept))
-        kept = list(compress(kept, map(eq, map(p.__rmod__, map(sub, moved, repeat(vals[e]))),
+    basis = basis or [ctx.shift_table(p ** i) for i in range(ctx.n)]
+    for i, table in enumerate(basis):  # g(e_i + b) - g(e_i) = D_b g(0)
+        moved = map(vals.__getitem__, map(table.__getitem__, kept))
+        kept = list(compress(kept, map(eq, map(p.__rmod__, map(sub, moved, repeat(vals[p ** i]))),
                                        map(consts.__getitem__, kept))))
     for b in kept:
         if {v % p for v in set(map(sub, map(vals.__getitem__, ctx.shift_table(b)), vals))} == {
@@ -217,11 +220,11 @@ def _constant_derivatives(g: PFunction):
             yield b, consts[b]
 
 
-def _first_witness_scan(f: PFunction, a_idx: int):
+def _first_witness_scan(f: PFunction, a_idx: int, basis: list | None = None):
     """The same witness from the linear structures of D_a f: the exact
     oracle for `_first_witness_low_degree`, and the path for degree > 3."""
     g = f.derivative(f.ctx.from_index(a_idx))
-    return next(((b, c) for b, c in _constant_derivatives(g) if c), None)
+    return next(((b, c) for b, c in _constant_derivatives(g, basis) if c), None)
 
 
 def cubic_like_certificate(f: PFunction) -> CubicLikeCertificate:
@@ -234,8 +237,9 @@ def cubic_like_certificate(f: PFunction) -> CubicLikeCertificate:
     if tri and p == 3:
         return CubicLikeCertificate(*_lane_witnesses(f, tri))
     neg, bs, lams = f.ctx.neg_table, array("i", [0]) * q, array("i", [0]) * q
+    basis = None if tri else [f.ctx.shift_table(p ** i) for i in range(f.ctx.n)]  # for every scan
     for a in compress(range(q), map(gt, neg, range(q))):  # a < -a: one search per pair
-        hit = _first_witness_low_degree(f, tri, a) if tri else _first_witness_scan(f, a)
+        hit = _first_witness_low_degree(f, tri, a) if tri else _first_witness_scan(f, a, basis)
         if hit:
             bs[a] = bs[neg[a]] = hit[0]
             lams[a], lams[neg[a]] = hit[1], -hit[1] % p
@@ -304,14 +308,12 @@ class WrIdentityReport:
             self.to_json())
 
 
-def _correlation_products(w: list, shift: list, p: int) -> list:
-    """W(y - c) * conj(W(y)) at every y, with shift[y] = y - c: the
-    product side of a phase row, for a dual that is not bent.  Unrolled for
-    p = 3: conj(a + b*w) = (a - b) - b*w."""
-    shifted = map(w.__getitem__, shift)
-    if p == 3:
-        return [(a1 * (a - b) + b1 * b, a * b1 - a1 * b) for (a, b), (a1, b1) in zip(w, shifted)]
-    return [mul_coords(x1, conj_coords(x, p), p) for x, x1 in zip(w, shifted)]
+def _pair_products(table: list, pairs: list, known: dict, p: int) -> list:
+    """W(y - c) conj(W(y)) at each code pair (k(y - c), k(y)) into the `table`
+    of a dual that is not bent; `known` keeps each pair's product across rows."""
+    for a, b in set(pairs).difference(known):
+        known[a, b] = mul_coords(table[a], conj_coords(table[b], p), p)
+    return list(map(known.__getitem__, pairs))
 
 
 def _phase_misses(diffs, ctx, c: int, divisor: int) -> list:
@@ -358,15 +360,17 @@ def wr_identity_check(f: PFunction, seed: int = 0,
     if not is_bent(s):
         raise PreconditionError("wr_identity_check requires a bent function")
     s_dual = walsh_fast(extract_certificate(s).dual)
-    codes = s_dual.codes  # None when the dual is not bent
+    codes = s_dual.codes
     powers = signed_powers(p)
     neg, vals = ctx.neg_table, f.values  # D_c f(-y) = f(-(y - c)) - f(-y)
     twice = [2 * v for v in map(vals.__getitem__, neg)]  # 2 f(-y)
-    if codes is None:
+    if not s_dual.bent:
         scaled = [tuple([q * v for v in x]) for x in powers]  # p^n z^k
+        known = {}  # W(y - c) conj(W(y)) by code pair, across rows
 
         def differences(shift):  # shift[y] = y - c
-            lhs = _correlation_products(s_dual.coords, shift, p)
+            lhs = _pair_products(s_dual.table, list(zip(map(codes.__getitem__, shift), codes)),
+                                 known, p)
             rhs = list(map(scaled.__getitem__, map(sub, map(twice.__getitem__, shift), twice)))
             ys = list(compress(range(q), map(ne, lhs, rhs)))
             return ys, [tuple(map(sub, lhs[y], rhs[y])) for y in ys]
@@ -416,7 +420,7 @@ def wr_identity_check(f: PFunction, seed: int = 0,
         else:
             # the row's one table, passed unbound: freed before `_phase_misses`' inverse run
             misses = _phase_misses(differences(checked(c, ctx.shift_table(neg[c]))), ctx, c,
-                                   1 if codes else q)
+                                   1 if s_dual.bent else q)
         if mirror is None:  # both phase sides mirror, b -> -b, and D_d D_-c f(x) = -D_d D_c f(x - c)
             mirrored[neg[c]] = sorted(neg[b] for b in misses), (bs[c], -lams[c] % p)
         limit = min(q, pair_count - i * q)  # the last sampled row's report stops at b = limit

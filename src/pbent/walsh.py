@@ -19,25 +19,24 @@ by p^n that the identity battery of `derivanalysis` needs, is the forward
 sums of d read at -x, through `neg_table` and the same gather.
 
 Both paths produce flat coordinate tuples in Z[w] ((a, b) = a + b*w for
-p = 3, p - 1 integers otherwise).  A WalshSpectrum's constructor looks
-each one up in the code dict of `cyclo.unit_power_forms`, in one C-level
-pass: f is bent exactly when every W(y) is U p^(n/2) z^k for a code k < 2p,
-and then the spectrum keeps its codes and drops its tuples (Parseval holds
-by construction: q points of norm p^n sum to p^(2n)).  A bent spectrum
-is its own certificate (signs, dual, unit kind), read from those codes,
-and `coords` rebuilds the tuples from them.  Any other spectrum keeps its
-tuples, and one pass computes each |W(y)|^2 as an integer expression on
-them (for p = 3 as |W(y)|^2 - p^n; for p >= 5 at the nonzero points only)
-to check Parseval exactly, and that not every norm is p^n.  So a
-constructed WalshSpectrum is a certificate of internal consistency, and
-`is_bent` only reads its flag.
-`coords` is the only view of a spectrum.  `walsh_fast` memoizes the
+p = 3, p - 1 integers otherwise); a WalshSpectrum holds one code per point
+into a table of values.  Its constructor looks each tuple up in the code
+dict of `cyclo.unit_power_forms` in one C-level pass: f is bent exactly
+when every W(y) is U p^(n/2) z^k, k < 2p, and the table is then those 2p
+forms (Parseval holds by construction: q points of norm p^n sum to
+p^(2n)); a bent spectrum is its own certificate (signs, dual, unit kind),
+read from its codes.  Any other spectrum codes its distinct values in
+order of first appearance, and one pass over them, each |W|^2 weighted by
+how often it occurs, checks Parseval exactly, and that not every norm is
+p^n.  So a constructed WalshSpectrum is a certificate of internal
+consistency, and `is_bent` only reads its flag.  `walsh_fast` memoizes the
 spectrum on f, so a command transforms f once; `walsh_naive` never reads it.
 """
 
 from __future__ import annotations
 
-from operator import sub
+from collections import Counter
+from operator import mul, sub
 
 from .cyclo import (CycInt, coords_from_counts, norm_coords, signed_powers, unit_class,
                     unit_power_forms)
@@ -53,10 +52,10 @@ NON_WEAKLY_REGULAR = "non_weakly_regular"
 
 
 class WalshSpectrum:
-    """Full map y -> W_f(y) in Z[w].  A bent spectrum (`bent`, set at
-    construction) holds the code k of each value, W(y) = U p^(n/2) z^k
-    (`cyclo.unit_power_forms`), and no coordinate tuples; any other
-    spectrum holds its tuples.
+    """Full map y -> W_f(y) in Z[w], as `codes`, one per point, into
+    `table`, its values: for a bent spectrum (`bent`, set at construction)
+    the 2p forms U p^(n/2) z^k of `cyclo.unit_power_forms`, for any other
+    its distinct values in order of first appearance.
 
     A bent spectrum is its own certificate W(y) = sign(y) U p^(n/2)
     w^(f*(y)): the sign is -1 where k is odd, the `dual` f*(y) = k (p+1)/2
@@ -64,45 +63,33 @@ class WalshSpectrum:
     1) or 'imaginary' (U = i, realized through the Gauss sum of F_p as in
     `cyclo.unit_power_forms`)."""
 
-    __slots__ = ("ctx", "_coords", "codes", "provenance", "bent", "_dual")
+    __slots__ = ("ctx", "table", "codes", "provenance", "bent", "_dual")
 
     def __init__(self, ctx: FieldCtx, coords: list, provenance: str) -> None:
         p, q = ctx.p, ctx.q
         if len(coords) != q:
             raise ValueError("spectrum must have p^n values")
-        self.ctx = ctx
-        self.provenance = provenance
-        self._dual = None
-        index = unit_power_forms(p, ctx.n)[1]
+        self.ctx, self.provenance, self._dual = ctx, provenance, None
+        forms, index = unit_power_forms(p, ctx.n)
         try:  # q points of norm p^n: Parseval holds by construction
-            self.codes, self._coords = list(map(index.__getitem__, coords)), None
-        except KeyError:
-            self.codes, self._coords = None, coords
-        self.bent = self.codes is not None
-        if self.bent:
+            self.codes, self.table, self.bent = list(map(index.__getitem__, coords)), forms, True
             return
-        if p == 3:
-            # |W(y)|^2 - p^n: the cached int 0 at every flat point
-            devs = [a * a - a * b + b * b - q for a, b in coords]
-            parseval, flat = sum(devs) == 0, not any(devs)
-        else:
-            pad = (0,) * ((p - 3) // 2)
-            norms = [norm_coords(c, p) for c in filter(any, coords)]  # |0|^2 = 0
-            parseval = tuple(map(sum, zip(*norms))) == (q * q,) + pad
-            flat = norms.count((q,) + pad) == q
-        if not parseval:
+        except KeyError:  # each distinct value numbered as it first appears
+            index = {}
+            self.codes = [index.setdefault(c, len(index)) for c in coords]
+            self.table, self.bent = list(index), False
+        flat = (q,) + (0,) * ((p - 3) // 2)  # the norm p^n as `norm_coords` writes it
+        norms = [norm_coords(v, p) for v in self.table]
+        counts = Counter(self.codes).values()  # in code order: codes number values as they appear
+        if [sum(map(mul, counts, col)) for col in zip(*norms)] != [q * v for v in flat]:
             raise InternalInconsistency("Parseval failed: sum |W|^2 != p^(2n)")
-        if flat:  # every norm p^n, yet a value without a code
+        if norms.count(flat) == len(norms):  # every norm p^n, yet a value without a code
             raise InternalInconsistency("bent coefficient without unit*power form")
 
     @property
     def coords(self) -> list:
-        """The spectrum as coordinate tuples; a bent spectrum's first read
-        rebuilds them from its codes and keeps them."""
-        if self._coords is None:
-            forms = unit_power_forms(self.ctx.p, self.ctx.n)[0]
-            self._coords = list(map(forms.__getitem__, self.codes))
-        return self._coords
+        """table[code] at each point, built on every read."""
+        return list(map(self.table.__getitem__, self.codes))
 
     def _bent_codes(self) -> list:
         if not self.bent:

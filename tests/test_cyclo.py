@@ -5,7 +5,7 @@ import random
 import pytest
 
 from pbent.cyclo import (CycInt, bent_code, conj_coords, coords_from_counts, gauss_sum,
-                         mul_coords, unit_class, unit_power_forms)
+                         mul_coords, signed_powers, unit_class, unit_power_forms)
 from ring_oracle import Zw, bent_value
 
 W = Zw.omega_pow
@@ -149,6 +149,19 @@ def test_bent_codes_round_trip_through_the_list_and_the_dict(p):
             sign, j = (-1 if k % 2 else 1), k * (p + 1) // 2 % p
             assert bent_code(p, sign, j) == k
             assert v == bent_value(p, n, sign, j).coords
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 89])
+def test_unit_power_forms_are_the_products_of_the_unit_and_the_signed_powers(p):
+    # the product construction, U p^(n/2) times z^k = (-1)^k w^j in the
+    # ring, w^j from the oracle, is the oracle of the forms and of the
+    # signed powers, both built by rotating exponent counts
+    powers = [tuple((-1) ** k * v for v in W(p, k * (p + 1) // 2).coords) for k in range(2 * p)]
+    assert list(signed_powers(p)) == powers
+    for n in (1, 2, 3, 4):
+        unit = gauss_sum(p) if n % 2 else integer(p, 1)
+        want = [tuple(p ** (n // 2) * v for v in mul_coords(unit, z, p)) for z in powers]
+        assert unit_power_forms(p, n)[0] == want, (p, n)
 
 
 def _recognized_iff_norm(p, n, tuples):

@@ -515,14 +515,14 @@ def test_trinomial_derivative_spike_location():
         c = ctx.scalar(c_val)
         e = b * ctx.power(c, 9) + ctx.frobenius(b, -2) * ctx.frobenius(c, -2)
         assert not e.is_zero()
-        spec = walsh_fast(f.derivative(c))
+        spec = walsh_fast(f.derivative(c)).coords
         for y in range(81):
             if y == e.index:
-                assert Zw(3, spec.coords[y]).norm_sq() == Zw.integer(3, 81 ** 2)
+                assert Zw(3, spec[y]).norm_sq() == Zw.integer(3, 81 ** 2)
             else:
-                assert not any(spec.coords[y])
+                assert not any(spec[y])
         # the spike sits away from its mirror image
-        assert spec.coords[ctx.neg_table[e.index]] != spec.coords[e.index]
+        assert spec[ctx.neg_table[e.index]] != spec[e.index]
 
 
 def _pair_battery_oracle(f, pairs):
@@ -603,7 +603,8 @@ def test_phase_difference_matches_product_sums(p, n):
     # w^local, are the product sums of W(y - c) conj(W(y)) divided by p^n,
     # and `_phase_misses` gives the same misses from either side: the
     # signed powers against w^local (divisor 1), or the products against
-    # p^n w^local (divisor p^n)
+    # p^n w^local (divisor p^n).  The products read by code pair, each
+    # pair multiplied once across the rows, are the oracle's
     ctx = get_field(p, n)
     q = ctx.q
     rng = random.Random(10 * p + n)
@@ -613,13 +614,15 @@ def test_phase_difference_matches_product_sums(p, n):
     codes = [(2 * j + p * (s < 0)) % (2 * p) for s, j in zip(signs, exps)]
     assert w == [unit_power_forms(p, n)[0][k] for k in codes]
     powers = signed_powers(p)
+    forms, known = unit_power_forms(p, n)[0], {}
     local = [Zw.omega_pow(p, v).coords for v in (rng.randrange(p) for _ in range(q))]
     scaled = [tuple(q * v for v in x) for x in local]
     local_sums = inverse_sums(ctx, local)
     for c in range(q):
         shift = [index_add(p, y, c, -1) for y in range(q)]
         prod = [(Zw(p, w[shift[y]]) * Zw(p, w[y]).conj()).coords for y in range(q)]
-        assert derivanalysis._correlation_products(w, shift, p) == prod
+        pairs = [(codes[shift[y]], codes[y]) for y in range(q)]
+        assert derivanalysis._pair_products(forms, pairs, known, p) == prod
         product_sums = inverse_sums(ctx, prod)
         signed = [powers[(codes[shift[y]] - codes[y]) % (2 * p)] for y in range(q)]
         sums = inverse_sums(ctx, [tuple(a - b for a, b in zip(x, v))

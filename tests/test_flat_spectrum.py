@@ -1,12 +1,13 @@
 """The flat-coordinate spectrum path against the ring oracle.
 
 `WalshSpectrum` recognizes the bent normal form by table lookup, and
-decides Parseval from integer norm expressions on the coordinate tuples of
-a spectrum that is not bent.  Here both are checked point by point against
-the reference arithmetic of `ring_oracle` (norms, products with the Gauss
-sum), on seeded random functions for p in {3, 5, 7} at even and odd n, and
-the coordinate functions of `pbent.cyclo` against the same oracle.  A bent
-spectrum, held by its codes, is checked against the direct sums.
+decides Parseval for a spectrum that is not bent from integer norm
+expressions on its distinct values, weighted by how often each occurs.
+Here both are checked point by point against the reference arithmetic of
+`ring_oracle` (norms, products with the Gauss sum), on seeded random
+functions for p in {3, 5, 7} at even and odd n, and the coordinate
+functions of `pbent.cyclo` against the same oracle.  Every spectrum, held
+as codes into its table of values, is checked against the direct sums.
 """
 
 import random
@@ -19,7 +20,7 @@ from pbent.cyclo import (conj_coords, coords_from_counts, gauss_sum, mul_coords,
                          norm_coords, unit_power_forms)
 from pbent.derivanalysis import wr_identity_check
 from pbent.errors import InternalInconsistency, PreconditionError
-from pbent.funcrep import PFunction, TraceForm
+from pbent.funcrep import PFunction, TraceForm, parse_function_spec
 from pbent.gf import get_field
 from pbent.walsh import (WalshSpectrum, extract_certificate, is_bent, single_walsh_value,
                          walsh_fast, walsh_naive)
@@ -77,8 +78,9 @@ def test_flat_path_matches_cycint_oracle(p, n):
         cert = extract_certificate(s)
         assert cert is extract_certificate(s)
         assert cert.unit_kind == ("real" if n % 2 == 0 or p % 4 == 1 else "imaginary")
+        coords = s.coords
         for y in range(ctx.q):
-            v = Zw(p, s.coords[y])
+            v = Zw(p, coords[y])
             sign, j = cert.signs[y], cert.dual.values[y]
             assert sign in (1, -1)
             assert oracle_form(v, p, n, sign, j)
@@ -137,18 +139,19 @@ def test_parseval_still_guards_construction(p, n):
 
 @pytest.mark.parametrize("p,n", FIELDS)
 def test_certified_spectrum_is_rebuilt_from_its_certificate(p, n):
-    """A bent spectrum holds no tuples of its own from construction on, only
-    its codes, which its certificate shares; `coords` rebuilt from the
-    codes equals the direct sums and the oracle's products."""
+    """A bent spectrum holds its codes into the 2p forms of
+    `unit_power_forms` from construction on, which its certificate shares;
+    `coords` rebuilt from the codes on each read equals the direct sums and
+    the oracle's products."""
     ctx = get_field(p, n)
     rng = random.Random(2000 * p + n)
     for f in random_functions(ctx, rng)[1:]:
         s = walsh_fast(f)
-        assert s._coords is None and len(s.codes) == ctx.q
+        assert s.table is unit_power_forms(p, n)[0] and len(s.codes) == ctx.q
         cert = extract_certificate(s)
-        assert cert.codes is s.codes and s._coords is None
+        assert cert.codes is s.codes
         assert s.coords == [single_walsh_value(f, y).coords for y in range(ctx.q)]
-        assert s.coords is s.coords  # rebuilt once, then kept
+        assert s.coords is not s.coords  # table[code], built on each read, kept nowhere
         assert s.coords == [reconstruct(cert, y).coords for y in range(ctx.q)]
 
 
@@ -185,14 +188,36 @@ def test_derivative_spectrum_is_not_bent(p, n):
 
 
 @pytest.mark.parametrize("p,n", FIELDS)
+def test_a_spectrum_that_is_not_bent_codes_its_distinct_values(p, n):
+    """A spectrum that is not bent holds one code per point into a table of
+    its distinct values, in order of first appearance: a random function's,
+    a derivative's of a bent function (few values, repeated), and at p = 3,
+    n = 4 the dual of Tr(x^4+g^10*x^22), bent with a dual that is not."""
+    ctx = get_field(p, n)
+    rng = random.Random(6000 * p + n)
+    fs = random_functions(ctx, rng)
+    gs = [fs[0], fs[1].derivative(ctx.from_index(rng.randrange(1, ctx.q)))]
+    if (p, n) == (3, 4):
+        sporadic = parse_function_spec("p=3 n=4 f=Tr(x^4+g^10*x^22)")[1].truth_table()
+        gs.append(extract_certificate(walsh_fast(sporadic)).dual)
+    for g in gs:
+        s, want = walsh_fast(g), walsh_naive(g).coords
+        assert not s.bent
+        assert s.table == list(dict.fromkeys(want)) and len(s.table) == len(set(want))
+        assert s.codes == list(map(s.table.index, want))
+        assert s.coords == want
+    assert all(len(walsh_fast(g).table) < ctx.q for g in gs[1:])  # values repeat
+
+
+@pytest.mark.parametrize("p,n", FIELDS)
 def test_a_bent_spectrum_holds_codes_from_construction(p, n):
     """`WalshSpectrum(...)` on the direct sums of a bent function keeps
-    codes and no tuples; `coords` rebuilt from them are those sums."""
+    codes into the 2p forms; `coords` rebuilt from them are those sums."""
     ctx = get_field(p, n)
     f = random_functions(ctx, random.Random(5000 * p + n))[1]
     sums = [single_walsh_value(f, y).coords for y in range(ctx.q)]
     s = WalshSpectrum(ctx, list(sums), "direct")
-    assert s.bent and s._coords is None
+    assert s.bent and s.table is unit_power_forms(p, n)[0]
     assert s.codes == [unit_power_forms(p, n)[1][c] for c in sums]
     assert s.coords == sums == walsh_naive(f).coords
 
