@@ -20,7 +20,7 @@ from .walsh import (Classification, WalshSpectrum,
                     walsh_fast, walsh_naive)
 from .derivanalysis import (CubicLikeCertificate, WrIdentityReport,
                             cubic_like_certificate, derivative_linear_space,
-                            quadratic_balance_witness, wr_identity_check)
+                            quadratic_balance_witness, verify_cubic_like, wr_identity_check)
 from .constructions import (TrinomialParams, add_quadratic, bent_concatenation,
                             lemma2_witness, mm_special_form, outer_degree,
                             nonvanishing_quadratic_search,

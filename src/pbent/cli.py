@@ -25,7 +25,7 @@ import sys
 from .catalog import list_catalog, verify_entry
 from .constructions import (TrinomialParams, add_quadratic, bent_concatenation,
                             mm_special_form, outer_degree, trinomial_bent)
-from .derivanalysis import cubic_like_certificate, wr_identity_check
+from .derivanalysis import cubic_like_certificate, verify_cubic_like, wr_identity_check
 from .errors import (BudgetError, InternalInconsistency, ParseError,
                      PreconditionError)
 from .funcrep import (PFunction, parse_coeff, parse_function_spec,
@@ -77,10 +77,10 @@ def analyze_function(f: PFunction, certify: bool = False, dual_form: bool = Fals
             }
     if certify:
         cert3 = cubic_like_certificate(f)
+        verify_cubic_like(f, cert3)
         report["cubic_like"] = cert3.to_json()
         if cls.bent:
-            wr = wr_identity_check(f, seed=seed, certificate=cert3)
-            report["wr_identities"] = wr.to_json()
+            report["wr_identities"] = wr_identity_check(f, seed=seed).to_json()
     return report
 
 

@@ -15,35 +15,38 @@ is b and lambda in two arrays by a, lambda = 0 where a has none.
 
 One scan, `_constant_derivatives(g)`, finds every b with D_b g constant:
 a sieve at the n basis vectors, then a check of each b it keeps at every
-point, each reading x + b through `FieldCtx.shift_table`.  Run on g = D_a f
+point, each reading x + b through `FieldCtx.shift_table`; the check is
+skipped for deg g <= 2, where the sieve is exact.  Run on g = D_a f
 it is the exact oracle for the trilinear-form path and the path for
 degree > 3, whose directions share the basis vectors' tables; run on g = f
 it gives the linear space E_f and the balance witness of a quadratic.
 
-The weakly-regular identity battery walks rows c.  A row is one phase row
-and, given a cubic-like witness, one witness check.  The phase row checks
-P_c(b) = w^Tr(bc) W_{D_b f*}(-c) against W_{D_c f}(b) at every b at once,
-the one identity of the paper's list that weak regularity implies: by the
-correlation identity W_{D_b f*}(-c) = p^-n sum_y W(y) conj(W(y + c))
-w^Tr(by), W = W_{f*}, p^n P_c is the inverse sums of W(y - c) conj(W(y)),
-and p^n W_{D_c f} those of p^n w^(D_c f(-y)).  A bent f* has W(y) =
-u z^k(y), codes k, u conj(u) = p^n, so P_c - W_{D_c f} is the inverse
-sums of d_c(y) = z^(k(y - c) - k(y)) - z^(2 D_c f(-y)), zero exactly where
-the phase class v(y) = k(y) - 2 f(-y) mod 2p, built once per battery, has
-v(y - c) = v(y).  A weakly regular f has v constant, so every row is clean
-and none gathers.  Otherwise a row gathers v through its one translation
-table y -> y - c: a clean row, where the classes agree at every y, has no
-misses, and any other reads d_c where they differ from one 2p x 2p table
-of z^a - z^b and runs one inverse transform (`_phase_misses`).  A dual
-that is not bent compares the product sides at every y, W(y - c)
-conj(W(y)) read by its pair of codes into the dual's table of values,
-each distinct pair multiplied once per battery (`_pair_products`).  Row -c
-is row c mirrored, b -> -b, as D_-c f(x) = -D_c f(x - c).  A witness
-(d, lambda) of c is checked through the same table as D_c D_d f(y - c) =
-D_d f(y) - D_d f(y - c) = lambda at all q points, past the sample's cut
-too, with D_d f built once per battery.  As D_d D_-c f(x) = -D_d D_c
-f(x - c), a row -c walked after row c passed takes (d, -lambda) as
-checked; any other witness of -c is checked in its own right.
+`verify_cubic_like` checks every witness of a certificate from f's values
+alone, a few whole-table passes for all directions at once, independent of
+the search: `analyze --certify` runs it on every certificate.
+
+The weakly-regular identity battery walks rows c.  A row is one phase row:
+it checks P_c(b) = w^Tr(bc) W_{D_b f*}(-c) against W_{D_c f}(b) at every b
+at once, the one identity of the paper's list that weak regularity
+implies: by the correlation identity W_{D_b f*}(-c) = p^-n sum_y W(y)
+conj(W(y + c)) w^Tr(by), W = W_{f*}, p^n P_c is the inverse sums of
+W(y - c) conj(W(y)), and p^n W_{D_c f} those of p^n w^(D_c f(-y)).  A bent
+f* has W(y) = u z^k(y), codes k, u conj(u) = p^n, so P_c - W_{D_c f} is
+the inverse sums of d_c(y) = z^(k(y - c) - k(y)) - z^(2 D_c f(-y)), zero
+exactly where the phase class v(y) = k(y) - 2 f(-y) mod 2p, built once per
+battery, has v(y - c) = v(y).  A weakly regular f, read off the constant
+sign of its own spectrum as `classify` reads it, has v constant: every row
+is clean, and the battery transforms nothing and gathers nothing.
+Otherwise it transforms the dual, and a row gathers v through its one
+translation table y -> y - c: a clean row, where the classes agree at
+every y, has no misses, and any other reads d_c where they differ from
+one 2p x 2p table of z^a - z^b and runs one inverse transform
+(`_phase_misses`).  A dual that is not bent compares the product sides at
+every y, W(y - c) conj(W(y)) read by its pair of codes into the dual's
+table of values, each distinct pair multiplied once per battery
+(`_pair_products`), and its sums are divided by p^n exactly.  Row -c is
+row c mirrored, b -> -b, as D_-c f(x) = -D_c f(x - c): a row -c walked
+after row c takes row c's misses, negated.
 """
 
 from __future__ import annotations
@@ -60,8 +63,8 @@ from operator import eq, getitem, gt, ne, sub
 from .cyclo import conj_coords, mul_coords, signed_powers
 from .errors import InternalInconsistency, PreconditionError
 from .funcrep import PFunction
-from .gf import FFElem
-from .linalg import f3_add, f3_times, mat_kernel
+from .gf import FFElem, index_sums, translated
+from .linalg import f3_add, f3_times, lane_mod, lane_typecode, mat_kernel
 from .walsh import extract_certificate, inverse_sums, is_bent, walsh_fast
 
 SAMPLED_PAIRS = 10000
@@ -197,14 +200,15 @@ def _lane_witnesses(f: PFunction, tri: list):
     return lane_ints(wit), lane_ints([lam])
 
 
-def _constant_derivatives(g: PFunction, basis: list | None = None):
+def _constant_derivatives(g: PFunction, basis: list | None = None, quadratic: bool = False):
     """Yield (b, D_b g) in index order for every b where D_b g is constant.
 
     A sieve at the basis vectors e_i keeps the b with D_b g(e_i) = D_b g(0),
     all b at once through `basis[i]`, e_i's `shift_table` (built here if not
-    given); each b it keeps is then checked at every x through its own.
-    For deg g <= 2, D_b g(x) - D_b g(0) is linear in x, so the sieve keeps
-    exactly the b sought; at any degree the check alone decides."""
+    given).  For deg g <= 2, D_b g(x) - D_b g(0) is linear in x, so the
+    sieve keeps exactly the b sought: a caller that knows it passes
+    `quadratic`.  Otherwise each b it keeps is checked at every x through
+    its own `shift_table`, which alone decides at any degree."""
     ctx = g.ctx
     p, vals = ctx.p, g.values
     consts = [(v - vals[0]) % p for v in vals]  # D_b g(0)
@@ -215,8 +219,8 @@ def _constant_derivatives(g: PFunction, basis: list | None = None):
         kept = list(compress(kept, map(eq, map(p.__rmod__, map(sub, moved, repeat(vals[p ** i]))),
                                        map(consts.__getitem__, kept))))
     for b in kept:
-        if {v % p for v in set(map(sub, map(vals.__getitem__, ctx.shift_table(b)), vals))} == {
-                consts[b]}:
+        if quadratic or {v % p for v in set(
+                map(sub, map(vals.__getitem__, ctx.shift_table(b)), vals))} == {consts[b]}:
             yield b, consts[b]
 
 
@@ -246,9 +250,64 @@ def cubic_like_certificate(f: PFunction) -> CubicLikeCertificate:
     return CubicLikeCertificate(bs, lams)
 
 
+def verify_cubic_like(f: PFunction, cert: CubicLikeCertificate) -> None:
+    """Raise InternalInconsistency, at the least direction a that fails,
+    unless D_a D_b f = lambda for every witness (b, lambda) = (b[a], lam[a])
+    of `cert`; it reads f's values only, none of the search's tables.
+
+    D_a D_b f(x) = f(x + a + b) - f(x + a) - f(x + b) + f(x) has degree at
+    most k = max(deg f - 2, 0) in the digits of x, so it is lambda at every
+    x exactly when it is at the x whose digits sum to at most k (a lower
+    set of the grid, on which such a polynomial is determined): x = 0 for
+    deg f <= 2, also the n basis vectors for deg f = 3.  Each x is a table
+    of f(x + .) (`gf.translated`) read at the witnessed a, at a + b
+    (`gf.index_sums`) and at b; the points share one 64-bit word per index,
+    a lane each, so X = f(x + a + b) - f(x + a) - f(x + b) + f(x) + 3p -
+    lambda, in [3, 5p), is gathered and reduced mod p (`lane_mod`) in every
+    lane at once, for the witnesses among p^(n-1) directions at a time."""
+    ctx = f.ctx
+    p, q = ctx.p, ctx.q
+    if not len(cert.b) == len(cert.lam) == q:
+        raise PreconditionError("the certificate's witness arrays need q = %d entries" % q)
+    tc = lane_typecode(5 * p)
+    size, chunk, sums = array(tc).itemsize, q // p, index_sums(p, ctx.n, cert.b)
+    points, top, per = [(0, 0)], max(f.algebraic_degree() - 2, 0), 8 // size
+    for i in range(ctx.n):  # (x, the sum of its digits)
+        points = [(x + d * p ** i, s + d) for x, s in points for d in range(p) if s + d <= top]
+    points = [x for x, _ in points] + [0] * (-len(points) % per)  # whole words
+    vals, tables = array(tc, f.values), []
+    for start in range(0, len(points), per):
+        lanes = array(tc, bytes(size * q * per))
+        for j, x in enumerate(points[start:start + per]):  # f(x + y) in lane j of word y
+            lanes[j::per] = translated(vals, p, x)
+        tables.append((array("Q", lanes.tobytes()),  # and a word of f(x) + 3p
+                       array("Q", array(tc, [3 * p + v for v in lanes[:per]]).tobytes())[0]))
+
+    def big(lanes):
+        return int.from_bytes(lanes, sys.byteorder)
+    unit = array("Q", array(tc, [1] * per).tobytes())[0]
+    mod_p = lane_mod(p, 8 * size, big(array(tc, [1]) * (chunk * per)), 5 * p)
+    for low in range(0, q, chunk):
+        part, lam = slice(low, low + chunk), cert.lam[low:low + chunk]
+        s, b, lams = (array(x.typecode, compress(x[part], lam)) for x in (sums, cert.b, cert.lam))
+        ones, minus, wrong = big(array("Q", [1]) * len(lams)), big(array("Q", lams)) * unit, 0
+        for table, fx in tables:
+            wrong |= mod_p(big(array("Q", map(table.__getitem__, s)))
+                           - big(array("Q", compress(table[part], lam)))
+                           - big(array("Q", map(table.__getitem__, b))) + fx * ones - minus)
+        if wrong:
+            i = next(compress(range(chunk * per), array(tc, wrong.to_bytes(
+                size * chunk * per, sys.byteorder)))) // per
+            a = next(itertools.islice(compress(range(low, q), lam), i, None))
+            raise InternalInconsistency(
+                "D_a D_b f is not the constant lambda at a=%d, witness (b, lambda) = (%d, %d)"
+                % (a, cert.b[a], cert.lam[a]))
+
+
 def derivative_linear_space(f: PFunction) -> list[FFElem]:
     """E_f = {a : D_a f is constant}; closed under addition and scaling."""
-    return [f.ctx.from_index(a) for a, _ in _constant_derivatives(f)]
+    return [f.ctx.from_index(a) for a, _ in _constant_derivatives(
+        f, quadratic=f.algebraic_degree() <= 2)]
 
 
 def quadratic_balance_witness(qf: PFunction):
@@ -258,7 +317,7 @@ def quadratic_balance_witness(qf: PFunction):
     exists iff qf is balanced."""
     if qf.algebraic_degree() > 2:
         raise PreconditionError("quadratic_balance_witness needs degree <= 2")
-    a = next((a for a, c in _constant_derivatives(qf) if c), None)
+    a = next((a for a, c in _constant_derivatives(qf, quadratic=True) if c), None)
     return None if a is None else qf.ctx.from_index(a)
 
 
@@ -266,7 +325,8 @@ class WrIdentityReport:
     """Outcome of the weakly-regular first-derivative identity battery: the
     misses of the dual phase identity W_{D_c f}(b) = w^Tr(bc) W_{D_b f*}(-c),
     which weak regularity implies for odd p, so every miss is a sound
-    certificate of non-weak-regularity.
+    certificate of non-weak-regularity.  It holds the phase identity alone:
+    the cubic-like witnesses are checked by `verify_cubic_like`.
 
     `rows` holds (c, ascending list of the b that miss) per walked row; the
     `violations` dicts, ordered by row and b, are built on demand, and
@@ -322,7 +382,7 @@ def _phase_misses(diffs, ctx, c: int, divisor: int) -> list:
     differ and d(y), their difference, at each: the inverse sums of d are
     `divisor` times P_c - W_{D_c f}.  A clean row, with no such y, runs no
     inverse; otherwise the misses are the nonzero sums, each divisible by
-    `divisor`, exactly."""
+    a `divisor` above 1 (p^n on the product path), exactly."""
     ys, values = diffs
     del diffs  # the last reference when the caller passes them unbound
     if not ys:
@@ -332,34 +392,35 @@ def _phase_misses(diffs, ctx, c: int, divisor: int) -> list:
     del ys, values
     sums = inverse_sums(ctx, d)
     misses = list(compress(range(ctx.q), map(any, sums)))
-    if any(v % divisor for b in misses for v in sums[b]):
+    if divisor > 1 and any(v % divisor for b in misses for v in sums[b]):
         raise InternalInconsistency("correlation sums of direction %d not divisible by p^n" % c)
     return misses
 
 
-def wr_identity_check(f: PFunction, seed: int = 0,
-                      certificate: CubicLikeCertificate | None = None) -> WrIdentityReport:
+def wr_identity_check(f: PFunction, seed: int = 0) -> WrIdentityReport:
     """Run the dual phase identity battery on a bent function; every
     violation certifies non-weak-regularity (see `WrIdentityReport`).
 
     It walks rows c (see the module docstring): all q rows when p^2n <=
     SAMPLED_PAIRS, otherwise ceil(SAMPLED_PAIRS / q) distinct rows from
     `random.Random(seed).sample`, in draw order.  A row's misses ascend in
-    b, so the last row's are cut once, to SAMPLED_PAIRS pairs in all.  With
-    a cubic-like `certificate` of f (its arrays q long, or
-    PreconditionError), a walked row c whose witness (d, lambda) has
-    D_c D_d f != lambda at some point raises InternalInconsistency, past
-    the cut too, unless row -c was walked earlier and its witness passed
-    as (d, -lambda), which implies c's.
+    b, so the last row's are cut once, to SAMPLED_PAIRS pairs in all.  A
+    weakly regular f, read off the constant sign of f's own spectrum as
+    `classify` reads it, has every row clean: its battery transforms
+    nothing and gathers nothing.
     """
     ctx = f.ctx
     p, q = ctx.p, ctx.q
-    if certificate is not None and not len(certificate.b) == len(certificate.lam) == q:
-        raise PreconditionError("the certificate's witness arrays need q = %d entries" % q)
     s = walsh_fast(f)
     if not is_bent(s):
         raise PreconditionError("wr_identity_check requires a bent function")
-    s_dual = walsh_fast(extract_certificate(s).dual)
+    # a sample never repeats a pair, so a field with fewer pairs is walked whole
+    exhaustive = q * q <= SAMPLED_PAIRS
+    pair_count = q * q if exhaustive else SAMPLED_PAIRS
+    rows = range(q) if exhaustive else random.Random(seed).sample(range(q), -(-pair_count // q))
+    if extract_certificate(s).is_constant_sign():  # weakly regular: v constant, every row clean
+        return WrIdentityReport(pair_count, [(c, []) for c in rows], exhaustive)
+    s_dual = walsh_fast(s.dual)
     codes = s_dual.codes
     powers = signed_powers(p)
     neg, vals = ctx.neg_table, f.values  # D_c f(-y) = f(-(y - c)) - f(-y)
@@ -377,7 +438,7 @@ def wr_identity_check(f: PFunction, seed: int = 0,
     else:
         # z^(k(y - c) - k(y)) = w^(D_c f(-y)) exactly where v(y - c) = v(y)
         phase = [(k - v) % (2 * p) for k, v in zip(codes, twice)]
-        if phase.count(phase[0]) == q:  # v constant (f weakly regular): every row is clean
+        if phase.count(phase[0]) == q:  # v constant: every row is clean
             differences = None
         else:
             table = [[tuple(map(sub, x, y)) for y in powers] for x in powers]  # z^a - z^b
@@ -390,39 +451,14 @@ def wr_identity_check(f: PFunction, seed: int = 0,
                     sub, map(codes.__getitem__, xs), map(codes.__getitem__, ys))), map(
                     sub, map(twice.__getitem__, xs), map(twice.__getitem__, ys))))
 
-    bs, lams = (certificate.b, certificate.lam) if certificate is not None else (bytes(q),) * 2
-    derivatives = {}  # D_d f by witness d
-
-    def checked(c, shift):
-        """`shift`, y -> y - c, once row c's witness (d, lambda) has
-        D_c D_d f(y - c) = D_d f(y) - D_d f(y - c) = lambda at every y."""
-        d, lam = bs[c], lams[c]
-        if lam:
-            g = derivatives.get(d) or derivatives.setdefault(
-                d, list(map(sub, map(vals.__getitem__, ctx.shift_table(d)), vals)))
-            if {v % p for v in set(map(sub, g, map(g.__getitem__, shift)))} != {lam}:
-                raise InternalInconsistency(
-                    "D_d D_c f is not the constant lambda at c=%d, witness (d, lambda) = (%d, %d)"
-                    % (c, d, lam))
-        return shift
-
-    # a sample never repeats a pair, so a field with fewer pairs is walked whole
-    exhaustive = q * q <= SAMPLED_PAIRS
-    pair_count = q * q if exhaustive else SAMPLED_PAIRS
-    rows = range(q) if exhaustive else random.Random(seed).sample(range(q), -(-pair_count // q))
     out, mirrored = [], {}
     for i, c in enumerate(rows):
-        mirror = mirrored.pop(c, None)  # row -c, walked earlier: D_-c f(x) = -D_c f(x - c)
-        if mirror is not None or differences is None:
-            misses, implied = mirror or ([], None)
-            if lams[c] and (bs[c], lams[c]) != implied:
-                checked(c, ctx.shift_table(neg[c]))
-        else:
+        misses = mirrored.pop(c, None)  # row -c, walked earlier: D_-c f(x) = -D_c f(x - c)
+        if misses is None:
             # the row's one table, passed unbound: freed before `_phase_misses`' inverse run
-            misses = _phase_misses(differences(checked(c, ctx.shift_table(neg[c]))), ctx, c,
-                                   1 if s_dual.bent else q)
-        if mirror is None:  # both phase sides mirror, b -> -b, and D_d D_-c f(x) = -D_d D_c f(x - c)
-            mirrored[neg[c]] = sorted(neg[b] for b in misses), (bs[c], -lams[c] % p)
+            misses = [] if differences is None else _phase_misses(
+                differences(ctx.shift_table(neg[c])), ctx, c, 1 if s_dual.bent else q)
+            mirrored[neg[c]] = sorted(neg[b] for b in misses)  # both phase sides mirror, b -> -b
         limit = min(q, pair_count - i * q)  # the last sampled row's report stops at b = limit
         out.append((c, list(itertools.takewhile(limit.__gt__, misses))))
     return WrIdentityReport(pair_count, out, exhaustive)

@@ -34,7 +34,10 @@ into two such rows, of the low and high digits, from which
 `shift_table(a)`, x -> x + a, is composed block by block, and
 `linear_table` builds the index table of an F_p-linear map one digit at a
 time.  `shift_table` is the one whole-table reader of x + a: derivatives,
-the linear-structure scan and the identity battery read it.
+the linear-structure scan and the identity battery read it.  The witness
+check of `derivanalysis` reads x + y[x] for a different y at every x
+(`index_sums`, through the `addition_row` of groups of digits) and moves
+a table of values by x in place (`translated`, by slices).
 
 The field's other index tables live on the FieldCtx too, each built once,
 on first read, as a cached `array` attribute: `neg_table` (x -> -x, the
@@ -52,6 +55,7 @@ import sys
 from array import array
 from collections import deque
 from functools import cached_property, lru_cache
+from operator import add
 
 from .errors import BudgetError, InternalInconsistency, ParseError, PreconditionError
 from .linalg import lane_mod, lane_typecode, mat_kernel
@@ -152,6 +156,59 @@ def half_rows(p: int, n: int, r: int) -> tuple:
     half = p ** ((n + 1) // 2)
     r_hi, r_lo = divmod(r, half)
     return [v * half for v in shift_row(p, n // 2, r_hi)], shift_row(p, (n + 1) // 2, r_lo), half
+
+
+def addition_row(p: int, m: int) -> list[int]:
+    """[index(u + v) for u in range(p^m) for v in range(p^m)]: the linear
+    table of (v, u) -> u + v over 2m digits, built one digit at a time
+    through the cached `shift_row` of each p^j."""
+    table = [0]
+    for j in list(range(m)) * 2:
+        row, blocks = shift_row(p, m, p ** j), [table]
+        for _ in range(p - 1):
+            blocks.append(list(map(row.__getitem__, blocks[-1])))
+        table = [v for block in blocks for v in block]
+    return table
+
+
+def index_sums(p: int, n: int, ys) -> array:
+    """index(x + ys[x]) at every index x of n digits: x and y split into
+    groups of at most max(1, n // 2) digits, as `half_rows` splits x + r
+    into halves, each group summed by its `addition_row` of at most p^n
+    entries (p^2 at n = 1)."""
+    q, width, low = p ** n, max(1, n // 2), 1
+    out = array(lane_typecode(q), [0]) * q
+    for start in range(0, n, width):
+        m = min(width, n - start)
+        size = p ** m
+        table = array(out.typecode, map(low.__mul__, addition_row(p, m)))  # at the group's place
+        # the group's digits of x, times p^m, at every x
+        x_part = [u for u in range(0, size * size, size) for _ in range(low)] * (q // low // size)
+        out = array(out.typecode, map(add, out, map(table.__getitem__, map(
+            add, x_part, map(size.__rmod__, map(low.__rfloordiv__, ys))))))
+        low *= size
+    return out
+
+
+def translated(vals: array, p: int, x: int) -> array:
+    """vals[y + x] at every index y of a table of values: digit d != 0 of
+    x at p^i rotates each block of p^(i+1) entries by d p^i, by slices: its
+    two parts swapped per block, or, where the blocks are more than their
+    entries, one strided slice per offset in a block."""
+    q, width = len(vals), 1
+    while x:
+        x, d = divmod(x, p)
+        if d:
+            out, block, cut = vals[:], width * p, width * d
+            if block * block <= q:
+                for r in range(block):
+                    out[r::block] = vals[(r + cut) % block::block]
+            else:
+                for at in range(0, q, block):
+                    out[at:at + block] = vals[at + cut:at + block] + vals[at:at + cut]
+            vals = out
+        width *= p
+    return vals
 
 
 def _residue_lanes(p: int, n: int):

@@ -25,7 +25,8 @@ from .constructions import (TrinomialParams, linearized_second_derivative_coeff,
                             trinomial_first_derivative_form)
 from .derivanalysis import (_trilinear_form, _trilinear_slice,
                             cubic_like_certificate, derivative_linear_space,
-                            quadratic_balance_witness, wr_identity_check)
+                            quadratic_balance_witness, verify_cubic_like,
+                            wr_identity_check)
 from .errors import ParseError
 from .funcrep import ANF, PFunction, TraceForm, anf_to_truth, p_weight
 from .gf import get_field
@@ -66,6 +67,7 @@ def check_cubic_like(seed, level):
         if f.algebraic_degree() > 3:
             return False, "generator produced degree > 3"
         cert = cubic_like_certificate(f)
+        verify_cubic_like(f, cert)  # a witness that is none raises: the check fails
         if cert.complete != is_bent(walsh_fast(f)):
             return False, "cubic-like certificate disagrees with spectrum"
     return True, "certificate completeness iff bent on %d low-degree functions" % trials

@@ -532,22 +532,24 @@ def test_concat_over_budget_is_refused_before_combining(tmp_path, monkeypatch, c
 
 @pytest.mark.parametrize("argv, transforms, inverse_runs", [
     (["construct", "trinomial", "--k", "2", "--j", "1", "--t", "1", "--analyze", "--certify"], 2, 2),
-    (["analyze", "p=3 n=6 f=Tr(x^2)", "--certify"], 2, 0),
+    (["analyze", "p=3 n=6 f=Tr(x^2)", "--certify"], 1, 0),
     (["construct", "trinomial", "--k", "1", "--j", "2", "--t", "1", "--analyze", "--certify"], 2, 27),
-    (["analyze", "p=5 n=2 f=Tr(x^2)", "--certify"], 2, 0),
+    (["analyze", "p=5 n=2 f=Tr(x^2)", "--certify"], 1, 0),
     (["analyze", "p=3 n=4 f=Tr(x^4+g^10*x^22)", "--certify"], 2, 41),
-    (["analyze", "p=3 n=4 f=Tr(x^34+x^2)", "--certify"], 2, 0),
+    (["analyze", "p=3 n=4 f=Tr(x^34+x^2)", "--certify"], 1, 0),
 ], ids=["trinomial_211", "quadratic_n6", "trinomial_121_exhaustive", "quadratic_p5_exhaustive",
         "sporadic_not_dual_bent", "binomial_degree_4"])
 def test_certify_transforms_each_function_once(argv, transforms, inverse_runs, monkeypatch,
                                                capsys):
-    # f and its dual once each (the dual of a weakly regular f is only
-    # transformed by the battery), at every degree: a row transforms no
-    # derivative.  A walked row c runs the inverse kernel, except a row -c
-    # walked after row c (in the exhaustive walks of q = 81 rows, row 0 and
-    # the 40 rows c walked before -c run it), and with a bent dual only
-    # where its phase difference is nonzero: never for a weakly regular f
-    # (the quadratics and the binomial), on 27 of the 41 rows of the
+    # f once, and the dual of an f that is not weakly regular once (by
+    # `classify`; the battery of a weakly regular f, the quadratics and the
+    # binomial, reads weak regularity off f's own signs and transforms
+    # nothing), at every degree: a row transforms no derivative.  A walked
+    # row c runs the inverse kernel, except a row -c walked after row c (in
+    # the exhaustive walks of q = 81 rows, row 0 and the 40 rows c walked
+    # before -c run it), and with a bent dual only where its phase
+    # difference is nonzero: never for a weakly regular f (the quadratics
+    # and the binomial), on 27 of the 41 rows of the
     # (1, 2, 1) trinomial and on both rows of the (2, 1, 1) one.  The
     # sporadic function's dual is not bent, so each of its 41 rows c runs
     # the product path's inverse kernel.

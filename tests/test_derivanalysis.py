@@ -10,6 +10,7 @@ from itertools import compress
 import pytest
 
 from pbent import derivanalysis, walsh
+from pbent.catalog import list_catalog
 from pbent.constructions import (TrinomialParams, lemma2_witness, mm_special_form,
                                  trinomial_bent)
 from pbent.cyclo import signed_powers, unit_power_forms
@@ -19,7 +20,8 @@ from pbent.derivanalysis import (SAMPLED_PAIRS, CubicLikeCertificate,
                                  _trilinear_slice,
                                  cubic_like_certificate,
                                  derivative_linear_space,
-                                 quadratic_balance_witness, wr_identity_check)
+                                 quadratic_balance_witness, verify_cubic_like,
+                                 wr_identity_check)
 from pbent.errors import InternalInconsistency, PreconditionError
 from pbent.funcrep import (ANF, PFunction, TraceForm, anf_to_truth, p_weight,
                            parse_function_spec)
@@ -371,9 +373,9 @@ def test_certificate_complete_iff_bent_low_degree():
 def test_cubics_are_bent_exactly_when_cubic_like(p, n, seed, found):
     # cubics built from their ANF terms of degree 2 and 3: all 243 at p = 3,
     # n = 2, seeded slices of 500 at p = 5, n = 2 and p = 3, n = 3; a cubic
-    # is bent exactly when its certificate is complete, and the weakly
-    # regular ones have no sound violation in the battery; `found` counts
-    # (bent, weakly regular)
+    # is bent exactly when its certificate is complete, every witness of it
+    # checks out, and the weakly regular ones have no sound violation in the
+    # battery; `found` counts (bent, weakly regular)
     ctx = get_field(p, n)
     monomials = [sum(e * p ** i for i, e in enumerate(exps))
                  for exps in itertools.product(range(p), repeat=n) if sum(exps) in (2, 3)]
@@ -389,11 +391,12 @@ def test_cubics_are_bent_exactly_when_cubic_like(p, n, seed, found):
             coeffs[m] = c
         f = anf_to_truth(ANF(ctx, coeffs))
         cert = cubic_like_certificate(f)
+        verify_cubic_like(f, cert)
         assert is_bent(walsh_fast(f)) == cert.complete, code
         bent += cert.complete
         if cert.complete and classify(f).variant in (walsh.REGULAR, walsh.WEAKLY_REGULAR):
             weakly_regular += 1
-            assert wr_identity_check(f, certificate=cert).sound_clean, code
+            assert wr_identity_check(f).sound_clean, code
     assert (bent, weakly_regular) == found
 
 
@@ -659,15 +662,15 @@ def random_anf(ctx, rng, degree):
 @pytest.mark.parametrize("p, seed", [(5, 1), (7, 1)])
 def test_wr_rows_match_pair_oracle_on_bent_cubics(p, seed):
     # the first bent one among seeded ANF cubics at n = 2, weakly regular:
-    # no row has a phase miss; each row -c is read from row c, and its
-    # witness is checked through D_-c f = -D_c f(. - c)
+    # no row has a phase miss, and every witness checks out
     ctx = get_field(p, 2)
     rng = random.Random(seed)
     f = random_anf(ctx, rng, 3)
     while not is_bent(walsh_fast(f)):
         f = random_anf(ctx, rng, 3)
     q = ctx.q
-    rep = wr_identity_check(f, certificate=cubic_like_certificate(f))
+    verify_cubic_like(f, cubic_like_certificate(f))
+    rep = wr_identity_check(f)
     assert rep.exhaustive and rep.sound_clean and classify(f).bent
     expected = _pair_battery_oracle(f, [(b, c) for c in range(q) for b in range(q)])
     assert rep.violations == expected == []
@@ -730,20 +733,19 @@ def test_wr_rows_of_minus_c_match_pair_oracle_sampled(pairs, seed, monkeypatch):
     rows = random.Random(seed).sample(range(81), math.ceil(pairs / 81))
     later = [c for i, c in enumerate(rows) if ctx.neg_table[c] in rows[:i]]
     assert later[0] != rows[-1] and (rows[-1] in later) == (seed == 2)
-    cert = cubic_like_certificate(f)
-    rep = wr_identity_check(f, seed=seed, certificate=cert)
+    rep = wr_identity_check(f, seed=seed)
     assert not rep.exhaustive and rep.pair_count == pairs
     expected = _pair_battery_oracle(f, [(b, c) for c in rows for b in range(81)][:pairs])
     assert rep.violations == expected
     missed = {v["c"] for v in rep.violations}.intersection(later)
     assert missed == ({20, 65} if seed == 2 else set())
     _assert_json_from_dicts(rep, expected)
-    # the witness check still runs on a row read from row c
-    c = later[0]
+    # the witness of a row read from row c is checked all the same
+    c, cert = later[0], cubic_like_certificate(f)
     assert cert.lam[c]
     bad = _edited(cert, c, lam=cert.lam[c] % 2 + 1)
-    with pytest.raises(InternalInconsistency):
-        wr_identity_check(f, seed=seed, certificate=bad)
+    with pytest.raises(InternalInconsistency, match="at a=%d," % c):
+        verify_cubic_like(f, bad)
 
 
 def _inverse_rows(f, monkeypatch, **kwargs):
@@ -801,11 +803,13 @@ def test_rows_run_an_inverse_transform_exactly_where_they_miss(make, monkeypatch
 
 def test_weakly_regular_battery_runs_no_inverse_transform(monkeypatch):
     # every row of a weakly regular f is clean, at p = 89 too, where the
-    # battery is exhaustive and every row but 0 has a witness
+    # battery is exhaustive; every witness, of every direction but 0, checks
+    # out through lanes of two bytes
     monkeypatch.setattr(derivanalysis, "inverse_sums", _no_inverse)
     f = parse_function_spec("p=89 n=1 f=Tr(x^2)")[1].truth_table()
     cert = cubic_like_certificate(f)
-    rep = wr_identity_check(f, certificate=cert)
+    verify_cubic_like(f, cert)
+    rep = wr_identity_check(f)
     assert rep.exhaustive and rep.sound_clean and len(cert.lam) == 89 and cert.lam.count(0) == 1
 
 
@@ -813,50 +817,82 @@ def _no_gather(*args):
     raise AssertionError("a phase row was gathered")
 
 
+def _no_spectrum(*args):
+    raise AssertionError("a spectrum was built")
+
+
 @pytest.mark.parametrize("spec", ["p=3 n=4 f=Tr(x^2)", "p=5 n=2 f=Tr(x^2)", "p=89 n=1 f=Tr(x^2)"])
 def test_weakly_regular_battery_gathers_nothing(spec, monkeypatch):
-    # a weakly regular f has one phase class, so no row reaches
-    # `_phase_misses`; its witnesses are checked all the same, on a row c
-    # walked in its own right and on row -c, walked after it
+    # a weakly regular f, read off the signs of its own spectrum, has one
+    # phase class: its battery builds no spectrum, the dual's included, and
+    # no row reaches `_phase_misses`.  Its witnesses are checked outside
+    # the battery: a corrupted one raises on a direction c < -c and on -c
     ctx, tf = parse_function_spec(spec)
     f = tf.truth_table()
     cert = cubic_like_certificate(f)
-    monkeypatch.setattr(derivanalysis, "_phase_misses", _no_gather)
-    rep = wr_identity_check(f, certificate=cert)
+    walsh_fast(f)
+    with monkeypatch.context() as patched:
+        patched.setattr(walsh.WalshSpectrum, "__init__", _no_spectrum)
+        patched.setattr(derivanalysis, "_phase_misses", _no_gather)
+        rep = wr_identity_check(f)
     assert rep.exhaustive and rep.sound_clean and cert.complete
     c = next(c for c in range(1, ctx.q) if c < ctx.neg_table[c])
     for row in (c, ctx.neg_table[c]):
         bad = _edited(cert, row, lam=cert.lam[row] % (ctx.p - 1) + 1)
-        with pytest.raises(InternalInconsistency, match="at c=%d," % row):
-            wr_identity_check(f, certificate=bad)
-    # the control: a non-weakly regular f has more than one class and gathers
+        with pytest.raises(InternalInconsistency, match="at a=%d," % row):
+            verify_cubic_like(f, bad)
+    # the control: a non-weakly regular f, its dual's spectrum memoized by
+    # `classify`, has more than one class and gathers
     g = trinomial_bent(TrinomialParams(1, 2, 1)).truth_table()
+    classify(g)
+    monkeypatch.setattr(walsh.WalshSpectrum, "__init__", _no_spectrum)
+    monkeypatch.setattr(derivanalysis, "_phase_misses", _no_gather)
     with pytest.raises(AssertionError, match="gathered"):
         wr_identity_check(g)
 
 
+@pytest.mark.parametrize("spec", ["p=3 n=6 f=Tr(x^2)", "p=5 n=2 f=Tr(x^2)",
+                                  "p=3 n=4 f=Tr(x^34+x^2)"]
+                         + [e.spec for e in list_catalog()
+                            if e.expected_variant in (walsh.REGULAR, walsh.WEAKLY_REGULAR)])
+def test_weakly_regular_dual_has_one_phase_class(spec):
+    # the oracle of the battery's reading: for a weakly regular f the codes
+    # k of the dual's own transform give one phase class v(y) = k(y) -
+    # 2 f(-y) mod 2p, so every row is clean without that transform
+    ctx, tf = parse_function_spec(spec)
+    f = tf.truth_table()
+    assert classify(f).variant in (walsh.REGULAR, walsh.WEAKLY_REGULAR)
+    codes = walsh_fast(extract_certificate(walsh_fast(f)).dual).codes
+    phase = {(k - 2 * f.values[m]) % (2 * ctx.p) for k, m in zip(codes, ctx.neg_table)}
+    assert len(phase) == 1, phase
+
+
 @pytest.mark.parametrize("n_f, n_cert", [(4, 2), (2, 4)])
-def test_battery_refuses_a_certificate_of_another_size(n_f, n_cert, monkeypatch):
+def test_witness_check_refuses_a_certificate_of_another_size(n_f, n_cert, monkeypatch):
     # the witness arrays must be q long; the refusal comes before any
-    # spectrum is read, so before any row is walked
+    # index sum is read
     f = quad(get_field(3, n_f))
     cert = cubic_like_certificate(quad(get_field(3, n_cert)))
     assert cert.complete and len(cert.lam) == 3 ** n_cert
+
     def unread(*args):
-        raise AssertionError("a spectrum was read")
-    monkeypatch.setattr(derivanalysis, "walsh_fast", unread)
+        raise AssertionError("an index sum was read")
+    monkeypatch.setattr(derivanalysis, "index_sums", unread)
     with pytest.raises(PreconditionError, match="certificate"):
-        wr_identity_check(f, certificate=cert)
+        verify_cubic_like(f, cert)
 
 
 def test_mirrored_witness_is_taken_as_checked_only_when_negated():
-    # the (1, 2, 1) trinomial walked whole: row c < -c is checked first, and
-    # row -c takes its stored (b[c], -lambda) as checked, D_d D_-c f(x) =
-    # -D_d D_c f(x - c); any other entry of -c is checked in its own right
+    # the (1, 2, 1) trinomial: the certificate stores -c's witness as c's
+    # mirrored, (b[c], -lambda), as D_b D_-c f(x) = -D_b D_c f(x - c), and
+    # it passes; (b[c], +lambda) is no witness of -c and raises, another
+    # true witness of -c passes, and a direction that is no witness, with
+    # the mirrored lambda, raises
     f = trinomial_bent(TrinomialParams(1, 2, 1)).truth_table()
     ctx = f.ctx
     cert = cubic_like_certificate(f)
-    assert cert.complete and wr_identity_check(f, certificate=cert).exhaustive
+    assert cert.complete
+    verify_cubic_like(f, cert)
     checked = 0
     for c in [c for c in range(1, ctx.q) if c < ctx.neg_table[c]]:
         m, d, lam = ctx.neg_table[c], cert.b[c], cert.lam[c]
@@ -866,31 +902,28 @@ def test_mirrored_witness_is_taken_as_checked_only_when_negated():
         if all(len(vs) == 1 for vs in constants.values()):
             continue  # c in F_3^*: every D_e D_-c f is constant
         checked += 1
-        # (d, +lambda) is no witness of -c
-        with pytest.raises(InternalInconsistency, match="at c=%d," % m):
-            wr_identity_check(f, certificate=_edited(cert, m, lam=lam))
-        # another true witness of -c passes
+        with pytest.raises(InternalInconsistency, match="at a=%d," % m):
+            verify_cubic_like(f, _edited(cert, m, lam=lam))
         other = next(e for e, vs in constants.items() if e != d and len(vs) == 1 and 0 not in vs)
-        wr_identity_check(f, certificate=_edited(cert, m, b=other, lam=constants[other].pop()))
-        # a direction that is no witness, with the implied lambda, raises
+        verify_cubic_like(f, _edited(cert, m, b=other, lam=constants[other].pop()))
         wrong = next(e for e, vs in constants.items() if len(vs) > 1)
-        with pytest.raises(InternalInconsistency, match="at c=%d," % m):
-            wr_identity_check(f, certificate=_edited(cert, m, b=wrong))
+        with pytest.raises(InternalInconsistency, match="at a=%d," % m):
+            verify_cubic_like(f, _edited(cert, m, b=wrong))
     assert checked == 39
 
 
 @pytest.mark.parametrize("pairs, seed", [(None, 0), (1000, 2)], ids=["exhaustive", "sampled"])
 def test_corrupted_witness_raises_on_every_kind_of_row(pairs, seed, monkeypatch):
-    # the (1, 2, 1) trinomial walked whole, and on 13 rows at seed 2: a
-    # clean row (no inverse run), a row with misses (one inverse run) and a
-    # row -c read from row c each raise once their witness's lambda is
-    # corrupted
+    # the (1, 2, 1) trinomial walked whole, and on 13 rows at seed 2: the
+    # witness of a clean row (no inverse run), of a row with misses (one
+    # inverse run) and of a row -c read from row c each raise in the
+    # witness check once their lambda is corrupted
     if pairs:
         monkeypatch.setattr(derivanalysis, "SAMPLED_PAIRS", pairs)
     f = trinomial_bent(TrinomialParams(1, 2, 1)).truth_table()
     ctx = f.ctx
     cert = cubic_like_certificate(f)
-    rep = wr_identity_check(f, seed=seed, certificate=cert)
+    rep = wr_identity_check(f, seed=seed)
     assert rep.exhaustive == (pairs is None) and cert.complete
     rows = [c for c, _ in rep.rows]
     misses = dict(rep.rows[:-1])  # the last row may be cut
@@ -901,13 +934,14 @@ def test_corrupted_witness_raises_on_every_kind_of_row(pairs, seed, monkeypatch)
     for c in kinds:
         assert cert.lam[c]
         bad = _edited(cert, c, lam=cert.lam[c] % 2 + 1)
-        with pytest.raises(InternalInconsistency, match="at c=%d," % c):
-            wr_identity_check(f, seed=seed, certificate=bad)
+        with pytest.raises(InternalInconsistency, match="at a=%d," % c):
+            verify_cubic_like(f, bad)
 
 
 def test_quad_like_implication():
-    # the battery checks D_{c,d} f = lambda on every witnessed row it walks:
-    # a true lemma-2 witness and a complete certificate pass it
+    # the witness check reads D_{c,d} f = lambda at every witnessed
+    # direction: a true lemma-2 witness alone, and a complete certificate,
+    # pass it
     params = TrinomialParams(1, 2, 1)
     ctx = params.context()
     f = trinomial_bent(params, ctx).truth_table()
@@ -919,32 +953,34 @@ def test_quad_like_implication():
     bs[c.index], lams[c.index] = d.index, lam
     lemma = CubicLikeCertificate(bs, lams)
     assert not lemma.complete
-    assert wr_identity_check(f, certificate=lemma).violations == wr_identity_check(f).violations
-    wr_identity_check(f, certificate=cubic_like_certificate(f))
+    verify_cubic_like(f, lemma)
+    verify_cubic_like(f, cubic_like_certificate(f))
 
     g = quad(F9)
     cert = cubic_like_certificate(g)
     assert cert.complete
-    assert wr_identity_check(g, certificate=cert).sound_clean
+    verify_cubic_like(g, cert)
+    assert wr_identity_check(g).sound_clean
 
 
 @pytest.mark.parametrize("spec", ["p=3 n=2 f=Tr(x^2)", "p=3 n=4 f=Tr(x^34+x^2)",
                                   "p=5 n=2 f=Tr(x^2)", "p=3 n=5 f=Tr(x^2)"])
 def test_quad_like_implication_corrupted_witness_raises(spec):
     # D_{c,d} f is the constant lambda, so any other lambda fails at every
-    # point, on an exhaustive row (n <= 4, degree 4 at x^34 + x^2) and on a
-    # sampled row walked in full (n = 5)
+    # point: on a direction of an exhaustive battery (n <= 4, degree 4 at
+    # x^34 + x^2, read at every point) and of a sampled row walked in full
+    # (n = 5)
     ctx, tf = parse_function_spec(spec)
     f = tf.truth_table()
     cert = cubic_like_certificate(f)
-    rep = wr_identity_check(f, seed=1, certificate=cert)
     c = next(c for c in _battery_rows(ctx.q, 1)[:-1] if cert.lam[c])
     lam = cert.lam[c]
     bad = _edited(cert, c, lam=lam % (ctx.p - 1) + 1)
     assert (bad.b[c], bad.lam[c]) != (cert.b[c], lam)
-    with pytest.raises(InternalInconsistency, match="at c=%d," % c):
-        wr_identity_check(f, seed=1, certificate=bad)
-    assert rep.sound_clean
+    verify_cubic_like(f, cert)
+    with pytest.raises(InternalInconsistency, match="at a=%d," % c):
+        verify_cubic_like(f, bad)
+    assert wr_identity_check(f, seed=1).sound_clean
 
 
 @pytest.mark.parametrize("make", [
@@ -960,16 +996,16 @@ def test_witness_check_raises_on_a_direction_that_is_no_witness(make):
     cert = cubic_like_certificate(f)
     c, d = next((c, d) for c in compress(range(ctx.q), cert.lam) for d in range(1, ctx.q)
                 if len(set(f.second_derivative(ctx.from_index(c), ctx.from_index(d)).values)) > 1)
-    with pytest.raises(InternalInconsistency, match="at c=%d," % c):
-        wr_identity_check(f, seed=1, certificate=_edited(cert, c, b=d))
+    with pytest.raises(InternalInconsistency, match="at a=%d," % c):
+        verify_cubic_like(f, _edited(cert, c, b=d))
 
 
 @pytest.mark.parametrize("seed", [0, 12])
 def test_witness_implication_reads_the_cut_part_of_the_last_sampled_row(seed):
-    # 42 rows of 243 b fill SAMPLED_PAIRS, the last one cut after 37 b; its
-    # witness is checked at all 243 points all the same.  At seed 12 that
-    # row is read from row -c, walked earlier, and its corrupted witness,
-    # not row -c's (d, -lambda), is checked in its own right
+    # 42 rows of 243 b fill SAMPLED_PAIRS, the last one cut after 37 b; the
+    # witness of its direction is checked in full all the same.  At seed 12
+    # that row is read from row -c, walked earlier, and its corrupted
+    # witness is checked in its own right, not taken from -c's
     ctx, tf = parse_function_spec("p=3 n=5 f=Tr(x^2)")
     f = tf.truth_table()
     rows = _battery_rows(ctx.q, seed)
@@ -977,10 +1013,128 @@ def test_witness_implication_reads_the_cut_part_of_the_last_sampled_row(seed):
     assert SAMPLED_PAIRS - (len(rows) - 1) * ctx.q == 37
     assert (ctx.neg_table[c] in rows) == (seed == 12)
     cert = cubic_like_certificate(f)
-    assert wr_identity_check(f, seed=seed, certificate=cert).sound_clean
+    assert wr_identity_check(f, seed=seed).sound_clean
+    verify_cubic_like(f, cert)
     d, lam = cert.b[c], cert.lam[c]
     assert lam
     bad = _edited(cert, c, lam=lam % 2 + 1)
-    with pytest.raises(InternalInconsistency, match=r"at c=%d, witness \(d, lambda\) = \(%d, %d\)"
+    with pytest.raises(InternalInconsistency, match=r"at a=%d, witness \(b, lambda\) = \(%d, %d\)"
                        % (c, d, lam % 2 + 1)):
-        wr_identity_check(f, seed=seed, certificate=bad)
+        verify_cubic_like(f, bad)
+
+
+def _second_derivative(f, a, b):
+    """D_a D_b f at every point, through `index_add`: the per-direction
+    oracle of `verify_cubic_like`."""
+    p, vals = f.ctx.p, f.values
+    ab = index_add(p, a, b)
+    return [(vals[index_add(p, x, ab)] - vals[index_add(p, x, a)] - vals[index_add(p, x, b)]
+             + vals[x]) % p for x in range(f.ctx.q)]
+
+
+@pytest.mark.parametrize("p, n", [(p, n) for p in (3, 5, 7) for n in range(1, 9)
+                                  if p ** n <= 3 ** 8])
+def test_witness_check_matches_per_direction_oracle(p, n):
+    # a complete map (the bent Tr(x^2)) and, for n > 1, an incomplete one
+    # with witnesses (seeded sparse ANF of p-weight <= 3; at n = 1 every
+    # map of degree <= 3 is complete or empty):
+    # seeded directions against `_first_witness_low_degree` and D_a D_b f
+    # at every point, and each with its b moved or its lambda moved, or
+    # given a witness where it has none; the check raises, naming the
+    # direction, exactly where the oracle's D_a D_b f is not the constant
+    ctx = get_field(p, n)
+    q, rng = ctx.q, random.Random(1000 * p + n)
+    maps = [quad(ctx)]
+    for seed in range(40 if n > 1 else 0):
+        f = _sparse_low_degree(p, n, seed)
+        if 0 < ctx.q - cubic_like_certificate(f).lam.count(0) < q - 1:
+            maps.append(f)
+            break
+    assert len(maps) == (1 if n == 1 else 2)
+    for f in maps:
+        cert = cubic_like_certificate(f)
+        assert cert.complete == (f is maps[0])
+        verify_cubic_like(f, cert)
+        tri = _trilinear_form(f)
+        for a in rng.sample(range(1, q), min(q - 1, 6)):
+            b, lam = cert.b[a], cert.lam[a]
+            assert (b, lam) == (_first_witness_low_degree(f, tri, a) or (0, 0))
+            if lam:
+                assert set(_second_derivative(f, a, b)) == {lam}
+            for b2, lam2 in ((index_add(p, b, p ** rng.randrange(n)), lam or 1),
+                             (b, lam % (p - 1) + 1), (rng.randrange(q), rng.randrange(1, p))):
+                bad = _edited(cert, a, b=b2, lam=lam2)
+                if set(_second_derivative(f, a, b2)) == {lam2}:
+                    verify_cubic_like(f, bad)
+                else:
+                    with pytest.raises(InternalInconsistency, match="at a=%d," % a):
+                        verify_cubic_like(f, bad)
+
+
+def _corruptions_seen_at_one_point(f, points):
+    """For each x of `points`, a direction a and a witness (b, lambda)
+    whose D_a D_b f is lambda != 0 at every other point of `points` and
+    not at x, if f has one."""
+    ctx, found = f.ctx, {}
+    for a, b in itertools.product(range(1, ctx.q), repeat=2):
+        dd = f.second_derivative(ctx.from_index(a), ctx.from_index(b)).values
+        for x in points:
+            rest = {dd[y] for y in points if y != x}
+            if x not in found and len(rest) == 1 and 0 not in rest and dd[x] not in rest:
+                found[x] = a, b, rest.pop()
+        if len(found) == len(points):
+            break
+    return found
+
+
+@pytest.mark.parametrize("p, n", [(3, 4), (5, 3), (7, 2)])
+def test_witness_check_reads_every_point(p, n):
+    # a seeded cubic's D_a D_b f is affine: a witness wrong at one of 0,
+    # e_0, ..., e_(n-1) alone is caught, each point by its own lane
+    ctx = get_field(p, n)
+    f = random_anf(ctx, random.Random(0), 3)
+    points = [0] + [p ** i for i in range(n)]
+    found = _corruptions_seen_at_one_point(f, points)
+    assert sorted(found) == points
+    cert = cubic_like_certificate(f)
+    for x, (a, b, lam) in found.items():
+        with pytest.raises(InternalInconsistency, match="at a=%d," % a):
+            verify_cubic_like(f, _edited(cert, a, b=b, lam=lam))
+
+
+def test_witness_check_reads_every_point_above_degree_3():
+    # at degree 4, D_a D_b f need not be affine: a witness right at 0 and
+    # at every basis vector but wrong elsewhere is caught, as the check then
+    # reads every point
+    f = parse_function_spec("p=3 n=4 f=Tr(x^34+x^2)")[1].truth_table()
+    ctx = f.ctx
+    assert f.algebraic_degree() == 4
+    points = [0] + [3 ** i for i in range(ctx.n)]
+    cert = cubic_like_certificate(f)
+    for a, b in itertools.product(range(1, ctx.q), repeat=2):
+        dd = f.second_derivative(ctx.from_index(a), ctx.from_index(b)).values
+        if len({dd[x] for x in points}) == 1 and dd[0] and len(set(dd)) > 1:
+            break
+    with pytest.raises(InternalInconsistency, match="at a=%d," % a):
+        verify_cubic_like(f, _edited(cert, a, b=b, lam=dd[0]))
+
+
+@pytest.mark.parametrize("p, n", [(3, 2), (3, 5), (5, 1), (5, 3)])
+def test_quadratic_sieve_matches_the_checked_scan(p, n):
+    # for degree <= 2 the sieve at the basis vectors is exact: E_f and the
+    # balance witness, which skip the q-point check, equal the checked scan
+    # on seeded quadratics, the zero function and x_0^2 (E_f of p^(n-1) b)
+    ctx = get_field(p, n)
+    rng = random.Random(10 * p + n)
+    square = [0] * ctx.q
+    square[2] = 1
+    inputs = [random_quadratic(ctx, rng) for _ in range(6)]
+    inputs += [PFunction(ctx, [0] * ctx.q), anf_to_truth(ANF(ctx, square))]
+    for f in inputs:
+        assert f.algebraic_degree() <= 2
+        checked = list(_constant_derivatives(f))
+        assert list(_constant_derivatives(f, quadratic=True)) == checked
+        assert derivative_linear_space(f) == [ctx.from_index(b) for b, _ in checked]
+        witness = next((b for b, c in checked if c), None)
+        assert quadratic_balance_witness(f) == (None if witness is None
+                                                else ctx.from_index(witness))

@@ -206,6 +206,26 @@ def test_half_rows_match_add_index():
             [index_add(p, x, b) for x in range(p ** m)] for b in range(p ** m)]
 
 
+@pytest.mark.parametrize("p, n", [(3, 1), (3, 2), (3, 5), (3, 6), (5, 1), (5, 3), (7, 2),
+                                  (89, 1)])
+def test_index_sums_and_translations_match_add_index(p, n):
+    # x + ys[x] at every x for seeded ys (zero and q - 1 included), through
+    # the addition tables of both halves of the digits; f(y + x) by
+    # rotations of a table of values, at zero, at every basis vector, at
+    # q - 1 and at seeded x
+    q = p ** n
+    rng = random.Random(10 * p + n)
+    for m in (m for m in range(3) if p ** m <= 81):
+        assert gf.addition_row(p, m) == [index_add(p, u, v) for u in range(p ** m)
+                                         for v in range(p ** m)]
+    for ys in ([0] * q, [q - 1] * q, [rng.randrange(q) for _ in range(q)]):
+        assert list(gf.index_sums(p, n, array("i", ys))) == [
+            index_add(p, x, y) for x, y in enumerate(ys)]
+    vals = array("B", [rng.randrange(p % 256) for _ in range(q)])
+    for x in [0, q - 1] + [p ** i for i in range(n)] + [rng.randrange(q) for _ in range(3)]:
+        assert list(gf.translated(vals, p, x)) == [vals[index_add(p, y, x)] for y in range(q)]
+
+
 def test_field_errors_are_parse_errors_and_bugs_are_internal():
     assert issubclass(FieldError, ParseError)
     assert [m for m in range(-3, 40) if is_prime(m)] == [2, 3, 5, 7, 11, 13, 17, 19, 23,
