@@ -39,26 +39,28 @@ sign of its own spectrum as `classify` reads it, has v constant: every row
 is clean, and the battery transforms nothing and gathers nothing.
 Otherwise it transforms the dual, and a row gathers v through its one
 translation table y -> y - c: a clean row, where the classes agree at
-every y, has no misses, and any other reads d_c where they differ from
-one 2p x 2p table of z^a - z^b and runs one inverse transform
-(`_phase_misses`).  A dual that is not bent compares the product sides at
-every y, W(y - c) conj(W(y)) read by its pair of codes into the dual's
-table of values, each distinct pair multiplied once per battery
-(`_pair_products`), and its sums are divided by p^n exactly.  Row -c is
-row c mirrored, b -> -b, as D_-c f(x) = -D_c f(x - c): a row -c walked
-after row c takes row c's misses, negated.
+every y, has no misses, and any other reads d_c at every y from one
+2p x 2p table of z^a - z^b.  A dual that is not bent compares the product
+sides, d_c(y) = W(y - c) conj(W(y)) - p^n z^(2 D_c f(-y)), read by the
+codes of the dual's table of values at y - c and y and by 2 D_c f(-y),
+each distinct triple computed once per battery, and its sums are divided
+by p^n exactly.  Every row with a difference is one lane of a single
+inverse transform (`_row_misses`), the rows' d_c packed into one int per
+coordinate, each lane wide enough for the sums' bound.  Row -c is row c
+mirrored, b -> -b, as D_-c f(x) = -D_c f(x - c): a row -c walked after row
+c takes no lane and reads row c's misses, negated.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+import struct
 import sys
 from array import array
-from collections import deque
 from functools import reduce
-from itertools import compress, repeat
-from operator import eq, getitem, gt, ne, sub
+from itertools import chain, compress, repeat
+from operator import add, eq, getitem, gt, sub, xor
 
 from .cyclo import conj_coords, mul_coords, signed_powers
 from .errors import InternalInconsistency, PreconditionError
@@ -368,33 +370,60 @@ class WrIdentityReport:
             self.to_json())
 
 
-def _pair_products(table: list, pairs: list, known: dict, p: int) -> list:
-    """W(y - c) conj(W(y)) at each code pair (k(y - c), k(y)) into the `table`
-    of a dual that is not bent; `known` keeps each pair's product across rows."""
-    for a, b in set(pairs).difference(known):
-        known[a, b] = mul_coords(table[a], conj_coords(table[b], p), p)
-    return list(map(known.__getitem__, pairs))
+def _row_misses(rows: list, diffs: list, ctx, entries, divisor: int) -> list:
+    """The phase misses of every row c of `rows`, the b where w^Tr(bc)
+    W_{D_b f*}(-c) != W_{D_c f}(b), ascending, from one inverse run.
 
-
-def _phase_misses(diffs, ctx, c: int, divisor: int) -> list:
-    """Row c's phase misses, the b where w^Tr(bc) W_{D_b f*}(-c) != W_{D_c
-    f}(b), ascending.  `diffs` holds the y where the row's phase sides
-    differ and d(y), their difference, at each: the inverse sums of d are
-    `divisor` times P_c - W_{D_c f}.  A clean row, with no such y, runs no
-    inverse; otherwise the misses are the nonzero sums, each divisible by
-    a `divisor` above 1 (p^n on the product path), exactly."""
-    ys, values = diffs
+    `diffs` holds each row's d at every y, tuples of `entries` whose
+    inverse sums are `divisor` times P_c - W_{D_c f}; a clean row, d zero
+    at every y, misses nowhere.  Row i of the others is lane i of one int
+    per coordinate, X(y) = sum_i d_i(y) 2^(s i): the sums are Z-linear,
+    and each coordinate of a row's is at most 2 q max|d| in absolute
+    value (one of w^e d(y) is the difference of two of d(y)), so s bits,
+    the bound's length and a sign bit in 1, 2, 4 or 8 bytes where those
+    hold it, keep the lanes apart.  A lane plus 2^(s - 1), its top bit
+    flipped, is its two's complement, read at the x where a lane is
+    nonzero.  The misses are the nonzero lanes; a `divisor` above 1 (p^n
+    on the product path) divides each exactly, or the lane names its
+    row."""
+    p, q = ctx.p, ctx.q
+    live = [i for i, d in enumerate(diffs) if any(map(any, d))]
+    out, count = [[] for _ in rows], len(live)
+    if not live:
+        return out
+    width = (2 * q * max(map(abs, chain.from_iterable(entries)))).bit_length() + 1
+    size = next(s for s in (1, 2, 4, 8, -(-width // 8)) if 8 * s >= width)  # bytes per lane
+    step = size * count  # bytes per coordinate of a point
+    bias = (1 << 8 * size - 1) * ((1 << 8 * step) - 1) // ((1 << 8 * size) - 1)
+    packed = diffs[live[0]]  # lane 0: its row's d as it is
+    if count > 1:
+        cols = list(zip(*packed))
+        for lane, i in enumerate(live[1:], 1):
+            scale = (1 << 8 * size * lane).__mul__
+            cols = [list(map(add, col, map(scale, part)))
+                    for col, part in zip(cols, zip(*diffs[i]))]
+        packed = list(zip(*cols))
+        del cols
     del diffs  # the last reference when the caller passes them unbound
-    if not ys:
-        return []
-    d = [(0,) * (ctx.p - 1)] * ctx.q
-    deque(map(d.__setitem__, ys, values), 0)
-    del ys, values
-    sums = inverse_sums(ctx, d)
-    misses = list(compress(range(ctx.q), map(any, sums)))
-    if divisor > 1 and any(v % divisor for b in misses for v in sums[b]):
-        raise InternalInconsistency("correlation sums of direction %d not divisible by p^n" % c)
-    return misses
+    sums = inverse_sums(ctx, packed)
+    del packed
+    hit = list(compress(range(q), map(any, sums)))
+    raw = b"".join(map(int.to_bytes, map(xor, map(add, chain.from_iterable(map(
+        sums.__getitem__, hit)), repeat(bias)), repeat(bias)), repeat(step), repeat("little")))
+    del sums
+    if size <= 8:  # lanes[(h (p - 1) + j) count + lane]: coordinate j at x = hit[h]
+        lanes = struct.unpack("<%d%s" % (len(raw) // size, "bhiq"[size.bit_length() - 1]), raw)
+    else:
+        lanes = [int.from_bytes(raw[k:k + size], "little", signed=True)
+                 for k in range(0, len(raw), size)]
+    if divisor > 1:
+        bad = next(compress(range(len(lanes)), map(divisor.__rmod__, lanes)), None)
+        if bad is not None:
+            raise InternalInconsistency("correlation sums of direction %d not divisible by p^n"
+                                        % rows[live[bad % count]])
+    for lane, i in enumerate(live):
+        out[i] = list(compress(hit, map(any, zip(*[iter(lanes[lane::count])] * (p - 1)))))
+    return out
 
 
 def wr_identity_check(f: PFunction, seed: int = 0) -> WrIdentityReport:
@@ -403,7 +432,9 @@ def wr_identity_check(f: PFunction, seed: int = 0) -> WrIdentityReport:
 
     It walks rows c (see the module docstring): all q rows when p^2n <=
     SAMPLED_PAIRS, otherwise ceil(SAMPLED_PAIRS / q) distinct rows from
-    `random.Random(seed).sample`, in draw order.  A row's misses ascend in
+    `random.Random(seed).sample`, in draw order.  The rows walked in their
+    own right, all but a row -c walked after row c, are gathered first and
+    share one inverse transform (`_row_misses`).  A row's misses ascend in
     b, so the last row's are cut once, to SAMPLED_PAIRS pairs in all.  A
     weakly regular f, read off the constant sign of f's own spectrum as
     `classify` reads it, has every row clean: its battery transforms
@@ -427,38 +458,39 @@ def wr_identity_check(f: PFunction, seed: int = 0) -> WrIdentityReport:
     twice = [2 * v for v in map(vals.__getitem__, neg)]  # 2 f(-y)
     if not s_dual.bent:
         scaled = [tuple([q * v for v in x]) for x in powers]  # p^n z^k
-        known = {}  # W(y - c) conj(W(y)) by code pair, across rows
+        known = {}  # W(y - c) conj(W(y)) - p^n z^t by (k(y - c), k(y), t), across rows
 
         def differences(shift):  # shift[y] = y - c
-            lhs = _pair_products(s_dual.table, list(zip(map(codes.__getitem__, shift), codes)),
-                                 known, p)
-            rhs = list(map(scaled.__getitem__, map(sub, map(twice.__getitem__, shift), twice)))
-            ys = list(compress(range(q), map(ne, lhs, rhs)))
-            return ys, [tuple(map(sub, lhs[y], rhs[y])) for y in ys]
-    else:
-        # z^(k(y - c) - k(y)) = w^(D_c f(-y)) exactly where v(y - c) = v(y)
-        phase = [(k - v) % (2 * p) for k, v in zip(codes, twice)]
-        if phase.count(phase[0]) == q:  # v constant: every row is clean
+            keys = list(zip(map(codes.__getitem__, shift), codes,
+                            map(sub, map(twice.__getitem__, shift), twice)))
+            for a, b, t in set(keys).difference(known):
+                known[a, b, t] = tuple(map(sub, mul_coords(
+                    s_dual.table[a], conj_coords(s_dual.table[b], p), p), scaled[t]))
+            return list(map(known.__getitem__, keys))
+        entries = known.values()
+    else:  # d_c(y) = z^(k(y - c) - k(y)) - z^(2 D_c f(-y)) is zero where v(y - c) = v(y)
+        if len({(k - v) % (2 * p) for k, v in zip(codes, twice)}) == 1:  # v constant: rows clean
             differences = None
         else:
             table = [[tuple(map(sub, x, y)) for y in powers] for x in powers]  # z^a - z^b
+            entries = list(chain.from_iterable(table))
 
             def differences(shift):
-                moved = list(map(phase.__getitem__, shift))  # v(y - c)
-                ys = [] if moved == phase else list(compress(range(q), map(ne, moved, phase)))
-                xs = list(map(shift.__getitem__, ys))
-                return ys, list(map(getitem, map(table.__getitem__, map(
-                    sub, map(codes.__getitem__, xs), map(codes.__getitem__, ys))), map(
-                    sub, map(twice.__getitem__, xs), map(twice.__getitem__, ys))))
+                return list(map(getitem, map(table.__getitem__, map(
+                    sub, map(codes.__getitem__, shift), codes)), map(
+                    sub, map(twice.__getitem__, shift), twice)))
 
-    out, mirrored = [], {}
+    at = {c: i for i, c in enumerate(rows)}
+    own = [c for c in rows if at.get(neg[c], q) >= at[c]]  # row -c walked after row c is not
+    misses = dict.fromkeys(own, [])
+    if differences:  # each row's one table, passed unbound: freed before the inverse run
+        misses.update(zip(own, _row_misses(own, [differences(ctx.shift_table(neg[c]))
+                                                 for c in own], ctx, entries,
+                                           1 if s_dual.bent else q)))
+    out = []
     for i, c in enumerate(rows):
-        misses = mirrored.pop(c, None)  # row -c, walked earlier: D_-c f(x) = -D_c f(x - c)
-        if misses is None:
-            # the row's one table, passed unbound: freed before `_phase_misses`' inverse run
-            misses = [] if differences is None else _phase_misses(
-                differences(ctx.shift_table(neg[c])), ctx, c, 1 if s_dual.bent else q)
-            mirrored[neg[c]] = sorted(neg[b] for b in misses)  # both phase sides mirror, b -> -b
+        # row -c walked after row c: D_-c f(x) = -D_c f(x - c), both phase sides mirror, b -> -b
+        row = misses[c] if c in misses else sorted(map(neg.__getitem__, misses[neg[c]]))
         limit = min(q, pair_count - i * q)  # the last sampled row's report stops at b = limit
-        out.append((c, list(itertools.takewhile(limit.__gt__, misses))))
+        out.append((c, list(itertools.takewhile(limit.__gt__, row))))
     return WrIdentityReport(pair_count, out, exhaustive)

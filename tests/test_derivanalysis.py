@@ -592,10 +592,20 @@ def test_wr_rows_match_pair_oracle_exhaustive(make):
     _assert_json_from_dicts(rep, expected)
 
 
-def _differences(lhs, rhs):
-    """The y where the two sides differ, and lhs[y] - rhs[y] at each."""
-    ys = [y for y, (x, v) in enumerate(zip(lhs, rhs)) if x != v]
-    return ys, [tuple(a - b for a, b in zip(lhs[y], rhs[y])) for y in ys]
+def _row_misses_oracle(d, ctx, c, divisor):
+    """The per-row path that the one inverse run of `_row_misses` replaced,
+    kept as its oracle: row c's own inverse run on its difference d, its
+    misses the b where the sums are nonzero, each divisible by a divisor
+    above 1 exactly."""
+    sums = inverse_sums(ctx, d)
+    misses = [b for b in range(ctx.q) if any(sums[b])]
+    if divisor > 1 and any(v % divisor for b in misses for v in sums[b]):
+        raise InternalInconsistency("correlation sums of direction %d not divisible by p^n" % c)
+    return misses
+
+
+def _entries(diffs):
+    return {v for d in diffs for v in d}
 
 
 @pytest.mark.parametrize("p, n", [(3, 3), (3, 4), (5, 1), (5, 2), (7, 1), (7, 2)])
@@ -604,10 +614,9 @@ def test_phase_difference_matches_product_sums(p, n):
     # of (p, n), and a seeded local(y) in the place of D_c f(-y): row by row,
     # the inverse sums of the signed powers minus w^local, plus those of
     # w^local, are the product sums of W(y - c) conj(W(y)) divided by p^n,
-    # and `_phase_misses` gives the same misses from either side: the
-    # signed powers against w^local (divisor 1), or the products against
-    # p^n w^local (divisor p^n).  The products read by code pair, each
-    # pair multiplied once across the rows, are the oracle's
+    # and `_row_misses` gives every row's misses from either side in one
+    # run: the signed powers against w^local (divisor 1), or the products
+    # against p^n w^local (divisor p^n)
     ctx = get_field(p, n)
     q = ctx.q
     rng = random.Random(10 * p + n)
@@ -617,35 +626,144 @@ def test_phase_difference_matches_product_sums(p, n):
     codes = [(2 * j + p * (s < 0)) % (2 * p) for s, j in zip(signs, exps)]
     assert w == [unit_power_forms(p, n)[0][k] for k in codes]
     powers = signed_powers(p)
-    forms, known = unit_power_forms(p, n)[0], {}
     local = [Zw.omega_pow(p, v).coords for v in (rng.randrange(p) for _ in range(q))]
     scaled = [tuple(q * v for v in x) for x in local]
     local_sums = inverse_sums(ctx, local)
+    phase, product, same, expected = [], [], [], []
     for c in range(q):
         shift = [index_add(p, y, c, -1) for y in range(q)]
         prod = [(Zw(p, w[shift[y]]) * Zw(p, w[y]).conj()).coords for y in range(q)]
-        pairs = [(codes[shift[y]], codes[y]) for y in range(q)]
-        assert derivanalysis._pair_products(forms, pairs, known, p) == prod
         product_sums = inverse_sums(ctx, prod)
         signed = [powers[(codes[shift[y]] - codes[y]) % (2 * p)] for y in range(q)]
-        sums = inverse_sums(ctx, [tuple(a - b for a, b in zip(x, v))
-                                  for x, v in zip(signed, local)])
+        phase.append([tuple(a - b for a, b in zip(x, v)) for x, v in zip(signed, local)])
+        product.append([tuple(a - b for a, b in zip(x, v)) for x, v in zip(prod, scaled)])
+        same.append([tuple(a - b for a, b in zip(x, x)) for x in signed])
+        sums = inverse_sums(ctx, phase[-1])
         assert [tuple(q * (a + b) for a, b in zip(x, y))
                 for x, y in zip(sums, local_sums)] == product_sums
         misses = [b for b in range(q) if product_sums[b] != tuple(q * v for v in local_sums[b])]
         assert misses and misses == [b for b in range(q) if any(sums[b])]
-        assert derivanalysis._phase_misses(_differences(signed, local), ctx, c, 1) == misses
-        assert derivanalysis._phase_misses(_differences(prod, scaled), ctx, c, q) == misses
-        assert derivanalysis._phase_misses(_differences(signed, signed), ctx, c, 1) == []
+        expected.append(misses)
+    rows = list(range(q))
+    assert derivanalysis._row_misses(rows, phase, ctx, _entries(phase), 1) == expected
+    assert derivanalysis._row_misses(rows, product, ctx, _entries(product), q) == expected
+    assert derivanalysis._row_misses(rows, same, ctx, _entries(same), 1) == [[]] * q
 
 
-def test_phase_misses_divides_exactly():
-    # one nonzero entry 1 at y = 0: its inverse sums are 1 at every b, a
-    # miss everywhere, and not divisible by p^n
+def test_row_misses_divides_exactly():
+    # a row whose d is 1 at y = 0 alone: its inverse sums are 1 at every b,
+    # a miss everywhere, and not divisible by p^n.  Among rows whose d is
+    # p^n at one y, it raises in any lane, naming its own row, and the
+    # others pass the check
     ctx = F9
-    assert derivanalysis._phase_misses(([0], [(1, 0)]), ctx, 0, 1) == list(range(ctx.q))
-    with pytest.raises(InternalInconsistency):
-        derivanalysis._phase_misses(([0], [(1, 0)]), ctx, 0, ctx.q)
+    q = ctx.q
+    one = [(1, 0)] + [(0, 0)] * (q - 1)
+    assert derivanalysis._row_misses([0], [one], ctx, [(1, 0)], 1) == [list(range(q))]
+    with pytest.raises(InternalInconsistency, match="direction 0 "):
+        derivanalysis._row_misses([0], [one], ctx, [(1, 0)], q)
+    good = [[(0, 0)] * y + [(q, -q)] + [(0, 0)] * (q - 1 - y) for y in range(4)]
+    assert derivanalysis._row_misses([5, 6], good[:2], ctx, _entries(good), q) == [
+        list(range(q))] * 2
+    for lane in range(4):
+        rows, diffs = list(range(10, 16)), good[:lane] + [[(0, 0)] * q, one] + good[lane:]
+        with pytest.raises(InternalInconsistency, match="direction %d " % rows[lane + 1]):
+            derivanalysis._row_misses(rows, diffs, ctx, _entries(diffs), q)
+
+
+def _counting_row_misses(monkeypatch):
+    """Wrap `_row_misses` and `inverse_sums` in `derivanalysis`: the list of
+    calls of the first, each (rows, diffs, divisor, result), and the count
+    of inverse runs."""
+    calls, runs = [], []
+    row_misses, inverse = derivanalysis._row_misses, derivanalysis.inverse_sums
+
+    def recorded(rows, diffs, ctx, entries, divisor):
+        calls.append((rows, diffs, divisor, row_misses(rows, diffs, ctx, entries, divisor)))
+        return calls[-1][-1]
+
+    def counted(ctx, coords):
+        runs.append(ctx)
+        return inverse(ctx, coords)
+
+    monkeypatch.setattr(derivanalysis, "_row_misses", recorded)
+    monkeypatch.setattr(derivanalysis, "inverse_sums", counted)
+    return calls, runs
+
+
+@pytest.mark.parametrize("make, seed", [
+    (lambda: trinomial_bent(TrinomialParams(1, 0, 1)).truth_table(), 0),
+    (lambda: trinomial_bent(TrinomialParams(1, 2, 1)).truth_table(), 0),
+    (lambda: parse_function_spec("p=3 n=3 f=Tr(x^8+x^14)")[1].truth_table(), 0),
+    (lambda: parse_function_spec("p=3 n=4 f=Tr(x^4+g^10*x^22)")[1].truth_table(), 0),
+    (lambda: _special_form_n6(), 3),
+    (lambda: parse_function_spec("p=3 n=6 f=Tr(g^7*x^98)")[1].truth_table(), 1),
+], ids=["trinomial_101", "trinomial_121", "x8_x14", "sporadic_product", "special_form_n6_sampled",
+        "g7_x98_product_sampled"])
+def test_row_misses_match_one_inverse_run_per_row(make, seed, monkeypatch):
+    # every row the battery walks in its own right gets the misses of its
+    # own inverse run from the one batched run, on both paths: the phase
+    # path (a bent dual) and the product path (a dual that is not bent)
+    f = make()
+    ctx = f.ctx
+    calls, runs = _counting_row_misses(monkeypatch)
+    rep = wr_identity_check(f, seed=seed)
+    [(rows, diffs, divisor, got)] = calls
+    assert len(runs) == 1 and len(rows) == len(diffs) == len(got) > 1
+    assert divisor == (1 if walsh_fast(extract_certificate(walsh_fast(f)).dual).bent else ctx.q)
+    assert got == [_row_misses_oracle(d, ctx, c, divisor) for c, d in zip(rows, diffs)]
+    walk = [c for c, _ in rep.rows]
+    assert rows == [c for i, c in enumerate(walk) if ctx.neg_table[c] not in walk[:i]]
+
+
+@pytest.mark.parametrize("p, n, count", [(5, 2, 7), (7, 2, 5), (89, 1, 4)])
+def test_row_misses_match_one_inverse_run_per_row_on_seeded_differences(p, n, count):
+    # every non-weakly regular input of the battery is at p = 3, so seeded
+    # rows at p >= 5: clean rows, rows of few nonzero y, dense rows, and
+    # rows of values past 64 bits, whose lanes are read one by one; scaled
+    # by p^n, every row passes the product path's divisibility check
+    ctx = get_field(p, n)
+    q = ctx.q
+    rng = random.Random(100 * p + n)
+    for top in (3, 1000, 1 << 70):
+        pool = [(0,) * (p - 1)] + [tuple(rng.randint(-top, top) for _ in range(p - 1))
+                                   for _ in range(6)]
+        diffs = []
+        for i in range(count):
+            d = [pool[0]] * q  # clean where i % 3 == 2
+            for y in rng.sample(range(q), (q // 2, 1, 0)[i % 3]):
+                d[y] = rng.choice(pool[1:])
+            diffs.append(d)
+        rows = rng.sample(range(q), count)
+        expected = [_row_misses_oracle(d, ctx, c, 1) for c, d in zip(rows, diffs)]
+        assert any(expected)
+        assert derivanalysis._row_misses(rows, diffs, ctx, pool, 1) == expected
+        scaled = [[tuple(q * v for v in x) for x in d] for d in diffs]
+        assert derivanalysis._row_misses(rows, scaled, ctx, _entries(scaled), q) == expected
+
+
+@pytest.mark.parametrize("p, n, top", [(3, 4, 404), (89, 1, 368)])
+def test_row_misses_lane_width_holds_the_bound(p, n, top):
+    # row 0's d is +-top in the coordinates that make coordinate 0 of its
+    # sums at x0 2 top at every y with Tr(x0 y) != 0, 1: those sums reach
+    # 2 q top (1 - 1/p), past 2^15, under the bound 2 q top < 2^16.  The
+    # bound's 16 bits and a sign bit take 4-byte lanes; one bit fewer
+    # would take 2-byte lanes, which do not hold them.  Row 1's d is
+    # constant, so its sums are zero but at x = 0: a lane too narrow for
+    # row 0 spills into row 1 and shows as a miss there
+    ctx = get_field(p, n)
+    q, x0 = ctx.q, 5
+    d = []
+    for e in ctx.trace_row(x0):
+        v = [0] * p  # v[p - 1] = 0: coordinate 0 of w^e d is d[-e] - d[p - 1 - e]
+        v[-e % p], v[p - 1 - e] = (top, 0) if e == 0 else (0, -top) if e == 1 else (top, -top)
+        d.append(tuple(v[:p - 1]))
+    flat = [(1,) + (0,) * (p - 2)] * q
+    sums = inverse_sums(ctx, d)
+    reach = max(abs(v) for x in sums for v in x)
+    assert reach == abs(sums[x0][0]) == 2 * q * top * (p - 1) // p
+    assert 1 << 15 <= reach < 2 * q * top < 1 << 16
+    expected = [_row_misses_oracle(d, ctx, 1, 1), [0]]
+    assert derivanalysis._row_misses([1, 2], [d, flat], ctx, _entries([d, flat]), 1) == expected
 
 
 def random_anf(ctx, rng, degree):
@@ -748,26 +866,6 @@ def test_wr_rows_of_minus_c_match_pair_oracle_sampled(pairs, seed, monkeypatch):
         verify_cubic_like(f, bad)
 
 
-def _inverse_rows(f, monkeypatch, **kwargs):
-    """The battery's report, and the rows c, in walk order, that ran an
-    inverse transform: each inverse run is credited to the row whose
-    `_phase_misses` call it ran in."""
-    ran, current = [], []
-    phase_misses, inverse = derivanalysis._phase_misses, derivanalysis.inverse_sums
-
-    def tagged(diffs, ctx, c, divisor):
-        current[:] = [c]
-        return phase_misses(diffs, ctx, c, divisor)
-
-    def credited(ctx, d):
-        ran.extend(current)
-        return inverse(ctx, d)
-
-    monkeypatch.setattr(derivanalysis, "_phase_misses", tagged)
-    monkeypatch.setattr(derivanalysis, "inverse_sums", credited)
-    return wr_identity_check(f, **kwargs), ran
-
-
 def _special_form_n6():
     """A sampled non-weakly regular input at n = 6 with a bent dual: the
     d = 1 special form of a quadratic and two (1, 2, 1) trinomials."""
@@ -781,23 +879,28 @@ def _special_form_n6():
     _special_form_n6,
 ], ids=["trinomial_121", "x8_x14", "special_form_n6_sampled"])
 def test_rows_run_an_inverse_transform_exactly_where_they_miss(make, monkeypatch):
-    # a bent dual, not weakly regular: a row walked in its own right runs
-    # one inverse transform if the pair oracle finds a miss in it, and none
-    # if it finds none (its phase classes agree at every y); a row -c walked
-    # after row c runs none
+    # a bent dual, not weakly regular: the battery runs one inverse
+    # transform, whose lanes are the rows walked in their own right where
+    # the pair oracle finds a miss; a row where it finds none (its phase
+    # classes agree at every y) takes no lane, and neither does a row -c
+    # walked after row c
     f = make()
     ctx = f.ctx
     assert walsh_fast(extract_certificate(walsh_fast(f)).dual).bent
     assert classify(f).variant == walsh.NON_WEAKLY_REGULAR
-    rep, ran = _inverse_rows(f, monkeypatch)
+    calls, runs = _counting_row_misses(monkeypatch)
+    rep = wr_identity_check(f)
     walked, own = set(), []
     for c, _ in rep.rows:
         if ctx.neg_table[c] not in walked:
             own.append(c)
         walked.add(c)
     missed = {v["c"] for v in _pair_battery_oracle(f, [(b, c) for c in own for b in range(ctx.q)])}
-    assert ran == [c for c in own if c in missed]
-    assert 0 < len(ran) < len(own)
+    [(rows, diffs, _, _)] = calls
+    lanes = [c for c, d in zip(rows, diffs) if any(map(any, d))]
+    assert len(runs) == 1 and rows == own
+    assert lanes == [c for c in own if c in missed]
+    assert 0 < len(lanes) < len(own)
     assert rep.exhaustive == (ctx.q * ctx.q <= SAMPLED_PAIRS)
 
 
@@ -825,7 +928,7 @@ def _no_spectrum(*args):
 def test_weakly_regular_battery_gathers_nothing(spec, monkeypatch):
     # a weakly regular f, read off the signs of its own spectrum, has one
     # phase class: its battery builds no spectrum, the dual's included, and
-    # no row reaches `_phase_misses`.  Its witnesses are checked outside
+    # no row reaches `_row_misses`.  Its witnesses are checked outside
     # the battery: a corrupted one raises on a direction c < -c and on -c
     ctx, tf = parse_function_spec(spec)
     f = tf.truth_table()
@@ -833,7 +936,7 @@ def test_weakly_regular_battery_gathers_nothing(spec, monkeypatch):
     walsh_fast(f)
     with monkeypatch.context() as patched:
         patched.setattr(walsh.WalshSpectrum, "__init__", _no_spectrum)
-        patched.setattr(derivanalysis, "_phase_misses", _no_gather)
+        patched.setattr(derivanalysis, "_row_misses", _no_gather)
         rep = wr_identity_check(f)
     assert rep.exhaustive and rep.sound_clean and cert.complete
     c = next(c for c in range(1, ctx.q) if c < ctx.neg_table[c])
@@ -846,7 +949,7 @@ def test_weakly_regular_battery_gathers_nothing(spec, monkeypatch):
     g = trinomial_bent(TrinomialParams(1, 2, 1)).truth_table()
     classify(g)
     monkeypatch.setattr(walsh.WalshSpectrum, "__init__", _no_spectrum)
-    monkeypatch.setattr(derivanalysis, "_phase_misses", _no_gather)
+    monkeypatch.setattr(derivanalysis, "_row_misses", _no_gather)
     with pytest.raises(AssertionError, match="gathered"):
         wr_identity_check(g)
 
